@@ -9,16 +9,19 @@ cell. The saddle system
 
 uses A = nu (K^-1 u, v) with K constant per cell and B = -(div v, w).
 No-flow conditions are eliminated strongly; pressure and interface data are
-natural and enter the momentum right-hand side. The operator is factored
-once (SuperLU) and every subsequent star/bar solve is a single backsolve.
+natural and enter the momentum right-hand side. Everything but nu/K is
+realization-invariant and lives in a DarcySystem built once; each
+realization refills the matrix data, factors it once (SuperLU), and every
+subsequent star/bar solve is a single backsolve.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
+from .assembly import (CouplingMaps, RefillMatrix, check_permeability,
+                       factorize)
 from .errors import SingularOperatorError
 from .geometry import OUTWARD_SIGN, edges_on_span, side_of_interface
 
@@ -61,24 +64,44 @@ class DarcySolution:
     p: np.ndarray  # cell pressures
 
 
-class DarcyOperator:
-    """Factored subdomain operator for one permeability realization."""
+def trace_maps(mesh, trace):
+    """Full edge velocity -> u.n per fine edge of `trace`, one component.
 
-    def __init__(self, mesh, K, nu, bcs, traces, f=None, q=None):
+    u.n is taken in the fixed interface frame, like flux_on_interface.
+    """
+    n = len(trace.edges)
+    return [sp.csr_matrix((np.full(n, float(trace.normal_sign)),
+                           (np.arange(n), trace.edges)),
+                          shape=(n, mesh.n_edges))]
+
+
+def _cell_edge_table(mesh):
+    """(west, east, south, north) edge ids of every cell, row-major."""
+    iy, ix = np.divmod(np.arange(mesh.n_cells), mesh.nx)
+    w = iy * (mesh.nx + 1) + ix
+    s = mesh.n_vedges + iy * mesh.nx + ix
+    return w, w + 1, s, s + mesh.nx
+
+
+class DarcySystem:
+    """Realization-invariant part of one Darcy subdomain.
+
+    Holds the reduced dof layout, the saddle matrix pattern that is refilled
+    from nu/K per cell, the K-independent bar load and, when built with a
+    mortar coupling F (full edge velocity -> signed local mortar
+    functionals), its CouplingMaps, so that a star solve takes a local
+    mortar vector.
+    """
+
+    def __init__(self, mesh, nu, bcs, traces, f=None, q=None, coupling=None,
+                 name="darcy subdomain"):
         self.mesh = mesh
         self.nu = nu
         self.bcs = bcs
         self.traces = {t.iface: t for t in traces}
         self.f = f
         self.q = q
-        self.factorizations = 0
-        self.backsolves = 0
-
-        K = np.asarray(K, dtype=float)
-        if K.shape != (mesh.n_cells,):
-            raise ValueError("K must hold one value per cell")
-        if (K <= 0).any():
-            raise ValueError("permeability must be positive")
+        self.name = name
 
         iface_edges = set()
         for t in traces:
@@ -110,76 +133,53 @@ class DarcyOperator:
         self.red_index[keep] = np.arange(len(keep))
         self.n_u = len(keep)
         self.n_p = mesh.n_cells
+        self.matrix = self._pattern()
+        self.bar_load = self._bar_load()
 
-        rows, cols, vals = [], [], []
-        brows, bcols, bvals = [], [], []
-        hx, hy = mesh.hx, mesh.hy
-        cell_area = hx * hy
-        for iy in range(mesh.ny):
-            for ix in range(mesh.nx):
-                c = mesh.cell(ix, iy)
-                w, e, s, n = mesh.cell_edges(ix, iy)
-                coef = nu / K[c]
-                for (a, b), m in (((w, w), 1 / 3), ((e, e), 1 / 3),
-                                  ((w, e), 1 / 6), ((e, w), 1 / 6),
-                                  ((s, s), 1 / 3), ((n, n), 1 / 3),
-                                  ((s, n), 1 / 6), ((n, s), 1 / 6)):
-                    ra, rb = self.red_index[a], self.red_index[b]
-                    if ra >= 0 and rb >= 0:
-                        rows.append(ra)
-                        cols.append(rb)
-                        vals.append(coef * cell_area * m)
-                for a, bv in ((w, hy), (e, -hy), (s, hx), (n, -hx)):
-                    ra = self.red_index[a]
-                    if ra >= 0:
-                        brows.append(c)
-                        bcols.append(ra)
-                        bvals.append(bv)
+        self.coupling = None
+        if coupling is not None:
+            self.coupling = CouplingMaps(coupling, keep, mesh.n_edges)
 
-        A = sp.coo_matrix((vals, (rows, cols)), shape=(self.n_u, self.n_u))
-        B = sp.coo_matrix((bvals, (brows, bcols)), shape=(self.n_p, self.n_u))
-        self._B = B.tocsr()
-        S = sp.bmat([[A.tocsr(), B.T], [B, None]], format="csc")
-        try:
-            self.lu = splu(S)
-        except RuntimeError as exc:  # pragma: no cover - structural check above
-            raise SingularOperatorError(str(exc)) from exc
-        self.factorizations += 1
-
-    def _solve(self, rhs):
-        self.backsolves += 1
-        sol = self.lu.solve(rhs)
-        u = np.zeros(self.mesh.n_edges)
-        u[self.keep] = sol[:self.n_u]
-        return DarcySolution(u, sol[self.n_u:])
-
-    def _momentum_source(self, rhs):
-        """(f, v) for all kept edge basis functions, midpoint quadrature."""
+    def _pattern(self):
+        """Saddle [A B^T; B 0] with A = (nu/K u, v) refilled per cell."""
         mesh = self.mesh
-        if self.f is None:
-            return
-        fx, fy = self.f(mesh.centroids[:, 0], mesh.centroids[:, 1])
-        fx = np.broadcast_to(fx, (mesh.n_cells,))
-        fy = np.broadcast_to(fy, (mesh.n_cells,))
-        half = 0.5 * mesh.hx * mesh.hy
-        for iy in range(mesh.ny):
-            for ix in range(mesh.nx):
-                c = mesh.cell(ix, iy)
-                w, e, s, n = mesh.cell_edges(ix, iy)
-                for edge, comp in ((w, fx[c]), (e, fx[c])):
-                    r = self.red_index[edge]
-                    if r >= 0:
-                        rhs[r] += comp * half
-                for edge, comp in ((s, fy[c]), (n, fy[c])):
-                    r = self.red_index[edge]
-                    if r >= 0:
-                        rhs[r] += comp * half
+        w, e, s, n = _cell_edge_table(mesh)
+        cells = np.arange(mesh.n_cells)
+        area = mesh.hx * mesh.hy
+        a = np.concatenate([w, e, w, e, s, n, s, n])
+        b = np.concatenate([w, e, e, w, s, n, n, s])
+        m = np.repeat([1 / 3, 1 / 3, 1 / 6, 1 / 6] * 2, mesh.n_cells)
+        ra, rb = self.red_index[a], self.red_index[b]
+        ok = (ra >= 0) & (rb >= 0)
+        which = np.tile(cells, 8)[ok]
+        # -(div u, q): (u_e - u_w) hy + (u_n - u_s) hx
+        edge = np.concatenate([w, e, s, n])
+        bval = np.repeat([mesh.hy, -mesh.hy, mesh.hx, -mesh.hx],
+                         mesh.n_cells)
+        r = self.red_index[edge]
+        bok = r >= 0
+        prow = self.n_u + np.tile(cells, 4)[bok]
+        n_sys = self.n_u + self.n_p
+        const = (np.concatenate([prow, r[bok]]),
+                 np.concatenate([r[bok], prow]),
+                 np.concatenate([bval[bok], bval[bok]]))
+        scaled = (ra[ok], rb[ok], area * m[ok], which)
+        return RefillMatrix((n_sys, n_sys), const, scaled, mesh.n_cells)
 
-    def solve_bar(self):
-        """Solve with full outer data and sources, zero interface data."""
+    def _bar_load(self):
+        """Momentum source, outer pressure data and mass source (no K)."""
         mesh = self.mesh
         rhs = np.zeros(self.n_u + self.n_p)
-        self._momentum_source(rhs)
+        if self.f is not None:
+            fx, fy = self.f(mesh.centroids[:, 0], mesh.centroids[:, 1])
+            half = 0.5 * mesh.hx * mesh.hy
+            w, e, s, n = _cell_edge_table(mesh)
+            comp = np.concatenate([np.broadcast_to(fx, (mesh.n_cells,)),
+                                   np.broadcast_to(fy, (mesh.n_cells,))])
+            for first, second in ((w, s), (e, n)):
+                r = self.red_index[np.concatenate([first, second])]
+                ok = r >= 0
+                rhs[r[ok]] += comp[ok] * half
         for e, (side, g) in self.pressure_edges.items():
             r = self.red_index[e]
             mid = self._edge_mid(e)
@@ -190,21 +190,7 @@ class DarcyOperator:
                 self.q(mesh.centroids[:, 0], mesh.centroids[:, 1]),
                 (mesh.n_cells,))
             rhs[self.n_u:] -= qv * mesh.hx * mesh.hy
-        return self._solve(rhs)
-
-    def solve_star(self, lam):
-        """Solve with interface pressure data only: rhs = -<lam, v.n_out>.
-
-        `lam` maps interface index -> per-edge values of the projected
-        mortar function (tangent-ordered, one value per fine edge).
-        """
-        rhs = np.zeros(self.n_u + self.n_p)
-        for idx, vals in lam.items():
-            t = self.traces[idx]
-            lengths = np.array([self.mesh.edge_length(e) for e in t.edges])
-            r = self.red_index[t.edges]
-            rhs[r] -= t.sigma_out * np.asarray(vals) * lengths
-        return self._solve(rhs)
+        return rhs
 
     def _edge_mid(self, e):
         mesh = self.mesh
@@ -216,6 +202,67 @@ class DarcyOperator:
         iy, ix = divmod(eh, mesh.nx)
         return (x0 + (ix + 0.5) * mesh.hx, y0 + iy * mesh.hy)
 
+    def trace_load(self, lam):
+        """Star load -<lam, v.n_out> of projected per-edge interface data.
+
+        `lam` maps interface index -> per-edge values of the projected
+        mortar function (tangent-ordered, one value per fine edge).
+        """
+        rhs = np.zeros(self.n_u + self.n_p)
+        for idx, vals in lam.items():
+            t = self.traces[idx]
+            lengths = np.array([self.mesh.edge_length(e) for e in t.edges])
+            r = self.red_index[t.edges]
+            rhs[r] -= t.sigma_out * np.asarray(vals) * lengths
+        return rhs
+
+    def factor(self, K):
+        """Per-realization operator for cell permeabilities K."""
+        K = np.asarray(K, dtype=float)
+        if K.shape != (self.mesh.n_cells,):
+            raise ValueError("K must hold one value per cell")
+        check_permeability(K, self.name)
+        return DarcyOperator(self, factorize(self.matrix(self.nu / K)))
+
+
+class DarcyOperator:
+    """Factored subdomain operator for one permeability realization."""
+
+    def __init__(self, system, lu):
+        self.system = system
+        self.mesh = system.mesh
+        self.traces = system.traces
+        self.lu = lu
+        self.factorizations = 1
+        self.backsolves = 0
+
+    def _solve(self, rhs):
+        """Backsolve one rhs, or one per column of a 2-D rhs."""
+        self.backsolves += 1 if rhs.ndim == 1 else rhs.shape[1]
+        sol = self.lu.solve(rhs)
+        u = np.zeros((self.mesh.n_edges,) + sol.shape[1:])
+        n_u = self.system.n_u
+        u[self.system.keep] = sol[:n_u]
+        return DarcySolution(u, sol[n_u:])
+
+    def solve_bar(self):
+        """Solve with full outer data and sources, zero interface data."""
+        return self._solve(self.system.bar_load)
+
+    def solve_star(self, lam):
+        """Solve with interface data only: rhs = -<lam, v.n_out>.
+
+        `lam` is the local mortar vector of this subdomain (star load
+        E @ lam; a 2-D lam solves one column each), or the dict of
+        projected per-edge values that StokesDarcyProblem.star_data returns
+        (see DarcySystem.trace_load).
+        """
+        if isinstance(lam, dict):
+            return self._solve(self.system.trace_load(lam))
+        system = self.system
+        return self._solve(system.coupling.star_load(
+            lam, system.n_u + system.n_p))
+
     def flux_on_interface(self, sol, iface_index):
         """u.n in the fixed interface frame, one value per fine edge."""
         t = self.traces[iface_index]
@@ -223,17 +270,11 @@ class DarcyOperator:
 
     def cell_velocity(self, sol):
         """Cell-center velocity vectors, (n_cells, 2)."""
-        mesh = self.mesh
-        out = np.empty((mesh.n_cells, 2))
-        for iy in range(mesh.ny):
-            for ix in range(mesh.nx):
-                c = mesh.cell(ix, iy)
-                w, e, s, n = mesh.cell_edges(ix, iy)
-                out[c, 0] = 0.5 * (sol.u[w] + sol.u[e])
-                out[c, 1] = 0.5 * (sol.u[s] + sol.u[n])
-        return out
+        w, e, s, n = _cell_edge_table(self.mesh)
+        return np.column_stack([0.5 * (sol.u[w] + sol.u[e]),
+                                0.5 * (sol.u[s] + sol.u[n])])
 
 
 def assemble_darcy(mesh, K, nu, bcs, traces, f=None, q=None):
-    """Build and factor the subdomain operator. One factorization."""
-    return DarcyOperator(mesh, K, nu, bcs, traces, f=f, q=q)
+    """Build and factor a stand-alone subdomain operator. One factorization."""
+    return DarcySystem(mesh, nu, bcs, traces, f=f, q=q).factor(K)

@@ -2,11 +2,15 @@
 
 The mortar unknown solves S lam = g where S is the flux-jump response of
 the subdomain star problems and g the jump produced by the bar problems.
-Three drivers share that structure and differ in how S is applied:
+With the coupling maps of each subdomain's invariant system (see
+problem.py), S lam = sum_i scatter(-F_i A_i^-1 E_i lam_i), where A_i is the
+realization's factored operator and lam_i the local mortar vector. Three
+drivers share that structure and differ in how S is applied:
 
 * S1 applies S matrix-free, one star solve per subdomain per CG iteration.
-* S2 assembles the local flux response basis (one star solve per local
-  mortar dof) fresh for every realization and applies S as a matrix.
+* S2 assembles the local flux response basis B_i = -F_i A_i^-1 E_i (one
+  star solve per local mortar dof) fresh for every realization and applies
+  S as a matrix.
 * S3 assembles that basis once per distinct local realization of each
   subdomain's permeability region and reuses it across the sweep; the
   basis of a Stokes subdomain is frozen at the mean-field permeability.
@@ -156,6 +160,7 @@ def _timed_map(pool, stats, fn, sids):
 
 def assemble_realization(problem, y, pool, stats, sids=None):
     """Fresh factored operators for every subdomain at stochastic point y."""
+    problem.systems()  # build the invariant part here, not in pool threads
     if sids is None:
         sids = range(problem.layout.n_subdomains)
     Kf = problem.permeability(y)
@@ -177,62 +182,44 @@ def compute_rhs(problem, ops, pool, stats):
     return bars, jump(problem.space, entries)
 
 
+def _sub_dofs(problem):
+    layout = problem.layout
+    return [problem.space.sub_dofs(layout, sid)
+            for sid in range(layout.n_subdomains)]
+
+
 def direct_apply(problem, ops, pool, stats):
-    """Matrix-free S application: one star solve per subdomain per call."""
-    sids = list(range(problem.layout.n_subdomains))
+    """Matrix-free S application: S lam = sum_i scatter(-F_i A_i^-1 E_i lam_i).
+
+    One star solve per subdomain per call.
+    """
+    dofs = _sub_dofs(problem)
+    sids = list(range(len(dofs)))
 
     def apply_fn(lam):
         def work(sid):
-            data = problem.star_data(sid, lam)
-            sol = ops[sid].solve_star(data)
-            return problem.side_functionals(sid, ops[sid], sol)
+            sol = ops[sid].solve_star(lam[dofs[sid]])
+            return ops[sid].system.coupling.functionals(sol.u)
 
-        results = _timed_map(pool, stats, work, sids)
-        entries = [e for r in results for e in r]
-        return -jump(problem.space, entries)
+        out = np.zeros(problem.space.n_dof)
+        for sid, resp in zip(sids, _timed_map(pool, stats, work, sids)):
+            out[dofs[sid]] -= resp
+        return out
 
     return apply_fn
 
 
-def _restriction(problem, sid):
-    """Global mortar dofs of subdomain sid and their scatter positions."""
-    dofs = problem.space.sub_dofs(problem.layout, sid)
-    pos = {int(g): k for k, g in enumerate(dofs)}
-    posmaps = {}
-    for g in problem.layout.interfaces_of(sid):
-        b = problem.space.block(g.index)
-        for c in range(b.n_comp):
-            gd = b.component_dofs(c)
-            posmaps[(g.index, c)] = np.array([pos[int(x)] for x in gd])
-    return dofs, posmaps
-
-
-def _restrict_entries(entries, posmaps, nd):
-    col = np.zeros(nd)
-    for idx, sigma, funcs in entries:
-        for c, f in enumerate(funcs):
-            col[posmaps[(idx, c)]] += sigma * f
-    return col
-
-
 def compute_flux_basis(problem, sid, op, stats):
-    """Local response matrix B_i with S lam |_i = B_i lam|_i.
+    """Local response matrix B_i = -F_i A_i^-1 E_i, so S lam|_i = B_i lam|_i.
 
-    One star solve per local mortar dof, counted as basis backsolves.
+    One multi-column star solve, one backsolve per local mortar dof, counted
+    as basis backsolves.
     """
-    dofs, posmaps = _restriction(problem, sid)
-    nd = len(dofs)
-    B = np.empty((nd, nd))
-    lam = np.zeros(problem.space.n_dof)
+    dofs = problem.space.sub_dofs(problem.layout, sid)
     before = op.backsolves
-    for j, gdof in enumerate(dofs):
-        lam[gdof] = 1.0
-        sol = op.solve_star(problem.star_data(sid, lam))
-        entries = problem.side_functionals(sid, op, sol)
-        B[:, j] = -_restrict_entries(entries, posmaps, nd)
-        lam[gdof] = 0.0
+    sol = op.solve_star(np.eye(len(dofs)))
     stats.basis_backsolves[sid] += op.backsolves - before
-    return dofs, B
+    return dofs, -op.system.coupling.functionals(sol.u)
 
 
 def basis_apply(space, bases):
@@ -249,15 +236,15 @@ def basis_apply(space, bases):
 
 def recover_fields(problem, ops, bars, lam, pool, stats):
     """One star backsolve per subdomain, added to the bar solution."""
-    sids = list(range(problem.layout.n_subdomains))
+    dofs = _sub_dofs(problem)
 
     def work(sid):
-        star = ops[sid].solve_star(problem.star_data(sid, lam))
+        star = ops[sid].solve_star(lam[dofs[sid]])
         bar = bars[sid]
         total = type(bar)(bar.u + star.u, bar.p + star.p)
         return problem.postprocess(sid, ops[sid], total)
 
-    return _timed_map(pool, stats, work, sids)
+    return _timed_map(pool, stats, work, list(range(len(dofs))))
 
 
 def _fields_dict(problem, per_sid, lam):
@@ -302,6 +289,7 @@ def run_method(problem, grid, method="S1", tol=1e-9, max_iter=None,
     acc = MomentAccumulator()
     lambdas = []
     residual_hist = []
+    problem.systems()
 
     with _Pool(workers) as pool:
         if method == "S3":
@@ -425,6 +413,7 @@ def solve_realization(problem, y=None, tol=1e-9, max_iter=None, workers=1):
         y = np.zeros(n_dims)
     stats = SolveStats.new("S1", problem.layout.n_subdomains)
     stats.n_real = 1
+    problem.systems()
     with _Pool(workers) as pool:
         ops = assemble_realization(problem, y, pool, stats)
         bars, g = compute_rhs(problem, ops, pool, stats)

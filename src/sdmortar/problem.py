@@ -3,13 +3,29 @@
 A StokesDarcyProblem bundles everything that does not depend on the
 stochastic realization: the layout and per-subdomain meshes, the mortar
 space with its side couplings, outer boundary conditions, body forces, and
-the log-permeability field. Realization-dependent operators are assembled
-from it by the interface solver.
+the log-permeability field.
+
+Each subdomain is split into a realization-invariant system (a DarcySystem
+or StokesSystem, built once by `systems()` and cached) and a
+per-realization factor (`assemble_subdomain`). The invariant system holds
+the sparse coupling maps of subdomain i:
+
+* F_i: full velocity -> signed local mortar functionals <v.n, xi_m>, in
+  MortarSpace.sub_dofs order, so the jump is sum_i scatter(F_i u_i);
+* E_i = -F_i^T on the velocity unknowns: local mortar vector -> star
+  right-hand side. The L2 projection of the mortar onto the trace space
+  cancels against the trace mass, so E_i is the signed pairing R^T placed
+  on the trace rows.
+
+`star_data` and `side_functionals` are the dict-based reference path the
+maps are tested against; the bar side of the interface problem still uses
+them once per realization.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import darcy, stokes
 from .geometry import build_subdomain_mesh, side_of_interface
@@ -36,6 +52,7 @@ class StokesDarcyProblem:
     traces: dict = field(init=False)
     couplings: dict = field(init=False)
     kl_cells: dict = field(init=False)
+    _systems: list = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         from .mortar import build_side_coupling
@@ -80,6 +97,52 @@ class StokesDarcyProblem:
             cells[k] = dmesh.cell(ix, iy)
         return cells
 
+    # -- realization-invariant systems ---------------------------------------
+
+    def systems(self):
+        """Invariant system of every subdomain, built on the first call.
+
+        The interface solver calls this in the main thread before it fans
+        out over subdomains, so worker threads only ever read the cache.
+        """
+        if self._systems is None:
+            self._systems = [self._build_system(sid)
+                             for sid in range(self.layout.n_subdomains)]
+        return self._systems
+
+    def _build_system(self, sid):
+        block = self.layout.blocks[sid]
+        mesh = self.meshes[sid]
+        bcs = self.bcs.get(sid, {})
+        name = f"subdomain {sid}"
+        if block.physics == "darcy":
+            return darcy.DarcySystem(
+                mesh, self.physics.nu_d, bcs, self.traces[sid], f=self.f_d,
+                q=self.q_d, coupling=self._coupling(sid, darcy.trace_maps),
+                name=name)
+        return stokes.StokesSystem(
+            mesh, self.physics.nu_s, self.physics.alpha, bcs,
+            self.traces[sid], f=self.f_s,
+            coupling=self._coupling(sid, stokes.trace_maps), name=name)
+
+    def _coupling(self, sid, trace_maps):
+        """F_i: full velocity -> signed local mortar functionals."""
+        mesh = self.meshes[sid]
+        by_iface = {t.iface: t for t in self.traces[sid]}
+        rows = []
+        for g in self.layout.interfaces_of(sid):
+            mb = self.space.block(g.index)
+            R = sp.csr_matrix(self.couplings[(g.index, sid)].R)
+            comps = sp.vstack([
+                g.side_sign(sid) * (R @ T)
+                for T in trace_maps(mesh, by_iface[g.index])[:mb.n_comp]
+            ]).tocsr()
+            # block dof k is scalar k // n_comp of component k % n_comp
+            k = np.arange(mb.n_dof)
+            rows.append(comps[(k % mb.n_comp) * mb.n_scalar
+                              + k // mb.n_comp])
+        return sp.vstack(rows).tocsr()
+
     # -- realization-dependent pieces ---------------------------------------
 
     def permeability(self, y_global):
@@ -96,23 +159,19 @@ class StokesDarcyProblem:
         return out
 
     def assemble_subdomain(self, sid, K_fields):
-        """Build and factor one subdomain operator for given K fields."""
-        block = self.layout.blocks[sid]
-        mesh = self.meshes[sid]
-        bcs = self.bcs.get(sid, {})
-        if block.physics == "darcy":
-            return darcy.assemble_darcy(
-                mesh, K_fields[sid], self.physics.nu_d, bcs,
-                self.traces[sid], f=self.f_d, q=self.q_d)
-        kl = {}
-        for idx, (d_sid, cells) in self.kl_cells.get(sid, {}).items():
-            kl[idx] = K_fields[d_sid][cells]
-        return stokes.assemble_stokes(
-            mesh, self.physics.nu_s, self.physics.alpha, bcs,
-            self.traces[sid], kl=kl, f=self.f_s)
+        """Factor one subdomain operator for given K fields."""
+        system = self.systems()[sid]
+        if self.layout.blocks[sid].physics == "darcy":
+            return system.factor(K_fields[sid])
+        return system.factor({
+            idx: K_fields[d_sid][cells]
+            for idx, (d_sid, cells) in self.kl_cells.get(sid, {}).items()})
 
     def star_data(self, sid, lam):
-        """Project a global mortar vector onto subdomain sid's trace spaces."""
+        """Project a global mortar vector onto subdomain sid's trace spaces.
+
+        Reference path: operators' solve_star accepts the returned dict.
+        """
         block = self.layout.blocks[sid]
         data = {}
         for g in self.layout.interfaces_of(sid):
@@ -130,7 +189,10 @@ class StokesDarcyProblem:
         return data
 
     def side_functionals(self, sid, op, sol):
-        """Mortar-side response entries of one subdomain solution."""
+        """Mortar-side response entries of one subdomain solution.
+
+        Reference path of F_i; `jump` sums the entries of all subdomains.
+        """
         block = self.layout.blocks[sid]
         entries = []
         for g in self.layout.interfaces_of(sid):

@@ -9,6 +9,11 @@ unconstrained (a subdomain with only stress/interface edges), the kernel is
 detected from the assembled form and pinned with explicit Lagrange
 constraint rows, so the factored system is always regular.
 
+Everything but the BJS coefficients is realization-invariant and lives in a
+StokesSystem built once: the viscous and divergence blocks, the Dirichlet
+split and lift, and the body-force and traction loads. Each realization
+refills the BJS entries of the reduced saddle matrix and factors it once.
+
 Interface data lives in the fixed interface frame (n, tau): a solve with
 data (lam_n, lam_tau) adds -sigma * <lam_n, v.n> - sigma * <lam_tau, v.tau>
 to the right-hand side, where sigma = +1 on the lower-id side and -1 on the
@@ -19,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
+from .assembly import (CouplingMaps, RefillMatrix, check_permeability,
+                       factorize)
 from .errors import SingularOperatorError
 from .geometry import edges_on_span, side_of_interface
 
@@ -106,27 +112,57 @@ class StokesSolution:
     p: np.ndarray  # P1 nodal pressures
 
 
-class StokesOperator:
-    """Factored Taylor-Hood operator for one realization's BJS coefficients."""
+def trace_maps(mesh, trace):
+    """Full velocity -> (u.n, u.tau) at the trace nodes, fixed interface frame.
 
-    def __init__(self, mesh, nu, alpha, bcs, traces, kl=None, f=None):
+    Two sparse maps of shape (2 n_edges + 1, 2 n_p2), the linear form of
+    velocity_trace.
+    """
+    nodes = trace.nodes
+    k = np.arange(len(nodes))
+    maps = []
+    for d in (trace.normal, trace.tangent):
+        M = sp.csr_matrix((np.repeat(np.asarray(d, dtype=float), len(nodes)),
+                           (np.tile(k, 2),
+                            np.concatenate([2 * nodes, 2 * nodes + 1]))),
+                          shape=(len(nodes), 2 * mesh.n_p2))
+        M.eliminate_zeros()
+        maps.append(M)
+    return maps
+
+
+def _pairs(rows_of, cols_of, shape):
+    """Broadcast per-element row ids (n, a) and col ids (n, b) to (n, a, b)."""
+    return (np.broadcast_to(rows_of[:, :, None], shape),
+            np.broadcast_to(cols_of[:, None, :], shape))
+
+
+class StokesSystem:
+    """Realization-invariant part of one Stokes subdomain.
+
+    Holds the viscous and divergence blocks (assembled once by scattering
+    the two congruent element tables), the Dirichlet split and lift, the
+    body-force and traction loads, the pattern of the reduced saddle matrix
+    whose BJS entries are refilled per realization and, when built with a
+    mortar coupling F (full velocity -> signed local mortar functionals),
+    its CouplingMaps, so that a star solve takes a local mortar vector.
+    """
+
+    def __init__(self, mesh, nu, alpha, bcs, traces, f=None, coupling=None,
+                 name="stokes subdomain"):
         self.mesh = mesh
         self.nu = nu
         self.alpha = alpha
         self.bcs = bcs
         self.traces = {t.iface: t for t in traces}
         self.f = f
-        self.factorizations = 0
-        self.backsolves = 0
-
-        n2 = mesh.n_p2
-        self.n_udof = 2 * n2
+        self.name = name
+        self.n_udof = 2 * mesh.n_p2
         self.n_p = mesh.n_p1
 
-        A = self._assemble_viscous().tolil()
-        if alpha != 0.0:
-            self._add_bjs(A, kl or {})
-        B = self._assemble_divergence()
+        tables = self._shape_tables()
+        A = self._assemble_viscous(tables)
+        B = self._assemble_divergence(tables)
 
         # classify outer boundary edges
         iface_keys = set()
@@ -163,28 +199,63 @@ class StokesOperator:
         self.g_dir = np.zeros(self.n_udof)
         for d, v in self.dirichlet.items():
             self.g_dir[d] = v
+        n_free = len(free)
+        red = -np.ones(self.n_udof, dtype=int)
+        red[free] = np.arange(n_free)
 
-        A = A.tocsr()
-        B = B.tocsr()
-        self._A_full = A
-        self._B_full = B
+        # BJS friction, per unit coefficient, in full and reduced numbering
+        rows, cols, vals, which = self._bjs_entries()
+        self.n_bjs = int(which.max()) + 1 if which.size else 0
+        rr, cc = red[rows], red[cols]
+        both = (rr >= 0) & (cc >= 0)
+        bjs = (rr[both], cc[both], vals[both], which[both])
+
         A_red = A[free][:, free]
-        B_red = B[:, free]
+        B_red = B[:, free].tocoo()
+        Ac = A_red.tocoo()
+        n_s = n_free + self.n_p
+        const = (np.concatenate([Ac.row, B_red.col, n_free + B_red.row]),
+                 np.concatenate([Ac.col, n_free + B_red.row, B_red.col]),
+                 np.concatenate([Ac.data, B_red.data, B_red.data]))
+        self.matrix = RefillMatrix((n_s, n_s), const, bjs, self.n_bjs)
 
-        C = self._kernel_constraints(A_red)
-        self.kernel_dim = C.shape[0]
-        blocks = [[A_red, B_red.T], [B_red, None]]
-        if self.kernel_dim:
-            Cs = sp.csr_matrix(C)
-            blocks = [[A_red, B_red.T, Cs.T],
-                      [B_red, None, None],
-                      [Cs, None, None]]
-        S = sp.bmat(blocks, format="csc")
-        try:
-            self.lu = splu(S)
-        except RuntimeError as exc:
-            raise SingularOperatorError(str(exc)) from exc
-        self.factorizations += 1
+        # rigid-body candidates and their Gram matrix, split like the matrix
+        xy = mesh.p2_xy
+        xc, yc = xy.mean(axis=0)
+        Z = np.zeros((self.n_udof, 3))
+        Z[0::2, 0] = 1.0
+        Z[1::2, 1] = 1.0
+        Z[0::2, 2] = -(xy[:, 1] - yc)
+        Z[1::2, 2] = xy[:, 0] - xc
+        Zf = Z[free]
+        norms = np.linalg.norm(Zf, axis=0)
+        norms[norms == 0] = 1.0
+        self._Zf = Zf / norms
+        self._gram0 = self._Zf.T @ (A_red @ self._Zf)
+        r, c, v, w = bjs
+        self._gram_bjs = np.zeros((self.n_bjs, 3, 3))
+        np.add.at(self._gram_bjs, w,
+                  v[:, None, None] * self._Zf[r][:, :, None]
+                  * self._Zf[c][:, None, :])
+        self._diag0 = A_red.diagonal()
+        on_diag = r == c
+        self._diag_bjs = sp.csr_matrix(
+            (v[on_diag], (r[on_diag], w[on_diag])),
+            shape=(n_free, self.n_bjs))
+
+        # bar load: body force and tractions minus the Dirichlet lift; the
+        # lift through the BJS entries is refilled per realization
+        Fu = self._body_force() + self._tractions()
+        self._bar_u0 = (Fu - A @ self.g_dir)[free]
+        self._bar_p = -(B @ self.g_dir)
+        lift = (rr >= 0) & (self.g_dir[cols] != 0.0)
+        self._bar_bjs = sp.csr_matrix(
+            (vals[lift] * self.g_dir[cols[lift]], (rr[lift], which[lift])),
+            shape=(n_free, self.n_bjs))
+
+        self.coupling = None
+        if coupling is not None:
+            self.coupling = CouplingMaps(coupling, free, self.n_udof)
 
     # -- assembly pieces ---------------------------------------------------
 
@@ -217,114 +288,102 @@ class StokesOperator:
             tables.append((A11, A22, A12, -G1, -G2))
         return tables
 
-    def _assemble_viscous(self):
-        mesh = self.mesh
-        tables = self._shape_tables()
-        rows, cols, vals = [], [], []
-        for t in range(mesh.n_tri):
-            A11, A22, A12, _, _ = tables[t % 2]
-            nd = mesh.conn_p2[t]
-            d1 = 2 * nd
-            d2 = 2 * nd + 1
-            for i in range(6):
-                for j in range(6):
-                    rows += [d1[i], d2[i], d1[i], d2[i]]
-                    cols += [d1[j], d2[j], d2[j], d1[j]]
-                    vals += [A11[i, j], A22[i, j], A12[i, j], A12[j, i]]
-        return sp.coo_matrix((vals, (rows, cols)),
-                             shape=(self.n_udof, self.n_udof))
+    def _element_tables(self, tables, k):
+        """Table k of every triangle, (n_tri, ...), by alternating shape."""
+        both = np.array([tab[k] for tab in tables])
+        return both[np.arange(self.mesh.n_tri) % 2]
 
-    def _assemble_divergence(self):
+    def _assemble_viscous(self, tables):
+        """Scatter the element tables; entries in (tri, i, j, block) order."""
         mesh = self.mesh
-        tables = self._shape_tables()
-        rows, cols, vals = [], [], []
-        for t in range(mesh.n_tri):
-            _, _, _, B1, B2 = tables[t % 2]
-            nd = mesh.conn_p2[t]
-            pd = mesh.conn_p1[t]
-            for i in range(3):
-                for j in range(6):
-                    rows += [pd[i], pd[i]]
-                    cols += [2 * nd[j], 2 * nd[j] + 1]
-                    vals += [B1[i, j], B2[i, j]]
+        A11, A22, A12 = (self._element_tables(tables, k) for k in range(3))
+        d1 = 2 * mesh.conn_p2
+        d2 = d1 + 1
+        shape = A11.shape
+        (r1, c1), (r2, c2) = _pairs(d1, d1, shape), _pairs(d2, d2, shape)
+        rows = np.stack([r1, r2, r1, r2], axis=-1).ravel()
+        cols = np.stack([c1, c2, c2, c1], axis=-1).ravel()
+        vals = np.stack([A11, A22, A12, A12.transpose(0, 2, 1)],
+                        axis=-1).ravel()
         return sp.coo_matrix((vals, (rows, cols)),
-                             shape=(self.n_p, self.n_udof))
+                             shape=(self.n_udof, self.n_udof)).tocsr()
 
-    def _add_bjs(self, A, kl):
-        """Slip friction nu*alpha/sqrt(K_l) (u.tau, v.tau) on sd edges."""
-        for t in self.traces.values():
-            if t.kind != "sd":
-                continue
+    def _assemble_divergence(self, tables):
+        mesh = self.mesh
+        B1, B2 = (self._element_tables(tables, k) for k in (3, 4))
+        nd = mesh.conn_p2
+        pr, c1 = _pairs(mesh.conn_p1, 2 * nd, B1.shape)
+        rows = np.stack([pr, pr], axis=-1).ravel()
+        cols = np.stack([c1, c1 + 1], axis=-1).ravel()
+        vals = np.stack([B1, B2], axis=-1).ravel()
+        return sp.coo_matrix((vals, (rows, cols)),
+                             shape=(self.n_p, self.n_udof)).tocsr()
+
+    def _sd_traces(self):
+        return [t for t in self.traces.values() if t.kind == "sd"]
+
+    def _bjs_entries(self):
+        """(u.tau, v.tau) edge masses on sd edges, one coefficient per edge.
+
+        Returns full-numbering (rows, cols, vals, which); `which` counts the
+        sd edges in trace order, the order of bjs_coefficients.
+        """
+        if self.alpha == 0.0:
+            z = np.zeros(0, dtype=int)
+            return z, z, np.zeros(0), z
+        rows, cols, vals, which = [], [], [], []
+        n = 0
+        for t in self._sd_traces():
+            tau = np.asarray(t.tangent)
+            L = np.diff(t.s_breaks)
+            tri = np.array(t.edges)
+            for a in range(2):
+                for b in range(2):
+                    tt = tau[a] * tau[b]
+                    if tt == 0.0:
+                        continue
+                    r, c = _pairs(2 * tri + a, 2 * tri + b,
+                                  (len(tri), 3, 3))
+                    rows.append(r.ravel())
+                    cols.append(c.ravel())
+                    vals.append((tt * L[:, None, None] * EDGE_MASS).ravel())
+                    which.append(np.repeat(n + np.arange(len(tri)), 9))
+            n += len(tri)
+        return tuple(np.concatenate(x) for x in (rows, cols, vals, which))
+
+    def bjs_coefficients(self, kl):
+        """nu alpha / sqrt(K_l) per sd edge from neighbor-cell samples."""
+        if self.alpha == 0.0:
+            return np.zeros(0)
+        coef = []
+        for t in self._sd_traces():
             kvals = kl.get(t.iface)
             if kvals is None:
                 raise ValueError(f"BJS needs K_l values for interface {t.iface}")
-            tau = np.asarray(t.tangent)
-            for e_idx, triple in enumerate(t.edges):
-                L = t.s_breaks[e_idx + 1] - t.s_breaks[e_idx]
-                coef = self.nu * self.alpha / np.sqrt(kvals[e_idx])
-                Me = coef * L * EDGE_MASS
-                for a in range(2):
-                    for b in range(2):
-                        tt = tau[a] * tau[b]
-                        if tt == 0.0:
-                            continue
-                        for i in range(3):
-                            for j in range(3):
-                                A[2 * triple[i] + a, 2 * triple[j] + b] += \
-                                    tt * Me[i, j]
+            kvals = np.asarray(kvals, dtype=float)
+            check_permeability(kvals, f"{self.name}, BJS on interface "
+                                      f"{t.iface}")
+            coef.append(self.nu * self.alpha / np.sqrt(kvals))
+        return np.concatenate(coef) if coef else np.zeros(0)
 
-    def _kernel_constraints(self, A_red):
+    def _kernel_constraints(self, coef):
         """Rigid-body motions still in the kernel of the reduced form."""
-        mesh = self.mesh
-        xy = mesh.p2_xy
-        xc, yc = xy.mean(axis=0)
-        Z = np.zeros((self.n_udof, 3))
-        Z[0::2, 0] = 1.0
-        Z[1::2, 1] = 1.0
-        Z[0::2, 2] = -(xy[:, 1] - yc)
-        Z[1::2, 2] = xy[:, 0] - xc
-        Zf = Z[self.free]
-        norms = np.linalg.norm(Zf, axis=0)
-        norms[norms == 0] = 1.0
-        Zf = Zf / norms
-        G = Zf.T @ (A_red @ Zf)
+        G = self._gram0 + np.tensordot(coef, self._gram_bjs, axes=1)
         lam, vecs = np.linalg.eigh(G)
-        scale = max(A_red.diagonal().max(), 1e-30)
+        diag = self._diag0 + self._diag_bjs @ coef
+        scale = max(diag.max(), 1e-30)
         keep = lam <= 1e-10 * scale
         if not keep.any():
             return np.zeros((0, len(self.free)))
-        C = (Zf @ vecs[:, keep]).T
+        C = (self._Zf @ vecs[:, keep]).T
         C = C / np.linalg.norm(C, axis=1)[:, None]
         return C
 
-    # -- right-hand sides and solves ---------------------------------------
-
-    def _nsys(self):
-        return len(self.free) + self.n_p + self.kernel_dim
-
-    def _solve(self, Fu, Fp, lift=True):
-        """Backsolve with full-size velocity rhs Fu; returns full fields.
-
-        With lift=False the outer Dirichlet data is treated as zero; star
-        solves use this so the interface operator stays linear in lambda.
-        """
-        rhs = np.zeros(self._nsys())
-        if lift:
-            Fu = Fu - self._A_full @ self.g_dir
-            Fp = Fp - self._B_full @ self.g_dir
-        rhs[:len(self.free)] = Fu[self.free]
-        rhs[len(self.free):len(self.free) + self.n_p] = Fp
-        self.backsolves += 1
-        sol = self.lu.solve(rhs)
-        u = self.g_dir.copy() if lift else np.zeros(self.n_udof)
-        u[self.free] = sol[:len(self.free)]
-        p = sol[len(self.free):len(self.free) + self.n_p]
-        return StokesSolution(u, p)
-
-    def _body_force(self, Fu):
+    def _body_force(self):
         mesh = self.mesh
+        Fu = np.zeros(self.n_udof)
         if self.f is None:
-            return
+            return Fu
         for t in range(mesh.n_tri):
             verts = mesh.tri_vertices[t]
             J = np.column_stack([verts[1] - verts[0], verts[2] - verts[0]])
@@ -336,13 +395,11 @@ class StokesOperator:
                 fx, fy = self.f(x, y)
                 Fu[2 * nd] += w * detJ * fx * N
                 Fu[2 * nd + 1] += w * detJ * fy * N
-        return
+        return Fu
 
-    def solve_bar(self):
-        """Solve with body force, outer Dirichlet lifts, outer tractions."""
-        Fu = np.zeros(self.n_udof)
-        self._body_force(Fu)
+    def _tractions(self):
         mesh = self.mesh
+        Fu = np.zeros(self.n_udof)
         for triple, g in self.stress_edges:
             if g is None:
                 continue
@@ -358,13 +415,14 @@ class StokesOperator:
                 for i, node in enumerate(triple):
                     Fu[2 * node] += gw * 0.5 * L * tx * N[i]
                     Fu[2 * node + 1] += gw * 0.5 * L * ty * N[i]
-        return self._solve(Fu, np.zeros(self.n_p))
+        return Fu
 
-    def solve_star(self, lam):
-        """Solve with interface data only: -sigma <lam_n, v.n> - sigma <lam_t, v.tau>.
+    def trace_load(self, lam):
+        """Star load of nodal interface data, on the free velocity rows.
 
         `lam` maps interface index -> (lam_n, lam_tau) nodal trace values
-        (lam_tau may be None on sd interfaces). Homogeneous outer data.
+        (lam_tau may be None on sd interfaces); the load is
+        -sigma <lam_n, v.n> - sigma <lam_tau, v.tau>.
         """
         Fu = np.zeros(self.n_udof)
         for idx, (lam_n, lam_t) in lam.items():
@@ -382,7 +440,69 @@ class StokesOperator:
                     for i, node in enumerate(triple):
                         Fu[2 * node] += direction[0] * contrib[i]
                         Fu[2 * node + 1] += direction[1] * contrib[i]
-        return self._solve(Fu, np.zeros(self.n_p), lift=False)
+        return Fu[self.free]
+
+    def factor(self, kl=None):
+        """Per-realization operator for the BJS permeability samples kl."""
+        coef = self.bjs_coefficients(kl or {})
+        S = self.matrix(coef)
+        C = self._kernel_constraints(coef)
+        if C.shape[0]:
+            Cs = sp.csr_matrix(np.hstack([C, np.zeros((len(C), self.n_p))]))
+            S = sp.bmat([[S, Cs.T], [Cs, None]], format="csc")
+        bar = np.concatenate([self._bar_u0 - self._bar_bjs @ coef,
+                              self._bar_p])
+        return StokesOperator(self, factorize(S), C.shape[0], bar)
+
+
+class StokesOperator:
+    """Factored Taylor-Hood operator for one realization's BJS coefficients."""
+
+    def __init__(self, system, lu, kernel_dim, bar_load):
+        self.system = system
+        self.mesh = system.mesh
+        self.traces = system.traces
+        self.lu = lu
+        self.kernel_dim = kernel_dim
+        self.bar_load = bar_load
+        self.factorizations = 1
+        self.backsolves = 0
+
+    def _solve(self, head, lift):
+        """Backsolve with the leading rhs entries `head`; full fields.
+
+        A 2-D head is one backsolve per column. With lift=False the outer
+        Dirichlet data is treated as zero; star solves use this so the
+        interface operator stays linear in lambda.
+        """
+        system = self.system
+        n_free = len(system.free)
+        cols = head.shape[1:]
+        rhs = np.zeros((n_free + system.n_p + self.kernel_dim,) + cols)
+        rhs[:len(head)] = head
+        self.backsolves += 1 if head.ndim == 1 else cols[0]
+        sol = self.lu.solve(rhs)
+        u = system.g_dir.copy() if lift else np.zeros((system.n_udof,) + cols)
+        u[system.free] = sol[:n_free]
+        return StokesSolution(u, sol[n_free:n_free + system.n_p])
+
+    def solve_bar(self):
+        """Solve with body force, outer Dirichlet lifts, outer tractions."""
+        return self._solve(self.bar_load, lift=True)
+
+    def solve_star(self, lam):
+        """Solve with interface data only: -sigma <lam_n, v.n> - sigma <lam_t, v.tau>.
+
+        `lam` is the local mortar vector of this subdomain (star load
+        E @ lam; a 2-D lam solves one column each), or the dict of nodal
+        trace values that StokesDarcyProblem.star_data returns (see
+        StokesSystem.trace_load). Homogeneous outer data.
+        """
+        if isinstance(lam, dict):
+            return self._solve(self.system.trace_load(lam), lift=False)
+        system = self.system
+        return self._solve(system.coupling.star_load(lam, len(system.free)),
+                           lift=False)
 
     # -- postprocessing -----------------------------------------------------
 
@@ -404,16 +524,17 @@ class StokesOperator:
         mesh = self.mesh
         N, _ = _p2_shapes(1 / 3, 1 / 3)
         M = _p1_shapes(1 / 3, 1 / 3)
-        vel = np.empty((mesh.n_tri, 2))
-        prs = np.empty(mesh.n_tri)
-        for t in range(mesh.n_tri):
-            nd = mesh.conn_p2[t]
-            vel[t, 0] = N @ sol.u[2 * nd]
-            vel[t, 1] = N @ sol.u[2 * nd + 1]
-            prs[t] = M @ sol.p[mesh.conn_p1[t]]
-        return vel, prs
+        nd = mesh.conn_p2
+        vel = np.column_stack([_rowdot(sol.u[2 * nd], N),
+                               _rowdot(sol.u[2 * nd + 1], N)])
+        return vel, _rowdot(sol.p[mesh.conn_p1], M)
+
+
+def _rowdot(X, w):
+    """X @ w as a stack of 1-D dots: bitwise what a loop of w @ x gives."""
+    return np.matmul(X[:, None, :], w[:, None])[:, 0, 0]
 
 
 def assemble_stokes(mesh, nu, alpha, bcs, traces, kl=None, f=None):
-    """Build and factor the subdomain operator. One factorization."""
-    return StokesOperator(mesh, nu, alpha, bcs, traces, kl=kl, f=f)
+    """Build and factor a stand-alone subdomain operator. One factorization."""
+    return StokesSystem(mesh, nu, alpha, bcs, traces, f=f).factor(kl)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sdmortar.darcy import DarcyBC
 from sdmortar.errors import SingularOperatorError
@@ -33,7 +34,7 @@ def test_element_matrices_against_symbolic_integration():
 
     mesh, op = make_op(n=2, nu=NU, rect=(0, 0, 1, 1),
                        bcs={"right": StokesBC("stress")})
-    tables = op._shape_tables()
+    tables = op.system._shape_tables()
     for shape in (0, 1):
         verts = [sympy.Matrix(v) for v in
                  map(lambda r: [sympy.nsimplify(c) for c in r],
@@ -199,14 +200,20 @@ def test_bjs_quadratic_form_hand_value():
     kvals = rng.uniform(0.5, 2.0, n)
     alpha = 2.0
     _, _, op0 = sd_setup(n=n, alpha=0.0, kvals=kvals)
-    _, _, op1 = sd_setup(n=n, alpha=alpha, kvals=kvals)
-    dA = (op1._A_full - op0._A_full).toarray()
-    z = np.zeros(op1.n_udof)
+    g, _, op1 = sd_setup(n=n, alpha=alpha, kvals=kvals)
+    assert op0.system.n_bjs == 0
+    # the friction form A(alpha) - A(0), from the refilled BJS entries
+    system = op1.system
+    rows, cols, vals, which = system._bjs_entries()
+    coef = system.bjs_coefficients({g.index: kvals})
+    dA = sp.coo_matrix((vals * coef[which], (rows, cols)),
+                       shape=(system.n_udof, system.n_udof)).toarray()
+    z = np.zeros(system.n_udof)
     z[0::2] = 1.0
     expect = np.sum(NU * alpha / np.sqrt(kvals) * (1.0 / n))
     assert z @ dA @ z == pytest.approx(expect, rel=1e-12)
     # friction acts on the tangential (x) component only
-    zy = np.zeros(op1.n_udof)
+    zy = np.zeros(system.n_udof)
     zy[1::2] = 1.0
     assert zy @ dA @ zy == pytest.approx(0.0, abs=1e-14)
     assert np.allclose(dA, dA.T)
