@@ -219,7 +219,7 @@ class StokesSystem:
                  np.concatenate([Ac.data, B_red.data, B_red.data]))
         self.matrix = RefillMatrix((n_s, n_s), const, bjs, self.n_bjs)
 
-        # rigid-body candidates and their Gram matrix, split like the matrix
+        # rigid-body motions that the reduced form may leave in its kernel
         xy = mesh.p2_xy
         xc, yc = xy.mean(axis=0)
         Z = np.zeros((self.n_udof, 3))
@@ -231,17 +231,6 @@ class StokesSystem:
         norms = np.linalg.norm(Zf, axis=0)
         norms[norms == 0] = 1.0
         self._Zf = Zf / norms
-        self._gram0 = self._Zf.T @ (A_red @ self._Zf)
-        r, c, v, w = bjs
-        self._gram_bjs = np.zeros((self.n_bjs, 3, 3))
-        np.add.at(self._gram_bjs, w,
-                  v[:, None, None] * self._Zf[r][:, :, None]
-                  * self._Zf[c][:, None, :])
-        self._diag0 = A_red.diagonal()
-        on_diag = r == c
-        self._diag_bjs = sp.csr_matrix(
-            (v[on_diag], (r[on_diag], w[on_diag])),
-            shape=(n_free, self.n_bjs))
 
         # bar load: body force and tractions minus the Dirichlet lift; the
         # lift through the BJS entries is refilled per realization
@@ -328,12 +317,10 @@ class StokesSystem:
         Returns full-numbering (rows, cols, vals, which); `which` counts the
         sd edges in trace order, the order of bjs_coefficients.
         """
-        if self.alpha == 0.0:
-            z = np.zeros(0, dtype=int)
-            return z, z, np.zeros(0), z
-        rows, cols, vals, which = [], [], [], []
+        z = np.zeros(0, dtype=int)
+        rows, cols, vals, which = [z], [z], [np.zeros(0)], [z]
         n = 0
-        for t in self._sd_traces():
+        for t in self._sd_traces() if self.alpha != 0.0 else ():
             tau = np.asarray(t.tangent)
             L = np.diff(t.s_breaks)
             tri = np.array(t.edges)
@@ -366,16 +353,16 @@ class StokesSystem:
             coef.append(self.nu * self.alpha / np.sqrt(kvals))
         return np.concatenate(coef) if coef else np.zeros(0)
 
-    def _kernel_constraints(self, coef):
+    def _kernel_constraints(self, A_red):
         """Rigid-body motions still in the kernel of the reduced form."""
-        G = self._gram0 + np.tensordot(coef, self._gram_bjs, axes=1)
+        Zf = self._Zf
+        G = Zf.T @ (A_red @ Zf)
         lam, vecs = np.linalg.eigh(G)
-        diag = self._diag0 + self._diag_bjs @ coef
-        scale = max(diag.max(), 1e-30)
+        scale = max(A_red.diagonal().max(), 1e-30)
         keep = lam <= 1e-10 * scale
         if not keep.any():
             return np.zeros((0, len(self.free)))
-        C = (self._Zf @ vecs[:, keep]).T
+        C = (Zf @ vecs[:, keep]).T
         C = C / np.linalg.norm(C, axis=1)[:, None]
         return C
 
@@ -446,7 +433,8 @@ class StokesSystem:
         """Per-realization operator for the BJS permeability samples kl."""
         coef = self.bjs_coefficients(kl or {})
         S = self.matrix(coef)
-        C = self._kernel_constraints(coef)
+        n_free = len(self.free)
+        C = self._kernel_constraints(S[:n_free, :n_free])
         if C.shape[0]:
             Cs = sp.csr_matrix(np.hstack([C, np.zeros((len(C), self.n_p))]))
             S = sp.bmat([[S, Cs.T], [Cs, None]], format="csc")

@@ -176,3 +176,22 @@ def test_bad_permeability_rejected():
         assemble_darcy(mesh, np.full(16, -1.0), 1.0, bcs, [])
     with pytest.raises(ValueError, match="per cell"):
         assemble_darcy(mesh, np.ones(5), 1.0, bcs, [])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_permeability_rejected(bad):
+    mesh = build_subdomain_mesh(Block((0, 0, 1, 1), "darcy", (4, 4), 0))
+    K = np.ones(16)
+    K[[3, 7]] = bad
+    with pytest.raises(ValueError, match="2 of 16 permeability values"):
+        assemble_darcy(mesh, K, 1.0, {"left": DarcyBC("pressure", None)}, [])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+def test_bad_permeability_names_the_subdomain(twoblock, bad):
+    problem = twoblock.problem
+    K = problem.permeability(np.zeros(3))
+    K[1][5] = bad
+    problem.assemble_subdomain(0, K)
+    with pytest.raises(ValueError, match="subdomain 1: 1 of 64"):
+        problem.assemble_subdomain(1, K)

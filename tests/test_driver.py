@@ -90,9 +90,17 @@ def test_manifest_contents(tmp_path):
     assert man["n_real_per_region"] == {"0": 8}
     assert man["subdomain_dofs"] == {"0": 8, "1": 8}
     assert man["total_backsolves"] == int(result.stats.backsolves.sum())
+    assert man["total_basis_backsolves"] == 0  # S1 builds no basis
     assert man["cg_iters"] == [int(n) for n in result.stats.cg_iters]
     assert man["config"]["method"] == "S1"
     assert "wall" not in json.dumps(man)
+
+    _, _, result2, paths2 = run_twoblock(tmp_path, sub="s2", method="S2")
+    man2 = json.load(open(paths2["manifest"]))
+    # S2: one basis backsolve per local mortar dof per realization
+    assert man2["total_basis_backsolves"] == 2 * 8 * 8
+    assert man2["total_basis_backsolves"] == int(
+        result2.stats.basis_backsolves.sum())
 
 
 def test_reruns_are_bitwise_identical(tmp_path):

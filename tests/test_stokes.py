@@ -219,6 +219,23 @@ def test_bjs_quadratic_form_hand_value():
     assert np.allclose(dA, dA.T)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_bjs_rejects_non_finite_permeability(bad):
+    kvals = np.ones(8)
+    kvals[2] = bad
+    with pytest.raises(ValueError, match="BJS on interface 0: 1 of 8"):
+        sd_setup(alpha=1.0, kvals=kvals)
+
+
+def test_bad_permeability_under_bjs_names_the_stokes_subdomain(case1):
+    problem = case1.problem
+    K = problem.permeability(np.zeros(case1.grid.n_dims))
+    d_sid, cells = problem.kl_cells[0][next(iter(problem.kl_cells[0]))]
+    K[d_sid][cells[0]] = np.nan
+    with pytest.raises(ValueError, match="subdomain 0, BJS on interface"):
+        problem.assemble_subdomain(0, K)
+
+
 def test_star_solve_ignores_outer_dirichlet():
     """Star solves see homogeneous outer data regardless of the lift."""
     g, tr, op_a = sd_setup(alpha=0.0, top=lambda x, y: (1.0, 0.0))
