@@ -64,17 +64,13 @@ class CouplingMaps:
         self._E_rows = rows[rows >= 0]
         self._E_block = -self._F_block[:, rows >= 0].T
 
-    @property
-    def n_dof(self):
-        return self.F.shape[0]
-
     def functionals(self, u):
         """F @ u for a full velocity vector u."""
         return self._F_block @ u[self.cols]
 
     def star_load(self, lam, size):
-        """E @ lam, zero-padded to `size` rows (lam may be 2-D)."""
-        rhs = np.zeros((size,) + np.shape(lam)[1:])
+        """E @ lam, zero-padded to a right-hand side of length size."""
+        rhs = np.zeros(size)
         rhs[self._E_rows] = self._E_block @ lam
         return rhs
 

@@ -76,11 +76,9 @@ def trace_maps(mesh, trace):
 
 
 def _cell_edge_table(mesh):
-    """(west, east, south, north) edge ids of every cell, row-major."""
+    """(west, east, south, north) edge id arrays of every cell, row-major."""
     iy, ix = np.divmod(np.arange(mesh.n_cells), mesh.nx)
-    w = iy * (mesh.nx + 1) + ix
-    s = mesh.n_vedges + iy * mesh.nx + ix
-    return w, w + 1, s, s + mesh.nx
+    return mesh.cell_edges(ix, iy)
 
 
 class DarcySystem:
@@ -237,10 +235,9 @@ class DarcyOperator:
         self.backsolves = 0
 
     def _solve(self, rhs):
-        """Backsolve one rhs, or one per column of a 2-D rhs."""
-        self.backsolves += 1 if rhs.ndim == 1 else rhs.shape[1]
+        self.backsolves += 1
         sol = self.lu.solve(rhs)
-        u = np.zeros((self.mesh.n_edges,) + sol.shape[1:])
+        u = np.zeros(self.mesh.n_edges)
         n_u = self.system.n_u
         u[self.system.keep] = sol[:n_u]
         return DarcySolution(u, sol[n_u:])
@@ -253,9 +250,8 @@ class DarcyOperator:
         """Solve with interface data only: rhs = -<lam, v.n_out>.
 
         `lam` is the local mortar vector of this subdomain (star load
-        E @ lam; a 2-D lam solves one column each), or the dict of
-        projected per-edge values that StokesDarcyProblem.star_data returns
-        (see DarcySystem.trace_load).
+        E @ lam), or the dict of projected per-edge values that
+        StokesDarcyProblem.star_data returns (see DarcySystem.trace_load).
         """
         if isinstance(lam, dict):
             return self._solve(self.system.trace_load(lam))

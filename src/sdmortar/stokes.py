@@ -459,18 +459,16 @@ class StokesOperator:
     def _solve(self, head, lift):
         """Backsolve with the leading rhs entries `head`; full fields.
 
-        A 2-D head is one backsolve per column. With lift=False the outer
-        Dirichlet data is treated as zero; star solves use this so the
-        interface operator stays linear in lambda.
+        With lift=False the outer Dirichlet data is treated as zero; star
+        solves use this so the interface operator stays linear in lambda.
         """
         system = self.system
         n_free = len(system.free)
-        cols = head.shape[1:]
-        rhs = np.zeros((n_free + system.n_p + self.kernel_dim,) + cols)
+        rhs = np.zeros(n_free + system.n_p + self.kernel_dim)
         rhs[:len(head)] = head
-        self.backsolves += 1 if head.ndim == 1 else cols[0]
+        self.backsolves += 1
         sol = self.lu.solve(rhs)
-        u = system.g_dir.copy() if lift else np.zeros((system.n_udof,) + cols)
+        u = system.g_dir.copy() if lift else np.zeros(system.n_udof)
         u[system.free] = sol[:n_free]
         return StokesSolution(u, sol[n_free:n_free + system.n_p])
 
@@ -482,9 +480,9 @@ class StokesOperator:
         """Solve with interface data only: -sigma <lam_n, v.n> - sigma <lam_t, v.tau>.
 
         `lam` is the local mortar vector of this subdomain (star load
-        E @ lam; a 2-D lam solves one column each), or the dict of nodal
-        trace values that StokesDarcyProblem.star_data returns (see
-        StokesSystem.trace_load). Homogeneous outer data.
+        E @ lam), or the dict of nodal trace values that
+        StokesDarcyProblem.star_data returns (see StokesSystem.trace_load).
+        Homogeneous outer data.
         """
         if isinstance(lam, dict):
             return self._solve(self.system.trace_load(lam), lift=False)
