@@ -12,7 +12,10 @@ the Darcy side, continuous quadratics on the Stokes side) are rectangular
 matrices R[m, j] = <xi_m, psi_j> integrated exactly on the merged partition
 of coarse and fine breakpoints. mortar -> trace is the L2 projection
 M^-1 R^T c; trace -> mortar is the plain pairing R g, which keeps the
-interface operator symmetric.
+interface operator symmetric. A star load only tests the projection
+against trace functions, so M cancels and the subdomain coupling maps
+(problem.py) use R alone; the projection and `jump` serve the dict-based
+reference path and the bar-side jump.
 """
 
 import logging

@@ -219,6 +219,36 @@ def test_bjs_quadratic_form_hand_value():
     assert np.allclose(dA, dA.T)
 
 
+def test_bar_solve_satisfies_full_system_with_bjs_lift():
+    """Dirichlet data at an sd trace end enters the lift through BJS."""
+    n = 6
+    layout = build_layout([
+        Block((0, 0, 1, 1), "darcy", (n, n), 0),
+        Block((0, 1, 1, 2), "stokes", (n, n)),
+    ])
+    g = layout.interfaces[0]
+    mesh = build_subdomain_mesh(layout.blocks[1])
+    tr = interface_trace(mesh, layout.blocks[1], g, 1)
+    bcs = {"top": StokesBC("velocity", lambda x, y: (1.0, 0.0)),
+           "left": StokesBC("velocity", lambda x, y: (0.5, 0.2 * y)),
+           "right": StokesBC("stress")}
+    kl = {g.index: np.random.default_rng(2).uniform(0.5, 2.0, n)}
+    op = assemble_stokes(mesh, NU, 2.0, bcs, [tr], kl=kl)
+    system = op.system
+    assert system.g_dir[2 * tr.nodes[0]] == 0.5  # the trace end is fixed
+    sol = op.solve_bar()
+    tables = system._shape_tables()
+    rows, cols, vals, which = system._bjs_entries()
+    coef = system.bjs_coefficients(kl)
+    A = system._assemble_viscous(tables) + sp.coo_matrix(
+        (vals * coef[which], (rows, cols)), shape=(system.n_udof,) * 2)
+    B = system._assemble_divergence(tables)
+    r_u = (A @ sol.u + B.T @ sol.p)[system.free]
+    scale = abs(A).max() * np.abs(sol.u).max()
+    assert np.abs(r_u).max() <= 1e-10 * scale
+    assert np.abs(B @ sol.u).max() <= 1e-10 * abs(B).max() * np.abs(sol.u).max()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_bjs_rejects_non_finite_permeability(bad):
     kvals = np.ones(8)
