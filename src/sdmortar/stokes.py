@@ -7,7 +7,11 @@ Velocity Dirichlet data is eliminated strongly; stress edges and interface
 data are natural. When the boundary conditions leave rigid-body motions
 unconstrained (a subdomain with only stress/interface edges), the kernel is
 detected from the assembled form and pinned with explicit Lagrange
-constraint rows, so the factored system is always regular.
+constraint rows, so the factored system is always regular. The pressure
+unknowns and continuity rows are scaled by nu / h before factoring: the
+viscous entries scale as nu and the divergence entries as h, so the scaled
+Schur complement matches the viscous block and round-off in the pressure
+is not amplified by the mesh size.
 
 Everything but the BJS coefficients is realization-invariant and lives in a
 StokesSystem built once: the viscous and divergence blocks, the Dirichlet
@@ -440,17 +444,23 @@ class StokesSystem:
             S = sp.bmat([[S, Cs.T], [Cs, None]], format="csc")
         bar = np.concatenate([self._bar_u0 - self._bar_bjs @ coef,
                               self._bar_p])
-        return StokesOperator(self, factorize(S), C.shape[0], bar)
+        scale = np.ones(S.shape[0])
+        scale[n_free:n_free + self.n_p] = self.nu / min(self.mesh.hx,
+                                                        self.mesh.hy)
+        D = sp.diags(scale)
+        return StokesOperator(self, factorize((D @ S @ D).tocsc()),
+                              C.shape[0], bar, scale)
 
 
 class StokesOperator:
     """Factored Taylor-Hood operator for one realization's BJS coefficients."""
 
-    def __init__(self, system, lu, kernel_dim, bar_load):
+    def __init__(self, system, lu, kernel_dim, bar_load, scale):
         self.system = system
         self.mesh = system.mesh
         self.traces = system.traces
-        self.lu = lu
+        self.lu = lu  # factors of diag(scale) @ S @ diag(scale)
+        self.scale = scale
         self.kernel_dim = kernel_dim
         self.bar_load = bar_load
         self.factorizations = 1
@@ -467,7 +477,7 @@ class StokesOperator:
         rhs = np.zeros(n_free + system.n_p + self.kernel_dim)
         rhs[:len(head)] = head
         self.backsolves += 1
-        sol = self.lu.solve(rhs)
+        sol = self.scale * self.lu.solve(self.scale * rhs)
         u = system.g_dir.copy() if lift else np.zeros(system.n_udof)
         u[system.free] = sol[:n_free]
         return StokesSolution(u, sol[n_free:n_free + system.n_p])
