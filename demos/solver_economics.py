@@ -22,7 +22,11 @@ print(f"sweep of {n_real} realizations; mortar dofs per subdomain {n_dof}; "
       f"distinct local\nrealizations per region {n_loc} "
       f"(Stokes blocks reuse one frozen basis)\n")
 print("S1 solves the interface system by cg, paying one backsolve per")
-print("subdomain per iteration. S2 assembles each subdomain's flux response")
+print("subdomain per iteration. The cg is preconditioned by a BFGS estimate")
+print("of the inverse interface operator built from the search directions of")
+print("the realizations already solved: the first realization runs plain cg,")
+print("later ones need a fraction of its iterations, and the preconditioner")
+print("itself costs no backsolves. S2 assembles each subdomain's flux response")
 print("basis per realization. S3 reuses each basis across all realizations")
 print("that share the subdomain's local permeability.\n")
 
@@ -41,7 +45,9 @@ for method, (stats, secs) in rows.items():
 
 s1, s3 = rows["S1"][0], rows["S3"][0]
 gain = s1.backsolves.sum() / s3.backsolves.sum()
-print(f"\ntotal backsolves: S1 {int(s1.backsolves.sum())}, "
+print(f"\ncg iterations per realization (S1): first {s1.cg_iters[0]}, "
+      f"later at most {max(s1.cg_iters[1:])}")
+print(f"total backsolves: S1 {int(s1.backsolves.sum())}, "
       f"S3 {int(s3.backsolves.sum())}, a factor {gain:.1f} saved")
 print("moment fields of all three methods agree; see the test suite for the")
 print("tolerance this is held to")

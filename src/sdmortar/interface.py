@@ -15,6 +15,14 @@ drivers share that structure and differ in how S is applied:
   subdomain's permeability region and reuses it across the sweep; the
   basis of a Stokes subdomain is frozen at the mean-field permeability.
 
+All three solve S lam = g by preconditioned CG. A sweep keeps one
+SecantPreconditioner, a dense H ~ S^-1 that starts as the identity (so the
+first realization runs plain CG) and after every realization folds in that
+solve's search pairs (p_j, S p_j) by BFGS updates. Consecutive collocation
+points change S only through K, so later solves need a fraction of the
+first one's iterations. The pairs are a by-product of CG and H is applied
+as a dense matvec, so the preconditioner costs no subdomain solves.
+
 Backsolve counts per subdomain follow the identities
 S1: sum_k N_iter(k) + 2 N_real, S2: N_dof_i N_real + 2 N_real,
 S3: N_dof_i N_loc(i) + 2 N_real.
@@ -26,6 +34,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import ConvergenceError, SizeCapError
 from .moments import MomentAccumulator
@@ -108,19 +117,80 @@ class _Pool:
         return list(self._ex.map(fn, items))
 
 
-def cg_solve(apply_fn, g, tol=1e-9, max_iter=None):
-    """Plain CG from x0 = 0. Returns (x, n_iter, relative residuals)."""
+@dataclass
+class CGResult:
+    """Outcome of cg_solve; unpacks as the triple (x, n_iter, residuals).
+
+    `pairs` holds every search direction p_j with its image S p_j, the data
+    SecantPreconditioner.update folds into its estimate of S^-1. `cond` is
+    the Lanczos estimate of cond(H S), or None when no iteration ran.
+    """
+
+    x: np.ndarray
+    n_iter: int
+    residuals: list
+    pairs: list
+    cond: float
+
+    def __iter__(self):
+        return iter((self.x, self.n_iter, self.residuals))
+
+
+def lanczos_cond(alphas, betas):
+    """Ratio of the extreme Ritz values of the (P)CG Lanczos matrix.
+
+    With step lengths a_j and direction updates b_j = (r.z)_{j+1}/(r.z)_j,
+    the Lanczos tridiagonal of H S has diagonal 1/a_j + b_{j-1}/a_{j-1} and
+    off-diagonal sqrt(b_j)/a_j (Saad, Iterative Methods for Sparse Linear
+    Systems, 6.7.3). Its extreme eigenvalues approach those of H S.
+    """
+    if not alphas:
+        return None
+    a = np.asarray(alphas)
+    b = np.asarray(betas[:len(a) - 1])
+    diag = 1.0 / a
+    diag[1:] += b / a[:-1]
+    ritz = eigvalsh_tridiagonal(diag, np.sqrt(b) / a[:-1])
+    return float(ritz[-1] / ritz[0])
+
+
+def cg_solve(apply_fn, g, tol=1e-9, max_iter=None, precond=None):
+    """CG from x0 = 0, preconditioned by z = precond(r) when one is given.
+
+    precond must act as a fixed symmetric positive definite matrix for the
+    whole solve; with None this is plain CG. run_method passes the sweep's
+    SecantPreconditioner and updates it from the returned pairs after the
+    solve, so H never changes within a solve. The stopping test is always
+    on the unpreconditioned residual, |r| <= tol |g|, so `tol` and the
+    residual history mean the same with and without a preconditioner. Each
+    iteration costs exactly one apply_fn call and the preconditioner none,
+    which keeps the S1 identity sum_k N_iter(k) + 2 N_real exact. A
+    preconditioner that yields r.z <= 0 or a non-finite r.z raises
+    ConvergenceError. Returns a CGResult.
+    """
     n = len(g)
     x = np.zeros(n)
     gnorm = float(np.linalg.norm(g))
     if gnorm == 0.0:
-        return x, 0, []
+        return CGResult(x, 0, [], [], None)
     if max_iter is None:
         max_iter = max(50, 10 * n)
+    residuals, pairs, alphas, betas = [], [], [], []
+
+    def precondition(r, it):
+        if precond is None:
+            return r, float(r @ r)
+        z = precond(r)
+        rz = float(r @ z)
+        if not 0.0 < rz < np.inf:
+            raise ConvergenceError(
+                f"preconditioner is not positive definite (r.z = {rz:.3e} "
+                f"after iteration {it})", residuals)
+        return z, rz
+
     r = g.copy()
-    p = r.copy()
-    rr = float(r @ r)
-    residuals = []
+    z, rz = precondition(r, 0)
+    p = z.copy()
     for it in range(1, max_iter + 1):
         Sp = apply_fn(p)
         pSp = float(p @ Sp)
@@ -128,19 +198,54 @@ def cg_solve(apply_fn, g, tol=1e-9, max_iter=None):
             raise ConvergenceError(
                 f"interface operator is not positive definite "
                 f"(p.Sp = {pSp:.3e} at iteration {it})", residuals)
-        a = rr / pSp
+        pairs.append((p, Sp))
+        a = rz / pSp
+        alphas.append(a)
         x += a * p
         r -= a * Sp
         rn = float(np.linalg.norm(r))
         residuals.append(rn / gnorm)
         if rn <= tol * gnorm:
-            return x, it, residuals
-        rr_new = float(r @ r)
-        p = r + (rr_new / rr) * p
-        rr = rr_new
+            return CGResult(x, it, residuals, pairs,
+                            lanczos_cond(alphas, betas))
+        z, rz_new = precondition(r, it)
+        betas.append(rz_new / rz)
+        p = z + betas[-1] * p
+        rz = rz_new
     raise ConvergenceError(
         f"CG did not reach tol {tol:g} in {max_iter} iterations "
         f"(last residual {residuals[-1]:.3e})", residuals)
+
+
+class SecantPreconditioner:
+    """Dense estimate H of S^-1 that one sweep carries across realizations.
+
+    H starts as the identity, so the first solve of a sweep is plain CG.
+    update() folds in each (s, y) = (p, S p) pair of a finished solve with
+    the BFGS inverse update
+        H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T,  rho = 1/(y.s),
+    which keeps H symmetric positive definite (y.s = p.Sp > 0 is checked by
+    cg_solve) and makes it satisfy the secant condition H y = s for the
+    latest pair. Consecutive collocation points change S only through K, so
+    the pairs of one solve precondition the next (Morales & Nocedal, SIAM J.
+    Optim. 2000).
+    """
+
+    def __init__(self):
+        self.H = None
+
+    def __call__(self, r):
+        return r if self.H is None else self.H @ r
+
+    def update(self, pairs):
+        for s, y in pairs:
+            sy = float(s @ y)
+            if self.H is None:
+                self.H = (sy / float(y @ y)) * np.eye(len(s))
+            Hy = self.H @ y
+            rho = 1.0 / sy
+            self.H += (rho * rho * float(y @ Hy) + rho) * np.outer(s, s)
+            self.H -= rho * (np.outer(s, Hy) + np.outer(Hy, s))
 
 
 def _timed_map(pool, stats, fn, sids):
@@ -278,6 +383,7 @@ class RunResult:
     lambdas: list
     residuals: list  # per realization CG residual history
     grid: object
+    cg_cond: list  # per realization Lanczos estimate of cond(H S)
 
 
 def run_method(problem, grid, method="S1", tol=1e-9, max_iter=None,
@@ -297,6 +403,8 @@ def run_method(problem, grid, method="S1", tol=1e-9, max_iter=None,
     acc = MomentAccumulator()
     lambdas = []
     residual_hist = []
+    cg_cond = []
+    precond = SecantPreconditioner()
     problem.systems()
 
     with _Pool(workers) as pool:
@@ -325,10 +433,13 @@ def run_method(problem, grid, method="S1", tol=1e-9, max_iter=None,
                 else:
                     apply_fn = direct_apply(problem, ops, pool, stats)
             bars, g = compute_rhs(problem, ops, pool, stats)
-            lam, n_iter, residuals = cg_solve(apply_fn, g, tol=tol,
-                                              max_iter=max_iter)
-            stats.cg_iters.append(n_iter)
-            residual_hist.append(residuals)
+            res = cg_solve(apply_fn, g, tol=tol, max_iter=max_iter,
+                           precond=precond)
+            precond.update(res.pairs)
+            lam = res.x
+            stats.cg_iters.append(res.n_iter)
+            residual_hist.append(res.residuals)
+            cg_cond.append(res.cond)
             per_sid = recover_fields(problem, ops, bars, lam, pool, stats)
             acc.add(w, _fields_dict(problem, per_sid, lam))
             lambdas.append(lam)
@@ -339,7 +450,8 @@ def run_method(problem, grid, method="S1", tol=1e-9, max_iter=None,
             for sid, op_list in ops3.items():
                 for op in op_list:
                     stats.harvest(sid, op)
-    return RunResult(acc.finalize(), stats, lambdas, residual_hist, grid)
+    return RunResult(acc.finalize(), stats, lambdas, residual_hist, grid,
+                     cg_cond)
 
 
 def _prepare_s3(problem, grid, pool, stats, basis_cap_mb):

@@ -126,6 +126,9 @@ def run_manifest(cfg, problem, grid, result):
             str(sid): int(problem.space.sub_dofs(layout, sid).size)
             for sid in range(layout.n_subdomains)},
         "cg_iters": [int(n) for n in stats.cg_iters],
+        "cg_final_residual": [res[-1] if res else 0.0
+                              for res in result.residuals],
+        "cg_cond_estimate": result.cg_cond,
         "total_backsolves": int(stats.backsolves.sum()),
         "total_basis_backsolves": int(stats.basis_backsolves.sum()),
         "total_factorizations": int(stats.factorizations.sum()),

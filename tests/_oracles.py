@@ -4,6 +4,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from sdmortar.errors import ConvergenceError
+
 
 def monolithic_rt0(rect, nx, ny, K, nu=1.0, p_left=1.0, p_right=0.0):
     """Global RT0/P0 Darcy solve on one grid: left/right pressure, else no-flow.
@@ -83,3 +85,41 @@ def monolithic_rt0(rect, nx, ny, K, nu=1.0, p_left=1.0, p_right=0.0):
             vel[c, 0] = 0.5 * (u[vid(ix, iy)] + u[vid(ix + 1, iy)])
             vel[c, 1] = 0.5 * (u[hid(ix, iy)] + u[hid(ix, iy + 1)])
     return p, vel
+
+
+def plain_cg(apply_fn, g, tol=1e-9, max_iter=None):
+    """The unpreconditioned interface CG as it was before preconditioning.
+
+    cg_solve with precond=None must reproduce it bit for bit.
+    """
+    n = len(g)
+    x = np.zeros(n)
+    gnorm = float(np.linalg.norm(g))
+    if gnorm == 0.0:
+        return x, 0, []
+    if max_iter is None:
+        max_iter = max(50, 10 * n)
+    r = g.copy()
+    p = r.copy()
+    rr = float(r @ r)
+    residuals = []
+    for it in range(1, max_iter + 1):
+        Sp = apply_fn(p)
+        pSp = float(p @ Sp)
+        if pSp <= 0.0:
+            raise ConvergenceError(
+                f"interface operator is not positive definite "
+                f"(p.Sp = {pSp:.3e} at iteration {it})", residuals)
+        a = rr / pSp
+        x += a * p
+        r -= a * Sp
+        rn = float(np.linalg.norm(r))
+        residuals.append(rn / gnorm)
+        if rn <= tol * gnorm:
+            return x, it, residuals
+        rr_new = float(r @ r)
+        p = r + (rr_new / rr) * p
+        rr = rr_new
+    raise ConvergenceError(
+        f"CG did not reach tol {tol:g} in {max_iter} iterations "
+        f"(last residual {residuals[-1]:.3e})", residuals)

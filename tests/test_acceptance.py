@@ -370,3 +370,20 @@ def test_criterion_10_reproducibility(tmp_path, capsys):
     _report(capsys, 10, ok,
             f"rerun stats and moment files byte-identical; 4-worker moment "
             f"fields differ from 1-worker by {worst:.1f} in every entry")
+
+
+def test_criterion_11_recycled_preconditioner(case1, case1_sweeps, capsys):
+    """Search pairs recycled across realizations cut the S1 interface CG."""
+    results = case1_sweeps.results
+    iters = [int(n) for n in results["S1"].stats.cg_iters]
+    lam_dim = case1.problem.space.n_dof
+    ok = lam_dim == 48 and len(iters) == case1.grid.n_real
+    ok &= sum(iters) <= 800
+    ok &= max(iters[1:]) <= lam_dim
+    lam12 = _max_rel_lambda(results["S1"], results["S2"])
+    ok &= lam12 <= 1e-8
+    _report(capsys, 11, ok,
+            f"S1 needs {sum(iters)} cg iterations over {len(iters)} "
+            f"realizations (bound 800): {iters[0]} for the first, at most "
+            f"{max(iters[1:])} for the others (bound lambda dim {lam_dim}); "
+            f"S1 vs S2 mortar rel diff {lam12:.1e} (bound 1e-8)")

@@ -92,6 +92,11 @@ def test_manifest_contents(tmp_path):
     assert man["total_backsolves"] == int(result.stats.backsolves.sum())
     assert man["total_basis_backsolves"] == 0  # S1 builds no basis
     assert man["cg_iters"] == [int(n) for n in result.stats.cg_iters]
+    assert man["cg_final_residual"] == [res[-1] for res in result.residuals]
+    assert all(0.0 < r <= 1e-9 for r in man["cg_final_residual"])
+    assert man["cg_cond_estimate"] == result.cg_cond
+    assert len(man["cg_cond_estimate"]) == grid.n_real
+    assert all(c >= 1.0 for c in man["cg_cond_estimate"])
     assert man["config"]["method"] == "S1"
     assert "wall" not in json.dumps(man)
 

@@ -5,12 +5,18 @@ import pytest
 
 from sdmortar.collocation import count_local_realizations
 from sdmortar.errors import ConvergenceError, SizeCapError
-from sdmortar.interface import (SolveStats, _Pool, assemble_realization,
-                                basis_apply, cg_solve, compute_flux_basis,
-                                compute_rhs, direct_apply, run_method,
-                                solve_realization)
+from sdmortar.interface import (SecantPreconditioner, SolveStats, _Pool,
+                                assemble_realization, basis_apply, cg_solve,
+                                compute_flux_basis, compute_rhs, direct_apply,
+                                run_method, solve_realization)
 
 from conftest import load_case
+from _oracles import plain_cg
+
+
+def _spd(rng, n, cond):
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return Q @ np.diag(np.logspace(0.0, np.log10(cond), n)) @ Q.T
 
 
 def test_cg_on_small_spd_matrix():
@@ -36,6 +42,114 @@ def test_cg_zero_rhs_is_free():
 def test_cg_rejects_indefinite_operator():
     with pytest.raises(ConvergenceError, match="positive definite"):
         cg_solve(lambda v: -v, np.ones(4))
+
+
+def test_cg_condition_estimate():
+    """The Lanczos estimate from the CG coefficients tracks cond(H A)."""
+    A = np.diag(np.linspace(1.0, 1e3, 40))
+    b = np.ones(40)
+    res = cg_solve(lambda v: A @ v, b, tol=1e-12)
+    assert abs(res.cond / 1e3 - 1.0) <= 1e-3
+    exact = cg_solve(lambda v: A @ v, b, precond=lambda r: r / np.diag(A))
+    assert exact.n_iter == 1 and exact.cond == 1.0
+    assert cg_solve(lambda v: A @ v, np.zeros(40)).cond is None
+
+
+def test_cg_without_preconditioner_is_plain_cg_bitwise():
+    rng = np.random.default_rng(3)
+    for n, cond, tol in ((12, 50.0, 1e-12), (40, 1e4, 1e-9), (40, 1e4, 1e-11)):
+        A = _spd(rng, n, cond)
+        b = rng.standard_normal(n)
+        x, iters, residuals = cg_solve(lambda v: A @ v, b, tol=tol)
+        x_ref, iters_ref, residuals_ref = plain_cg(lambda v: A @ v, b,
+                                                   tol=tol)
+        assert np.array_equal(x, x_ref)
+        assert iters == iters_ref
+        assert residuals == residuals_ref
+
+
+def test_cg_rejects_indefinite_preconditioner():
+    A = np.diag(np.linspace(1.0, 100.0, 10))
+    b = np.ones(10)
+    with pytest.raises(ConvergenceError,
+                       match="preconditioner is not positive definite.*"
+                             "after iteration 0") as err:
+        cg_solve(lambda v: A @ v, b, precond=lambda r: -r)
+    assert err.value.residuals == []
+
+    calls = []
+
+    def turns_indefinite(r):
+        calls.append(1)
+        return r if len(calls) <= 3 else -r
+
+    with pytest.raises(ConvergenceError,
+                       match="preconditioner .* after iteration 3") as err:
+        cg_solve(lambda v: A @ v, b, tol=1e-14, precond=turns_indefinite)
+    assert len(err.value.residuals) == 3
+
+    with pytest.raises(ConvergenceError, match="preconditioner"):
+        cg_solve(lambda v: A @ v, b, precond=lambda r: np.full_like(r, np.nan))
+
+
+def test_secant_update_keeps_h_spd_and_matches_last_pair():
+    rng = np.random.default_rng(5)
+    n = 30
+    A = _spd(rng, n, 1e4)
+    res = cg_solve(lambda v: A @ v, rng.standard_normal(n), tol=1e-10)
+    pc = SecantPreconditioner()
+    r = rng.standard_normal(n)
+    assert pc(r) is r  # the identity until the first update
+    pc.update(res.pairs)
+    H = pc.H
+    assert np.array_equal(H, H.T)
+    np.linalg.cholesky(H)
+    s, y = res.pairs[-1]
+    assert np.linalg.norm(H @ y - s) <= 1e-10 * np.linalg.norm(s)
+
+
+def test_recycled_preconditioner_on_a_sequence_of_systems():
+    """Neighbouring SPD systems (kappa ~ 1e4) reuse the earlier pairs.
+
+    Each matrix is the base matrix under a 1 % random diagonal scaling, the
+    size of change that leaves cond(H S) ~ 3 on neighbouring collocation
+    points of the shipped cases.
+    """
+    rng = np.random.default_rng(7)
+    n = 40
+    A0 = _spd(rng, n, 1e4)
+    pc = SecantPreconditioner()
+    for k in range(8):
+        d = 1.0 + 0.01 * rng.standard_normal(n)
+        A = d[:, None] * A0 * d[None, :]
+        b = rng.standard_normal(n)
+        res = cg_solve(lambda v: A @ v, b, tol=1e-10, precond=pc)
+        pc.update(res.pairs)
+        assert np.linalg.norm(b - A @ res.x) <= 1e-10 * np.linalg.norm(b)
+        x_ref = np.linalg.solve(A, b)
+        assert np.linalg.norm(res.x - x_ref) <= (
+            np.linalg.cond(A) * 1e-10 * np.linalg.norm(x_ref))
+        if k > 0:
+            assert res.n_iter <= n // 2
+
+
+def test_s2_true_residual_stays_within_tolerance(case1, case1_sweeps):
+    """The recursive CG residual does not drift from |g - S lam|."""
+    problem, grid = case1.problem, case1.grid
+    result = case1_sweeps.results["S2"]
+    tol = 1e-11  # the case1_sweeps tolerance
+    n = problem.space.n_dof
+    with _Pool(1) as pool:
+        for k in range(grid.n_real):
+            stats = SolveStats.new("S2", problem.layout.n_subdomains)
+            ops = assemble_realization(problem, grid.points[k], pool, stats)
+            _, g = compute_rhs(problem, ops, pool, stats)
+            S = np.zeros((n, n))
+            for sid, op in enumerate(ops):
+                dofs, B = compute_flux_basis(problem, sid, op, stats)
+                S[np.ix_(dofs, dofs)] += B
+            true = np.linalg.norm(g - S @ result.lambdas[k])
+            assert true <= 2.0 * tol * np.linalg.norm(g), k
 
 
 def test_cg_iteration_budget():
