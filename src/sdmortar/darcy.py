@@ -131,6 +131,7 @@ class DarcySystem:
         self.red_index[keep] = np.arange(len(keep))
         self.n_u = len(keep)
         self.n_p = mesh.n_cells
+        self.n_unknowns = self.n_u + self.n_p
         self.matrix = self._pattern()
         self.bar_load = self._bar_load()
 

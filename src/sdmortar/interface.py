@@ -26,11 +26,27 @@ as a dense matvec, so the preconditioner costs no subdomain solves.
 Backsolve counts per subdomain follow the identities
 S1: sum_k N_iter(k) + 2 N_real, S2: N_dof_i N_real + 2 N_real,
 S3: N_dof_i N_loc(i) + 2 N_real.
+
+With `workers` > 1 the subdomains are split once per sweep into groups of
+about equal unknown count (worker_count caps the number of groups at the
+usable cores and the subdomain count). Group 0 runs in this process, the
+others in children forked after problem.systems(), one Pipe each, as in
+the paper, where each processor owns some subdomains. A group keeps the
+factors, S3 bases and bar solutions of its own subdomains: per realization
+it factors them (or picks their S3 factors), builds their S2 bases, runs
+their bar solves, answers the S1 star solves and recovers their fields.
+Only mortar vectors, bases and output fields cross the pipes. The parent
+keeps everything that joins the subdomains: the jump, CG with the sweep's
+SecantPreconditioner, basis_apply and the MomentAccumulator. It adds up
+every per-subdomain result in subdomain order, so results are bitwise equal
+for any worker count, and it adds the children's counters and busy times
+to the sweep's SolveStats. With one group no process is started.
 """
 
 import logging
+import multiprocessing
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +85,13 @@ class SolveStats:
         self.factorizations[sid] += op.factorizations
         self.backsolves[sid] += op.backsolves
 
+    def absorb(self, other):
+        """Add the counters and busy times a subdomain group kept."""
+        self.factorizations += other.factorizations
+        self.backsolves += other.backsolves
+        self.basis_backsolves += other.basis_backsolves
+        self.wall_seconds += other.wall_seconds
+
     @property
     def cg_iters_total(self):
         return int(sum(self.cg_iters))
@@ -88,33 +111,6 @@ class SolveStats:
                 "wall_seconds": float(self.wall_seconds[sid]),
             })
         return out
-
-
-class _Pool:
-    """Order-preserving map over subdomains, optionally threaded.
-
-    Results are collected in submission order so reductions downstream are
-    deterministic regardless of worker count.
-    """
-
-    def __init__(self, workers=1):
-        self.workers = max(1, int(workers))
-        self._ex = None
-
-    def __enter__(self):
-        if self.workers > 1:
-            self._ex = ThreadPoolExecutor(max_workers=self.workers)
-        return self
-
-    def __exit__(self, *exc):
-        if self._ex is not None:
-            self._ex.shutdown(wait=True)
-        return False
-
-    def map(self, fn, items):
-        if self._ex is None:
-            return [fn(it) for it in items]
-        return list(self._ex.map(fn, items))
 
 
 @dataclass
@@ -164,9 +160,10 @@ def cg_solve(apply_fn, g, tol=1e-9, max_iter=None, precond=None):
     on the unpreconditioned residual, |r| <= tol |g|, so `tol` and the
     residual history mean the same with and without a preconditioner. Each
     iteration costs exactly one apply_fn call and the preconditioner none,
-    which keeps the S1 identity sum_k N_iter(k) + 2 N_real exact. A
-    preconditioner that yields r.z <= 0 or a non-finite r.z raises
-    ConvergenceError. Returns a CGResult.
+    which keeps the S1 identity sum_k N_iter(k) + 2 N_real exact. An
+    operator that yields a non-finite p.Sp or p.Sp <= 0, and a
+    preconditioner that yields a non-finite r.z or r.z <= 0, raise
+    ConvergenceError at that iteration. Returns a CGResult.
     """
     n = len(g)
     x = np.zeros(n)
@@ -194,6 +191,10 @@ def cg_solve(apply_fn, g, tol=1e-9, max_iter=None, precond=None):
     for it in range(1, max_iter + 1):
         Sp = apply_fn(p)
         pSp = float(p @ Sp)
+        if not np.isfinite(pSp):
+            raise ConvergenceError(
+                f"interface operator is not finite (p.Sp = {pSp} at "
+                f"iteration {it})", residuals)
         if pSp <= 0.0:
             raise ConvergenceError(
                 f"interface operator is not positive definite "
@@ -248,70 +249,254 @@ class SecantPreconditioner:
             self.H -= rho * (np.outer(s, Hy) + np.outer(Hy, s))
 
 
-def _timed_map(pool, stats, fn, sids):
-    """Map fn over subdomains, accumulating per-subdomain wall time."""
+def worker_count(workers, n_subdomains):
+    """Processes a sweep runs in: min(workers, usable cores, subdomains).
 
-    def task(sid):
-        t0 = time.perf_counter()
-        val = fn(sid)
-        return val, time.perf_counter() - t0
-
-    out = []
-    for sid, (val, dt) in zip(sids, pool.map(task, sids)):
-        stats.wall_seconds[sid] += dt
-        out.append(val)
-    return out
-
-
-def assemble_realization(problem, y, pool, stats, sids=None):
-    """Fresh factored operators for every subdomain at stochastic point y."""
-    problem.systems()  # build the invariant part here, not in pool threads
-    if sids is None:
-        sids = range(problem.layout.n_subdomains)
-    Kf = problem.permeability(y)
-    return _timed_map(pool, stats, lambda sid: problem.assemble_subdomain(
-        sid, Kf), list(sids))
-
-
-def compute_rhs(problem, ops, pool, stats):
-    """Bar solves on all subdomains. Returns (bar solutions, jump vector)."""
-    sids = list(range(problem.layout.n_subdomains))
-
-    def work(sid):
-        sol = ops[sid].solve_bar()
-        return sol, problem.side_functionals(sid, ops[sid], sol)
-
-    results = _timed_map(pool, stats, work, sids)
-    bars = [r[0] for r in results]
-    entries = [e for r in results for e in r[1]]
-    return bars, jump(problem.space, entries)
-
-
-def _sub_dofs(problem):
-    layout = problem.layout
-    return [problem.space.sub_dofs(layout, sid)
-            for sid in range(layout.n_subdomains)]
-
-
-def direct_apply(problem, ops, pool, stats):
-    """Matrix-free S application: S lam = sum_i scatter(-F_i A_i^-1 E_i lam_i).
-
-    One star solve per subdomain per call.
+    Without the fork start method the sweep runs in this process alone.
     """
-    dofs = _sub_dofs(problem)
-    sids = list(range(len(dofs)))
+    if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        log.info("no fork start method on this platform; running on 1 "
+                 "process instead of %d", workers)
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return max(1, min(workers, cores, n_subdomains))
 
-    def apply_fn(lam):
-        def work(sid):
-            sol = ops[sid].solve_star(lam[dofs[sid]])
-            return ops[sid].system.coupling.functionals(sol.u)
 
-        out = np.zeros(problem.space.n_dof)
-        for sid, resp in zip(sids, _timed_map(pool, stats, work, sids)):
-            out[dofs[sid]] -= resp
+def _split(problem, n_groups):
+    """Static split of the subdomains into n_groups sorted sid lists.
+
+    Greedy by unknown count: largest subdomain first, each to the group
+    with the fewest unknowns so far (the lowest index on a tie).
+    """
+    sizes = [system.n_unknowns for system in problem.systems()]
+    load = [0] * n_groups
+    groups = [[] for _ in range(n_groups)]
+    for sid in sorted(range(len(sizes)), key=lambda s: (-sizes[s], s)):
+        j = load.index(min(load))
+        groups[j].append(sid)
+        load[j] += sizes[sid]
+    return [sorted(g) for g in groups]
+
+
+class _Group:
+    """The subdomains one process owns and what it keeps of them.
+
+    Every request works through the owned subdomains in increasing order,
+    adds each one's busy time to stats.wall_seconds and returns
+    {sid: result}. `sid` is the subdomain in hand, so a failure names it.
+    """
+
+    def __init__(self, problem, sids, method, stats, grid):
+        self.problem = problem
+        self.sids = sids
+        self.method = method
+        self.stats = stats
+        self.grid = grid
+        self.sid = None
+        self.dofs = {sid: problem.space.sub_dofs(problem.layout, sid)
+                     for sid in sids}
+        self.ops, self.bars, self.s3 = {}, {}, {}
+
+    def _each(self, work):
+        out = {}
+        for sid in self.sids:
+            self.sid = sid
+            t0 = time.perf_counter()
+            out[sid] = work(sid)
+            self.stats.wall_seconds[sid] += time.perf_counter() - t0
+        self.sid = None
         return out
 
-    return apply_fn
+    def prepare_s3(self):
+        """Factor the S3 operators of the owned subdomains, with bases."""
+        self.s3 = self._each(lambda sid: _prepare_s3(
+            self.problem, self.grid, sid, self.stats))
+
+    def realize(self, k, y):
+        """Operators of realization k (at point y), bases, bar solves.
+
+        Returns {sid: (jump entries of the bar solution, basis)}; the basis
+        is built (S2), picked from the S3 ones, or None (S1).
+        """
+        problem = self.problem
+        K = None if self.method == "S3" else problem.permeability(y, self.sids)
+
+        def work(sid):
+            if self.method == "S3":
+                local = _local_of(problem, self.grid, sid, k)
+                ops, bases = self.s3[sid]
+                op, basis = ops[local], bases[local]
+            else:
+                op = problem.assemble_subdomain(sid, K)
+                basis = (compute_flux_basis(problem, sid, op, self.stats)
+                         if self.method == "S2" else None)
+            self.ops[sid] = op
+            self.bars[sid] = op.solve_bar()
+            return problem.side_functionals(sid, op, self.bars[sid]), basis
+
+        return self._each(work)
+
+    def respond(self, lam):
+        """Star response of every owned subdomain to the mortar vector lam."""
+        return self._each(lambda sid: star_response(self.ops[sid],
+                                                    lam[self.dofs[sid]]))
+
+    def recover(self, lam):
+        """Fields of the owned subdomains; S1/S2 then retire the operators."""
+        fields = self._each(lambda sid: recover_fields(
+            self.problem, sid, self.ops[sid], self.bars[sid],
+            lam[self.dofs[sid]]))
+        if self.method != "S3":
+            for sid, op in self.ops.items():
+                self.stats.harvest(sid, op)
+        self.ops, self.bars = {}, {}
+        return fields
+
+    def finish(self):
+        """Retire the S3 operators; return the group's SolveStats."""
+        for sid, (ops, _) in self.s3.items():
+            for op in ops:
+                self.stats.harvest(sid, op)
+        return self.stats
+
+
+def _call(group, name, args):
+    """One group request: (True, result) or (False, (sid, exception))."""
+    try:
+        return True, getattr(group, name)(*args)
+    except Exception as exc:  # handed to the parent, which raises it
+        return False, (group.sid, exc)
+
+
+def _serve(group, conn):
+    """Body of a child process: answer the parent's requests for one group."""
+    while True:
+        try:
+            request = conn.recv()
+        except EOFError:  # the parent is gone
+            return
+        if request is None:
+            return
+        conn.send(_call(group, *request))
+
+
+class _Groups:
+    """The subdomain groups of one sweep, driven in lockstep from here.
+
+    A request goes to the children first, then group 0 runs in this
+    process, then the children's replies are read. A failure is raised
+    once every group has answered, the one of the lowest subdomain, so it
+    does not depend on the number of groups; a child that dies raises
+    EOFError. A clean exit adds the children's counters to `stats`; an
+    exit by exception terminates them. Either way they are joined.
+    """
+
+    def __init__(self, problem, method, workers, stats, grid=None):
+        problem.systems()  # built before the fork, so every child has them
+        n_sub = problem.layout.n_subdomains
+        self.problem = problem
+        self.stats = stats
+        self.dofs = [problem.space.sub_dofs(problem.layout, sid)
+                     for sid in range(n_sub)]
+        parts = _split(problem, worker_count(workers, n_sub))
+        self._local = _Group(problem, parts[0], method, stats, grid)
+        self._children = []
+        try:
+            for sids in parts[1:]:
+                # fork, not spawn: the problem holds closures (boundary
+                # data, sources) that do not pickle, and a forked child
+                # inherits the built systems at no cost
+                ctx = multiprocessing.get_context("fork")
+                here, there = ctx.Pipe()
+                group = _Group(problem, sids, method,
+                               SolveStats.new(method, n_sub), grid)
+                proc = ctx.Process(target=_serve, args=(group, there),
+                                   daemon=True)
+                proc.start()
+                there.close()
+                self._children.append((proc, here, sids))
+        except BaseException:
+            self._stop(clean=False)
+            raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        try:
+            if exc_type is None:
+                for stats in self._run("finish")[1:]:
+                    self.stats.absorb(stats)
+        finally:
+            self._stop(clean=exc_type is None)
+        return False
+
+    def _stop(self, clean):
+        for proc, conn, _ in self._children:
+            if not clean:
+                proc.terminate()
+                continue
+            try:
+                conn.send(None)
+            except OSError:  # it has exited already
+                pass
+        for proc, conn, _ in self._children:
+            proc.join()
+            conn.close()
+
+    def _run(self, name, *args):
+        """Results of group method `name`, in group order."""
+        for _, conn, _ in self._children:
+            conn.send((name, args))
+        replies = [_call(self._local, name, args)]
+        for proc, conn, sids in self._children:
+            try:
+                replies.append(conn.recv())
+            except EOFError:
+                proc.join()
+                raise EOFError(
+                    f"worker process of subdomains {sids} exited with code "
+                    f"{proc.exitcode} during {name!r}") from None
+        failed = [err for ok, err in replies if not ok]
+        if failed:
+            raise min(failed, key=lambda e: -1 if e[0] is None else e[0])[1]
+        return [value for _, value in replies]
+
+    def _merge(self, name, *args):
+        """{sid: result} of group method `name` over every subdomain."""
+        out = {}
+        for part in self._run(name, *args):
+            out.update(part)
+        return [out[sid] for sid in range(len(self.dofs))]
+
+    def prepare_s3(self):
+        """Factor every S3 operator and basis, each in its owner group."""
+        self._run("prepare_s3")
+
+    def realize(self, k, y):
+        """Operators of realization k at y: (bar jump g, bases per sid)."""
+        out = self._merge("realize", k, y)
+        g = jump(self.problem.space, [e for entries, _ in out for e in entries])
+        return g, [basis for _, basis in out]
+
+    def apply(self, lam):
+        """Matrix-free S lam: one star solve per subdomain."""
+        out = np.zeros(self.problem.space.n_dof)
+        for dofs, resp in zip(self.dofs, self._merge("respond", lam)):
+            out[dofs] += resp
+        return out
+
+    def recover(self, lam):
+        """Output fields of every subdomain for the mortar solution lam."""
+        return self._merge("recover", lam)
+
+
+def star_response(op, lam_local):
+    """-F_i A_i^-1 E_i lam_i: subdomain i's share of S lam, local order."""
+    return -op.system.coupling.functionals(op.solve_star(lam_local).u)
 
 
 def compute_flux_basis(problem, sid, op, stats):
@@ -323,13 +508,12 @@ def compute_flux_basis(problem, sid, op, stats):
     """
     dofs = problem.space.sub_dofs(problem.layout, sid)
     nd = len(dofs)
-    maps = op.system.coupling
     B = np.empty((nd, nd))
     unit = np.zeros(nd)
     before = op.backsolves
     for j in range(nd):
         unit[j] = 1.0
-        B[:, j] = -maps.functionals(op.solve_star(unit).u)
+        B[:, j] = star_response(op, unit)
         unit[j] = 0.0
     stats.basis_backsolves[sid] += op.backsolves - before
     return dofs, B
@@ -347,17 +531,11 @@ def basis_apply(space, bases):
     return apply_fn
 
 
-def recover_fields(problem, ops, bars, lam, pool, stats):
-    """One star backsolve per subdomain, added to the bar solution."""
-    dofs = _sub_dofs(problem)
-
-    def work(sid):
-        star = ops[sid].solve_star(lam[dofs[sid]])
-        bar = bars[sid]
-        total = type(bar)(bar.u + star.u, bar.p + star.p)
-        return problem.postprocess(sid, ops[sid], total)
-
-    return _timed_map(pool, stats, work, list(range(len(dofs))))
+def recover_fields(problem, sid, op, bar, lam_local):
+    """Output fields of one subdomain: a star backsolve plus its bar solution."""
+    star = op.solve_star(lam_local)
+    total = type(bar)(bar.u + star.u, bar.p + star.p)
+    return problem.postprocess(sid, op, total)
 
 
 def _fields_dict(problem, per_sid, lam):
@@ -368,9 +546,16 @@ def _fields_dict(problem, per_sid, lam):
     return fields
 
 
-def _check_basis_cap(sizes_bytes, cap_mb):
-    total = sum(sizes_bytes)
-    if cap_mb is not None and total > cap_mb * 2 ** 20:
+def _check_basis_cap(problem, grid, method, cap_mb):
+    """SizeCapError if the bases an S2/S3 sweep holds exceed cap_mb."""
+    if method == "S1" or cap_mb is None:
+        return
+    total = 0
+    for sid in range(problem.layout.n_subdomains):
+        nd = len(problem.space.sub_dofs(problem.layout, sid))
+        copies = len(_s3_points(problem, grid, sid)) if method == "S3" else 1
+        total += 8 * nd * nd * copies
+    if total > cap_mb * 2 ** 20:
         raise SizeCapError(
             f"flux basis storage {total / 2 ** 20:.3g} MiB exceeds the "
             f"cap of {cap_mb:.3g} MiB; raise basis_cap_mb or use method S1")
@@ -390,49 +575,30 @@ def run_method(problem, grid, method="S1", tol=1e-9, max_iter=None,
                workers=1, basis_cap_mb=1024.0):
     """Sweep the collocation grid with one of the method variants.
 
-    Returns a RunResult holding the finalized moments, the per-subdomain
-    SolveStats, and the mortar solution of every realization.
+    `workers` is the number of subdomain groups (see the module docstring
+    and worker_count). Returns a RunResult holding the finalized moments,
+    the per-subdomain SolveStats, and the mortar solution of every
+    realization.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of "
                          f"{METHODS}")
-    layout = problem.layout
-    n_sub = layout.n_subdomains
-    stats = SolveStats.new(method, n_sub)
+    stats = SolveStats.new(method, problem.layout.n_subdomains)
     stats.n_real = grid.n_real
+    _check_basis_cap(problem, grid, method, basis_cap_mb)
     acc = MomentAccumulator()
     lambdas = []
     residual_hist = []
     cg_cond = []
     precond = SecantPreconditioner()
-    problem.systems()
 
-    with _Pool(workers) as pool:
+    with _Groups(problem, method, workers, stats, grid) as groups:
         if method == "S3":
-            bases3, ops3 = _prepare_s3(problem, grid, pool, stats,
-                                       basis_cap_mb)
+            groups.prepare_s3()
         for k in range(grid.n_real):
-            y = grid.points[k]
-            w = grid.weights[k]
-            if method == "S3":
-                ops = _pick_s3_ops(problem, grid, ops3, k)
-                apply_fn = basis_apply(
-                    problem.space, _pick_s3_bases(problem, grid, bases3, k))
-            else:
-                ops = assemble_realization(problem, y, pool, stats)
-                if method == "S2":
-                    sizes = [8 * len(problem.space.sub_dofs(layout, s)) ** 2
-                             for s in range(n_sub)]
-                    _check_basis_cap(sizes, basis_cap_mb)
-                    bases = _timed_map(
-                        pool, stats,
-                        lambda sid: compute_flux_basis(
-                            problem, sid, ops[sid], stats),
-                        list(range(n_sub)))
-                    apply_fn = basis_apply(problem.space, bases)
-                else:
-                    apply_fn = direct_apply(problem, ops, pool, stats)
-            bars, g = compute_rhs(problem, ops, pool, stats)
+            g, bases = groups.realize(k, grid.points[k])
+            apply_fn = (groups.apply if method == "S1"
+                        else basis_apply(problem.space, bases))
             res = cg_solve(apply_fn, g, tol=tol, max_iter=max_iter,
                            precond=precond)
             precond.update(res.pairs)
@@ -440,69 +606,39 @@ def run_method(problem, grid, method="S1", tol=1e-9, max_iter=None,
             stats.cg_iters.append(res.n_iter)
             residual_hist.append(res.residuals)
             cg_cond.append(res.cond)
-            per_sid = recover_fields(problem, ops, bars, lam, pool, stats)
-            acc.add(w, _fields_dict(problem, per_sid, lam))
+            per_sid = groups.recover(lam)
+            acc.add(grid.weights[k], _fields_dict(problem, per_sid, lam))
             lambdas.append(lam)
-            if method != "S3":
-                for sid, op in enumerate(ops):
-                    stats.harvest(sid, op)
-        if method == "S3":
-            for sid, op_list in ops3.items():
-                for op in op_list:
-                    stats.harvest(sid, op)
     return RunResult(acc.finalize(), stats, lambdas, residual_hist, grid,
                      cg_cond)
 
 
-def _prepare_s3(problem, grid, pool, stats, basis_cap_mb):
-    """Factor and build the reusable local bases for method S3.
+def _s3_points(problem, grid, sid):
+    """Stochastic points S3 factors subdomain sid at.
 
-    Darcy subdomains get one operator and basis per distinct local
-    realization of their permeability region. Stokes subdomains get a
-    single operator frozen at the mean-field permeability (y = 0).
+    A Darcy subdomain gets one per distinct local realization of its
+    permeability region; a Stokes subdomain only the mean field (y = 0).
     """
-    layout = problem.layout
-    n_sub = layout.n_subdomains
-    sizes = []
-    plan = {}  # sid -> list of stochastic points
+    block = problem.layout.blocks[sid]
     zero = np.zeros(grid.n_dims)
-    for sid in range(n_sub):
-        block = layout.blocks[sid]
-        nd = len(problem.space.sub_dofs(layout, sid))
-        if block.physics == "darcy":
-            r = block.kl_region
-            pts = []
-            for loc in grid.local_points[r]:
-                y = zero.copy()
-                y[grid.region_slice(r)] = loc
-                pts.append(y)
-        else:
-            pts = [zero]
-        sizes.append(8 * nd * nd * len(pts))
-        plan[sid] = pts
-    _check_basis_cap(sizes, basis_cap_mb)
+    if block.physics != "darcy":
+        return [zero]
+    pts = []
+    for loc in grid.local_points[block.kl_region]:
+        y = zero.copy()
+        y[grid.region_slice(block.kl_region)] = loc
+        pts.append(y)
+    return pts
 
-    K0 = problem.permeability(zero)
 
-    def build(sid):
-        ops, bases = [], []
-        for y in plan[sid]:
-            if layout.blocks[sid].physics == "darcy":
-                Kf = {sid: problem.perm.realize(
-                    layout.blocks[sid].kl_region,
-                    problem.meshes[sid].centroids[:, 0],
-                    problem.meshes[sid].centroids[:, 1], y)}
-            else:
-                Kf = K0
-            op = problem.assemble_subdomain(sid, Kf)
-            ops.append(op)
-            bases.append(compute_flux_basis(problem, sid, op, stats))
-        return ops, bases
-
-    results = _timed_map(pool, stats, build, list(range(n_sub)))
-    ops3 = {sid: r[0] for sid, r in zip(range(n_sub), results)}
-    bases3 = {sid: r[1] for sid, r in zip(range(n_sub), results)}
-    return bases3, ops3
+def _prepare_s3(problem, grid, sid, stats):
+    """S3 operators of one subdomain, one per point, and their bases."""
+    ops, bases = [], []
+    for y in _s3_points(problem, grid, sid):
+        op = problem.assemble_subdomain(sid, problem.permeability(y, [sid]))
+        ops.append(op)
+        bases.append(compute_flux_basis(problem, sid, op, stats))
+    return ops, bases
 
 
 def _local_of(problem, grid, sid, k):
@@ -512,34 +648,19 @@ def _local_of(problem, grid, sid, k):
     return 0
 
 
-def _pick_s3_ops(problem, grid, ops3, k):
-    return [ops3[sid][_local_of(problem, grid, sid, k)]
-            for sid in range(problem.layout.n_subdomains)]
-
-
-def _pick_s3_bases(problem, grid, bases3, k):
-    return [bases3[sid][_local_of(problem, grid, sid, k)]
-            for sid in range(problem.layout.n_subdomains)]
-
-
 def solve_realization(problem, y=None, tol=1e-9, max_iter=None, workers=1):
     """Solve one deterministic realization. Returns (fields, lam, stats).
 
     `fields` is a list over subdomains of dicts with dof vectors u, p and
     cell samples cv, cp. y defaults to the mean field (all zeros).
     """
-    n_dims = problem.perm.n_dims
     if y is None:
-        y = np.zeros(n_dims)
+        y = np.zeros(problem.perm.n_dims)
     stats = SolveStats.new("S1", problem.layout.n_subdomains)
     stats.n_real = 1
-    with _Pool(workers) as pool:
-        ops = assemble_realization(problem, y, pool, stats)
-        bars, g = compute_rhs(problem, ops, pool, stats)
-        lam, n_iter, _ = cg_solve(direct_apply(problem, ops, pool, stats), g,
-                                  tol=tol, max_iter=max_iter)
+    with _Groups(problem, "S1", workers, stats) as groups:
+        g, _ = groups.realize(0, y)
+        lam, n_iter, _ = cg_solve(groups.apply, g, tol=tol, max_iter=max_iter)
         stats.cg_iters.append(n_iter)
-        per_sid = recover_fields(problem, ops, bars, lam, pool, stats)
-        for sid, op in enumerate(ops):
-            stats.harvest(sid, op)
+        per_sid = groups.recover(lam)
     return per_sid, lam, stats

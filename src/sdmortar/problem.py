@@ -102,8 +102,9 @@ class StokesDarcyProblem:
     def systems(self):
         """Invariant system of every subdomain, built on the first call.
 
-        The interface solver calls this in the main thread before it fans
-        out over subdomains, so worker threads only ever read the cache.
+        The interface solver calls this before it splits the subdomains
+        into groups and forks the worker processes, so every process
+        inherits the built systems and none builds them again.
         """
         if self._systems is None:
             self._systems = [self._build_system(sid)
@@ -145,13 +146,23 @@ class StokesDarcyProblem:
 
     # -- realization-dependent pieces ---------------------------------------
 
-    def permeability(self, y_global):
-        """K per Darcy subdomain at cell centroids for one realization."""
+    def permeability(self, y_global, sids=None):
+        """K per Darcy subdomain at cell centroids for one realization.
+
+        With `sids`, only the fields that factoring those subdomains reads:
+        a Darcy subdomain's own and the BJS neighbours of a Stokes one.
+        """
+        if sids is None:
+            sids = range(self.layout.n_subdomains)
+        need = set()
+        for sid in sids:
+            if self.layout.blocks[sid].physics == "darcy":
+                need.add(sid)
+            else:
+                need.update(d for d, _ in self.kl_cells.get(sid, {}).values())
         out = {}
-        for sid in range(self.layout.n_subdomains):
+        for sid in sorted(need):
             block = self.layout.blocks[sid]
-            if block.physics != "darcy":
-                continue
             mesh = self.meshes[sid]
             out[sid] = self.perm.realize(
                 block.kl_region, mesh.centroids[:, 0], mesh.centroids[:, 1],

@@ -204,6 +204,7 @@ class StokesSystem:
         for d, v in self.dirichlet.items():
             self.g_dir[d] = v
         n_free = len(free)
+        self.n_unknowns = n_free + self.n_p
         red = -np.ones(self.n_udof, dtype=int)
         red[free] = np.arange(n_free)
 

@@ -1,6 +1,7 @@
 """Shared fixtures: the two mini cases and their collocation sweeps."""
 
 import copy
+import multiprocessing
 import os
 import time
 from types import SimpleNamespace
@@ -76,3 +77,14 @@ def case2_result(case2):
 @pytest.fixture(scope="session")
 def twoblock():
     return load_case("darcy_twoblock")
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_children():
+    """Fail any test that leaves worker processes running."""
+    yield
+    leaked = multiprocessing.active_children()
+    for proc in leaked:
+        proc.terminate()
+        proc.join()
+    assert not leaked, f"test left child processes running: {leaked}"

@@ -11,8 +11,8 @@ from sdmortar.collocation import build_sparse_grid, build_tensor_grid
 from sdmortar.darcy import DarcyBC, assemble_darcy
 from sdmortar.driver import run_file
 from sdmortar.geometry import Block, build_subdomain_mesh
-from sdmortar.interface import (SolveStats, _Pool, assemble_realization,
-                                direct_apply, run_method, solve_realization)
+from sdmortar.interface import (SolveStats, _Groups, run_method,
+                                solve_realization)
 from sdmortar.random_field import solve_1d_eigenpairs
 from sdmortar.stokes import StokesBC, assemble_stokes
 
@@ -180,11 +180,11 @@ def test_criterion_05_interface_operator_spd(case1, capsys):
     rng = np.random.default_rng(17)
     worst = 0.0
     min_quad = np.inf
-    with _Pool(1) as pool:
+    stats = SolveStats.new("S1", problem.layout.n_subdomains)
+    with _Groups(problem, "S1", 1, stats) as groups:
         for k in (0, 13, 31):
-            stats = SolveStats.new("S1", problem.layout.n_subdomains)
-            ops = assemble_realization(problem, grid.points[k], pool, stats)
-            apply_fn = direct_apply(problem, ops, pool, stats)
+            groups.realize(k, grid.points[k])
+            apply_fn = groups.apply
             for _ in range(20):
                 lam = rng.standard_normal(problem.space.n_dof)
                 mu = rng.standard_normal(problem.space.n_dof)

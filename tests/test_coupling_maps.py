@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from sdmortar.darcy import DarcyBC
 from sdmortar.geometry import Block, build_layout, build_subdomain_mesh
-from sdmortar.interface import (SolveStats, _Pool, compute_flux_basis,
-                                compute_rhs, direct_apply, recover_fields)
+from sdmortar.interface import (SolveStats, compute_flux_basis,
+                                recover_fields, star_response)
 from sdmortar.mortar import build_mortar_space, jump
 from sdmortar.problem import Physics, build_problem
 from sdmortar.stokes import StokesBC
@@ -50,45 +50,49 @@ def assert_maps_match_dicts(problem, K_fields, rng):
     sids = list(range(n_sub))
     stats = SolveStats.new("S2", n_sub)
     ops = [problem.assemble_subdomain(sid, K_fields) for sid in sids]
-    with _Pool(1) as pool:
-        # S1 apply
-        apply_fn = direct_apply(problem, ops, pool, stats)
-        for _ in range(2):
-            lam = rng.standard_normal(problem.space.n_dof)
-            entries = [e for sid in sids
-                       for e in _reference_star(problem, sid, ops[sid],
-                                                lam)[1]]
-            assert _close(apply_fn(lam), -jump(problem.space, entries))
+    dofs = [problem.space.sub_dofs(problem.layout, sid) for sid in sids]
 
-        # flux bases, column by column
-        for sid in sids:
-            dofs, B = compute_flux_basis(problem, sid, ops[sid], stats)
-            ref = np.empty_like(B)
-            for j, gdof in enumerate(dofs):
-                lam = np.zeros(problem.space.n_dof)
-                lam[gdof] = 1.0
-                _, entries = _reference_star(problem, sid, ops[sid], lam)
-                ref[:, j] = -_scatter(problem, entries)[dofs]
-            assert _close(B, ref)
-
-        # bar jump: F_i on the bar velocity includes the Dirichlet lift
-        bars, g = compute_rhs(problem, ops, pool, stats)
-        from_maps = np.zeros(problem.space.n_dof)
-        for sid in sids:
-            dofs = problem.space.sub_dofs(problem.layout, sid)
-            from_maps[dofs] += ops[sid].system.coupling.functionals(
-                bars[sid].u)
-        assert _close(from_maps, g)
-
-        # recovered fields
+    # S1 apply, subdomain by subdomain
+    for _ in range(2):
         lam = rng.standard_normal(problem.space.n_dof)
-        fields = recover_fields(problem, ops, bars, lam, pool, stats)
+        for sid in sids:
+            _, entries = _reference_star(problem, sid, ops[sid], lam)
+            assert _close(star_response(ops[sid], lam[dofs[sid]]),
+                          -_scatter(problem, entries)[dofs[sid]])
+
+    # flux bases, column by column
     for sid in sids:
+        got_dofs, B = compute_flux_basis(problem, sid, ops[sid], stats)
+        assert np.array_equal(got_dofs, dofs[sid])
+        ref = np.empty_like(B)
+        for j, gdof in enumerate(dofs[sid]):
+            lam = np.zeros(problem.space.n_dof)
+            lam[gdof] = 1.0
+            _, entries = _reference_star(problem, sid, ops[sid], lam)
+            ref[:, j] = -_scatter(problem, entries)[dofs[sid]]
+        assert _close(B, ref)
+
+    # bar jump: F_i on the bar velocity includes the Dirichlet lift
+    bars = [op.solve_bar() for op in ops]
+    g = jump(problem.space, [e for sid in sids for e in
+                             problem.side_functionals(sid, ops[sid],
+                                                      bars[sid])])
+    from_maps = np.zeros(problem.space.n_dof)
+    for sid in sids:
+        from_maps[dofs[sid]] += ops[sid].system.coupling.functionals(
+            bars[sid].u)
+    assert _close(from_maps, g)
+
+    # recovered fields
+    lam = rng.standard_normal(problem.space.n_dof)
+    for sid in sids:
+        fields = recover_fields(problem, sid, ops[sid], bars[sid],
+                                lam[dofs[sid]])
         star, _ = _reference_star(problem, sid, ops[sid], lam)
         total = type(star)(bars[sid].u + star.u, bars[sid].p + star.p)
         want = problem.postprocess(sid, ops[sid], total)
         for name, arr in want.items():
-            assert _close(fields[sid][name], arr), (sid, name)
+            assert _close(fields[name], arr), (sid, name)
 
 
 @pytest.mark.parametrize("name", ["case1_mini", "case1_mini_sparse",

@@ -1,14 +1,20 @@
 """Interface CG, flux bases, and the three method variants."""
 
+import logging
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from sdmortar import interface
 from sdmortar.collocation import count_local_realizations
-from sdmortar.errors import ConvergenceError, SizeCapError
-from sdmortar.interface import (SecantPreconditioner, SolveStats, _Pool,
-                                assemble_realization, basis_apply, cg_solve,
-                                compute_flux_basis, compute_rhs, direct_apply,
-                                run_method, solve_realization)
+from sdmortar.errors import (ConvergenceError, SingularOperatorError,
+                             SizeCapError)
+from sdmortar.interface import (SecantPreconditioner, SolveStats, _Groups,
+                                _split, basis_apply, cg_solve, run_method,
+                                solve_realization, worker_count)
 
 from conftest import load_case
 from _oracles import plain_cg
@@ -42,6 +48,22 @@ def test_cg_zero_rhs_is_free():
 def test_cg_rejects_indefinite_operator():
     with pytest.raises(ConvergenceError, match="positive definite"):
         cg_solve(lambda v: -v, np.ones(4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cg_stops_at_a_non_finite_operator(bad):
+    """NaN fails every comparison, so p.Sp is checked for finiteness."""
+    calls = []
+
+    def apply_fn(v):
+        calls.append(v)
+        return v * bad
+
+    with pytest.raises(ConvergenceError,
+                       match="interface operator is not finite .* "
+                             "iteration 1"):
+        cg_solve(apply_fn, np.ones(48))
+    assert len(calls) == 1
 
 
 def test_cg_condition_estimate():
@@ -139,14 +161,12 @@ def test_s2_true_residual_stays_within_tolerance(case1, case1_sweeps):
     result = case1_sweeps.results["S2"]
     tol = 1e-11  # the case1_sweeps tolerance
     n = problem.space.n_dof
-    with _Pool(1) as pool:
+    stats = SolveStats.new("S2", problem.layout.n_subdomains)
+    with _Groups(problem, "S2", 1, stats) as groups:
         for k in range(grid.n_real):
-            stats = SolveStats.new("S2", problem.layout.n_subdomains)
-            ops = assemble_realization(problem, grid.points[k], pool, stats)
-            _, g = compute_rhs(problem, ops, pool, stats)
+            g, bases = groups.realize(k, grid.points[k])
             S = np.zeros((n, n))
-            for sid, op in enumerate(ops):
-                dofs, B = compute_flux_basis(problem, sid, op, stats)
+            for dofs, B in bases:
                 S[np.ix_(dofs, dofs)] += B
             true = np.linalg.norm(g - S @ result.lambdas[k])
             assert true <= 2.0 * tol * np.linalg.norm(g), k
@@ -181,10 +201,9 @@ def test_interface_operator_symmetry(twoblock):
     problem = twoblock.problem
     stats = SolveStats.new("S1", 2)
     rng = np.random.default_rng(4)
-    with _Pool(1) as pool:
-        ops = assemble_realization(problem, twoblock.grid.points[3], pool,
-                                   stats)
-        apply_fn = direct_apply(problem, ops, pool, stats)
+    with _Groups(problem, "S1", 1, stats) as groups:
+        groups.realize(3, twoblock.grid.points[3])
+        apply_fn = groups.apply
         for _ in range(10):
             lam = rng.standard_normal(problem.space.n_dof)
             mu = rng.standard_normal(problem.space.n_dof)
@@ -200,12 +219,9 @@ def test_flux_basis_matches_direct_apply(twoblock):
     problem = twoblock.problem
     stats = SolveStats.new("S2", 2)
     rng = np.random.default_rng(9)
-    with _Pool(1) as pool:
-        ops = assemble_realization(problem, twoblock.grid.points[0], pool,
-                                   stats)
-        direct = direct_apply(problem, ops, pool, stats)
-        bases = [compute_flux_basis(problem, sid, ops[sid], stats)
-                 for sid in (0, 1)]
+    with _Groups(problem, "S2", 1, stats) as groups:
+        _, bases = groups.realize(0, twoblock.grid.points[0])
+        direct = groups.apply
         from_basis = basis_apply(problem.space, bases)
         for _ in range(5):
             lam = rng.standard_normal(problem.space.n_dof)
@@ -267,7 +283,7 @@ def test_moments_match_direct_quadrature(twoblock):
 
 
 def test_worker_count_does_not_change_results(twoblock):
-    """Threaded sweeps reduce in submission order: bitwise identical."""
+    """Subdomain groups join results in subdomain order: bitwise identical."""
     problem, grid = twoblock.problem, twoblock.grid
     r1 = run_method(problem, grid, method="S1", workers=1)
     r4 = run_method(problem, grid, method="S1", workers=4)
@@ -277,6 +293,138 @@ def test_worker_count_does_not_change_results(twoblock):
         assert np.array_equal(m1, m4)
         assert np.array_equal(v1, v4)
     assert r1.stats.cg_iters == r4.stats.cg_iters
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """Two usable cores, so that workers=2 forks one child on any machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+
+
+@pytest.mark.parametrize("method", ["S2", "S3"])
+def test_two_workers_match_one_bitwise(case1, case1_sweeps, two_cores,
+                                       method):
+    """Forked subdomain groups change no result, counter or CG iteration."""
+    one = case1_sweeps.results[method]
+    two = run_method(case1.problem, case1.grid, method=method, tol=1e-11,
+                     workers=2)
+    assert len(two.lambdas) == len(one.lambdas)
+    for lam1, lam2 in zip(one.lambdas, two.lambdas):
+        assert np.array_equal(lam1, lam2)
+    assert two.moments.keys() == one.moments.keys()
+    for name, (mean, var) in one.moments.items():
+        assert np.array_equal(two.moments[name][0], mean), name
+        assert np.array_equal(two.moments[name][1], var), name
+    assert two.stats.cg_iters == one.stats.cg_iters
+    for counter in ("factorizations", "backsolves", "basis_backsolves"):
+        assert np.array_equal(getattr(two.stats, counter),
+                              getattr(one.stats, counter)), counter
+    assert np.all(two.stats.wall_seconds > 0.0)
+
+
+def test_split_balances_unknowns(case1):
+    """Greedy by unknown count: each group gets a Stokes and two Darcy.
+
+    The Darcy blocks have 784 unknowns each; Stokes block 1 has a stress
+    side and so more free velocity dofs than block 0.
+    """
+    sizes = [s.n_unknowns for s in case1.problem.systems()]
+    assert sizes[2:] == [784] * 4 and 784 > sizes[1] > sizes[0]
+    assert _split(case1.problem, 1) == [[0, 1, 2, 3, 4, 5]]
+    assert _split(case1.problem, 2) == [[1, 2, 4], [0, 3, 5]]
+    assert _split(case1.problem, 6) == [[2], [3], [4], [5], [1], [0]]
+
+
+def test_worker_count_caps_without_starting_processes():
+    """Only the helper runs: huge requests start no process."""
+    cores = len(os.sched_getaffinity(0))
+    assert worker_count(1, 6) == 1
+    assert worker_count(10 ** 6, 6) == min(cores, 6)
+    assert worker_count(10 ** 6, 1) == 1
+    assert worker_count(10 ** 6, 10 ** 6) == cores
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_count_without_fork_is_one(monkeypatch, caplog):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    with caplog.at_level(logging.INFO, logger="sdmortar.interface"):
+        assert worker_count(8, 6) == 1
+    assert [r.levelno for r in caplog.records] == [logging.INFO]
+    assert "fork" in caplog.records[0].getMessage()
+
+
+def _error_of(run):
+    with pytest.raises(Exception) as err:
+        run()
+    assert multiprocessing.active_children() == []
+    return type(err.value), str(err.value)
+
+
+def test_nan_mean_field_fails_alike_in_a_child(two_cores):
+    """Every subdomain fails; subdomain 0, in the child, is raised."""
+    case = load_case("case1_mini",
+                     mean_log_perm={"kind": "constant", "value": np.nan})
+    errors = [_error_of(lambda: run_method(case.problem, case.grid,
+                                           method="S2", workers=w))
+              for w in (1, 2)]
+    assert errors[0] == errors[1]
+    assert errors[0][0] is ValueError
+    assert errors[0][1].startswith("subdomain 0, BJS on interface")
+
+
+def test_singular_factor_in_a_child_is_raised(case1, two_cores,
+                                              monkeypatch):
+    """Subdomain 3 belongs to the forked group when workers=2."""
+    system = case1.problem.systems()[3]
+    shape = system.matrix.shape
+    monkeypatch.setattr(system, "matrix", lambda coef: sp.csc_matrix(shape))
+    errors = [_error_of(lambda: run_method(case1.problem, case1.grid,
+                                           method="S1", workers=w))
+              for w in (1, 2)]
+    assert errors[0] == errors[1]
+    assert errors[0] == (SingularOperatorError, "Factor is exactly singular")
+
+
+def test_lowest_failing_subdomain_wins(case1, two_cores, monkeypatch):
+    """Subdomain 4 fails in this process, 3 in the child: 3 is raised."""
+    assemble = case1.problem.assemble_subdomain
+
+    def failing(sid, K):
+        if sid in (3, 4):
+            raise ValueError(f"subdomain {sid}: broken on purpose")
+        return assemble(sid, K)
+
+    monkeypatch.setattr(case1.problem, "assemble_subdomain", failing)
+    for w in (1, 2):
+        assert _error_of(lambda: run_method(
+            case1.problem, case1.grid, method="S2", workers=w)) == (
+            ValueError, "subdomain 3: broken on purpose")
+
+
+def test_dead_child_raises_instead_of_hanging(twoblock, two_cores,
+                                              monkeypatch):
+    parent = os.getpid()
+    recover = interface.recover_fields
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return recover(*args)
+
+    monkeypatch.setattr(interface, "recover_fields", dying)
+    assert _error_of(lambda: run_method(
+        twoblock.problem, twoblock.grid, method="S1", workers=2)) == (
+        EOFError,
+        "worker process of subdomains [1] exited with code 3 during 'recover'")
+
+
+def test_parent_failure_stops_the_children(twoblock, two_cores):
+    with pytest.raises(ConvergenceError):
+        run_method(twoblock.problem, twoblock.grid, method="S1", max_iter=1,
+                   workers=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_zero_data_needs_no_iterations():
@@ -317,9 +465,8 @@ def test_compute_rhs_jump_is_balanced(twoblock):
     """With matching uniform flow the jump retains only the bar mismatch."""
     problem = twoblock.problem
     stats = SolveStats.new("S1", 2)
-    with _Pool(1) as pool:
-        ops = assemble_realization(problem, np.zeros(3), pool, stats)
-        bars, g = compute_rhs(problem, ops, pool, stats)
+    with _Groups(problem, "S1", 1, stats) as groups:
+        g, _ = groups.realize(0, np.zeros(3))
     # bar solves see zero interface data, so each block carries its own
     # pressure boundary layer and the jump is nonzero
     assert np.linalg.norm(g) > 1e-3
