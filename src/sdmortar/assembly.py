@@ -1,10 +1,19 @@
-"""Sparse matrices with a fixed pattern whose data is refilled per realization.
+"""Fixed-pattern subdomain matrices and their per-realization factors.
 
 A subdomain saddle matrix depends on the permeability only through a few
 scalar coefficients per entry (1/K per Darcy cell, the BJS friction per
 Stokes interface edge). Its pattern is therefore computed once from COO
 triplets, and every realization fills the CSC data with one sparse matvec:
 data = data0 + P @ coef.
+
+The column order of the sparse LU depends on the pattern only, so each
+invariant system owns one Factorizer that keeps the order SuperLU chose
+(COLAMD followed by its elimination-tree postorder) at the system's first
+factorization. A later matrix with the same pattern is permuted into that
+order with a gather index built once and factored with
+permc_spec="NATURAL", which skips the symbolic ordering; its solves are
+permuted back. A matrix with another pattern, such as a Stokes matrix
+bordered by rigid-body constraints, is ordered afresh.
 """
 
 import numpy as np
@@ -19,10 +28,15 @@ class RefillMatrix:
 
     `const` holds (rows, cols, vals) triplets that never change; `scaled`
     holds (rows, cols, vals, which) triplets whose value is
-    vals * coef[which]. Duplicate positions are summed.
+    vals * coef[which]. Duplicate positions are summed. With `diag` the
+    matrix is diag(diag) M diag(diag): every summed entry (i, j) is scaled
+    as (diag[i] * m_ij) * diag[j], which is what the sparse product
+    computes where the coefficients only touch entries with diag 1.
+    Positions whose constant sum is zero and that no coefficient touches
+    are dropped from the pattern.
     """
 
-    def __init__(self, shape, const, scaled, n_coef):
+    def __init__(self, shape, const, scaled, n_coef, diag=None):
         n_rows = shape[0]
         r0, c0, v0 = (np.asarray(a) for a in const)
         r1, c1, v1, which = (np.asarray(a) for a in scaled)
@@ -30,13 +44,19 @@ class RefillMatrix:
                 + np.concatenate([r0, r1]))
         uniq, pos = np.unique(keys, return_inverse=True)
         nnz = len(uniq)
+        data0 = np.bincount(pos[:len(r0)], weights=v0, minlength=nnz)
+        P = sp.csr_matrix((v1, (pos[len(r0):], which)), shape=(nnz, n_coef))
+        rows, cols = uniq % n_rows, uniq // n_rows
+        if diag is not None:
+            data0 = (diag[rows] * data0) * diag[cols]
+            P = sp.diags(diag[rows] * diag[cols]) @ P
+        live = (data0 != 0.0) | (np.diff(P.indptr) > 0)
         self.shape = shape
-        self.indices = (uniq % n_rows).astype(np.int32)
+        self.indices = rows[live].astype(np.int32)
         self.indptr = np.concatenate([[0], np.cumsum(np.bincount(
-            uniq // n_rows, minlength=shape[1]))]).astype(np.int32)
-        self.data0 = np.bincount(pos[:len(r0)], weights=v0, minlength=nnz)
-        self.P = sp.csr_matrix((v1, (pos[len(r0):], which)),
-                               shape=(nnz, n_coef))
+            cols[live], minlength=shape[1]))]).astype(np.int32)
+        self.data0 = data0[live]
+        self.P = P[live]
 
     def __call__(self, coef):
         data = self.data0 + self.P @ np.asarray(coef, dtype=float)
@@ -65,12 +85,12 @@ class CouplingMaps:
         self._E_block = -self._F_block[:, rows >= 0].T
 
     def functionals(self, u):
-        """F @ u for a full velocity vector u."""
+        """F @ u for a full velocity vector u, or a block of columns."""
         return self._F_block @ u[self.cols]
 
     def star_load(self, lam, size):
-        """E @ lam, zero-padded to a right-hand side of length size."""
-        rhs = np.zeros(size)
+        """E @ lam, zero-padded to size rows; lam may be a column block."""
+        rhs = np.zeros((size,) + np.shape(lam)[1:])
         rhs[self._E_rows] = self._E_block @ lam
         return rhs
 
@@ -84,9 +104,78 @@ def check_permeability(K, name):
             f"not finite and positive")
 
 
-def factorize(S):
-    """SuperLU factors of S; a singular S raises SingularOperatorError."""
-    try:
-        return splu(S)
-    except RuntimeError as exc:
-        raise SingularOperatorError(str(exc)) from exc
+# Bytes of one block of right-hand sides handed to SuperLU: just under
+# glibc's default 128 KiB mmap threshold, so block buffers come from the
+# heap and are reused. Above it, freeing an mmapped buffer raises glibc's
+# threshold and the heap grows instead.
+BLOCK_BYTES = 120 * 1024
+
+
+def block_width(rows):
+    """Columns of a float64 block of `rows` rows within BLOCK_BYTES (>= 1)."""
+    return max(1, BLOCK_BYTES // (8 * rows))
+
+
+class LUFactors:
+    """SuperLU factors of S, possibly of S with its columns permuted.
+
+    With `perm`, `lu` factors S[:, argsort(perm)] and solve() permutes the
+    solution back. `solve` takes one right-hand side or a block of columns.
+    """
+
+    def __init__(self, lu, perm=None):
+        self.lu = lu
+        self.perm = perm
+        self.shape = lu.shape
+
+    def solve(self, rhs):
+        x = self.lu.solve(rhs)
+        return x if self.perm is None else x[self.perm]
+
+
+class Factorizer:
+    """Factors the matrices of one invariant system; see the module docstring.
+
+    Calling it factors a CSC matrix with sorted indices and returns its
+    LUFactors; a singular matrix raises SingularOperatorError.
+    """
+
+    def __init__(self):
+        self._pattern = None  # (shape, indptr, indices) of the first matrix
+
+    def __call__(self, S):
+        try:
+            if self._same_pattern(S):
+                permuted = sp.csc_matrix(
+                    (S.data[self._gather], self._indices, self._indptr),
+                    shape=S.shape)
+                return LUFactors(splu(permuted, permc_spec="NATURAL"),
+                                 self._perm)
+            lu = splu(S)
+        except RuntimeError as exc:
+            raise SingularOperatorError(str(exc)) from exc
+        if self._pattern is None:
+            # a copy: lu.perm_c is a view that keeps the whole factor alive
+            self._keep_order(S, lu.perm_c.copy())
+        return LUFactors(lu)
+
+    def _same_pattern(self, S):
+        if self._pattern is None:
+            return False
+        shape, indptr, indices = self._pattern
+        return (S.shape == shape and np.array_equal(S.indptr, indptr)
+                and np.array_equal(S.indices, indices))
+
+    def _keep_order(self, S, perm):
+        """Gather index of the CSC data of S[:, argsort(perm)]."""
+        inv = np.argsort(perm)
+        starts, counts = S.indptr[inv], np.diff(S.indptr)[inv]
+        ends = np.cumsum(counts)
+        self._gather = (np.arange(ends[-1])
+                        - np.repeat(ends - counts - starts, counts)
+                        ).astype(S.indptr.dtype)
+        self._indices = S.indices[self._gather]
+        self._indptr = np.concatenate([[0], ends]).astype(S.indptr.dtype)
+        self._perm = perm
+        # RefillMatrix hands out the same index arrays on every call
+        self._pattern = (S.shape, S.indptr, S.indices)

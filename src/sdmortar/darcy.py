@@ -10,9 +10,11 @@ cell. The saddle system
 uses A = nu (K^-1 u, v) with K constant per cell and B = -(div v, w).
 No-flow conditions are eliminated strongly; pressure and interface data are
 natural and enter the momentum right-hand side. Everything but nu/K is
-realization-invariant and lives in a DarcySystem built once; each
-realization refills the matrix data, factors it once (SuperLU), and every
-subsequent star/bar solve is a single backsolve.
+realization-invariant and lives in a DarcySystem built once, together with
+the column order of its sparse LU (assembly.Factorizer); each realization
+refills the matrix data, factors it once (SuperLU) in that order, and every
+subsequent star/bar solve is a single backsolve, or one per column of a
+block of star loads.
 """
 
 from dataclasses import dataclass
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import (CouplingMaps, RefillMatrix, check_permeability,
-                       factorize)
+from .assembly import (CouplingMaps, Factorizer, RefillMatrix,
+                       check_permeability)
 from .errors import SingularOperatorError
 from .geometry import OUTWARD_SIGN, edges_on_span, side_of_interface
 
@@ -85,7 +87,8 @@ class DarcySystem:
     """Realization-invariant part of one Darcy subdomain.
 
     Holds the reduced dof layout, the saddle matrix pattern that is refilled
-    from nu/K per cell, the K-independent bar load and, when built with a
+    from nu/K per cell with the Factorizer that keeps its column order, the
+    K-independent bar load and, when built with a
     mortar coupling F (full edge velocity -> signed local mortar
     functionals), its CouplingMaps, so that a star solve takes a local
     mortar vector.
@@ -133,6 +136,7 @@ class DarcySystem:
         self.n_p = mesh.n_cells
         self.n_unknowns = self.n_u + self.n_p
         self.matrix = self._pattern()
+        self.factorize = Factorizer()
         self.bar_load = self._bar_load()
 
         self.coupling = None
@@ -221,7 +225,7 @@ class DarcySystem:
         if K.shape != (self.mesh.n_cells,):
             raise ValueError("K must hold one value per cell")
         check_permeability(K, self.name)
-        return DarcyOperator(self, factorize(self.matrix(self.nu / K)))
+        return DarcyOperator(self, self.factorize(self.matrix(self.nu / K)))
 
 
 class DarcyOperator:
@@ -236,9 +240,10 @@ class DarcyOperator:
         self.backsolves = 0
 
     def _solve(self, rhs):
-        self.backsolves += 1
+        """Backsolve one right-hand side, or a block: one per column."""
+        self.backsolves += rhs.shape[1] if rhs.ndim == 2 else 1
         sol = self.lu.solve(rhs)
-        u = np.zeros(self.mesh.n_edges)
+        u = np.zeros((self.mesh.n_edges,) + rhs.shape[1:])
         n_u = self.system.n_u
         u[self.system.keep] = sol[:n_u]
         return DarcySolution(u, sol[n_u:])
@@ -251,8 +256,10 @@ class DarcyOperator:
         """Solve with interface data only: rhs = -<lam, v.n_out>.
 
         `lam` is the local mortar vector of this subdomain (star load
-        E @ lam), or the dict of projected per-edge values that
-        StokesDarcyProblem.star_data returns (see DarcySystem.trace_load).
+        E @ lam), a block (n_local, m) of such vectors, solved together as
+        m backsolves into fields with a trailing axis of m columns, or the
+        dict of projected per-edge values that StokesDarcyProblem.star_data
+        returns (see DarcySystem.trace_load).
         """
         if isinstance(lam, dict):
             return self._solve(self.system.trace_load(lam))

@@ -9,8 +9,9 @@ drivers share that structure and differ in how S is applied:
 
 * S1 applies S matrix-free, one star solve per subdomain per CG iteration.
 * S2 assembles the local flux response basis B_i = -F_i A_i^-1 E_i (one
-  star solve per local mortar dof) fresh for every realization and applies
-  S as a matrix.
+  star solve per local mortar dof, solved in column blocks, see
+  compute_flux_basis) fresh for every realization and applies S as a
+  matrix.
 * S3 assembles that basis once per distinct local realization of each
   subdomain's permeability region and reuses it across the sweep; the
   basis of a Stokes subdomain is frozen at the mean-field permeability.
@@ -52,6 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
+from .assembly import block_width
 from .errors import ConvergenceError, SizeCapError
 from .moments import MomentAccumulator
 from .mortar import jump
@@ -495,26 +497,35 @@ class _Groups:
 
 
 def star_response(op, lam_local):
-    """-F_i A_i^-1 E_i lam_i: subdomain i's share of S lam, local order."""
+    """-F_i A_i^-1 E_i lam_i: subdomain i's share of S lam, local order.
+
+    lam_local may be a block of local mortar vectors, one per column.
+    """
     return -op.system.coupling.functionals(op.solve_star(lam_local).u)
 
 
 def compute_flux_basis(problem, sid, op, stats):
     """Local response matrix B_i = -F_i A_i^-1 E_i, so S lam|_i = B_i lam|_i.
 
-    One star solve per local mortar dof, counted as basis backsolves.
-    Per-column solves: a multi-column SuperLU solve is faster here but
-    raises the peak resident memory of S3 sweeps by ~7 %.
+    One star solve per local mortar dof, counted as basis backsolves. The
+    unit loads are solved in blocks of block_width(rows) columns, rows
+    being the size of the factored system, so that no block handed to
+    SuperLU exceeds assembly.BLOCK_BYTES (120 KiB). Unbounded blocks raised
+    the peak resident memory of an S3 sweep on the x2 meshes from 153-155
+    MB to 169-176 MB in 5 of 9 processes, because their buffers crossed
+    glibc's 128 KiB mmap threshold; with blocks of at most 120 KiB it read
+    154.5-154.9 MB in all 14 processes measured.
     """
     dofs = problem.space.sub_dofs(problem.layout, sid)
     nd = len(dofs)
     B = np.empty((nd, nd))
-    unit = np.zeros(nd)
+    width = block_width(op.lu.shape[0])
     before = op.backsolves
-    for j in range(nd):
-        unit[j] = 1.0
-        B[:, j] = star_response(op, unit)
-        unit[j] = 0.0
+    for j in range(0, nd, width):
+        m = min(width, nd - j)
+        unit = np.zeros((nd, m))
+        unit[j + np.arange(m), np.arange(m)] = 1.0
+        B[:, j:j + m] = star_response(op, unit)
     stats.basis_backsolves[sid] += op.backsolves - before
     return dofs, B
 

@@ -128,6 +128,7 @@ def run_manifest(cfg, problem, grid, result):
         "cg_iters": [int(n) for n in stats.cg_iters],
         "cg_final_residual": [res[-1] if res else 0.0
                               for res in result.residuals],
+        "cg_residuals": [list(res) for res in result.residuals],
         "cg_cond_estimate": result.cg_cond,
         "total_backsolves": int(stats.backsolves.sum()),
         "total_basis_backsolves": int(stats.basis_backsolves.sum()),

@@ -8,15 +8,17 @@ data are natural. When the boundary conditions leave rigid-body motions
 unconstrained (a subdomain with only stress/interface edges), the kernel is
 detected from the assembled form and pinned with explicit Lagrange
 constraint rows, so the factored system is always regular. The pressure
-unknowns and continuity rows are scaled by nu / h before factoring: the
+unknowns and continuity rows are scaled by s = nu / min(hx, hy): the
 viscous entries scale as nu and the divergence entries as h, so the scaled
 Schur complement matches the viscous block and round-off in the pressure
 is not amplified by the mesh size.
 
 Everything but the BJS coefficients is realization-invariant and lives in a
 StokesSystem built once: the viscous and divergence blocks, the Dirichlet
-split and lift, and the body-force and traction loads. Each realization
-refills the BJS entries of the reduced saddle matrix and factors it once.
+split and lift, the body-force and traction loads, and the column order of
+the sparse LU (assembly.Factorizer). The reduced saddle matrix is stored
+already scaled by s, with its structural zeros dropped, so each realization
+refills only its BJS entries in place and factors it once.
 
 Interface data lives in the fixed interface frame (n, tau): a solve with
 data (lam_n, lam_tau) adds -sigma * <lam_n, v.n> - sigma * <lam_tau, v.tau>
@@ -29,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import (CouplingMaps, RefillMatrix, check_permeability,
-                       factorize)
+from .assembly import (CouplingMaps, Factorizer, RefillMatrix,
+                       check_permeability)
 from .errors import SingularOperatorError
 from .geometry import edges_on_span, side_of_interface
 
@@ -146,8 +148,9 @@ class StokesSystem:
 
     Holds the viscous and divergence blocks (assembled once by scattering
     the two congruent element tables), the Dirichlet split and lift, the
-    body-force and traction loads, the pattern of the reduced saddle matrix
-    whose BJS entries are refilled per realization and, when built with a
+    body-force and traction loads, the pressure-scaled reduced saddle
+    matrix whose BJS entries are refilled per realization, with the
+    Factorizer that keeps its column order, and, when built with a
     mortar coupling F (full velocity -> signed local mortar functionals),
     its CouplingMaps, so that a star solve takes a local mortar vector.
     """
@@ -222,9 +225,15 @@ class StokesSystem:
         const = (np.concatenate([Ac.row, B_red.col, n_free + B_red.row]),
                  np.concatenate([Ac.col, n_free + B_red.row, B_red.col]),
                  np.concatenate([Ac.data, B_red.data, B_red.data]))
-        self.matrix = RefillMatrix((n_s, n_s), const, bjs, self.n_bjs)
+        self.p_scale = nu / min(mesh.hx, mesh.hy)
+        diag = np.ones(n_s)
+        diag[n_free:] = self.p_scale
+        self.matrix = RefillMatrix((n_s, n_s), const, bjs, self.n_bjs,
+                                   diag=diag)
+        self.factorize = Factorizer()
 
-        # rigid-body motions that the reduced form may leave in its kernel
+        # rigid-body motions that the reduced form may leave in its kernel,
+        # zero on the pressure rows
         xy = mesh.p2_xy
         xc, yc = xy.mean(axis=0)
         Z = np.zeros((self.n_udof, 3))
@@ -235,7 +244,8 @@ class StokesSystem:
         Zf = Z[free]
         norms = np.linalg.norm(Zf, axis=0)
         norms[norms == 0] = 1.0
-        self._Zf = Zf / norms
+        self._Zp = np.zeros((n_s, 3))
+        self._Zp[:n_free] = Zf / norms
 
         # bar load: body force and tractions minus the Dirichlet lift; the
         # lift through the BJS entries is refilled per realization
@@ -358,16 +368,20 @@ class StokesSystem:
             coef.append(self.nu * self.alpha / np.sqrt(kvals))
         return np.concatenate(coef) if coef else np.zeros(0)
 
-    def _kernel_constraints(self, A_red):
-        """Rigid-body motions still in the kernel of the reduced form."""
-        Zf = self._Zf
-        G = Zf.T @ (A_red @ Zf)
+    def _kernel_constraints(self, S):
+        """Rigid-body motions still in the kernel of the reduced form.
+
+        S is the scaled saddle matrix; its velocity block is the unscaled
+        reduced form and the motions vanish on the pressure rows.
+        """
+        Zp = self._Zp
+        G = Zp.T @ (S @ Zp)
         lam, vecs = np.linalg.eigh(G)
-        scale = max(A_red.diagonal().max(), 1e-30)
+        scale = max(S.diagonal().max(), 1e-30)
         keep = lam <= 1e-10 * scale
         if not keep.any():
             return np.zeros((0, len(self.free)))
-        C = (Zf @ vecs[:, keep]).T
+        C = (Zp[:len(self.free)] @ vecs[:, keep]).T
         C = C / np.linalg.norm(C, axis=1)[:, None]
         return C
 
@@ -438,30 +452,23 @@ class StokesSystem:
         """Per-realization operator for the BJS permeability samples kl."""
         coef = self.bjs_coefficients(kl or {})
         S = self.matrix(coef)
-        n_free = len(self.free)
-        C = self._kernel_constraints(S[:n_free, :n_free])
+        C = self._kernel_constraints(S)
         if C.shape[0]:
             Cs = sp.csr_matrix(np.hstack([C, np.zeros((len(C), self.n_p))]))
             S = sp.bmat([[S, Cs.T], [Cs, None]], format="csc")
         bar = np.concatenate([self._bar_u0 - self._bar_bjs @ coef,
                               self._bar_p])
-        scale = np.ones(S.shape[0])
-        scale[n_free:n_free + self.n_p] = self.nu / min(self.mesh.hx,
-                                                        self.mesh.hy)
-        D = sp.diags(scale)
-        return StokesOperator(self, factorize((D @ S @ D).tocsc()),
-                              C.shape[0], bar, scale)
+        return StokesOperator(self, self.factorize(S), C.shape[0], bar)
 
 
 class StokesOperator:
     """Factored Taylor-Hood operator for one realization's BJS coefficients."""
 
-    def __init__(self, system, lu, kernel_dim, bar_load, scale):
+    def __init__(self, system, lu, kernel_dim, bar_load):
         self.system = system
         self.mesh = system.mesh
         self.traces = system.traces
-        self.lu = lu  # factors of diag(scale) @ S @ diag(scale)
-        self.scale = scale
+        self.lu = lu  # factors of the pressure-scaled (bordered) matrix
         self.kernel_dim = kernel_dim
         self.bar_load = bar_load
         self.factorizations = 1
@@ -470,18 +477,23 @@ class StokesOperator:
     def _solve(self, head, lift):
         """Backsolve with the leading rhs entries `head`; full fields.
 
+        `head` is one vector or a block of columns, one backsolve each.
         With lift=False the outer Dirichlet data is treated as zero; star
         solves use this so the interface operator stays linear in lambda.
         """
         system = self.system
         n_free = len(system.free)
-        rhs = np.zeros(n_free + system.n_p + self.kernel_dim)
+        cols = head.shape[1:]
+        rhs = np.zeros((n_free + system.n_p + self.kernel_dim,) + cols)
         rhs[:len(head)] = head
-        self.backsolves += 1
-        sol = self.scale * self.lu.solve(self.scale * rhs)
-        u = system.g_dir.copy() if lift else np.zeros(system.n_udof)
+        self.backsolves += head.shape[1] if head.ndim == 2 else 1
+        p = slice(n_free, n_free + system.n_p)
+        rhs[p] *= system.p_scale
+        sol = self.lu.solve(rhs)
+        sol[p] *= system.p_scale
+        u = system.g_dir.copy() if lift else np.zeros((system.n_udof,) + cols)
         u[system.free] = sol[:n_free]
-        return StokesSolution(u, sol[n_free:n_free + system.n_p])
+        return StokesSolution(u, sol[p])
 
     def solve_bar(self):
         """Solve with body force, outer Dirichlet lifts, outer tractions."""
@@ -491,9 +503,10 @@ class StokesOperator:
         """Solve with interface data only: -sigma <lam_n, v.n> - sigma <lam_t, v.tau>.
 
         `lam` is the local mortar vector of this subdomain (star load
-        E @ lam), or the dict of nodal trace values that
-        StokesDarcyProblem.star_data returns (see StokesSystem.trace_load).
-        Homogeneous outer data.
+        E @ lam), a block (n_local, m) of such vectors, solved together as
+        m backsolves into fields with a trailing axis of m columns, or the
+        dict of nodal trace values that StokesDarcyProblem.star_data returns
+        (see StokesSystem.trace_load). Homogeneous outer data.
         """
         if isinstance(lam, dict):
             return self._solve(self.system.trace_load(lam), lift=False)

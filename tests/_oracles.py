@@ -5,6 +5,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from sdmortar.errors import ConvergenceError
+from sdmortar.interface import star_response
 
 
 def monolithic_rt0(rect, nx, ny, K, nu=1.0, p_left=1.0, p_right=0.0):
@@ -123,3 +124,20 @@ def plain_cg(apply_fn, g, tol=1e-9, max_iter=None):
     raise ConvergenceError(
         f"CG did not reach tol {tol:g} in {max_iter} iterations "
         f"(last residual {residuals[-1]:.3e})", residuals)
+
+
+def per_column_flux_basis(problem, sid, op):
+    """The flux basis as it was built before block solves.
+
+    One star solve per local mortar dof, column by column;
+    compute_flux_basis must reproduce it to round-off.
+    """
+    dofs = problem.space.sub_dofs(problem.layout, sid)
+    nd = len(dofs)
+    B = np.empty((nd, nd))
+    unit = np.zeros(nd)
+    for j in range(nd):
+        unit[j] = 1.0
+        B[:, j] = star_response(op, unit)
+        unit[j] = 0.0
+    return dofs, B

@@ -14,13 +14,23 @@ from sdmortar.interface import run_method
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
-def load_case(name, **tweaks):
+def load_case(name, refine=1, **tweaks):
     """Build (cfg, problem, grid, options) from a shipped config file.
 
-    tweaks patch top-level config entries (deep-copied) before building,
-    e.g. physics={"alpha": 0.0}.
+    refine multiplies every block mesh and mortar element count. tweaks
+    patch top-level config entries (deep-copied) before building, e.g.
+    physics={"alpha": 0.0}.
     """
-    cfg = parse_config(os.path.join(CONFIG_DIR, name + ".json"))
+    cfg = copy.deepcopy(parse_config(os.path.join(CONFIG_DIR,
+                                                  name + ".json")))
+    for block in cfg["domain"]["blocks"]:
+        block["mesh"] = [n * refine for n in block["mesh"]]
+    mortars = cfg["mortars"]
+    for kind in ("dd", "sd", "ss"):
+        if kind in mortars:
+            mortars[kind] *= refine
+    mortars["per_interface"] = {k: n * refine for k, n in
+                                mortars["per_interface"].items()}
     for key, val in tweaks.items():
         if isinstance(val, dict):
             patched = copy.deepcopy(cfg[key])

@@ -94,6 +94,10 @@ def test_manifest_contents(tmp_path):
     assert man["cg_iters"] == [int(n) for n in result.stats.cg_iters]
     assert man["cg_final_residual"] == [res[-1] for res in result.residuals]
     assert all(0.0 < r <= 1e-9 for r in man["cg_final_residual"])
+    # full relative residual history of every realization's CG
+    assert man["cg_residuals"] == result.residuals
+    assert [len(h) for h in man["cg_residuals"]] == man["cg_iters"]
+    assert [h[-1] for h in man["cg_residuals"]] == man["cg_final_residual"]
     assert man["cg_cond_estimate"] == result.cg_cond
     assert len(man["cg_cond_estimate"]) == grid.n_real
     assert all(c >= 1.0 for c in man["cg_cond_estimate"])
