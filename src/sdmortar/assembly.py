@@ -18,6 +18,7 @@ bordered by rigid-body constraints, is ordered afresh.
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 from scipy.sparse.linalg import splu
 
 from .errors import SingularOperatorError
@@ -111,6 +112,12 @@ def check_permeability(K, name):
 BLOCK_BYTES = 120 * 1024
 
 
+# Smallest reciprocal condition number (1-norm) of a capacitance matrix
+# that UpdatedFactors accepts. Solves through the update lose about
+# log10(1/rcond) digits against a fresh factorization.
+CAP_RCOND = 1e-10
+
+
 def block_width(rows):
     """Columns of a float64 block of `rows` rows within BLOCK_BYTES (>= 1)."""
     return max(1, BLOCK_BYTES // (8 * rows))
@@ -131,6 +138,41 @@ class LUFactors:
     def solve(self, rhs):
         x = self.lu.solve(rhs)
         return x if self.perm is None else x[self.perm]
+
+
+class UpdatedFactors:
+    """Solves with A + U D U^T from the LUFactors of A (Woodbury).
+
+    U = I[:, rows] selects r rows, W = A^-1 U holds their r backsolves and
+    D is a dense r x r matrix. Only the capacitance M = I + D U^T W is
+    factored (Hager, Updating the inverse of a matrix, SIAM Review 1989);
+    it needs no inverse of D, so D may be singular or zero. With
+    G = W M^-1 D, formed once, a solve is x = y - G y[rows] with
+    y = A^-1 b: one solve with A. A capacitance that is not finite, or
+    whose reciprocal condition number is below CAP_RCOND, raises
+    SingularOperatorError.
+    """
+
+    def __init__(self, base, rows, W, D):
+        self.base = base
+        self.shape = base.shape
+        self.rows = rows
+        M = np.eye(len(rows)) + D @ W[rows]
+        if not np.all(np.isfinite(M)):
+            raise SingularOperatorError("capacitance matrix is not finite")
+        lu, piv, info = dgetrf(M)
+        rcond = 0.0
+        if info == 0:
+            rcond = dgecon(lu, np.abs(M).sum(axis=0).max(), norm="1")[0]
+        if not rcond >= CAP_RCOND:
+            raise SingularOperatorError(
+                f"capacitance matrix is singular (reciprocal condition "
+                f"number {rcond:.1e})")
+        self.G = W @ dgetrs(lu, piv, D)[0]
+
+    def solve(self, rhs):
+        y = self.base.solve(rhs)
+        return y - self.G @ y[self.rows]
 
 
 class Factorizer:

@@ -16,6 +16,14 @@ drivers share that structure and differ in how S is applied:
   subdomain's permeability region and reuses it across the sweep; the
   basis of a Stokes subdomain is frozen at the mean-field permeability.
 
+S1 and S2 factor each Stokes subdomain once per sweep, at the mean field
+(stokes.StokesReference), and form each realization's Stokes operator as
+a rank-r update of that LU: an r x r capacitance factorization, r the
+subdomain's tangential BJS trace unknowns. That capacitance is the
+operator's one counted factorization; the sparse reference LU and the r
+backsolves of its update basis go to SolveStats.setup_factorizations and
+setup_backsolves, outside the identities below.
+
 All three solve S lam = g by preconditioned CG. A sweep keeps one
 SecantPreconditioner, a dense H ~ S^-1 that starts as the identity (so the
 first realization runs plain CG) and after every realization folds in that
@@ -36,6 +44,8 @@ the paper, where each processor owns some subdomains. A group keeps the
 factors, S3 bases and bar solutions of its own subdomains: per realization
 it factors them (or picks their S3 factors), builds their S2 bases, runs
 their bar solves, answers the S1 star solves and recovers their fields.
+It builds the Stokes references of its subdomains at its first realization,
+after the fork, and drops them when the sweep finishes.
 Only mortar vectors, bases and output fields cross the pipes. The parent
 keeps everything that joins the subdomains: the jump, CG with the sweep's
 SecantPreconditioner, basis_apply and the MomentAccumulator. It adds up
@@ -75,23 +85,33 @@ class SolveStats:
     cg_iters: list = field(default_factory=list)
     wall_seconds: np.ndarray = None
     n_real: int = 0
+    setup_factorizations: np.ndarray = None
+    setup_backsolves: np.ndarray = None
 
     @classmethod
     def new(cls, method, n_sub):
         z = lambda: np.zeros(n_sub, dtype=int)
         return cls(method, n_sub, z(), z(), z(),
-                   wall_seconds=np.zeros(n_sub))
+                   wall_seconds=np.zeros(n_sub), setup_factorizations=z(),
+                   setup_backsolves=z())
 
     def harvest(self, sid, op):
         """Absorb the lifetime counters of an operator being retired."""
         self.factorizations[sid] += op.factorizations
         self.backsolves[sid] += op.backsolves
 
+    def harvest_setup(self, sid, reference):
+        """Absorb the set-up counters of a StokesReference being retired."""
+        self.setup_factorizations[sid] += reference.setup_factorizations
+        self.setup_backsolves[sid] += reference.setup_backsolves
+
     def absorb(self, other):
         """Add the counters and busy times a subdomain group kept."""
         self.factorizations += other.factorizations
         self.backsolves += other.backsolves
         self.basis_backsolves += other.basis_backsolves
+        self.setup_factorizations += other.setup_factorizations
+        self.setup_backsolves += other.setup_backsolves
         self.wall_seconds += other.wall_seconds
 
     @property
@@ -300,7 +320,7 @@ class _Group:
         self.sid = None
         self.dofs = {sid: problem.space.sub_dofs(problem.layout, sid)
                      for sid in sids}
-        self.ops, self.bars, self.s3 = {}, {}, {}
+        self.ops, self.bars, self.s3, self.refs = {}, {}, {}, {}
 
     def _each(self, work):
         out = {}
@@ -332,7 +352,7 @@ class _Group:
                 ops, bases = self.s3[sid]
                 op, basis = ops[local], bases[local]
             else:
-                op = problem.assemble_subdomain(sid, K)
+                op = problem.assemble_subdomain(sid, K, self._reference(sid))
                 basis = (compute_flux_basis(problem, sid, op, self.stats)
                          if self.method == "S2" else None)
             self.ops[sid] = op
@@ -340,6 +360,14 @@ class _Group:
             return problem.side_functionals(sid, op, self.bars[sid]), basis
 
         return self._each(work)
+
+    def _reference(self, sid):
+        """The sweep's StokesReference of sid (built at first use), or None."""
+        if self.problem.layout.blocks[sid].physics != "stokes":
+            return None
+        if sid not in self.refs:
+            self.refs[sid] = self.problem.stokes_reference(sid)
+        return self.refs[sid]
 
     def respond(self, lam):
         """Star response of every owned subdomain to the mortar vector lam."""
@@ -358,10 +386,14 @@ class _Group:
         return fields
 
     def finish(self):
-        """Retire the S3 operators; return the group's SolveStats."""
+        """Retire the S3 operators and the Stokes references; return the
+        group's SolveStats."""
         for sid, (ops, _) in self.s3.items():
             for op in ops:
                 self.stats.harvest(sid, op)
+        for sid, ref in self.refs.items():
+            self.stats.harvest_setup(sid, ref)
+        self.refs = {}
         return self.stats
 
 

@@ -133,6 +133,8 @@ def run_manifest(cfg, problem, grid, result):
         "total_backsolves": int(stats.backsolves.sum()),
         "total_basis_backsolves": int(stats.basis_backsolves.sum()),
         "total_factorizations": int(stats.factorizations.sum()),
+        "total_setup_backsolves": int(stats.setup_backsolves.sum()),
+        "total_setup_factorizations": int(stats.setup_factorizations.sum()),
     }
 
 

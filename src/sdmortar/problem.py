@@ -7,7 +7,8 @@ the log-permeability field.
 
 Each subdomain is split into a realization-invariant system (a DarcySystem
 or StokesSystem, built once by `systems()` and cached) and a
-per-realization factor (`assemble_subdomain`). The invariant system holds
+per-realization factor (`assemble_subdomain`); a Stokes factor may instead
+update the sweep's mean-field `stokes_reference`. The invariant system holds
 the sparse coupling maps of subdomain i:
 
 * F_i: full velocity -> signed local mortar functionals <v.n, xi_m>, in
@@ -169,14 +170,27 @@ class StokesDarcyProblem:
                 y_global)
         return out
 
-    def assemble_subdomain(self, sid, K_fields):
-        """Factor one subdomain operator for given K fields."""
+    def assemble_subdomain(self, sid, K_fields, reference=None):
+        """Factor one subdomain operator for given K fields.
+
+        A Stokes subdomain given its `reference` (see stokes_reference)
+        updates the reference's LU instead of factoring a matrix of its own.
+        """
         system = self.systems()[sid]
         if self.layout.blocks[sid].physics == "darcy":
             return system.factor(K_fields[sid])
-        return system.factor({
-            idx: K_fields[d_sid][cells]
-            for idx, (d_sid, cells) in self.kl_cells.get(sid, {}).items()})
+        return (reference or system).factor(self._bjs_samples(sid, K_fields))
+
+    def stokes_reference(self, sid):
+        """StokesReference of Stokes subdomain sid at the mean field, y = 0."""
+        y = np.zeros(self.perm.n_dims)
+        return stokes.StokesReference(self.systems()[sid], self._bjs_samples(
+            sid, self.permeability(y, [sid])))
+
+    def _bjs_samples(self, sid, K_fields):
+        """K of the Darcy cells under each sd interface of Stokes sid."""
+        return {idx: K_fields[d_sid][cells]
+                for idx, (d_sid, cells) in self.kl_cells.get(sid, {}).items()}
 
     def star_data(self, sid, lam):
         """Project a global mortar vector onto subdomain sid's trace spaces.

@@ -15,10 +15,18 @@ is not amplified by the mesh size.
 
 Everything but the BJS coefficients is realization-invariant and lives in a
 StokesSystem built once: the viscous and divergence blocks, the Dirichlet
-split and lift, the body-force and traction loads, and the column order of
-the sparse LU (assembly.Factorizer). The reduced saddle matrix is stored
-already scaled by s, with its structural zeros dropped, so each realization
-refills only its BJS entries in place and factors it once.
+split and lift, the body-force and traction loads (array ops), and the
+column order of the sparse LU (assembly.Factorizer). The reduced saddle
+matrix is stored already scaled by s, with its structural zeros dropped,
+and StokesSystem.factor refills its BJS entries in place and factors it.
+
+The BJS entries touch only the r tangential trace unknowns of the sd
+interfaces, so a matrix at other coefficients is a rank-r update of one at
+reference coefficients. A StokesReference factors the reference matrix
+once (kernel detection and bordering included) and gives each
+realization's operator as that LU plus an r x r capacitance
+(assembly.UpdatedFactors); the interface solver keeps one per Stokes
+subdomain per sweep, at the mean field.
 
 Interface data lives in the fixed interface frame (n, tau): a solve with
 data (lam_n, lam_tau) adds -sigma * <lam_n, v.n> - sigma * <lam_tau, v.tau>
@@ -27,12 +35,13 @@ higher-id side; this makes the two sides' conventions mutually adjoint.
 """
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 import scipy.sparse as sp
 
 from .assembly import (CouplingMaps, Factorizer, RefillMatrix,
-                       check_permeability)
+                       UpdatedFactors, block_width, check_permeability)
 from .errors import SingularOperatorError
 from .geometry import edges_on_span, side_of_interface
 
@@ -386,42 +395,62 @@ class StokesSystem:
         return C
 
     def _body_force(self):
+        """(f, v) by the degree-4 rule on every triangle, as array ops."""
         mesh = self.mesh
-        Fu = np.zeros(self.n_udof)
         if self.f is None:
-            return Fu
-        for t in range(mesh.n_tri):
-            verts = mesh.tri_vertices[t]
-            J = np.column_stack([verts[1] - verts[0], verts[2] - verts[0]])
-            detJ = abs(np.linalg.det(J))
-            nd = mesh.conn_p2[t]
-            for (xi, eta), w in zip(_QP, _QW):
-                N, _ = _p2_shapes(xi, eta)
-                x, y = verts[0] + J @ np.array([xi, eta])
-                fx, fy = self.f(x, y)
-                Fu[2 * nd] += w * detJ * fx * N
-                Fu[2 * nd + 1] += w * detJ * fy * N
-        return Fu
+            return np.zeros(self.n_udof)
+        verts = mesh.tri_vertices
+        J = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]],
+                     axis=-1)
+        detJ = np.abs(np.linalg.det(J))
+        xi, eta = _QP[:, 0], _QP[:, 1]
+        xy = verts[:, None, 0] + (J[:, None, :, 0] * xi[:, None]
+                                  + J[:, None, :, 1] * eta[:, None])
+        N = np.array([_p2_shapes(a, b)[0] for a, b in _QP])
+        w = _QW * detJ[:, None]
+        return self._scatter([(mesh.conn_p2, self.f(xy[..., 0], xy[..., 1]),
+                               w, N)])
 
     def _tractions(self):
-        mesh = self.mesh
-        Fu = np.zeros(self.n_udof)
-        for triple, g in self.stress_edges:
+        """(g, v) by 3-point Gauss on every stress edge, as array ops.
+
+        Edges are taken in stress_edges order, one run of edges per
+        traction callable.
+        """
+        xy = self.mesh.p2_xy
+        s = 0.5 * (_G3 + 1)  # in [0, 1]
+        N = np.stack([(1 - s) * (1 - 2 * s), 4 * s * (1 - s),
+                      s * (2 * s - 1)], axis=1)
+        parts = []
+        for g, run in groupby(self.stress_edges, key=lambda e: e[1]):
             if g is None:
                 continue
-            p0 = mesh.p2_xy[triple[0]]
-            p1 = mesh.p2_xy[triple[2]]
-            L = np.linalg.norm(p1 - p0)
-            for gx, gw in zip(_G3, _G3W):
-                s = 0.5 * (gx + 1)  # in [0, 1]
-                x, y = p0 + s * (p1 - p0)
-                tx, ty = g(x, y)
-                N = np.array([(1 - s) * (1 - 2 * s), 4 * s * (1 - s),
-                              s * (2 * s - 1)])
-                for i, node in enumerate(triple):
-                    Fu[2 * node] += gw * 0.5 * L * tx * N[i]
-                    Fu[2 * node + 1] += gw * 0.5 * L * ty * N[i]
-        return Fu
+            tri = np.array([e for e, _ in run])
+            p0, p1 = xy[tri[:, 0]], xy[tri[:, 2]]
+            L = np.linalg.norm(p1 - p0, axis=1)
+            x = p0[:, None] + s[:, None] * (p1 - p0)[:, None]
+            parts.append((tri, g(x[..., 0], x[..., 1]),
+                          (_G3W * 0.5) * L[:, None], N))
+        return self._scatter(parts)
+
+    def _scatter(self, parts):
+        """Load vector of quadrature contributions, summed per dof in order.
+
+        Each part is (nodes (e, i), values, w (e, q), N (q, i)) with
+        `values` the two components of a callable at the points (e, q).
+        Node nodes[e, i] gets w * value * N[q, i], formed as that product
+        reads, and bincount sums every dof's contributions in (part, e, q)
+        order, the order of a loop over the elements.
+        """
+        idx, vals = [np.zeros(0, dtype=int)], [np.zeros(0)]
+        for nodes, values, w, N in parts:
+            for comp, val in enumerate(values):
+                contrib = (w * np.broadcast_to(val, w.shape))[..., None] * N
+                idx.append(np.broadcast_to(2 * nodes[:, None] + comp,
+                                           contrib.shape).ravel())
+                vals.append(contrib.ravel())
+        return np.bincount(np.concatenate(idx), weights=np.concatenate(vals),
+                           minlength=self.n_udof)
 
     def trace_load(self, lam):
         """Star load of nodal interface data, on the free velocity rows.
@@ -448,17 +477,90 @@ class StokesSystem:
                         Fu[2 * node + 1] += direction[1] * contrib[i]
         return Fu[self.free]
 
-    def factor(self, kl=None):
-        """Per-realization operator for the BJS permeability samples kl."""
-        coef = self.bjs_coefficients(kl or {})
+    def _bordered(self, coef):
+        """Scaled saddle matrix at coef, bordered by its kernel constraints.
+
+        Returns (matrix, number of constraint rows).
+        """
         S = self.matrix(coef)
         C = self._kernel_constraints(S)
         if C.shape[0]:
             Cs = sp.csr_matrix(np.hstack([C, np.zeros((len(C), self.n_p))]))
             S = sp.bmat([[S, Cs.T], [Cs, None]], format="csc")
-        bar = np.concatenate([self._bar_u0 - self._bar_bjs @ coef,
-                              self._bar_p])
-        return StokesOperator(self, self.factorize(S), C.shape[0], bar)
+        return S, C.shape[0]
+
+    def _bar_load(self, coef):
+        return np.concatenate([self._bar_u0 - self._bar_bjs @ coef,
+                               self._bar_p])
+
+    def factor(self, kl=None):
+        """Per-realization operator for the BJS permeability samples kl."""
+        coef = self.bjs_coefficients(kl or {})
+        S, kernel_dim = self._bordered(coef)
+        return StokesOperator(self, self.factorize(S), kernel_dim,
+                              self._bar_load(coef))
+
+
+class StokesReference:
+    """Sparse LU of a Stokes system at reference BJS samples, for reuse.
+
+    The scaled saddle matrix depends on the coefficients only through its
+    BJS entries, and those sit on the r velocity unknowns T of the
+    tangential sd trace dofs: A(coef) = A_ref + U D U^T with U = I[:, T]
+    and D the r x r change P (coef - coef_ref) of the BJS entries on T x T.
+    factor(kl) returns an operator that solves with A(coef) through
+    assembly.UpdatedFactors: one A_ref backsolve and an r x r capacitance
+    LU. The kernel constraints are detected and bordered once, here; a
+    realization whose BJS coefficients leave another kernel has a singular
+    capacitance. W = A_ref^-1 U is built at the first factor, in column
+    blocks of block_width. The sparse LU and W's r backsolves are counted
+    in setup_factorizations and setup_backsolves.
+    """
+
+    def __init__(self, system, kl=None):
+        self.system = system
+        self.coef = system.bjs_coefficients(kl or {})
+        S, self.kernel_dim = system._bordered(self.coef)
+        self.lu = system.factorize(S)
+        m = system.matrix
+        touched = np.flatnonzero(np.diff(m.P.indptr))
+        rows = m.indices[touched]
+        cols = np.repeat(np.arange(m.shape[1]), np.diff(m.indptr))[touched]
+        self.T = np.unique(np.concatenate([rows, cols]))
+        self._P = m.P[touched]
+        self._at = (np.searchsorted(self.T, rows),
+                    np.searchsorted(self.T, cols))
+        self._W = None
+        self.setup_factorizations = 1
+        self.setup_backsolves = 0
+
+    def _w(self):
+        if self._W is None:
+            n, r = self.lu.shape[0], len(self.T)
+            self._W = np.empty((n, r))
+            width = block_width(n)
+            for j in range(0, r, width):
+                m = min(width, r - j)
+                unit = np.zeros((n, m))
+                unit[self.T[j:j + m], np.arange(m)] = 1.0
+                self._W[:, j:j + m] = self.lu.solve(unit)
+            self.setup_backsolves += r
+        return self._W
+
+    def factor(self, kl=None):
+        """Operator for the BJS samples kl: the reference LU, updated."""
+        system = self.system
+        coef = system.bjs_coefficients(kl or {})
+        lu, r = self.lu, len(self.T)
+        if r:
+            D = np.zeros((r, r))
+            D[self._at] = self._P @ (coef - self.coef)
+            try:
+                lu = UpdatedFactors(self.lu, self.T, self._w(), D)
+            except SingularOperatorError as exc:
+                raise SingularOperatorError(f"{system.name}: {exc}") from None
+        return StokesOperator(system, lu, self.kernel_dim,
+                              system._bar_load(coef))
 
 
 class StokesOperator:

@@ -391,10 +391,10 @@ def test_lowest_failing_subdomain_wins(case1, two_cores, monkeypatch):
     """Subdomain 4 fails in this process, 3 in the child: 3 is raised."""
     assemble = case1.problem.assemble_subdomain
 
-    def failing(sid, K):
+    def failing(sid, K, *reference):
         if sid in (3, 4):
             raise ValueError(f"subdomain {sid}: broken on purpose")
-        return assemble(sid, K)
+        return assemble(sid, K, *reference)
 
     monkeypatch.setattr(case1.problem, "assemble_subdomain", failing)
     for w in (1, 2):
