@@ -22,7 +22,10 @@ a rank-r update of that LU: an r x r capacitance factorization, r the
 subdomain's tangential BJS trace unknowns. That capacitance is the
 operator's one counted factorization; the sparse reference LU and the r
 backsolves of its update basis go to SolveStats.setup_factorizations and
-setup_backsolves, outside the identities below.
+setup_backsolves, outside the identities below. At the mean field itself
+an operator solves with the reference LU unchanged. S3's Stokes operators
+are such mean-field LUs (StokesSystem.factor), counted as factorizations,
+with no set-up work.
 
 All three solve S lam = g by preconditioned CG. A sweep keeps one
 SecantPreconditioner, a dense H ~ S^-1 that starts as the identity (so the

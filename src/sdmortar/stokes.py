@@ -15,18 +15,20 @@ is not amplified by the mesh size.
 
 Everything but the BJS coefficients is realization-invariant and lives in a
 StokesSystem built once: the viscous and divergence blocks, the Dirichlet
-split and lift, the body-force and traction loads (array ops), and the
-column order of the sparse LU (assembly.Factorizer). The reduced saddle
-matrix is stored already scaled by s, with its structural zeros dropped,
-and StokesSystem.factor refills its BJS entries in place and factors it.
+split and lift, the body-force and traction loads, and the column order of
+the sparse LU (assembly.Factorizer). The reduced saddle matrix is stored
+already scaled by s, with its structural zeros dropped, so a realization
+refills only its BJS entries in place.
 
 The BJS entries touch only the r tangential trace unknowns of the sd
 interfaces, so a matrix at other coefficients is a rank-r update of one at
 reference coefficients. A StokesReference factors the reference matrix
-once (kernel detection and bordering included) and gives each
-realization's operator as that LU plus an r x r capacitance
-(assembly.UpdatedFactors); the interface solver keeps one per Stokes
-subdomain per sweep, at the mean field.
+once (kernel detection and bordering included) and gives the operator at
+other coefficients as that LU plus an r x r capacitance
+(assembly.UpdatedFactors), at the reference coefficients as the LU
+itself. The interface solver keeps one per Stokes subdomain per sweep, at
+the mean field. StokesSystem.factor is a reference at the given
+coefficients: its operator solves with a sparse LU of its own matrix.
 
 Interface data lives in the fixed interface frame (n, tau): a solve with
 data (lam_n, lam_tau) adds -sigma * <lam_n, v.n> - sigma * <lam_tau, v.tau>
@@ -35,7 +37,6 @@ higher-id side; this makes the two sides' conventions mutually adjoint.
 """
 
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 import scipy.sparse as sp
@@ -395,62 +396,49 @@ class StokesSystem:
         return C
 
     def _body_force(self):
-        """(f, v) by the degree-4 rule on every triangle, as array ops."""
+        """(f, v) by the degree-4 rule on every triangle, as array ops.
+
+        f is called once on all quadrature points, and bincount sums every
+        dof's contributions in (triangle, point) order, as a loop over the
+        triangles would.
+        """
         mesh = self.mesh
+        Fu = np.zeros(self.n_udof)
         if self.f is None:
-            return np.zeros(self.n_udof)
+            return Fu
         verts = mesh.tri_vertices
         J = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]],
                      axis=-1)
-        detJ = np.abs(np.linalg.det(J))
-        xi, eta = _QP[:, 0], _QP[:, 1]
-        xy = verts[:, None, 0] + (J[:, None, :, 0] * xi[:, None]
-                                  + J[:, None, :, 1] * eta[:, None])
-        N = np.array([_p2_shapes(a, b)[0] for a, b in _QP])
-        w = _QW * detJ[:, None]
-        return self._scatter([(mesh.conn_p2, self.f(xy[..., 0], xy[..., 1]),
-                               w, N)])
+        w = _QW * np.abs(np.linalg.det(J))[:, None]  # (triangle, point)
+        xy = verts[:, None, 0] + (J[:, None, :, 0] * _QP[:, 0, None]
+                                  + J[:, None, :, 1] * _QP[:, 1, None])
+        N = np.array([_p2_shapes(xi, eta)[0] for xi, eta in _QP])
+        nodes = np.broadcast_to(2 * mesh.conn_p2[:, None], w.shape + (6,))
+        for comp, val in enumerate(self.f(xy[..., 0], xy[..., 1])):
+            contrib = (w * val)[..., None] * N
+            Fu += np.bincount((nodes + comp).ravel(), weights=contrib.ravel(),
+                              minlength=self.n_udof)
+        return Fu
 
     def _tractions(self):
-        """(g, v) by 3-point Gauss on every stress edge, as array ops.
-
-        Edges are taken in stress_edges order, one run of edges per
-        traction callable.
-        """
-        xy = self.mesh.p2_xy
-        s = 0.5 * (_G3 + 1)  # in [0, 1]
-        N = np.stack([(1 - s) * (1 - 2 * s), 4 * s * (1 - s),
-                      s * (2 * s - 1)], axis=1)
-        parts = []
-        for g, run in groupby(self.stress_edges, key=lambda e: e[1]):
+        mesh = self.mesh
+        Fu = np.zeros(self.n_udof)
+        for triple, g in self.stress_edges:
             if g is None:
                 continue
-            tri = np.array([e for e, _ in run])
-            p0, p1 = xy[tri[:, 0]], xy[tri[:, 2]]
-            L = np.linalg.norm(p1 - p0, axis=1)
-            x = p0[:, None] + s[:, None] * (p1 - p0)[:, None]
-            parts.append((tri, g(x[..., 0], x[..., 1]),
-                          (_G3W * 0.5) * L[:, None], N))
-        return self._scatter(parts)
-
-    def _scatter(self, parts):
-        """Load vector of quadrature contributions, summed per dof in order.
-
-        Each part is (nodes (e, i), values, w (e, q), N (q, i)) with
-        `values` the two components of a callable at the points (e, q).
-        Node nodes[e, i] gets w * value * N[q, i], formed as that product
-        reads, and bincount sums every dof's contributions in (part, e, q)
-        order, the order of a loop over the elements.
-        """
-        idx, vals = [np.zeros(0, dtype=int)], [np.zeros(0)]
-        for nodes, values, w, N in parts:
-            for comp, val in enumerate(values):
-                contrib = (w * np.broadcast_to(val, w.shape))[..., None] * N
-                idx.append(np.broadcast_to(2 * nodes[:, None] + comp,
-                                           contrib.shape).ravel())
-                vals.append(contrib.ravel())
-        return np.bincount(np.concatenate(idx), weights=np.concatenate(vals),
-                           minlength=self.n_udof)
+            p0 = mesh.p2_xy[triple[0]]
+            p1 = mesh.p2_xy[triple[2]]
+            L = np.linalg.norm(p1 - p0)
+            for gx, gw in zip(_G3, _G3W):
+                s = 0.5 * (gx + 1)  # in [0, 1]
+                x, y = p0 + s * (p1 - p0)
+                tx, ty = g(x, y)
+                N = np.array([(1 - s) * (1 - 2 * s), 4 * s * (1 - s),
+                              s * (2 * s - 1)])
+                for i, node in enumerate(triple):
+                    Fu[2 * node] += gw * 0.5 * L * tx * N[i]
+                    Fu[2 * node + 1] += gw * 0.5 * L * ty * N[i]
+        return Fu
 
     def trace_load(self, lam):
         """Star load of nodal interface data, on the free velocity rows.
@@ -477,28 +465,13 @@ class StokesSystem:
                         Fu[2 * node + 1] += direction[1] * contrib[i]
         return Fu[self.free]
 
-    def _bordered(self, coef):
-        """Scaled saddle matrix at coef, bordered by its kernel constraints.
-
-        Returns (matrix, number of constraint rows).
-        """
-        S = self.matrix(coef)
-        C = self._kernel_constraints(S)
-        if C.shape[0]:
-            Cs = sp.csr_matrix(np.hstack([C, np.zeros((len(C), self.n_p))]))
-            S = sp.bmat([[S, Cs.T], [Cs, None]], format="csc")
-        return S, C.shape[0]
-
     def _bar_load(self, coef):
         return np.concatenate([self._bar_u0 - self._bar_bjs @ coef,
                                self._bar_p])
 
     def factor(self, kl=None):
-        """Per-realization operator for the BJS permeability samples kl."""
-        coef = self.bjs_coefficients(kl or {})
-        S, kernel_dim = self._bordered(coef)
-        return StokesOperator(self, self.factorize(S), kernel_dim,
-                              self._bar_load(coef))
+        """Operator for the BJS samples kl, on a sparse LU of its own."""
+        return StokesReference(self, kl).factor(kl)
 
 
 class StokesReference:
@@ -520,7 +493,12 @@ class StokesReference:
     def __init__(self, system, kl=None):
         self.system = system
         self.coef = system.bjs_coefficients(kl or {})
-        S, self.kernel_dim = system._bordered(self.coef)
+        S = system.matrix(self.coef)
+        C = system._kernel_constraints(S)
+        if len(C):
+            Cs = sp.csr_matrix(np.hstack([C, np.zeros((len(C), system.n_p))]))
+            S = sp.bmat([[S, Cs.T], [Cs, None]], format="csc")
+        self.kernel_dim = len(C)
         self.lu = system.factorize(S)
         m = system.matrix
         touched = np.flatnonzero(np.diff(m.P.indptr))
@@ -548,13 +526,18 @@ class StokesReference:
         return self._W
 
     def factor(self, kl=None):
-        """Operator for the BJS samples kl: the reference LU, updated."""
+        """Operator for the BJS samples kl: the reference LU, updated.
+
+        Where the coefficients leave the BJS entries as they are (D = 0,
+        always so when r = 0) the operator solves with the reference LU
+        itself.
+        """
         system = self.system
         coef = system.bjs_coefficients(kl or {})
-        lu, r = self.lu, len(self.T)
-        if r:
-            D = np.zeros((r, r))
-            D[self._at] = self._P @ (coef - self.coef)
+        D = np.zeros((len(self.T),) * 2)
+        D[self._at] = self._P @ (coef - self.coef)
+        lu = self.lu
+        if D.any():
             try:
                 lu = UpdatedFactors(self.lu, self.T, self._w(), D)
             except SingularOperatorError as exc:

@@ -6,7 +6,7 @@ from scipy.sparse.linalg import splu
 
 from sdmortar.errors import ConvergenceError
 from sdmortar.interface import star_response
-from sdmortar.stokes import _G3, _G3W, _QP, _QW, _p2_shapes
+from sdmortar.stokes import _QP, _QW, _p2_shapes
 
 
 def monolithic_rt0(rect, nx, ny, K, nu=1.0, p_left=1.0, p_right=0.0):
@@ -164,26 +164,4 @@ def loop_body_force(system):
             fx, fy = system.f(x, y)
             Fu[2 * nd] += w * detJ * fx * N
             Fu[2 * nd + 1] += w * detJ * fy * N
-    return Fu
-
-
-def loop_tractions(system):
-    """StokesSystem._tractions as it was: a loop over stress edges."""
-    mesh = system.mesh
-    Fu = np.zeros(system.n_udof)
-    for triple, g in system.stress_edges:
-        if g is None:
-            continue
-        p0 = mesh.p2_xy[triple[0]]
-        p1 = mesh.p2_xy[triple[2]]
-        L = np.linalg.norm(p1 - p0)
-        for gx, gw in zip(_G3, _G3W):
-            s = 0.5 * (gx + 1)  # in [0, 1]
-            x, y = p0 + s * (p1 - p0)
-            tx, ty = g(x, y)
-            N = np.array([(1 - s) * (1 - 2 * s), 4 * s * (1 - s),
-                          s * (2 * s - 1)])
-            for i, node in enumerate(triple):
-                Fu[2 * node] += gw * 0.5 * L * tx * N[i]
-                Fu[2 * node + 1] += gw * 0.5 * L * ty * N[i]
     return Fu

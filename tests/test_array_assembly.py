@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from _oracles import loop_body_force, loop_tractions
+from _oracles import loop_body_force
 from conftest import load_case
 from sdmortar.darcy import DarcyBC, DarcySystem
 from sdmortar.geometry import Block, build_subdomain_mesh
@@ -140,34 +140,19 @@ def test_darcy_vtk_cells_match_loop(nx, ny):
 
 
 @pytest.mark.parametrize("refine", (1, 2))
-def test_stokes_loads_match_element_loops(refine):
-    """Body force and tractions on case2_mini with both set: its block 1
-    has traction on two sides that share a corner node, block 0 on one.
-
-    The loops sum every dof's contributions in (edge or triangle, point)
-    order, as the array code does, so the loads are bitwise equal.
-    """
+def test_stokes_body_force_matches_element_loop(refine):
+    """The loop sums every dof's contributions in (triangle, point) order,
+    as the array code does, so the loads are bitwise equal."""
     case = load_case(
         "case2_mini", refine=refine,
-        sources={"f_s": ["1 + x*y", "x - 2*y*y"], "f_d": None, "q_d": None},
-        bcs={**load_case("case2_mini").cfg["bcs"],
-             "0": {"left": {"kind": "velocity",
-                            "value": ["(y - 0.5)*(1 - y)/0.0625", 0]},
-                   "top": {"kind": "stress", "value": ["0.5 - x", 0.25]}},
-             # values whose corner sums round differently if the two
-             # sides were summed apart
-             "1": {"top": {"kind": "stress",
-                           "value": ["0.5/3*x", "1/7 + x*x"]},
-                   "right": {"kind": "stress",
-                             "value": ["1/3", "y/7 - 0.1"]}}})
+        sources={"f_s": ["1 + x*y", "x - 2*y*y"], "f_d": None, "q_d": None})
     problem = case.problem
     checked = 0
     for sid, system in enumerate(problem.systems()):
         if problem.layout.blocks[sid].physics != "stokes":
             continue
-        body, traction = system._body_force(), system._tractions()
-        assert np.any(body != 0.0) and np.any(traction != 0.0)
+        body = system._body_force()
+        assert np.any(body != 0.0)
         assert np.array_equal(body, loop_body_force(system))
-        assert np.array_equal(traction, loop_tractions(system))
         checked += 1
     assert checked == 2

@@ -14,10 +14,12 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from conftest import load_case
-from sdmortar import assembly, stokes
+from sdmortar import assembly, interface, stokes
 from sdmortar.errors import SingularOperatorError
 from sdmortar.geometry import Block, build_layout, build_subdomain_mesh
-from sdmortar.interface import SolveStats, compute_flux_basis, run_method
+from sdmortar.interface import (SolveStats, _prepare_s3,
+                                compute_flux_basis, run_method,
+                                solve_realization)
 from sdmortar.output import run_manifest
 from sdmortar.stokes import StokesReference, StokesSystem
 
@@ -93,6 +95,25 @@ def test_lowrank_alpha0_is_the_reference_lu():
     ref = problem.stokes_reference(0)
     op = ref.factor()
     assert op.lu is ref.lu and ref.setup_backsolves == 0
+
+
+def test_reference_coefficients_use_the_reference_lu(case1):
+    """At the mean field (D = 0) the operator is the reference LU itself:
+    no W, no capacitance. So are S3's Stokes operators and a mean-field
+    solve_realization."""
+    problem = case1.problem
+    zero = np.zeros(problem.perm.n_dims)
+    for sid in stokes_sids(problem):
+        ref = problem.stokes_reference(sid)
+        op = problem.assemble_subdomain(
+            sid, problem.permeability(zero, [sid]), ref)
+        assert op.lu is ref.lu and ref.setup_backsolves == 0
+        ops, _ = _prepare_s3(problem, case1.grid, sid,
+                             SolveStats.new("S3", problem.layout.n_subdomains))
+        assert [type(o.lu) for o in ops] == [assembly.LUFactors]
+    _, _, stats = solve_realization(problem)
+    assert not stats.setup_backsolves.any()
+    assert list(stats.setup_factorizations) == [1, 1, 0, 0, 0, 0]
 
 
 def test_lowrank_sigma2_400():
@@ -242,8 +263,8 @@ def test_sigma2_25_s2_sweep_matches_fresh_factors(monkeypatch):
     tol = case.options["tol"]
     low = run_method(case.problem, case.grid, method="S2", tol=tol)
     assert all(res[-1] <= tol for res in low.residuals)
-    monkeypatch.setattr(StokesReference, "factor",
-                        lambda self, kl=None: self.system.factor(kl))
+    # without a sweep reference every Stokes operator is a fresh sparse LU
+    monkeypatch.setattr(interface._Group, "_reference", lambda self, sid: None)
     fresh = run_method(case.problem, case.grid, method="S2", tol=tol)
     for a, b in zip(low.lambdas, fresh.lambdas):
         assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(b)

@@ -4,11 +4,12 @@ Runs `perfbench/run.py` on a `git archive` of the parent and on the
 working tree, one pair per (workload, seed), alternating which side runs
 first, and writes a JSON summary: for every end-to-end metric of
 BENCHMARK.json its median and quartiles per side, the per-pair change
-and how many pairs the working tree won. One `--trace 1` run per side at
-seed 0 adds the exact counters. Run from the root of a source checkout:
+and how many pairs the working tree won. Timed runs last perfbench's own
+default time. One `--trace 1` run per side at seed 0 adds the exact
+counters. The workloads default to those of BENCHMARK.json. Run from the
+root of a source checkout:
 
     python3 tools/bench_pairs.py --parent HEAD --seeds 1-10 \\
-        --workloads s1_case1 s2_case1_w2 s3_case1_x2 \\
         --scratch /tmp/bench-parent --out BENCH.json
 
 The parent copy is extracted under --scratch, which must not exist or be
@@ -42,10 +43,9 @@ def _parser():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", default="HEAD",
                    help="git revision to compare against (default HEAD)")
-    p.add_argument("--workloads", nargs="+", required=True)
+    p.add_argument("--workloads", nargs="+",
+                   help="default: the workloads of BENCHMARK.json")
     p.add_argument("--seeds", type=_seeds, default=_seeds("1-10"))
-    p.add_argument("--seconds", type=float, default=30.0,
-                   help="--seconds of every timed perfbench run")
     p.add_argument("--scratch", required=True,
                    help="directory for the parent's source copy")
     p.add_argument("--out", required=True, help="JSON file to write")
@@ -65,11 +65,15 @@ def extract(rev, dest):
                           text=True, check=True).stdout.strip()
 
 
-def run(root, workload, seed, seconds, trace):
-    """Last-line record and environment of one perfbench run in root."""
+def run(root, workload, seed, trace):
+    """Last-line record and environment of one perfbench run in root.
+
+    A traced run is a single process (--seconds 0): its counters are exact.
+    """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds),
-           "--trace", str(trace)]
+           "--seed", str(seed), "--trace", str(trace)]
+    if trace:
+        cmd += ["--seconds", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
                           check=False)
     lines = proc.stdout.strip().splitlines()
@@ -113,21 +117,22 @@ def main(argv=None):
     with open(os.path.join(here, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
     parent_root = os.path.abspath(args.scratch)
     parent_rev = extract(args.parent, parent_root)
     sides = {"parent": parent_root, "change": here}
     report = {"parent": parent_rev,
               "change": f"working tree on {parent_rev}",
-              "seconds_per_run": args.seconds, "seeds": args.seeds,
+              "seeds": args.seeds,
               "workloads": {}, "counters_seed0": {}, "correct": True}
-    for w in args.workloads:
+    for w in workloads:
         pairs = []
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change",
                                                              "parent")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                rec, env = run(sides[side], w, seed, args.seconds, 0)
+                rec, env = run(sides[side], w, seed, 0)
                 pair[side] = {m: rec["metrics"][m]["value"] for m in metrics}
                 pair[side + "_correct"] = rec["correct"]
                 report["correct"] &= rec["correct"]
@@ -141,7 +146,7 @@ def main(argv=None):
         report["workloads"][w] = {"pairs": pairs,
                                   "metrics": summarize(pairs, metrics)}
         for side, root in sides.items():
-            rec, _ = run(root, w, 0, 0, 1)
+            rec, _ = run(root, w, 0, 1)
             report["correct"] &= rec["correct"]
             report["counters_seed0"].setdefault(side, {})[w] = {
                 c: rec["metrics"][c]["value"] for c in COUNTERS}
