@@ -69,7 +69,8 @@ class DarcySolution:
 def trace_maps(mesh, trace):
     """Full edge velocity -> u.n per fine edge of `trace`, one component.
 
-    u.n is taken in the fixed interface frame, like flux_on_interface.
+    u.n is taken in the fixed interface frame (normal_sign times the edge
+    dof), the same on both sides of the interface.
     """
     n = len(trace.edges)
     return [sp.csr_matrix((np.full(n, float(trace.normal_sign)),
@@ -99,7 +100,6 @@ class DarcySystem:
         self.mesh = mesh
         self.nu = nu
         self.bcs = bcs
-        self.traces = {t.iface: t for t in traces}
         self.f = f
         self.q = q
         self.name = name
@@ -205,20 +205,6 @@ class DarcySystem:
         iy, ix = divmod(eh, mesh.nx)
         return (x0 + (ix + 0.5) * mesh.hx, y0 + iy * mesh.hy)
 
-    def trace_load(self, lam):
-        """Star load -<lam, v.n_out> of projected per-edge interface data.
-
-        `lam` maps interface index -> per-edge values of the projected
-        mortar function (tangent-ordered, one value per fine edge).
-        """
-        rhs = np.zeros(self.n_u + self.n_p)
-        for idx, vals in lam.items():
-            t = self.traces[idx]
-            lengths = np.array([self.mesh.edge_length(e) for e in t.edges])
-            r = self.red_index[t.edges]
-            rhs[r] -= t.sigma_out * np.asarray(vals) * lengths
-        return rhs
-
     def factor(self, K):
         """Per-realization operator for cell permeabilities K."""
         K = np.asarray(K, dtype=float)
@@ -234,7 +220,6 @@ class DarcyOperator:
     def __init__(self, system, lu):
         self.system = system
         self.mesh = system.mesh
-        self.traces = system.traces
         self.lu = lu
         self.factorizations = 1
         self.backsolves = 0
@@ -255,22 +240,14 @@ class DarcyOperator:
     def solve_star(self, lam):
         """Solve with interface data only: rhs = -<lam, v.n_out>.
 
-        `lam` is the local mortar vector of this subdomain (star load
-        E @ lam), a block (n_local, m) of such vectors, solved together as
-        m backsolves into fields with a trailing axis of m columns, or the
-        dict of projected per-edge values that StokesDarcyProblem.star_data
-        returns (see DarcySystem.trace_load).
+        `lam` is the local mortar vector of this subdomain, whose star load
+        is E @ lam (CouplingMaps.star_load), or a block (n_local, m) of
+        such vectors, solved together as m backsolves into fields with a
+        trailing axis of m columns.
         """
-        if isinstance(lam, dict):
-            return self._solve(self.system.trace_load(lam))
         system = self.system
         return self._solve(system.coupling.star_load(
             lam, system.n_u + system.n_p))
-
-    def flux_on_interface(self, sol, iface_index):
-        """u.n in the fixed interface frame, one value per fine edge."""
-        t = self.traces[iface_index]
-        return t.normal_sign * sol.u[t.edges]
 
     def cell_velocity(self, sol):
         """Cell-center velocity vectors, (n_cells, 2)."""

@@ -3,8 +3,11 @@
 The mortar unknown solves S lam = g where S is the flux-jump response of
 the subdomain star problems and g the jump produced by the bar problems.
 With the coupling maps of each subdomain's invariant system (see
-problem.py), S lam = sum_i scatter(-F_i A_i^-1 E_i lam_i), where A_i is the
-realization's factored operator and lam_i the local mortar vector. Three
+problem.py), S lam = sum_i scatter(-F_i A_i^-1 E_i lam_i) and
+g = sum_i scatter(F_i u_bar,i), where A_i is the realization's factored
+operator, lam_i = problem.star_data(i, lam) the local mortar vector and
+F_i u = problem.side_functionals(i, sol). Both sums, and the apply of the
+S2/S3 bases, are one mortar.jump over the subdomains in order. Three
 drivers share that structure and differ in how S is applied:
 
 * S1 applies S matrix-free, one star solve per subdomain per CG iteration.
@@ -321,8 +324,6 @@ class _Group:
         self.stats = stats
         self.grid = grid
         self.sid = None
-        self.dofs = {sid: problem.space.sub_dofs(problem.layout, sid)
-                     for sid in sids}
         self.ops, self.bars, self.s3, self.refs = {}, {}, {}, {}
 
     def _each(self, work):
@@ -343,8 +344,8 @@ class _Group:
     def realize(self, k, y):
         """Operators of realization k (at point y), bases, bar solves.
 
-        Returns {sid: (jump entries of the bar solution, basis)}; the basis
-        is built (S2), picked from the S3 ones, or None (S1).
+        Returns {sid: (F_i of the bar solution, basis)}; the basis is
+        built (S2), picked from the S3 ones, or None (S1).
         """
         problem = self.problem
         K = None if self.method == "S3" else problem.permeability(y, self.sids)
@@ -360,7 +361,7 @@ class _Group:
                          if self.method == "S2" else None)
             self.ops[sid] = op
             self.bars[sid] = op.solve_bar()
-            return problem.side_functionals(sid, op, self.bars[sid]), basis
+            return problem.side_functionals(sid, self.bars[sid]), basis
 
         return self._each(work)
 
@@ -374,14 +375,15 @@ class _Group:
 
     def respond(self, lam):
         """Star response of every owned subdomain to the mortar vector lam."""
-        return self._each(lambda sid: star_response(self.ops[sid],
-                                                    lam[self.dofs[sid]]))
+        problem = self.problem
+        return self._each(lambda sid: star_response(
+            problem, sid, self.ops[sid], problem.star_data(sid, lam)))
 
     def recover(self, lam):
         """Fields of the owned subdomains; S1/S2 then retire the operators."""
         fields = self._each(lambda sid: recover_fields(
             self.problem, sid, self.ops[sid], self.bars[sid],
-            lam[self.dofs[sid]]))
+            self.problem.star_data(sid, lam)))
         if self.method != "S3":
             for sid, op in self.ops.items():
                 self.stats.harvest(sid, op)
@@ -436,8 +438,6 @@ class _Groups:
         n_sub = problem.layout.n_subdomains
         self.problem = problem
         self.stats = stats
-        self.dofs = [problem.space.sub_dofs(problem.layout, sid)
-                     for sid in range(n_sub)]
         parts = _split(problem, worker_count(workers, n_sub))
         self._local = _Group(problem, parts[0], method, stats, grid)
         self._children = []
@@ -507,7 +507,7 @@ class _Groups:
         out = {}
         for part in self._run(name, *args):
             out.update(part)
-        return [out[sid] for sid in range(len(self.dofs))]
+        return [out[sid] for sid in sorted(out)]
 
     def prepare_s3(self):
         """Factor every S3 operator and basis, each in its owner group."""
@@ -516,27 +516,28 @@ class _Groups:
     def realize(self, k, y):
         """Operators of realization k at y: (bar jump g, bases per sid)."""
         out = self._merge("realize", k, y)
-        g = jump(self.problem.space, [e for entries, _ in out for e in entries])
+        problem = self.problem
+        g = jump(problem.space.n_dof, problem.sub_dofs, [f for f, _ in out])
         return g, [basis for _, basis in out]
 
     def apply(self, lam):
         """Matrix-free S lam: one star solve per subdomain."""
-        out = np.zeros(self.problem.space.n_dof)
-        for dofs, resp in zip(self.dofs, self._merge("respond", lam)):
-            out[dofs] += resp
-        return out
+        problem = self.problem
+        return jump(problem.space.n_dof, problem.sub_dofs,
+                    self._merge("respond", lam))
 
     def recover(self, lam):
         """Output fields of every subdomain for the mortar solution lam."""
         return self._merge("recover", lam)
 
 
-def star_response(op, lam_local):
-    """-F_i A_i^-1 E_i lam_i: subdomain i's share of S lam, local order.
+def star_response(problem, sid, op, lam_local):
+    """-F_i A_i^-1 E_i lam_i: subdomain sid's share of S lam, local order.
 
-    lam_local may be a block of local mortar vectors, one per column.
+    op is the subdomain's factored operator; lam_local may be a block of
+    local mortar vectors, one per column.
     """
-    return -op.system.coupling.functionals(op.solve_star(lam_local).u)
+    return -problem.side_functionals(sid, op.solve_star(lam_local))
 
 
 def compute_flux_basis(problem, sid, op, stats):
@@ -551,7 +552,7 @@ def compute_flux_basis(problem, sid, op, stats):
     glibc's 128 KiB mmap threshold; with blocks of at most 120 KiB it read
     154.5-154.9 MB in all 14 processes measured.
     """
-    dofs = problem.space.sub_dofs(problem.layout, sid)
+    dofs = problem.sub_dofs[sid]
     nd = len(dofs)
     B = np.empty((nd, nd))
     width = block_width(op.lu.shape[0])
@@ -560,7 +561,7 @@ def compute_flux_basis(problem, sid, op, stats):
         m = min(width, nd - j)
         unit = np.zeros((nd, m))
         unit[j + np.arange(m), np.arange(m)] = 1.0
-        B[:, j:j + m] = star_response(op, unit)
+        B[:, j:j + m] = star_response(problem, sid, op, unit)
     stats.basis_backsolves[sid] += op.backsolves - before
     return dofs, B
 
@@ -569,10 +570,8 @@ def basis_apply(space, bases):
     """S application from stored per-subdomain response matrices."""
 
     def apply_fn(lam):
-        out = np.zeros(space.n_dof)
-        for dofs, B in bases:
-            out[dofs] += B @ lam[dofs]
-        return out
+        return jump(space.n_dof, [dofs for dofs, _ in bases],
+                    [B @ lam[dofs] for dofs, B in bases])
 
     return apply_fn
 
@@ -598,7 +597,7 @@ def _check_basis_cap(problem, grid, method, cap_mb):
         return
     total = 0
     for sid in range(problem.layout.n_subdomains):
-        nd = len(problem.space.sub_dofs(problem.layout, sid))
+        nd = len(problem.sub_dofs[sid])
         copies = len(_s3_points(problem, grid, sid)) if method == "S3" else 1
         total += 8 * nd * nd * copies
     if total > cap_mb * 2 ** 20:

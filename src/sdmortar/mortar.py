@@ -7,15 +7,14 @@ space). On Stokes-Stokes interfaces the mortar has two components, normal
 and tangential, in the fixed interface frame. Global dofs are laid out
 interface by interface, then element, local basis, component.
 
-Couplings to a subdomain's fine trace space (piecewise constants per edge on
-the Darcy side, continuous quadratics on the Stokes side) are rectangular
-matrices R[m, j] = <xi_m, psi_j> integrated exactly on the merged partition
-of coarse and fine breakpoints. mortar -> trace is the L2 projection
-M^-1 R^T c; trace -> mortar is the plain pairing R g, which keeps the
-interface operator symmetric. A star load only tests the projection
-against trace functions, so M cancels and the subdomain coupling maps
-(problem.py) use R alone; the projection and `jump` serve the dict-based
-reference path and the bar-side jump.
+A subdomain couples to the mortar through its fine trace space
+(piecewise constants per edge on the Darcy side, continuous quadratics on
+the Stokes side) by the pairing R[m, j] = <xi_m, psi_j>, integrated
+exactly on the merged partition of coarse and fine breakpoints. The L2
+projection M^-1 R^T of the mortar onto the trace space is only ever tested
+against trace functions, so the trace mass M cancels and the coupling maps
+E_i/F_i of each subdomain (problem.py) are built from R alone. `jump` sums
+the subdomains' local mortar vectors into a global one.
 """
 
 import logging
@@ -70,11 +69,6 @@ class MortarBlock:
             out[rows, 2 * elem] = 1.0 - t
             out[rows, 2 * elem + 1] = t
         return out
-
-    def component_dofs(self, comp):
-        """Global dof ids of one component, scalar-ordered."""
-        local = np.arange(self.n_scalar) * self.n_comp + comp
-        return self.offset + local
 
 
 class MortarSpace:
@@ -175,77 +169,35 @@ def _p2_values(fine_breaks, s):
     return out
 
 
-def p2_trace_mass(fine_breaks):
-    """1D continuous-quadratic mass matrix on the fine partition (dense)."""
-    n = len(fine_breaks) - 1
-    M = np.zeros((2 * n + 1, 2 * n + 1))
-    unit = np.array([[4, 2, -1], [2, 16, 2], [-1, 2, 4]]) / 30.0
-    for e in range(n):
-        L = fine_breaks[e + 1] - fine_breaks[e]
-        idx = [2 * e, 2 * e + 1, 2 * e + 2]
-        M[np.ix_(idx, idx)] += L * unit
-    return M
+def pairing(block, fine_breaks, kind):
+    """R[m, j] = <xi_m, psi_j>, integrated exactly on the merged partition.
 
-
-@dataclass
-class SideCoupling:
-    """Exact coupling of one mortar block to one subdomain's trace space."""
-
-    block: MortarBlock
-    kind: str  # "darcy" | "stokes"
-    R: np.ndarray  # (n_scalar, n_trace_items)
-    mass: np.ndarray  # diag lengths (darcy) or dense P2 mass (stokes)
-
-    def to_trace(self, coeffs_scalar):
-        """L2 projection of a scalar mortar function onto the trace space."""
-        rhs = self.R.T @ np.asarray(coeffs_scalar, dtype=float)
-        if self.kind == "darcy":
-            return rhs / self.mass
-        return np.linalg.solve(self.mass, rhs)
-
-    def functional(self, g):
-        """<g, xi_m> for a trace-space function g (nodal/per-edge values)."""
-        return self.R @ np.asarray(g, dtype=float)
-
-
-def build_side_coupling(block, fine_breaks, kind):
-    """Integrate R[m, j] = <xi_m, psi_j> on the merged partition."""
+    psi_j are the per-edge constants (kind "darcy") or the continuous
+    quadratics (kind "stokes") of the fine trace with breakpoints
+    fine_breaks. Returns a dense (n_scalar, n_trace) array.
+    """
     fine = np.asarray(fine_breaks, dtype=float)
     s, w = _merged_quadrature(block.breaks, fine)
-    Xi = block.scalar_values(s)
     if kind == "darcy":
         Psi = _p0_values(fine, s)
-        mass = np.diff(fine)
     elif kind == "stokes":
         Psi = _p2_values(fine, s)
-        mass = p2_trace_mass(fine)
     else:
         raise ValueError(kind)
-    R = Xi.T @ (Psi * w[:, None])
-    return SideCoupling(block, kind, R, mass)
+    return block.scalar_values(s).T @ (Psi * w[:, None])
 
 
-def jump(space, side_entries):
-    """Assemble b_Lambda(v, .) from per-side trace functionals.
+def jump(n_dof, dofs, parts):
+    """Global mortar vector: sum over subdomains i of parts[i] at dofs[i].
 
-    side_entries: list of (iface_index, sigma, funcs) where sigma is the
-    side sign (+1 lower id, -1 higher) and funcs is a tuple of per-component
-    functional vectors (scalar interfaces: one entry; ss: normal, tangent).
-    The signed sum realizes [v.n] = v_i.n_i + v_j.n_j. Every interface that
-    appears must appear once per side.
+    parts[i] is a local mortar vector of subdomain i in the order of its
+    dofs (StokesDarcyProblem.sub_dofs). With parts[i] = F_i u_i this is the
+    flux jump sum_i <u_i.n_i, mu> of subdomain velocities u_i: the bar
+    right-hand side from bar solutions, S lam from star solutions. The
+    parts are added in subdomain order, so the sum is the same whichever
+    process computed them.
     """
-    out = np.zeros(space.n_dof)
-    seen = {}
-    for iface_index, sigma, funcs in side_entries:
-        b = space.blocks[iface_index]
-        if len(funcs) != b.n_comp:
-            raise ValueError(
-                f"interface {iface_index}: expected {b.n_comp} components, "
-                f"got {len(funcs)}")
-        for comp, f in enumerate(funcs):
-            out[b.component_dofs(comp)] += sigma * np.asarray(f, dtype=float)
-        seen.setdefault(iface_index, []).append(sigma)
-    for idx, sigmas in seen.items():
-        if sorted(sigmas) != [-1, 1]:
-            raise RuntimeError(f"interface {idx}: jump needs both sides")
+    out = np.zeros(n_dof)
+    for d, part in zip(dofs, parts):
+        out[d] += part
     return out

@@ -123,7 +123,7 @@ def run_manifest(cfg, problem, grid, result):
             str(i): int(count_local_realizations(grid, i))
             for i in range(n_regions)},
         "subdomain_dofs": {
-            str(sid): int(problem.space.sub_dofs(layout, sid).size)
+            str(sid): int(problem.sub_dofs[sid].size)
             for sid in range(layout.n_subdomains)},
         "cg_iters": [int(n) for n in stats.cg_iters],
         "cg_final_residual": [res[-1] if res else 0.0

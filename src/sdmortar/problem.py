@@ -2,8 +2,8 @@
 
 A StokesDarcyProblem bundles everything that does not depend on the
 stochastic realization: the layout and per-subdomain meshes, the mortar
-space with its side couplings, outer boundary conditions, body forces, and
-the log-permeability field.
+space and each subdomain's mortar dofs, outer boundary conditions, body
+forces, and the log-permeability field.
 
 Each subdomain is split into a realization-invariant system (a DarcySystem
 or StokesSystem, built once by `systems()` and cached) and a
@@ -12,15 +12,16 @@ update the sweep's mean-field `stokes_reference`. The invariant system holds
 the sparse coupling maps of subdomain i:
 
 * F_i: full velocity -> signed local mortar functionals <v.n, xi_m>, in
-  MortarSpace.sub_dofs order, so the jump is sum_i scatter(F_i u_i);
+  `sub_dofs[i]` order, so the jump is sum_i scatter(F_i u_i);
 * E_i = -F_i^T on the velocity unknowns: local mortar vector -> star
   right-hand side. The L2 projection of the mortar onto the trace space
   cancels against the trace mass, so E_i is the signed pairing R^T placed
   on the trace rows.
 
-`star_data` and `side_functionals` are the dict-based reference path the
-maps are tested against; the bar side of the interface problem still uses
-them once per realization.
+The interface solver couples through three steps: `star_data` restricts a
+global mortar vector to subdomain i (lam_i, which E_i turns into a star
+load), `side_functionals` applies F_i to a subdomain solution, and
+mortar.jump scatters and sums the subdomains' results.
 """
 
 from dataclasses import dataclass, field
@@ -30,6 +31,7 @@ import scipy.sparse as sp
 
 from . import darcy, stokes
 from .geometry import build_subdomain_mesh, side_of_interface
+from .mortar import pairing
 
 
 @dataclass(frozen=True)
@@ -51,15 +53,15 @@ class StokesDarcyProblem:
     f_d: object = None
     q_d: object = None
     traces: dict = field(init=False)
-    couplings: dict = field(init=False)
+    sub_dofs: list = field(init=False)
     kl_cells: dict = field(init=False)
     _systems: list = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        from .mortar import build_side_coupling
-
-        self.traces = {sid: [] for sid in range(self.layout.n_subdomains)}
-        self.couplings = {}
+        n_sub = self.layout.n_subdomains
+        self.traces = {sid: [] for sid in range(n_sub)}
+        self.sub_dofs = [self.space.sub_dofs(self.layout, sid)
+                         for sid in range(n_sub)]
         self.kl_cells = {}
         for g in self.layout.interfaces:
             for sid in (g.i, g.j):
@@ -67,13 +69,9 @@ class StokesDarcyProblem:
                 mesh = self.meshes[sid]
                 if block.physics == "darcy":
                     tr = darcy.interface_trace(mesh, block, g)
-                    kind = "darcy"
                 else:
                     tr = stokes.interface_trace(mesh, block, g, sid)
-                    kind = "stokes"
                 self.traces[sid].append(tr)
-                self.couplings[(g.index, sid)] = build_side_coupling(
-                    self.space.block(g.index), tr.s_breaks, kind)
             if g.kind == "sd":
                 s_sid = g.i if self.layout.physics(g.i) == "stokes" else g.j
                 d_sid = g.j if s_sid == g.i else g.i
@@ -130,11 +128,12 @@ class StokesDarcyProblem:
     def _coupling(self, sid, trace_maps):
         """F_i: full velocity -> signed local mortar functionals."""
         mesh = self.meshes[sid]
+        kind = self.layout.physics(sid)
         by_iface = {t.iface: t for t in self.traces[sid]}
         rows = []
         for g in self.layout.interfaces_of(sid):
             mb = self.space.block(g.index)
-            R = sp.csr_matrix(self.couplings[(g.index, sid)].R)
+            R = sp.csr_matrix(pairing(mb, by_iface[g.index].s_breaks, kind))
             comps = sp.vstack([
                 g.side_sign(sid) * (R @ T)
                 for T in trace_maps(mesh, by_iface[g.index])[:mb.n_comp]
@@ -193,46 +192,18 @@ class StokesDarcyProblem:
                 for idx, (d_sid, cells) in self.kl_cells.get(sid, {}).items()}
 
     def star_data(self, sid, lam):
-        """Project a global mortar vector onto subdomain sid's trace spaces.
+        """lam_i: the global mortar vector lam on subdomain sid's dofs.
 
-        Reference path: operators' solve_star accepts the returned dict.
+        A star solve turns it into its load E_i lam_i.
         """
-        block = self.layout.blocks[sid]
-        data = {}
-        for g in self.layout.interfaces_of(sid):
-            mb = self.space.block(g.index)
-            coup = self.couplings[(g.index, sid)]
-            c_n = lam[mb.component_dofs(0)]
-            if block.physics == "darcy":
-                data[g.index] = coup.to_trace(c_n)
-            else:
-                lam_n = coup.to_trace(c_n)
-                lam_t = None
-                if mb.n_comp == 2:
-                    lam_t = coup.to_trace(lam[mb.component_dofs(1)])
-                data[g.index] = (lam_n, lam_t)
-        return data
+        return lam[self.sub_dofs[sid]]
 
-    def side_functionals(self, sid, op, sol):
-        """Mortar-side response entries of one subdomain solution.
+    def side_functionals(self, sid, sol):
+        """F_i u: signed local mortar functionals of a solution of sid.
 
-        Reference path of F_i; `jump` sums the entries of all subdomains.
+        sol.u may carry a trailing axis of columns (a block star solve).
         """
-        block = self.layout.blocks[sid]
-        entries = []
-        for g in self.layout.interfaces_of(sid):
-            coup = self.couplings[(g.index, sid)]
-            if block.physics == "darcy":
-                flux = op.flux_on_interface(sol, g.index)
-                funcs = (coup.functional(flux),)
-            else:
-                un, ut = op.velocity_trace(sol, g.index)
-                if self.space.block(g.index).n_comp == 2:
-                    funcs = (coup.functional(un), coup.functional(ut))
-                else:
-                    funcs = (coup.functional(un),)
-            entries.append((g.index, g.side_sign(sid), funcs))
-        return entries
+        return self.systems()[sid].coupling.functionals(sol.u)
 
     def postprocess(self, sid, op, sol):
         """Output fields of one subdomain: dof vectors and cell samples."""

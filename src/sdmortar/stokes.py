@@ -30,10 +30,12 @@ itself. The interface solver keeps one per Stokes subdomain per sweep, at
 the mean field. StokesSystem.factor is a reference at the given
 coefficients: its operator solves with a sparse LU of its own matrix.
 
-Interface data lives in the fixed interface frame (n, tau): a solve with
-data (lam_n, lam_tau) adds -sigma * <lam_n, v.n> - sigma * <lam_tau, v.tau>
-to the right-hand side, where sigma = +1 on the lower-id side and -1 on the
-higher-id side; this makes the two sides' conventions mutually adjoint.
+Interface data lives in the fixed interface frame (n, tau): a star solve
+with the mortar function (lam_n, lam_tau) adds
+-sigma * <lam_n, v.n> - sigma * <lam_tau, v.tau> to the right-hand side
+(the load E_i lam of the coupling maps, see problem.py), where sigma = +1
+on the lower-id side and -1 on the higher-id side; this makes the two
+sides' conventions mutually adjoint.
 """
 
 from dataclasses import dataclass
@@ -131,8 +133,8 @@ class StokesSolution:
 def trace_maps(mesh, trace):
     """Full velocity -> (u.n, u.tau) at the trace nodes, fixed interface frame.
 
-    Two sparse maps of shape (2 n_edges + 1, 2 n_p2), the linear form of
-    velocity_trace.
+    Two sparse maps of shape (2 n_edges + 1, 2 n_p2), one row per trace
+    node (vertex, midpoint, vertex, ...).
     """
     nodes = trace.nodes
     k = np.arange(len(nodes))
@@ -440,31 +442,6 @@ class StokesSystem:
                     Fu[2 * node + 1] += gw * 0.5 * L * ty * N[i]
         return Fu
 
-    def trace_load(self, lam):
-        """Star load of nodal interface data, on the free velocity rows.
-
-        `lam` maps interface index -> (lam_n, lam_tau) nodal trace values
-        (lam_tau may be None on sd interfaces); the load is
-        -sigma <lam_n, v.n> - sigma <lam_tau, v.tau>.
-        """
-        Fu = np.zeros(self.n_udof)
-        for idx, (lam_n, lam_t) in lam.items():
-            t = self.traces[idx]
-            nvec = np.asarray(t.normal)
-            tvec = np.asarray(t.tangent)
-            comps = [(np.asarray(lam_n, dtype=float), nvec)]
-            if lam_t is not None:
-                comps.append((np.asarray(lam_t, dtype=float), tvec))
-            for vals, direction in comps:
-                for e_idx, triple in enumerate(t.edges):
-                    L = t.s_breaks[e_idx + 1] - t.s_breaks[e_idx]
-                    loc = vals[2 * e_idx:2 * e_idx + 3]
-                    contrib = -t.sigma * L * (EDGE_MASS @ loc)
-                    for i, node in enumerate(triple):
-                        Fu[2 * node] += direction[0] * contrib[i]
-                        Fu[2 * node + 1] += direction[1] * contrib[i]
-        return Fu[self.free]
-
     def _bar_load(self, coef):
         return np.concatenate([self._bar_u0 - self._bar_bjs @ coef,
                                self._bar_p])
@@ -552,7 +529,6 @@ class StokesOperator:
     def __init__(self, system, lu, kernel_dim, bar_load):
         self.system = system
         self.mesh = system.mesh
-        self.traces = system.traces
         self.lu = lu  # factors of the pressure-scaled (bordered) matrix
         self.kernel_dim = kernel_dim
         self.bar_load = bar_load
@@ -587,32 +563,16 @@ class StokesOperator:
     def solve_star(self, lam):
         """Solve with interface data only: -sigma <lam_n, v.n> - sigma <lam_t, v.tau>.
 
-        `lam` is the local mortar vector of this subdomain (star load
-        E @ lam), a block (n_local, m) of such vectors, solved together as
-        m backsolves into fields with a trailing axis of m columns, or the
-        dict of nodal trace values that StokesDarcyProblem.star_data returns
-        (see StokesSystem.trace_load). Homogeneous outer data.
+        `lam` is the local mortar vector of this subdomain, whose star load
+        is E @ lam (CouplingMaps.star_load), or a block (n_local, m) of
+        such vectors, solved together as m backsolves into fields with a
+        trailing axis of m columns. Homogeneous outer data.
         """
-        if isinstance(lam, dict):
-            return self._solve(self.system.trace_load(lam), lift=False)
         system = self.system
         return self._solve(system.coupling.star_load(lam, len(system.free)),
                            lift=False)
 
     # -- postprocessing -----------------------------------------------------
-
-    def velocity_trace(self, sol, iface_index):
-        """(u.n, u.tau) flat nodal values in the fixed interface frame.
-
-        Arrays have length 2*n_edges + 1, matching the 1D quadratic trace
-        lattice (vertex, midpoint, vertex, ...) that solve_star consumes.
-        """
-        t = self.traces[iface_index]
-        ux = sol.u[2 * t.nodes]
-        uy = sol.u[2 * t.nodes + 1]
-        n = t.normal
-        tau = t.tangent
-        return ux * n[0] + uy * n[1], ux * tau[0] + uy * tau[1]
 
     def cell_values(self, sol):
         """Velocity and pressure at triangle centroids: (n_tri, 2), (n_tri,)."""

@@ -1,12 +1,16 @@
 """Independent reference solvers used only by the tests."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from sdmortar.darcy import DarcyOperator
 from sdmortar.errors import ConvergenceError
 from sdmortar.interface import star_response
-from sdmortar.stokes import _QP, _QW, _p2_shapes
+from sdmortar.mortar import pairing
+from sdmortar.stokes import _QP, _QW, EDGE_MASS, _p2_shapes
 
 
 def monolithic_rt0(rect, nx, ny, K, nu=1.0, p_left=1.0, p_right=0.0):
@@ -139,7 +143,7 @@ def per_column_flux_basis(problem, sid, op):
     unit = np.zeros(nd)
     for j in range(nd):
         unit[j] = 1.0
-        B[:, j] = star_response(op, unit)
+        B[:, j] = star_response(problem, sid, op, unit)
         unit[j] = 0.0
     return dofs, B
 
@@ -165,3 +169,192 @@ def loop_body_force(system):
             Fu[2 * nd] += w * detJ * fx * N
             Fu[2 * nd + 1] += w * detJ * fy * N
     return Fu
+
+
+# -- the dict-based coupling path --------------------------------------------
+#
+# Before the coupling maps E_i/F_i the program coupled a subdomain to the
+# mortar interface by interface: it L2-projected the mortar onto the fine
+# trace space (star_data), built the star load from those trace values
+# (trace_load), paired the traces of a solution back against the mortar
+# basis (side_functionals) and summed the signed per-side entries
+# (entry_jump). The maps must reproduce it to round-off.
+
+
+def p2_trace_mass(fine_breaks):
+    """1D continuous-quadratic mass matrix on the fine partition (dense)."""
+    n = len(fine_breaks) - 1
+    M = np.zeros((2 * n + 1, 2 * n + 1))
+    unit = np.array([[4, 2, -1], [2, 16, 2], [-1, 2, 4]]) / 30.0
+    for e in range(n):
+        L = fine_breaks[e + 1] - fine_breaks[e]
+        idx = [2 * e, 2 * e + 1, 2 * e + 2]
+        M[np.ix_(idx, idx)] += L * unit
+    return M
+
+
+@dataclass
+class SideCoupling:
+    """Exact coupling of one mortar block to one subdomain's trace space."""
+
+    block: object  # mortar.MortarBlock
+    kind: str  # "darcy" | "stokes"
+    R: np.ndarray  # (n_scalar, n_trace_items)
+    mass: np.ndarray  # diag lengths (darcy) or dense P2 mass (stokes)
+
+    def to_trace(self, coeffs_scalar):
+        """L2 projection of a scalar mortar function onto the trace space."""
+        rhs = self.R.T @ np.asarray(coeffs_scalar, dtype=float)
+        if self.kind == "darcy":
+            return rhs / self.mass
+        return np.linalg.solve(self.mass, rhs)
+
+    def functional(self, g):
+        """<g, xi_m> for a trace-space function g (nodal/per-edge values)."""
+        return self.R @ np.asarray(g, dtype=float)
+
+
+def side_coupling(block, fine_breaks, kind):
+    """SideCoupling of a mortar block to a trace with these breakpoints."""
+    fine = np.asarray(fine_breaks, dtype=float)
+    mass = np.diff(fine) if kind == "darcy" else p2_trace_mass(fine)
+    return SideCoupling(block, kind, pairing(block, fine, kind), mass)
+
+
+def component_dofs(block, comp):
+    """Global dof ids of one component of a mortar block, scalar-ordered."""
+    return block.offset + np.arange(block.n_scalar) * block.n_comp + comp
+
+
+def entry_jump(space, side_entries):
+    """Assemble b_Lambda(v, .) from per-side trace functionals.
+
+    side_entries: list of (iface_index, sigma, funcs) where sigma is the
+    side sign (+1 lower id, -1 higher) and funcs is a tuple of per-component
+    functional vectors (scalar interfaces: one entry; ss: normal, tangent).
+    The signed sum realizes [v.n] = v_i.n_i + v_j.n_j. Every interface that
+    appears must appear once per side.
+    """
+    out = np.zeros(space.n_dof)
+    seen = {}
+    for iface_index, sigma, funcs in side_entries:
+        b = space.blocks[iface_index]
+        if len(funcs) != b.n_comp:
+            raise ValueError(
+                f"interface {iface_index}: expected {b.n_comp} components, "
+                f"got {len(funcs)}")
+        for comp, f in enumerate(funcs):
+            out[component_dofs(b, comp)] += sigma * np.asarray(f, dtype=float)
+        seen.setdefault(iface_index, []).append(sigma)
+    for idx, sigmas in seen.items():
+        if sorted(sigmas) != [-1, 1]:
+            raise RuntimeError(f"interface {idx}: jump needs both sides")
+    return out
+
+
+def flux_on_interface(trace, sol):
+    """Darcy u.n in the fixed interface frame, one value per fine edge."""
+    return trace.normal_sign * sol.u[trace.edges]
+
+
+def velocity_trace(trace, sol):
+    """Stokes (u.n, u.tau) flat nodal values in the fixed interface frame.
+
+    Arrays have length 2*n_edges + 1, the 1D quadratic trace lattice
+    (vertex, midpoint, vertex, ...) that solve_star consumes.
+    """
+    ux = sol.u[2 * trace.nodes]
+    uy = sol.u[2 * trace.nodes + 1]
+    n, tau = trace.normal, trace.tangent
+    return ux * n[0] + uy * n[1], ux * tau[0] + uy * tau[1]
+
+
+def _darcy_trace_load(op, traces, data):
+    """-<lam, v.n_out> of per-edge values lam on each trace."""
+    system = op.system
+    rhs = np.zeros(system.n_u + system.n_p)
+    for idx, vals in data.items():
+        t = traces[idx]
+        lengths = np.array([op.mesh.edge_length(e) for e in t.edges])
+        rhs[system.red_index[t.edges]] -= (t.sigma_out * np.asarray(vals)
+                                           * lengths)
+    return rhs
+
+
+def _stokes_trace_load(op, traces, data):
+    """-sigma <lam_n, v.n> - sigma <lam_tau, v.tau> of nodal trace values.
+
+    data maps interface index -> (lam_n, lam_tau); lam_tau may be None.
+    """
+    system = op.system
+    Fu = np.zeros(system.n_udof)
+    for idx, (lam_n, lam_t) in data.items():
+        t = traces[idx]
+        comps = [(np.asarray(lam_n, dtype=float), np.asarray(t.normal))]
+        if lam_t is not None:
+            comps.append((np.asarray(lam_t, dtype=float),
+                          np.asarray(t.tangent)))
+        for vals, direction in comps:
+            for e_idx, triple in enumerate(t.edges):
+                L = t.s_breaks[e_idx + 1] - t.s_breaks[e_idx]
+                loc = vals[2 * e_idx:2 * e_idx + 3]
+                contrib = -t.sigma * L * (EDGE_MASS @ loc)
+                for i, node in enumerate(triple):
+                    Fu[2 * node] += direction[0] * contrib[i]
+                    Fu[2 * node + 1] += direction[1] * contrib[i]
+    return Fu[system.free]
+
+
+def solve_star(op, traces, data):
+    """Star solve of an operator with per-interface trace data.
+
+    traces are the subdomain's interface traces; data maps interface index
+    -> per-edge values (Darcy) or (lam_n, lam_tau) nodal values (Stokes),
+    as star_data returns them. One backsolve.
+    """
+    traces = {t.iface: t for t in traces}
+    if isinstance(op, DarcyOperator):
+        return op._solve(_darcy_trace_load(op, traces, data))
+    return op._solve(_stokes_trace_load(op, traces, data), lift=False)
+
+
+def _sides(problem, sid):
+    """(interface, trace, SideCoupling) of every interface of sid."""
+    kind = problem.layout.physics(sid)
+    by_iface = {t.iface: t for t in problem.traces[sid]}
+    for g in problem.layout.interfaces_of(sid):
+        t = by_iface[g.index]
+        yield g, t, side_coupling(problem.space.block(g.index), t.s_breaks,
+                                  kind)
+
+
+def star_data(problem, sid, lam):
+    """Project a global mortar vector onto subdomain sid's trace spaces."""
+    darcy = problem.layout.physics(sid) == "darcy"
+    data = {}
+    for g, _, coup in _sides(problem, sid):
+        mb = coup.block
+        lam_n = coup.to_trace(lam[component_dofs(mb, 0)])
+        if darcy:
+            data[g.index] = lam_n
+        else:
+            lam_t = None
+            if mb.n_comp == 2:
+                lam_t = coup.to_trace(lam[component_dofs(mb, 1)])
+            data[g.index] = (lam_n, lam_t)
+    return data
+
+
+def side_functionals(problem, sid, sol):
+    """Signed per-side entries (iface, sigma, funcs) of a solution of sid."""
+    darcy = problem.layout.physics(sid) == "darcy"
+    entries = []
+    for g, t, coup in _sides(problem, sid):
+        if darcy:
+            funcs = (coup.functional(flux_on_interface(t, sol)),)
+        else:
+            un, ut = velocity_trace(t, sol)
+            funcs = (coup.functional(un), coup.functional(ut))
+            funcs = funcs[:coup.block.n_comp]
+        entries.append((g.index, g.side_sign(sid), funcs))
+    return entries

@@ -1,10 +1,11 @@
 """Coupling maps E_i/F_i against the dict-based reference path.
 
-The reference path projects the mortar onto the trace spaces
-(StokesDarcyProblem.star_data), solves with per-edge/nodal data, and sums
-per-side functionals (side_functionals + jump). The maps must reproduce it
-to round-off for the S1 apply, the flux bases, the bar jump and the
-recovered fields, on the shipped configs and on random small tilings.
+The reference path (tests/_oracles.py) projects the mortar onto the trace
+spaces (star_data), solves with per-edge/nodal data, and sums per-side
+functionals (side_functionals + entry_jump). The maps must reproduce it
+to round-off for the S1 apply, the flux bases, the bar jump that the
+interface solver ships and the recovered fields, on the shipped configs
+and on random small tilings.
 """
 
 import numpy as np
@@ -14,12 +15,13 @@ from hypothesis import strategies as st
 
 from sdmortar.darcy import DarcyBC
 from sdmortar.geometry import Block, build_layout, build_subdomain_mesh
-from sdmortar.interface import (SolveStats, compute_flux_basis,
+from sdmortar.interface import (SolveStats, _Groups, compute_flux_basis,
                                 recover_fields, star_response)
-from sdmortar.mortar import build_mortar_space, jump
+from sdmortar.mortar import build_mortar_space
 from sdmortar.problem import Physics, build_problem
 from sdmortar.stokes import StokesBC
 
+import _oracles as oracles
 from conftest import load_case
 
 TOL = 1e-12
@@ -32,8 +34,9 @@ def _close(got, want):
 
 def _reference_star(problem, sid, op, lam):
     """Signed global mortar functionals of the star solve for global lam."""
-    sol = op.solve_star(problem.star_data(sid, lam))
-    return sol, problem.side_functionals(sid, op, sol)
+    sol = oracles.solve_star(op, problem.traces[sid],
+                             oracles.star_data(problem, sid, lam))
+    return sol, oracles.side_functionals(problem, sid, sol)
 
 
 def _scatter(problem, entries):
@@ -41,14 +44,16 @@ def _scatter(problem, entries):
     for idx, sigma, funcs in entries:
         block = problem.space.block(idx)
         for comp, f in enumerate(funcs):
-            out[block.component_dofs(comp)] += sigma * f
+            out[oracles.component_dofs(block, comp)] += sigma * f
     return out
 
 
-def assert_maps_match_dicts(problem, K_fields, rng):
+def assert_maps_match_dicts(problem, y, rng):
+    """Maps against the dict path at the permeability of point y."""
     n_sub = problem.layout.n_subdomains
     sids = list(range(n_sub))
     stats = SolveStats.new("S2", n_sub)
+    K_fields = problem.permeability(y)
     ops = [problem.assemble_subdomain(sid, K_fields) for sid in sids]
     dofs = [problem.space.sub_dofs(problem.layout, sid) for sid in sids]
 
@@ -57,7 +62,8 @@ def assert_maps_match_dicts(problem, K_fields, rng):
         lam = rng.standard_normal(problem.space.n_dof)
         for sid in sids:
             _, entries = _reference_star(problem, sid, ops[sid], lam)
-            assert _close(star_response(ops[sid], lam[dofs[sid]]),
+            assert _close(star_response(problem, sid, ops[sid],
+                                        lam[dofs[sid]]),
                           -_scatter(problem, entries)[dofs[sid]])
 
     # flux bases, column by column
@@ -72,18 +78,18 @@ def assert_maps_match_dicts(problem, K_fields, rng):
             ref[:, j] = -_scatter(problem, entries)[dofs[sid]]
         assert _close(B, ref)
 
-    # bar jump: F_i on the bar velocity includes the Dirichlet lift
-    bars = [op.solve_bar() for op in ops]
-    g = jump(problem.space, [e for sid in sids for e in
-                             problem.side_functionals(sid, ops[sid],
-                                                      bars[sid])])
-    from_maps = np.zeros(problem.space.n_dof)
-    for sid in sids:
-        from_maps[dofs[sid]] += ops[sid].system.coupling.functionals(
-            bars[sid].u)
-    assert _close(from_maps, g)
+    # the bar jump the interface solver ships, against the dict jump of the
+    # same bar solutions; F_i on the bar velocity includes the Dirichlet lift
+    with _Groups(problem, "S1", 1, SolveStats.new("S1", n_sub)) as groups:
+        g, _ = groups.realize(0, y)
+        ship_bars = groups._local.bars
+        want = oracles.entry_jump(problem.space, [
+            e for sid in sids
+            for e in oracles.side_functionals(problem, sid, ship_bars[sid])])
+        assert _close(g, want)
 
     # recovered fields
+    bars = [op.solve_bar() for op in ops]
     lam = rng.standard_normal(problem.space.n_dof)
     for sid in sids:
         fields = recover_fields(problem, sid, ops[sid], bars[sid],
@@ -100,8 +106,7 @@ def assert_maps_match_dicts(problem, K_fields, rng):
 def test_maps_match_dict_path_on_shipped_configs(name):
     case = load_case(name)
     y = case.grid.points[min(3, case.grid.n_real - 1)]
-    assert_maps_match_dicts(case.problem, case.problem.permeability(y),
-                            np.random.default_rng(5))
+    assert_maps_match_dicts(case.problem, y, np.random.default_rng(5))
 
 
 def _mortar_count(length, h_max, draw_frac):
@@ -118,10 +123,11 @@ def tilings(draw):
     blocks = []
     for iy in range(rows):
         for ix in range(cols):
+            kind = draw(st.sampled_from(["stokes", "darcy"]))
+            region = len(blocks) if kind == "darcy" else None
             blocks.append(Block(
-                (ix * width, float(iy), (ix + 1) * width, iy + 1.0),
-                draw(st.sampled_from(["stokes", "darcy"])),
-                (draw(st.integers(2, 6)), draw(st.integers(2, 6))), 0))
+                (ix * width, float(iy), (ix + 1) * width, iy + 1.0), kind,
+                (draw(st.integers(2, 6)), draw(st.integers(2, 6))), region))
     layout = build_layout(blocks)
     meshes = {sid: build_subdomain_mesh(b) for sid, b in enumerate(blocks)}
     counts = {}
@@ -148,16 +154,33 @@ def tilings(draw):
                     StokesBC("stress"),
                     StokesBC("velocity", lambda x, y, v=v: (v, 0.5 * v * x))]))
         bcs[sid] = sides
-    problem = build_problem(layout, space, None, physics, bcs, meshes=meshes)
     seed = draw(st.integers(0, 2 ** 16))
     rng = np.random.default_rng(seed)
     K = {sid: np.exp(rng.standard_normal(meshes[sid].nx * meshes[sid].ny))
          for sid, b in enumerate(blocks) if b.physics == "darcy"}
-    return problem, K, rng
+    problem = build_problem(layout, space, _CellField(K), physics, bcs,
+                            meshes=meshes)
+    return problem, rng
+
+
+class _CellField:
+    """Stand-in permeability field: K_r ** y[0] on region r.
+
+    Every Darcy block of a tiling is its own region with random per-cell
+    values K_r, so y = (1,) gives K_r and the mean field y = (0,) ones.
+    """
+
+    n_dims = 1
+
+    def __init__(self, K):
+        self.K = K
+
+    def realize(self, region, x, y, y_global):
+        return self.K[region] ** y_global[0]
 
 
 @settings(max_examples=20, deadline=None)
 @given(tilings())
 def test_maps_match_dict_path_on_random_tilings(case):
-    problem, K, rng = case
-    assert_maps_match_dicts(problem, K, rng)
+    problem, rng = case
+    assert_maps_match_dicts(problem, np.ones(1), rng)

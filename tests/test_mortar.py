@@ -6,8 +6,10 @@ import pytest
 from sdmortar.darcy import interface_trace as darcy_trace
 from sdmortar.errors import ConfigError
 from sdmortar.geometry import Block, build_layout, build_subdomain_mesh
-from sdmortar.mortar import build_mortar_space, build_side_coupling, jump
+from sdmortar.mortar import build_mortar_space
 from sdmortar.stokes import interface_trace as stokes_trace
+
+from _oracles import component_dofs, entry_jump, side_coupling
 
 
 @pytest.fixture(scope="module")
@@ -23,8 +25,8 @@ def dd():
     tr0 = darcy_trace(meshes[0], layout.blocks[0], g)
     tr1 = darcy_trace(meshes[1], layout.blocks[1], g)
     mb = space.block(0)
-    c0 = build_side_coupling(mb, tr0.s_breaks, "darcy")
-    c1 = build_side_coupling(mb, tr1.s_breaks, "darcy")
+    c0 = side_coupling(mb, tr0.s_breaks, "darcy")
+    c1 = side_coupling(mb, tr1.s_breaks, "darcy")
     return layout, meshes, space, (tr0, tr1), (c0, c1)
 
 
@@ -84,7 +86,7 @@ def sd():
     space = build_mortar_space(layout, meshes, {0: 2}, degree=1)
     g = layout.interfaces[0]
     tr = stokes_trace(meshes[1], layout.blocks[1], g, 1)
-    coup = build_side_coupling(space.block(0), tr.s_breaks, "stokes")
+    coup = side_coupling(space.block(0), tr.s_breaks, "stokes")
     return layout, space, tr, coup
 
 
@@ -112,20 +114,20 @@ def test_jump_of_matching_constants(dd):
     _, _, space, _, (c0, c1) = dd
     entries = [(0, +1, (c0.functional(np.ones(4)),)),
                (0, -1, (c1.functional(np.ones(6)),))]
-    assert np.allclose(jump(space, entries), 0.0)
+    assert np.allclose(entry_jump(space, entries), 0.0)
 
 
 def test_jump_requires_both_sides(dd):
     _, _, space, _, (c0, _) = dd
     with pytest.raises(RuntimeError, match="both sides"):
-        jump(space, [(0, +1, (c0.functional(np.ones(4)),))])
+        entry_jump(space, [(0, +1, (c0.functional(np.ones(4)),))])
 
 
 def test_jump_component_count_checked(dd):
     _, _, space, _, (c0, _) = dd
     f = c0.functional(np.ones(4))
     with pytest.raises(ValueError, match="components"):
-        jump(space, [(0, +1, (f, f)), (0, -1, (f, f))])
+        entry_jump(space, [(0, +1, (f, f)), (0, -1, (f, f))])
 
 
 def test_coarse_condition_guard(dd):
@@ -141,7 +143,7 @@ def test_degree0_identity_on_matching_side(dd):
     """A degree-0 mortar matching the fine grid is the identity map."""
     layout, meshes, _, (tr0, _), _ = dd
     sp = build_mortar_space(layout, meshes, {0: 4}, degree=0, allow_fine=True)
-    coup = build_side_coupling(sp.block(0), tr0.s_breaks, "darcy")
+    coup = side_coupling(sp.block(0), tr0.s_breaks, "darcy")
     vals = np.arange(4.0)
     assert np.allclose(coup.to_trace(vals), vals)
     assert sp.block(0).n_scalar == 4
@@ -157,8 +159,8 @@ def test_ss_interface_has_two_components():
     mb = space.block(0)
     assert mb.n_comp == 2
     assert mb.n_dof == 8
-    n = mb.component_dofs(0)
-    t = mb.component_dofs(1)
+    n = component_dofs(mb, 0)
+    t = component_dofs(mb, 1)
     assert np.array_equal(np.sort(np.concatenate([n, t])), np.arange(8))
 
 

@@ -9,6 +9,8 @@ from sdmortar.errors import SingularOperatorError
 from sdmortar.geometry import Block, build_layout, build_subdomain_mesh
 from sdmortar.stokes import StokesBC, assemble_stokes, interface_trace
 
+from _oracles import solve_star, velocity_trace
+
 NU = 0.7
 
 
@@ -174,21 +176,21 @@ def sd_setup(n=8, alpha=0.0, kvals=None, top=None):
 
 def test_bjs_slip_behavior():
     """No friction passes the lid motion through; strong friction stops it."""
-    g, tr, op0 = sd_setup(alpha=0.0)
+    _, tr, op0 = sd_setup(alpha=0.0)
     sol0 = op0.solve_bar()
-    un0, ut0 = op0.velocity_trace(sol0, g.index)
+    un0, ut0 = velocity_trace(tr, sol0)
     # free slip: uniform translation is the exact solution
     assert np.allclose(ut0, 1.0, atol=1e-10)
     assert np.allclose(un0, 0.0, atol=1e-10)
 
     _, _, op_inf = sd_setup(alpha=1e8)
     sol_inf = op_inf.solve_bar()
-    _, ut_inf = op_inf.velocity_trace(sol_inf, g.index)
+    _, ut_inf = velocity_trace(tr, sol_inf)
     assert np.max(np.abs(ut_inf)) < 1e-4
 
     _, _, op1 = sd_setup(alpha=5.0)
     sol1 = op1.solve_bar()
-    _, ut1 = op1.velocity_trace(sol1, g.index)
+    _, ut1 = velocity_trace(tr, sol1)
     assert np.all(ut1 > 1e-3)
     assert np.all(ut1 < 0.999)
 
@@ -271,8 +273,8 @@ def test_star_solve_ignores_outer_dirichlet():
     g, tr, op_a = sd_setup(alpha=0.0, top=lambda x, y: (1.0, 0.0))
     _, _, op_b = sd_setup(alpha=0.0, top=lambda x, y: (-3.0, 0.0))
     lam_n = np.linspace(0.0, 1.0, 2 * 8 + 1)
-    sa = op_a.solve_star({g.index: (lam_n, None)})
-    sb = op_b.solve_star({g.index: (lam_n, None)})
+    sa = solve_star(op_a, [tr], {g.index: (lam_n, None)})
+    sb = solve_star(op_b, [tr], {g.index: (lam_n, None)})
     assert np.allclose(sa.u, sb.u, atol=1e-13)
     assert np.allclose(sa.p, sb.p, atol=1e-13)
 
@@ -282,18 +284,18 @@ def test_star_linearity():
     rng = np.random.default_rng(11)
     a = rng.standard_normal(2 * 8 + 1)
     b = rng.standard_normal(2 * 8 + 1)
-    sa = op.solve_star({g.index: (a, None)})
-    sb = op.solve_star({g.index: (b, None)})
-    sab = op.solve_star({g.index: (a + 2 * b, None)})
+    sa = solve_star(op, [tr], {g.index: (a, None)})
+    sb = solve_star(op, [tr], {g.index: (b, None)})
+    sab = solve_star(op, [tr], {g.index: (a + 2 * b, None)})
     assert np.allclose(sab.u, sa.u + 2 * sb.u, atol=1e-11)
     assert np.allclose(sab.p, sa.p + 2 * sb.p, atol=1e-11)
 
 
 def test_velocity_trace_frame():
     """Trace values are the solution sampled in the fixed (n, tau) frame."""
-    g, tr, op = sd_setup(alpha=0.0)
+    _, tr, op = sd_setup(alpha=0.0)
     sol = op.solve_bar()
-    un, ut = op.velocity_trace(sol, g.index)
+    un, ut = velocity_trace(tr, sol)
     assert un.shape == ut.shape == (2 * 8 + 1,)
     ux = sol.u[2 * tr.nodes]
     uy = sol.u[2 * tr.nodes + 1]

@@ -6,7 +6,8 @@ first, and writes a JSON summary: for every end-to-end metric of
 BENCHMARK.json its median and quartiles per side, the per-pair change
 and how many pairs the working tree won. Timed runs last perfbench's own
 default time. One `--trace 1` run per side at seed 0 adds the exact
-counters. The workloads default to those of BENCHMARK.json. Run from the
+counters, and the line count of every src/sdmortar/*.py is recorded per
+side. The workloads default to those of BENCHMARK.json. Run from the
 root of a source checkout:
 
     python3 tools/bench_pairs.py --parent HEAD --seeds 1-10 \\
@@ -52,6 +53,11 @@ def _parser():
     return p
 
 
+def _git(*args):
+    return subprocess.run(["git", *args], capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
 def extract(rev, dest):
     """The tree of git revision rev, written to dest; its full hash."""
     if os.path.isdir(dest) and os.listdir(dest):
@@ -61,8 +67,26 @@ def extract(rev, dest):
                          capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
         tf.extractall(dest, filter="data")
-    return subprocess.run(["git", "rev-parse", rev], capture_output=True,
-                          text=True, check=True).stdout.strip()
+    return _git("rev-parse", rev)
+
+
+def working_tree():
+    """The commit checked out here, marked when the tree differs from it."""
+    head = _git("rev-parse", "HEAD")
+    dirty = bool(_git("status", "--porcelain"))
+    return f"working tree on {head}" if dirty else head
+
+
+def source_loc(root):
+    """Line count of every src/sdmortar/*.py under root, and their total."""
+    pkg = os.path.join(root, "src", "sdmortar")
+    loc = {}
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+                loc[name] = sum(1 for _ in fh)
+    loc["total"] = sum(loc.values())
+    return loc
 
 
 def run(root, workload, seed, trace):
@@ -121,9 +145,10 @@ def main(argv=None):
     parent_root = os.path.abspath(args.scratch)
     parent_rev = extract(args.parent, parent_root)
     sides = {"parent": parent_root, "change": here}
-    report = {"parent": parent_rev,
-              "change": f"working tree on {parent_rev}",
+    report = {"parent": parent_rev, "change": working_tree(),
               "seeds": args.seeds,
+              "source_loc": {side: source_loc(root)
+                             for side, root in sides.items()},
               "workloads": {}, "counters_seed0": {}, "correct": True}
     for w in workloads:
         pairs = []
