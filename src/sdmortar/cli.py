@@ -5,7 +5,8 @@ import json
 import sys
 
 from .collocation import build_sparse_grid, build_tensor_grid
-from .config import build_from_config, parse_config
+from .config import (_validate_collocation, build_from_config, load_json,
+                     parse_config)
 from .errors import ConfigError, ConvergenceError, SizeCapError
 from .random_field import CovarianceSpec, build_kl_region
 
@@ -25,19 +26,11 @@ def _fail(exc, code):
     return code
 
 
-def _load_json(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError([f"cannot read {path}: {exc}"]) from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError([f"invalid JSON in {path}: {exc}"]) from None
-
-
 def _cmd_run(args):
     from .driver import run_file
 
+    if args.workers is not None and args.workers < 1:
+        raise ConfigError(["--workers: int >= 1 required"])
     overrides = {"method": args.method, "workers": args.workers,
                  "out_dir": args.out_dir}
     problem, grid, result, paths = run_file(args.config,
@@ -82,7 +75,7 @@ def _region_specs(data):
 
 
 def _cmd_eig(args):
-    specs = _region_specs(_load_json(args.spec))
+    specs = _region_specs(load_json(args.spec))
     print("region,index,eigenvalue")
     for i, r in enumerate(specs):
         cov = CovarianceSpec(tuple(r["rect"]), r["sigma2"], tuple(r["eta"]))
@@ -95,27 +88,30 @@ def _cmd_eig(args):
 
 
 def _build_bare_grid(data):
-    kind = data.get("kind")
-    splits = data.get("splits")
-    if kind == "tensor":
-        m = data.get("m")
-        if isinstance(m, int):
-            if splits is None:
-                raise ConfigError(["grid spec: scalar m needs 'splits'"])
-            m = [m] * sum(splits)
-        if not isinstance(m, list):
-            raise ConfigError(["grid spec: m must be an int or list"])
-        return build_tensor_grid(m, splits=tuple(splits) if splits else None)
-    if kind == "sparse":
-        if splits is None:
-            raise ConfigError(["grid spec: sparse needs 'splits'"])
-        return build_sparse_grid(sum(splits), data.get("level", 0),
-                                 splits=tuple(splits))
-    raise ConfigError([f"grid spec: unknown kind {kind!r}"])
+    """Grid of a bare spec: a collocation object plus `splits`, the number
+    of random dimensions per region (optional when m is a list)."""
+    if not isinstance(data, dict):
+        raise ConfigError(["grid spec: JSON object required"])
+    spec = dict(data)
+    splits = spec.pop("splits", None)
+    errors = []
+    if splits is not None and not (isinstance(splits, list) and splits and all(
+            type(n) is int and n >= 1 for n in splits)):
+        errors.append("grid spec: splits must be a list of ints >= 1")
+    n_dims = sum(splits) if splits and not errors else None
+    col = _validate_collocation({"collocation": spec}, n_dims, errors)
+    if not errors and splits is None and not isinstance(col.get("m"), list):
+        errors.append("grid spec: 'splits' required unless m is a list")
+    if errors:
+        raise ConfigError(errors)
+    if col["kind"] == "sparse":
+        return build_sparse_grid(n_dims, col["level"], splits=tuple(splits))
+    m = col["m"] if isinstance(col["m"], list) else [col["m"]] * n_dims
+    return build_tensor_grid(m, splits=tuple(splits) if splits else None)
 
 
 def _cmd_grid(args):
-    data = _load_json(args.spec)
+    data = load_json(args.spec)
     if isinstance(data, dict) and "domain" in data:
         from .config import validate_config
 

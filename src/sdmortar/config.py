@@ -542,10 +542,20 @@ def parse_config_text(text):
     return validate_config(raw)
 
 
+def load_json(path):
+    """The JSON value in file `path`; ConfigError if unreadable or invalid."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError([f"cannot read {path}: {exc}"]) from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError([f"invalid JSON in {path}: {exc}"]) from None
+
+
 def parse_config(path):
     """Parse a JSON config file into a normalized config dict."""
-    with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    return validate_config(load_json(path))
 
 
 def serialize_config(cfg):

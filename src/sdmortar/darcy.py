@@ -44,7 +44,6 @@ class InterfaceTrace:
 
     iface: int
     edges: np.ndarray  # edge dof ids
-    sigma_out: int  # +1 if the +x/+y edge orientation is outward here
     normal_sign: int  # interface normal n = normal_sign * e_axis
     s_breaks: np.ndarray  # arclength breakpoints, len(edges) + 1
 
@@ -56,8 +55,7 @@ def interface_trace(mesh, block, iface):
     idx = edges_on_span(breaks, iface.span)
     edges = mesh.boundary_edges(side)[idx]
     s = breaks[idx[0]:idx[-1] + 2] - iface.span[0]
-    return InterfaceTrace(iface.index, edges, OUTWARD_SIGN[side],
-                          iface.normal_sign, s)
+    return InterfaceTrace(iface.index, edges, iface.normal_sign, s)
 
 
 @dataclass

@@ -7,17 +7,20 @@ problem.py), S lam = sum_i scatter(-F_i A_i^-1 E_i lam_i) and
 g = sum_i scatter(F_i u_bar,i), where A_i is the realization's factored
 operator, lam_i = problem.star_data(i, lam) the local mortar vector and
 F_i u = problem.side_functionals(i, sol). Both sums, and the apply of the
-S2/S3 bases, are one mortar.jump over the subdomains in order. Three
-drivers share that structure and differ in how S is applied:
+S2/S3 bases, are one mortar.jump over the subdomains in order.
 
-* S1 applies S matrix-free, one star solve per subdomain per CG iteration.
-* S2 assembles the local flux response basis B_i = -F_i A_i^-1 E_i (one
-  star solve per local mortar dof, solved in column blocks, see
-  compute_flux_basis) fresh for every realization and applies S as a
-  matrix.
-* S3 assembles that basis once per distinct local realization of each
-  subdomain's permeability region and reuses it across the sweep; the
-  basis of a Stokes subdomain is frozen at the mean-field permeability.
+The three methods differ only in the key a subdomain's factored operator
+A_i and flux response basis B_i = -F_i A_i^-1 E_i (see compute_flux_basis)
+are cached under, which sets how long they live, and in whether B_i is
+built (see _Group._key):
+
+* S1 keys by realization and applies S matrix-free, one star solve per
+  subdomain per CG iteration; it builds no basis.
+* S2 keys by realization too and applies S through the bases.
+* S3 keys a Darcy subdomain by the local realization of its KL region and
+  a Stokes subdomain by the mean field, builds all of them before the
+  first realization and reuses them across the sweep, so a Stokes basis is
+  frozen at the mean-field permeability.
 
 S1 and S2 factor each Stokes subdomain once per sweep, at the mean field
 (stokes.StokesReference), and form each realization's Stokes operator as
@@ -47,10 +50,10 @@ about equal unknown count (worker_count caps the number of groups at the
 usable cores and the subdomain count). Group 0 runs in this process, the
 others in children forked after problem.systems(), one Pipe each, as in
 the paper, where each processor owns some subdomains. A group keeps the
-factors, S3 bases and bar solutions of its own subdomains: per realization
-it factors them (or picks their S3 factors), builds their S2 bases, runs
-their bar solves, answers the S1 star solves and recovers their fields.
-It builds the Stokes references of its subdomains at its first realization,
+cached operators and bases and the bar solutions of its own subdomains:
+per realization it fetches or builds their operators and bases, runs their
+bar solves, answers the S1 star solves and recovers their fields. It
+builds the Stokes references of its subdomains at its first realization,
 after the fork, and drops them when the sweep finishes.
 Only mortar vectors, bases and output fields cross the pipes. The parent
 keeps everything that joins the subdomains: the jump, CG with the sweep's
@@ -312,9 +315,11 @@ def _split(problem, n_groups):
 class _Group:
     """The subdomains one process owns and what it keeps of them.
 
-    Every request works through the owned subdomains in increasing order,
-    adds each one's busy time to stats.wall_seconds and returns
-    {sid: result}. `sid` is the subdomain in hand, so a failure names it.
+    `cache` maps each owned subdomain to {key: (operator, basis)}; the
+    methods differ only in the key and in whether a basis is built. Every
+    request works through the owned subdomains in increasing order, adds
+    each one's busy time to stats.wall_seconds and returns {sid: result}.
+    `sid` is the subdomain in hand, so a failure names it.
     """
 
     def __init__(self, problem, sids, method, stats, grid):
@@ -324,7 +329,8 @@ class _Group:
         self.stats = stats
         self.grid = grid
         self.sid = None
-        self.ops, self.bars, self.s3, self.refs = {}, {}, {}, {}
+        self.cache = {sid: {} for sid in sids}
+        self.ops, self.bars, self.refs = {}, {}, {}
 
     def _each(self, work):
         out = {}
@@ -336,42 +342,61 @@ class _Group:
         self.sid = None
         return out
 
-    def prepare_s3(self):
-        """Factor the S3 operators of the owned subdomains, with bases."""
-        self.s3 = self._each(lambda sid: _prepare_s3(
-            self.problem, self.grid, sid, self.stats))
+    def _key(self, sid, k, y):
+        """(cache key, K point) of sid's operator at realization k and y.
 
-    def realize(self, k, y):
-        """Operators of realization k (at point y), bases, bar solves.
-
-        Returns {sid: (F_i of the bar solution, basis)}; the basis is
-        built (S2), picked from the S3 ones, or None (S1).
+        S1/S2: k. S3: a Darcy subdomain's local realization, since its K
+        reads only its region's coordinates of y; for Stokes y = 0.
         """
-        problem = self.problem
-        K = None if self.method == "S3" else problem.permeability(y, self.sids)
+        if self.method != "S3":
+            return k, y
+        block = self.problem.layout.blocks[sid]
+        if block.physics == "darcy":
+            return int(self.grid.local_indices[block.kl_region][k]), y
+        return None, np.zeros_like(y)
 
-        def work(sid):
-            if self.method == "S3":
-                local = _local_of(problem, self.grid, sid, k)
-                ops, bases = self.s3[sid]
-                op, basis = ops[local], bases[local]
-            else:
-                op = problem.assemble_subdomain(sid, K, self._reference(sid))
-                basis = (compute_flux_basis(problem, sid, op, self.stats)
-                         if self.method == "S2" else None)
-            self.ops[sid] = op
-            self.bars[sid] = op.solve_bar()
-            return problem.side_functionals(sid, self.bars[sid]), basis
+    def _operator(self, sid, k, y):
+        """(operator, basis) of sid for realization k at y, built on a miss.
 
-        return self._each(work)
+        S1 builds no basis; S3 factors its Stokes LUs without a reference.
+        """
+        key, point = self._key(sid, k, y)
+        cache = self.cache[sid]
+        if key not in cache:
+            problem = self.problem
+            op = problem.assemble_subdomain(
+                sid, problem.permeability(point, [sid]), self._reference(sid))
+            basis = (None if self.method == "S1"
+                     else compute_flux_basis(problem, sid, op, self.stats))
+            cache[key] = op, basis
+        return cache[key]
 
     def _reference(self, sid):
         """The sweep's StokesReference of sid (built at first use), or None."""
-        if self.problem.layout.blocks[sid].physics != "stokes":
+        if (self.method == "S3"
+                or self.problem.layout.blocks[sid].physics != "stokes"):
             return None
         if sid not in self.refs:
             self.refs[sid] = self.problem.stokes_reference(sid)
         return self.refs[sid]
+
+    def prepare(self):
+        """Build the operator and basis of every grid point ahead (S3)."""
+        self._each(lambda sid: [self._operator(sid, k, y)
+                                for k, y in enumerate(self.grid.points)])
+
+    def realize(self, k, y):
+        """Operators of realization k (at point y), bases, bar solves.
+
+        Returns {sid: (F_i of the bar solution, basis or None)}.
+        """
+        def work(sid):
+            op, basis = self._operator(sid, k, y)
+            self.ops[sid] = op
+            self.bars[sid] = op.solve_bar()
+            return self.problem.side_functionals(sid, self.bars[sid]), basis
+
+        return self._each(work)
 
     def respond(self, lam):
         """Star response of every owned subdomain to the mortar vector lam."""
@@ -385,17 +410,21 @@ class _Group:
             self.problem, sid, self.ops[sid], self.bars[sid],
             self.problem.star_data(sid, lam)))
         if self.method != "S3":
-            for sid, op in self.ops.items():
-                self.stats.harvest(sid, op)
+            self._retire()
         self.ops, self.bars = {}, {}
         return fields
 
-    def finish(self):
-        """Retire the S3 operators and the Stokes references; return the
-        group's SolveStats."""
-        for sid, (ops, _) in self.s3.items():
-            for op in ops:
+    def _retire(self):
+        """Harvest every cached operator's counters; empty the cache."""
+        for sid, cache in self.cache.items():
+            for op, _ in cache.values():
                 self.stats.harvest(sid, op)
+            cache.clear()
+
+    def finish(self):
+        """Retire the kept operators and the Stokes references; return the
+        group's SolveStats."""
+        self._retire()
         for sid, ref in self.refs.items():
             self.stats.harvest_setup(sid, ref)
         self.refs = {}
@@ -437,6 +466,7 @@ class _Groups:
         problem.systems()  # built before the fork, so every child has them
         n_sub = problem.layout.n_subdomains
         self.problem = problem
+        self.method = method
         self.stats = stats
         parts = _split(problem, worker_count(workers, n_sub))
         self._local = _Group(problem, parts[0], method, stats, grid)
@@ -509,9 +539,9 @@ class _Groups:
             out.update(part)
         return [out[sid] for sid in sorted(out)]
 
-    def prepare_s3(self):
-        """Factor every S3 operator and basis, each in its owner group."""
-        self._run("prepare_s3")
+    def prepare(self):
+        """Build every S3 operator and basis, each in its owner group."""
+        self._run("prepare")
 
     def realize(self, k, y):
         """Operators of realization k at y: (bar jump g, bases per sid)."""
@@ -529,6 +559,16 @@ class _Groups:
     def recover(self, lam):
         """Output fields of every subdomain for the mortar solution lam."""
         return self._merge("recover", lam)
+
+    def solve(self, k, y, tol, max_iter, precond=None):
+        """Realization k at y: its CGResult and the fields per subdomain."""
+        g, bases = self.realize(k, y)
+        apply_fn = (self.apply if self.method == "S1"
+                    else basis_apply(self.problem.space, bases))
+        res = cg_solve(apply_fn, g, tol=tol, max_iter=max_iter,
+                       precond=precond)
+        self.stats.cg_iters.append(res.n_iter)
+        return res, self.recover(res.x)
 
 
 def star_response(problem, sid, op, lam_local):
@@ -598,7 +638,9 @@ def _check_basis_cap(problem, grid, method, cap_mb):
     total = 0
     for sid in range(problem.layout.n_subdomains):
         nd = len(problem.sub_dofs[sid])
-        copies = len(_s3_points(problem, grid, sid)) if method == "S3" else 1
+        block = problem.layout.blocks[sid]
+        copies = (grid.local_counts[block.kl_region]
+                  if method == "S3" and block.physics == "darcy" else 1)
         total += 8 * nd * nd * copies
     if total > cap_mb * 2 ** 20:
         raise SizeCapError(
@@ -639,58 +681,17 @@ def run_method(problem, grid, method="S1", tol=1e-9, max_iter=None,
 
     with _Groups(problem, method, workers, stats, grid) as groups:
         if method == "S3":
-            groups.prepare_s3()
+            groups.prepare()
         for k in range(grid.n_real):
-            g, bases = groups.realize(k, grid.points[k])
-            apply_fn = (groups.apply if method == "S1"
-                        else basis_apply(problem.space, bases))
-            res = cg_solve(apply_fn, g, tol=tol, max_iter=max_iter,
-                           precond=precond)
+            res, per_sid = groups.solve(k, grid.points[k], tol, max_iter,
+                                        precond)
             precond.update(res.pairs)
-            lam = res.x
-            stats.cg_iters.append(res.n_iter)
             residual_hist.append(res.residuals)
             cg_cond.append(res.cond)
-            per_sid = groups.recover(lam)
-            acc.add(grid.weights[k], _fields_dict(problem, per_sid, lam))
-            lambdas.append(lam)
+            acc.add(grid.weights[k], _fields_dict(problem, per_sid, res.x))
+            lambdas.append(res.x)
     return RunResult(acc.finalize(), stats, lambdas, residual_hist, grid,
                      cg_cond)
-
-
-def _s3_points(problem, grid, sid):
-    """Stochastic points S3 factors subdomain sid at.
-
-    A Darcy subdomain gets one per distinct local realization of its
-    permeability region; a Stokes subdomain only the mean field (y = 0).
-    """
-    block = problem.layout.blocks[sid]
-    zero = np.zeros(grid.n_dims)
-    if block.physics != "darcy":
-        return [zero]
-    pts = []
-    for loc in grid.local_points[block.kl_region]:
-        y = zero.copy()
-        y[grid.region_slice(block.kl_region)] = loc
-        pts.append(y)
-    return pts
-
-
-def _prepare_s3(problem, grid, sid, stats):
-    """S3 operators of one subdomain, one per point, and their bases."""
-    ops, bases = [], []
-    for y in _s3_points(problem, grid, sid):
-        op = problem.assemble_subdomain(sid, problem.permeability(y, [sid]))
-        ops.append(op)
-        bases.append(compute_flux_basis(problem, sid, op, stats))
-    return ops, bases
-
-
-def _local_of(problem, grid, sid, k):
-    block = problem.layout.blocks[sid]
-    if block.physics == "darcy":
-        return int(grid.local_indices[block.kl_region][k])
-    return 0
 
 
 def solve_realization(problem, y=None, tol=1e-9, max_iter=None, workers=1):
@@ -704,8 +705,5 @@ def solve_realization(problem, y=None, tol=1e-9, max_iter=None, workers=1):
     stats = SolveStats.new("S1", problem.layout.n_subdomains)
     stats.n_real = 1
     with _Groups(problem, "S1", workers, stats) as groups:
-        g, _ = groups.realize(0, y)
-        lam, n_iter, _ = cg_solve(groups.apply, g, tol=tol, max_iter=max_iter)
-        stats.cg_iters.append(n_iter)
-        per_sid = groups.recover(lam)
-    return per_sid, lam, stats
+        res, per_sid = groups.solve(0, y, tol, max_iter)
+    return per_sid, res.x, stats

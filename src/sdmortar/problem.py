@@ -66,12 +66,9 @@ class StokesDarcyProblem:
         for g in self.layout.interfaces:
             for sid in (g.i, g.j):
                 block = self.layout.blocks[sid]
-                mesh = self.meshes[sid]
-                if block.physics == "darcy":
-                    tr = darcy.interface_trace(mesh, block, g)
-                else:
-                    tr = stokes.interface_trace(mesh, block, g, sid)
-                self.traces[sid].append(tr)
+                module = darcy if block.physics == "darcy" else stokes
+                self.traces[sid].append(
+                    module.interface_trace(self.meshes[sid], block, g))
             if g.kind == "sd":
                 s_sid = g.i if self.layout.physics(g.i) == "stokes" else g.j
                 d_sid = g.j if s_sid == g.i else g.i

@@ -103,12 +103,11 @@ class StokesTrace:
     edges: list  # (start, mid, end) P2 node triples, tangent-ordered
     nodes: np.ndarray  # trace node ids ordered by arclength (2 n_edges + 1)
     s_breaks: np.ndarray  # fine-edge breakpoints in arclength
-    sigma: int  # +1 lower-id side, -1 higher-id side
     normal: tuple  # fixed interface normal
     tangent: tuple  # fixed interface tangent
 
 
-def interface_trace(mesh, block, iface, sid):
+def interface_trace(mesh, block, iface):
     """Locate the fine edges and trace nodes of `mesh` on `iface`."""
     side = side_of_interface(block, iface)
     breaks = mesh.side_breaks(side)
@@ -120,8 +119,7 @@ def interface_trace(mesh, block, iface, sid):
         nodes.extend(e[1:])
     s = breaks[idx[0]:idx[-1] + 2] - iface.span[0]
     return StokesTrace(iface.index, iface.kind, edges, np.array(nodes), s,
-                       iface.side_sign(sid), tuple(iface.normal),
-                       tuple(iface.tangent))
+                       tuple(iface.normal), tuple(iface.tangent))
 
 
 @dataclass

@@ -8,7 +8,7 @@ from scipy.sparse.linalg import splu
 
 from sdmortar.darcy import DarcyOperator
 from sdmortar.errors import ConvergenceError
-from sdmortar.interface import star_response
+from sdmortar.interface import compute_flux_basis, star_response
 from sdmortar.mortar import pairing
 from sdmortar.stokes import _QP, _QW, EDGE_MASS, _p2_shapes
 
@@ -269,27 +269,33 @@ def velocity_trace(trace, sol):
     return ux * n[0] + uy * n[1], ux * tau[0] + uy * tau[1]
 
 
-def _darcy_trace_load(op, traces, data):
-    """-<lam, v.n_out> of per-edge values lam on each trace."""
+def _darcy_trace_load(op, sid, sides, data):
+    """-<lam, v.n_out> of per-edge values lam on each trace.
+
+    The +x/+y edge orientation is outward where sigma_out = +1.
+    """
     system = op.system
     rhs = np.zeros(system.n_u + system.n_p)
     for idx, vals in data.items():
-        t = traces[idx]
+        g, t = sides[idx]
+        sigma_out = t.normal_sign * g.side_sign(sid)
         lengths = np.array([op.mesh.edge_length(e) for e in t.edges])
-        rhs[system.red_index[t.edges]] -= (t.sigma_out * np.asarray(vals)
+        rhs[system.red_index[t.edges]] -= (sigma_out * np.asarray(vals)
                                            * lengths)
     return rhs
 
 
-def _stokes_trace_load(op, traces, data):
+def _stokes_trace_load(op, sid, sides, data):
     """-sigma <lam_n, v.n> - sigma <lam_tau, v.tau> of nodal trace values.
 
     data maps interface index -> (lam_n, lam_tau); lam_tau may be None.
+    sigma is +1 on the interface's lower-id side, -1 on the higher.
     """
     system = op.system
     Fu = np.zeros(system.n_udof)
     for idx, (lam_n, lam_t) in data.items():
-        t = traces[idx]
+        g, t = sides[idx]
+        sigma = g.side_sign(sid)
         comps = [(np.asarray(lam_n, dtype=float), np.asarray(t.normal))]
         if lam_t is not None:
             comps.append((np.asarray(lam_t, dtype=float),
@@ -298,32 +304,36 @@ def _stokes_trace_load(op, traces, data):
             for e_idx, triple in enumerate(t.edges):
                 L = t.s_breaks[e_idx + 1] - t.s_breaks[e_idx]
                 loc = vals[2 * e_idx:2 * e_idx + 3]
-                contrib = -t.sigma * L * (EDGE_MASS @ loc)
+                contrib = -sigma * L * (EDGE_MASS @ loc)
                 for i, node in enumerate(triple):
                     Fu[2 * node] += direction[0] * contrib[i]
                     Fu[2 * node + 1] += direction[1] * contrib[i]
     return Fu[system.free]
 
 
-def solve_star(op, traces, data):
-    """Star solve of an operator with per-interface trace data.
+def solve_star(op, sid, sides, data):
+    """Star solve of subdomain sid's operator with per-interface trace data.
 
-    traces are the subdomain's interface traces; data maps interface index
-    -> per-edge values (Darcy) or (lam_n, lam_tau) nodal values (Stokes),
-    as star_data returns them. One backsolve.
+    sides are (interface, trace) pairs of the subdomain; data maps interface
+    index -> per-edge values (Darcy) or (lam_n, lam_tau) nodal values
+    (Stokes), as star_data returns them. One backsolve.
     """
-    traces = {t.iface: t for t in traces}
+    sides = {g.index: (g, t) for g, t in sides}
     if isinstance(op, DarcyOperator):
-        return op._solve(_darcy_trace_load(op, traces, data))
-    return op._solve(_stokes_trace_load(op, traces, data), lift=False)
+        return op._solve(_darcy_trace_load(op, sid, sides, data))
+    return op._solve(_stokes_trace_load(op, sid, sides, data), lift=False)
+
+
+def trace_sides(problem, sid):
+    """(interface, trace) of every interface of sid, as solve_star takes."""
+    by_iface = {t.iface: t for t in problem.traces[sid]}
+    return [(g, by_iface[g.index]) for g in problem.layout.interfaces_of(sid)]
 
 
 def _sides(problem, sid):
     """(interface, trace, SideCoupling) of every interface of sid."""
     kind = problem.layout.physics(sid)
-    by_iface = {t.iface: t for t in problem.traces[sid]}
-    for g in problem.layout.interfaces_of(sid):
-        t = by_iface[g.index]
+    for g, t in trace_sides(problem, sid):
         yield g, t, side_coupling(problem.space.block(g.index), t.s_breaks,
                                   kind)
 
@@ -358,3 +368,36 @@ def side_functionals(problem, sid, sol):
             funcs = funcs[:coup.block.n_comp]
         entries.append((g.index, g.side_sign(sid), funcs))
     return entries
+
+
+def s3_points(problem, grid, sid):
+    """Reference stochastic points of S3's operators of subdomain sid.
+
+    A Darcy subdomain gets one per distinct local realization of its
+    permeability region, the region's coordinates padded with zeros; a
+    Stokes subdomain only the mean field (y = 0).
+    """
+    block = problem.layout.blocks[sid]
+    zero = np.zeros(grid.n_dims)
+    if block.physics != "darcy":
+        return [zero]
+    pts = []
+    for loc in grid.local_points[block.kl_region]:
+        y = zero.copy()
+        y[grid.region_slice(block.kl_region)] = loc
+        pts.append(y)
+    return pts
+
+
+def prepare_s3(problem, grid, sid, stats):
+    """S3 operators of one subdomain, one per s3_points point, with bases.
+
+    The group's S3 prepare must build the same operators in the same order
+    and bases equal to these bit for bit.
+    """
+    ops, bases = [], []
+    for y in s3_points(problem, grid, sid):
+        op = problem.assemble_subdomain(sid, problem.permeability(y, [sid]))
+        ops.append(op)
+        bases.append(compute_flux_basis(problem, sid, op, stats))
+    return ops, bases

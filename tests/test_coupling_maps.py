@@ -34,7 +34,7 @@ def _close(got, want):
 
 def _reference_star(problem, sid, op, lam):
     """Signed global mortar functionals of the star solve for global lam."""
-    sol = oracles.solve_star(op, problem.traces[sid],
+    sol = oracles.solve_star(op, sid, oracles.trace_sides(problem, sid),
                              oracles.star_data(problem, sid, lam))
     return sol, oracles.side_functionals(problem, sid, sol)
 

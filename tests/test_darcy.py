@@ -121,7 +121,8 @@ def test_star_constant_lambda_gives_constant_pressure():
     """With only interface data lam = c the solution is p = c, u = 0."""
     g, ops, traces = star_setup()
     for sid in (0, 1):
-        sol = solve_star(ops[sid], [traces[sid]], {g.index: np.full(8, 2.5)})
+        sol = solve_star(ops[sid], sid, [(g, traces[sid])],
+                         {g.index: np.full(8, 2.5)})
         assert np.allclose(sol.p, 2.5, atol=1e-11)
         assert np.max(np.abs(sol.u)) < 1e-11
         assert np.allclose(flux_on_interface(traces[sid], sol), 0.0,
@@ -131,13 +132,13 @@ def test_star_constant_lambda_gives_constant_pressure():
 def test_star_linearity():
     """solve_star is linear in the interface data."""
     g, ops, traces = star_setup(4)
-    op, tr = ops[0], [traces[0]]
+    op, sides = ops[0], [(g, traces[0])]
     rng = np.random.default_rng(3)
     a = rng.standard_normal(4)
     b = rng.standard_normal(4)
-    sa = solve_star(op, tr, {g.index: a})
-    sb = solve_star(op, tr, {g.index: b})
-    sab = solve_star(op, tr, {g.index: a + 2 * b})
+    sa = solve_star(op, 0, sides, {g.index: a})
+    sb = solve_star(op, 0, sides, {g.index: b})
+    sab = solve_star(op, 0, sides, {g.index: a + 2 * b})
     assert np.allclose(sab.u, sa.u + 2 * sb.u, atol=1e-12)
     assert np.allclose(sab.p, sa.p + 2 * sb.p, atol=1e-12)
     assert op.factorizations == 1
@@ -158,7 +159,7 @@ def test_flux_orientation_matches_interface_normal():
     for sid in (0, 1):
         tr = interface_trace(meshes[sid], layout.blocks[sid], g)
         op = assemble_darcy(meshes[sid], np.ones(16), 1.0, bcs[sid], [tr])
-        sol = solve_star(op, [tr], {g.index: np.full(4, 1.0)})
+        sol = solve_star(op, sid, [(g, tr)], {g.index: np.full(4, 1.0)})
         flux[sid] = flux_on_interface(tr, sol)
     # both sides see the same fixed normal, so the jump is the difference
     assert np.allclose(flux[0], -flux[1], atol=1e-12)

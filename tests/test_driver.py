@@ -166,6 +166,42 @@ def test_cli_config_error(tmp_path, capsys):
     assert record["messages"]
 
 
+def assert_config_error(code, capsys):
+    assert code == cli.EXIT_CONFIG
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ConfigError"
+    assert record["exit_code"] == cli.EXIT_CONFIG
+    return record["messages"]
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_cli_missing_config_is_a_config_error(tmp_path, capsys, command):
+    missing = str(tmp_path / "nope.json")
+    messages = assert_config_error(cli.main([command, missing]), capsys)
+    assert messages[0].startswith(f"cannot read {missing}")
+
+
+def test_cli_rejects_workers_below_one(tmp_path, capsys):
+    code = cli.main(["run", TWOBLOCK, "--workers", "0",
+                     "--out-dir", str(tmp_path / "x")])
+    assert assert_config_error(code, capsys) == [
+        "--workers: int >= 1 required"]
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "tensor", "m": [2, 2], "splits": [3]},
+    {"kind": "sparse", "level": -1, "splits": [2]},
+    [1, 2],
+    {"kind": "tensor", "m": [0]},
+    {"kind": "tensor", "m": 2, "splits": [2, "a"]},
+])
+def test_cli_grid_rejects_malformed_specs(tmp_path, capsys, spec):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(spec))
+    assert assert_config_error(cli.main(["grid", str(path)]), capsys)
+
+
 def test_cli_convergence_error(tmp_path, capsys):
     cfg = load_case("darcy_twoblock").cfg
     cfg["cg"] = {"tol": 1e-9, "max_iter": 1}

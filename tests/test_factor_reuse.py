@@ -236,8 +236,7 @@ def test_block_star_solve_with_three_kernel_constraints():
     layout = build_layout([Block((0, 0, 1, 1), "darcy", (2, 2), 0),
                            Block((0, 1, 1, 2), "stokes", (2, 2))])
     mesh = build_subdomain_mesh(layout.blocks[1])
-    tr = stokes.interface_trace(mesh, layout.blocks[1],
-                                layout.interfaces[0], 1)
+    tr = stokes.interface_trace(mesh, layout.blocks[1], layout.interfaces[0])
     F = sp.vstack(stokes.trace_maps(mesh, tr)).tocsr()
     _, system = stress_system(traces=[tr], coupling=F)
     op = system.factor({tr.iface: np.ones(2)})

@@ -8,16 +8,18 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sdmortar import interface
+from sdmortar import assembly, interface
 from sdmortar.collocation import count_local_realizations
 from sdmortar.errors import (ConvergenceError, SingularOperatorError,
                              SizeCapError)
-from sdmortar.interface import (SecantPreconditioner, SolveStats, _Groups,
-                                _split, basis_apply, cg_solve, run_method,
-                                solve_realization, worker_count)
+from sdmortar.interface import (SecantPreconditioner, SolveStats, _Group,
+                                _Groups, _split, basis_apply, cg_solve,
+                                run_method, solve_realization, worker_count)
 
 from conftest import load_case
-from _oracles import plain_cg
+from _oracles import plain_cg, prepare_s3
+
+CONFIGS = ("case1_mini", "case1_mini_sparse", "case2_mini", "darcy_twoblock")
 
 
 def _spd(rng, n, cond):
@@ -268,6 +270,61 @@ def test_s3_equals_s2_when_region_spans_everything(twoblock):
         m3, v3 = r3.moments[name]
         assert np.array_equal(m2, m3)
         assert np.array_equal(v2, v3)
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_s3_prepare_matches_the_reference_bitwise(name):
+    """The keyed cache builds S3's operators in the reference's order, at
+    points whose K equals the zero-padded local points' K, so every basis
+    and counter matches bit for bit. Two problems keep the factor order of
+    one side's first matrix from reaching the other."""
+    case, ref = load_case(name), load_case(name)
+    n_sub = case.problem.layout.n_subdomains
+    group = _Group(case.problem, list(range(n_sub)), "S3",
+                   SolveStats.new("S3", n_sub), case.grid)
+    group.prepare()
+    ref_stats = SolveStats.new("S3", n_sub)
+    for sid in range(n_sub):
+        ops, bases = prepare_s3(ref.problem, ref.grid, sid, ref_stats)
+        got = list(group.cache[sid].values())
+        assert len(got) == len(bases)
+        for (op, (dofs, B)), ref_op, (ref_dofs, ref_B) in zip(got, ops,
+                                                               bases):
+            assert np.array_equal(dofs, ref_dofs)
+            assert np.array_equal(B, ref_B), sid
+            assert op.backsolves == ref_op.backsolves
+    assert np.array_equal(group.stats.basis_backsolves,
+                          ref_stats.basis_backsolves)
+
+
+def test_s3_factors_and_bases_happen_in_prepare(case1, monkeypatch):
+    """Every S3 sparse LU and flux basis is built before the first
+    realization; the realization loop only looks them up."""
+    phase, calls = ["build"], []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append((name, phase[0]))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    prepare = _Group.prepare
+
+    def phased(self):
+        phase[0] = "prepare"
+        prepare(self)
+        phase[0] = "loop"
+
+    monkeypatch.setattr(assembly, "splu", spy("splu", assembly.splu))
+    monkeypatch.setattr(interface, "compute_flux_basis",
+                        spy("basis", interface.compute_flux_basis))
+    monkeypatch.setattr(_Group, "prepare", phased)
+    res = run_method(case1.problem, case1.grid, method="S3")
+    assert phase == ["loop"]
+    assert calls.count(("splu", "prepare")) == 26
+    assert calls.count(("basis", "prepare")) == 26
+    assert len(calls) == 52
+    assert res.stats.factorizations.sum() == 26
 
 
 def test_moments_match_direct_quadrature(twoblock):

@@ -85,7 +85,7 @@ def sd():
     meshes = {i: build_subdomain_mesh(b) for i, b in enumerate(layout.blocks)}
     space = build_mortar_space(layout, meshes, {0: 2}, degree=1)
     g = layout.interfaces[0]
-    tr = stokes_trace(meshes[1], layout.blocks[1], g, 1)
+    tr = stokes_trace(meshes[1], layout.blocks[1], g)
     coup = side_coupling(space.block(0), tr.s_breaks, "stokes")
     return layout, space, tr, coup
 

@@ -163,7 +163,7 @@ def sd_setup(n=8, alpha=0.0, kvals=None, top=None):
     ])
     g = layout.interfaces[0]
     mesh = build_subdomain_mesh(layout.blocks[1])
-    tr = interface_trace(mesh, layout.blocks[1], g, 1)
+    tr = interface_trace(mesh, layout.blocks[1], g)
     bcs = {
         "top": StokesBC("velocity", top or (lambda x, y: (1.0, 0.0))),
         "left": StokesBC("stress"),
@@ -230,7 +230,7 @@ def test_bar_solve_satisfies_full_system_with_bjs_lift():
     ])
     g = layout.interfaces[0]
     mesh = build_subdomain_mesh(layout.blocks[1])
-    tr = interface_trace(mesh, layout.blocks[1], g, 1)
+    tr = interface_trace(mesh, layout.blocks[1], g)
     bcs = {"top": StokesBC("velocity", lambda x, y: (1.0, 0.0)),
            "left": StokesBC("velocity", lambda x, y: (0.5, 0.2 * y)),
            "right": StokesBC("stress")}
@@ -273,8 +273,8 @@ def test_star_solve_ignores_outer_dirichlet():
     g, tr, op_a = sd_setup(alpha=0.0, top=lambda x, y: (1.0, 0.0))
     _, _, op_b = sd_setup(alpha=0.0, top=lambda x, y: (-3.0, 0.0))
     lam_n = np.linspace(0.0, 1.0, 2 * 8 + 1)
-    sa = solve_star(op_a, [tr], {g.index: (lam_n, None)})
-    sb = solve_star(op_b, [tr], {g.index: (lam_n, None)})
+    sa = solve_star(op_a, 1, [(g, tr)], {g.index: (lam_n, None)})
+    sb = solve_star(op_b, 1, [(g, tr)], {g.index: (lam_n, None)})
     assert np.allclose(sa.u, sb.u, atol=1e-13)
     assert np.allclose(sa.p, sb.p, atol=1e-13)
 
@@ -284,16 +284,16 @@ def test_star_linearity():
     rng = np.random.default_rng(11)
     a = rng.standard_normal(2 * 8 + 1)
     b = rng.standard_normal(2 * 8 + 1)
-    sa = solve_star(op, [tr], {g.index: (a, None)})
-    sb = solve_star(op, [tr], {g.index: (b, None)})
-    sab = solve_star(op, [tr], {g.index: (a + 2 * b, None)})
+    sa = solve_star(op, 1, [(g, tr)], {g.index: (a, None)})
+    sb = solve_star(op, 1, [(g, tr)], {g.index: (b, None)})
+    sab = solve_star(op, 1, [(g, tr)], {g.index: (a + 2 * b, None)})
     assert np.allclose(sab.u, sa.u + 2 * sb.u, atol=1e-11)
     assert np.allclose(sab.p, sa.p + 2 * sb.p, atol=1e-11)
 
 
 def test_velocity_trace_frame():
     """Trace values are the solution sampled in the fixed (n, tau) frame."""
-    _, tr, op = sd_setup(alpha=0.0)
+    g, tr, op = sd_setup(alpha=0.0)
     sol = op.solve_bar()
     un, ut = velocity_trace(tr, sol)
     assert un.shape == ut.shape == (2 * 8 + 1,)
@@ -301,7 +301,7 @@ def test_velocity_trace_frame():
     uy = sol.u[2 * tr.nodes + 1]
     # fixed frame points from the lower id (darcy, below) upward
     assert tr.normal == (0.0, 1.0)
-    assert tr.sigma == -1
+    assert g.side_sign(1) == -1  # the Stokes block is the higher-id side
     assert np.allclose(un, uy)
     assert np.allclose(ut, ux)
 

@@ -17,9 +17,8 @@ from conftest import load_case
 from sdmortar import assembly, interface, stokes
 from sdmortar.errors import SingularOperatorError
 from sdmortar.geometry import Block, build_layout, build_subdomain_mesh
-from sdmortar.interface import (SolveStats, _prepare_s3,
-                                compute_flux_basis, run_method,
-                                solve_realization)
+from sdmortar.interface import (SolveStats, _Group, compute_flux_basis,
+                                run_method, solve_realization)
 from sdmortar.output import run_manifest
 from sdmortar.stokes import StokesReference, StokesSystem
 
@@ -103,13 +102,16 @@ def test_reference_coefficients_use_the_reference_lu(case1):
     solve_realization."""
     problem = case1.problem
     zero = np.zeros(problem.perm.n_dims)
-    for sid in stokes_sids(problem):
+    sids = stokes_sids(problem)
+    s3 = _Group(problem, sids, "S3",
+                SolveStats.new("S3", problem.layout.n_subdomains), case1.grid)
+    s3.prepare()
+    for sid in sids:
         ref = problem.stokes_reference(sid)
         op = problem.assemble_subdomain(
             sid, problem.permeability(zero, [sid]), ref)
         assert op.lu is ref.lu and ref.setup_backsolves == 0
-        ops, _ = _prepare_s3(problem, case1.grid, sid,
-                             SolveStats.new("S3", problem.layout.n_subdomains))
+        ops = [o for o, _ in s3.cache[sid].values()]
         assert [type(o.lu) for o in ops] == [assembly.LUFactors]
     _, _, stats = solve_realization(problem)
     assert not stats.setup_backsolves.any()
@@ -133,8 +135,7 @@ def all_stress_system(alpha):
     layout = build_layout([Block((0, 0, 1, 1), "darcy", (2, 2), 0),
                            Block((0, 1, 1, 2), "stokes", (2, 2))])
     mesh = build_subdomain_mesh(layout.blocks[1])
-    tr = stokes.interface_trace(mesh, layout.blocks[1],
-                                layout.interfaces[0], 1)
+    tr = stokes.interface_trace(mesh, layout.blocks[1], layout.interfaces[0])
     F = sp.vstack(stokes.trace_maps(mesh, tr)).tocsr()
     bcs = {s: stokes.StokesBC("stress")
            for s in ("left", "right", "bottom", "top")}
