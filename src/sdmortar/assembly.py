@@ -14,7 +14,13 @@ order with a gather index built once and factored with
 permc_spec="NATURAL", which skips the symbolic ordering; its solves are
 permuted back. A matrix with another pattern, such as a Stokes matrix
 bordered by rigid-body constraints, is ordered afresh.
+
+A factored Darcy or Stokes operator is a SubdomainOperator: its one
+_solve backsolves a right-hand side and scatters the result into a
+Solution of full velocity and pressure dof vectors.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -221,3 +227,49 @@ class Factorizer:
         self._perm = perm
         # RefillMatrix hands out the same index arrays on every call
         self._pattern = (S.shape, S.indptr, S.indices)
+
+
+@dataclass
+class Solution:
+    """Fields of one subdomain solve; with a block of right-hand sides each
+    array carries a trailing axis of columns."""
+
+    u: np.ndarray  # every velocity dof of the mesh, eliminated ones included
+    p: np.ndarray  # pressure dofs
+
+
+class SubdomainOperator:
+    """A subdomain system's factored operator for one realization.
+
+    The system's unknowns are its free velocity dofs `free` (of n_udof)
+    followed by n_p pressures, scaled by p_scale in the factored matrix;
+    the LU may border them with constraint rows. Every load handed to
+    _solve has the LU's rows with its pressure rows scaled: `bar_load` is
+    built so once, and a star load (CouplingMaps.star_load at the LU's
+    rows) is zero on the pressure rows. A solve with m columns counts m
+    backsolves.
+    """
+
+    def __init__(self, system, lu, bar_load):
+        self.system = system
+        self.mesh = system.mesh
+        self.lu = lu
+        self.bar_load = bar_load
+        self.factorizations = 1
+        self.backsolves = 0
+
+    def _solve(self, rhs, lift=None):
+        """Backsolve rhs; eliminated velocity dofs take lift (None: zero)."""
+        system = self.system
+        self.backsolves += rhs.shape[1] if rhs.ndim == 2 else 1
+        sol = self.lu.solve(rhs)
+        n_free = len(system.free)
+        p = sol[n_free:n_free + system.n_p]
+        p *= system.p_scale
+        u = (np.zeros((system.n_udof,) + rhs.shape[1:]) if lift is None
+             else lift.copy())
+        u[system.free] = sol[:n_free]
+        return Solution(u, p)
+
+    def _star_load(self, lam):
+        return self.system.coupling.star_load(lam, self.lu.shape[0])

@@ -4,11 +4,9 @@ import argparse
 import json
 import sys
 
-from .collocation import build_sparse_grid, build_tensor_grid
-from .config import (_validate_collocation, build_from_config, load_json,
-                     parse_config)
+from .config import (_is_int, _validate_collocation, build_from_config,
+                     build_grid, build_kl_regions, load_json, parse_config)
 from .errors import ConfigError, ConvergenceError, SizeCapError
-from .random_field import CovarianceSpec, build_kl_region
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -75,13 +73,9 @@ def _region_specs(data):
 
 
 def _cmd_eig(args):
-    specs = _region_specs(load_json(args.spec))
+    regions = build_kl_regions(_region_specs(load_json(args.spec)))
     print("region,index,eigenvalue")
-    for i, r in enumerate(specs):
-        cov = CovarianceSpec(tuple(r["rect"]), r["sigma2"], tuple(r["eta"]))
-        n_term = tuple(r["n_term"]) if r["selection"] == "box" \
-            else r["n_term"]
-        exp = build_kl_region(cov, n_term, selection=r["selection"])
+    for i, exp in enumerate(regions):
         for j, lam in enumerate(exp.eigenvalues()):
             print(f"{i},{j},{lam:.17g}")
     return EXIT_OK
@@ -96,7 +90,7 @@ def _build_bare_grid(data):
     splits = spec.pop("splits", None)
     errors = []
     if splits is not None and not (isinstance(splits, list) and splits and all(
-            type(n) is int and n >= 1 for n in splits)):
+            _is_int(n, 1) for n in splits)):
         errors.append("grid spec: splits must be a list of ints >= 1")
     n_dims = sum(splits) if splits and not errors else None
     col = _validate_collocation({"collocation": spec}, n_dims, errors)
@@ -104,10 +98,7 @@ def _build_bare_grid(data):
         errors.append("grid spec: 'splits' required unless m is a list")
     if errors:
         raise ConfigError(errors)
-    if col["kind"] == "sparse":
-        return build_sparse_grid(n_dims, col["level"], splits=tuple(splits))
-    m = col["m"] if isinstance(col["m"], list) else [col["m"]] * n_dims
-    return build_tensor_grid(m, splits=tuple(splits) if splits else None)
+    return build_grid(col, n_dims, tuple(splits) if splits else None)
 
 
 def _cmd_grid(args):

@@ -34,6 +34,12 @@ def _is_num(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_int(v, least=None):
+    """v is an int (JSON true/false are not), and >= least if given."""
+    return (isinstance(v, int) and not isinstance(v, bool)
+            and (least is None or v >= least))
+
+
 def _check_keys(d, allowed, where, errors):
     for k in d:
         if k not in allowed:
@@ -132,12 +138,12 @@ def _validate_domain(raw, errors):
             phys = "darcy"
         mesh = b.get("mesh")
         if (not isinstance(mesh, list) or len(mesh) != 2
-                or not all(isinstance(m, int) and m >= 1 for m in mesh)):
+                or not all(_is_int(m, 1) for m in mesh)):
             errors.append(f"{where}: mesh must be [nx, ny] with nx, ny >= 1")
             mesh = [1, 1]
         klr = b.get("kl_region")
         if phys == "darcy":
-            if not isinstance(klr, int) or klr < 0:
+            if not _is_int(klr, 0):
                 errors.append(f"{where}: darcy block needs a kl_region index")
                 klr = 0
         elif klr is not None:
@@ -173,7 +179,7 @@ def _validate_kl_regions(raw, errors):
             eta = [0.1, 0.1]
         n_term = r.get("n_term")
         sel = r.get("selection")
-        if isinstance(n_term, int) and n_term >= 1:
+        if _is_int(n_term, 1):
             if sel is None:
                 sel = "largest"
             if sel != "largest":
@@ -181,7 +187,7 @@ def _validate_kl_regions(raw, errors):
                               f"selection 'largest'")
                 sel = "largest"
         elif (isinstance(n_term, list) and len(n_term) == 2
-                and all(isinstance(m, int) and m >= 1 for m in n_term)):
+                and all(_is_int(m, 1) for m in n_term)):
             if sel is None:
                 sel = "box"
             if sel != "box":
@@ -243,7 +249,7 @@ def _validate_mean(raw, errors):
         rect = _rect(src.get("rect"), where, errors)
         shape = src.get("shape")
         if (not isinstance(shape, list) or len(shape) != 2
-                or not all(isinstance(m, int) and m >= 1 for m in shape)):
+                or not all(_is_int(m, 1) for m in shape)):
             errors.append(f"{where}: shape must be [nx, ny]")
             shape = [1, 1]
         values, path = src.get("values"), src.get("path")
@@ -284,10 +290,9 @@ def _validate_collocation(raw, n_dims, errors):
     if kind == "tensor":
         _check_keys(src, ("kind", "m"), where, errors)
         m = src.get("m")
-        if isinstance(m, int) and m >= 1:
+        if _is_int(m, 1):
             return {"kind": "tensor", "m": m}
-        if (isinstance(m, list) and m
-                and all(isinstance(v, int) and v >= 1 for v in m)):
+        if isinstance(m, list) and m and all(_is_int(v, 1) for v in m):
             if n_dims is not None and len(m) != n_dims:
                 errors.append(f"{where}: m has {len(m)} entries but the KL "
                               f"regions define {n_dims} dimensions")
@@ -297,7 +302,7 @@ def _validate_collocation(raw, n_dims, errors):
     if kind == "sparse":
         _check_keys(src, ("kind", "level"), where, errors)
         lev = src.get("level")
-        if not isinstance(lev, int) or lev < 0:
+        if not _is_int(lev, 0):
             errors.append(f"{where}: level must be an int >= 0")
             lev = 0
         return {"kind": "sparse", "level": lev}
@@ -333,12 +338,12 @@ def _validate_mortars(raw, errors):
     for kind in ("dd", "sd", "ss"):
         if kind in src:
             v = src[kind]
-            if not isinstance(v, int) or v < 1:
+            if not _is_int(v, 1):
                 errors.append(f"mortars.{kind}: int >= 1 required")
             else:
                 out[kind] = v
     if "degree" in src:
-        if src["degree"] not in (0, 1):
+        if not _is_int(src["degree"]) or src["degree"] not in (0, 1):
             errors.append("mortars.degree: 0 or 1 supported")
         else:
             out["degree"] = src["degree"]
@@ -356,7 +361,7 @@ def _validate_mortars(raw, errors):
             if not (isinstance(k, str) and k.isdigit()):
                 errors.append(f"mortars.per_interface: bad interface key "
                               f"{k!r}")
-            elif not isinstance(v, int) or v < 1:
+            elif not _is_int(v, 1):
                 errors.append(f"mortars.per_interface[{k}]: int >= 1 "
                               f"required")
             else:
@@ -469,7 +474,7 @@ def validate_config(raw):
             else:
                 out_cg["tol"] = float(cg["tol"])
         if cg.get("max_iter") is not None:
-            if not isinstance(cg["max_iter"], int) or cg["max_iter"] < 1:
+            if not _is_int(cg["max_iter"], 1):
                 errors.append("cg.max_iter: int >= 1 or null required")
             else:
                 out_cg["max_iter"] = cg["max_iter"]
@@ -494,7 +499,7 @@ def validate_config(raw):
     cfg["output"] = out_out
 
     workers = raw.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
+    if not _is_int(workers, 1):
         errors.append("workers: int >= 1 required")
         workers = 1
     cfg["workers"] = workers
@@ -629,6 +634,30 @@ def _build_bcs(cfg):
     return bcs
 
 
+def build_kl_regions(specs):
+    """KL expansion of every validated kl_regions entry, in order."""
+    out = []
+    for r in specs:
+        cov = CovarianceSpec(tuple(r["rect"]), r["sigma2"], tuple(r["eta"]))
+        n_term = tuple(r["n_term"]) if r["selection"] == "box" \
+            else r["n_term"]
+        out.append(build_kl_region(cov, n_term, selection=r["selection"]))
+    return out
+
+
+def build_grid(col, n_dims, splits=None):
+    """Collocation grid of a validated collocation spec on n_dims dims.
+
+    A tensor spec with one m uses it in every dimension; `splits` is the
+    number of dimensions per KL region.
+    """
+    if col["kind"] == "sparse":
+        return build_sparse_grid(n_dims, col["level"], splits=splits)
+    m = col["m"]
+    return build_tensor_grid(m if isinstance(m, list) else [m] * n_dims,
+                             splits=splits)
+
+
 def build_from_config(cfg, config_dir=None):
     """Construct (problem, grid, options) from a normalized config."""
     blocks = [Block(tuple(b["rect"]), b["physics"], tuple(b["mesh"]),
@@ -658,23 +687,11 @@ def build_from_config(cfg, config_dir=None):
                                degree=mort["degree"],
                                allow_fine=mort["allow_fine"])
 
-    regions = []
-    for r in cfg["kl_regions"]:
-        cov = CovarianceSpec(tuple(r["rect"]), r["sigma2"], tuple(r["eta"]))
-        n_term = tuple(r["n_term"]) if r["selection"] == "box" \
-            else r["n_term"]
-        regions.append(build_kl_region(cov, n_term, selection=r["selection"]))
+    regions = build_kl_regions(cfg["kl_regions"])
     perm = LogPermField(regions, _build_mean(cfg["mean_log_perm"],
                                              config_dir))
-
-    splits = tuple(r.n_term for r in regions)
-    col = cfg["collocation"]
-    if col["kind"] == "tensor":
-        m = col["m"]
-        m_per_dim = [m] * perm.n_dims if isinstance(m, int) else m
-        grid = build_tensor_grid(m_per_dim, splits=splits)
-    else:
-        grid = build_sparse_grid(perm.n_dims, col["level"], splits=splits)
+    grid = build_grid(cfg["collocation"], perm.n_dims,
+                      tuple(r.n_term for r in regions))
 
     phys = Physics(cfg["physics"]["nu_s"], cfg["physics"]["nu_d"],
                    cfg["physics"]["alpha"])

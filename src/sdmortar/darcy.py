@@ -23,11 +23,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import (CouplingMaps, Factorizer, RefillMatrix,
-                       check_permeability)
+                       SubdomainOperator, check_permeability)
 from .errors import SingularOperatorError
-from .geometry import OUTWARD_SIGN, edges_on_span, side_of_interface
-
-SIDES = ("left", "right", "bottom", "top")
+from .geometry import OUTWARD_SIGN, SIDES, locate_trace
 
 
 @dataclass(frozen=True)
@@ -50,18 +48,8 @@ class InterfaceTrace:
 
 def interface_trace(mesh, block, iface):
     """Locate the fine edges of `mesh` on `iface` (Darcy side)."""
-    side = side_of_interface(block, iface)
-    breaks = mesh.side_breaks(side)
-    idx = edges_on_span(breaks, iface.span)
-    edges = mesh.boundary_edges(side)[idx]
-    s = breaks[idx[0]:idx[-1] + 2] - iface.span[0]
-    return InterfaceTrace(iface.index, edges, iface.normal_sign, s)
-
-
-@dataclass
-class DarcySolution:
-    u: np.ndarray  # all edge dofs (eliminated ones zero)
-    p: np.ndarray  # cell pressures
+    edges, s = locate_trace(mesh, block, iface)
+    return InterfaceTrace(iface.index, np.array(edges), iface.normal_sign, s)
 
 
 def trace_maps(mesh, trace):
@@ -126,12 +114,14 @@ class DarcySystem:
                 "pressure is undetermined"
             )
 
-        keep = np.array(sorted(set(range(mesh.n_edges)) - noflow))
-        self.keep = keep
+        free = np.array(sorted(set(range(mesh.n_edges)) - noflow))
+        self.free = free
+        self.n_udof = mesh.n_edges
         self.red_index = -np.ones(mesh.n_edges, dtype=int)
-        self.red_index[keep] = np.arange(len(keep))
-        self.n_u = len(keep)
+        self.red_index[free] = np.arange(len(free))
+        self.n_u = len(free)
         self.n_p = mesh.n_cells
+        self.p_scale = 1.0  # the pressure block is not scaled
         self.n_unknowns = self.n_u + self.n_p
         self.matrix = self._pattern()
         self.factorize = Factorizer()
@@ -139,7 +129,7 @@ class DarcySystem:
 
         self.coupling = None
         if coupling is not None:
-            self.coupling = CouplingMaps(coupling, keep, mesh.n_edges)
+            self.coupling = CouplingMaps(coupling, free, mesh.n_edges)
 
     def _pattern(self):
         """Saddle [A B^T; B 0] with A = (nu/K u, v) refilled per cell."""
@@ -209,31 +199,16 @@ class DarcySystem:
         if K.shape != (self.mesh.n_cells,):
             raise ValueError("K must hold one value per cell")
         check_permeability(K, self.name)
-        return DarcyOperator(self, self.factorize(self.matrix(self.nu / K)))
+        return DarcyOperator(self, self.factorize(self.matrix(self.nu / K)),
+                             self.bar_load)
 
 
-class DarcyOperator:
+class DarcyOperator(SubdomainOperator):
     """Factored subdomain operator for one permeability realization."""
-
-    def __init__(self, system, lu):
-        self.system = system
-        self.mesh = system.mesh
-        self.lu = lu
-        self.factorizations = 1
-        self.backsolves = 0
-
-    def _solve(self, rhs):
-        """Backsolve one right-hand side, or a block: one per column."""
-        self.backsolves += rhs.shape[1] if rhs.ndim == 2 else 1
-        sol = self.lu.solve(rhs)
-        u = np.zeros((self.mesh.n_edges,) + rhs.shape[1:])
-        n_u = self.system.n_u
-        u[self.system.keep] = sol[:n_u]
-        return DarcySolution(u, sol[n_u:])
 
     def solve_bar(self):
         """Solve with full outer data and sources, zero interface data."""
-        return self._solve(self.system.bar_load)
+        return self._solve(self.bar_load)
 
     def solve_star(self, lam):
         """Solve with interface data only: rhs = -<lam, v.n_out>.
@@ -243,17 +218,11 @@ class DarcyOperator:
         such vectors, solved together as m backsolves into fields with a
         trailing axis of m columns.
         """
-        system = self.system
-        return self._solve(system.coupling.star_load(
-            lam, system.n_u + system.n_p))
+        return self._solve(self._star_load(lam))
 
-    def cell_velocity(self, sol):
-        """Cell-center velocity vectors, (n_cells, 2)."""
+    def cell_values(self, sol):
+        """Cell-center velocity vectors (n_cells, 2) and cell pressures."""
         w, e, s, n = _cell_edge_table(self.mesh)
-        return np.column_stack([0.5 * (sol.u[w] + sol.u[e]),
-                                0.5 * (sol.u[s] + sol.u[n])])
-
-
-def assemble_darcy(mesh, K, nu, bcs, traces, f=None, q=None):
-    """Build and factor a stand-alone subdomain operator. One factorization."""
-    return DarcySystem(mesh, nu, bcs, traces, f=f, q=q).factor(K)
+        return (np.column_stack([0.5 * (sol.u[w] + sol.u[e]),
+                                 0.5 * (sol.u[s] + sol.u[n])]),
+                sol.p.copy())

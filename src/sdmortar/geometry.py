@@ -17,6 +17,10 @@ from .errors import ConfigError
 
 GEOM_TOL = 1e-10
 
+# 3-point Gauss-Legendre rule on [-1, 1], exact for quintics along an edge
+GAUSS3_POINTS = np.array([-np.sqrt(3 / 5), 0.0, np.sqrt(3 / 5)])
+GAUSS3_WEIGHTS = np.array([5, 8, 5]) / 9.0
+
 
 @dataclass(frozen=True)
 class Block:
@@ -200,7 +204,23 @@ SIDES = ("left", "right", "bottom", "top")
 
 
 @dataclass
-class DarcyMesh:
+class _Grid:
+    """Uniform nx x ny grid on a block rectangle."""
+
+    rect: tuple
+    nx: int
+    ny: int
+
+    def side_breaks(self, side):
+        """Fine-grid breakpoints along one side (tangent coordinate)."""
+        x0, y0, x1, y1 = self.rect
+        if side in ("left", "right"):
+            return y0 + np.arange(self.ny + 1) * self.hy
+        return x0 + np.arange(self.nx + 1) * self.hx
+
+
+@dataclass
+class DarcyMesh(_Grid):
     """Uniform rectangular grid on a Darcy block.
 
     Cells are row-major: cell(ix, iy) = iy*nx + ix. Edge dofs hold the normal
@@ -208,10 +228,6 @@ class DarcyMesh:
     +x, horizontal edges +y. Vertical edge v(ix, iy) = iy*(nx+1) + ix; the
     horizontal block follows with h(ix, iy) = n_vedges + iy*nx + ix.
     """
-
-    rect: tuple
-    nx: int
-    ny: int
 
     def __post_init__(self):
         x0, y0, x1, y1 = self.rect
@@ -261,30 +277,19 @@ class DarcyMesh:
             return np.array([self.hedge(ix, self.ny) for ix in range(self.nx)])
         raise ValueError(side)
 
-    def side_breaks(self, side):
-        """Fine-grid breakpoints along one side (tangent coordinate)."""
-        x0, y0, x1, y1 = self.rect
-        if side in ("left", "right"):
-            return y0 + np.arange(self.ny + 1) * self.hy
-        return x0 + np.arange(self.nx + 1) * self.hx
-
 
 # outward normal sign of a side relative to the fixed +x/+y edge orientation
 OUTWARD_SIGN = {"left": -1, "right": +1, "bottom": -1, "top": +1}
 
 
 @dataclass
-class StokesMesh:
+class StokesMesh(_Grid):
     """Triangulated uniform grid on a Stokes block (P2/P1 Taylor-Hood).
 
     Every rectangle splits into two triangles along the bottom-left to
     top-right diagonal, so the P2 nodes are exactly the half-step lattice
     (2nx+1) x (2ny+1). P1 pressure nodes are the grid vertices.
     """
-
-    rect: tuple
-    nx: int
-    ny: int
 
     def __post_init__(self):
         x0, y0, x1, y1 = self.rect
@@ -365,12 +370,6 @@ class StokesMesh:
                             self.lattice(ix, 2 * iy + 2)))
         return out
 
-    def side_breaks(self, side):
-        x0, y0, x1, y1 = self.rect
-        if side in ("left", "right"):
-            return y0 + np.arange(self.ny + 1) * self.hy
-        return x0 + np.arange(self.nx + 1) * self.hx
-
     def edge_length(self, side):
         return self.hy if side in ("left", "right") else self.hx
 
@@ -415,3 +414,18 @@ def edges_on_span(breaks, span):
             f"fine grid does not align with interface span {span}"
         )
     return idx
+
+
+def locate_trace(mesh, block, iface):
+    """Boundary edges of `mesh` on `iface` and their arclength breakpoints.
+
+    The edges are those of mesh.boundary_edges on the block's side of the
+    interface, in tangent order; the breakpoints start at 0 at the
+    interface's first endpoint.
+    """
+    side = side_of_interface(block, iface)
+    breaks = mesh.side_breaks(side)
+    idx = edges_on_span(breaks, iface.span)
+    edges = mesh.boundary_edges(side)
+    return ([edges[k] for k in idx],
+            breaks[idx[0]:idx[-1] + 2] - iface.span[0])

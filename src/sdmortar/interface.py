@@ -22,16 +22,15 @@ built (see _Group._key):
   first realization and reuses them across the sweep, so a Stokes basis is
   frozen at the mean-field permeability.
 
-S1 and S2 factor each Stokes subdomain once per sweep, at the mean field
-(stokes.StokesReference), and form each realization's Stokes operator as
+Every method factors each Stokes subdomain once per sweep, at the mean
+field (stokes.StokesReference), and forms each of its Stokes operators as
 a rank-r update of that LU: an r x r capacitance factorization, r the
 subdomain's tangential BJS trace unknowns. That capacitance is the
 operator's one counted factorization; the sparse reference LU and the r
 backsolves of its update basis go to SolveStats.setup_factorizations and
 setup_backsolves, outside the identities below. At the mean field itself
-an operator solves with the reference LU unchanged. S3's Stokes operators
-are such mean-field LUs (StokesSystem.factor), counted as factorizations,
-with no set-up work.
+an operator solves with the reference LU unchanged and no update basis is
+built: S3's one Stokes operator per subdomain is that LU.
 
 All three solve S lam = g by preconditioned CG. A sweep keeps one
 SecantPreconditioner, a dense H ~ S^-1 that starts as the identity (so the
@@ -53,8 +52,9 @@ the paper, where each processor owns some subdomains. A group keeps the
 cached operators and bases and the bar solutions of its own subdomains:
 per realization it fetches or builds their operators and bases, runs their
 bar solves, answers the S1 star solves and recovers their fields. It
-builds the Stokes references of its subdomains at its first realization,
-after the fork, and drops them when the sweep finishes.
+builds the Stokes references of its subdomains when it first factors them
+(S3: in its preparation), after the fork, and drops them when the sweep
+finishes.
 Only mortar vectors, bases and output fields cross the pipes. The parent
 keeps everything that joins the subdomains: the jump, CG with the sweep's
 SecantPreconditioner, basis_apply and the MomentAccumulator. It adds up
@@ -72,7 +72,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .assembly import block_width
+from .assembly import Solution, block_width
 from .errors import ConvergenceError, SizeCapError
 from .moments import MomentAccumulator
 from .mortar import jump
@@ -343,7 +343,8 @@ class _Group:
         return out
 
     def _key(self, sid, k, y):
-        """(cache key, K point) of sid's operator at realization k and y.
+        """(cache key, collocation point) of sid's operator at realization
+        k and y.
 
         S1/S2: k. S3: a Darcy subdomain's local realization, since its K
         reads only its region's coordinates of y; for Stokes y = 0.
@@ -358,23 +359,22 @@ class _Group:
     def _operator(self, sid, k, y):
         """(operator, basis) of sid for realization k at y, built on a miss.
 
-        S1 builds no basis; S3 factors its Stokes LUs without a reference.
+        S1 builds no basis.
         """
         key, point = self._key(sid, k, y)
         cache = self.cache[sid]
         if key not in cache:
             problem = self.problem
-            op = problem.assemble_subdomain(
-                sid, problem.permeability(point, [sid]), self._reference(sid))
+            op = problem.assemble_subdomain(sid, point, self._reference(sid))
             basis = (None if self.method == "S1"
                      else compute_flux_basis(problem, sid, op, self.stats))
             cache[key] = op, basis
         return cache[key]
 
     def _reference(self, sid):
-        """The sweep's StokesReference of sid (built at first use), or None."""
-        if (self.method == "S3"
-                or self.problem.layout.blocks[sid].physics != "stokes"):
+        """The sweep's StokesReference of sid (built at first use), or None
+        for a Darcy subdomain."""
+        if self.problem.layout.physics(sid) != "stokes":
             return None
         if sid not in self.refs:
             self.refs[sid] = self.problem.stokes_reference(sid)
@@ -619,7 +619,7 @@ def basis_apply(space, bases):
 def recover_fields(problem, sid, op, bar, lam_local):
     """Output fields of one subdomain: a star backsolve plus its bar solution."""
     star = op.solve_star(lam_local)
-    total = type(bar)(bar.u + star.u, bar.p + star.p)
+    total = Solution(bar.u + star.u, bar.p + star.p)
     return problem.postprocess(sid, op, total)
 
 

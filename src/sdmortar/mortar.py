@@ -23,12 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import GEOM_TOL
+from .geometry import GAUSS3_POINTS, GAUSS3_WEIGHTS, GEOM_TOL
 
 log = logging.getLogger(__name__)
-
-_G3 = np.array([-np.sqrt(3 / 5), 0.0, np.sqrt(3 / 5)])
-_G3W = np.array([5, 8, 5]) / 9.0
 
 
 @dataclass
@@ -144,8 +141,8 @@ def _merged_quadrature(breaks_a, breaks_b):
     pts, wts = [], []
     for k in range(len(merged) - 1):
         a, b = merged[k], merged[k + 1]
-        pts.append(0.5 * (a + b) + 0.5 * (b - a) * _G3)
-        wts.append(0.5 * (b - a) * _G3W)
+        pts.append(0.5 * (a + b) + 0.5 * (b - a) * GAUSS3_POINTS)
+        wts.append(0.5 * (b - a) * GAUSS3_WEIGHTS)
     return np.concatenate(pts), np.concatenate(wts)
 
 

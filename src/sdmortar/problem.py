@@ -7,9 +7,13 @@ forces, and the log-permeability field.
 
 Each subdomain is split into a realization-invariant system (a DarcySystem
 or StokesSystem, built once by `systems()` and cached) and a
-per-realization factor (`assemble_subdomain`); a Stokes factor may instead
-update the sweep's mean-field `stokes_reference`. The invariant system holds
-the sparse coupling maps of subdomain i:
+per-realization factor (`assemble_subdomain`), which takes the collocation
+point y and samples the permeability only where factoring reads it
+(`sample_permeability`): a Darcy subdomain at its own cell centroids, a
+Stokes subdomain at the Darcy cells under its sd edges (`kl_cells`), whose
+K sets the BJS friction. A Stokes factor updates the mean-field LU of
+`stokes_reference`, the sweep's or one of its own. The invariant system
+holds the sparse coupling maps of subdomain i:
 
 * F_i: full velocity -> signed local mortar functionals <v.n, xi_m>, in
   `sub_dofs[i]` order, so the jump is sum_i scatter(F_i u_i);
@@ -143,50 +147,42 @@ class StokesDarcyProblem:
 
     # -- realization-dependent pieces ---------------------------------------
 
-    def permeability(self, y_global, sids=None):
-        """K per Darcy subdomain at cell centroids for one realization.
+    def sample_permeability(self, sid, y):
+        """K at collocation point y where factoring subdomain sid reads it.
 
-        With `sids`, only the fields that factoring those subdomains reads:
-        a Darcy subdomain's own and the BJS neighbours of a Stokes one.
+        A Darcy subdomain: K at its cell centroids. A Stokes subdomain: the
+        BJS samples {sd interface index: K of the Darcy cells under its
+        edges}.
         """
-        if sids is None:
-            sids = range(self.layout.n_subdomains)
-        need = set()
-        for sid in sids:
-            if self.layout.blocks[sid].physics == "darcy":
-                need.add(sid)
-            else:
-                need.update(d for d, _ in self.kl_cells.get(sid, {}).values())
-        out = {}
-        for sid in sorted(need):
-            block = self.layout.blocks[sid]
-            mesh = self.meshes[sid]
-            out[sid] = self.perm.realize(
-                block.kl_region, mesh.centroids[:, 0], mesh.centroids[:, 1],
-                y_global)
-        return out
+        if self.layout.physics(sid) == "darcy":
+            return self._realize(sid, self.meshes[sid].centroids, y)
+        return {idx: self._realize(d_sid, self.meshes[d_sid].centroids[cells],
+                                   y)
+                for idx, (d_sid, cells) in self.kl_cells.get(sid, {}).items()}
 
-    def assemble_subdomain(self, sid, K_fields, reference=None):
-        """Factor one subdomain operator for given K fields.
+    def _realize(self, sid, xy, y):
+        """K = exp(Y) at points xy of Darcy subdomain sid's KL region."""
+        return self.perm.realize(self.layout.blocks[sid].kl_region, xy[:, 0],
+                                 xy[:, 1], y)
 
-        A Stokes subdomain given its `reference` (see stokes_reference)
-        updates the reference's LU instead of factoring a matrix of its own.
+    def assemble_subdomain(self, sid, y, reference=None):
+        """Factor subdomain sid's operator at collocation point y.
+
+        A Stokes operator updates the LU of `reference`, the sweep's
+        stokes_reference(sid), or of a reference built here when None.
         """
-        system = self.systems()[sid]
-        if self.layout.blocks[sid].physics == "darcy":
-            return system.factor(K_fields[sid])
-        return (reference or system).factor(self._bjs_samples(sid, K_fields))
+        K = self.sample_permeability(sid, y)
+        if self.layout.physics(sid) == "darcy":
+            return self.systems()[sid].factor(K)
+        if reference is None:
+            reference = self.stokes_reference(sid)
+        return reference.factor(K)
 
     def stokes_reference(self, sid):
         """StokesReference of Stokes subdomain sid at the mean field, y = 0."""
-        y = np.zeros(self.perm.n_dims)
-        return stokes.StokesReference(self.systems()[sid], self._bjs_samples(
-            sid, self.permeability(y, [sid])))
-
-    def _bjs_samples(self, sid, K_fields):
-        """K of the Darcy cells under each sd interface of Stokes sid."""
-        return {idx: K_fields[d_sid][cells]
-                for idx, (d_sid, cells) in self.kl_cells.get(sid, {}).items()}
+        return stokes.StokesReference(self.systems()[sid],
+                                      self.sample_permeability(
+                                          sid, np.zeros(self.perm.n_dims)))
 
     def star_data(self, sid, lam):
         """lam_i: the global mortar vector lam on subdomain sid's dofs.
@@ -204,11 +200,6 @@ class StokesDarcyProblem:
 
     def postprocess(self, sid, op, sol):
         """Output fields of one subdomain: dof vectors and cell samples."""
-        block = self.layout.blocks[sid]
-        if block.physics == "darcy":
-            cv = op.cell_velocity(sol)
-            return {"u": sol.u.copy(), "p": sol.p.copy(),
-                    "cv": cv, "cp": sol.p.copy()}
         cv, cp = op.cell_values(sol)
         return {"u": sol.u.copy(), "p": sol.p.copy(), "cv": cv, "cp": cp}
 

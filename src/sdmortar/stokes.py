@@ -26,9 +26,9 @@ reference coefficients. A StokesReference factors the reference matrix
 once (kernel detection and bordering included) and gives the operator at
 other coefficients as that LU plus an r x r capacitance
 (assembly.UpdatedFactors), at the reference coefficients as the LU
-itself. The interface solver keeps one per Stokes subdomain per sweep, at
-the mean field. StokesSystem.factor is a reference at the given
-coefficients: its operator solves with a sparse LU of its own matrix.
+itself. This is the only way a Stokes operator is made: the interface
+solver keeps one reference per Stokes subdomain per sweep, at the mean
+field.
 
 Interface data lives in the fixed interface frame (n, tau): a star solve
 with the mortar function (lam_n, lam_tau) adds
@@ -44,11 +44,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import (CouplingMaps, Factorizer, RefillMatrix,
-                       UpdatedFactors, block_width, check_permeability)
+                       SubdomainOperator, UpdatedFactors, block_width,
+                       check_permeability)
 from .errors import SingularOperatorError
-from .geometry import edges_on_span, side_of_interface
-
-SIDES = ("left", "right", "bottom", "top")
+from .geometry import GAUSS3_POINTS, GAUSS3_WEIGHTS, SIDES, locate_trace
 
 # Dunavant degree-4 rule on the reference triangle (weights sum to 1/2)
 _QW = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3) * 0.5
@@ -60,9 +59,6 @@ _QP = np.array([
 
 # 1D quadratic nodal mass matrix on an edge of unit length, nodes (0, 1/2, 1)
 EDGE_MASS = np.array([[4, 2, -1], [2, 16, 2], [-1, 2, 4]]) / 30.0
-
-_G3 = np.array([-np.sqrt(3 / 5), 0.0, np.sqrt(3 / 5)])
-_G3W = np.array([5, 8, 5]) / 9.0
 
 
 def _p2_shapes(xi, eta):
@@ -109,23 +105,12 @@ class StokesTrace:
 
 def interface_trace(mesh, block, iface):
     """Locate the fine edges and trace nodes of `mesh` on `iface`."""
-    side = side_of_interface(block, iface)
-    breaks = mesh.side_breaks(side)
-    idx = edges_on_span(breaks, iface.span)
-    all_edges = mesh.boundary_edges(side)
-    edges = [all_edges[k] for k in idx]
+    edges, s = locate_trace(mesh, block, iface)
     nodes = [edges[0][0]]
     for e in edges:
         nodes.extend(e[1:])
-    s = breaks[idx[0]:idx[-1] + 2] - iface.span[0]
     return StokesTrace(iface.index, iface.kind, edges, np.array(nodes), s,
                        tuple(iface.normal), tuple(iface.tangent))
-
-
-@dataclass
-class StokesSolution:
-    u: np.ndarray  # velocity dofs, interleaved (2*node + comp), full
-    p: np.ndarray  # P1 nodal pressures
 
 
 def trace_maps(mesh, trace):
@@ -429,7 +414,7 @@ class StokesSystem:
             p0 = mesh.p2_xy[triple[0]]
             p1 = mesh.p2_xy[triple[2]]
             L = np.linalg.norm(p1 - p0)
-            for gx, gw in zip(_G3, _G3W):
+            for gx, gw in zip(GAUSS3_POINTS, GAUSS3_WEIGHTS):
                 s = 0.5 * (gx + 1)  # in [0, 1]
                 x, y = p0 + s * (p1 - p0)
                 tx, ty = g(x, y)
@@ -440,13 +425,14 @@ class StokesSystem:
                     Fu[2 * node + 1] += gw * 0.5 * L * ty * N[i]
         return Fu
 
-    def _bar_load(self, coef):
-        return np.concatenate([self._bar_u0 - self._bar_bjs @ coef,
-                               self._bar_p])
-
-    def factor(self, kl=None):
-        """Operator for the BJS samples kl, on a sparse LU of its own."""
-        return StokesReference(self, kl).factor(kl)
+    def _bar_load(self, coef, rows):
+        """Bar load at BJS coefficients coef: zero-padded to rows (the
+        factored matrix's), pressure rows scaled."""
+        n_free = len(self.free)
+        rhs = np.zeros(rows)
+        rhs[:n_free] = self._bar_u0 - self._bar_bjs @ coef
+        rhs[n_free:n_free + self.n_p] = self._bar_p * self.p_scale
+        return rhs
 
 
 class StokesReference:
@@ -517,46 +503,24 @@ class StokesReference:
                 lu = UpdatedFactors(self.lu, self.T, self._w(), D)
             except SingularOperatorError as exc:
                 raise SingularOperatorError(f"{system.name}: {exc}") from None
-        return StokesOperator(system, lu, self.kernel_dim,
-                              system._bar_load(coef))
+        return StokesOperator(system, lu,
+                              system._bar_load(coef, lu.shape[0]))
 
 
-class StokesOperator:
-    """Factored Taylor-Hood operator for one realization's BJS coefficients."""
+class StokesOperator(SubdomainOperator):
+    """Factored Taylor-Hood operator for one realization's BJS coefficients.
 
-    def __init__(self, system, lu, kernel_dim, bar_load):
-        self.system = system
-        self.mesh = system.mesh
-        self.lu = lu  # factors of the pressure-scaled (bordered) matrix
-        self.kernel_dim = kernel_dim
-        self.bar_load = bar_load
-        self.factorizations = 1
-        self.backsolves = 0
+    Its LU factors the pressure-scaled matrix, bordered by kernel_dim
+    rigid-body constraints.
+    """
 
-    def _solve(self, head, lift):
-        """Backsolve with the leading rhs entries `head`; full fields.
-
-        `head` is one vector or a block of columns, one backsolve each.
-        With lift=False the outer Dirichlet data is treated as zero; star
-        solves use this so the interface operator stays linear in lambda.
-        """
-        system = self.system
-        n_free = len(system.free)
-        cols = head.shape[1:]
-        rhs = np.zeros((n_free + system.n_p + self.kernel_dim,) + cols)
-        rhs[:len(head)] = head
-        self.backsolves += head.shape[1] if head.ndim == 2 else 1
-        p = slice(n_free, n_free + system.n_p)
-        rhs[p] *= system.p_scale
-        sol = self.lu.solve(rhs)
-        sol[p] *= system.p_scale
-        u = system.g_dir.copy() if lift else np.zeros((system.n_udof,) + cols)
-        u[system.free] = sol[:n_free]
-        return StokesSolution(u, sol[p])
+    @property
+    def kernel_dim(self):
+        return self.lu.shape[0] - self.system.n_unknowns
 
     def solve_bar(self):
         """Solve with body force, outer Dirichlet lifts, outer tractions."""
-        return self._solve(self.bar_load, lift=True)
+        return self._solve(self.bar_load, self.system.g_dir)
 
     def solve_star(self, lam):
         """Solve with interface data only: -sigma <lam_n, v.n> - sigma <lam_t, v.tau>.
@@ -564,11 +528,10 @@ class StokesOperator:
         `lam` is the local mortar vector of this subdomain, whose star load
         is E @ lam (CouplingMaps.star_load), or a block (n_local, m) of
         such vectors, solved together as m backsolves into fields with a
-        trailing axis of m columns. Homogeneous outer data.
+        trailing axis of m columns. Homogeneous outer data, so that the
+        interface operator stays linear in lambda.
         """
-        system = self.system
-        return self._solve(system.coupling.star_load(lam, len(system.free)),
-                           lift=False)
+        return self._solve(self._star_load(lam))
 
     # -- postprocessing -----------------------------------------------------
 
@@ -586,8 +549,3 @@ class StokesOperator:
 def _rowdot(X, w):
     """X @ w as a stack of 1-D dots: bitwise what a loop of w @ x gives."""
     return np.matmul(X[:, None, :], w[:, None])[:, 0, 0]
-
-
-def assemble_stokes(mesh, nu, alpha, bcs, traces, kl=None, f=None):
-    """Build and factor a stand-alone subdomain operator. One factorization."""
-    return StokesSystem(mesh, nu, alpha, bcs, traces, f=f).factor(kl)

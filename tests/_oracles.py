@@ -6,11 +6,12 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from sdmortar.darcy import DarcyOperator
+from sdmortar.darcy import DarcyOperator, DarcySystem
 from sdmortar.errors import ConvergenceError
 from sdmortar.interface import compute_flux_basis, star_response
 from sdmortar.mortar import pairing
-from sdmortar.stokes import _QP, _QW, EDGE_MASS, _p2_shapes
+from sdmortar.stokes import (_QP, _QW, EDGE_MASS, StokesReference,
+                             StokesSystem, _p2_shapes)
 
 
 def monolithic_rt0(rect, nx, ny, K, nu=1.0, p_left=1.0, p_right=0.0):
@@ -319,9 +320,11 @@ def solve_star(op, sid, sides, data):
     (Stokes), as star_data returns them. One backsolve.
     """
     sides = {g.index: (g, t) for g, t in sides}
-    if isinstance(op, DarcyOperator):
-        return op._solve(_darcy_trace_load(op, sid, sides, data))
-    return op._solve(_stokes_trace_load(op, sid, sides, data), lift=False)
+    load = (_darcy_trace_load if isinstance(op, DarcyOperator)
+            else _stokes_trace_load)(op, sid, sides, data)
+    rhs = np.zeros(op.lu.shape[0])  # zero pressure and constraint rows
+    rhs[:len(load)] = load
+    return op._solve(rhs)
 
 
 def trace_sides(problem, sid):
@@ -397,7 +400,33 @@ def prepare_s3(problem, grid, sid, stats):
     """
     ops, bases = [], []
     for y in s3_points(problem, grid, sid):
-        op = problem.assemble_subdomain(sid, problem.permeability(y, [sid]))
+        op = problem.assemble_subdomain(sid, y)
         ops.append(op)
         bases.append(compute_flux_basis(problem, sid, op, stats))
     return ops, bases
+
+
+def fresh_stokes(system, kl=None):
+    """Stokes operator on a sparse LU of its own matrix at BJS samples kl:
+    a StokesReference at kl itself, so no update is built."""
+    return StokesReference(system, kl).factor(kl)
+
+
+def assemble_darcy(mesh, K, nu, bcs, traces, f=None, q=None):
+    """A stand-alone Darcy operator. One factorization."""
+    return DarcySystem(mesh, nu, bcs, traces, f=f, q=q).factor(K)
+
+
+def assemble_stokes(mesh, nu, alpha, bcs, traces, kl=None, f=None):
+    """A stand-alone Stokes operator on a fresh LU. One factorization."""
+    return fresh_stokes(StokesSystem(mesh, nu, alpha, bcs, traces, f=f), kl)
+
+
+def fresh_operator(problem, sid, y):
+    """Operator of sid at collocation point y on a sparse LU of its own
+    matrix; a Stokes one is fresh_stokes, not an update of the mean field."""
+    system = problem.systems()[sid]
+    K = problem.sample_permeability(sid, y)
+    if problem.layout.physics(sid) == "darcy":
+        return system.factor(K)
+    return fresh_stokes(system, K)

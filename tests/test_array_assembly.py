@@ -10,13 +10,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from _oracles import loop_body_force
+from _oracles import assemble_stokes, loop_body_force
 from conftest import load_case
 from sdmortar.darcy import DarcyBC, DarcySystem
 from sdmortar.geometry import Block, build_subdomain_mesh
 from sdmortar.output import _darcy_cells
-from sdmortar.stokes import (StokesBC, StokesSystem, _p1_shapes, _p2_shapes,
-                             assemble_stokes)
+from sdmortar.stokes import StokesBC, StokesSystem, _p1_shapes, _p2_shapes
 
 
 def _darcy_mesh(nx=5, ny=3):
@@ -109,7 +108,7 @@ def test_cell_samples_match_loops():
             w, e, s, n = mesh.cell_edges(ix, iy)
             ref[mesh.cell(ix, iy)] = [0.5 * (sol.u[w] + sol.u[e]),
                                       0.5 * (sol.u[s] + sol.u[n])]
-    assert np.array_equal(op.cell_velocity(sol), ref)
+    assert np.array_equal(op.cell_values(sol)[0], ref)
 
     smesh = _stokes_mesh()
     sop = assemble_stokes(smesh, 1.0, 0.0, {"top": StokesBC("stress")}, [])

@@ -90,6 +90,44 @@ def test_errors_are_collected():
         assert frag in joined
 
 
+# every integer field: (key path in the raw config, value, the name its
+# error message carries)
+BOOLEAN_INTS = [
+    (("domain", "blocks", 0, "mesh"), [True, 4], "mesh"),
+    (("domain", "blocks", 0, "kl_region"), False, "kl_region"),
+    (("kl_regions", 0, "n_term"), True, "n_term"),
+    (("kl_regions", 0, "n_term"), [True, 2], "n_term"),
+    (("collocation", "m"), True, "m must be"),
+    (("collocation", "m"), [True, 2], "m must be"),
+    (("collocation",), {"kind": "sparse", "level": False}, "level"),
+    (("mortars", "dd"), True, "mortars.dd"),
+    (("mortars", "sd"), True, "mortars.sd"),
+    (("mortars", "ss"), True, "mortars.ss"),
+    (("mortars", "degree"), True, "mortars.degree"),
+    (("mortars", "per_interface"), {"0": True}, "mortars.per_interface[0]"),
+    (("cg", "max_iter"), True, "cg.max_iter"),
+    (("workers",), True, "workers"),
+    (("mean_log_perm",), {"kind": "raster", "rect": [0, 0, 2, 1],
+                          "shape": [True, 1], "values": [[1.0]]}, "shape"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, field", BOOLEAN_INTS,
+    ids=["/".join(map(str, p)) + f"-{type(v).__name__}"
+         for p, v, _ in BOOLEAN_INTS])
+def test_booleans_are_not_ints(path, value, field):
+    """JSON true/false are rejected wherever an int is required."""
+    raw = minimal_raw()
+    node = raw
+    for key in path[:-1]:
+        node = node[key] if isinstance(key, int) else node.setdefault(key, {})
+    node[path[-1]] = value
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    assert any(field in m for m in err.value.messages), err.value.messages
+
+
 def test_bc_kind_cross_checked_against_physics():
     raw = minimal_raw()
     raw["bcs"]["0"]["left"] = {"kind": "velocity", "value": [1.0, 0.0]}

@@ -53,8 +53,7 @@ def assert_maps_match_dicts(problem, y, rng):
     n_sub = problem.layout.n_subdomains
     sids = list(range(n_sub))
     stats = SolveStats.new("S2", n_sub)
-    K_fields = problem.permeability(y)
-    ops = [problem.assemble_subdomain(sid, K_fields) for sid in sids]
+    ops = [problem.assemble_subdomain(sid, y) for sid in sids]
     dofs = [problem.space.sub_dofs(problem.layout, sid) for sid in sids]
 
     # S1 apply, subdomain by subdomain
@@ -158,25 +157,30 @@ def tilings(draw):
     rng = np.random.default_rng(seed)
     K = {sid: np.exp(rng.standard_normal(meshes[sid].nx * meshes[sid].ny))
          for sid, b in enumerate(blocks) if b.physics == "darcy"}
-    problem = build_problem(layout, space, _CellField(K), physics, bcs,
-                            meshes=meshes)
+    problem = build_problem(layout, space, _CellField(K, meshes), physics,
+                            bcs, meshes=meshes)
     return problem, rng
 
 
 class _CellField:
     """Stand-in permeability field: K_r ** y[0] on region r.
 
-    Every Darcy block of a tiling is its own region with random per-cell
-    values K_r, so y = (1,) gives K_r and the mean field y = (0,) ones.
+    Every Darcy block of a tiling is its own region (numbered by its
+    subdomain) with random per-cell values K_r, so y = (1,) gives K_r and
+    the mean field y = (0,) ones. A point reads the cell it lies in.
     """
 
     n_dims = 1
 
-    def __init__(self, K):
+    def __init__(self, K, meshes):
         self.K = K
+        self.meshes = meshes
 
     def realize(self, region, x, y, y_global):
-        return self.K[region] ** y_global[0]
+        mesh = self.meshes[region]
+        ix = ((x - mesh.rect[0]) / mesh.hx).astype(int)
+        iy = ((y - mesh.rect[1]) / mesh.hy).astype(int)
+        return self.K[region][mesh.cell(ix, iy)] ** y_global[0]
 
 
 @settings(max_examples=20, deadline=None)

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from sdmortar.darcy import DarcyBC, assemble_darcy, interface_trace
+from sdmortar.darcy import DarcyBC, interface_trace
 from sdmortar.errors import SingularOperatorError
 from sdmortar.geometry import Block, build_layout, build_subdomain_mesh
 
-from _oracles import flux_on_interface, solve_star
+from _oracles import assemble_darcy, flux_on_interface, solve_star
 
 
 def make_op(rect, n, K, nu=1.0, bcs=None, f=None, q=None):
@@ -35,7 +35,7 @@ def test_uniform_flow_exact():
            "right": DarcyBC("pressure", lambda x, y: 0.0)}
     mesh, op = make_op((0, 0, 1, 1), 8, K=1.0, bcs=bcs)
     sol = op.solve_bar()
-    v = op.cell_velocity(sol)
+    v = op.cell_values(sol)[0]
     assert np.allclose(v[:, 0], 1.0, atol=1e-12)
     assert np.allclose(v[:, 1], 0.0, atol=1e-12)
     assert np.allclose(sol.p, 1.0 - mesh.centroids[:, 0], atol=1e-12)
@@ -62,7 +62,7 @@ def test_pressure_bc_value_function():
     bcs = {s: DarcyBC("pressure", g) for s in ("left", "right", "bottom", "top")}
     mesh, op = make_op((0, 0, 1, 1), 8, K=1.0, bcs=bcs)
     sol = op.solve_bar()
-    v = op.cell_velocity(sol)
+    v = op.cell_values(sol)[0]
     assert np.allclose(v, [[-1.0, -2.0]] * mesh.n_cells, atol=1e-11)
     assert np.allclose(sol.p, mesh.centroids @ [1.0, 2.0], atol=1e-11)
 
@@ -82,7 +82,7 @@ def test_manufactured_solution_convergence():
         xc, yc = mesh.centroids[:, 0], mesh.centroids[:, 1]
         area = mesh.hx * mesh.hy
         p_errs.append(np.sqrt(np.sum((sol.p - p_ex(xc, yc)) ** 2 * area)))
-        v = op.cell_velocity(sol)
+        v = op.cell_values(sol)[0]
         du = (v[:, 0] - u_ex(xc, yc)) ** 2 + (v[:, 1] - v_ex(xc, yc)) ** 2
         u_errs.append(np.sqrt(np.sum(du * area)))
     p_errs, u_errs = np.array(p_errs), np.array(u_errs)
@@ -191,10 +191,12 @@ def test_non_finite_permeability_rejected(bad):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
-def test_bad_permeability_names_the_subdomain(twoblock, bad):
+def test_bad_permeability_names_the_subdomain(twoblock, bad, monkeypatch):
     problem = twoblock.problem
-    K = problem.permeability(np.zeros(3))
-    K[1][5] = bad
-    problem.assemble_subdomain(0, K)
+    y = np.zeros(3)
+    problem.assemble_subdomain(0, y)
+    K = problem.sample_permeability(1, y)
+    K[5] = bad
+    monkeypatch.setattr(problem, "sample_permeability", lambda sid, y: K)
     with pytest.raises(ValueError, match="subdomain 1: 1 of 64"):
-        problem.assemble_subdomain(1, K)
+        problem.assemble_subdomain(1, y)

@@ -202,6 +202,18 @@ def test_cli_grid_rejects_malformed_specs(tmp_path, capsys, spec):
     assert assert_config_error(cli.main(["grid", str(path)]), capsys)
 
 
+@pytest.mark.parametrize("spec, field", [
+    ({"kind": "tensor", "m": [True, 2], "splits": [2]}, "m must be"),
+    ({"kind": "tensor", "m": 2, "splits": [True, 1]}, "splits"),
+    ({"kind": "sparse", "level": True, "splits": [2]}, "level"),
+])
+def test_cli_grid_rejects_booleans(tmp_path, capsys, spec, field):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(spec))
+    messages = assert_config_error(cli.main(["grid", str(path)]), capsys)
+    assert any(field in m for m in messages), messages
+
+
 def test_cli_convergence_error(tmp_path, capsys):
     cfg = load_case("darcy_twoblock").cfg
     cfg["cg"] = {"tol": 1e-9, "max_iter": 1}

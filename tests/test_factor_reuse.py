@@ -13,7 +13,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from _oracles import per_column_flux_basis
+from _oracles import fresh_operator, fresh_stokes, per_column_flux_basis
 from conftest import load_case
 from sdmortar import assembly, stokes
 from sdmortar.assembly import BLOCK_BYTES, Factorizer, RefillMatrix
@@ -54,7 +54,7 @@ def two_realizations(case, sid):
     problem, grid = case.problem, case.grid
     system = problem.systems()[sid]
     system.factorize = Recorder()
-    ops = [problem.assemble_subdomain(sid, problem.permeability(y, [sid]))
+    ops = [fresh_operator(problem, sid, y)
            for y in (grid.points[0], grid.points[-1])]
     return system.factorize.seen, ops
 
@@ -115,7 +115,7 @@ def test_changed_pattern_refactors_with_colamd(splu_calls):
     """The kernel_dim == 3 system of test_kernel_dimensions."""
     _, system = stress_system()
     system.factorize(system.matrix(np.zeros(0)))  # unbordered pattern kept
-    op = system.factor()
+    op = fresh_stokes(system)
     assert op.kernel_dim == 3
     assert splu_calls == [None, None]
     assert op.lu.perm is None
@@ -127,7 +127,7 @@ def test_changed_pattern_refactors_with_colamd(splu_calls):
 def test_singular_matrix_on_the_reused_order_raises(splu_calls):
     case = load_case("case1_mini")
     system = case.problem.systems()[3]
-    K = case.problem.permeability(case.grid.points[0], [3])[3]
+    K = case.problem.sample_permeability(3, case.grid.points[0])
     system.factor(K)
     S = system.matrix(system.nu / K)
     first = S.indptr[0], S.indptr[1]
@@ -147,12 +147,6 @@ class RefillRecorder(RefillMatrix):
         super().__init__(shape, const, scaled, n_coef, diag=diag)
         self.unscaled = RefillMatrix(shape, const, scaled, n_coef)
         self.diag = diag
-
-
-def kl_of(problem, sid, y):
-    K = problem.permeability(y, [sid])
-    return {idx: K[d_sid][cells]
-            for idx, (d_sid, cells) in problem.kl_cells.get(sid, {}).items()}
 
 
 def sliced_kernel_dim(system, S):
@@ -176,8 +170,8 @@ def test_scaled_refill_equals_diagonal_product(monkeypatch, name, alpha,
     for sid, system in enumerate(problem.systems()):
         if problem.layout.blocks[sid].physics != "stokes":
             continue
-        coef = system.bjs_coefficients(kl_of(problem, sid,
-                                              case.grid.points[-1]))
+        kl = problem.sample_permeability(sid, case.grid.points[-1])
+        coef = system.bjs_coefficients(kl)
         assert (coef.size > 0) == (alpha > 0)
         D = sp.diags(system.matrix.diag)
         old = (D @ system.matrix.unscaled(coef) @ D).tocsc()
@@ -185,7 +179,7 @@ def test_scaled_refill_equals_diagonal_product(monkeypatch, name, alpha,
         assert np.array_equal(new.indptr, old.indptr)
         assert np.array_equal(new.indices, old.indices)
         assert np.array_equal(new.data, old.data)
-        op = system.factor(kl_of(problem, sid, case.grid.points[-1]))
+        op = fresh_stokes(system, kl)
         assert op.kernel_dim == sliced_kernel_dim(
             system, system.matrix.unscaled(coef))
         kernel_dims.append(op.kernel_dim)
@@ -224,9 +218,8 @@ def test_block_star_solve_matches_single_solves(name):
     case = load_case(name)
     problem = case.problem
     rng = np.random.default_rng(1)
-    K = problem.permeability(case.grid.points[3])
     for sid in range(problem.layout.n_subdomains):
-        op = problem.assemble_subdomain(sid, K)
+        op = fresh_operator(problem, sid, case.grid.points[3])
         nd = len(problem.space.sub_dofs(problem.layout, sid))
         assert_block_matches_columns(op, rng.standard_normal((nd, 5)),
                                      op.solve_star)
@@ -239,7 +232,7 @@ def test_block_star_solve_with_three_kernel_constraints():
     tr = stokes.interface_trace(mesh, layout.blocks[1], layout.interfaces[0])
     F = sp.vstack(stokes.trace_maps(mesh, tr)).tocsr()
     _, system = stress_system(traces=[tr], coupling=F)
-    op = system.factor({tr.iface: np.ones(2)})
+    op = fresh_stokes(system, {tr.iface: np.ones(2)})
     assert op.kernel_dim == 3
     lam = np.random.default_rng(2).standard_normal((F.shape[0], 4))
     assert_block_matches_columns(op, lam, op.solve_star)
@@ -250,10 +243,9 @@ def test_flux_basis_matches_per_column_oracle(name):
     case = load_case(name)
     problem = case.problem
     n_sub = problem.layout.n_subdomains
-    K = problem.permeability(case.grid.points[-1])
     stats = SolveStats.new("S2", n_sub)
     for sid in range(n_sub):
-        op = problem.assemble_subdomain(sid, K)
+        op = fresh_operator(problem, sid, case.grid.points[-1])
         dofs, B = compute_flux_basis(problem, sid, op, stats)
         ref_dofs, ref = per_column_flux_basis(problem, sid, op)
         assert np.array_equal(dofs, ref_dofs)
@@ -265,10 +257,9 @@ def test_flux_basis_matches_per_column_oracle(name):
 def test_basis_blocks_stay_within_the_byte_budget():
     case = load_case("case1_mini", refine=2)
     problem = case.problem
-    K = problem.permeability(case.grid.points[0])
     stats = SolveStats.new("S2", problem.layout.n_subdomains)
     for sid in range(problem.layout.n_subdomains):
-        op = problem.assemble_subdomain(sid, K)
+        op = fresh_operator(problem, sid, case.grid.points[0])
         sizes, lu = [], op.lu.lu
 
         class Spy:

@@ -7,9 +7,9 @@ import scipy.sparse as sp
 from sdmortar.darcy import DarcyBC
 from sdmortar.errors import SingularOperatorError
 from sdmortar.geometry import Block, build_layout, build_subdomain_mesh
-from sdmortar.stokes import StokesBC, assemble_stokes, interface_trace
+from sdmortar.stokes import StokesBC, interface_trace
 
-from _oracles import solve_star, velocity_trace
+from _oracles import assemble_stokes, solve_star, velocity_trace
 
 NU = 0.7
 
@@ -259,13 +259,16 @@ def test_bjs_rejects_non_finite_permeability(bad):
         sd_setup(alpha=1.0, kvals=kvals)
 
 
-def test_bad_permeability_under_bjs_names_the_stokes_subdomain(case1):
+def test_bad_permeability_under_bjs_names_the_stokes_subdomain(case1,
+                                                               monkeypatch):
     problem = case1.problem
-    K = problem.permeability(np.zeros(case1.grid.n_dims))
-    d_sid, cells = problem.kl_cells[0][next(iter(problem.kl_cells[0]))]
-    K[d_sid][cells[0]] = np.nan
+    y = np.zeros(case1.grid.n_dims)
+    reference = problem.stokes_reference(0)
+    kl = problem.sample_permeability(0, y)
+    kl[next(iter(kl))][0] = np.nan
+    monkeypatch.setattr(problem, "sample_permeability", lambda sid, y: kl)
     with pytest.raises(ValueError, match="subdomain 0, BJS on interface"):
-        problem.assemble_subdomain(0, K)
+        problem.assemble_subdomain(0, y, reference)
 
 
 def test_star_solve_ignores_outer_dirichlet():

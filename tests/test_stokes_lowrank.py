@@ -1,11 +1,11 @@
 """Stokes operators from one mean-field LU and a rank-r BJS update.
 
-S1 and S2 factor each Stokes subdomain once per sweep, at the mean field
-(StokesReference), and give every realization its operator through an
-r x r capacitance (assembly.UpdatedFactors). The reference route here is
-a fresh sparse LU of the realization's own matrix, StokesSystem.factor.
-Measured gaps are up to 4e-14 relative at x1 and 1.2e-13 at x2; the
-bound is 1e-12.
+Every method factors each Stokes subdomain once per sweep, at the mean
+field (StokesReference), and gives every realization its operator through
+an r x r capacitance (assembly.UpdatedFactors). The reference route here
+is a fresh sparse LU of the realization's own matrix
+(_oracles.fresh_operator). Measured gaps are up to 4e-14 relative at x1
+and 1.2e-13 at x2; the bound is 1e-12.
 """
 
 import numpy as np
@@ -13,13 +13,15 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from _oracles import fresh_operator, fresh_stokes
 from conftest import load_case
-from sdmortar import assembly, interface, stokes
+from sdmortar import assembly, stokes
 from sdmortar.errors import SingularOperatorError
 from sdmortar.geometry import Block, build_layout, build_subdomain_mesh
 from sdmortar.interface import (SolveStats, _Group, compute_flux_basis,
                                 run_method, solve_realization)
 from sdmortar.output import run_manifest
+from sdmortar.random_field import LogPermField
 from sdmortar.stokes import StokesReference, StokesSystem
 
 RTOL = 1e-12
@@ -55,9 +57,8 @@ def check_realizations(case, points):
         ref = problem.stokes_reference(sid)
         nd = len(problem.space.sub_dofs(problem.layout, sid))
         for y in points:
-            K = problem.permeability(y, [sid])
-            low = problem.assemble_subdomain(sid, K, ref)
-            fresh = problem.assemble_subdomain(sid, K)
+            low = problem.assemble_subdomain(sid, y, ref)
+            fresh = fresh_operator(problem, sid, y)
             assert low.kernel_dim == fresh.kernel_dim
             assert low.factorizations == 1
             assert_same_solution(low.solve_bar(), fresh.solve_bar())
@@ -98,8 +99,8 @@ def test_lowrank_alpha0_is_the_reference_lu():
 
 def test_reference_coefficients_use_the_reference_lu(case1):
     """At the mean field (D = 0) the operator is the reference LU itself:
-    no W, no capacitance. So are S3's Stokes operators and a mean-field
-    solve_realization."""
+    no W, no capacitance. So are S3's Stokes operators, each its group's
+    reference LU, and a mean-field solve_realization."""
     problem = case1.problem
     zero = np.zeros(problem.perm.n_dims)
     sids = stokes_sids(problem)
@@ -108,14 +109,51 @@ def test_reference_coefficients_use_the_reference_lu(case1):
     s3.prepare()
     for sid in sids:
         ref = problem.stokes_reference(sid)
-        op = problem.assemble_subdomain(
-            sid, problem.permeability(zero, [sid]), ref)
+        op = problem.assemble_subdomain(sid, zero, ref)
         assert op.lu is ref.lu and ref.setup_backsolves == 0
         ops = [o for o, _ in s3.cache[sid].values()]
         assert [type(o.lu) for o in ops] == [assembly.LUFactors]
+        assert ops[0].lu is s3.refs[sid].lu
+        assert s3.refs[sid].setup_backsolves == 0
     _, _, stats = solve_realization(problem)
     assert not stats.setup_backsolves.any()
     assert list(stats.setup_factorizations) == [1, 1, 0, 0, 0, 0]
+
+
+@pytest.fixture
+def realized_points(monkeypatch):
+    """Point count of every LogPermField.realize call."""
+    sizes = []
+    original = LogPermField.realize
+
+    def spy(self, region, x, y, y_global):
+        sizes.append(len(x))
+        return original(self, region, x, y, y_global)
+
+    monkeypatch.setattr(LogPermField, "realize", spy)
+    return sizes
+
+
+def test_stokes_factor_samples_only_its_bjs_cells(realized_points):
+    """Stokes block 0 reads K at the 8 Darcy cells under its sd edges, not
+    on its neighbour's whole 256-cell field; so does its reference."""
+    case = load_case("case1_mini")
+    problem = case.problem
+    ref = problem.stokes_reference(0)
+    assert realized_points == [8]
+    problem.assemble_subdomain(0, case.grid.points[-1], ref)
+    assert realized_points == [8, 8]
+
+
+def test_bjs_samples_equal_the_full_field(case1):
+    """K at the BJS cells alone is bitwise the whole field's K there."""
+    problem = case1.problem
+    for sid in stokes_sids(problem):
+        for y in case1.grid.points:
+            kl = problem.sample_permeability(sid, y)
+            for idx, (d_sid, cells) in problem.kl_cells[sid].items():
+                full = problem.sample_permeability(d_sid, y)
+                assert np.array_equal(kl[idx], full[cells])
 
 
 def test_lowrank_sigma2_400():
@@ -124,8 +162,8 @@ def test_lowrank_sigma2_400():
         dict(r, sigma2=400.0)
         for r in load_case("case1_mini").cfg["kl_regions"]])
     problem = case.problem
-    coef = [problem.systems()[0].bjs_coefficients(problem._bjs_samples(
-        0, problem.permeability(y, [0]))) for y in case.grid.points]
+    coef = [problem.systems()[0].bjs_coefficients(
+        problem.sample_permeability(0, y)) for y in case.grid.points]
     assert np.min(coef) < 0.05 and np.max(coef) > 40
     check_realizations(case, case.grid.points)
 
@@ -151,7 +189,7 @@ def test_lowrank_all_stress_block(alpha, kernel_dim, rank):
     lam = np.random.default_rng(3).standard_normal((F.shape[0], 4))
     for kvals in ([0.3, 5.0], [1.0, 1.0], [40.0, 0.01]):
         kl = {tr.iface: np.array(kvals)}
-        low, fresh = ref.factor(kl), system.factor(kl)
+        low, fresh = ref.factor(kl), fresh_stokes(system, kl)
         assert low.kernel_dim == fresh.kernel_dim == kernel_dim
         assert_same_solution(low.solve_star(lam), fresh.solve_star(lam))
 
@@ -182,7 +220,8 @@ def test_sparse_lus_per_sweep(splu_count, method, sparse_lus):
 
 
 def test_manifest_setup_totals(case1, case1_sweeps):
-    for method, want in (("S1", (2, 33)), ("S2", (2, 33)), ("S3", (0, 0))):
+    """S3 factors its two Stokes references too, but never needs W."""
+    for method, want in (("S1", (2, 33)), ("S2", (2, 33)), ("S3", (2, 0))):
         result = case1_sweeps.results[method]
         m = run_manifest(case1.cfg, case1.problem, case1.grid, result)
         got = (m["total_setup_factorizations"], m["total_setup_backsolves"])
@@ -218,12 +257,11 @@ def test_zero_bjs_on_a_free_block_raises(monkeypatch):
     case = load_case("case2_mini")
     problem = case.problem
     # block 0 has velocity data: zero BJS leaves it regular
-    problem.assemble_subdomain(0, problem.permeability(
-        case.grid.points[0], [0]), problem.stokes_reference(0))
+    y = case.grid.points[0]
+    problem.assemble_subdomain(0, y, problem.stokes_reference(0))
     with pytest.raises(SingularOperatorError,
                        match="^subdomain 1: capacitance matrix is singular"):
-        problem.assemble_subdomain(1, problem.permeability(
-            case.grid.points[0], [1]), problem.stokes_reference(1))
+        problem.assemble_subdomain(1, y, problem.stokes_reference(1))
 
 
 def test_zero_bjs_fails_alike_for_one_and_two_workers(monkeypatch):
@@ -264,8 +302,11 @@ def test_sigma2_25_s2_sweep_matches_fresh_factors(monkeypatch):
     tol = case.options["tol"]
     low = run_method(case.problem, case.grid, method="S2", tol=tol)
     assert all(res[-1] <= tol for res in low.residuals)
-    # without a sweep reference every Stokes operator is a fresh sparse LU
-    monkeypatch.setattr(interface._Group, "_reference", lambda self, sid: None)
-    fresh = run_method(case.problem, case.grid, method="S2", tol=tol)
+    # every operator on a fresh sparse LU of its own matrix
+    problem = case.problem
+    monkeypatch.setattr(problem, "assemble_subdomain",
+                        lambda sid, y, reference=None: fresh_operator(
+                            problem, sid, y))
+    fresh = run_method(problem, case.grid, method="S2", tol=tol)
     for a, b in zip(low.lambdas, fresh.lambdas):
         assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(b)
