@@ -18,7 +18,6 @@ importing that side's src/. The exit code is 0 when nothing differs.
 """
 
 import argparse
-import copy
 import logging
 import os
 import subprocess
@@ -28,6 +27,11 @@ import tempfile
 import numpy as np
 
 from bench_pairs import extract, working_tree
+
+# perfbench's refine: every block mesh and mortar element count times n
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "perfbench"))
+from workloads import refine  # noqa: E402
 
 CONFIGS = ("case1_mini", "case1_mini_sparse", "case2_mini", "darcy_twoblock")
 COUNTERS = ("factorizations", "backsolves", "basis_backsolves",
@@ -44,20 +48,6 @@ def sweeps():
     return out
 
 
-def refined(cfg, factor):
-    """cfg with every block mesh and mortar element count times factor."""
-    cfg = copy.deepcopy(cfg)
-    for block in cfg["domain"]["blocks"]:
-        block["mesh"] = [n * factor for n in block["mesh"]]
-    mortars = cfg["mortars"]
-    for kind in ("dd", "sd", "ss"):
-        if kind in mortars:
-            mortars[kind] *= factor
-    mortars["per_interface"] = {k: n * factor for k, n in
-                                mortars["per_interface"].items()}
-    return cfg
-
-
 def dump(root, path):
     """Run every sweep with the sdmortar of root/src; save its arrays."""
     sys.path.insert(0, os.path.join(root, "src"))
@@ -68,7 +58,7 @@ def dump(root, path):
     arrays = {}
     for tag, name, factor, method, workers in sweeps():
         cfg = parse_config(os.path.join(root, "configs", name + ".json"))
-        problem, grid, options = build_from_config(refined(cfg, factor))
+        problem, grid, options = build_from_config(refine(cfg, factor))
         result = run_method(problem, grid, method=method,
                             tol=options["tol"], max_iter=options["max_iter"],
                             workers=workers)
