@@ -191,18 +191,3 @@ def build_sparse_grid(n_dims, level, splits=None):
     weights = np.array([merged[k] for k in keys])
     li, lc, lp = _region_tables(points, splits)
     return CollocationGrid("sparse", points, weights, tuple(splits), li, lc, lp)
-
-
-def global_to_local_index(grid, region, k):
-    """Local realization index of `region` for global realization k."""
-    return int(grid.local_indices[region][k])
-
-
-def count_local_realizations(grid, region):
-    """N_real(region): number of distinct local realizations."""
-    return grid.local_counts[region]
-
-
-def local_realization_points(grid, region):
-    """Distinct region coordinates, row r = local realization r."""
-    return grid.local_points[region]

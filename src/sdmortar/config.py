@@ -538,15 +538,6 @@ def validate_config(raw):
     return cfg
 
 
-def parse_config_text(text):
-    """Parse JSON text into a normalized config dict."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError([f"invalid JSON: {exc}"]) from None
-    return validate_config(raw)
-
-
 def load_json(path):
     """The JSON value in file `path`; ConfigError if unreadable or invalid."""
     try:

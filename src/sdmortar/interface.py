@@ -11,16 +11,19 @@ S2/S3 bases, are one mortar.jump over the subdomains in order.
 
 The three methods differ only in the key a subdomain's factored operator
 A_i and flux response basis B_i = -F_i A_i^-1 E_i (see compute_flux_basis)
-are cached under, which sets how long they live, and in whether B_i is
-built (see _Group._key):
+are cached under, and in whether B_i is built (see _key):
 
 * S1 keys by realization and applies S matrix-free, one star solve per
   subdomain per CG iteration; it builds no basis.
 * S2 keys by realization too and applies S through the bases.
 * S3 keys a Darcy subdomain by the local realization of its KL region and
-  a Stokes subdomain by the mean field, builds all of them before the
-  first realization and reuses them across the sweep, so a Stokes basis is
-  frozen at the mean-field permeability.
+  a Stokes subdomain by the mean field, so a Stokes basis is frozen at the
+  mean-field permeability.
+
+The key sets how long an entry lives (_lifetimes): it is built at the first
+realization with its key and dropped after the last, so S3 frees a Darcy
+entry when its run of realizations ends and the Stokes ones at the end of
+the sweep. _check_basis_cap caps the bases this table holds at once.
 
 Every method factors each Stokes subdomain once per sweep, at the mean
 field (stokes.StokesReference), and forms each of its Stokes operators as
@@ -52,9 +55,8 @@ the paper, where each processor owns some subdomains. A group keeps the
 cached operators and bases and the bar solutions of its own subdomains:
 per realization it fetches or builds their operators and bases, runs their
 bar solves, answers the S1 star solves and recovers their fields. It
-builds the Stokes references of its subdomains when it first factors them
-(S3: in its preparation), after the fork, and drops them when the sweep
-finishes.
+builds the Stokes references of its subdomains when it first factors them,
+after the fork, and drops them when the sweep finishes.
 Only mortar vectors, bases and output fields cross the pipes. The parent
 keeps everything that joins the subdomains: the jump, CG with the sweep's
 SecantPreconditioner, basis_apply and the MomentAccumulator. It adds up
@@ -312,25 +314,52 @@ def _split(problem, n_groups):
     return [sorted(g) for g in groups]
 
 
+def _key(problem, grid, method, sid, k, y):
+    """(cache key, collocation point) of sid's operator at realization k, y.
+
+    S1/S2: k. S3: a Darcy subdomain's local realization, since its K reads
+    only its region's coordinates of y; for Stokes y = 0.
+    """
+    if method != "S3":
+        return k, y
+    block = problem.layout.blocks[sid]
+    if block.physics == "darcy":
+        return int(grid.local_indices[block.kl_region][k]), y
+    return None, np.zeros_like(y)
+
+
+def _lifetimes(problem, grid, method, points):
+    """{(sid, key): (first, last)}: the first and last realization whose
+    key each cache entry is, realization k being points[k]."""
+    table = {}
+    for k, y in enumerate(points):
+        for sid in range(problem.layout.n_subdomains):
+            entry = sid, _key(problem, grid, method, sid, k, y)[0]
+            table[entry] = table.get(entry, (k,))[0], k
+    return table
+
+
 class _Group:
     """The subdomains one process owns and what it keeps of them.
 
-    `cache` maps each owned subdomain to {key: (operator, basis)}; the
-    methods differ only in the key and in whether a basis is built. Every
-    request works through the owned subdomains in increasing order, adds
-    each one's busy time to stats.wall_seconds and returns {sid: result}.
-    `sid` is the subdomain in hand, so a failure names it.
+    `cache` maps (sid, key) of the owned subdomains to (operator, basis);
+    the methods differ only in the key (see _key) and in whether a basis is
+    built. An entry is built at its first use and harvested and dropped by
+    recover at the last realization `lifetimes` gives it. Every request
+    works through the owned subdomains in increasing order, adds each one's
+    busy time to stats.wall_seconds and returns {sid: result}. `sid` is the
+    subdomain in hand, so a failure names it.
     """
 
-    def __init__(self, problem, sids, method, stats, grid):
+    def __init__(self, problem, sids, method, stats, grid, lifetimes):
         self.problem = problem
         self.sids = sids
         self.method = method
         self.stats = stats
         self.grid = grid
+        self.lifetimes = lifetimes
         self.sid = None
-        self.cache = {sid: {} for sid in sids}
-        self.ops, self.bars, self.refs = {}, {}, {}
+        self.cache, self.ops, self.bars, self.refs = {}, {}, {}, {}
 
     def _each(self, work):
         out = {}
@@ -342,34 +371,19 @@ class _Group:
         self.sid = None
         return out
 
-    def _key(self, sid, k, y):
-        """(cache key, collocation point) of sid's operator at realization
-        k and y.
-
-        S1/S2: k. S3: a Darcy subdomain's local realization, since its K
-        reads only its region's coordinates of y; for Stokes y = 0.
-        """
-        if self.method != "S3":
-            return k, y
-        block = self.problem.layout.blocks[sid]
-        if block.physics == "darcy":
-            return int(self.grid.local_indices[block.kl_region][k]), y
-        return None, np.zeros_like(y)
-
     def _operator(self, sid, k, y):
         """(operator, basis) of sid for realization k at y, built on a miss.
 
         S1 builds no basis.
         """
-        key, point = self._key(sid, k, y)
-        cache = self.cache[sid]
-        if key not in cache:
+        key, point = _key(self.problem, self.grid, self.method, sid, k, y)
+        if (sid, key) not in self.cache:
             problem = self.problem
             op = problem.assemble_subdomain(sid, point, self._reference(sid))
             basis = (None if self.method == "S1"
                      else compute_flux_basis(problem, sid, op, self.stats))
-            cache[key] = op, basis
-        return cache[key]
+            self.cache[sid, key] = op, basis
+        return self.cache[sid, key]
 
     def _reference(self, sid):
         """The sweep's StokesReference of sid (built at first use), or None
@@ -380,16 +394,9 @@ class _Group:
             self.refs[sid] = self.problem.stokes_reference(sid)
         return self.refs[sid]
 
-    def prepare(self):
-        """Build the operator and basis of every grid point ahead (S3)."""
-        self._each(lambda sid: [self._operator(sid, k, y)
-                                for k, y in enumerate(self.grid.points)])
-
     def realize(self, k, y):
-        """Operators of realization k (at point y), bases, bar solves.
-
-        Returns {sid: (F_i of the bar solution, basis or None)}.
-        """
+        """Operators of realization k at y, their bases and bar solves:
+        {sid: (F_i of the bar solution, basis or None)}."""
         def work(sid):
             op, basis = self._operator(sid, k, y)
             self.ops[sid] = op
@@ -404,27 +411,19 @@ class _Group:
         return self._each(lambda sid: star_response(
             problem, sid, self.ops[sid], problem.star_data(sid, lam)))
 
-    def recover(self, lam):
-        """Fields of the owned subdomains; S1/S2 then retire the operators."""
+    def recover(self, k, lam):
+        """Fields of the owned subdomains at realization k; then harvest the
+        counters of every entry whose last realization is k and drop it."""
         fields = self._each(lambda sid: recover_fields(
             self.problem, sid, self.ops[sid], self.bars[sid],
             self.problem.star_data(sid, lam)))
-        if self.method != "S3":
-            self._retire()
+        for entry in [e for e in self.cache if self.lifetimes[e][1] == k]:
+            self.stats.harvest(entry[0], self.cache.pop(entry)[0])
         self.ops, self.bars = {}, {}
         return fields
 
-    def _retire(self):
-        """Harvest every cached operator's counters; empty the cache."""
-        for sid, cache in self.cache.items():
-            for op, _ in cache.values():
-                self.stats.harvest(sid, op)
-            cache.clear()
-
     def finish(self):
-        """Retire the kept operators and the Stokes references; return the
-        group's SolveStats."""
-        self._retire()
+        """Retire the Stokes references; return the group's SolveStats."""
         for sid, ref in self.refs.items():
             self.stats.harvest_setup(sid, ref)
         self.refs = {}
@@ -462,14 +461,15 @@ class _Groups:
     exit by exception terminates them. Either way they are joined.
     """
 
-    def __init__(self, problem, method, workers, stats, grid=None):
+    def __init__(self, problem, method, workers, stats, grid, lifetimes):
         problem.systems()  # built before the fork, so every child has them
         n_sub = problem.layout.n_subdomains
         self.problem = problem
         self.method = method
         self.stats = stats
         parts = _split(problem, worker_count(workers, n_sub))
-        self._local = _Group(problem, parts[0], method, stats, grid)
+        self._local = _Group(problem, parts[0], method, stats, grid,
+                             lifetimes)
         self._children = []
         try:
             for sids in parts[1:]:
@@ -479,7 +479,7 @@ class _Groups:
                 ctx = multiprocessing.get_context("fork")
                 here, there = ctx.Pipe()
                 group = _Group(problem, sids, method,
-                               SolveStats.new(method, n_sub), grid)
+                               SolveStats.new(method, n_sub), grid, lifetimes)
                 proc = ctx.Process(target=_serve, args=(group, there),
                                    daemon=True)
                 proc.start()
@@ -539,10 +539,6 @@ class _Groups:
             out.update(part)
         return [out[sid] for sid in sorted(out)]
 
-    def prepare(self):
-        """Build every S3 operator and basis, each in its owner group."""
-        self._run("prepare")
-
     def realize(self, k, y):
         """Operators of realization k at y: (bar jump g, bases per sid)."""
         out = self._merge("realize", k, y)
@@ -556,10 +552,6 @@ class _Groups:
         return jump(problem.space.n_dof, problem.sub_dofs,
                     self._merge("respond", lam))
 
-    def recover(self, lam):
-        """Output fields of every subdomain for the mortar solution lam."""
-        return self._merge("recover", lam)
-
     def solve(self, k, y, tol, max_iter, precond=None):
         """Realization k at y: its CGResult and the fields per subdomain."""
         g, bases = self.realize(k, y)
@@ -568,7 +560,7 @@ class _Groups:
         res = cg_solve(apply_fn, g, tol=tol, max_iter=max_iter,
                        precond=precond)
         self.stats.cg_iters.append(res.n_iter)
-        return res, self.recover(res.x)
+        return res, self._merge("recover", k, res.x)
 
 
 def star_response(problem, sid, op, lam_local):
@@ -631,17 +623,17 @@ def _fields_dict(problem, per_sid, lam):
     return fields
 
 
-def _check_basis_cap(problem, grid, method, cap_mb):
-    """SizeCapError if the bases an S2/S3 sweep holds exceed cap_mb."""
+def _check_basis_cap(problem, method, lifetimes, cap_mb):
+    """SizeCapError if the bases an S2/S3 sweep holds at once exceed cap_mb:
+    the peak over realizations of the entries `lifetimes` holds live."""
     if method == "S1" or cap_mb is None:
         return
-    total = 0
-    for sid in range(problem.layout.n_subdomains):
-        nd = len(problem.sub_dofs[sid])
-        block = problem.layout.blocks[sid]
-        copies = (grid.local_counts[block.kl_region]
-                  if method == "S3" and block.physics == "darcy" else 1)
-        total += 8 * nd * nd * copies
+    held = np.zeros(2 + max(last for _, last in lifetimes.values()), int)
+    for (sid, _), (first, last) in lifetimes.items():
+        size = 8 * len(problem.sub_dofs[sid]) ** 2
+        held[first] += size
+        held[last + 1] -= size
+    total = int(held.cumsum().max())
     if total > cap_mb * 2 ** 20:
         raise SizeCapError(
             f"flux basis storage {total / 2 ** 20:.3g} MiB exceeds the "
@@ -670,18 +662,21 @@ def run_method(problem, grid, method="S1", tol=1e-9, max_iter=None,
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of "
                          f"{METHODS}")
+    splits = tuple(r.n_term for r in problem.perm.regions)
+    if (grid.n_dims, tuple(grid.splits)) != (problem.perm.n_dims, splits):
+        raise ValueError(
+            f"grid of {grid.n_dims} dims split {tuple(grid.splits)} does not "
+            f"match the permeability field's {problem.perm.n_dims} dims split "
+            f"{splits}")
     stats = SolveStats.new(method, problem.layout.n_subdomains)
     stats.n_real = grid.n_real
-    _check_basis_cap(problem, grid, method, basis_cap_mb)
+    lifetimes = _lifetimes(problem, grid, method, grid.points)
+    _check_basis_cap(problem, method, lifetimes, basis_cap_mb)
     acc = MomentAccumulator()
-    lambdas = []
-    residual_hist = []
-    cg_cond = []
+    lambdas, residual_hist, cg_cond = [], [], []
     precond = SecantPreconditioner()
 
-    with _Groups(problem, method, workers, stats, grid) as groups:
-        if method == "S3":
-            groups.prepare()
+    with _Groups(problem, method, workers, stats, grid, lifetimes) as groups:
         for k in range(grid.n_real):
             res, per_sid = groups.solve(k, grid.points[k], tol, max_iter,
                                         precond)
@@ -700,10 +695,14 @@ def solve_realization(problem, y=None, tol=1e-9, max_iter=None, workers=1):
     `fields` is a list over subdomains of dicts with dof vectors u, p and
     cell samples cv, cp. y defaults to the mean field (all zeros).
     """
-    if y is None:
-        y = np.zeros(problem.perm.n_dims)
+    n_dims = problem.perm.n_dims
+    y = np.zeros(n_dims) if y is None else np.asarray(y, dtype=float)
+    if y.shape != (n_dims,):
+        raise ValueError(f"point y of shape {y.shape} does not match the "
+                         f"permeability field's {n_dims} dims")
     stats = SolveStats.new("S1", problem.layout.n_subdomains)
     stats.n_real = 1
-    with _Groups(problem, "S1", workers, stats) as groups:
+    lifetimes = _lifetimes(problem, None, "S1", [y])
+    with _Groups(problem, "S1", workers, stats, None, lifetimes) as groups:
         res, per_sid = groups.solve(0, y, tol, max_iter)
     return per_sid, res.x, stats

@@ -19,7 +19,6 @@ class MomentAccumulator:
     def __init__(self):
         self._sum = None
         self._sumsq = None
-        self._wtot = 0.0
         self.n_samples = 0
 
     def add(self, weight, fields):
@@ -33,12 +32,7 @@ class MomentAccumulator:
             v = np.asarray(v, dtype=float)
             self._sum[k] += weight * v
             self._sumsq[k] += weight * v * v
-        self._wtot += weight
         self.n_samples += 1
-
-    @property
-    def total_weight(self):
-        return self._wtot
 
     def finalize(self):
         """Return dict name -> (mean, variance) with tiny negatives clamped."""

@@ -5,7 +5,6 @@ import os
 
 import numpy as np
 
-from .collocation import count_local_realizations
 
 STATS_COLUMNS = ("method", "subdomain", "factorizations", "backsolves",
                  "cg_iters_total", "wall_seconds")
@@ -120,7 +119,7 @@ def run_manifest(cfg, problem, grid, result):
         "n_dims": int(grid.n_dims),
         "n_real": int(grid.n_real),
         "n_real_per_region": {
-            str(i): int(count_local_realizations(grid, i))
+            str(i): int(grid.local_counts[i])
             for i in range(n_regions)},
         "subdomain_dofs": {
             str(sid): int(problem.sub_dofs[sid].size)

@@ -241,15 +241,3 @@ class LogPermField:
         """K = exp(Y) at points, picking the region's block out of y_global."""
         xi = np.asarray(y_global, dtype=float)[self.region_slice(region)]
         return np.exp(self.evaluate_log(region, x, y, xi))
-
-
-def nystrom_eigenvalues_1d(length, eta, n_eigs, n_quad=2048):
-    """Independent check: midpoint-rule Nystrom eigenvalues of the 1D kernel."""
-    from scipy.linalg import eigh
-
-    h = length / n_quad
-    x = (np.arange(n_quad) + 0.5) * h
-    K = np.exp(-np.abs(x[:, None] - x[None, :]) / eta) * h
-    vals = eigh(K, eigvals_only=True,
-                subset_by_index=[n_quad - n_eigs, n_quad - 1])
-    return vals[::-1]

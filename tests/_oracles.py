@@ -1,14 +1,17 @@
 """Independent reference solvers used only by the tests."""
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from sdmortar.config import validate_config
 from sdmortar.darcy import DarcyOperator, DarcySystem
-from sdmortar.errors import ConvergenceError
+from sdmortar.errors import ConfigError, ConvergenceError
 from sdmortar.interface import compute_flux_basis, star_response
+from sdmortar.moments import MomentAccumulator
 from sdmortar.mortar import pairing
 from sdmortar.stokes import (_QP, _QW, EDGE_MASS, StokesReference,
                              StokesSystem, _p2_shapes)
@@ -430,3 +433,49 @@ def fresh_operator(problem, sid, y):
     if problem.layout.physics(sid) == "darcy":
         return system.factor(K)
     return fresh_stokes(system, K)
+
+
+def global_to_local_index(grid, region, k):
+    """Local realization index of `region` for global realization k."""
+    return int(grid.local_indices[region][k])
+
+
+def count_local_realizations(grid, region):
+    """N_real(region): number of distinct local realizations."""
+    return grid.local_counts[region]
+
+
+def local_realization_points(grid, region):
+    """Distinct region coordinates, row r = local realization r."""
+    return grid.local_points[region]
+
+
+def parse_config_text(text):
+    """Parse JSON text into a normalized config dict."""
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError([f"invalid JSON: {exc}"]) from None
+    return validate_config(raw)
+
+
+def nystrom_eigenvalues_1d(length, eta, n_eigs, n_quad=2048):
+    """Independent check: midpoint-rule Nystrom eigenvalues of the 1D kernel."""
+    from scipy.linalg import eigh
+
+    h = length / n_quad
+    x = (np.arange(n_quad) + 0.5) * h
+    K = np.exp(-np.abs(x[:, None] - x[None, :]) / eta) * h
+    vals = eigh(K, eigvals_only=True,
+                subset_by_index=[n_quad - n_eigs, n_quad - 1])
+    return vals[::-1]
+
+
+class WeightSumAccumulator(MomentAccumulator):
+    """A MomentAccumulator that also sums the weights it is given."""
+
+    total_weight = 0.0
+
+    def add(self, weight, fields):
+        super().add(weight, fields)
+        self.total_weight += weight

@@ -9,7 +9,8 @@ from types import SimpleNamespace
 import pytest
 
 from sdmortar.config import build_from_config, parse_config
-from sdmortar.interface import run_method
+from sdmortar.interface import (SolveStats, _Group, _Groups, _lifetimes,
+                                run_method)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -41,6 +42,32 @@ def load_case(name, refine=1, **tweaks):
     problem, grid, options = build_from_config(cfg)
     return SimpleNamespace(cfg=cfg, problem=problem, grid=grid,
                            options=options)
+
+
+def new_group(case, method, sids=None):
+    """A _Group of `sids` (every subdomain by default) with the entry
+    lifetimes run_method gives a sweep of case.grid."""
+    problem, grid = case.problem, case.grid
+    n_sub = problem.layout.n_subdomains
+    return _Group(problem, list(range(n_sub)) if sids is None else sids,
+                  method, SolveStats.new(method, n_sub), grid,
+                  _lifetimes(problem, grid, method, grid.points))
+
+
+def build_operators(group):
+    """Fetch or build every owned subdomain's (operator, basis) at every
+    grid point, in sweep order, dropping nothing."""
+    for k, y in enumerate(group.grid.points):
+        for sid in group.sids:
+            group._operator(sid, k, y)
+
+
+def sweep_groups(case, method, stats):
+    """The one-process _Groups of a sweep of case.grid, as run_method opens
+    it."""
+    problem, grid = case.problem, case.grid
+    return _Groups(problem, method, 1, stats, grid,
+                   _lifetimes(problem, grid, method, grid.points))
 
 
 def sweep_all_methods(case, tol=1e-11):

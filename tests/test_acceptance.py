@@ -11,12 +11,11 @@ from sdmortar.collocation import build_sparse_grid, build_tensor_grid
 from sdmortar.darcy import DarcyBC
 from sdmortar.driver import run_file
 from sdmortar.geometry import Block, build_subdomain_mesh
-from sdmortar.interface import (SolveStats, _Groups, run_method,
-                                solve_realization)
+from sdmortar.interface import SolveStats, run_method, solve_realization
 from sdmortar.random_field import solve_1d_eigenpairs
 from sdmortar.stokes import StokesBC
 
-from conftest import CONFIG_DIR, load_case
+from conftest import CONFIG_DIR, load_case, sweep_groups
 from _oracles import assemble_darcy, assemble_stokes, monolithic_rt0
 
 
@@ -181,7 +180,7 @@ def test_criterion_05_interface_operator_spd(case1, capsys):
     worst = 0.0
     min_quad = np.inf
     stats = SolveStats.new("S1", problem.layout.n_subdomains)
-    with _Groups(problem, "S1", 1, stats) as groups:
+    with sweep_groups(case1, "S1", stats) as groups:
         for k in (0, 13, 31):
             groups.realize(k, grid.points[k])
             apply_fn = groups.apply

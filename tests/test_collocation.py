@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from sdmortar.collocation import (build_sparse_grid, build_tensor_grid,
-                                  count_local_realizations, gauss_hermite_rule,
-                                  global_to_local_index,
-                                  local_realization_points, rule_size_at_level)
+                                  gauss_hermite_rule, rule_size_at_level)
+
+from _oracles import (count_local_realizations, global_to_local_index,
+                      local_realization_points)
 
 
 def test_gauss_hermite_small_rules():

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from sdmortar.config import (build_from_config, compile_expression,
-                             parse_config, parse_config_text,
-                             serialize_config, validate_config)
+                             parse_config, serialize_config, validate_config)
 from sdmortar.errors import ConfigError
 
 from conftest import CONFIG_DIR
+from _oracles import parse_config_text
 
 SHIPPED = ("case1_mini", "case1_mini_sparse", "case2_mini", "darcy_twoblock")
 

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from sdmortar.darcy import DarcyBC
 from sdmortar.geometry import Block, build_layout, build_subdomain_mesh
-from sdmortar.interface import (SolveStats, _Groups, compute_flux_basis,
-                                recover_fields, star_response)
+from sdmortar.interface import (SolveStats, _Groups, _lifetimes,
+                                compute_flux_basis, recover_fields,
+                                star_response)
 from sdmortar.mortar import build_mortar_space
 from sdmortar.problem import Physics, build_problem
 from sdmortar.stokes import StokesBC
@@ -79,7 +80,8 @@ def assert_maps_match_dicts(problem, y, rng):
 
     # the bar jump the interface solver ships, against the dict jump of the
     # same bar solutions; F_i on the bar velocity includes the Dirichlet lift
-    with _Groups(problem, "S1", 1, SolveStats.new("S1", n_sub)) as groups:
+    with _Groups(problem, "S1", 1, SolveStats.new("S1", n_sub), None,
+                 _lifetimes(problem, None, "S1", [y])) as groups:
         g, _ = groups.realize(0, y)
         ship_bars = groups._local.bars
         want = oracles.entry_jump(problem.space, [

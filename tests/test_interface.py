@@ -9,15 +9,16 @@ import pytest
 import scipy.sparse as sp
 
 from sdmortar import assembly, interface
-from sdmortar.collocation import count_local_realizations
+from sdmortar.collocation import build_tensor_grid
 from sdmortar.errors import (ConvergenceError, SingularOperatorError,
                              SizeCapError)
 from sdmortar.interface import (SecantPreconditioner, SolveStats, _Group,
-                                _Groups, _split, basis_apply, cg_solve,
+                                _check_basis_cap, _lifetimes, _split,
+                                basis_apply, cg_solve, compute_flux_basis,
                                 run_method, solve_realization, worker_count)
 
-from conftest import load_case
-from _oracles import plain_cg, prepare_s3
+from conftest import build_operators, load_case, new_group, sweep_groups
+from _oracles import count_local_realizations, plain_cg, prepare_s3
 
 CONFIGS = ("case1_mini", "case1_mini_sparse", "case2_mini", "darcy_twoblock")
 
@@ -164,7 +165,7 @@ def test_s2_true_residual_stays_within_tolerance(case1, case1_sweeps):
     tol = 1e-11  # the case1_sweeps tolerance
     n = problem.space.n_dof
     stats = SolveStats.new("S2", problem.layout.n_subdomains)
-    with _Groups(problem, "S2", 1, stats) as groups:
+    with sweep_groups(case1, "S2", stats) as groups:
         for k in range(grid.n_real):
             g, bases = groups.realize(k, grid.points[k])
             S = np.zeros((n, n))
@@ -203,7 +204,7 @@ def test_interface_operator_symmetry(twoblock):
     problem = twoblock.problem
     stats = SolveStats.new("S1", 2)
     rng = np.random.default_rng(4)
-    with _Groups(problem, "S1", 1, stats) as groups:
+    with sweep_groups(twoblock, "S1", stats) as groups:
         groups.realize(3, twoblock.grid.points[3])
         apply_fn = groups.apply
         for _ in range(10):
@@ -221,7 +222,7 @@ def test_flux_basis_matches_direct_apply(twoblock):
     problem = twoblock.problem
     stats = SolveStats.new("S2", 2)
     rng = np.random.default_rng(9)
-    with _Groups(problem, "S2", 1, stats) as groups:
+    with sweep_groups(twoblock, "S2", stats) as groups:
         _, bases = groups.realize(0, twoblock.grid.points[0])
         direct = groups.apply
         from_basis = basis_apply(problem.space, bases)
@@ -274,19 +275,20 @@ def test_s3_equals_s2_when_region_spans_everything(twoblock):
 
 @pytest.mark.parametrize("name", CONFIGS)
 def test_s3_prepare_matches_the_reference_bitwise(name):
-    """The keyed cache builds S3's operators in the reference's order, at
-    points whose K equals the zero-padded local points' K, so every basis
-    and counter matches bit for bit. Two problems keep the factor order of
-    one side's first matrix from reaching the other."""
+    """The keyed cache, driven over the grid in sweep order, builds S3's
+    operators in the order of the reference preparation
+    _oracles.prepare_s3, at points whose K equals the zero-padded local
+    points' K, so every basis and counter matches bit for bit. Two problems
+    keep the factor order of one side's first matrix from reaching the
+    other."""
     case, ref = load_case(name), load_case(name)
     n_sub = case.problem.layout.n_subdomains
-    group = _Group(case.problem, list(range(n_sub)), "S3",
-                   SolveStats.new("S3", n_sub), case.grid)
-    group.prepare()
+    group = new_group(case, "S3")
+    build_operators(group)
     ref_stats = SolveStats.new("S3", n_sub)
     for sid in range(n_sub):
         ops, bases = prepare_s3(ref.problem, ref.grid, sid, ref_stats)
-        got = list(group.cache[sid].values())
+        got = [entry for (s, _), entry in group.cache.items() if s == sid]
         assert len(got) == len(bases)
         for (op, (dofs, B)), ref_op, (ref_dofs, ref_B) in zip(got, ops,
                                                                bases):
@@ -297,34 +299,124 @@ def test_s3_prepare_matches_the_reference_bitwise(name):
                           ref_stats.basis_backsolves)
 
 
-def test_s3_factors_and_bases_happen_in_prepare(case1, monkeypatch):
-    """Every S3 sparse LU and flux basis is built before the first
-    realization; the realization loop only looks them up."""
-    phase, calls = ["build"], []
+def test_s3_builds_each_entry_once_and_drops_it_after_its_last_use(
+        case1, monkeypatch):
+    """Every (sid, key) entry of an S3 sweep is built once, during the
+    first realization with its key, and harvested at the recovery of its
+    last (_lifetimes); case1_mini needs 26 sparse LUs and 26 bases."""
+    problem, grid = case1.problem, case1.grid
+    table = {}
+    for k in range(grid.n_real):
+        for sid, block in enumerate(problem.layout.blocks):
+            key = (int(grid.local_indices[block.kl_region][k])
+                   if block.physics == "darcy" else None)
+            table[sid, key] = table.get((sid, key), (k,))[0], k
+    assert _lifetimes(problem, grid, "S3", grid.points) == table
+    now, entry_of, built, harvested, lus = [None], {}, {}, {}, []
 
-    def spy(name, fn):
-        def wrapped(*args, **kwargs):
-            calls.append((name, phase[0]))
-            return fn(*args, **kwargs)
+    def phased(name, fn):
+        def wrapped(self, k, *args):
+            now[0] = name, k
+            return fn(self, k, *args)
         return wrapped
 
-    prepare = _Group.prepare
+    def basis(problem, sid, op, stats):
+        k = now[0][1]
+        entry = sid, interface._key(problem, grid, "S3", sid, k,
+                                    grid.points[k])[0]
+        entry_of[id(op)] = entry
+        built.setdefault(entry, []).append(now[0])
+        return compute_flux_basis(problem, sid, op, stats)
 
-    def phased(self):
-        phase[0] = "prepare"
-        prepare(self)
-        phase[0] = "loop"
+    harvest = SolveStats.harvest
 
-    monkeypatch.setattr(assembly, "splu", spy("splu", assembly.splu))
-    monkeypatch.setattr(interface, "compute_flux_basis",
-                        spy("basis", interface.compute_flux_basis))
-    monkeypatch.setattr(_Group, "prepare", phased)
-    res = run_method(case1.problem, case1.grid, method="S3")
-    assert phase == ["loop"]
-    assert calls.count(("splu", "prepare")) == 26
-    assert calls.count(("basis", "prepare")) == 26
-    assert len(calls) == 52
+    def harvested_at(self, sid, op):
+        harvested.setdefault(entry_of.pop(id(op)), []).append(now[0])
+        harvest(self, sid, op)
+
+    def splu(*args, **kwargs):
+        lus.append(now[0])
+        return compute_splu(*args, **kwargs)
+
+    compute_splu = assembly.splu
+    monkeypatch.setattr(assembly, "splu", splu)
+    monkeypatch.setattr(interface, "compute_flux_basis", basis)
+    monkeypatch.setattr(SolveStats, "harvest", harvested_at)
+    for name in ("realize", "recover"):
+        monkeypatch.setattr(_Group, name, phased(name,
+                                                 getattr(_Group, name)))
+    res = run_method(problem, grid, method="S3")
+    assert built == {e: [("realize", first)]
+                     for e, (first, _) in table.items()}
+    assert harvested == {e: [("recover", last)]
+                         for e, (_, last) in table.items()}
+    assert len(built) == 26 and len(lus) == 26
     assert res.stats.factorizations.sum() == 26
+
+
+def test_s3_region0_darcy_blocks_hold_one_entry(case1, monkeypatch):
+    """Region 0's local realization runs through the grid in contiguous
+    runs, so each of its Darcy blocks holds one S3 entry at a time; region
+    1's blocks hold all of theirs."""
+    problem, grid = case1.problem, case1.grid
+    blocks = problem.layout.blocks
+    held = {sid: 0 for sid, b in enumerate(blocks) if b.physics == "darcy"}
+    realize = _Group.realize
+
+    def counted(self, k, y):
+        out = realize(self, k, y)
+        for sid in held:
+            n = sum(1 for s, _ in self.cache if s == sid)
+            held[sid] = max(held[sid], n)
+        return out
+
+    monkeypatch.setattr(_Group, "realize", counted)
+    run_method(problem, grid, method="S3")
+    region = {sid: blocks[sid].kl_region for sid in held}
+    assert sorted(set(region.values())) == [0, 1]
+    for sid, n in held.items():
+        assert n == (1 if region[sid] == 0 else grid.local_counts[1]), sid
+
+
+@pytest.mark.parametrize("method", ["S2", "S3"])
+def test_basis_cap_reads_the_peak_of_the_lifetimes(case1, method):
+    """_check_basis_cap passes at the peak bytes of the bases the lifetime
+    table holds live at one realization and raises a byte below it."""
+    problem, grid = case1.problem, case1.grid
+    table = _lifetimes(problem, grid, method, grid.points)
+    peak = max(sum(8 * len(problem.sub_dofs[sid]) ** 2
+                   for (sid, _), (first, last) in table.items()
+                   if first <= k <= last)
+               for k in range(grid.n_real))
+    one_each = sum(8 * len(d) ** 2 for d in problem.sub_dofs)
+    if method == "S2":
+        assert peak == one_each
+    else:  # region 1's Darcy bases are all live in mid-sweep
+        assert peak > one_each
+    _check_basis_cap(problem, method, table, peak / 2 ** 20)
+    with pytest.raises(SizeCapError, match="basis"):
+        _check_basis_cap(problem, method, table, (peak - 1) / 2 ** 20)
+    with pytest.raises(SizeCapError, match="basis"):
+        run_method(problem, grid, method=method,
+                   basis_cap_mb=(peak - 1) / 2 ** 20)
+
+
+@pytest.mark.parametrize("m, splits", [([2] * 5, (3, 2)),
+                                       ([2] * 4, (2, 2)),
+                                       ([2] * 6, (2, 4))])
+def test_grid_that_does_not_match_the_field_is_rejected(case1, m, splits):
+    """case1_mini's field has 5 dims split (2, 3) by KL region; a grid with
+    other dims or splits would key S3 by the wrong coordinates."""
+    grid = build_tensor_grid(m, splits=splits)
+    for method in ("S1", "S2", "S3"):
+        with pytest.raises(ValueError, match=r"field's 5 dims split \(2, 3\)"):
+            run_method(case1.problem, grid, method=method)
+
+
+@pytest.mark.parametrize("n", [3, 7])
+def test_point_that_does_not_match_the_field_is_rejected(case1, n):
+    with pytest.raises(ValueError, match=rf"\({n},\).*5 dims"):
+        solve_realization(case1.problem, np.zeros(n))
 
 
 def test_moments_match_direct_quadrature(twoblock):
@@ -522,7 +614,7 @@ def test_compute_rhs_jump_is_balanced(twoblock):
     """With matching uniform flow the jump retains only the bar mismatch."""
     problem = twoblock.problem
     stats = SolveStats.new("S1", 2)
-    with _Groups(problem, "S1", 1, stats) as groups:
+    with sweep_groups(twoblock, "S1", stats) as groups:
         g, _ = groups.realize(0, np.zeros(3))
     # bar solves see zero interface data, so each block carries its own
     # pressure boundary layer and the jump is nonzero

