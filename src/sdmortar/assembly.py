@@ -1,23 +1,19 @@
 """Fixed-pattern subdomain matrices and their per-realization factors.
 
-A subdomain saddle matrix depends on the permeability only through a few
-scalar coefficients per entry (1/K per Darcy cell, the BJS friction per
-Stokes interface edge). Its pattern is therefore computed once from COO
-triplets, and every realization fills the CSC data with one sparse matvec:
-data = data0 + P @ coef.
-
-The column order of the sparse LU depends on the pattern only, so each
-invariant system owns one Factorizer that keeps the order SuperLU chose
-(COLAMD followed by its elimination-tree postorder) at the system's first
-factorization. A later matrix with the same pattern is permuted into that
-order with a gather index built once and factored with
-permc_spec="NATURAL", which skips the symbolic ordering; its solves are
-permuted back. A matrix with another pattern, such as a Stokes matrix
-bordered by rigid-body constraints, is ordered afresh.
+The Stokes saddle matrix depends on the permeability only through a few
+scalar coefficients per entry (the BJS friction per Stokes interface
+edge). Its pattern is therefore computed once from COO triplets, and every
+realization fills the CSC data with one sparse matvec:
+data = data0 + P @ coef (RefillMatrix). The Darcy system refills its
+multiplier matrix and the maps of its hybridized solve the same way, from
+K/nu and nu/K per cell (darcy.py).
 
 A factored Darcy or Stokes operator is a SubdomainOperator: its one
-_solve backsolves a right-hand side and scatters the result into a
-Solution of full velocity and pressure dof vectors.
+_solve backsolves a right-hand side or a block of columns and scatters the
+result into a Solution of full velocity and pressure dof vectors. Callers
+keep a block to block_width(op.block_rows) columns. A Stokes operator
+whose BJS entries differ from its reference's solves through
+UpdatedFactors.
 """
 
 from dataclasses import dataclass
@@ -25,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
-from scipy.sparse.linalg import splu
 
 from .errors import SingularOperatorError
 
@@ -65,9 +60,12 @@ class RefillMatrix:
         self.data0 = data0[live]
         self.P = P[live]
 
+    def data(self, coef):
+        """CSC data at coefficients coef."""
+        return self.data0 + self.P @ np.asarray(coef, dtype=float)
+
     def __call__(self, coef):
-        data = self.data0 + self.P @ np.asarray(coef, dtype=float)
-        return sp.csc_matrix((data, self.indices, self.indptr),
+        return sp.csc_matrix((self.data(coef), self.indices, self.indptr),
                              shape=self.shape)
 
 
@@ -111,10 +109,11 @@ def check_permeability(K, name):
             f"not finite and positive")
 
 
-# Bytes of one block of right-hand sides handed to SuperLU: just under
-# glibc's default 128 KiB mmap threshold, so block buffers come from the
-# heap and are reused. Above it, freeing an mmapped buffer raises glibc's
-# threshold and the heap grows instead.
+# Bytes of one block of right-hand sides handed to a factor, and of each
+# temporary of its solve: just under glibc's default 128 KiB mmap
+# threshold, so block buffers come from the heap and are reused. Above it,
+# freeing an mmapped buffer raises glibc's threshold and the heap grows
+# instead.
 BLOCK_BYTES = 120 * 1024
 
 
@@ -129,25 +128,8 @@ def block_width(rows):
     return max(1, BLOCK_BYTES // (8 * rows))
 
 
-class LUFactors:
-    """SuperLU factors of S, possibly of S with its columns permuted.
-
-    With `perm`, `lu` factors S[:, argsort(perm)] and solve() permutes the
-    solution back. `solve` takes one right-hand side or a block of columns.
-    """
-
-    def __init__(self, lu, perm=None):
-        self.lu = lu
-        self.perm = perm
-        self.shape = lu.shape
-
-    def solve(self, rhs):
-        x = self.lu.solve(rhs)
-        return x if self.perm is None else x[self.perm]
-
-
 class UpdatedFactors:
-    """Solves with A + U D U^T from the LUFactors of A (Woodbury).
+    """Solves with A + U D U^T from the sparse LU of A (Woodbury).
 
     U = I[:, rows] selects r rows, W = A^-1 U holds their r backsolves and
     D is a dense r x r matrix. Only the capacitance M = I + D U^T W is
@@ -181,54 +163,6 @@ class UpdatedFactors:
         return y - self.G @ y[self.rows]
 
 
-class Factorizer:
-    """Factors the matrices of one invariant system; see the module docstring.
-
-    Calling it factors a CSC matrix with sorted indices and returns its
-    LUFactors; a singular matrix raises SingularOperatorError.
-    """
-
-    def __init__(self):
-        self._pattern = None  # (shape, indptr, indices) of the first matrix
-
-    def __call__(self, S):
-        try:
-            if self._same_pattern(S):
-                permuted = sp.csc_matrix(
-                    (S.data[self._gather], self._indices, self._indptr),
-                    shape=S.shape)
-                return LUFactors(splu(permuted, permc_spec="NATURAL"),
-                                 self._perm)
-            lu = splu(S)
-        except RuntimeError as exc:
-            raise SingularOperatorError(str(exc)) from exc
-        if self._pattern is None:
-            # a copy: lu.perm_c is a view that keeps the whole factor alive
-            self._keep_order(S, lu.perm_c.copy())
-        return LUFactors(lu)
-
-    def _same_pattern(self, S):
-        if self._pattern is None:
-            return False
-        shape, indptr, indices = self._pattern
-        return (S.shape == shape and np.array_equal(S.indptr, indptr)
-                and np.array_equal(S.indices, indices))
-
-    def _keep_order(self, S, perm):
-        """Gather index of the CSC data of S[:, argsort(perm)]."""
-        inv = np.argsort(perm)
-        starts, counts = S.indptr[inv], np.diff(S.indptr)[inv]
-        ends = np.cumsum(counts)
-        self._gather = (np.arange(ends[-1])
-                        - np.repeat(ends - counts - starts, counts)
-                        ).astype(S.indptr.dtype)
-        self._indices = S.indices[self._gather]
-        self._indptr = np.concatenate([[0], ends]).astype(S.indptr.dtype)
-        self._perm = perm
-        # RefillMatrix hands out the same index arrays on every call
-        self._pattern = (S.shape, S.indptr, S.indices)
-
-
 @dataclass
 class Solution:
     """Fields of one subdomain solve; with a block of right-hand sides each
@@ -243,7 +177,9 @@ class SubdomainOperator:
 
     The system's unknowns are its free velocity dofs `free` (of n_udof)
     followed by n_p pressures, scaled by p_scale in the factored matrix;
-    the LU may border them with constraint rows. Every load handed to
+    the LU may border them with constraint rows. `lu` is any factor with
+    `shape` and `solve`: a Stokes SuperLU or UpdatedFactors, a Darcy
+    darcy.HybridFactors. Every load handed to
     _solve has the LU's rows with its pressure rows scaled: `bar_load` is
     built so once, and a star load (CouplingMaps.star_load at the LU's
     rows) is zero on the pressure rows. A solve with m columns counts m
@@ -257,6 +193,11 @@ class SubdomainOperator:
         self.bar_load = bar_load
         self.factorizations = 1
         self.backsolves = 0
+
+    @property
+    def block_rows(self):
+        """Rows of the largest float64 temporary of a one-column solve."""
+        return self.lu.shape[0]
 
     def _solve(self, rhs, lift=None):
         """Backsolve rhs; eliminated velocity dofs take lift (None: zero)."""

@@ -9,23 +9,56 @@ cell. The saddle system
 
 uses A = nu (K^-1 u, v) with K constant per cell and B = -(div v, w).
 No-flow conditions are eliminated strongly; pressure and interface data are
-natural and enter the momentum right-hand side. Everything but nu/K is
-realization-invariant and lives in a DarcySystem built once, together with
-the column order of its sparse LU (assembly.Factorizer); each realization
-refills the matrix data, factors it once (SuperLU) in that order, and every
-subsequent star/bar solve is a single backsolve, or one per column of a
-block of star loads.
+natural and enter the momentum right-hand side.
+
+It is solved in hybridized form (Arnold & Brezzi, M2AN 19, 1985). Each
+cell T gets its own four fluxes u_T, and an edge multiplier mu_e on every
+interior and no-flow edge enforces sum_T s_T,e u_T,e = 0, s the outward
+sign: the two copies of an interior flux agree and a no-flow flux is zero.
+A load r on a free edge is put on one cell of the edge (its owner). Per
+cell, with local mass (nu/K_T) M0, divergence row b and C_T the cell's
+signed multiplier incidence,
+
+    (nu/K_T) M0 u_T + b p_T + C_T^T mu = r_T,    b^T u_T = g_T,
+
+so u_T and p_T are closed-form in (r_T, g_T, mu): with m = M0^-1 b,
+beta = b^T m and Q = M0^-1 - m m^T / beta,
+
+    u_T = (K_T/nu) Q (r_T - C_T^T mu) + m g_T / beta,
+    p_T = m^T (r_T - C_T^T mu) / beta - (nu/K_T) g_T / beta.
+
+The constraints then give the multiplier system H mu = L r with
+H = sum_T (K_T/nu) C_T Q C_T^T, symmetric positive definite whenever the
+saddle matrix is regular. Its solution satisfies the constraints, so the
+u_T are the restriction of one field u that vanishes on the no-flow edges;
+summing each cell's momentum rows over the cells of an edge cancels the
+multiplier terms and gives back A u + B^T p = f: (u, p) is the saddle
+solution, whatever owner the loads were put on. M0, Q, m and beta are the
+same for every cell of a block.
+
+A DarcySystem, built once, holds the multiplier numbering (reverse
+Cuthill-McKee, so H is banded) and RefillMatrix patterns of H's lower
+triangle, of L and of the back map [r; mu] -> [u_free; p]. A realization
+refills them from K/nu and nu/K per cell, copies H into LAPACK band
+storage through a fixed index, factors it by banded Cholesky (dpbtrf) and
+solves every star/bar load, or block of loads, by one multiplier load,
+one dpbtrs and the back map.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-from .assembly import (CouplingMaps, Factorizer, RefillMatrix,
-                       SubdomainOperator, check_permeability)
+from .assembly import (CouplingMaps, RefillMatrix, SubdomainOperator,
+                       check_permeability)
 from .errors import SingularOperatorError
 from .geometry import OUTWARD_SIGN, SIDES, locate_trace
+
+# outward normal of each (west, east, south, north) edge of a cell, in
+# the edge's +x/+y orientation
+_CELL_SIGN = np.array([-1.0, 1.0, -1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -70,15 +103,73 @@ def _cell_edge_table(mesh):
     return mesh.cell_edges(ix, iy)
 
 
+def _reverse_cuthill_mckee(graph):
+    """Reverse Cuthill-McKee order of the nodes of a symmetric CSR graph.
+
+    Level by level from a node of least degree in each connected
+    component: the unnumbered neighbours of a level are numbered by the
+    position of their first numbered neighbour, then by degree. Array ops
+    per level, so it needs no graph module (scipy.sparse.csgraph adds
+    about 1 MB to the resident set of a process).
+    """
+    indptr, indices = graph.indptr, graph.indices
+    degree = np.diff(indptr)
+    pos = np.full(len(degree), -1)
+    levels, count = [], 0
+    while count < len(degree):
+        left = np.flatnonzero(pos < 0)
+        level = left[[np.argmin(degree[left])]]
+        while level.size:
+            pos[level] = count + np.arange(level.size)
+            count += level.size
+            levels.append(level)
+            n_nb = degree[level]
+            start = np.repeat(indptr[level] - np.cumsum(n_nb) + n_nb, n_nb)
+            nb = indices[start + np.arange(n_nb.sum())]
+            parent = np.repeat(pos[level], n_nb)
+            new = pos[nb] < 0
+            # nb lists the neighbours parent by parent in numbered order, so
+            # a child's first occurrence is under its first numbered parent
+            child, first = np.unique(nb[new], return_index=True)
+            level = child[np.lexsort((child, degree[child],
+                                      parent[new][first]))]
+    return np.concatenate(levels)[::-1] if levels else pos
+
+
+class HybridFactors:
+    """Saddle solves of one realization through the Cholesky factor of H.
+
+    `shape` is the saddle system's; solve(rhs) takes one right-hand side
+    or a block of columns and returns [u_free; p]: the multiplier load
+    L rhs, one dpbtrs with H's banded factor, and the back map applied as
+    its two column halves [r | mu], so that no temporary of a solve has
+    more than `rows` = max(saddle rows, multipliers) rows.
+    """
+
+    def __init__(self, shape, chol, load, back_rhs, back_mu):
+        self.shape = shape
+        self.rows = max(shape[0], chol.shape[1])
+        self.chol = chol
+        self.load = load
+        self.back_rhs = back_rhs
+        self.back_mu = back_mu
+
+    def solve(self, rhs):
+        x = self.back_rhs @ rhs
+        if self.chol.shape[1]:  # else no interior or no-flow edge
+            x += self.back_mu @ dpbtrs(self.chol, self.load @ rhs,
+                                       lower=1)[0]
+        return x
+
+
 class DarcySystem:
     """Realization-invariant part of one Darcy subdomain.
 
-    Holds the reduced dof layout, the saddle matrix pattern that is refilled
-    from nu/K per cell with the Factorizer that keeps its column order, the
-    K-independent bar load and, when built with a
-    mortar coupling F (full edge velocity -> signed local mortar
-    functionals), its CouplingMaps, so that a star solve takes a local
-    mortar vector.
+    Holds the reduced dof layout, the multiplier numbering and the refill
+    patterns of the hybridized solve (see the module docstring), the
+    K-independent bar load and, when built with a mortar coupling F (full
+    edge velocity -> signed local mortar functionals), its CouplingMaps,
+    so that a star solve takes a local mortar vector.
     """
 
     def __init__(self, mesh, nu, bcs, traces, f=None, q=None, coupling=None,
@@ -123,39 +214,104 @@ class DarcySystem:
         self.n_p = mesh.n_cells
         self.p_scale = 1.0  # the pressure block is not scaled
         self.n_unknowns = self.n_u + self.n_p
-        self.matrix = self._pattern()
-        self.factorize = Factorizer()
+        self._hybridize(sorted(noflow))
         self.bar_load = self._bar_load()
 
         self.coupling = None
         if coupling is not None:
             self.coupling = CouplingMaps(coupling, free, mesh.n_edges)
 
-    def _pattern(self):
-        """Saddle [A B^T; B 0] with A = (nu/K u, v) refilled per cell."""
+    def _hybridize(self, noflow):
+        """Multiplier numbering and refill patterns of H, L and the back map.
+
+        H refills from K/nu per cell, the maps from K/nu per cell followed
+        by nu/K per cell.
+        """
         mesh = self.mesh
-        w, e, s, n = _cell_edge_table(mesh)
-        cells = np.arange(mesh.n_cells)
-        area = mesh.hx * mesh.hy
-        a = np.concatenate([w, e, w, e, s, n, s, n])
-        b = np.concatenate([w, e, e, w, s, n, n, s])
-        m = np.repeat([1 / 3, 1 / 3, 1 / 6, 1 / 6] * 2, mesh.n_cells)
-        ra, rb = self.red_index[a], self.red_index[b]
-        ok = (ra >= 0) & (rb >= 0)
-        which = np.tile(cells, 8)[ok]
-        # -(div u, q): (u_e - u_w) hy + (u_n - u_s) hx
-        edge = np.concatenate([w, e, s, n])
-        bval = np.repeat([mesh.hy, -mesh.hy, mesh.hx, -mesh.hx],
-                         mesh.n_cells)
-        r = self.red_index[edge]
-        bok = r >= 0
-        prow = self.n_u + np.tile(cells, 4)[bok]
-        n_sys = self.n_u + self.n_p
-        const = (np.concatenate([prow, r[bok]]),
-                 np.concatenate([r[bok], prow]),
-                 np.concatenate([bval[bok], bval[bok]]))
-        scaled = (ra[ok], rb[ok], area * m[ok], which)
-        return RefillMatrix((n_sys, n_sys), const, scaled, mesh.n_cells)
+        nc, n_u = mesh.n_cells, self.n_u
+        edges = np.column_stack(_cell_edge_table(mesh))
+        M0 = mesh.hx * mesh.hy * np.kron(np.eye(2), [[1 / 3, 1 / 6],
+                                                      [1 / 6, 1 / 3]])
+        b = np.array([mesh.hy, -mesh.hy, mesh.hx, -mesh.hx])
+        M0inv = np.linalg.inv(M0)
+        m = M0inv @ b
+        beta = b @ m
+        Q = M0inv - np.outer(m, m) / beta
+        s = _CELL_SIGN
+
+        # multipliers on interior and no-flow edges, numbered by RCM of H
+        is_mult = np.bincount(edges.ravel(), minlength=mesh.n_edges) == 2
+        is_mult[noflow] = True
+        n_mult = int(is_mult.sum())
+        mult = -np.ones(mesh.n_edges, dtype=int)
+        mult[is_mult] = np.arange(n_mult)
+        cell = np.repeat(np.arange(nc), 16)  # every slot pair (i, j)
+        i = np.tile(np.repeat(np.arange(4), 4), nc)
+        j = np.tile(np.arange(4), 4 * nc)
+        mi, mj = mult[edges[cell, i]], mult[edges[cell, j]]
+        both = (mi >= 0) & (mj >= 0)
+        graph = sp.csr_matrix((np.ones(int(both.sum())),
+                               (mi[both], mj[both])), shape=(n_mult, n_mult))
+        rank = np.empty(n_mult, dtype=int)
+        rank[_reverse_cuthill_mckee(graph)] = np.arange(n_mult)
+        mult[is_mult] = rank[mult[is_mult]]
+        self.multiplier = mult  # edge -> multiplier index, -1 if none
+
+        mid = mult[edges]  # (nc, 4) multiplier of each cell slot
+        red = self.red_index[edges]  # (nc, 4) reduced velocity row
+        # each free edge's load and value belong to its first cell slot
+        owned = np.zeros(4 * nc, dtype=bool)
+        owned[np.unique(edges.ravel(), return_index=True)[1]] = True
+        owned = owned.reshape(nc, 4) & (red >= 0)
+
+        mi, mj = mid[cell, i], mid[cell, j]
+        ri, rj = red[cell, i], red[cell, j]
+        oi, oj = owned[cell, i], owned[cell, j]
+        k = np.tile(np.arange(4), nc)  # every single slot k
+        mk, rk, ok = mid.ravel(), red.ravel(), owned.ravel()
+        p_row = n_u + np.repeat(np.arange(nc), 4)
+        p_diag = n_u + np.arange(nc)
+        n_sys = n_u + nc
+
+        # H = sum_T (K_T/nu) C_T Q C_T^T, its lower triangle
+        low = both & (mi >= mj)
+        none = np.zeros(0, dtype=int)
+        self._H = RefillMatrix((n_mult, n_mult), (none, none, none),
+                               (mi[low], mj[low],
+                                (s[i] * s[j] * Q[i, j])[low], cell[low]),
+                               nc)
+        rows = self._H.indices
+        cols = np.repeat(np.arange(n_mult), np.diff(self._H.indptr))
+        self.kd = int(np.max(rows - cols, initial=0))
+        self._band_at = (rows - cols) * n_mult + cols
+        # L r = sum_T C_T ((K_T/nu) Q r_T + m g_T / beta)
+        lr, lg = (mi >= 0) & oj, mk >= 0
+        self._load = RefillMatrix(
+            (n_mult, n_sys), (mk[lg], p_row[lg], (s * m / beta)[k][lg]),
+            (mi[lr], rj[lr], (s[i] * Q[i, j])[lr], cell[lr]), 2 * nc)
+        # u_T = (K_T/nu) Q (r_T - C_T^T mu) + m g_T / beta, read at the
+        # owner slot; p_T = m^T (r_T - C_T^T mu) / beta - (nu/K_T) g_T / beta
+        uu = oi & oj
+        self._back_rhs = RefillMatrix(
+            (n_sys, n_sys),
+            (np.concatenate([rk[ok], p_row[ok]]),
+             np.concatenate([p_row[ok], rk[ok]]),
+             np.tile((m / beta)[k][ok], 2)),
+            (np.concatenate([ri[uu], p_diag]),
+             np.concatenate([rj[uu], p_diag]),
+             np.concatenate([Q[i, j][uu], np.full(nc, -1 / beta)]),
+             np.concatenate([cell[uu], nc + np.arange(nc)])), 2 * nc)
+        um = oi & (mj >= 0)
+        self._back_mu = RefillMatrix(
+            (n_sys, n_mult), (p_row[lg], mk[lg], -(m * s / beta)[k][lg]),
+            (ri[um], mj[um], -(Q[i, j] * s[j])[um], cell[um]), 2 * nc)
+
+    def multiplier_band(self, K):
+        """H at cell permeabilities K, in LAPACK's lower band storage:
+        band[i - j, j] = H[i, j] for j <= i <= j + kd."""
+        band = np.zeros((self.kd + 1, self._H.shape[0]))
+        band.ravel()[self._band_at] = self._H.data(K / self.nu)
+        return band
 
     def _bar_load(self):
         """Momentum source, outer pressure data and mass source (no K)."""
@@ -199,12 +355,26 @@ class DarcySystem:
         if K.shape != (self.mesh.n_cells,):
             raise ValueError("K must hold one value per cell")
         check_permeability(K, self.name)
-        return DarcyOperator(self, self.factorize(self.matrix(self.nu / K)),
-                             self.bar_load)
+        chol, info = dpbtrf(self.multiplier_band(K), lower=1, overwrite_ab=1)
+        if info > 0:
+            raise SingularOperatorError(
+                f"{self.name}: multiplier matrix is not positive definite "
+                f"(leading minor {info})")
+        coef = np.concatenate([K / self.nu, self.nu / K])
+        n_sys = self.n_unknowns
+        return DarcyOperator(
+            self, HybridFactors((n_sys, n_sys), chol, self._load(coef),
+                                self._back_rhs(coef), self._back_mu(coef)),
+            self.bar_load)
 
 
 class DarcyOperator(SubdomainOperator):
     """Factored subdomain operator for one permeability realization."""
+
+    @property
+    def block_rows(self):
+        """Saddle rows or multipliers, whichever are more."""
+        return self.lu.rows
 
     def solve_bar(self):
         """Solve with full outer data and sources, zero interface data."""

@@ -576,18 +576,18 @@ def compute_flux_basis(problem, sid, op, stats):
     """Local response matrix B_i = -F_i A_i^-1 E_i, so S lam|_i = B_i lam|_i.
 
     One star solve per local mortar dof, counted as basis backsolves. The
-    unit loads are solved in blocks of block_width(rows) columns, rows
-    being the size of the factored system, so that no block handed to
-    SuperLU exceeds assembly.BLOCK_BYTES (120 KiB). Unbounded blocks raised
-    the peak resident memory of an S3 sweep on the x2 meshes from 153-155
-    MB to 169-176 MB in 5 of 9 processes, because their buffers crossed
-    glibc's 128 KiB mmap threshold; with blocks of at most 120 KiB it read
-    154.5-154.9 MB in all 14 processes measured.
+    unit loads are solved in blocks of block_width(op.block_rows) columns,
+    block_rows being the rows of the largest temporary of the operator's
+    solve, so that no block handed to a factor, and no temporary of its
+    solve, exceeds assembly.BLOCK_BYTES (120 KiB). Unbounded blocks raised
+    the peak resident memory of an S3 sweep on the x2 meshes from
+    108.6-109.3 MB to 111.4-112.0 MB (5 processes each), because their
+    buffers crossed glibc's 128 KiB mmap threshold.
     """
     dofs = problem.sub_dofs[sid]
     nd = len(dofs)
     B = np.empty((nd, nd))
-    width = block_width(op.lu.shape[0])
+    width = block_width(op.block_rows)
     before = op.backsolves
     for j in range(0, nd, width):
         m = min(width, nd - j)

@@ -15,9 +15,21 @@ K = exp(Y).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 _BRACKET_EPS = 1e-9
+
+
+def _bisect(f, lo, hi):
+    """Root of an increasing f with f(lo) < 0 < f(hi), to the last bit:
+    halves [lo, hi] until no float lies strictly between its ends."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
 
 
 @dataclass(frozen=True)
@@ -53,6 +65,7 @@ def solve_1d_eigenpairs(length, eta, n_modes):
     c = 1.0 / eta
     n_each = n_modes // 2 + 1
 
+    # both increase on their brackets below, between poles of tan(w b)
     def cos_eq(w):
         return np.tan(w * b) - c / w
 
@@ -65,10 +78,10 @@ def solve_1d_eigenpairs(length, eta, n_modes):
         hi = ((k - 0.5) * np.pi - _BRACKET_EPS) / b
         if k == 1:
             lo = _BRACKET_EPS / b
-        roots.append(("cos", brentq(cos_eq, lo, hi, xtol=1e-14, rtol=1e-15)))
+        roots.append(("cos", _bisect(cos_eq, lo, hi)))
         lo = ((k - 0.5) * np.pi + _BRACKET_EPS) / b
         hi = (k * np.pi - _BRACKET_EPS) / b
-        roots.append(("sin", brentq(sin_eq, lo, hi, xtol=1e-14, rtol=1e-15)))
+        roots.append(("sin", _bisect(sin_eq, lo, hi)))
 
     modes = []
     for kind, w in roots[:n_modes]:

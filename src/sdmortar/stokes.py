@@ -15,10 +15,9 @@ is not amplified by the mesh size.
 
 Everything but the BJS coefficients is realization-invariant and lives in a
 StokesSystem built once: the viscous and divergence blocks, the Dirichlet
-split and lift, the body-force and traction loads, and the column order of
-the sparse LU (assembly.Factorizer). The reduced saddle matrix is stored
-already scaled by s, with its structural zeros dropped, so a realization
-refills only its BJS entries in place.
+split and lift, and the body-force and traction loads. The reduced saddle
+matrix is stored already scaled by s, with its structural zeros dropped,
+so a realization refills only its BJS entries in place.
 
 The BJS entries touch only the r tangential trace unknowns of the sd
 interfaces, so a matrix at other coefficients is a rank-r update of one at
@@ -42,10 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
-from .assembly import (CouplingMaps, Factorizer, RefillMatrix,
-                       SubdomainOperator, UpdatedFactors, block_width,
-                       check_permeability)
+from .assembly import (CouplingMaps, RefillMatrix, SubdomainOperator,
+                       UpdatedFactors, block_width, check_permeability)
 from .errors import SingularOperatorError
 from .geometry import GAUSS3_POINTS, GAUSS3_WEIGHTS, SIDES, locate_trace
 
@@ -144,10 +143,10 @@ class StokesSystem:
     Holds the viscous and divergence blocks (assembled once by scattering
     the two congruent element tables), the Dirichlet split and lift, the
     body-force and traction loads, the pressure-scaled reduced saddle
-    matrix whose BJS entries are refilled per realization, with the
-    Factorizer that keeps its column order, and, when built with a
-    mortar coupling F (full velocity -> signed local mortar functionals),
-    its CouplingMaps, so that a star solve takes a local mortar vector.
+    matrix whose BJS entries are refilled per realization, and, when built
+    with a mortar coupling F (full velocity -> signed local mortar
+    functionals), its CouplingMaps, so that a star solve takes a local
+    mortar vector.
     """
 
     def __init__(self, mesh, nu, alpha, bcs, traces, f=None, coupling=None,
@@ -225,7 +224,6 @@ class StokesSystem:
         diag[n_free:] = self.p_scale
         self.matrix = RefillMatrix((n_s, n_s), const, bjs, self.n_bjs,
                                    diag=diag)
-        self.factorize = Factorizer()
 
         # rigid-body motions that the reduced form may leave in its kernel,
         # zero on the pressure rows
@@ -460,7 +458,10 @@ class StokesReference:
             Cs = sp.csr_matrix(np.hstack([C, np.zeros((len(C), system.n_p))]))
             S = sp.bmat([[S, Cs.T], [Cs, None]], format="csc")
         self.kernel_dim = len(C)
-        self.lu = system.factorize(S)
+        try:
+            self.lu = splu(S)
+        except RuntimeError as exc:
+            raise SingularOperatorError(str(exc)) from exc
         m = system.matrix
         touched = np.flatnonzero(np.diff(m.P.indptr))
         rows = m.indices[touched]

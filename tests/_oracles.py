@@ -7,8 +7,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from sdmortar.assembly import RefillMatrix
 from sdmortar.config import validate_config
-from sdmortar.darcy import DarcyOperator, DarcySystem
+from sdmortar.darcy import DarcyOperator, DarcySystem, _cell_edge_table
 from sdmortar.errors import ConfigError, ConvergenceError
 from sdmortar.interface import compute_flux_basis, star_response
 from sdmortar.moments import MomentAccumulator
@@ -407,6 +408,46 @@ def prepare_s3(problem, grid, sid, stats):
         ops.append(op)
         bases.append(compute_flux_basis(problem, sid, op, stats))
     return ops, bases
+
+
+def darcy_saddle_matrix(system, K):
+    """Saddle matrix [A B^T; B 0] of a DarcySystem at cell permeabilities K.
+
+    A = (nu/K u, v) and B = -(div u, q) on the free edges, assembled from
+    COO triplets; this is the matrix the subdomain solver factored with
+    SuperLU before the hybridized solve replaced it.
+    """
+    mesh = system.mesh
+    w, e, s, n = _cell_edge_table(mesh)
+    cells = np.arange(mesh.n_cells)
+    area = mesh.hx * mesh.hy
+    a = np.concatenate([w, e, w, e, s, n, s, n])
+    b = np.concatenate([w, e, e, w, s, n, n, s])
+    m = np.repeat([1 / 3, 1 / 3, 1 / 6, 1 / 6] * 2, mesh.n_cells)
+    ra, rb = system.red_index[a], system.red_index[b]
+    ok = (ra >= 0) & (rb >= 0)
+    which = np.tile(cells, 8)[ok]
+    # -(div u, q): (u_e - u_w) hy + (u_n - u_s) hx
+    edge = np.concatenate([w, e, s, n])
+    bval = np.repeat([mesh.hy, -mesh.hy, mesh.hx, -mesh.hx], mesh.n_cells)
+    r = system.red_index[edge]
+    bok = r >= 0
+    prow = system.n_u + np.tile(cells, 4)[bok]
+    n_sys = system.n_u + system.n_p
+    const = (np.concatenate([prow, r[bok]]), np.concatenate([r[bok], prow]),
+             np.concatenate([bval[bok], bval[bok]]))
+    scaled = (ra[ok], rb[ok], area * m[ok], which)
+    return RefillMatrix((n_sys, n_sys), const, scaled, mesh.n_cells)(
+        system.nu / np.asarray(K, dtype=float))
+
+
+def saddle_gap(op, K, rhs):
+    """Largest relative gap, max |x - x_ref| / max |x_ref|, of the solve
+    of rhs by a Darcy operator factored at K to a sparse LU of its saddle
+    matrix; rhs may be a block of columns."""
+    ref = splu(darcy_saddle_matrix(op.system, K)).solve(rhs)
+    return float(np.max(np.abs(op.lu.solve(rhs) - ref))
+                 / np.max(np.abs(ref)))
 
 
 def fresh_stokes(system, kl=None):

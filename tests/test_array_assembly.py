@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from _oracles import assemble_stokes, loop_body_force
+from _oracles import assemble_stokes, darcy_saddle_matrix, loop_body_force
 from conftest import load_case
 from sdmortar.darcy import DarcyBC, DarcySystem
 from sdmortar.geometry import Block, build_subdomain_mesh
@@ -29,39 +29,71 @@ def _stokes_mesh(nx=3, ny=4):
 
 
 def test_darcy_matrix_refill_matches_element_loop():
+    """The multiplier matrix H of the hybridized Darcy solve, refilled from
+    K, against a loop over cells that eliminates each cell's fluxes and
+    pressure from its own 5 x 5 saddle block; and the saddle oracle
+    against the same loop's element matrices."""
     mesh = _darcy_mesh()
-    system = DarcySystem(mesh, 0.7, {"left": DarcyBC("pressure", None)}, [])
+    bcs = {"left": DarcyBC("pressure", None), "top": DarcyBC("pressure")}
+    system = DarcySystem(mesh, 0.7, bcs, [])
     K = np.exp(np.random.default_rng(3).standard_normal(mesh.n_cells))
-    red = system.red_index
+    red, mult = system.red_index, system.multiplier
+    n_mult = int((mult >= 0).sum())
+    H = np.zeros((n_mult, n_mult))
     rows, cols, vals, brows, bcols, bvals = [], [], [], [], [], []
+    cells_of = {}
     for iy in range(mesh.ny):
         for ix in range(mesh.nx):
             c = mesh.cell(ix, iy)
-            w, e, s, n = mesh.cell_edges(ix, iy)
+            edges = mesh.cell_edges(ix, iy)
+            for e in edges:
+                cells_of.setdefault(e, []).append(c)
             coef = 0.7 / K[c] * mesh.hx * mesh.hy
-            for (a, b), m in (((w, w), 1 / 3), ((e, e), 1 / 3),
-                              ((w, e), 1 / 6), ((e, w), 1 / 6),
-                              ((s, s), 1 / 3), ((n, n), 1 / 3),
-                              ((s, n), 1 / 6), ((n, s), 1 / 6)):
-                if red[a] >= 0 and red[b] >= 0:
-                    rows.append(red[a])
-                    cols.append(red[b])
+            local = np.zeros((5, 5))
+            for (a, b), m in (((0, 0), 1 / 3), ((1, 1), 1 / 3),
+                              ((0, 1), 1 / 6), ((1, 0), 1 / 6),
+                              ((2, 2), 1 / 3), ((3, 3), 1 / 3),
+                              ((2, 3), 1 / 6), ((3, 2), 1 / 6)):
+                local[a, b] = coef * m
+                if red[edges[a]] >= 0 and red[edges[b]] >= 0:
+                    rows.append(red[edges[a]])
+                    cols.append(red[edges[b]])
                     vals.append(coef * m)
-            for a, bv in ((w, mesh.hy), (e, -mesh.hy), (s, mesh.hx),
-                          (n, -mesh.hx)):
-                if red[a] >= 0:
+            for a, bv in enumerate((mesh.hy, -mesh.hy, mesh.hx, -mesh.hx)):
+                local[4, a] = local[a, 4] = bv
+                if red[edges[a]] >= 0:
                     brows.append(c)
-                    bcols.append(red[a])
+                    bcols.append(red[edges[a]])
                     bvals.append(bv)
+            # flux block of the local inverse: the cell's Schur response
+            X = np.linalg.inv(local)[:4, :4]
+            outward = (-1.0, 1.0, -1.0, 1.0)
+            for a in range(4):
+                for b in range(4):
+                    if mult[edges[a]] >= 0 and mult[edges[b]] >= 0:
+                        H[mult[edges[a]], mult[edges[b]]] += (
+                            outward[a] * outward[b] * X[a, b])
+    # multipliers sit on the interior and the no-flow edges
+    noflow = [e for s in ("right", "bottom") for e in mesh.boundary_edges(s)]
+    want = [e for e, cs in cells_of.items() if len(cs) == 2 or e in noflow]
+    assert sorted(np.flatnonzero(mult >= 0)) == sorted(want)
+    assert sorted(mult[mult >= 0]) == list(range(n_mult))
+    band = system.multiplier_band(K)
+    got = np.zeros_like(H)
+    for d in range(band.shape[0]):
+        got[np.arange(d, n_mult), np.arange(n_mult - d)] = band[d, :n_mult - d]
+    got = np.tril(got) + np.tril(got, -1).T
+    assert np.max(np.abs(got - H)) <= 1e-13 * np.max(np.abs(H))
+    assert np.array_equal(got == 0.0, np.abs(H) <= 1e-13 * np.max(np.abs(H)))
     A = sp.coo_matrix((vals, (rows, cols)), shape=(system.n_u,) * 2)
     B = sp.coo_matrix((bvals, (brows, bcols)),
                       shape=(system.n_p, system.n_u))
     ref = sp.bmat([[A.tocsr(), B.T], [B, None]], format="csc")
-    got = system.matrix(0.7 / K)
+    saddle = darcy_saddle_matrix(system, K)
     ref.sort_indices()
-    assert np.array_equal(got.indptr, ref.indptr)
-    assert np.array_equal(got.indices, ref.indices)
-    assert np.allclose(got.data, ref.data, rtol=1e-15, atol=0.0)
+    assert np.array_equal(saddle.indptr, ref.indptr)
+    assert np.array_equal(saddle.indices, ref.indices)
+    assert np.allclose(saddle.data, ref.data, rtol=1e-15, atol=0.0)
 
 
 def test_stokes_blocks_match_element_loop():

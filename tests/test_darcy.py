@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse.linalg import splu
 
 from sdmortar.darcy import DarcyBC, interface_trace
 from sdmortar.errors import SingularOperatorError
 from sdmortar.geometry import Block, build_layout, build_subdomain_mesh
 
-from _oracles import assemble_darcy, flux_on_interface, solve_star
+from _oracles import (assemble_darcy, darcy_saddle_matrix, flux_on_interface,
+                      saddle_gap, solve_star)
+from conftest import load_case
 
 
 def make_op(rect, n, K, nu=1.0, bcs=None, f=None, q=None):
@@ -200,3 +205,121 @@ def test_bad_permeability_names_the_subdomain(twoblock, bad, monkeypatch):
     monkeypatch.setattr(problem, "sample_permeability", lambda sid, y: K)
     with pytest.raises(ValueError, match="subdomain 1: 1 of 64"):
         problem.assemble_subdomain(1, y)
+
+
+# -- the hybridized solve against a sparse LU of the saddle matrix ------
+
+CONFIGS = ("case1_mini", "case1_mini_sparse", "case2_mini", "darcy_twoblock")
+GAP = 1e-12  # 6.8e-14 measured (darcy_twoblock at x2)
+
+
+@pytest.mark.parametrize("bcs, f, q", [
+    ({"left": DarcyBC("pressure", lambda x, y: 2 + x * y)}, None, None),
+    ({"left": DarcyBC("pressure", lambda x, y: 1 + y),
+      "top": DarcyBC("pressure", lambda x, y: x)},
+     lambda x, y: (np.sin(x), x * y), None),
+    ({s: DarcyBC("pressure", lambda x, y: x - y)
+      for s in ("left", "right", "bottom", "top")},
+     lambda x, y: (1 + 0 * x, -y), lambda x, y: np.cos(3 * x) + y)])
+def test_hybrid_bar_solve_matches_the_saddle_lu(bcs, f, q):
+    """Bar loads: outer pressure data, momentum and mass sources."""
+    mesh = build_subdomain_mesh(Block((0.2, 0.0, 1.4, 0.9), "darcy", (7, 5),
+                                      0))
+    K = np.exp(np.random.default_rng(4).standard_normal(mesh.n_cells))
+    op = assemble_darcy(mesh, K, 0.7, bcs, [], f=f, q=q)
+    assert np.any(op.bar_load != 0.0)
+    assert saddle_gap(op, K, op.bar_load) <= GAP
+    sol = op.solve_bar()
+    ref = splu(darcy_saddle_matrix(op.system, K)).solve(op.bar_load)
+    assert np.max(np.abs(sol.u[op.system.free] - ref[:op.system.n_u])) <= (
+        GAP * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("refine", (1, 2))
+@pytest.mark.parametrize("name", CONFIGS)
+def test_hybrid_solve_matches_the_saddle_lu_on_shipped_configs(name, refine):
+    """Every Darcy block at the first and last collocation points: the bar
+    load where it is not zero, one star load, a block of five and random
+    saddle loads."""
+    case = load_case(name, refine=refine)
+    problem = case.problem
+    rng = np.random.default_rng(5)
+    for sid, block in enumerate(problem.layout.blocks):
+        if block.physics != "darcy":
+            continue
+        nd = len(problem.sub_dofs[sid])
+        for y in (case.grid.points[0], case.grid.points[-1]):
+            K = problem.sample_permeability(sid, y)
+            op = problem.assemble_subdomain(sid, y)
+            n = op.lu.shape[0]
+            for rhs in (op.bar_load, op._star_load(rng.standard_normal(nd)),
+                        op._star_load(rng.standard_normal((nd, 5))),
+                        rng.standard_normal((n, 3))):
+                if rhs.any():
+                    assert saddle_gap(op, K, rhs) <= GAP, (sid, rhs.shape)
+
+
+@pytest.mark.parametrize("refine", (1, 2))
+@pytest.mark.parametrize("name", CONFIGS)
+def test_multiplier_order_is_as_banded_as_scipy_rcm(name, refine):
+    """H's half bandwidth kd, in the system's multiplier order, equals the
+    bandwidth of scipy.sparse.csgraph's reverse Cuthill-McKee order of the
+    same graph, both starting from the multipliers numbered by edge."""
+    problem = load_case(name, refine=refine).problem
+    for sid, system in enumerate(problem.systems()):
+        if problem.layout.physics(sid) != "darcy":
+            continue
+        mesh = system.mesh
+        iy, ix = np.divmod(np.arange(mesh.n_cells), mesh.nx)
+        cell = np.column_stack(mesh.cell_edges(ix, iy))
+        has = system.multiplier >= 0
+        pairs = []
+        for mult in (system.multiplier, np.where(has, np.cumsum(has) - 1,
+                                                 -1)):
+            i = np.repeat(mult[cell], 4, axis=1).ravel()
+            j = np.tile(mult[cell], (1, 4)).ravel()
+            ok = (i >= 0) & (j >= 0)
+            pairs.append((i[ok], j[ok]))
+        (i, j), (ei, ej) = pairs
+        assert np.max(i - j) == system.kd
+        n = int(has.sum())
+        graph = sp.csr_matrix((np.ones(len(ei)), (ei, ej)), shape=(n, n))
+        rank = np.empty(n, dtype=int)
+        rank[reverse_cuthill_mckee(graph, symmetric_mode=True)] = (
+            np.arange(n))
+        assert system.kd == np.max(rank[ei] - rank[ej]), sid
+
+
+def test_hybrid_solve_with_k_over_eight_decades():
+    """K log-uniform over 1e-4..1e4 cell by cell, with an interface trace,
+    pressure data and a mass source."""
+    layout = build_layout([Block((0, 0, 1, 1), "darcy", (9, 8), 0),
+                           Block((1, 0, 2, 1), "darcy", (9, 8), 0)])
+    mesh = build_subdomain_mesh(layout.blocks[0])
+    tr = interface_trace(mesh, layout.blocks[0], layout.interfaces[0])
+    rng = np.random.default_rng(6)
+    K = 10.0 ** rng.uniform(-4.0, 4.0, mesh.n_cells)
+    bcs = {"left": DarcyBC("pressure", lambda x, y: 1 + y)}
+    op = assemble_darcy(mesh, K, 0.7, bcs, [tr], q=lambda x, y: x - y)
+    assert K.max() / K.min() > 1e7
+    n = op.lu.shape[0]
+    for rhs in (op.bar_load, rng.standard_normal(n),
+                rng.standard_normal((n, 4))):
+        assert saddle_gap(op, K, rhs) <= GAP
+
+
+def test_multiplier_matrix_not_spd_names_the_subdomain(twoblock,
+                                                       monkeypatch):
+    system = twoblock.problem.systems()[1]
+    band = system.multiplier_band
+
+    def indefinite(K):
+        out = band(K)
+        out[0, 7] = -out[0, 7]
+        return out
+
+    monkeypatch.setattr(system, "multiplier_band", indefinite)
+    with pytest.raises(SingularOperatorError,
+                       match="subdomain 1: multiplier matrix is not positive "
+                             r"definite \(leading minor 8\)"):
+        twoblock.problem.assemble_subdomain(1, np.zeros(3))

@@ -1,9 +1,11 @@
-"""Pattern reuse in the subdomain factor path.
+"""Pattern reuse in the subdomain factor paths.
 
-Each invariant system keeps the column order of its first factorization
-(assembly.Factorizer), the Stokes saddle matrix is stored already scaled
-by its pressure scale, and flux bases are solved in column blocks. The
-references here are the routes these replaced: a fresh splu, the product
+A Darcy system numbers its edge multipliers once (reverse Cuthill-McKee)
+and refills the band of H and the maps of its hybridized solve per
+realization; a Stokes reference is one sparse LU (COLAMD), and the Stokes
+saddle matrix is stored already scaled by its pressure scale. Flux bases
+are solved in column blocks. The references here are the routes these
+replaced: a sparse LU of the Darcy saddle matrix, the product
 diag(s) S diag(s) with the kernel check on the sliced velocity block, and
 one star solve per basis column (tests/_oracles.py).
 """
@@ -13,27 +15,16 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from _oracles import fresh_operator, fresh_stokes, per_column_flux_basis
+from _oracles import (fresh_operator, fresh_stokes, per_column_flux_basis,
+                      saddle_gap)
 from conftest import load_case
-from sdmortar import assembly, stokes
-from sdmortar.assembly import BLOCK_BYTES, Factorizer, RefillMatrix
+from sdmortar import stokes
+from sdmortar.assembly import BLOCK_BYTES, RefillMatrix
 from sdmortar.errors import SingularOperatorError
 from sdmortar.geometry import Block, build_layout, build_subdomain_mesh
 from sdmortar.interface import SolveStats, compute_flux_basis
 
 CONFIGS = ("case1_mini", "case1_mini_sparse", "case2_mini", "darcy_twoblock")
-
-
-class Recorder(Factorizer):
-    """A Factorizer that keeps every matrix it was handed."""
-
-    def __init__(self):
-        super().__init__()
-        self.seen = []
-
-    def __call__(self, S):
-        self.seen.append(S)
-        return super().__call__(S)
 
 
 @pytest.fixture
@@ -45,37 +36,40 @@ def splu_calls(monkeypatch):
         calls.append(permc_spec)
         return splu(A, permc_spec=permc_spec, **kw)
 
-    monkeypatch.setattr(assembly, "splu", spy)
+    monkeypatch.setattr(stokes, "splu", spy)
     return calls
 
 
+def darcy_sids(problem):
+    return [sid for sid, b in enumerate(problem.layout.blocks)
+            if b.physics == "darcy"]
+
+
 def two_realizations(case, sid):
-    """Factor subdomain sid at the first and last collocation points."""
+    """Factor Darcy subdomain sid at the first and last collocation points
+    on its system; returns the last point's K and both operators."""
     problem, grid = case.problem, case.grid
-    system = problem.systems()[sid]
-    system.factorize = Recorder()
-    ops = [fresh_operator(problem, sid, y)
+    ops = [problem.assemble_subdomain(sid, y)
            for y in (grid.points[0], grid.points[-1])]
-    return system.factorize.seen, ops
-
-
-def reuse_gap(case, sid, rng):
-    """Largest relative gap of the reused-order solve to a fresh splu."""
-    seen, ops = two_realizations(case, sid)
-    assert ops[1].lu.perm is not None  # second factorization reused
-    b = rng.standard_normal((seen[1].shape[0], 3))
-    ref = splu(seen[1]).solve(b)
-    return float(np.max(np.abs(ops[1].lu.solve(b) - ref))
-                 / np.max(np.abs(ref)))
+    return problem.sample_permeability(sid, grid.points[-1]), ops
 
 
 @pytest.mark.parametrize("name", ("case1_mini", "case1_mini_sparse",
                                   "darcy_twoblock"))
 def test_reused_order_is_bitwise_at_x1(name):
+    """A system's second factor, on its kept multiplier order and refill
+    patterns, is bit for bit the first factor of a fresh system."""
     case = load_case(name)
+    problem = case.problem
     rng = np.random.default_rng(0)
-    for sid in range(case.problem.layout.n_subdomains):
-        assert reuse_gap(case, sid, rng) == 0.0, sid
+    for sid in darcy_sids(problem):
+        K, ops = two_realizations(case, sid)
+        fresh = problem._build_system(sid)
+        assert np.array_equal(fresh.multiplier, ops[1].system.multiplier)
+        op = fresh.factor(K)
+        b = rng.standard_normal((op.lu.shape[0], 3))
+        assert np.array_equal(op.lu.chol, ops[1].lu.chol), sid
+        assert np.array_equal(op.lu.solve(b), ops[1].lu.solve(b)), sid
 
 
 @pytest.mark.parametrize("name, refine", [("case2_mini", 1),
@@ -84,22 +78,24 @@ def test_reused_order_is_bitwise_at_x1(name):
                                           ("case2_mini", 2),
                                           ("darcy_twoblock", 2)])
 def test_reused_order_matches_fresh_factor(name, refine):
-    """Same column order; exact magnitude ties can pick other row pivots.
-
-    SuperLU prefers the diagonal among equal pivot candidates, and in the
-    pre-permuted matrix another row is the diagonal, so a few Darcy rows
-    of these systems pivot differently (up to 3e-14 measured).
-    """
+    """The hybridized solve on the kept order against a fresh sparse LU of
+    the saddle matrix (up to 6.8e-14 measured, darcy_twoblock at x2)."""
     case = load_case(name, refine=refine)
     rng = np.random.default_rng(0)
-    for sid in range(case.problem.layout.n_subdomains):
-        assert reuse_gap(case, sid, rng) <= 1e-13, sid
+    for sid in darcy_sids(case.problem):
+        K, ops = two_realizations(case, sid)
+        b = rng.standard_normal((ops[1].lu.shape[0], 3))
+        assert saddle_gap(ops[1], K, b) <= 1e-13, sid
 
 
 def test_first_factorization_orders_by_colamd(splu_calls):
+    """The one sparse LU per Stokes system and sweep, its reference's,
+    orders by COLAMD; a Darcy factor makes no sparse LU."""
     case = load_case("case1_mini")
     two_realizations(case, 2)
-    assert splu_calls == [None, "NATURAL"]
+    assert splu_calls == []
+    case.problem.stokes_reference(0)
+    assert splu_calls == [None]
 
 
 def stress_system(traces=(), coupling=None, n=2):
@@ -112,29 +108,38 @@ def stress_system(traces=(), coupling=None, n=2):
 
 
 def test_changed_pattern_refactors_with_colamd(splu_calls):
-    """The kernel_dim == 3 system of test_kernel_dimensions."""
+    """The kernel_dim == 3 system of test_kernel_dimensions: its pattern,
+    bordered by three rigid-body rows, is ordered by COLAMD as well."""
     _, system = stress_system()
-    system.factorize(system.matrix(np.zeros(0)))  # unbordered pattern kept
     op = fresh_stokes(system)
     assert op.kernel_dim == 3
-    assert splu_calls == [None, None]
-    assert op.lu.perm is None
+    assert splu_calls == [None]
     sol = op.solve_bar()
     assert np.max(np.abs(sol.u)) < 1e-12
     assert np.max(np.abs(sol.p)) < 1e-12
 
 
-def test_singular_matrix_on_the_reused_order_raises(splu_calls):
+def test_singular_matrix_on_the_reused_order_raises(splu_calls,
+                                                    monkeypatch):
+    """A multiplier matrix that is not positive definite, on the order a
+    first factor already used, raises naming the subdomain."""
     case = load_case("case1_mini")
     system = case.problem.systems()[3]
     K = case.problem.sample_permeability(3, case.grid.points[0])
     system.factor(K)
-    S = system.matrix(system.nu / K)
-    first = S.indptr[0], S.indptr[1]
-    S.data[first[0]:first[1]] = 0.0  # zero column, same pattern
-    with pytest.raises(SingularOperatorError, match="singular"):
-        system.factorize(S)
-    assert splu_calls == [None, "NATURAL"]
+    band = system.multiplier_band
+
+    def zero_column(K):
+        out = band(K)
+        out[:, 0] = 0.0
+        return out
+
+    monkeypatch.setattr(system, "multiplier_band", zero_column)
+    with pytest.raises(SingularOperatorError,
+                       match="subdomain 3: multiplier matrix is not positive "
+                             r"definite \(leading minor 1\)"):
+        system.factor(K)
+    assert splu_calls == []
 
 
 # -- pressure-scaled Stokes refill ---------------------------------------
@@ -200,8 +205,9 @@ def test_structural_zeros_are_dropped():
 def assert_block_matches_columns(op, lam, solve):
     """One backsolve per column; columns equal the single solves.
 
-    SuperLU's multi-column solve rounds differently: the velocities agree
-    to 1e-14 in norm (5e-15 measured), the Stokes star pressures to 3.3e-14.
+    A multi-column solve rounds differently: the velocities agree to 1e-14
+    in norm (5e-15 measured, Darcy 8e-16), the Stokes star pressures to
+    3.3e-14 (Darcy 3.6e-16).
     """
     before = op.backsolves
     block = solve(lam)
@@ -254,21 +260,50 @@ def test_flux_basis_matches_per_column_oracle(name):
         assert op.backsolves == 2 * len(dofs)
 
 
+class Recording:
+    """A solve map that records the bytes of every block it returns."""
+
+    def __init__(self, inner, sizes):
+        self.inner, self.sizes = inner, sizes
+        self.shape = inner.shape
+
+    def __matmul__(self, rhs):
+        out = self.inner @ rhs
+        self.sizes.append(out.nbytes)
+        return out
+
+    def solve(self, rhs):
+        out = self.inner.solve(rhs)
+        self.sizes.append(out.nbytes)
+        return out
+
+
 def test_basis_blocks_stay_within_the_byte_budget():
+    """Every block a basis solve hands to its factor, and every temporary
+    a Darcy solve builds (multiplier load, back map halves), stays within
+    BLOCK_BYTES."""
     case = load_case("case1_mini", refine=2)
     problem = case.problem
     stats = SolveStats.new("S2", problem.layout.n_subdomains)
     for sid in range(problem.layout.n_subdomains):
         op = fresh_operator(problem, sid, case.grid.points[0])
-        sizes, lu = [], op.lu.lu
+        sizes, temps = [], []
+        if problem.layout.blocks[sid].physics == "darcy":
+            lu = op.lu
+            lu.load, lu.back_rhs, lu.back_mu = (
+                Recording(m, temps) for m in (lu.load, lu.back_rhs,
+                                              lu.back_mu))
+        else:
+            op.lu = Recording(op.lu, temps)
+        solve = op.lu.solve
 
-        class Spy:
-            def solve(self, rhs):
-                sizes.append((rhs.nbytes, rhs.shape[1:]))
-                return lu.solve(rhs)
+        def spy(rhs):
+            sizes.append((rhs.nbytes, rhs.shape[1:]))
+            return solve(rhs)
 
-        op.lu.lu = Spy()
+        op.lu.solve = spy
         dofs, _ = compute_flux_basis(problem, sid, op, stats)
         assert sum(shape[0] for _, shape in sizes) == len(dofs)
         assert max(nbytes for nbytes, _ in sizes) <= BLOCK_BYTES
+        assert max(temps) <= BLOCK_BYTES
         assert len(sizes) < len(dofs)  # whole blocks, not single columns

@@ -6,9 +6,8 @@ import os
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from sdmortar import assembly, interface
+from sdmortar import darcy, interface, stokes
 from sdmortar.collocation import build_tensor_grid
 from sdmortar.errors import (ConvergenceError, SingularOperatorError,
                              SizeCapError)
@@ -303,7 +302,8 @@ def test_s3_builds_each_entry_once_and_drops_it_after_its_last_use(
         case1, monkeypatch):
     """Every (sid, key) entry of an S3 sweep is built once, during the
     first realization with its key, and harvested at the recovery of its
-    last (_lifetimes); case1_mini needs 26 sparse LUs and 26 bases."""
+    last (_lifetimes); case1_mini needs 26 sparse factors (2 Stokes LUs,
+    24 Darcy banded Cholesky factors) and 26 bases."""
     problem, grid = case1.problem, case1.grid
     table = {}
     for k in range(grid.n_real):
@@ -312,7 +312,7 @@ def test_s3_builds_each_entry_once_and_drops_it_after_its_last_use(
                    if block.physics == "darcy" else None)
             table[sid, key] = table.get((sid, key), (k,))[0], k
     assert _lifetimes(problem, grid, "S3", grid.points) == table
-    now, entry_of, built, harvested, lus = [None], {}, {}, {}, []
+    now, entry_of, built, harvested, factors = [None], {}, {}, {}, []
 
     def phased(name, fn):
         def wrapped(self, k, *args):
@@ -334,12 +334,14 @@ def test_s3_builds_each_entry_once_and_drops_it_after_its_last_use(
         harvested.setdefault(entry_of.pop(id(op)), []).append(now[0])
         harvest(self, sid, op)
 
-    def splu(*args, **kwargs):
-        lus.append(now[0])
-        return compute_splu(*args, **kwargs)
+    def counted(compute):
+        def factor(*args, **kwargs):
+            factors.append(now[0])
+            return compute(*args, **kwargs)
+        return factor
 
-    compute_splu = assembly.splu
-    monkeypatch.setattr(assembly, "splu", splu)
+    monkeypatch.setattr(stokes, "splu", counted(stokes.splu))
+    monkeypatch.setattr(darcy, "dpbtrf", counted(darcy.dpbtrf))
     monkeypatch.setattr(interface, "compute_flux_basis", basis)
     monkeypatch.setattr(SolveStats, "harvest", harvested_at)
     for name in ("realize", "recover"):
@@ -350,7 +352,7 @@ def test_s3_builds_each_entry_once_and_drops_it_after_its_last_use(
                      for e, (first, _) in table.items()}
     assert harvested == {e: [("recover", last)]
                          for e, (_, last) in table.items()}
-    assert len(built) == 26 and len(lus) == 26
+    assert len(built) == 26 and len(factors) == 26
     assert res.stats.factorizations.sum() == 26
 
 
@@ -525,15 +527,19 @@ def test_nan_mean_field_fails_alike_in_a_child(two_cores):
 
 def test_singular_factor_in_a_child_is_raised(case1, two_cores,
                                               monkeypatch):
-    """Subdomain 3 belongs to the forked group when workers=2."""
+    """Subdomain 3 belongs to the forked group when workers=2; its
+    multiplier matrix H is made zero."""
     system = case1.problem.systems()[3]
-    shape = system.matrix.shape
-    monkeypatch.setattr(system, "matrix", lambda coef: sp.csc_matrix(shape))
+    band = system.multiplier_band
+    monkeypatch.setattr(system, "multiplier_band",
+                        lambda K: np.zeros_like(band(K)))
     errors = [_error_of(lambda: run_method(case1.problem, case1.grid,
                                            method="S1", workers=w))
               for w in (1, 2)]
     assert errors[0] == errors[1]
-    assert errors[0] == (SingularOperatorError, "Factor is exactly singular")
+    assert errors[0] == (SingularOperatorError,
+                         "subdomain 3: multiplier matrix is not positive "
+                         "definite (leading minor 1)")
 
 
 def test_lowest_failing_subdomain_wins(case1, two_cores, monkeypatch):

@@ -11,11 +11,12 @@ and 1.2e-13 at x2; the bound is 1e-12.
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dpbtrf
+from scipy.sparse.linalg import SuperLU, splu
 
 from _oracles import fresh_operator, fresh_stokes
 from conftest import build_operators, load_case, new_group
-from sdmortar import assembly, stokes
+from sdmortar import darcy, stokes
 from sdmortar.errors import SingularOperatorError
 from sdmortar.geometry import Block, build_layout, build_subdomain_mesh
 from sdmortar.interface import (SolveStats, compute_flux_basis,
@@ -111,7 +112,7 @@ def test_reference_coefficients_use_the_reference_lu(case1):
         op = problem.assemble_subdomain(sid, zero, ref)
         assert op.lu is ref.lu and ref.setup_backsolves == 0
         ops = [o for (s, _), (o, _) in s3.cache.items() if s == sid]
-        assert [type(o.lu) for o in ops] == [assembly.LUFactors]
+        assert [type(o.lu) for o in ops] == [SuperLU]
         assert ops[0].lu is s3.refs[sid].lu
         assert s3.refs[sid].setup_backsolves == 0
     _, _, stats = solve_realization(problem)
@@ -197,23 +198,33 @@ def test_lowrank_all_stress_block(alpha, kernel_dim, rank):
 
 
 @pytest.fixture
-def splu_count(monkeypatch):
+def factor_calls(monkeypatch):
+    """"splu" or "dpbtrf" for every sparse factorization, in call order."""
     calls = []
 
-    def spy(A, *args, **kw):
-        calls.append(A.shape)
+    def spy_lu(A, *args, **kw):
+        calls.append("splu")
         return splu(A, *args, **kw)
 
-    monkeypatch.setattr(assembly, "splu", spy)
+    def spy_chol(ab, *args, **kw):
+        calls.append("dpbtrf")
+        return dpbtrf(ab, *args, **kw)
+
+    monkeypatch.setattr(stokes, "splu", spy_lu)
+    monkeypatch.setattr(darcy, "dpbtrf", spy_chol)
     return calls
 
 
-@pytest.mark.parametrize("method, sparse_lus", [("S1", 130), ("S3", 26)])
-def test_sparse_lus_per_sweep(splu_count, method, sparse_lus):
-    """S1: 4 Darcy x 32 + one reference per Stokes block (was 192)."""
+@pytest.mark.parametrize("method, sparse_factors", [("S1", 130), ("S3", 26)])
+def test_sparse_lus_per_sweep(factor_calls, method, sparse_factors):
+    """Two sparse LUs, one reference per Stokes block; the others are
+    banded Cholesky factors of the Darcy multiplier matrix, S1 4 Darcy x 32
+    and S3 the 24 Darcy entries (S1 was 192 sparse LUs before the Stokes
+    references, S1 130 and S3 26 before the hybridized Darcy solve)."""
     case = load_case("case1_mini")
     result = run_method(case.problem, case.grid, method=method)
-    assert len(splu_count) == sparse_lus
+    assert factor_calls.count("splu") == 2
+    assert len(factor_calls) == sparse_factors
     assert int(result.stats.factorizations.sum()) == (
         192 if method == "S1" else 26)
 

@@ -6,8 +6,8 @@ first, and writes a JSON summary: for every end-to-end metric of
 BENCHMARK.json its median and quartiles per side, the per-pair change
 and how many pairs the working tree won. Timed runs last perfbench's own
 default time. One `--trace 1` run per side at seed 0 adds the exact
-counters, and the line count of every src/sdmortar/*.py is recorded per
-side. The workloads default to those of BENCHMARK.json. Run from the
+counters and every per-layer metric of that run, and the line count of
+every src/sdmortar/*.py is recorded per side. The workloads default to those of BENCHMARK.json. Run from the
 root of a source checkout:
 
     python3 tools/bench_pairs.py --parent HEAD --seeds 1-10 \\
@@ -149,7 +149,8 @@ def main(argv=None):
               "seeds": args.seeds,
               "source_loc": {side: source_loc(root)
                              for side, root in sides.items()},
-              "workloads": {}, "counters_seed0": {}, "correct": True}
+              "workloads": {}, "counters_seed0": {}, "layers_seed0": {},
+              "correct": True}
     for w in workloads:
         pairs = []
         for i, seed in enumerate(args.seeds):
@@ -175,6 +176,8 @@ def main(argv=None):
             report["correct"] &= rec["correct"]
             report["counters_seed0"].setdefault(side, {})[w] = {
                 c: rec["metrics"][c]["value"] for c in COUNTERS}
+            report["layers_seed0"].setdefault(side, {})[w] = {
+                name: m["value"] for name, m in rec["metrics"].items()}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

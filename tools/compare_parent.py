@@ -7,8 +7,10 @@ and mortars x2 at `workers` 1 and 2. The arrays of a sweep are lambda
 per realization, every moment (mean and variance), the CG iteration
 counts and the five per-subdomain counters (factorizations, backsolves,
 basis_backsolves, setup_factorizations, setup_backsolves). A counter that
-one side does not report is compared as missing. Run from the root of a
-source checkout:
+one side does not report is compared as missing. A last line gives the
+largest relative gap per array family (lambda, mean, var, cg_iters and
+each counter), for changes that are not meant to be bitwise. Run from the
+root of a source checkout:
 
     python3 tools/compare_parent.py --parent HEAD --scratch /tmp/cmp-parent
 
@@ -111,6 +113,23 @@ def compare(base, new):
     return diffs
 
 
+def family_gaps(base, new):
+    """Largest relative gap max |b - a| / max |a| per array family: the key
+    without its sweep tag and field name (lambda, mean, var, cg_iters or
+    a counter), over the keys both sides report with one shape."""
+    gaps = {}
+    for key in sorted(set(base) & set(new)):
+        a, b = base[key].astype(float), new[key].astype(float)
+        if a.shape != b.shape:
+            continue
+        gap = np.max(np.abs(a - b), initial=0.0)
+        scale = np.max(np.abs(a), initial=0.0)
+        family = key.split("/")[3]
+        gaps[family] = max(gaps.get(family, 0.0),
+                           gap / scale if gap else 0.0)
+    return gaps
+
+
 def _parser():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", default="HEAD",
@@ -143,6 +162,9 @@ def main(argv=None):
           f"{len(diffs)} differ")
     for key, text in diffs:
         print(f"  {key}: {text}")
+    print("largest relative gap per family: " + ", ".join(
+        f"{family} {gap:.2e}" for family, gap in
+        family_gaps(sides["revision"], sides["tree"]).items()))
     return 0 if not diffs else 1
 
 
