@@ -4,9 +4,9 @@ The Stokes saddle matrix depends on the permeability only through a few
 scalar coefficients per entry (the BJS friction per Stokes interface
 edge). Its pattern is therefore computed once from COO triplets, and every
 realization fills the CSC data with one sparse matvec:
-data = data0 + P @ coef (RefillMatrix). The Darcy system refills its
-multiplier matrix and the maps of its hybridized solve the same way, from
-K/nu and nu/K per cell (darcy.py).
+data = data0 + P @ coef (RefillMatrix). The Darcy system refills the
+maps of its hybridized solve the same way, from K/nu and nu/K per cell
+(darcy.py).
 
 A factored Darcy or Stokes operator is a SubdomainOperator: its one
 _solve backsolves a right-hand side or a block of columns and scatters the

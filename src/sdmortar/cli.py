@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import sys
 
 from .config import (_is_int, _validate_collocation, build_from_config,
@@ -44,7 +45,8 @@ def _cmd_run(args):
 
 def _cmd_validate(args):
     cfg = parse_config(args.config)
-    problem, grid, options = build_from_config(cfg)
+    problem, grid, options = build_from_config(
+        cfg, os.path.dirname(os.path.abspath(args.config)))
     layout = problem.layout
     print(f"config ok: {layout.n_subdomains} subdomains, "
           f"{len(layout.interfaces)} interfaces, method {options['method']}")
@@ -107,7 +109,8 @@ def _cmd_grid(args):
         from .config import validate_config
 
         cfg = validate_config(data)
-        _, grid, _ = build_from_config(cfg)
+        _, grid, _ = build_from_config(
+            cfg, os.path.dirname(os.path.abspath(args.spec)))
     else:
         grid = _build_bare_grid(data)
     n_regions = len(grid.local_counts)

@@ -528,10 +528,16 @@ def validate_config(raw):
     if any_darcy and n_dims == 0:
         errors.append("kl_regions: at least one KL term is required when "
                       "darcy blocks are present")
-    for key in cfg["mean_log_perm"].get("values", {}) \
-            if cfg["mean_log_perm"]["kind"] == "per_region" else ():
-        if int(key) >= n_regions:
-            errors.append(f"mean_log_perm.values: region {key} out of range")
+    if cfg["mean_log_perm"]["kind"] == "per_region":
+        given = cfg["mean_log_perm"]["values"]
+        for key in given:
+            if int(key) >= n_regions:
+                errors.append(f"mean_log_perm.values: region {key} out of "
+                              f"range")
+        missing = sorted(set(range(n_regions)) - {int(k) for k in given})
+        if missing:
+            errors.append(f"mean_log_perm.values: no mean for KL region(s) "
+                          f"{', '.join(map(str, missing))}")
 
     if errors:
         raise ConfigError(errors)
@@ -585,7 +591,11 @@ def _raster_func(spec, config_dir):
         path = spec["path"]
         if config_dir is not None and not os.path.isabs(path):
             path = os.path.join(config_dir, path)
-        vals = np.loadtxt(path, delimiter=",", ndmin=2)
+        try:
+            vals = np.loadtxt(path, delimiter=",", ndmin=2)
+        except (OSError, ValueError) as exc:
+            raise ConfigError([f"mean_log_perm: cannot read raster "
+                               f"{path}: {exc}"]) from None
     if vals.shape != (ny, nx):
         raise ConfigError([f"mean_log_perm: raster data has shape "
                            f"{vals.shape}, expected ({ny}, {nx})"])

@@ -36,13 +36,17 @@ multiplier terms and gives back A u + B^T p = f: (u, p) is the saddle
 solution, whatever owner the loads were put on. M0, Q, m and beta are the
 same for every cell of a block.
 
-A DarcySystem, built once, holds the multiplier numbering (reverse
-Cuthill-McKee, so H is banded) and RefillMatrix patterns of H's lower
-triangle, of L and of the back map [r; mu] -> [u_free; p]. A realization
-refills them from K/nu and nu/K per cell, copies H into LAPACK band
-storage through a fixed index, factors it by banded Cholesky (dpbtrf) and
-solves every star/bar load, or block of loads, by one multiplier load,
-one dpbtrs and the back map.
+A DarcySystem, built once, numbers the multipliers by their edge
+midpoints along the block's shorter side first, so that H is banded with
+half bandwidth kd <= 2 min(nx, ny) + 1 (George & Liu, Computer Solution
+of Large Sparse Positive Definite Systems, 1981). It keeps the band
+position, cell and factor s_i s_j Q_ij of every cell's contribution to
+H's lower band, and RefillMatrix patterns of L and of the back map
+[r; mu] -> [u_free; p]. A realization sums H's band in LAPACK storage
+with one bincount over the cells, refills the maps from K/nu and nu/K per
+cell, factors H by banded Cholesky (dpbtrf) and solves every star/bar
+load, or block of loads, by one multiplier load, one dpbtrs and the back
+map.
 """
 
 from dataclasses import dataclass
@@ -103,39 +107,6 @@ def _cell_edge_table(mesh):
     return mesh.cell_edges(ix, iy)
 
 
-def _reverse_cuthill_mckee(graph):
-    """Reverse Cuthill-McKee order of the nodes of a symmetric CSR graph.
-
-    Level by level from a node of least degree in each connected
-    component: the unnumbered neighbours of a level are numbered by the
-    position of their first numbered neighbour, then by degree. Array ops
-    per level, so it needs no graph module (scipy.sparse.csgraph adds
-    about 1 MB to the resident set of a process).
-    """
-    indptr, indices = graph.indptr, graph.indices
-    degree = np.diff(indptr)
-    pos = np.full(len(degree), -1)
-    levels, count = [], 0
-    while count < len(degree):
-        left = np.flatnonzero(pos < 0)
-        level = left[[np.argmin(degree[left])]]
-        while level.size:
-            pos[level] = count + np.arange(level.size)
-            count += level.size
-            levels.append(level)
-            n_nb = degree[level]
-            start = np.repeat(indptr[level] - np.cumsum(n_nb) + n_nb, n_nb)
-            nb = indices[start + np.arange(n_nb.sum())]
-            parent = np.repeat(pos[level], n_nb)
-            new = pos[nb] < 0
-            # nb lists the neighbours parent by parent in numbered order, so
-            # a child's first occurrence is under its first numbered parent
-            child, first = np.unique(nb[new], return_index=True)
-            level = child[np.lexsort((child, degree[child],
-                                      parent[new][first]))]
-    return np.concatenate(levels)[::-1] if levels else pos
-
-
 class HybridFactors:
     """Saddle solves of one realization through the Cholesky factor of H.
 
@@ -165,11 +136,11 @@ class HybridFactors:
 class DarcySystem:
     """Realization-invariant part of one Darcy subdomain.
 
-    Holds the reduced dof layout, the multiplier numbering and the refill
-    patterns of the hybridized solve (see the module docstring), the
-    K-independent bar load and, when built with a mortar coupling F (full
-    edge velocity -> signed local mortar functionals), its CouplingMaps,
-    so that a star solve takes a local mortar vector.
+    Holds the reduced dof layout, the multiplier numbering, H's band fill
+    and the refill patterns of the hybridized solve (see the module
+    docstring), the K-independent bar load and, when built with a mortar
+    coupling F (full edge velocity -> signed local mortar functionals),
+    its CouplingMaps, so that a star solve takes a local mortar vector.
     """
 
     def __init__(self, mesh, nu, bcs, traces, f=None, q=None, coupling=None,
@@ -222,10 +193,11 @@ class DarcySystem:
             self.coupling = CouplingMaps(coupling, free, mesh.n_edges)
 
     def _hybridize(self, noflow):
-        """Multiplier numbering and refill patterns of H, L and the back map.
+        """Multiplier numbering, H's band fill and the refill patterns of
+        L and the back map.
 
-        H refills from K/nu per cell, the maps from K/nu per cell followed
-        by nu/K per cell.
+        H fills from K/nu per cell, the maps from K/nu per cell followed by
+        nu/K per cell.
         """
         mesh = self.mesh
         nc, n_u = mesh.n_cells, self.n_u
@@ -239,23 +211,20 @@ class DarcySystem:
         Q = M0inv - np.outer(m, m) / beta
         s = _CELL_SIGN
 
-        # multipliers on interior and no-flow edges, numbered by RCM of H
+        # multipliers on interior and no-flow edges, numbered by their
+        # midpoints, slowest along the block's longer side: rows (y
+        # slowest, the mesh's own order) unless the block is wider than
+        # tall, so that H's half bandwidth is at most 2 min(nx, ny) + 1
         is_mult = np.bincount(edges.ravel(), minlength=mesh.n_edges) == 2
         is_mult[noflow] = True
-        n_mult = int(is_mult.sum())
+        at = np.flatnonzero(is_mult)
+        lx, ly = mesh.edge_lattice(at)
+        order = np.lexsort((lx, ly) if mesh.nx <= mesh.ny else (ly, lx))
+        n_mult = len(at)
         mult = -np.ones(mesh.n_edges, dtype=int)
-        mult[is_mult] = np.arange(n_mult)
-        cell = np.repeat(np.arange(nc), 16)  # every slot pair (i, j)
-        i = np.tile(np.repeat(np.arange(4), 4), nc)
-        j = np.tile(np.arange(4), 4 * nc)
-        mi, mj = mult[edges[cell, i]], mult[edges[cell, j]]
-        both = (mi >= 0) & (mj >= 0)
-        graph = sp.csr_matrix((np.ones(int(both.sum())),
-                               (mi[both], mj[both])), shape=(n_mult, n_mult))
-        rank = np.empty(n_mult, dtype=int)
-        rank[_reverse_cuthill_mckee(graph)] = np.arange(n_mult)
-        mult[is_mult] = rank[mult[is_mult]]
+        mult[at[order]] = np.arange(n_mult)
         self.multiplier = mult  # edge -> multiplier index, -1 if none
+        self.n_mult = n_mult
 
         mid = mult[edges]  # (nc, 4) multiplier of each cell slot
         red = self.red_index[edges]  # (nc, 4) reduced velocity row
@@ -264,6 +233,9 @@ class DarcySystem:
         owned[np.unique(edges.ravel(), return_index=True)[1]] = True
         owned = owned.reshape(nc, 4) & (red >= 0)
 
+        cell = np.repeat(np.arange(nc), 16)  # every slot pair (i, j)
+        i = np.tile(np.repeat(np.arange(4), 4), nc)
+        j = np.tile(np.arange(4), 4 * nc)
         mi, mj = mid[cell, i], mid[cell, j]
         ri, rj = red[cell, i], red[cell, j]
         oi, oj = owned[cell, i], owned[cell, j]
@@ -273,17 +245,18 @@ class DarcySystem:
         p_diag = n_u + np.arange(nc)
         n_sys = n_u + nc
 
-        # H = sum_T (K_T/nu) C_T Q C_T^T, its lower triangle
-        low = both & (mi >= mj)
-        none = np.zeros(0, dtype=int)
-        self._H = RefillMatrix((n_mult, n_mult), (none, none, none),
-                               (mi[low], mj[low],
-                                (s[i] * s[j] * Q[i, j])[low], cell[low]),
-                               nc)
-        rows = self._H.indices
-        cols = np.repeat(np.arange(n_mult), np.diff(self._H.indptr))
-        self.kd = int(np.max(rows - cols, initial=0))
-        self._band_at = (rows - cols) * n_mult + cols
+        # H = sum_T (K_T/nu) C_T Q C_T^T, its lower band summed cell by
+        # cell into LAPACK's band storage: H[mi, mj] at (mi - mj, mj)
+        low = (mj >= 0) & (mi >= mj)
+        d = (mi - mj)[low]
+        self.kd = int(np.max(d, initial=0))
+        # the band is stored with its half width rounded up to a multiple
+        # of 16, zero-padded: OpenBLAS's band kernels then run on whole
+        # vector blocks (dpbtrs at kd 31 took 52 us, padded to 32 38 us)
+        self._band_rows = -(-self.kd // 16) * 16 + 1
+        self._band_at = d * n_mult + mj[low]
+        self._band_cell = cell[low]
+        self._band_q = (s[i] * s[j] * Q[i, j])[low]
         # L r = sum_T C_T ((K_T/nu) Q r_T + m g_T / beta)
         lr, lg = (mi >= 0) & oj, mk >= 0
         self._load = RefillMatrix(
@@ -308,10 +281,11 @@ class DarcySystem:
 
     def multiplier_band(self, K):
         """H at cell permeabilities K, in LAPACK's lower band storage:
-        band[i - j, j] = H[i, j] for j <= i <= j + kd."""
-        band = np.zeros((self.kd + 1, self._H.shape[0]))
-        band.ravel()[self._band_at] = self._H.data(K / self.nu)
-        return band
+        band[i - j, j] = H[i, j] for j <= i <= j + kd, zero below."""
+        shape = (self._band_rows, self.n_mult)
+        return np.bincount(
+            self._band_at, (K / self.nu)[self._band_cell] * self._band_q,
+            shape[0] * shape[1]).reshape(shape)
 
     def _bar_load(self):
         """Momentum source, outer pressure data and mass source (no K)."""
@@ -341,13 +315,9 @@ class DarcySystem:
 
     def _edge_mid(self, e):
         mesh = self.mesh
-        x0, y0 = mesh.rect[0], mesh.rect[1]
-        if e < mesh.n_vedges:
-            iy, ix = divmod(e, mesh.nx + 1)
-            return (x0 + ix * mesh.hx, y0 + (iy + 0.5) * mesh.hy)
-        eh = e - mesh.n_vedges
-        iy, ix = divmod(eh, mesh.nx)
-        return (x0 + (ix + 0.5) * mesh.hx, y0 + iy * mesh.hy)
+        lx, ly = mesh.edge_lattice(e)
+        return (mesh.rect[0] + 0.5 * int(lx) * mesh.hx,
+                mesh.rect[1] + 0.5 * int(ly) * mesh.hy)
 
     def factor(self, K):
         """Per-realization operator for cell permeabilities K."""

@@ -265,6 +265,15 @@ class DarcyMesh(_Grid):
     def edge_length(self, e):
         return self.hy if e < self.n_vedges else self.hx
 
+    def edge_lattice(self, e):
+        """Midpoint (lx, ly) of edge id(s) e in half steps: the point
+        (x0 + lx hx / 2, y0 + ly hy / 2)."""
+        e = np.asarray(e)
+        vert = e < self.n_vedges
+        iy, ix = np.divmod(np.where(vert, e, e - self.n_vedges),
+                           np.where(vert, self.nx + 1, self.nx))
+        return 2 * ix + ~vert, 2 * iy + vert
+
     def boundary_edges(self, side):
         """Edge ids along one side, ordered by increasing tangent coordinate."""
         if side == "left":
@@ -309,40 +318,19 @@ class StokesMesh(_Grid):
         VX, VY = np.meshgrid(vx, vy)
         self.p1_xy = np.column_stack([VX.ravel(), VY.ravel()])
 
-        tris = []
-        for iy in range(ny):
-            for ix in range(nx):
-                bl = (2 * ix, 2 * iy)
-                br = (2 * ix + 2, 2 * iy)
-                tr = (2 * ix + 2, 2 * iy + 2)
-                tl = (2 * ix, 2 * iy + 2)
-                tris.append((bl, br, tr))  # lower triangle
-                tris.append((bl, tr, tl))  # upper triangle
-        self.n_tri = len(tris)
-
-        def lat(p):
-            return p[1] * self.mx + p[0]
-
-        def mid(a, b):
-            return ((a[0] + b[0]) // 2, (a[1] + b[1]) // 2)
-
-        # P2 connectivity: vertices then midpoints (12, 23, 31)
-        conn2 = np.empty((self.n_tri, 6), dtype=int)
-        conn1 = np.empty((self.n_tri, 3), dtype=int)
-        for t, (a, b, c) in enumerate(tris):
-            conn2[t] = [lat(a), lat(b), lat(c),
-                        lat(mid(a, b)), lat(mid(b, c)), lat(mid(c, a))]
-            conn1[t] = [self._vid(a), self._vid(b), self._vid(c)]
-        self.conn_p2 = conn2
-        self.conn_p1 = conn1
-        self.tri_vertices = np.array(
-            [[self.p2_xy[lat(a)], self.p2_xy[lat(b)], self.p2_xy[lat(c)]]
-             for (a, b, c) in tris]
-        )
-
-    def _vid(self, p):
-        # lattice point with even coords -> vertex id
-        return (p[1] // 2) * (self.nx + 1) + (p[0] // 2)
+        # lower (bl, br, tr) and upper (bl, tr, tl) triangle of a cell:
+        # vertices, then edge midpoints (12, 23, 31), in half steps from
+        # the cell's bottom-left corner
+        dx = np.array([[0, 2, 2, 1, 2, 1], [0, 2, 0, 1, 1, 0]])
+        dy = np.array([[0, 0, 2, 0, 1, 1], [0, 2, 2, 1, 2, 1]])
+        iy, ix = np.divmod(np.arange(nx * ny), nx)
+        self.conn_p2 = (2 * (iy * self.mx + ix)[:, None, None]
+                        + dy * self.mx + dx).reshape(-1, 6)
+        self.conn_p1 = ((iy * (nx + 1) + ix)[:, None, None]
+                        + (dy[:, :3] // 2) * (nx + 1)
+                        + dx[:, :3] // 2).reshape(-1, 3)
+        self.n_tri = len(self.conn_p2)
+        self.tri_vertices = self.p2_xy[self.conn_p2[:, :3]]
 
     def lattice(self, ix, iy):
         """P2 node id of lattice point (ix, iy), half-step units."""
@@ -369,9 +357,6 @@ class StokesMesh(_Grid):
                             self.lattice(ix, 2 * iy + 1),
                             self.lattice(ix, 2 * iy + 2)))
         return out
-
-    def edge_length(self, side):
-        return self.hy if side in ("left", "right") else self.hx
 
 
 def build_subdomain_mesh(block):

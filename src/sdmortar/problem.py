@@ -86,16 +86,15 @@ class StokesDarcyProblem:
         dblock = self.layout.blocks[d_sid]
         dside = side_of_interface(dblock, iface)
         mids = iface.span[0] + 0.5 * (tr.s_breaks[:-1] + tr.s_breaks[1:])
-        cells = np.empty(len(mids), dtype=int)
-        for k, m in enumerate(mids):
-            if iface.axis == "y":  # horizontal interface, tangent along x
-                ix = int(np.clip((m - dblock.x0) / dmesh.hx, 0, dmesh.nx - 1))
-                iy = dmesh.ny - 1 if dside == "top" else 0
-            else:
-                iy = int(np.clip((m - dblock.y0) / dmesh.hy, 0, dmesh.ny - 1))
-                ix = dmesh.nx - 1 if dside == "right" else 0
-            cells[k] = dmesh.cell(ix, iy)
-        return cells
+        if iface.axis == "y":  # horizontal interface, tangent along x
+            ix = np.clip((mids - dblock.x0) / dmesh.hx, 0,
+                         dmesh.nx - 1).astype(int)
+            iy = dmesh.ny - 1 if dside == "top" else 0
+        else:
+            iy = np.clip((mids - dblock.y0) / dmesh.hy, 0,
+                         dmesh.ny - 1).astype(int)
+            ix = dmesh.nx - 1 if dside == "right" else 0
+        return dmesh.cell(ix, iy)
 
     # -- realization-invariant systems ---------------------------------------
 

@@ -153,6 +153,41 @@ def per_column_flux_basis(problem, sid, op):
     return dofs, B
 
 
+def loop_stokes_connectivity(mesh):
+    """StokesMesh's (conn_p2, conn_p1, tri_vertices) as they were built:
+    a loop over cells that splits each along its bottom-left to top-right
+    diagonal. The lattice arithmetic must reproduce them bit for bit."""
+    nx, mx = mesh.nx, mesh.mx
+    tris = []
+    for iy in range(mesh.ny):
+        for ix in range(nx):
+            bl = (2 * ix, 2 * iy)
+            br = (2 * ix + 2, 2 * iy)
+            tr = (2 * ix + 2, 2 * iy + 2)
+            tl = (2 * ix, 2 * iy + 2)
+            tris.append((bl, br, tr))  # lower triangle
+            tris.append((bl, tr, tl))  # upper triangle
+
+    def lat(p):
+        return p[1] * mx + p[0]
+
+    def mid(a, b):
+        return ((a[0] + b[0]) // 2, (a[1] + b[1]) // 2)
+
+    def vid(p):
+        return (p[1] // 2) * (nx + 1) + (p[0] // 2)
+
+    conn2 = np.empty((len(tris), 6), dtype=int)
+    conn1 = np.empty((len(tris), 3), dtype=int)
+    for t, (a, b, c) in enumerate(tris):
+        conn2[t] = [lat(a), lat(b), lat(c),
+                    lat(mid(a, b)), lat(mid(b, c)), lat(mid(c, a))]
+        conn1[t] = [vid(a), vid(b), vid(c)]
+    verts = np.array([[mesh.p2_xy[lat(a)], mesh.p2_xy[lat(b)],
+                       mesh.p2_xy[lat(c)]] for (a, b, c) in tris])
+    return conn2, conn1, verts
+
+
 def loop_body_force(system):
     """StokesSystem._body_force as it was: a loop over triangles and points.
 

@@ -254,6 +254,35 @@ def test_raster_requires_exactly_one_source():
         validate_config(raw)
 
 
+def test_raster_file_unreadable_or_malformed_is_a_config_error(tmp_path):
+    raw = minimal_raw()
+    raw["mean_log_perm"] = {
+        "kind": "raster", "rect": [0, 0, 2, 1], "shape": [2, 2],
+        "path": "mean.csv",
+    }
+    cfg = validate_config(raw)
+    with pytest.raises(ConfigError, match="cannot read raster .*mean.csv"):
+        build_from_config(cfg, config_dir=str(tmp_path))
+    (tmp_path / "mean.csv").write_text("0.5,one\n2.5,3.5\n")
+    with pytest.raises(ConfigError, match="cannot read raster .*mean.csv"):
+        build_from_config(cfg, config_dir=str(tmp_path))
+
+
+def test_per_region_mean_names_every_missing_region():
+    raw = minimal_raw()
+    raw["kl_regions"] = [dict(raw["kl_regions"][0], rect=rect)
+                         for rect in ([0, 0, 1, 1], [1, 0, 2, 1],
+                                      [0, 0, 2, 1])]
+    raw["domain"]["blocks"][1]["kl_region"] = 1
+    raw["mean_log_perm"] = {"kind": "per_region", "values": {"1": 0.5}}
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    assert err.value.messages == [
+        "mean_log_perm.values: no mean for KL region(s) 0, 2"]
+    raw["mean_log_perm"]["values"].update({"0": 0.1, "2": -0.3})
+    validate_config(raw)
+
+
 def test_per_interface_override_and_unknown_index():
     raw = minimal_raw()
     raw["mortars"] = {"per_interface": {"0": 2}}

@@ -181,6 +181,41 @@ def test_cli_missing_config_is_a_config_error(tmp_path, capsys, command):
     assert messages[0].startswith(f"cannot read {missing}")
 
 
+def test_cli_per_region_mean_missing_a_region_is_a_config_error(tmp_path,
+                                                               capsys):
+    with open(os.path.join(CONFIG_DIR, "case1_mini.json")) as fh:
+        raw = json.load(fh)
+    raw["mean_log_perm"] = {"kind": "per_region", "values": {"0": 0.5}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    for command in ("validate", "run"):
+        messages = assert_config_error(cli.main([command, str(path)]),
+                                       capsys)
+        assert messages == ["mean_log_perm.values: no mean for KL "
+                            "region(s) 1"]
+
+
+@pytest.mark.parametrize("command", ["validate", "grid"])
+def test_cli_reads_a_raster_next_to_the_config(tmp_path, capsys, monkeypatch,
+                                               command):
+    """A relative raster path is read from the config's directory, not the
+    working directory; an unreadable raster is a config error."""
+    with open(TWOBLOCK) as fh:
+        raw = json.load(fh)
+    raw["mean_log_perm"] = {"kind": "raster", "rect": [0, 0, 2, 1],
+                            "shape": [2, 1], "path": "field.csv"}
+    (tmp_path / "cfgs").mkdir()
+    path = tmp_path / "cfgs" / "cfg.json"
+    path.write_text(json.dumps(raw))
+    monkeypatch.chdir(tmp_path)
+    messages = assert_config_error(cli.main([command, "cfgs/cfg.json"]),
+                                   capsys)
+    assert "cannot read raster" in messages[0]
+    (tmp_path / "cfgs" / "field.csv").write_text("0.5,-0.5\n")
+    assert cli.main([command, "cfgs/cfg.json"]) == cli.EXIT_OK
+    capsys.readouterr()
+
+
 def test_cli_rejects_workers_below_one(tmp_path, capsys):
     code = cli.main(["run", TWOBLOCK, "--workers", "0",
                      "--out-dir", str(tmp_path / "x")])

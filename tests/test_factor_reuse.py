@@ -1,13 +1,13 @@
 """Pattern reuse in the subdomain factor paths.
 
-A Darcy system numbers its edge multipliers once (reverse Cuthill-McKee)
-and refills the band of H and the maps of its hybridized solve per
-realization; a Stokes reference is one sparse LU (COLAMD), and the Stokes
-saddle matrix is stored already scaled by its pressure scale. Flux bases
-are solved in column blocks. The references here are the routes these
-replaced: a sparse LU of the Darcy saddle matrix, the product
-diag(s) S diag(s) with the kernel check on the sliced velocity block, and
-one star solve per basis column (tests/_oracles.py).
+A Darcy system numbers its edge multipliers once (by midpoint, along the
+block's shorter side first), and per realization fills the band of H and
+refills the maps of its hybridized solve; a Stokes reference is one sparse
+LU (COLAMD), and the Stokes saddle matrix is stored already scaled by its
+pressure scale. Flux bases are solved in column blocks. The references
+here are the routes these replaced: a sparse LU of the Darcy saddle
+matrix, the product diag(s) S diag(s) with the kernel check on the sliced
+velocity block, and one star solve per basis column (tests/_oracles.py).
 """
 
 import numpy as np

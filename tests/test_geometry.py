@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _oracles import loop_stokes_connectivity
 from sdmortar.errors import ConfigError
 from sdmortar.geometry import (Block, build_layout, build_subdomain_mesh,
                                edges_on_span, side_of_interface)
@@ -111,6 +112,35 @@ def test_stokes_mesh_lattice():
         assert len(edges) == n_expect
         breaks = mesh.side_breaks(side)
         assert np.all(np.diff(breaks) > 0)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 4), (5, 2), (8, 8),
+                                   (16, 16), (64, 32)])
+def test_stokes_connectivity_matches_the_cell_loop(shape):
+    """conn_p2, conn_p1 and tri_vertices from lattice arithmetic are the
+    per-triangle loop's, bit for bit and in the same dtype."""
+    mesh = build_subdomain_mesh(Block((0.1, -0.3, 0.8, 1.9), "stokes",
+                                      shape))
+    for got, want in zip((mesh.conn_p2, mesh.conn_p1, mesh.tri_vertices),
+                         loop_stokes_connectivity(mesh)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert mesh.n_tri == len(mesh.conn_p2) == 2 * shape[0] * shape[1]
+
+
+def test_darcy_edge_lattice_is_the_edge_midpoint():
+    """Each cell's (west, east, south, north) edges sit at half steps
+    (-1, 0), (1, 0), (0, -1), (0, 1) from its centre; scalar ids agree."""
+    mesh = build_subdomain_mesh(Block((0, 0, 1, 1), "darcy", (4, 3), 0))
+    iy, ix = np.divmod(np.arange(mesh.n_cells), mesh.nx)
+    for e, (ox, oy) in zip(mesh.cell_edges(ix, iy),
+                           ((-1, 0), (1, 0), (0, -1), (0, 1))):
+        lx, ly = mesh.edge_lattice(e)
+        assert np.array_equal(lx, 2 * ix + 1 + ox)
+        assert np.array_equal(ly, 2 * iy + 1 + oy)
+    lx, ly = mesh.edge_lattice(np.arange(mesh.n_edges))
+    assert len(set(zip(lx.tolist(), ly.tolist()))) == mesh.n_edges
+    assert mesh.edge_lattice(mesh.hedge(2, 3)) == (5, 6)
 
 
 def test_side_of_interface_and_span():
