@@ -2,11 +2,11 @@
 
 import argparse
 import json
-import os
 import sys
 
 from .config import (_is_int, _validate_collocation, build_from_config,
-                     build_grid, build_kl_regions, load_json, parse_config)
+                     build_grid, build_kl_regions, config_dir_of, load_json,
+                     parse_config)
 from .errors import ConfigError, ConvergenceError, SizeCapError
 
 EXIT_OK = 0
@@ -45,8 +45,8 @@ def _cmd_run(args):
 
 def _cmd_validate(args):
     cfg = parse_config(args.config)
-    problem, grid, options = build_from_config(
-        cfg, os.path.dirname(os.path.abspath(args.config)))
+    problem, grid, options = build_from_config(cfg,
+                                               config_dir_of(args.config))
     layout = problem.layout
     print(f"config ok: {layout.n_subdomains} subdomains, "
           f"{len(layout.interfaces)} interfaces, method {options['method']}")
@@ -109,8 +109,7 @@ def _cmd_grid(args):
         from .config import validate_config
 
         cfg = validate_config(data)
-        _, grid, _ = build_from_config(
-            cfg, os.path.dirname(os.path.abspath(args.spec)))
+        _, grid, _ = build_from_config(cfg, config_dir_of(args.spec))
     else:
         grid = _build_bare_grid(data)
     n_regions = len(grid.local_counts)

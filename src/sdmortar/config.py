@@ -512,12 +512,12 @@ def validate_config(raw):
 
     # cross checks
     n_regions = len(cfg["kl_regions"])
-    any_darcy = False
+    used = set()  # KL regions some Darcy block reads its mean from
     for k, b in enumerate(cfg["domain"]["blocks"]):
         if b["physics"] != "darcy":
             continue
-        any_darcy = True
         r = b["kl_region"]
+        used.add(r)
         if r >= n_regions:
             errors.append(f"domain.blocks[{k}]: kl_region {r} out of range "
                           f"(have {n_regions} regions)")
@@ -525,7 +525,7 @@ def validate_config(raw):
             errors.append(f"domain.blocks[{k}]: rect {b['rect']} not "
                           f"covered by kl_regions[{r}] rect "
                           f"{cfg['kl_regions'][r]['rect']}")
-    if any_darcy and n_dims == 0:
+    if used and n_dims == 0:
         errors.append("kl_regions: at least one KL term is required when "
                       "darcy blocks are present")
     if cfg["mean_log_perm"]["kind"] == "per_region":
@@ -534,7 +534,8 @@ def validate_config(raw):
             if int(key) >= n_regions:
                 errors.append(f"mean_log_perm.values: region {key} out of "
                               f"range")
-        missing = sorted(set(range(n_regions)) - {int(k) for k in given})
+        missing = sorted({r for r in used if r < n_regions}
+                         - {int(k) for k in given})
         if missing:
             errors.append(f"mean_log_perm.values: no mean for KL region(s) "
                           f"{', '.join(map(str, missing))}")
@@ -553,6 +554,12 @@ def load_json(path):
         raise ConfigError([f"cannot read {path}: {exc}"]) from None
     except json.JSONDecodeError as exc:
         raise ConfigError([f"invalid JSON in {path}: {exc}"]) from None
+
+
+def config_dir_of(path):
+    """The directory that relative paths in config file `path` (raster
+    files) are read from: the file's own."""
+    return os.path.dirname(os.path.abspath(path))
 
 
 def parse_config(path):

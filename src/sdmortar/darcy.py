@@ -250,10 +250,6 @@ class DarcySystem:
         low = (mj >= 0) & (mi >= mj)
         d = (mi - mj)[low]
         self.kd = int(np.max(d, initial=0))
-        # the band is stored with its half width rounded up to a multiple
-        # of 16, zero-padded: OpenBLAS's band kernels then run on whole
-        # vector blocks (dpbtrs at kd 31 took 52 us, padded to 32 38 us)
-        self._band_rows = -(-self.kd // 16) * 16 + 1
         self._band_at = d * n_mult + mj[low]
         self._band_cell = cell[low]
         self._band_q = (s[i] * s[j] * Q[i, j])[low]
@@ -282,7 +278,7 @@ class DarcySystem:
     def multiplier_band(self, K):
         """H at cell permeabilities K, in LAPACK's lower band storage:
         band[i - j, j] = H[i, j] for j <= i <= j + kd, zero below."""
-        shape = (self._band_rows, self.n_mult)
+        shape = (self.kd + 1, self.n_mult)
         return np.bincount(
             self._band_at, (K / self.nu)[self._band_cell] * self._band_q,
             shape[0] * shape[1]).reshape(shape)

@@ -1,8 +1,6 @@
 """End-to-end runs: config in, moment fields and effort reports out."""
 
-import os
-
-from .config import build_from_config, parse_config
+from .config import build_from_config, config_dir_of, parse_config
 from .interface import run_method
 from .output import write_outputs
 
@@ -31,6 +29,5 @@ def run_config(cfg, config_dir=None, overrides=None):
 
 def run_file(path, overrides=None):
     """Parse a config file, run it, and write outputs next to out_dir."""
-    cfg = parse_config(path)
-    config_dir = os.path.dirname(os.path.abspath(path))
-    return run_config(cfg, config_dir=config_dir, overrides=overrides)
+    return run_config(parse_config(path), config_dir=config_dir_of(path),
+                      overrides=overrides)

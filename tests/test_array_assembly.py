@@ -33,7 +33,16 @@ def test_darcy_matrix_refill_matches_element_loop():
     K, against a loop over cells that eliminates each cell's fluxes and
     pressure from its own 5 x 5 saddle block; and the saddle oracle
     against the same loop's element matrices."""
-    mesh = _darcy_mesh()
+    _check_darcy_refill(_darcy_mesh())
+
+
+def test_darcy_band_of_a_small_block_matches_element_loop():
+    """The same check on a 2 x 2 block: 8 multipliers, so the band's
+    kd + 1 rows must not outnumber them."""
+    _check_darcy_refill(_darcy_mesh(2, 2))
+
+
+def _check_darcy_refill(mesh):
     bcs = {"left": DarcyBC("pressure", None), "top": DarcyBC("pressure")}
     system = DarcySystem(mesh, 0.7, bcs, [])
     K = np.exp(np.random.default_rng(3).standard_normal(mesh.n_cells))

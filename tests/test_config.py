@@ -273,14 +273,17 @@ def test_per_region_mean_names_every_missing_region():
     raw["kl_regions"] = [dict(raw["kl_regions"][0], rect=rect)
                          for rect in ([0, 0, 1, 1], [1, 0, 2, 1],
                                       [0, 0, 2, 1])]
-    raw["domain"]["blocks"][1]["kl_region"] = 1
+    raw["domain"]["blocks"][1]["kl_region"] = 2
     raw["mean_log_perm"] = {"kind": "per_region", "values": {"1": 0.5}}
     with pytest.raises(ConfigError) as err:
         validate_config(raw)
     assert err.value.messages == [
         "mean_log_perm.values: no mean for KL region(s) 0, 2"]
-    raw["mean_log_perm"]["values"].update({"0": 0.1, "2": -0.3})
-    validate_config(raw)
+    # region 1 is read by no block, so it needs no mean
+    raw["mean_log_perm"]["values"] = {"0": 0.1, "2": -0.3}
+    problem, grid, _ = build_from_config(validate_config(raw))
+    for sid in (0, 1):
+        assert np.all(problem.sample_permeability(sid, grid.points[0]) > 0)
 
 
 def test_per_interface_override_and_unknown_index():
