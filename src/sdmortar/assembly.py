@@ -1,12 +1,4 @@
-"""Fixed-pattern subdomain matrices and their per-realization factors.
-
-The Stokes saddle matrix depends on the permeability only through a few
-scalar coefficients per entry (the BJS friction per Stokes interface
-edge). Its pattern is therefore computed once from COO triplets, and every
-realization fills the CSC data with one sparse matvec:
-data = data0 + P @ coef (RefillMatrix). The Darcy system refills the
-maps of its hybridized solve the same way, from K/nu and nu/K per cell
-(darcy.py).
+"""Per-realization factors of the subdomain systems and their coupling.
 
 A factored Darcy or Stokes operator is a SubdomainOperator: its one
 _solve backsolves a right-hand side or a block of columns and scatters the
@@ -19,54 +11,9 @@ UpdatedFactors.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
 from .errors import SingularOperatorError
-
-
-class RefillMatrix:
-    """CSC matrix with data0 + P @ coef on a pattern fixed at construction.
-
-    `const` holds (rows, cols, vals) triplets that never change; `scaled`
-    holds (rows, cols, vals, which) triplets whose value is
-    vals * coef[which]. Duplicate positions are summed. With `diag` the
-    matrix is diag(diag) M diag(diag): every summed entry (i, j) is scaled
-    as (diag[i] * m_ij) * diag[j], which is what the sparse product
-    computes where the coefficients only touch entries with diag 1.
-    Positions whose constant sum is zero and that no coefficient touches
-    are dropped from the pattern.
-    """
-
-    def __init__(self, shape, const, scaled, n_coef, diag=None):
-        n_rows = shape[0]
-        r0, c0, v0 = (np.asarray(a) for a in const)
-        r1, c1, v1, which = (np.asarray(a) for a in scaled)
-        keys = (np.concatenate([c0, c1]).astype(np.int64) * n_rows
-                + np.concatenate([r0, r1]))
-        uniq, pos = np.unique(keys, return_inverse=True)
-        nnz = len(uniq)
-        data0 = np.bincount(pos[:len(r0)], weights=v0, minlength=nnz)
-        P = sp.csr_matrix((v1, (pos[len(r0):], which)), shape=(nnz, n_coef))
-        rows, cols = uniq % n_rows, uniq // n_rows
-        if diag is not None:
-            data0 = (diag[rows] * data0) * diag[cols]
-            P = sp.diags(diag[rows] * diag[cols]) @ P
-        live = (data0 != 0.0) | (np.diff(P.indptr) > 0)
-        self.shape = shape
-        self.indices = rows[live].astype(np.int32)
-        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(
-            cols[live], minlength=shape[1]))]).astype(np.int32)
-        self.data0 = data0[live]
-        self.P = P[live]
-
-    def data(self, coef):
-        """CSC data at coefficients coef."""
-        return self.data0 + self.P @ np.asarray(coef, dtype=float)
-
-    def __call__(self, coef):
-        return sp.csc_matrix((self.data(coef), self.indices, self.indptr),
-                             shape=self.shape)
 
 
 class CouplingMaps:

@@ -280,6 +280,8 @@ def _validate_mean(raw, errors):
 
 
 def _validate_collocation(raw, n_dims, errors):
+    """Collocation spec on n_dims random dimensions (None: not known, as
+    for a bare grid spec without splits)."""
     src = raw.get("collocation")
     where = "collocation"
     if not isinstance(src, dict) or "kind" not in src:
@@ -305,6 +307,9 @@ def _validate_collocation(raw, n_dims, errors):
         if not _is_int(lev, 0):
             errors.append(f"{where}: level must be an int >= 0")
             lev = 0
+        if n_dims == 0:
+            errors.append(f"{where}: a sparse grid needs at least one KL "
+                          f"dimension")
         return {"kind": "sparse", "level": lev}
     errors.append(f"{where}: unknown kind {kind!r}")
     return {"kind": "tensor", "m": 1}
@@ -450,7 +455,7 @@ def validate_config(raw):
     cfg["kl_regions"] = _validate_kl_regions(raw, errors)
     cfg["mean_log_perm"] = _validate_mean(raw, errors)
     n_dims = sum(_region_dims(r) for r in cfg["kl_regions"])
-    cfg["collocation"] = _validate_collocation(raw, n_dims or None, errors)
+    cfg["collocation"] = _validate_collocation(raw, n_dims, errors)
     cfg["physics"] = _validate_physics(raw, errors)
     cfg["mortars"] = _validate_mortars(raw, errors)
     cfg["bcs"] = _validate_bcs(raw, cfg["domain"]["blocks"], errors)

@@ -41,12 +41,12 @@ midpoints along the block's shorter side first, so that H is banded with
 half bandwidth kd <= 2 min(nx, ny) + 1 (George & Liu, Computer Solution
 of Large Sparse Positive Definite Systems, 1981). It keeps the band
 position, cell and factor s_i s_j Q_ij of every cell's contribution to
-H's lower band, and RefillMatrix patterns of L and of the back map
-[r; mu] -> [u_free; p]. A realization sums H's band in LAPACK storage
-with one bincount over the cells, refills the maps from K/nu and nu/K per
-cell, factors H by banded Cholesky (dpbtrf) and solves every star/bar
-load, or block of loads, by one multiplier load, one dpbtrs and the back
-map.
+H's lower band, and fixed CSC patterns of L and of the back map
+[r; mu] -> [u_free; p], each entry a constant or one cell's K/nu or nu/K
+times a value. A realization sums H's band in LAPACK storage with one
+bincount over the cells, scales the maps' entries, factors H by banded
+Cholesky (dpbtrf) and solves every star/bar load, or block of loads, by
+one multiplier load, one dpbtrs and the back map.
 """
 
 from dataclasses import dataclass
@@ -55,8 +55,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-from .assembly import (CouplingMaps, RefillMatrix, SubdomainOperator,
-                       check_permeability)
+from .assembly import CouplingMaps, SubdomainOperator, check_permeability
 from .errors import SingularOperatorError
 from .geometry import OUTWARD_SIGN, SIDES, locate_trace
 
@@ -107,6 +106,34 @@ def _cell_edge_table(mesh):
     return mesh.cell_edges(ix, iy)
 
 
+class _ScaledPattern:
+    """CSC matrix on a fixed pattern whose every entry is a value times
+    one scale.
+
+    `const` holds (rows, cols, vals) triplets of constant entries and
+    `scaled` (rows, cols, vals, which) triplets of entries vals *
+    coef[which]; no two triplets share a position. The matrix at
+    scale = [1, coef] has the data vals * scale[self.which].
+    """
+
+    def __init__(self, shape, const, scaled):
+        rows, cols, vals = (np.concatenate(pair) for pair in zip(const,
+                                                                 scaled))
+        which = np.concatenate([np.zeros(len(const[0]), dtype=int),
+                                scaled[3] + 1])
+        order = np.lexsort((rows, cols))
+        self.shape = shape
+        self.indices = rows[order].astype(np.int32)
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(
+            cols, minlength=shape[1]))]).astype(np.int32)
+        self.vals = vals[order]
+        self.which = which[order]
+
+    def __call__(self, scale):
+        return sp.csc_matrix((self.vals * scale[self.which], self.indices,
+                              self.indptr), shape=self.shape)
+
+
 class HybridFactors:
     """Saddle solves of one realization through the Cholesky factor of H.
 
@@ -137,7 +164,7 @@ class DarcySystem:
     """Realization-invariant part of one Darcy subdomain.
 
     Holds the reduced dof layout, the multiplier numbering, H's band fill
-    and the refill patterns of the hybridized solve (see the module
+    and the scaled patterns of the hybridized solve (see the module
     docstring), the K-independent bar load and, when built with a mortar
     coupling F (full edge velocity -> signed local mortar functionals),
     its CouplingMaps, so that a star solve takes a local mortar vector.
@@ -193,11 +220,13 @@ class DarcySystem:
             self.coupling = CouplingMaps(coupling, free, mesh.n_edges)
 
     def _hybridize(self, noflow):
-        """Multiplier numbering, H's band fill and the refill patterns of
+        """Multiplier numbering, H's band fill and the scaled patterns of
         L and the back map.
 
         H fills from K/nu per cell, the maps from K/nu per cell followed by
-        nu/K per cell.
+        nu/K per cell. A free edge's load belongs to one owner cell and a
+        multiplier/slot pair to one cell, so no two triplets of a map share
+        a position.
         """
         mesh = self.mesh
         nc, n_u = mesh.n_cells, self.n_u
@@ -255,13 +284,13 @@ class DarcySystem:
         self._band_q = (s[i] * s[j] * Q[i, j])[low]
         # L r = sum_T C_T ((K_T/nu) Q r_T + m g_T / beta)
         lr, lg = (mi >= 0) & oj, mk >= 0
-        self._load = RefillMatrix(
+        self._load = _ScaledPattern(
             (n_mult, n_sys), (mk[lg], p_row[lg], (s * m / beta)[k][lg]),
-            (mi[lr], rj[lr], (s[i] * Q[i, j])[lr], cell[lr]), 2 * nc)
+            (mi[lr], rj[lr], (s[i] * Q[i, j])[lr], cell[lr]))
         # u_T = (K_T/nu) Q (r_T - C_T^T mu) + m g_T / beta, read at the
         # owner slot; p_T = m^T (r_T - C_T^T mu) / beta - (nu/K_T) g_T / beta
         uu = oi & oj
-        self._back_rhs = RefillMatrix(
+        self._back_rhs = _ScaledPattern(
             (n_sys, n_sys),
             (np.concatenate([rk[ok], p_row[ok]]),
              np.concatenate([p_row[ok], rk[ok]]),
@@ -269,11 +298,11 @@ class DarcySystem:
             (np.concatenate([ri[uu], p_diag]),
              np.concatenate([rj[uu], p_diag]),
              np.concatenate([Q[i, j][uu], np.full(nc, -1 / beta)]),
-             np.concatenate([cell[uu], nc + np.arange(nc)])), 2 * nc)
+             np.concatenate([cell[uu], nc + np.arange(nc)])))
         um = oi & (mj >= 0)
-        self._back_mu = RefillMatrix(
+        self._back_mu = _ScaledPattern(
             (n_sys, n_mult), (p_row[lg], mk[lg], -(m * s / beta)[k][lg]),
-            (ri[um], mj[um], -(Q[i, j] * s[j])[um], cell[um]), 2 * nc)
+            (ri[um], mj[um], -(Q[i, j] * s[j])[um], cell[um]))
 
     def multiplier_band(self, K):
         """H at cell permeabilities K, in LAPACK's lower band storage:
@@ -326,11 +355,11 @@ class DarcySystem:
             raise SingularOperatorError(
                 f"{self.name}: multiplier matrix is not positive definite "
                 f"(leading minor {info})")
-        coef = np.concatenate([K / self.nu, self.nu / K])
+        scale = np.concatenate([[1.0], K / self.nu, self.nu / K])
         n_sys = self.n_unknowns
         return DarcyOperator(
-            self, HybridFactors((n_sys, n_sys), chol, self._load(coef),
-                                self._back_rhs(coef), self._back_mu(coef)),
+            self, HybridFactors((n_sys, n_sys), chol, self._load(scale),
+                                self._back_rhs(scale), self._back_mu(scale)),
             self.bar_load)
 
 

@@ -47,10 +47,6 @@ class Block:
     def y1(self):
         return self.rect[3]
 
-    @property
-    def area(self):
-        return (self.x1 - self.x0) * (self.y1 - self.y0)
-
 
 @dataclass(frozen=True)
 class Interface:

@@ -118,15 +118,18 @@ class StokesDarcyProblem:
         if block.physics == "darcy":
             return darcy.DarcySystem(
                 mesh, self.physics.nu_d, bcs, self.traces[sid], f=self.f_d,
-                q=self.q_d, coupling=self._coupling(sid, darcy.trace_maps),
+                q=self.q_d,
+                coupling=self._coupling(sid, darcy.trace_maps, mesh.n_edges),
                 name=name)
         return stokes.StokesSystem(
             mesh, self.physics.nu_s, self.physics.alpha, bcs,
             self.traces[sid], f=self.f_s,
-            coupling=self._coupling(sid, stokes.trace_maps), name=name)
+            coupling=self._coupling(sid, stokes.trace_maps, 2 * mesh.n_p2),
+            name=name)
 
-    def _coupling(self, sid, trace_maps):
-        """F_i: full velocity -> signed local mortar functionals."""
+    def _coupling(self, sid, trace_maps, n_full):
+        """F_i: full velocity (n_full dofs) -> signed local mortar
+        functionals; no rows for a subdomain without interfaces."""
         mesh = self.meshes[sid]
         kind = self.layout.physics(sid)
         by_iface = {t.iface: t for t in self.traces[sid]}
@@ -142,7 +145,8 @@ class StokesDarcyProblem:
             k = np.arange(mb.n_dof)
             rows.append(comps[(k % mb.n_comp) * mb.n_scalar
                               + k // mb.n_comp])
-        return sp.vstack(rows).tocsr()
+        return (sp.vstack(rows).tocsr() if rows
+                else sp.csr_matrix((0, n_full)))
 
     # -- realization-dependent pieces ---------------------------------------
 

@@ -14,10 +14,10 @@ Schur complement matches the viscous block and round-off in the pressure
 is not amplified by the mesh size.
 
 Everything but the BJS coefficients is realization-invariant and lives in a
-StokesSystem built once: the viscous and divergence blocks, the Dirichlet
-split and lift, and the body-force and traction loads. The reduced saddle
-matrix is stored already scaled by s, with its structural zeros dropped,
-so a realization refills only its BJS entries in place.
+StokesSystem built once: the Dirichlet split and lift, the body-force and
+traction loads, the reduced saddle matrix without BJS (S0, already scaled
+by s, its structural zeros dropped) and the BJS term as the r x r block
+it adds on the few velocity unknowns it touches.
 
 The BJS entries touch only the r tangential trace unknowns of the sd
 interfaces, so a matrix at other coefficients is a rank-r update of one at
@@ -43,8 +43,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .assembly import (CouplingMaps, RefillMatrix, SubdomainOperator,
-                       UpdatedFactors, block_width, check_permeability)
+from .assembly import (CouplingMaps, SubdomainOperator, UpdatedFactors,
+                       block_width, check_permeability)
 from .errors import SingularOperatorError
 from .geometry import GAUSS3_POINTS, GAUSS3_WEIGHTS, SIDES, locate_trace
 
@@ -140,13 +140,14 @@ def _pairs(rows_of, cols_of, shape):
 class StokesSystem:
     """Realization-invariant part of one Stokes subdomain.
 
-    Holds the viscous and divergence blocks (assembled once by scattering
-    the two congruent element tables), the Dirichlet split and lift, the
-    body-force and traction loads, the pressure-scaled reduced saddle
-    matrix whose BJS entries are refilled per realization, and, when built
-    with a mortar coupling F (full velocity -> signed local mortar
-    functionals), its CouplingMaps, so that a star solve takes a local
-    mortar vector.
+    Holds the Dirichlet split and lift, the body-force and traction loads,
+    the pressure-scaled reduced saddle matrix S0 without BJS (viscous and
+    divergence blocks assembled once by scattering the two congruent
+    element tables), the sorted reduced velocity unknowns T that BJS
+    touches and a map from the edge coefficients to the BJS entries on
+    T x T (bjs_block), and, when built with a mortar coupling F (full
+    velocity -> signed local mortar functionals), its CouplingMaps, so
+    that a star solve takes a local mortar vector.
     """
 
     def __init__(self, mesh, nu, alpha, bcs, traces, f=None, coupling=None,
@@ -205,25 +206,26 @@ class StokesSystem:
         red = -np.ones(self.n_udof, dtype=int)
         red[free] = np.arange(n_free)
 
-        # BJS friction, per unit coefficient, in full and reduced numbering
+        # BJS friction, per unit coefficient, in full and reduced numbering:
+        # the reduced unknowns T it touches and the map from the edge
+        # coefficients to its r x r block on T x T
         rows, cols, vals, which = self._bjs_entries()
         self.n_bjs = int(which.max()) + 1 if which.size else 0
         rr, cc = red[rows], red[cols]
         both = (rr >= 0) & (cc >= 0)
-        bjs = (rr[both], cc[both], vals[both], which[both])
+        self.T = np.unique(np.concatenate([rr[both], cc[both]]))
+        r = len(self.T)
+        at = (np.searchsorted(self.T, rr[both]) * r
+              + np.searchsorted(self.T, cc[both]))
+        self._bjs_map = sp.csr_matrix((vals[both], (at, which[both])),
+                                      shape=(r * r, self.n_bjs))
 
-        A_red = A[free][:, free]
-        B_red = B[:, free].tocoo()
-        Ac = A_red.tocoo()
-        n_s = n_free + self.n_p
-        const = (np.concatenate([Ac.row, B_red.col, n_free + B_red.row]),
-                 np.concatenate([Ac.col, n_free + B_red.row, B_red.col]),
-                 np.concatenate([Ac.data, B_red.data, B_red.data]))
+        # the reduced saddle matrix without BJS, pressures scaled
         self.p_scale = nu / min(mesh.hx, mesh.hy)
-        diag = np.ones(n_s)
-        diag[n_free:] = self.p_scale
-        self.matrix = RefillMatrix((n_s, n_s), const, bjs, self.n_bjs,
-                                   diag=diag)
+        B_red = self.p_scale * B[:, free]
+        self.S0 = sp.bmat([[A[free][:, free], B_red.T], [B_red, None]],
+                          format="csc")
+        self.S0.eliminate_zeros()
 
         # rigid-body motions that the reduced form may leave in its kernel,
         # zero on the pressure rows
@@ -237,11 +239,11 @@ class StokesSystem:
         Zf = Z[free]
         norms = np.linalg.norm(Zf, axis=0)
         norms[norms == 0] = 1.0
-        self._Zp = np.zeros((n_s, 3))
+        self._Zp = np.zeros((self.n_unknowns, 3))
         self._Zp[:n_free] = Zf / norms
 
         # bar load: body force and tractions minus the Dirichlet lift; the
-        # lift through the BJS entries is refilled per realization
+        # lift through the BJS entries is a map of the edge coefficients
         Fu = self._body_force() + self._tractions()
         self._bar_u0 = (Fu - A @ self.g_dir)[free]
         self._bar_p = -(B @ self.g_dir)
@@ -346,6 +348,11 @@ class StokesSystem:
             n += len(tri)
         return tuple(np.concatenate(x) for x in (rows, cols, vals, which))
 
+    def bjs_block(self, coef):
+        """BJS entries on T x T at edge coefficients coef, an r x r array."""
+        r = len(self.T)
+        return (self._bjs_map @ coef).reshape(r, r)
+
     def bjs_coefficients(self, kl):
         """nu alpha / sqrt(K_l) per sd edge from neighbor-cell samples."""
         if self.alpha == 0.0:
@@ -439,7 +446,8 @@ class StokesReference:
     The scaled saddle matrix depends on the coefficients only through its
     BJS entries, and those sit on the r velocity unknowns T of the
     tangential sd trace dofs: A(coef) = A_ref + U D U^T with U = I[:, T]
-    and D the r x r change P (coef - coef_ref) of the BJS entries on T x T.
+    and D = system.bjs_block(coef - coef_ref), A_ref being S0 plus the
+    BJS block at the reference coefficients.
     factor(kl) returns an operator that solves with A(coef) through
     assembly.UpdatedFactors: one A_ref backsolve and an r x r capacitance
     LU. The kernel constraints are detected and bordered once, here; a
@@ -452,7 +460,10 @@ class StokesReference:
     def __init__(self, system, kl=None):
         self.system = system
         self.coef = system.bjs_coefficients(kl or {})
-        S = system.matrix(self.coef)
+        T = system.T
+        bjs = sp.coo_matrix(system.bjs_block(self.coef))
+        S = system.S0 + sp.csc_matrix((bjs.data, (T[bjs.row], T[bjs.col])),
+                                      shape=system.S0.shape)
         C = system._kernel_constraints(S)
         if len(C):
             Cs = sp.csr_matrix(np.hstack([C, np.zeros((len(C), system.n_p))]))
@@ -462,27 +473,20 @@ class StokesReference:
             self.lu = splu(S)
         except RuntimeError as exc:
             raise SingularOperatorError(str(exc)) from exc
-        m = system.matrix
-        touched = np.flatnonzero(np.diff(m.P.indptr))
-        rows = m.indices[touched]
-        cols = np.repeat(np.arange(m.shape[1]), np.diff(m.indptr))[touched]
-        self.T = np.unique(np.concatenate([rows, cols]))
-        self._P = m.P[touched]
-        self._at = (np.searchsorted(self.T, rows),
-                    np.searchsorted(self.T, cols))
         self._W = None
         self.setup_factorizations = 1
         self.setup_backsolves = 0
 
     def _w(self):
         if self._W is None:
-            n, r = self.lu.shape[0], len(self.T)
+            T = self.system.T
+            n, r = self.lu.shape[0], len(T)
             self._W = np.empty((n, r))
             width = block_width(n)
             for j in range(0, r, width):
                 m = min(width, r - j)
                 unit = np.zeros((n, m))
-                unit[self.T[j:j + m], np.arange(m)] = 1.0
+                unit[T[j:j + m], np.arange(m)] = 1.0
                 self._W[:, j:j + m] = self.lu.solve(unit)
             self.setup_backsolves += r
         return self._W
@@ -496,12 +500,11 @@ class StokesReference:
         """
         system = self.system
         coef = system.bjs_coefficients(kl or {})
-        D = np.zeros((len(self.T),) * 2)
-        D[self._at] = self._P @ (coef - self.coef)
+        D = system.bjs_block(coef - self.coef)
         lu = self.lu
         if D.any():
             try:
-                lu = UpdatedFactors(self.lu, self.T, self._w(), D)
+                lu = UpdatedFactors(self.lu, system.T, self._w(), D)
             except SingularOperatorError as exc:
                 raise SingularOperatorError(f"{system.name}: {exc}") from None
         return StokesOperator(system, lu,

@@ -7,7 +7,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from sdmortar.assembly import RefillMatrix
 from sdmortar.config import validate_config
 from sdmortar.darcy import DarcyOperator, DarcySystem, _cell_edge_table
 from sdmortar.errors import ConfigError, ConvergenceError
@@ -449,8 +448,9 @@ def darcy_saddle_matrix(system, K):
     """Saddle matrix [A B^T; B 0] of a DarcySystem at cell permeabilities K.
 
     A = (nu/K u, v) and B = -(div u, q) on the free edges, assembled from
-    COO triplets; this is the matrix the subdomain solver factored with
-    SuperLU before the hybridized solve replaced it.
+    COO triplets whose duplicate positions are summed; this is the matrix
+    the subdomain solver factored with SuperLU before the hybridized solve
+    replaced it.
     """
     mesh = system.mesh
     w, e, s, n = _cell_edge_table(mesh)
@@ -469,11 +469,37 @@ def darcy_saddle_matrix(system, K):
     bok = r >= 0
     prow = system.n_u + np.tile(cells, 4)[bok]
     n_sys = system.n_u + system.n_p
-    const = (np.concatenate([prow, r[bok]]), np.concatenate([r[bok], prow]),
-             np.concatenate([bval[bok], bval[bok]]))
-    scaled = (ra[ok], rb[ok], area * m[ok], which)
-    return RefillMatrix((n_sys, n_sys), const, scaled, mesh.n_cells)(
-        system.nu / np.asarray(K, dtype=float))
+    scale = system.nu / np.asarray(K, dtype=float)
+    rows = np.concatenate([prow, r[bok], ra[ok]])
+    cols = np.concatenate([r[bok], prow, rb[ok]])
+    vals = np.concatenate([bval[bok], bval[bok],
+                           area * m[ok] * scale[which]])
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n_sys, n_sys)).tocsc()
+
+
+def stokes_saddle_matrix(system, coef):
+    """Unscaled reduced saddle matrix [A + BJS, B^T; B, 0] of a
+    StokesSystem at BJS edge coefficients coef.
+
+    Summed from full-numbering COO triplets of the viscous and divergence
+    blocks and the BJS entries times coef, then restricted to the free
+    velocity dofs and the pressures; explicit zeros are dropped.
+    """
+    tables = system._shape_tables()
+    A = system._assemble_viscous(tables).tocoo()
+    B = system._assemble_divergence(tables).tocoo()
+    br, bc, bv, which = system._bjs_entries()
+    n_u = system.n_udof
+    n = n_u + system.n_p
+    full = sp.coo_matrix(
+        (np.concatenate([A.data, bv * coef[which], B.data, B.data]),
+         (np.concatenate([A.row, br, B.col, n_u + B.row]),
+          np.concatenate([A.col, bc, n_u + B.row, B.col]))),
+        shape=(n, n)).tocsr()
+    keep = np.concatenate([system.free, n_u + np.arange(system.n_p)])
+    S = full[keep][:, keep].tocsc()
+    S.eliminate_zeros()
+    return S
 
 
 def saddle_gap(op, K, rhs):

@@ -15,6 +15,32 @@ from sdmortar.interface import (SolveStats, _Group, _Groups, _lifetimes,
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
+def one_block_raw(physics, collocation=None):
+    """Raw config of one 4x4 block, so with no interface.
+
+    Darcy: pressure 1 on the left and 0 on the right, one KL region of
+    two terms, tensor m = 2 by default. Stokes: velocity on the left and
+    stress on the right, no KL region, tensor m = 1 by default.
+    """
+    block = {"rect": [0, 0, 1, 1], "physics": physics, "mesh": [4, 4]}
+    if physics == "darcy":
+        raw = {"kl_regions": [{"rect": [0, 0, 1, 1], "sigma2": 0.5,
+                               "eta": [0.4, 0.4], "n_term": 2}],
+               "collocation": {"kind": "tensor", "m": 2},
+               "bcs": {"0": {"left": {"kind": "pressure", "value": 1.0},
+                             "right": {"kind": "pressure", "value": 0.0}}}}
+        block["kl_region"] = 0
+    else:
+        raw = {"collocation": {"kind": "tensor", "m": 1},
+               "bcs": {"0": {"left": {"kind": "velocity",
+                                      "value": [1.0, 0.0]},
+                             "right": {"kind": "stress"}}}}
+    raw["domain"] = {"blocks": [block]}
+    if collocation is not None:
+        raw["collocation"] = collocation
+    return raw
+
+
 def load_case(name, refine=1, **tweaks):
     """Build (cfg, problem, grid, options) from a shipped config file.
 

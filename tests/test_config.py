@@ -11,7 +11,7 @@ from sdmortar.config import (build_from_config, compile_expression,
                              parse_config, serialize_config, validate_config)
 from sdmortar.errors import ConfigError
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, one_block_raw
 from _oracles import parse_config_text
 
 SHIPPED = ("case1_mini", "case1_mini_sparse", "case2_mini", "darcy_twoblock")
@@ -154,6 +154,22 @@ def test_collocation_m_length_checked():
     raw["collocation"] = {"kind": "tensor", "m": [3, 2]}
     cfg = validate_config(raw)
     assert cfg["collocation"]["m"] == [3, 2]
+
+
+@pytest.mark.parametrize("collocation, match", [
+    ({"kind": "sparse", "level": 1},
+     "a sparse grid needs at least one KL dimension"),
+    ({"kind": "tensor", "m": [2]},
+     "m has 1 entries but the KL regions define 0 dimensions"),
+])
+def test_collocation_checked_on_zero_dimensions(collocation, match):
+    with pytest.raises(ConfigError, match=match):
+        validate_config(one_block_raw("stokes", collocation))
+
+
+def test_tensor_grid_on_zero_dimensions_has_one_point():
+    _, grid, _ = build_from_config(validate_config(one_block_raw("stokes")))
+    assert (grid.n_real, grid.n_dims) == (1, 0)
 
 
 def test_expression_name_whitelist():

@@ -10,7 +10,7 @@ from sdmortar import cli
 from sdmortar.driver import run_config, run_file
 from sdmortar.output import STATS_COLUMNS
 
-from conftest import CONFIG_DIR, load_case
+from conftest import CONFIG_DIR, load_case, one_block_raw
 
 TWOBLOCK = os.path.join(CONFIG_DIR, "darcy_twoblock.json")
 
@@ -214,6 +214,42 @@ def test_cli_reads_a_raster_next_to_the_config(tmp_path, capsys, monkeypatch,
     (tmp_path / "cfgs" / "field.csv").write_text("0.5,-0.5\n")
     assert cli.main([command, "cfgs/cfg.json"]) == cli.EXIT_OK
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("method", ["S1", "S2", "S3"])
+@pytest.mark.parametrize("physics", ["darcy", "stokes"])
+def test_cli_runs_a_block_without_interfaces(tmp_path, capsys, physics,
+                                             method):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(one_block_raw(physics)))
+    out = tmp_path / "out"
+    code = cli.main(["run", str(path), "--method", method,
+                     "--out-dir", str(out)])
+    capsys.readouterr()
+    assert code == cli.EXIT_OK
+    man = json.load(open(out / "manifest.json"))
+    assert man["lambda_dim"] == 0
+    assert man["cg_iters"] == [0] * man["n_real"]
+    moments = np.loadtxt(out / "moments.csv", delimiter=",", skiprows=1)
+    n_cells = {"darcy": 16, "stokes": 32}[physics]  # cells or triangles
+    assert len(moments) == n_cells and np.all(np.isfinite(moments))
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "grid"])
+@pytest.mark.parametrize("collocation, message", [
+    ({"kind": "sparse", "level": 1},
+     "collocation: a sparse grid needs at least one KL dimension"),
+    ({"kind": "tensor", "m": [2]},
+     "collocation: m has 1 entries but the KL regions define 0 dimensions"),
+])
+def test_cli_collocation_on_zero_dimensions_is_a_config_error(
+        tmp_path, capsys, command, collocation, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(one_block_raw("stokes", collocation)))
+    args = [command, str(path)]
+    if command == "run":
+        args += ["--out-dir", str(tmp_path / "out")]
+    assert assert_config_error(cli.main(args), capsys) == [message]
 
 
 def test_cli_rejects_workers_below_one(tmp_path, capsys):

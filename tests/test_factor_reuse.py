@@ -2,12 +2,14 @@
 
 A Darcy system numbers its edge multipliers once (by midpoint, along the
 block's shorter side first), and per realization fills the band of H and
-refills the maps of its hybridized solve; a Stokes reference is one sparse
-LU (COLAMD), and the Stokes saddle matrix is stored already scaled by its
-pressure scale. Flux bases are solved in column blocks. The references
-here are the routes these replaced: a sparse LU of the Darcy saddle
-matrix, the product diag(s) S diag(s) with the kernel check on the sliced
-velocity block, and one star solve per basis column (tests/_oracles.py).
+scales the fixed entries of its hybridized solve's maps; a Stokes
+reference is one sparse LU (COLAMD) of S0, the saddle matrix without BJS
+stored already scaled by its pressure scale, plus the r x r BJS block.
+Flux bases are solved in column blocks. The references here are the
+routes these replaced: a sparse LU of the Darcy saddle matrix, the
+product diag(s) S diag(s) of a saddle matrix summed from COO triplets
+with the kernel check on the sliced velocity block, and one star solve
+per basis column (tests/_oracles.py).
 """
 
 import numpy as np
@@ -16,10 +18,10 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from _oracles import (fresh_operator, fresh_stokes, per_column_flux_basis,
-                      saddle_gap)
+                      saddle_gap, stokes_saddle_matrix)
 from conftest import load_case
 from sdmortar import stokes
-from sdmortar.assembly import BLOCK_BYTES, RefillMatrix
+from sdmortar.assembly import BLOCK_BYTES
 from sdmortar.errors import SingularOperatorError
 from sdmortar.geometry import Block, build_layout, build_subdomain_mesh
 from sdmortar.interface import SolveStats, compute_flux_basis
@@ -57,7 +59,7 @@ def two_realizations(case, sid):
 @pytest.mark.parametrize("name", ("case1_mini", "case1_mini_sparse",
                                   "darcy_twoblock"))
 def test_reused_order_is_bitwise_at_x1(name):
-    """A system's second factor, on its kept multiplier order and refill
+    """A system's second factor, on its kept multiplier order and scaled
     patterns, is bit for bit the first factor of a fresh system."""
     case = load_case(name)
     problem = case.problem
@@ -119,6 +121,24 @@ def test_changed_pattern_refactors_with_colamd(splu_calls):
     assert np.max(np.abs(sol.p)) < 1e-12
 
 
+@pytest.mark.parametrize("refine", (1, 2))
+@pytest.mark.parametrize("name", CONFIGS)
+def test_darcy_map_entries_are_single_terms(name, refine):
+    """Every stored entry of L and of the back map is one constant or one
+    cell coefficient times a value: no position repeats among the input
+    triplets and none stores a zero, so a factor's data is one gather
+    and multiply."""
+    case = load_case(name, refine=refine)
+    for sid in darcy_sids(case.problem):
+        system = case.problem.systems()[sid]
+        for pattern in (system._load, system._back_rhs, system._back_mu):
+            n_rows, n_cols = pattern.shape
+            cols = np.repeat(np.arange(n_cols), np.diff(pattern.indptr))
+            keys = cols.astype(np.int64) * n_rows + pattern.indices
+            assert np.all(np.diff(keys) > 0), sid
+            assert np.all(pattern.vals != 0.0), sid
+
+
 def test_singular_matrix_on_the_reused_order_raises(splu_calls,
                                                     monkeypatch):
     """A multiplier matrix that is not positive definite, on the order a
@@ -142,16 +162,7 @@ def test_singular_matrix_on_the_reused_order_raises(splu_calls,
     assert splu_calls == []
 
 
-# -- pressure-scaled Stokes refill ---------------------------------------
-
-
-class RefillRecorder(RefillMatrix):
-    """Keeps the constructor arguments, to rebuild the unscaled matrix."""
-
-    def __init__(self, shape, const, scaled, n_coef, diag=None):
-        super().__init__(shape, const, scaled, n_coef, diag=diag)
-        self.unscaled = RefillMatrix(shape, const, scaled, n_coef)
-        self.diag = diag
+# -- pressure-scaled Stokes matrix ---------------------------------------
 
 
 def sliced_kernel_dim(system, S):
@@ -166,9 +177,11 @@ def sliced_kernel_dim(system, S):
 @pytest.mark.parametrize("name, alpha, refine", [
     ("case1_mini", 0.0, 1), ("case1_mini", 1.0, 1), ("case1_mini", 1.0, 2),
     ("case2_mini", 0.0, 1), ("case2_mini", 1.0, 1), ("case1_mini", 0.0, 2)])
-def test_scaled_refill_equals_diagonal_product(monkeypatch, name, alpha,
-                                               refine):
-    monkeypatch.setattr(stokes, "RefillMatrix", RefillRecorder)
+def test_scaled_refill_equals_diagonal_product(name, alpha, refine):
+    """S0 plus the BJS block at a point's coefficients is D (A + BJS) D,
+    D = diag(1, p_scale) on (velocity, pressure) unknowns: same pattern,
+    data bitwise without BJS and within 1e-15 relative with it (the
+    oracle sums an entry's viscous and BJS terms in another order)."""
     case = load_case(name, refine=refine, physics={"alpha": alpha})
     problem = case.problem
     kernel_dims = []
@@ -178,24 +191,35 @@ def test_scaled_refill_equals_diagonal_product(monkeypatch, name, alpha,
         kl = problem.sample_permeability(sid, case.grid.points[-1])
         coef = system.bjs_coefficients(kl)
         assert (coef.size > 0) == (alpha > 0)
-        D = sp.diags(system.matrix.diag)
-        old = (D @ system.matrix.unscaled(coef) @ D).tocsc()
-        new = system.matrix(coef)
+        unscaled = stokes_saddle_matrix(system, coef)
+        D = sp.diags(np.concatenate([np.ones(len(system.free)),
+                                     np.full(system.n_p, system.p_scale)]))
+        old = (D @ unscaled @ D).tocsc()
+        old.sort_indices()
+        T = system.T
+        bjs = sp.coo_matrix(system.bjs_block(coef))
+        new = system.S0 + sp.csc_matrix(
+            (bjs.data, (T[bjs.row], T[bjs.col])), shape=system.S0.shape)
         assert np.array_equal(new.indptr, old.indptr)
         assert np.array_equal(new.indices, old.indices)
-        assert np.array_equal(new.data, old.data)
+        if alpha == 0.0:
+            assert np.array_equal(new.data, old.data)
+        else:
+            assert np.all(np.abs(new.data - old.data)
+                          <= 1e-15 * np.abs(old.data))
         op = fresh_stokes(system, kl)
-        assert op.kernel_dim == sliced_kernel_dim(
-            system, system.matrix.unscaled(coef))
+        assert op.kernel_dim == sliced_kernel_dim(system, unscaled)
         kernel_dims.append(op.kernel_dim)
     if name == "case2_mini":
         assert max(kernel_dims) > 0
 
 
 def test_structural_zeros_are_dropped():
-    """Viscous cancellations leave exact zeros that the pattern drops."""
+    """Viscous cancellations leave exact zeros that S0 drops."""
     _, system = stress_system(n=4)
-    S = system.matrix(np.zeros(0))
+    A = system._assemble_viscous(system._shape_tables())
+    assert np.any(A.data == 0.0)
+    S = system.S0
     assert S.nnz == len(S.data) and np.all(S.data != 0.0)
 
 

@@ -204,7 +204,7 @@ def test_bjs_quadratic_form_hand_value():
     _, _, op0 = sd_setup(n=n, alpha=0.0, kvals=kvals)
     g, _, op1 = sd_setup(n=n, alpha=alpha, kvals=kvals)
     assert op0.system.n_bjs == 0
-    # the friction form A(alpha) - A(0), from the refilled BJS entries
+    # the friction form A(alpha) - A(0), from the BJS entries
     system = op1.system
     rows, cols, vals, which = system._bjs_entries()
     coef = system.bjs_coefficients({g.index: kvals})

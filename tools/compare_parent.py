@@ -7,10 +7,12 @@ and mortars x2 at `workers` 1 and 2. The arrays of a sweep are lambda
 per realization, every moment (mean and variance), the CG iteration
 counts and the five per-subdomain counters (factorizations, backsolves,
 basis_backsolves, setup_factorizations, setup_backsolves). A counter that
-one side does not report is compared as missing. A last line gives the
-largest relative gap per array family (lambda, mean, var, cg_iters and
-each counter), for changes that are not meant to be bitwise. Run from the
-root of a source checkout:
+one side does not report is compared as missing. For changes that are
+not meant to be bitwise, the summary line also gives the largest
+relative change of a sweep's CG iteration total, each sweep whose total
+differs is listed with both totals, and a last line gives the largest
+relative gap per array family (lambda, mean, var, cg_iters and each
+counter). Run from the root of a source checkout:
 
     python3 tools/compare_parent.py --parent HEAD --scratch /tmp/cmp-parent
 
@@ -130,6 +132,14 @@ def family_gaps(base, new):
     return gaps
 
 
+def cg_totals(base, new):
+    """(tag, revision total, tree total) of each sweep's CG iterations,
+    over the sweeps both sides report."""
+    keys = [(tag, f"{tag}/cg_iters") for tag, *_ in sweeps()]
+    return [(tag, int(base[key].sum()), int(new[key].sum()))
+            for tag, key in keys if key in base and key in new]
+
+
 def _parser():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", default="HEAD",
@@ -156,12 +166,18 @@ def main(argv=None):
         os.close(fd)
         sides[side] = run_side(src, path)
     diffs = compare(sides["revision"], sides["tree"])
+    totals = cg_totals(sides["revision"], sides["tree"])
+    worst = max((abs(b - a) / max(a, 1) for _, a, b in totals), default=0.0)
     print(f"revision {rev} against {working_tree()}: "
           f"{len(sweeps())} sweeps, "
           f"{len(set(sides['revision']) | set(sides['tree']))} arrays, "
-          f"{len(diffs)} differ")
+          f"{len(diffs)} differ; largest change of a sweep's CG "
+          f"iteration total {worst:.2%}")
     for key, text in diffs:
         print(f"  {key}: {text}")
+    for tag, a, b in totals:
+        if a != b:
+            print(f"  {tag}: CG iterations {a} -> {b}")
     print("largest relative gap per family: " + ", ".join(
         f"{family} {gap:.2e}" for family, gap in
         family_gaps(sides["revision"], sides["tree"]).items()))
