@@ -19,17 +19,21 @@ from .errors import SingularOperatorError
 class CouplingMaps:
     """Mortar coupling maps of one subdomain system.
 
-    F (sparse, local mortar dofs x full velocity dofs) gives the signed
-    local mortar functionals of a velocity field. The star load map is
-    E = -F^T restricted to the velocity unknowns `head` of the saddle
-    system. Both only touch the few trace dofs, so the hot path keeps them
-    as small dense blocks on those columns/rows.
+    F (local mortar dofs x full velocity dofs, given as its entries
+    (rows, cols, vals, n_rows)) gives the signed local mortar functionals
+    of a velocity field. The star load map is E = -F^T restricted to the
+    velocity unknowns `head` of the saddle system. Both only touch the few
+    trace dofs, so they are kept as small dense blocks on the columns
+    `cols` (sorted) that F's nonzero entries reach, and on the rows of
+    those that are unknowns. No position is given twice.
     """
 
     def __init__(self, F, head, n_full):
-        self.F = F.tocsr()
-        self.cols = np.unique(self.F.indices)
-        self._F_block = self.F[:, self.cols].toarray()
+        f_rows, f_cols, f_vals, n_rows = F
+        nz = f_vals != 0
+        self.cols, at = np.unique(f_cols[nz], return_inverse=True)
+        self._F_block = np.zeros((n_rows, len(self.cols)))
+        self._F_block[f_rows[nz], at] = f_vals[nz]
         pos = -np.ones(n_full, dtype=int)
         pos[head] = np.arange(len(head))
         rows = pos[self.cols]

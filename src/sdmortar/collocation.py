@@ -57,7 +57,6 @@ class CollocationGrid:
     splits: tuple
     local_indices: list
     local_counts: list
-    local_points: list  # per region: (N_real(i), n_dims_i) distinct coords
 
     @property
     def n_real(self):
@@ -91,25 +90,20 @@ def _tensor_points(xs, ws):
 
 
 def _region_tables(points, splits):
-    """Distinct per-region coordinate tuples, in first-occurrence order."""
-    local_indices, local_counts, local_points = [], [], []
+    """Per region, each point's local realization index (distinct region
+    coordinate tuples, numbered in first-occurrence order) and their count."""
+    local_indices, local_counts = [], []
     lo = 0
     for n_i in splits:
         sl = slice(lo, lo + n_i)
         lo += n_i
         seen = {}
         idx = np.empty(len(points), dtype=int)
-        coords = []
         for k, pt in enumerate(points):
-            key = tuple(pt[sl])
-            if key not in seen:
-                seen[key] = len(seen)
-                coords.append(key)
-            idx[k] = seen[key]
+            idx[k] = seen.setdefault(tuple(pt[sl]), len(seen))
         local_indices.append(idx)
         local_counts.append(len(seen))
-        local_points.append(np.array(coords).reshape(len(seen), n_i))
-    return local_indices, local_counts, local_points
+    return local_indices, local_counts
 
 
 def build_tensor_grid(m_per_dim, splits=None):
@@ -128,8 +122,8 @@ def build_tensor_grid(m_per_dim, splits=None):
     rules = [gauss_hermite_rule(m) for m in m_per_dim]
     points, weights = _tensor_points([r[0] for r in rules],
                                      [r[1] for r in rules])
-    li, lc, lp = _region_tables(points, splits)
-    return CollocationGrid("tensor", points, weights, tuple(splits), li, lc, lp)
+    li, lc = _region_tables(points, splits)
+    return CollocationGrid("tensor", points, weights, tuple(splits), li, lc)
 
 
 def _sparse_level_sets(n, level):
@@ -189,5 +183,5 @@ def build_sparse_grid(n_dims, level, splits=None):
     keys = sorted(merged.keys())
     points = np.array(keys).reshape(len(keys), n_dims)
     weights = np.array([merged[k] for k in keys])
-    li, lc, lp = _region_tables(points, splits)
-    return CollocationGrid("sparse", points, weights, tuple(splits), li, lc, lp)
+    li, lc = _region_tables(points, splits)
+    return CollocationGrid("sparse", points, weights, tuple(splits), li, lc)

@@ -40,6 +40,12 @@ def _is_int(v, least=None):
             and (least is None or v >= least))
 
 
+def _is_index_key(k):
+    """k is the canonical decimal text of an int >= 0: "3", not "03"."""
+    return (isinstance(k, str) and k.isascii() and k.isdigit()
+            and str(int(k)) == k)
+
+
 def _check_keys(d, allowed, where, errors):
     for k in d:
         if k not in allowed:
@@ -164,6 +170,7 @@ def _validate_kl_regions(raw, errors):
         where = f"kl_regions[{i}]"
         if not isinstance(r, dict):
             errors.append(f"{where}: must be an object")
+            out.append(None)  # keeps the later regions' indices
             continue
         _check_keys(r, ("rect", "sigma2", "eta", "n_term", "selection"),
                     where, errors)
@@ -238,7 +245,7 @@ def _validate_mean(raw, errors):
             return {"kind": "constant", "value": 0.0}
         out = {}
         for k, v in vals.items():
-            if not (isinstance(k, str) and k.isdigit() and _is_num(v)):
+            if not (_is_index_key(k) and _is_num(v)):
                 errors.append(f"{where}.values: bad entry {k!r}: {v!r}")
                 continue
             out[k] = float(v)
@@ -281,7 +288,7 @@ def _validate_mean(raw, errors):
 
 def _validate_collocation(raw, n_dims, errors):
     """Collocation spec on n_dims random dimensions (None: not known, as
-    for a bare grid spec without splits)."""
+    for a bare grid spec without splits or a bad kl_regions entry)."""
     src = raw.get("collocation")
     where = "collocation"
     if not isinstance(src, dict) or "kind" not in src:
@@ -363,7 +370,7 @@ def _validate_mortars(raw, errors):
                       "required")
     else:
         for k, v in pi.items():
-            if not (isinstance(k, str) and k.isdigit()):
+            if not _is_index_key(k):
                 errors.append(f"mortars.per_interface: bad interface key "
                               f"{k!r}")
             elif not _is_int(v, 1):
@@ -381,8 +388,7 @@ def _validate_bcs(raw, blocks, errors):
         return {}
     out = {}
     for key, sides in src.items():
-        if not (isinstance(key, str) and key.isdigit()
-                and int(key) < len(blocks)):
+        if not (_is_index_key(key) and int(key) < len(blocks)):
             errors.append(f"bcs: unknown subdomain {key!r}")
             continue
         phys = blocks[int(key)]["physics"]
@@ -454,7 +460,8 @@ def validate_config(raw):
     cfg["domain"] = _validate_domain(raw, errors)
     cfg["kl_regions"] = _validate_kl_regions(raw, errors)
     cfg["mean_log_perm"] = _validate_mean(raw, errors)
-    n_dims = sum(_region_dims(r) for r in cfg["kl_regions"])
+    n_dims = (None if None in cfg["kl_regions"]
+              else sum(_region_dims(r) for r in cfg["kl_regions"]))
     cfg["collocation"] = _validate_collocation(raw, n_dims, errors)
     cfg["physics"] = _validate_physics(raw, errors)
     cfg["mortars"] = _validate_mortars(raw, errors)
@@ -526,7 +533,8 @@ def validate_config(raw):
         if r >= n_regions:
             errors.append(f"domain.blocks[{k}]: kl_region {r} out of range "
                           f"(have {n_regions} regions)")
-        elif not _covers(cfg["kl_regions"][r]["rect"], b["rect"]):
+        elif (cfg["kl_regions"][r] is not None
+              and not _covers(cfg["kl_regions"][r]["rect"], b["rect"])):
             errors.append(f"domain.blocks[{k}]: rect {b['rect']} not "
                           f"covered by kl_regions[{r}] rect "
                           f"{cfg['kl_regions'][r]['rect']}")

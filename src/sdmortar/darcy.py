@@ -57,7 +57,7 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .assembly import CouplingMaps, SubdomainOperator, check_permeability
 from .errors import SingularOperatorError
-from .geometry import OUTWARD_SIGN, SIDES, locate_trace
+from .geometry import OUTWARD_SIGN, SIDES
 
 # outward normal of each (west, east, south, north) edge of a cell, in
 # the edge's +x/+y orientation
@@ -72,32 +72,14 @@ class DarcyBC:
     value: object = None  # callable g(x, y) for pressure (None -> 0)
 
 
-@dataclass(frozen=True)
-class InterfaceTrace:
-    """Edges of this subdomain lying on one interface, tangent-ordered."""
-
-    iface: int
-    edges: np.ndarray  # edge dof ids
-    normal_sign: int  # interface normal n = normal_sign * e_axis
-    s_breaks: np.ndarray  # arclength breakpoints, len(edges) + 1
-
-
-def interface_trace(mesh, block, iface):
-    """Locate the fine edges of `mesh` on `iface` (Darcy side)."""
-    edges, s = locate_trace(mesh, block, iface)
-    return InterfaceTrace(iface.index, np.array(edges), iface.normal_sign, s)
-
-
-def trace_maps(mesh, trace):
-    """Full edge velocity -> u.n per fine edge of `trace`, one component.
+def trace_dofs(trace):
+    """[(edge ids, normal_sign)]: the velocity dofs that a trace's one
+    component u.n reads and their coefficient.
 
     u.n is taken in the fixed interface frame (normal_sign times the edge
     dof), the same on both sides of the interface.
     """
-    n = len(trace.edges)
-    return [sp.csr_matrix((np.full(n, float(trace.normal_sign)),
-                           (np.arange(n), trace.edges)),
-                          shape=(n, mesh.n_edges))]
+    return [(trace.edges, trace.iface.normal_sign)]
 
 
 def _cell_edge_table(mesh):
@@ -165,9 +147,10 @@ class DarcySystem:
 
     Holds the reduced dof layout, the multiplier numbering, H's band fill
     and the scaled patterns of the hybridized solve (see the module
-    docstring), the K-independent bar load and, when built with a mortar
-    coupling F (full edge velocity -> signed local mortar functionals),
-    its CouplingMaps, so that a star solve takes a local mortar vector.
+    docstring), the K-independent bar load and, when given the entries of
+    a mortar coupling F (full edge velocity -> signed local mortar
+    functionals), its CouplingMaps, so that a star solve takes a local
+    mortar vector.
     """
 
     def __init__(self, mesh, nu, bcs, traces, f=None, q=None, coupling=None,
@@ -186,13 +169,13 @@ class DarcySystem:
         pressure_edges = {}
         for side in SIDES:
             bc = bcs.get(side, DarcyBC("noflow"))
-            for e in mesh.boundary_edges(side):
-                if int(e) in iface_edges:
+            for e in mesh.boundary_edges(side).tolist():
+                if e in iface_edges:
                     continue
                 if bc.kind == "noflow":
-                    noflow.add(int(e))
+                    noflow.add(e)
                 elif bc.kind == "pressure":
-                    pressure_edges[int(e)] = (side, bc.value)
+                    pressure_edges[e] = (side, bc.value)
                 else:
                     raise ValueError(f"unknown darcy bc {bc.kind!r}")
         self.pressure_edges = pressure_edges

@@ -6,7 +6,10 @@ mixed RT0/P0 discretization), Stokes blocks carry triangulations obtained by
 splitting each grid rectangle along its bottom-left to top-right diagonal
 (for Taylor-Hood P2/P1). Interfaces are the shared edges between adjacent
 blocks; each stores a fixed unit normal pointing from the lower to the higher
-subdomain id, so that both sides agree on orientation.
+subdomain id, so that both sides agree on orientation. A subdomain meets
+an interface through one Trace record: the interface itself, the rows of
+its mesh's boundary_edges on it and their arclength breakpoints. Both
+physics read their traces from it.
 """
 
 from dataclasses import dataclass, field
@@ -272,14 +275,12 @@ class DarcyMesh(_Grid):
 
     def boundary_edges(self, side):
         """Edge ids along one side, ordered by increasing tangent coordinate."""
-        if side == "left":
-            return np.array([self.vedge(0, iy) for iy in range(self.ny)])
-        if side == "right":
-            return np.array([self.vedge(self.nx, iy) for iy in range(self.ny)])
-        if side == "bottom":
-            return np.array([self.hedge(ix, 0) for ix in range(self.nx)])
-        if side == "top":
-            return np.array([self.hedge(ix, self.ny) for ix in range(self.nx)])
+        if side in ("left", "right"):
+            return self.vedge(0 if side == "left" else self.nx,
+                              np.arange(self.ny))
+        if side in ("bottom", "top"):
+            return self.hedge(np.arange(self.nx),
+                              0 if side == "bottom" else self.ny)
         raise ValueError(side)
 
 
@@ -335,24 +336,17 @@ class StokesMesh(_Grid):
     def boundary_edges(self, side):
         """Fine boundary edges on one side, ordered by tangent coordinate.
 
-        Each entry is the (start, mid, end) triple of P2 node ids of one
-        element edge of length hx or hy.
+        Row k is the (start, mid, end) triple of P2 node ids of one element
+        edge of length hx or hy: lattice points 2k, 2k + 1, 2k + 2 along
+        the side.
         """
-        nx, ny, mx, my = self.nx, self.ny, self.mx, self.my
-        out = []
         if side in ("bottom", "top"):
-            iy = 0 if side == "bottom" else my - 1
-            for ix in range(nx):
-                out.append((self.lattice(2 * ix, iy),
-                            self.lattice(2 * ix + 1, iy),
-                            self.lattice(2 * ix + 2, iy)))
-        else:
-            ix = 0 if side == "left" else mx - 1
-            for iy in range(ny):
-                out.append((self.lattice(ix, 2 * iy),
-                            self.lattice(ix, 2 * iy + 1),
-                            self.lattice(ix, 2 * iy + 2)))
-        return out
+            along = 2 * np.arange(self.nx)[:, None] + np.arange(3)
+            return self.lattice(along, 0 if side == "bottom" else self.my - 1)
+        if side in ("left", "right"):
+            along = 2 * np.arange(self.ny)[:, None] + np.arange(3)
+            return self.lattice(0 if side == "left" else self.mx - 1, along)
+        raise ValueError(side)
 
 
 def build_subdomain_mesh(block):
@@ -397,16 +391,25 @@ def edges_on_span(breaks, span):
     return idx
 
 
-def locate_trace(mesh, block, iface):
-    """Boundary edges of `mesh` on `iface` and their arclength breakpoints.
+@dataclass(frozen=True)
+class Trace:
+    """A subdomain's fine boundary edges on one interface, tangent-ordered.
 
-    The edges are those of mesh.boundary_edges on the block's side of the
-    interface, in tangent order; the breakpoints start at 0 at the
+    `edges` are rows of mesh.boundary_edges on the block's side of the
+    interface (Darcy edge ids, Stokes (start, mid, end) node triples);
+    `s_breaks` are their arclength breakpoints, starting at 0 at the
     interface's first endpoint.
     """
+
+    iface: Interface
+    edges: np.ndarray
+    s_breaks: np.ndarray  # len(edges) + 1
+
+
+def locate_trace(mesh, block, iface):
+    """The Trace of `mesh` (of `block`) on `iface`."""
     side = side_of_interface(block, iface)
     breaks = mesh.side_breaks(side)
     idx = edges_on_span(breaks, iface.span)
-    edges = mesh.boundary_edges(side)
-    return ([edges[k] for k in idx],
-            breaks[idx[0]:idx[-1] + 2] - iface.span[0])
+    return Trace(iface, mesh.boundary_edges(side)[idx],
+                 breaks[idx[0]:idx[-1] + 2] - iface.span[0])

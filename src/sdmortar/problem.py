@@ -13,7 +13,7 @@ point y and samples the permeability only where factoring reads it
 Stokes subdomain at the Darcy cells under its sd edges (`kl_cells`), whose
 K sets the BJS friction. A Stokes factor updates the mean-field LU of
 `stokes_reference`, the sweep's or one of its own. The invariant system
-holds the sparse coupling maps of subdomain i:
+holds the coupling maps of subdomain i (assembly.CouplingMaps):
 
 * F_i: full velocity -> signed local mortar functionals <v.n, xi_m>, in
   `sub_dofs[i]` order, so the jump is sum_i scatter(F_i u_i);
@@ -21,6 +21,13 @@ holds the sparse coupling maps of subdomain i:
   right-hand side. The L2 projection of the mortar onto the trace space
   cancels against the trace mass, so E_i is the signed pairing R^T placed
   on the trace rows.
+
+The subdomain meets each of its interfaces through one geometry.Trace.
+Its physics says which velocity dofs each trace component reads and with
+what frame coefficient (darcy.trace_dofs, stokes.trace_dofs), and
+`_coupling` emits F_i's entries side_sign * R * coef at those dofs; the
+system's CouplingMaps places them in a dense block on the columns they
+reach.
 
 The interface solver couples through three steps: `star_data` restricts a
 global mortar vector to subdomain i (lam_i, which E_i turns into a star
@@ -31,10 +38,9 @@ mortar.jump scatters and sums the subdomains' results.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import darcy, stokes
-from .geometry import build_subdomain_mesh, side_of_interface
+from .geometry import build_subdomain_mesh, locate_trace, side_of_interface
 from .mortar import pairing
 
 
@@ -69,10 +75,8 @@ class StokesDarcyProblem:
         self.kl_cells = {}
         for g in self.layout.interfaces:
             for sid in (g.i, g.j):
-                block = self.layout.blocks[sid]
-                module = darcy if block.physics == "darcy" else stokes
-                self.traces[sid].append(
-                    module.interface_trace(self.meshes[sid], block, g))
+                self.traces[sid].append(locate_trace(
+                    self.meshes[sid], self.layout.blocks[sid], g))
             if g.kind == "sd":
                 s_sid = g.i if self.layout.physics(g.i) == "stokes" else g.j
                 d_sid = g.j if s_sid == g.i else g.i
@@ -81,7 +85,7 @@ class StokesDarcyProblem:
 
     def _neighbor_cells(self, s_sid, d_sid, iface):
         """Darcy cell under each fine Stokes edge midpoint of an sd interface."""
-        tr = next(t for t in self.traces[s_sid] if t.iface == iface.index)
+        tr = next(t for t in self.traces[s_sid] if t.iface == iface)
         dmesh = self.meshes[d_sid]
         dblock = self.layout.blocks[d_sid]
         dside = side_of_interface(dblock, iface)
@@ -118,35 +122,36 @@ class StokesDarcyProblem:
         if block.physics == "darcy":
             return darcy.DarcySystem(
                 mesh, self.physics.nu_d, bcs, self.traces[sid], f=self.f_d,
-                q=self.q_d,
-                coupling=self._coupling(sid, darcy.trace_maps, mesh.n_edges),
+                q=self.q_d, coupling=self._coupling(sid, darcy.trace_dofs),
                 name=name)
         return stokes.StokesSystem(
             mesh, self.physics.nu_s, self.physics.alpha, bcs,
             self.traces[sid], f=self.f_s,
-            coupling=self._coupling(sid, stokes.trace_maps, 2 * mesh.n_p2),
-            name=name)
+            coupling=self._coupling(sid, stokes.trace_dofs), name=name)
 
-    def _coupling(self, sid, trace_maps, n_full):
-        """F_i: full velocity (n_full dofs) -> signed local mortar
-        functionals; no rows for a subdomain without interfaces."""
-        mesh = self.meshes[sid]
+    def _coupling(self, sid, trace_dofs):
+        """Entries (rows, cols, vals, n_rows) of F_i: full velocity ->
+        signed local mortar functionals, in sub_dofs[sid] order.
+
+        On each interface, component c of mortar scalar m is local row
+        m n_comp + c, and its entries are side_sign R[m, k] coef at the
+        velocity dof of trace dof k, where trace_dofs(trace) gives each
+        component's dofs and frame coefficient and R is the pairing.
+        """
         kind = self.layout.physics(sid)
-        by_iface = {t.iface: t for t in self.traces[sid]}
-        rows = []
-        for g in self.layout.interfaces_of(sid):
-            mb = self.space.block(g.index)
-            R = sp.csr_matrix(pairing(mb, by_iface[g.index].s_breaks, kind))
-            comps = sp.vstack([
-                g.side_sign(sid) * (R @ T)
-                for T in trace_maps(mesh, by_iface[g.index])[:mb.n_comp]
-            ]).tocsr()
-            # block dof k is scalar k // n_comp of component k % n_comp
-            k = np.arange(mb.n_dof)
-            rows.append(comps[(k % mb.n_comp) * mb.n_scalar
-                              + k // mb.n_comp])
-        return (sp.vstack(rows).tocsr() if rows
-                else sp.csr_matrix((0, n_full)))
+        z = np.zeros(0, dtype=int)
+        rows, cols, vals = [z], [z], [np.zeros(0)]
+        n_rows = 0
+        for t in self.traces[sid]:
+            mb = self.space.block(t.iface.index)
+            R = pairing(mb, t.s_breaks, kind)
+            m = n_rows + mb.n_comp * np.arange(mb.n_scalar)[:, None]
+            for c, (dofs, coef) in enumerate(trace_dofs(t)[:mb.n_comp]):
+                rows.append(np.broadcast_to(m + c, R.shape).ravel())
+                cols.append(np.broadcast_to(dofs, R.shape).ravel())
+                vals.append((t.iface.side_sign(sid) * coef * R).ravel())
+            n_rows += mb.n_dof
+        return (*(np.concatenate(x) for x in (rows, cols, vals)), n_rows)
 
     # -- realization-dependent pieces ---------------------------------------
 

@@ -46,7 +46,7 @@ from scipy.sparse.linalg import splu
 from .assembly import (CouplingMaps, SubdomainOperator, UpdatedFactors,
                        block_width, check_permeability)
 from .errors import SingularOperatorError
-from .geometry import GAUSS3_POINTS, GAUSS3_WEIGHTS, SIDES, locate_trace
+from .geometry import GAUSS3_POINTS, GAUSS3_WEIGHTS, SIDES
 
 # Dunavant degree-4 rule on the reference triangle (weights sum to 1/2)
 _QW = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3) * 0.5
@@ -89,46 +89,26 @@ class StokesBC:
     value: object = None  # callable (x, y) -> (2,) data; None -> zero
 
 
-@dataclass(frozen=True)
-class StokesTrace:
-    """Trace bookkeeping of this subdomain on one interface."""
-
-    iface: int
-    kind: str  # "sd" | "ss"
-    edges: list  # (start, mid, end) P2 node triples, tangent-ordered
-    nodes: np.ndarray  # trace node ids ordered by arclength (2 n_edges + 1)
-    s_breaks: np.ndarray  # fine-edge breakpoints in arclength
-    normal: tuple  # fixed interface normal
-    tangent: tuple  # fixed interface tangent
+def trace_nodes(trace):
+    """P2 node ids of a trace ordered by arclength: vertex, midpoint,
+    vertex, ... (2 n_edges + 1 nodes)."""
+    return np.append(trace.edges[:, :2].ravel(), trace.edges[-1, 2])
 
 
-def interface_trace(mesh, block, iface):
-    """Locate the fine edges and trace nodes of `mesh` on `iface`."""
-    edges, s = locate_trace(mesh, block, iface)
-    nodes = [edges[0][0]]
-    for e in edges:
-        nodes.extend(e[1:])
-    return StokesTrace(iface.index, iface.kind, edges, np.array(nodes), s,
-                       tuple(iface.normal), tuple(iface.tangent))
+def trace_dofs(trace):
+    """[(velocity dofs, coefficient)] that the trace components u.n and
+    u.tau read at the trace nodes, in the fixed interface frame.
 
-
-def trace_maps(mesh, trace):
-    """Full velocity -> (u.n, u.tau) at the trace nodes, fixed interface frame.
-
-    Two sparse maps of shape (2 n_edges + 1, 2 n_p2), one row per trace
-    node (vertex, midpoint, vertex, ...).
+    The frame is axis-aligned, so component d reads the velocity
+    component a of d's one nonzero entry: dofs 2 node + a, coefficient
+    d[a].
     """
-    nodes = trace.nodes
-    k = np.arange(len(nodes))
-    maps = []
-    for d in (trace.normal, trace.tangent):
-        M = sp.csr_matrix((np.repeat(np.asarray(d, dtype=float), len(nodes)),
-                           (np.tile(k, 2),
-                            np.concatenate([2 * nodes, 2 * nodes + 1]))),
-                          shape=(len(nodes), 2 * mesh.n_p2))
-        M.eliminate_zeros()
-        maps.append(M)
-    return maps
+    nodes = trace_nodes(trace)
+    out = []
+    for d in (trace.iface.normal, trace.iface.tangent):
+        a = int(np.flatnonzero(d)[0])
+        out.append((2 * nodes + a, d[a]))
+    return out
 
 
 def _pairs(rows_of, cols_of, shape):
@@ -145,9 +125,9 @@ class StokesSystem:
     divergence blocks assembled once by scattering the two congruent
     element tables), the sorted reduced velocity unknowns T that BJS
     touches and a map from the edge coefficients to the BJS entries on
-    T x T (bjs_block), and, when built with a mortar coupling F (full
-    velocity -> signed local mortar functionals), its CouplingMaps, so
-    that a star solve takes a local mortar vector.
+    T x T (bjs_block), and, when given the entries of a mortar coupling F
+    (full velocity -> signed local mortar functionals), its CouplingMaps,
+    so that a star solve takes a local mortar vector.
     """
 
     def __init__(self, mesh, nu, alpha, bcs, traces, f=None, coupling=None,
@@ -156,7 +136,7 @@ class StokesSystem:
         self.nu = nu
         self.alpha = alpha
         self.bcs = bcs
-        self.traces = {t.iface: t for t in traces}
+        self.traces = traces
         self.f = f
         self.name = name
         self.n_udof = 2 * mesh.n_p2
@@ -169,12 +149,12 @@ class StokesSystem:
         # classify outer boundary edges
         iface_keys = set()
         for t in traces:
-            iface_keys.update(tuple(e) for e in t.edges)
+            iface_keys.update(map(tuple, t.edges.tolist()))
         self.dirichlet = {}  # velocity dof -> value
         self.stress_edges = []  # (edge triple, value callable)
         for side in SIDES:
             bc = bcs.get(side, StokesBC("velocity"))
-            for e in mesh.boundary_edges(side):
+            for e in mesh.boundary_edges(side).tolist():
                 if tuple(e) in iface_keys:
                     continue
                 if bc.kind == "velocity":
@@ -319,7 +299,7 @@ class StokesSystem:
                              shape=(self.n_p, self.n_udof)).tocsr()
 
     def _sd_traces(self):
-        return [t for t in self.traces.values() if t.kind == "sd"]
+        return [t for t in self.traces if t.iface.kind == "sd"]
 
     def _bjs_entries(self):
         """(u.tau, v.tau) edge masses on sd edges, one coefficient per edge.
@@ -331,9 +311,9 @@ class StokesSystem:
         rows, cols, vals, which = [z], [z], [np.zeros(0)], [z]
         n = 0
         for t in self._sd_traces() if self.alpha != 0.0 else ():
-            tau = np.asarray(t.tangent)
+            tau = t.iface.tangent
             L = np.diff(t.s_breaks)
-            tri = np.array(t.edges)
+            tri = t.edges
             for a in range(2):
                 for b in range(2):
                     tt = tau[a] * tau[b]
@@ -359,12 +339,13 @@ class StokesSystem:
             return np.zeros(0)
         coef = []
         for t in self._sd_traces():
-            kvals = kl.get(t.iface)
+            idx = t.iface.index
+            kvals = kl.get(idx)
             if kvals is None:
-                raise ValueError(f"BJS needs K_l values for interface {t.iface}")
+                raise ValueError(f"BJS needs K_l values for interface {idx}")
             kvals = np.asarray(kvals, dtype=float)
             check_permeability(kvals, f"{self.name}, BJS on interface "
-                                      f"{t.iface}")
+                                      f"{idx}")
             coef.append(self.nu * self.alpha / np.sqrt(kvals))
         return np.concatenate(coef) if coef else np.zeros(0)
 

@@ -14,7 +14,7 @@ from sdmortar.interface import compute_flux_basis, star_response
 from sdmortar.moments import MomentAccumulator
 from sdmortar.mortar import pairing
 from sdmortar.stokes import (_QP, _QW, EDGE_MASS, StokesReference,
-                             StokesSystem, _p2_shapes)
+                             StokesSystem, _p2_shapes, trace_nodes)
 
 
 def monolithic_rt0(rect, nx, ny, K, nu=1.0, p_left=1.0, p_right=0.0):
@@ -187,6 +187,33 @@ def loop_stokes_connectivity(mesh):
     return conn2, conn1, verts
 
 
+def loop_boundary_edges(mesh, side):
+    """mesh.boundary_edges(side) as it was built: a loop along the side.
+
+    Darcy: the edge ids; Stokes: the (start, mid, end) P2 node triples.
+    """
+    if hasattr(mesh, "n_edges"):
+        if side in ("left", "right"):
+            ix = 0 if side == "left" else mesh.nx
+            return np.array([mesh.vedge(ix, iy) for iy in range(mesh.ny)])
+        iy = 0 if side == "bottom" else mesh.ny
+        return np.array([mesh.hedge(ix, iy) for ix in range(mesh.nx)])
+    out = []
+    if side in ("bottom", "top"):
+        iy = 0 if side == "bottom" else mesh.my - 1
+        for ix in range(mesh.nx):
+            out.append((mesh.lattice(2 * ix, iy),
+                        mesh.lattice(2 * ix + 1, iy),
+                        mesh.lattice(2 * ix + 2, iy)))
+    else:
+        ix = 0 if side == "left" else mesh.mx - 1
+        for iy in range(mesh.ny):
+            out.append((mesh.lattice(ix, 2 * iy),
+                        mesh.lattice(ix, 2 * iy + 1),
+                        mesh.lattice(ix, 2 * iy + 2)))
+    return np.array(out)
+
+
 def loop_body_force(system):
     """StokesSystem._body_force as it was: a loop over triangles and points.
 
@@ -293,7 +320,7 @@ def entry_jump(space, side_entries):
 
 def flux_on_interface(trace, sol):
     """Darcy u.n in the fixed interface frame, one value per fine edge."""
-    return trace.normal_sign * sol.u[trace.edges]
+    return trace.iface.normal_sign * sol.u[trace.edges]
 
 
 def velocity_trace(trace, sol):
@@ -302,9 +329,10 @@ def velocity_trace(trace, sol):
     Arrays have length 2*n_edges + 1, the 1D quadratic trace lattice
     (vertex, midpoint, vertex, ...) that solve_star consumes.
     """
-    ux = sol.u[2 * trace.nodes]
-    uy = sol.u[2 * trace.nodes + 1]
-    n, tau = trace.normal, trace.tangent
+    nodes = trace_nodes(trace)
+    ux = sol.u[2 * nodes]
+    uy = sol.u[2 * nodes + 1]
+    n, tau = trace.iface.normal, trace.iface.tangent
     return ux * n[0] + uy * n[1], ux * tau[0] + uy * tau[1]
 
 
@@ -317,7 +345,7 @@ def _darcy_trace_load(op, sid, sides, data):
     rhs = np.zeros(system.n_u + system.n_p)
     for idx, vals in data.items():
         g, t = sides[idx]
-        sigma_out = t.normal_sign * g.side_sign(sid)
+        sigma_out = t.iface.normal_sign * g.side_sign(sid)
         lengths = np.array([op.mesh.edge_length(e) for e in t.edges])
         rhs[system.red_index[t.edges]] -= (sigma_out * np.asarray(vals)
                                            * lengths)
@@ -335,10 +363,9 @@ def _stokes_trace_load(op, sid, sides, data):
     for idx, (lam_n, lam_t) in data.items():
         g, t = sides[idx]
         sigma = g.side_sign(sid)
-        comps = [(np.asarray(lam_n, dtype=float), np.asarray(t.normal))]
+        comps = [(np.asarray(lam_n, dtype=float), t.iface.normal)]
         if lam_t is not None:
-            comps.append((np.asarray(lam_t, dtype=float),
-                          np.asarray(t.tangent)))
+            comps.append((np.asarray(lam_t, dtype=float), t.iface.tangent))
         for vals, direction in comps:
             for e_idx, triple in enumerate(t.edges):
                 L = t.s_breaks[e_idx + 1] - t.s_breaks[e_idx]
@@ -367,8 +394,67 @@ def solve_star(op, sid, sides, data):
 
 def trace_sides(problem, sid):
     """(interface, trace) of every interface of sid, as solve_star takes."""
-    by_iface = {t.iface: t for t in problem.traces[sid]}
-    return [(g, by_iface[g.index]) for g in problem.layout.interfaces_of(sid)]
+    return [(t.iface, t) for t in problem.traces[sid]]
+
+
+def trace_coupling(trace, trace_dofs):
+    """Coupling entries (rows, cols, vals, n_rows) that pair each trace
+    dof with a row of its own (R = I): component c's trace dof k is row
+    c n + k, n the dofs per component."""
+    parts = trace_dofs(trace)
+    cols = np.concatenate([dofs for dofs, _ in parts])
+    vals = np.concatenate([np.full(len(dofs), float(coef))
+                           for dofs, coef in parts])
+    return np.arange(len(cols)), cols, vals, len(cols)
+
+
+# -- the sparse coupling pipeline ----------------------------------------------
+#
+# Before CouplingMaps placed F_i's entries itself, the program built F_i as
+# a sparse matrix: per interface and component, side_sign R @ T with T a
+# selection matrix (trace dof -> velocity dof times the frame coefficient),
+# the components stacked, the rows permuted to the mortar dof order and the
+# interfaces stacked. CouplingMaps must keep exactly its nonzero columns.
+
+
+def _selection_maps(problem, sid, trace):
+    """Sparse T per trace component: full velocity -> its trace values."""
+    if problem.layout.physics(sid) == "darcy":
+        n = len(trace.edges)
+        return [sp.csr_matrix(
+            (np.full(n, float(trace.iface.normal_sign)),
+             (np.arange(n), trace.edges)),
+            shape=(n, problem.meshes[sid].n_edges))]
+    nodes = trace_nodes(trace)
+    k = np.arange(len(nodes))
+    maps = []
+    for d in (trace.iface.normal, trace.iface.tangent):
+        T = sp.csr_matrix((np.repeat(d, len(nodes)),
+                           (np.tile(k, 2),
+                            np.concatenate([2 * nodes, 2 * nodes + 1]))),
+                          shape=(len(nodes), 2 * problem.meshes[sid].n_p2))
+        T.eliminate_zeros()
+        maps.append(T)
+    return maps
+
+
+def sparse_coupling(problem, sid):
+    """F_i of subdomain sid as a CSR matrix, from the sparse pipeline."""
+    kind = problem.layout.physics(sid)
+    blocks = []
+    for t in problem.traces[sid]:
+        g = t.iface
+        mb = problem.space.block(g.index)
+        R = sp.csr_matrix(pairing(mb, t.s_breaks, kind))
+        comps = sp.vstack([
+            g.side_sign(sid) * (R @ T)
+            for T in _selection_maps(problem, sid, t)[:mb.n_comp]]).tocsr()
+        # block dof k is scalar k // n_comp of component k % n_comp
+        k = np.arange(mb.n_dof)
+        blocks.append(comps[(k % mb.n_comp) * mb.n_scalar + k // mb.n_comp])
+    n_full = problem.systems()[sid].n_udof
+    return (sp.vstack(blocks).tocsr() if blocks
+            else sp.csr_matrix((0, n_full)))
 
 
 def _sides(problem, sid):
@@ -423,7 +509,7 @@ def s3_points(problem, grid, sid):
     if block.physics != "darcy":
         return [zero]
     pts = []
-    for loc in grid.local_points[block.kl_region]:
+    for loc in local_realization_points(grid, block.kl_region):
         y = zero.copy()
         y[grid.region_slice(block.kl_region)] = loc
         pts.append(y)
@@ -548,8 +634,10 @@ def count_local_realizations(grid, region):
 
 
 def local_realization_points(grid, region):
-    """Distinct region coordinates, row r = local realization r."""
-    return grid.local_points[region]
+    """Distinct region coordinates, row r = local realization r: the
+    point of the first global realization that has it."""
+    first = np.unique(grid.local_indices[region], return_index=True)[1]
+    return grid.points[first, grid.region_slice(region)]
 
 
 def parse_config_text(text):

@@ -313,6 +313,40 @@ def test_per_interface_override_and_unknown_index():
         build_from_config(validate_config(raw))
 
 
+def test_bad_kl_region_entry_keeps_the_later_indices():
+    """A kl_regions entry that is not an object is reported once; the
+    block on the valid region after it is not."""
+    raw = one_block_raw("darcy")
+    raw["kl_regions"] = [7] + raw["kl_regions"]
+    raw["domain"]["blocks"][0]["kl_region"] = 1
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    assert err.value.messages == ["kl_regions[0]: must be an object"]
+
+
+@pytest.mark.parametrize("path, mapping, messages", [
+    (("mortars", "per_interface"), {"03": 2, "06": 2},
+     ["mortars.per_interface: bad interface key '03'",
+      "mortars.per_interface: bad interface key '06'"]),
+    (("mortars", "per_interface"), {"3": 1, "03": 2},
+     ["mortars.per_interface: bad interface key '03'"]),
+    (("bcs",), {"0": {}, "00": {}}, ["bcs: unknown subdomain '00'"]),
+    (("mean_log_perm", "values"), {"0": 1.0, "00": 0.0, "1": -1.0},
+     ["mean_log_perm.values: bad entry '00': 0.0"]),
+])
+def test_integer_keys_must_be_canonical(path, mapping, messages):
+    """A key naming an interface, subdomain or region by non-canonical
+    digits ("03") would be ignored, or would shadow another entry."""
+    raw = json.load(open(os.path.join(CONFIG_DIR, "case2_mini.json")))
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = mapping
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    assert err.value.messages == messages
+
+
 def test_missing_mortar_count():
     raw = minimal_raw()
     raw["mortars"] = {"sd": 2}

@@ -49,6 +49,24 @@ def _scatter(problem, entries):
     return out
 
 
+@pytest.mark.parametrize("refine", [1, 2])
+@pytest.mark.parametrize("name", ["case1_mini", "case1_mini_sparse",
+                                  "case2_mini", "darcy_twoblock"])
+def test_coupling_block_is_the_sparse_product(name, refine):
+    """CouplingMaps placed from trace dof ids keeps exactly the nonzero
+    columns of the sparse side_sign R T pipeline, and its dense block is
+    that matrix on them, bit for bit."""
+    problem = load_case(name, refine=refine).problem
+    for sid, system in enumerate(problem.systems()):
+        F = oracles.sparse_coupling(problem, sid)
+        cols = np.unique(F.indices)
+        assert np.array_equal(system.coupling.cols, cols)
+        want = F[:, cols].toarray()
+        got = system.coupling._F_block
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def assert_maps_match_dicts(problem, y, rng):
     """Maps against the dict path at the permeability of point y."""
     n_sub = problem.layout.n_subdomains

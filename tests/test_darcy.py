@@ -6,9 +6,10 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
-from sdmortar.darcy import DarcyBC, interface_trace
+from sdmortar.darcy import DarcyBC
 from sdmortar.errors import SingularOperatorError
-from sdmortar.geometry import Block, build_layout, build_subdomain_mesh
+from sdmortar.geometry import (Block, build_layout, build_subdomain_mesh,
+                               locate_trace)
 
 from _oracles import (assemble_darcy, darcy_saddle_matrix, flux_on_interface,
                       saddle_gap, solve_star)
@@ -116,7 +117,7 @@ def star_setup(n=8):
     g = layout.interfaces[0]
     ops, traces = {}, {}
     for sid in (0, 1):
-        traces[sid] = interface_trace(meshes[sid], layout.blocks[sid], g)
+        traces[sid] = locate_trace(meshes[sid], layout.blocks[sid], g)
         ops[sid] = assemble_darcy(meshes[sid], np.ones(meshes[sid].n_cells),
                                   1.0, {}, [traces[sid]])
     return g, ops, traces
@@ -162,7 +163,7 @@ def test_flux_orientation_matches_interface_normal():
            {"right": DarcyBC("pressure", lambda x, y: 0.0)}]
     flux = {}
     for sid in (0, 1):
-        tr = interface_trace(meshes[sid], layout.blocks[sid], g)
+        tr = locate_trace(meshes[sid], layout.blocks[sid], g)
         op = assemble_darcy(meshes[sid], np.ones(16), 1.0, bcs[sid], [tr])
         sol = solve_star(op, sid, [(g, tr)], {g.index: np.full(4, 1.0)})
         flux[sid] = flux_on_interface(tr, sol)
@@ -299,7 +300,7 @@ def test_hybrid_solve_with_k_over_eight_decades():
     layout = build_layout([Block((0, 0, 1, 1), "darcy", (9, 8), 0),
                            Block((1, 0, 2, 1), "darcy", (9, 8), 0)])
     mesh = build_subdomain_mesh(layout.blocks[0])
-    tr = interface_trace(mesh, layout.blocks[0], layout.interfaces[0])
+    tr = locate_trace(mesh, layout.blocks[0], layout.interfaces[0])
     rng = np.random.default_rng(6)
     K = 10.0 ** rng.uniform(-4.0, 4.0, mesh.n_cells)
     bcs = {"left": DarcyBC("pressure", lambda x, y: 1 + y)}

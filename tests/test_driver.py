@@ -252,6 +252,33 @@ def test_cli_collocation_on_zero_dimensions_is_a_config_error(
     assert assert_config_error(cli.main(args), capsys) == [message]
 
 
+def _bad_kl_entry():
+    raw = one_block_raw("darcy")
+    raw["kl_regions"] = [7] + raw["kl_regions"]
+    raw["domain"]["blocks"][0]["kl_region"] = 1
+    return raw, "kl_regions[0]: must be an object"
+
+
+def _padded_interface_key():
+    raw = json.load(open(os.path.join(CONFIG_DIR, "case2_mini.json")))
+    raw["mortars"]["per_interface"] = {"3": 2, "06": 2}
+    return raw, "mortars.per_interface: bad interface key '06'"
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("make", [_bad_kl_entry, _padded_interface_key])
+def test_cli_config_entry_errors(tmp_path, capsys, command, make):
+    """A kl_regions entry that is not an object and a zero-padded
+    interface key are config errors, each reported once."""
+    raw, message = make()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    args = [command, str(path)]
+    if command == "run":
+        args += ["--out-dir", str(tmp_path / "out")]
+    assert assert_config_error(cli.main(args), capsys) == [message]
+
+
 def test_cli_rejects_workers_below_one(tmp_path, capsys):
     code = cli.main(["run", TWOBLOCK, "--workers", "0",
                      "--out-dir", str(tmp_path / "x")])

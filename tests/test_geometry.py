@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from _oracles import loop_stokes_connectivity
+from _oracles import loop_boundary_edges, loop_stokes_connectivity
 from sdmortar.errors import ConfigError
 from sdmortar.geometry import (Block, build_layout, build_subdomain_mesh,
                                edges_on_span, side_of_interface)
@@ -126,6 +126,23 @@ def test_stokes_connectivity_matches_the_cell_loop(shape):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
     assert mesh.n_tri == len(mesh.conn_p2) == 2 * shape[0] * shape[1]
+
+
+@pytest.mark.parametrize("physics", ["darcy", "stokes"])
+@pytest.mark.parametrize("shape", [(1, 1), (3, 4), (5, 2), (8, 8),
+                                   (16, 16), (64, 32)])
+def test_boundary_edges_match_the_side_loop(physics, shape):
+    """boundary_edges from lattice arithmetic is the loop along each side:
+    Darcy edge ids (n,) and Stokes node triples (n, 3), in tangent order.
+    An unknown side is a ValueError."""
+    mesh = build_subdomain_mesh(Block((0.1, -0.3, 0.8, 1.9), physics, shape,
+                                      0 if physics == "darcy" else None))
+    for side in ("left", "right", "bottom", "top"):
+        got, want = mesh.boundary_edges(side), loop_boundary_edges(mesh, side)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    with pytest.raises(ValueError):
+        mesh.boundary_edges("front")
 
 
 def test_darcy_edge_lattice_is_the_edge_midpoint():

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from sdmortar.darcy import interface_trace as darcy_trace
 from sdmortar.errors import ConfigError
-from sdmortar.geometry import Block, build_layout, build_subdomain_mesh
+from sdmortar.geometry import (Block, build_layout, build_subdomain_mesh,
+                               locate_trace)
 from sdmortar.mortar import build_mortar_space
-from sdmortar.stokes import interface_trace as stokes_trace
 
 from _oracles import component_dofs, entry_jump, side_coupling
 
@@ -22,8 +21,8 @@ def dd():
     meshes = {i: build_subdomain_mesh(b) for i, b in enumerate(layout.blocks)}
     space = build_mortar_space(layout, meshes, {0: 2}, degree=1)
     g = layout.interfaces[0]
-    tr0 = darcy_trace(meshes[0], layout.blocks[0], g)
-    tr1 = darcy_trace(meshes[1], layout.blocks[1], g)
+    tr0 = locate_trace(meshes[0], layout.blocks[0], g)
+    tr1 = locate_trace(meshes[1], layout.blocks[1], g)
     mb = space.block(0)
     c0 = side_coupling(mb, tr0.s_breaks, "darcy")
     c1 = side_coupling(mb, tr1.s_breaks, "darcy")
@@ -85,7 +84,7 @@ def sd():
     meshes = {i: build_subdomain_mesh(b) for i, b in enumerate(layout.blocks)}
     space = build_mortar_space(layout, meshes, {0: 2}, degree=1)
     g = layout.interfaces[0]
-    tr = stokes_trace(meshes[1], layout.blocks[1], g)
+    tr = locate_trace(meshes[1], layout.blocks[1], g)
     coup = side_coupling(space.block(0), tr.s_breaks, "stokes")
     return layout, space, tr, coup
 

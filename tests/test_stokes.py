@@ -6,8 +6,9 @@ import scipy.sparse as sp
 
 from sdmortar.darcy import DarcyBC
 from sdmortar.errors import SingularOperatorError
-from sdmortar.geometry import Block, build_layout, build_subdomain_mesh
-from sdmortar.stokes import StokesBC, interface_trace
+from sdmortar.geometry import (Block, build_layout, build_subdomain_mesh,
+                               locate_trace)
+from sdmortar.stokes import StokesBC, trace_nodes
 
 from _oracles import assemble_stokes, solve_star, velocity_trace
 
@@ -163,7 +164,7 @@ def sd_setup(n=8, alpha=0.0, kvals=None, top=None):
     ])
     g = layout.interfaces[0]
     mesh = build_subdomain_mesh(layout.blocks[1])
-    tr = interface_trace(mesh, layout.blocks[1], g)
+    tr = locate_trace(mesh, layout.blocks[1], g)
     bcs = {
         "top": StokesBC("velocity", top or (lambda x, y: (1.0, 0.0))),
         "left": StokesBC("stress"),
@@ -230,14 +231,14 @@ def test_bar_solve_satisfies_full_system_with_bjs_lift():
     ])
     g = layout.interfaces[0]
     mesh = build_subdomain_mesh(layout.blocks[1])
-    tr = interface_trace(mesh, layout.blocks[1], g)
+    tr = locate_trace(mesh, layout.blocks[1], g)
     bcs = {"top": StokesBC("velocity", lambda x, y: (1.0, 0.0)),
            "left": StokesBC("velocity", lambda x, y: (0.5, 0.2 * y)),
            "right": StokesBC("stress")}
     kl = {g.index: np.random.default_rng(2).uniform(0.5, 2.0, n)}
     op = assemble_stokes(mesh, NU, 2.0, bcs, [tr], kl=kl)
     system = op.system
-    assert system.g_dir[2 * tr.nodes[0]] == 0.5  # the trace end is fixed
+    assert system.g_dir[2 * trace_nodes(tr)[0]] == 0.5  # the trace end is fixed
     sol = op.solve_bar()
     tables = system._shape_tables()
     rows, cols, vals, which = system._bjs_entries()
@@ -300,10 +301,11 @@ def test_velocity_trace_frame():
     sol = op.solve_bar()
     un, ut = velocity_trace(tr, sol)
     assert un.shape == ut.shape == (2 * 8 + 1,)
-    ux = sol.u[2 * tr.nodes]
-    uy = sol.u[2 * tr.nodes + 1]
+    nodes = trace_nodes(tr)
+    ux = sol.u[2 * nodes]
+    uy = sol.u[2 * nodes + 1]
     # fixed frame points from the lower id (darcy, below) upward
-    assert tr.normal == (0.0, 1.0)
+    assert tuple(tr.iface.normal) == (0.0, 1.0)
     assert g.side_sign(1) == -1  # the Stokes block is the higher-id side
     assert np.allclose(un, uy)
     assert np.allclose(ut, ux)

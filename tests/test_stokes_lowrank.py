@@ -10,15 +10,15 @@ and 1.2e-13 at x2; the bound is 1e-12.
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf
 from scipy.sparse.linalg import SuperLU, splu
 
-from _oracles import fresh_operator, fresh_stokes
+from _oracles import fresh_operator, fresh_stokes, trace_coupling
 from conftest import build_operators, load_case, new_group
 from sdmortar import darcy, stokes
 from sdmortar.errors import SingularOperatorError
-from sdmortar.geometry import Block, build_layout, build_subdomain_mesh
+from sdmortar.geometry import (Block, build_layout, build_subdomain_mesh,
+                               locate_trace)
 from sdmortar.interface import (SolveStats, compute_flux_basis,
                                 run_method, solve_realization)
 from sdmortar.output import run_manifest
@@ -173,8 +173,8 @@ def all_stress_system(alpha):
     layout = build_layout([Block((0, 0, 1, 1), "darcy", (2, 2), 0),
                            Block((0, 1, 1, 2), "stokes", (2, 2))])
     mesh = build_subdomain_mesh(layout.blocks[1])
-    tr = stokes.interface_trace(mesh, layout.blocks[1], layout.interfaces[0])
-    F = sp.vstack(stokes.trace_maps(mesh, tr)).tocsr()
+    tr = locate_trace(mesh, layout.blocks[1], layout.interfaces[0])
+    F = trace_coupling(tr, stokes.trace_dofs)
     bcs = {s: stokes.StokesBC("stress")
            for s in ("left", "right", "bottom", "top")}
     return tr, F, StokesSystem(mesh, 1.0, alpha, bcs, [tr], coupling=F)
@@ -184,11 +184,11 @@ def all_stress_system(alpha):
                                                      (1.0, 2, 5)])
 def test_lowrank_all_stress_block(alpha, kernel_dim, rank):
     tr, F, system = all_stress_system(alpha)
-    ref = StokesReference(system, {tr.iface: np.ones(2)})
+    ref = StokesReference(system, {tr.iface.index: np.ones(2)})
     assert (ref.kernel_dim, len(ref.system.T)) == (kernel_dim, rank)
-    lam = np.random.default_rng(3).standard_normal((F.shape[0], 4))
+    lam = np.random.default_rng(3).standard_normal((F[3], 4))
     for kvals in ([0.3, 5.0], [1.0, 1.0], [40.0, 0.01]):
-        kl = {tr.iface: np.array(kvals)}
+        kl = {tr.iface.index: np.array(kvals)}
         low, fresh = ref.factor(kl), fresh_stokes(system, kl)
         assert low.kernel_dim == fresh.kernel_dim == kernel_dim
         assert_same_solution(low.solve_star(lam), fresh.solve_star(lam))
@@ -293,11 +293,11 @@ def test_zero_bjs_fails_alike_for_one_and_two_workers(monkeypatch):
 
 def test_non_finite_capacitance_raises():
     tr, _, system = all_stress_system(1.0)
-    ref = StokesReference(system, {tr.iface: np.ones(2)})
+    ref = StokesReference(system, {tr.iface.index: np.ones(2)})
     ref.coef = ref.coef * np.nan
     with pytest.raises(SingularOperatorError,
                        match="capacitance matrix is not finite"):
-        ref.factor({tr.iface: np.ones(2)})
+        ref.factor({tr.iface.index: np.ones(2)})
 
 
 # -- robustness at sigma2 = 25 ---------------------------------------------
