@@ -22,13 +22,14 @@ print(f"sweep of {n_real} realizations; mortar dofs per subdomain {n_dof}; "
       f"distinct local\nrealizations per region {n_loc} "
       f"(Stokes blocks reuse one frozen basis)\n")
 print("S1 solves the interface system by cg, paying one backsolve per")
-print("subdomain per iteration. The cg is preconditioned by a BFGS estimate")
-print("of the inverse interface operator built from the search directions of")
-print("the realizations already solved: the first realization runs plain cg,")
-print("later ones need a fraction of its iterations, and the preconditioner")
-print("itself costs no backsolves. S2 assembles each subdomain's flux response")
-print("basis per realization. S3 reuses each basis across all realizations")
-print("that share the subdomain's local permeability.\n")
+print("subdomain per iteration. All three methods precondition the cg with")
+print("the interface operator of the mean field, built once per sweep from")
+print("every subdomain's flux basis (set-up backsolves) and rescaled per")
+print("realization by the permeability under each mortar dof, so every")
+print("realization, the first included, needs only a few iterations. S2")
+print("assembles each subdomain's flux response basis per realization. S3")
+print("reuses each basis across all realizations that share the subdomain's")
+print("local permeability.\n")
 
 rows = {}
 for method in ("S1", "S2", "S3"):
@@ -37,12 +38,13 @@ for method in ("S1", "S2", "S3"):
     secs = time.perf_counter() - t0
     rows[method] = (result.stats, secs)
 
-print("S1 and S2 factor each Stokes block sparsely once per sweep, at the mean")
-print("field (set-up); each realization's Stokes operator is that LU plus a")
-print("small dense factorization of its slip-coefficient change. Set-up work")
-print("(set-up LU/bs: sparse LUs / backsolves) is counted apart from the\n"
-      "per-realization identities.\n")
-print(f"{'method':6s}   {'factorizations':23s}   {'set-up LU/bs':12s}   "
+print("Every method factors each Stokes block sparsely once per sweep, at the")
+print("mean field (set-up); in S1 and S2 each realization's Stokes operator is")
+print("that LU plus a small dense factorization of its slip-coefficient")
+print("change. The preconditioner's mean-field Darcy factors and unit solves")
+print("are set-up work too. Set-up work (set-up f/bs: factorizations /")
+print("backsolves) is counted apart from the per-realization identities.\n")
+print(f"{'method':6s}   {'factorizations':23s}   {'set-up f/bs':12s}   "
       f"{'backsolves (per subdomain)':29s}   seconds")
 for method, (stats, secs) in rows.items():
     f = " ".join(f"{int(v):3d}" for v in stats.factorizations)
@@ -53,8 +55,8 @@ for method, (stats, secs) in rows.items():
 
 s1, s3 = rows["S1"][0], rows["S3"][0]
 gain = s1.backsolves.sum() / s3.backsolves.sum()
-print(f"\ncg iterations per realization (S1): first {s1.cg_iters[0]}, "
-      f"later at most {max(s1.cg_iters[1:])}")
+print(f"\ncg iterations per realization (S1): at most {max(s1.cg_iters)}, "
+      f"{s1.cg_iters_total} in all")
 print(f"total backsolves: S1 {int(s1.backsolves.sum())}, "
       f"S3 {int(s3.backsolves.sum())}, a factor {gain:.1f} saved")
 print("moment fields of all three methods agree; see the test suite for the")

@@ -40,6 +40,12 @@ class CouplingMaps:
         self._E_rows = rows[rows >= 0]
         self._E_block = -self._F_block[:, rows >= 0].T
 
+    def row_weights(self):
+        """|F| on `cols` with every row scaled to sum 1: the share of each
+        column in its mortar functional."""
+        W = np.abs(self._F_block)
+        return W / W.sum(axis=1, keepdims=True)
+
     def functionals(self, u):
         """F @ u for a full velocity vector u, or a block of columns."""
         return self._F_block @ u[self.cols]

@@ -134,6 +134,7 @@ def _validate_domain(raw, errors):
         where = f"domain.blocks[{k}]"
         if not isinstance(b, dict):
             errors.append(f"{where}: must be an object")
+            blocks.append(None)  # keeps the later blocks' subdomain ids
             continue
         _check_keys(b, ("rect", "physics", "mesh", "kl_region"),
                     where, errors)
@@ -391,6 +392,8 @@ def _validate_bcs(raw, blocks, errors):
         if not (_is_index_key(key) and int(key) < len(blocks)):
             errors.append(f"bcs: unknown subdomain {key!r}")
             continue
+        if blocks[int(key)] is None:  # reported by _validate_domain
+            continue
         phys = blocks[int(key)]["physics"]
         if not isinstance(sides, dict):
             errors.append(f"bcs.{key}: must be an object keyed by side")
@@ -526,7 +529,7 @@ def validate_config(raw):
     n_regions = len(cfg["kl_regions"])
     used = set()  # KL regions some Darcy block reads its mean from
     for k, b in enumerate(cfg["domain"]["blocks"]):
-        if b["physics"] != "darcy":
+        if b is None or b["physics"] != "darcy":
             continue
         r = b["kl_region"]
         used.add(r)

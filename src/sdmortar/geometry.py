@@ -273,6 +273,13 @@ class DarcyMesh(_Grid):
                            np.where(vert, self.nx + 1, self.nx))
         return 2 * ix + ~vert, 2 * iy + vert
 
+    def edge_cell(self, e):
+        """Cell id(s) east/north of edge id(s) e, or west/south on the
+        block's right/top side: a boundary edge's only cell."""
+        lx, ly = self.edge_lattice(e)
+        return self.cell(np.minimum(lx // 2, self.nx - 1),
+                         np.minimum(ly // 2, self.ny - 1))
+
     def boundary_edges(self, side):
         """Edge ids along one side, ordered by increasing tangent coordinate."""
         if side in ("left", "right"):

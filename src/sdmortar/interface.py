@@ -35,13 +35,15 @@ setup_backsolves, outside the identities below. At the mean field itself
 an operator solves with the reference LU unchanged and no update basis is
 built: S3's one Stokes operator per subdomain is that LU.
 
-All three solve S lam = g by preconditioned CG. A sweep keeps one
-SecantPreconditioner, a dense H ~ S^-1 that starts as the identity (so the
-first realization runs plain CG) and after every realization folds in that
-solve's search pairs (p_j, S p_j) by BFGS updates. Consecutive collocation
-points change S only through K, so later solves need a fraction of the
-first one's iterations. The pairs are a by-product of CG and H is applied
-as a dense matvec, so the preconditioner costs no subdomain solves.
+All three solve S lam = g by preconditioned CG with one preconditioner
+per sweep, MeanFieldPreconditioner. run_method builds it once, before the
+first realization, from every subdomain's flux basis B_i at the mean field
+(y = 0): S_bar = sum_i scatter(B_i) is factored by dense Cholesky, and
+realization k rescales it by the permeability under each mortar dof, so
+a solve costs no subdomain work beyond its CG iterations. The
+mean-field bases cost one set-up factorization per Darcy subdomain (a
+Stokes one solves with its reference LU) and N_dof_i set-up backsolves
+per subdomain, counted in setup_factorizations and setup_backsolves.
 
 Backsolve counts per subdomain follow the identities
 S1: sum_k N_iter(k) + 2 N_real, S2: N_dof_i N_real + 2 N_real,
@@ -59,7 +61,7 @@ builds the Stokes references of its subdomains when it first factors them,
 after the fork, and drops them when the sweep finishes.
 Only mortar vectors, bases and output fields cross the pipes. The parent
 keeps everything that joins the subdomains: the jump, CG with the sweep's
-SecantPreconditioner, basis_apply and the MomentAccumulator. It adds up
+MeanFieldPreconditioner, basis_apply and the MomentAccumulator. It adds up
 every per-subdomain result in subdomain order, so results are bitwise equal
 for any worker count, and it adds the children's counters and busy times
 to the sweep's SolveStats. With one group no process is started.
@@ -73,9 +75,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .assembly import Solution, block_width
-from .errors import ConvergenceError, SizeCapError
+from .errors import ConvergenceError, SingularOperatorError, SizeCapError
 from .moments import MomentAccumulator
 from .mortar import jump
 
@@ -150,15 +153,13 @@ class SolveStats:
 class CGResult:
     """Outcome of cg_solve; unpacks as the triple (x, n_iter, residuals).
 
-    `pairs` holds every search direction p_j with its image S p_j, the data
-    SecantPreconditioner.update folds into its estimate of S^-1. `cond` is
-    the Lanczos estimate of cond(H S), or None when no iteration ran.
+    `cond` is the Lanczos estimate of cond(H S), H the preconditioner (the
+    identity for plain CG), or None when no iteration ran.
     """
 
     x: np.ndarray
     n_iter: int
     residuals: list
-    pairs: list
     cond: float
 
     def __iter__(self):
@@ -186,26 +187,26 @@ def lanczos_cond(alphas, betas):
 def cg_solve(apply_fn, g, tol=1e-9, max_iter=None, precond=None):
     """CG from x0 = 0, preconditioned by z = precond(r) when one is given.
 
-    precond must act as a fixed symmetric positive definite matrix for the
-    whole solve; with None this is plain CG. run_method passes the sweep's
-    SecantPreconditioner and updates it from the returned pairs after the
-    solve, so H never changes within a solve. The stopping test is always
-    on the unpreconditioned residual, |r| <= tol |g|, so `tol` and the
-    residual history mean the same with and without a preconditioner. Each
-    iteration costs exactly one apply_fn call and the preconditioner none,
-    which keeps the S1 identity sum_k N_iter(k) + 2 N_real exact. An
-    operator that yields a non-finite p.Sp or p.Sp <= 0, and a
-    preconditioner that yields a non-finite r.z or r.z <= 0, raise
-    ConvergenceError at that iteration. Returns a CGResult.
+    precond must act as a fixed symmetric positive definite matrix H for
+    the whole solve; with None this is plain CG. run_method passes the
+    sweep's MeanFieldPreconditioner at the realization's point, so H is
+    fixed within a solve and costs no subdomain solve. The stopping test is
+    always on the unpreconditioned residual, |r| <= tol |g|, so `tol` and
+    the residual history mean the same with and without a preconditioner.
+    Each iteration costs exactly one apply_fn call, which keeps the S1
+    identity sum_k N_iter(k) + 2 N_real exact. An operator that yields a
+    non-finite p.Sp or p.Sp <= 0, and a preconditioner that yields a
+    non-finite r.z or r.z <= 0, raise ConvergenceError at that iteration.
+    Returns a CGResult.
     """
     n = len(g)
     x = np.zeros(n)
     gnorm = float(np.linalg.norm(g))
     if gnorm == 0.0:
-        return CGResult(x, 0, [], [], None)
+        return CGResult(x, 0, [], None)
     if max_iter is None:
         max_iter = max(50, 10 * n)
-    residuals, pairs, alphas, betas = [], [], [], []
+    residuals, alphas, betas = [], [], []
 
     def precondition(r, it):
         if precond is None:
@@ -232,7 +233,6 @@ def cg_solve(apply_fn, g, tol=1e-9, max_iter=None, precond=None):
             raise ConvergenceError(
                 f"interface operator is not positive definite "
                 f"(p.Sp = {pSp:.3e} at iteration {it})", residuals)
-        pairs.append((p, Sp))
         a = rz / pSp
         alphas.append(a)
         x += a * p
@@ -240,8 +240,7 @@ def cg_solve(apply_fn, g, tol=1e-9, max_iter=None, precond=None):
         rn = float(np.linalg.norm(r))
         residuals.append(rn / gnorm)
         if rn <= tol * gnorm:
-            return CGResult(x, it, residuals, pairs,
-                            lanczos_cond(alphas, betas))
+            return CGResult(x, it, residuals, lanczos_cond(alphas, betas))
         z, rz_new = precondition(r, it)
         betas.append(rz_new / rz)
         p = z + betas[-1] * p
@@ -251,35 +250,65 @@ def cg_solve(apply_fn, g, tol=1e-9, max_iter=None, precond=None):
         f"(last residual {residuals[-1]:.3e})", residuals)
 
 
-class SecantPreconditioner:
-    """Dense estimate H of S^-1 that one sweep carries across realizations.
+class MeanFieldPreconditioner:
+    """The interface preconditioner of one sweep, built at its mean field.
 
-    H starts as the identity, so the first solve of a sweep is plain CG.
-    update() folds in each (s, y) = (p, S p) pair of a finished solve with
-    the BFGS inverse update
-        H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T,  rho = 1/(y.s),
-    which keeps H symmetric positive definite (y.s = p.Sp > 0 is checked by
-    cg_solve) and makes it satisfy the secant condition H y = s for the
-    latest pair. Consecutive collocation points change S only through K, so
-    the pairs of one solve precondition the next (Morales & Nocedal, SIAM J.
-    Optim. 2000).
+    `bases` holds every subdomain's flux basis (dofs, B_i) at y = 0, in
+    subdomain order (_Groups.mean_bases). S_bar = sum_i scatter(B_i) is
+    factored once by dense Cholesky, which reads its lower triangle. at(y)
+    returns the preconditioner of the realization at point y,
+
+        z = s * S_bar^-1 (s * r),    s = sqrt(d(0) / d(y)),
+
+    where d(y) = sum_i scatter(diag(B_i) kappa_i(y)) follows diag S(y)
+    without a subdomain solve: rho-scaling (Klawonn & Widlund, CPAM 2001)
+    of the multiscale flux basis reused as a frozen preconditioner (Ganis,
+    Pencheva, Wheeler, Wildey & Yotov, MMS 2012). A Stokes block has
+    kappa = 1. A Darcy block's flux response grows with K under its trace,
+    so kappa_i(y)_j = exp(sum_e w_je log(K(y) / K(0))(c_e)), c_e the cell
+    owning trace edge e and w_je = |F_i[j, e]| / sum_e |F_i[j, e]|
+    (CouplingMaps.row_weights). log(K(y) / K(0)) is the KL fluctuation, so
+    the exponent is G_i y_r with G_i = w Phi_i, Phi_i the scaled KL modes
+    of the block's region at the cells c_e and y_r the region's
+    coordinates of y. d(0) is diag S_bar summed in the same order, so at
+    y = 0 every s is 1 and z = S_bar^-1 r.
     """
 
-    def __init__(self):
-        self.H = None
+    def __init__(self, problem, bases):
+        n = problem.space.n_dof
+        S = np.zeros((n, n))
+        for dofs, B in bases:
+            S[np.ix_(dofs, dofs)] += B
+        self._chol, info = dpotrf(S, lower=1)
+        if info:
+            raise SingularOperatorError(
+                f"mean-field interface matrix is not positive definite "
+                f"(leading minor {info})")
+        perm = problem.perm
+        self._diags = []
+        for sid, (dofs, B) in enumerate(bases):
+            block = problem.layout.blocks[sid]
+            region = G = None
+            if block.physics == "darcy":
+                coupling = problem.systems()[sid].coupling
+                mesh = problem.meshes[sid]
+                xy = mesh.centroids[mesh.edge_cell(coupling.cols)]
+                region = perm.region_slice(block.kl_region)
+                G = coupling.row_weights() @ perm.regions[
+                    block.kl_region].evaluate_modes(xy[:, 0], xy[:, 1])
+            self._diags.append((dofs, np.diag(B).copy(), region, G))
+        self._d0 = self._diag(np.zeros(perm.n_dims))
 
-    def __call__(self, r):
-        return r if self.H is None else self.H @ r
+    def _diag(self, y):
+        d = np.zeros(len(self._chol))
+        for dofs, diag, region, G in self._diags:
+            d[dofs] += diag if G is None else diag * np.exp(G @ y[region])
+        return d
 
-    def update(self, pairs):
-        for s, y in pairs:
-            sy = float(s @ y)
-            if self.H is None:
-                self.H = (sy / float(y @ y)) * np.eye(len(s))
-            Hy = self.H @ y
-            rho = 1.0 / sy
-            self.H += (rho * rho * float(y @ Hy) + rho) * np.outer(s, s)
-            self.H -= rho * (np.outer(s, Hy) + np.outer(Hy, s))
+    def at(self, y):
+        """z = precond(r) for the realization at collocation point y."""
+        s = np.sqrt(self._d0 / self._diag(y))
+        return lambda r: s * dpotrs(self._chol, s * r, lower=1)[0]
 
 
 def worker_count(workers, n_subdomains):
@@ -393,6 +422,37 @@ class _Group:
         if sid not in self.refs:
             self.refs[sid] = self.problem.stokes_reference(sid)
         return self.refs[sid]
+
+    def mean_bases(self):
+        """{sid: (dofs, B_i)}: each owned subdomain's flux basis at y = 0.
+
+        A Stokes subdomain solves with its reference LU, a Darcy one with
+        its mean-field operator, factored here. Both are set-up work: the
+        Darcy factorization and the N_dof_i unit solves go to
+        setup_factorizations and setup_backsolves. Like StokesReference's
+        W, the unit loads bypass assemble_subdomain and solve_star (they
+        call the operator's _solve), so each call of those two is still
+        work that the identities count.
+        """
+        problem = self.problem
+        zero = np.zeros(problem.perm.n_dims)
+
+        def work(sid):
+            K = problem.sample_permeability(sid, zero)
+            reference = self._reference(sid)
+            if reference is None:
+                op = problem.systems()[sid].factor(K)
+                self.stats.setup_factorizations[sid] += 1
+            else:
+                op = reference.factor(K)
+            coupling = op.system.coupling
+            dofs = problem.sub_dofs[sid]
+            self.stats.setup_backsolves[sid] += len(dofs)
+            return dofs, _unit_responses(
+                len(dofs), op.block_rows, lambda unit: -coupling.functionals(
+                    op._solve(op._star_load(unit)).u))
+
+        return self._each(work)
 
     def realize(self, k, y):
         """Operators of realization k at y, their bases and bar solves:
@@ -539,6 +599,10 @@ class _Groups:
             out.update(part)
         return [out[sid] for sid in sorted(out)]
 
+    def mean_bases(self):
+        """[(dofs, B_i)] of every subdomain at the mean field, in order."""
+        return self._merge("mean_bases")
+
     def realize(self, k, y):
         """Operators of realization k at y: (bar jump g, bases per sid)."""
         out = self._merge("realize", k, y)
@@ -585,17 +649,24 @@ def compute_flux_basis(problem, sid, op, stats):
     buffers crossed glibc's 128 KiB mmap threshold.
     """
     dofs = problem.sub_dofs[sid]
-    nd = len(dofs)
-    B = np.empty((nd, nd))
-    width = block_width(op.block_rows)
     before = op.backsolves
+    B = _unit_responses(len(dofs), op.block_rows, lambda unit: star_response(
+        problem, sid, op, unit))
+    stats.basis_backsolves[sid] += op.backsolves - before
+    return dofs, B
+
+
+def _unit_responses(nd, block_rows, respond):
+    """nd x nd matrix whose column j is respond(e_j), e_j the unit vector,
+    solved in column blocks of block_width(block_rows)."""
+    B = np.empty((nd, nd))
+    width = block_width(block_rows)
     for j in range(0, nd, width):
         m = min(width, nd - j)
         unit = np.zeros((nd, m))
         unit[j + np.arange(m), np.arange(m)] = 1.0
-        B[:, j:j + m] = star_response(problem, sid, op, unit)
-    stats.basis_backsolves[sid] += op.backsolves - before
-    return dofs, B
+        B[:, j:j + m] = respond(unit)
+    return B
 
 
 def basis_apply(space, bases):
@@ -647,7 +718,8 @@ class RunResult:
     lambdas: list
     residuals: list  # per realization CG residual history
     grid: object
-    cg_cond: list  # per realization Lanczos estimate of cond(H S)
+    cg_cond: list  # per realization Lanczos estimate of cond(H S), H the
+    # sweep's MeanFieldPreconditioner at that realization
 
 
 def run_method(problem, grid, method="S1", tol=1e-9, max_iter=None,
@@ -674,13 +746,12 @@ def run_method(problem, grid, method="S1", tol=1e-9, max_iter=None,
     _check_basis_cap(problem, method, lifetimes, basis_cap_mb)
     acc = MomentAccumulator()
     lambdas, residual_hist, cg_cond = [], [], []
-    precond = SecantPreconditioner()
 
     with _Groups(problem, method, workers, stats, grid, lifetimes) as groups:
+        precond = MeanFieldPreconditioner(problem, groups.mean_bases())
         for k in range(grid.n_real):
-            res, per_sid = groups.solve(k, grid.points[k], tol, max_iter,
-                                        precond)
-            precond.update(res.pairs)
+            y = grid.points[k]
+            res, per_sid = groups.solve(k, y, tol, max_iter, precond.at(y))
             residual_hist.append(res.residuals)
             cg_cond.append(res.cond)
             acc.add(grid.weights[k], _fields_dict(problem, per_sid, res.x))

@@ -10,7 +10,7 @@ from scipy.sparse.linalg import splu
 from sdmortar.config import validate_config
 from sdmortar.darcy import DarcyOperator, DarcySystem, _cell_edge_table
 from sdmortar.errors import ConfigError, ConvergenceError
-from sdmortar.interface import compute_flux_basis, star_response
+from sdmortar.interface import SolveStats, compute_flux_basis, star_response
 from sdmortar.moments import MomentAccumulator
 from sdmortar.mortar import pairing
 from sdmortar.stokes import (_QP, _QW, EDGE_MASS, StokesReference,
@@ -669,3 +669,40 @@ class WeightSumAccumulator(MomentAccumulator):
     def add(self, weight, fields):
         super().add(weight, fields)
         self.total_weight += weight
+
+
+def mean_field_scaling(problem, y):
+    """(S_bar, d(y)) of the mean-field preconditioner, from its definition.
+
+    S_bar sums every subdomain's flux basis B_i at y = 0, each from a fresh
+    mean-field operator. d(y) sums diag(B_i) kappa_i(y): kappa = 1 on a
+    Stokes block; on a Darcy block, row j of F_i (the sparse pipeline's)
+    gives kappa_j = exp(sum_e |F_je| log(K(y) / K(0))(c_e) / sum_e |F_je|),
+    c_e the one cell whose edge table holds trace edge e.
+    """
+    n_sub = problem.layout.n_subdomains
+    n = problem.space.n_dof
+    zero = np.zeros(problem.perm.n_dims)
+    stats = SolveStats.new("S2", n_sub)
+    S, d = np.zeros((n, n)), np.zeros(n)
+    for sid in range(n_sub):
+        op = problem.assemble_subdomain(sid, zero)
+        dofs, B = compute_flux_basis(problem, sid, op, stats)
+        S[np.ix_(dofs, dofs)] += B
+        kappa = np.ones(len(dofs))
+        if problem.layout.physics(sid) == "darcy":
+            cells = {}
+            for c, edges in enumerate(zip(*_cell_edge_table(
+                    problem.meshes[sid]))):
+                for e in edges:
+                    cells.setdefault(int(e), []).append(c)
+            log_ratio = np.log(problem.sample_permeability(sid, y)
+                               / problem.sample_permeability(sid, zero))
+            F = abs(sparse_coupling(problem, sid)).toarray()
+            for j, row in enumerate(F):
+                edges = np.flatnonzero(row)
+                assert all(len(cells[e]) == 1 for e in edges)
+                kappa[j] = np.exp(sum(row[e] * log_ratio[cells[e][0]]
+                                      for e in edges) / row[edges].sum())
+        d[dofs] += np.diag(B) * kappa
+    return S, d

@@ -324,6 +324,17 @@ def test_bad_kl_region_entry_keeps_the_later_indices():
     assert err.value.messages == ["kl_regions[0]: must be an object"]
 
 
+def test_bad_block_entry_keeps_the_later_subdomain_ids():
+    """A domain.blocks entry that is not an object is reported once; the
+    bcs of the valid block after it still name that block."""
+    raw = one_block_raw("darcy")
+    raw["domain"]["blocks"] = [7] + raw["domain"]["blocks"]
+    raw["bcs"] = {"1": raw["bcs"]["0"]}
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    assert err.value.messages == ["domain.blocks[0]: must be an object"]
+
+
 @pytest.mark.parametrize("path, mapping, messages", [
     (("mortars", "per_interface"), {"03": 2, "06": 2},
      ["mortars.per_interface: bad interface key '03'",

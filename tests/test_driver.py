@@ -259,6 +259,13 @@ def _bad_kl_entry():
     return raw, "kl_regions[0]: must be an object"
 
 
+def _bad_block_entry():
+    raw = one_block_raw("darcy")
+    raw["domain"]["blocks"] = [7] + raw["domain"]["blocks"]
+    raw["bcs"] = {"1": raw["bcs"]["0"]}
+    return raw, "domain.blocks[0]: must be an object"
+
+
 def _padded_interface_key():
     raw = json.load(open(os.path.join(CONFIG_DIR, "case2_mini.json")))
     raw["mortars"]["per_interface"] = {"3": 2, "06": 2}
@@ -266,10 +273,11 @@ def _padded_interface_key():
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
-@pytest.mark.parametrize("make", [_bad_kl_entry, _padded_interface_key])
+@pytest.mark.parametrize("make", [_bad_kl_entry, _bad_block_entry,
+                                  _padded_interface_key])
 def test_cli_config_entry_errors(tmp_path, capsys, command, make):
-    """A kl_regions entry that is not an object and a zero-padded
-    interface key are config errors, each reported once."""
+    """A kl_regions or domain.blocks entry that is not an object and a
+    zero-padded interface key are config errors, each reported once."""
     raw, message = make()
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))

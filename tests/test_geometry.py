@@ -145,6 +145,25 @@ def test_boundary_edges_match_the_side_loop(physics, shape):
         mesh.boundary_edges("front")
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (3, 4), (5, 2), (16, 16)])
+def test_darcy_edge_cell_is_the_only_cell_of_a_boundary_edge(shape):
+    """edge_cell gives each boundary edge the one cell whose edge table
+    holds it, and each interior edge one of its two cells."""
+    mesh = build_subdomain_mesh(Block((0.1, -0.3, 0.8, 1.9), "darcy", shape,
+                                      0))
+    iy, ix = np.divmod(np.arange(mesh.n_cells), mesh.nx)
+    cells = {}
+    for edges in mesh.cell_edges(ix, iy):
+        for c, e in enumerate(edges.tolist()):
+            cells.setdefault(e, []).append(c)
+    got = mesh.edge_cell(np.arange(mesh.n_edges))
+    assert all(got[e] in cells[e] for e in range(mesh.n_edges))
+    for side in ("left", "right", "bottom", "top"):
+        edges = mesh.boundary_edges(side)
+        assert [cells[e] for e in edges.tolist()] == [[c] for c in
+                                                      got[edges].tolist()]
+
+
 def test_darcy_edge_lattice_is_the_edge_midpoint():
     """Each cell's (west, east, south, north) edges sit at half steps
     (-1, 0), (1, 0), (0, -1), (0, 1) from its centre; scalar ids agree."""

@@ -6,18 +6,20 @@ import os
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotrs
 
 from sdmortar import darcy, interface, stokes
 from sdmortar.collocation import build_tensor_grid
 from sdmortar.errors import (ConvergenceError, SingularOperatorError,
                              SizeCapError)
-from sdmortar.interface import (SecantPreconditioner, SolveStats, _Group,
+from sdmortar.interface import (MeanFieldPreconditioner, SolveStats, _Group,
                                 _check_basis_cap, _lifetimes, _split,
                                 basis_apply, cg_solve, compute_flux_basis,
                                 run_method, solve_realization, worker_count)
 
 from conftest import build_operators, load_case, new_group, sweep_groups
-from _oracles import count_local_realizations, plain_cg, prepare_s3
+from _oracles import (count_local_realizations, mean_field_scaling, plain_cg,
+                      prepare_s3)
 
 CONFIGS = ("case1_mini", "case1_mini_sparse", "case2_mini", "darcy_twoblock")
 
@@ -116,45 +118,55 @@ def test_cg_rejects_indefinite_preconditioner():
         cg_solve(lambda v: A @ v, b, precond=lambda r: np.full_like(r, np.nan))
 
 
-def test_secant_update_keeps_h_spd_and_matches_last_pair():
-    rng = np.random.default_rng(5)
-    n = 30
-    A = _spd(rng, n, 1e4)
-    res = cg_solve(lambda v: A @ v, rng.standard_normal(n), tol=1e-10)
-    pc = SecantPreconditioner()
-    r = rng.standard_normal(n)
-    assert pc(r) is r  # the identity until the first update
-    pc.update(res.pairs)
-    H = pc.H
-    assert np.array_equal(H, H.T)
-    np.linalg.cholesky(H)
-    s, y = res.pairs[-1]
-    assert np.linalg.norm(H @ y - s) <= 1e-10 * np.linalg.norm(s)
+def _mean_field_preconditioner(case):
+    stats = SolveStats.new("S1", case.problem.layout.n_subdomains)
+    with sweep_groups(case, "S1", stats) as groups:
+        return MeanFieldPreconditioner(case.problem, groups.mean_bases())
 
 
-def test_recycled_preconditioner_on_a_sequence_of_systems():
-    """Neighbouring SPD systems (kappa ~ 1e4) reuse the earlier pairs.
+def test_mean_field_preconditioner_matches_its_definition(case1):
+    """d(y) and z are those of mean_field_scaling; at y = 0 every weight
+    is 1, so z is the Cholesky solve with S_bar itself, bit for bit."""
+    problem = case1.problem
+    pc = _mean_field_preconditioner(case1)
+    rng = np.random.default_rng(11)
+    zero = np.zeros(problem.perm.n_dims)
+    S, d0 = mean_field_scaling(problem, zero)
+    r = rng.standard_normal(problem.space.n_dof)
+    assert np.array_equal(pc._diag(zero), pc._d0)
+    assert np.array_equal(pc.at(zero)(r), dpotrs(pc._chol, r, lower=1)[0])
+    for y in (zero, case1.grid.points[5], rng.standard_normal(len(zero))):
+        _, d = mean_field_scaling(problem, y)
+        assert np.allclose(pc._diag(y), d, rtol=1e-12, atol=0)
+        s = np.sqrt(d0 / d)
+        z = s * np.linalg.solve(S, s * r)
+        assert np.linalg.norm(pc.at(y)(r) - z) <= 1e-10 * np.linalg.norm(z)
 
-    Each matrix is the base matrix under a 1 % random diagonal scaling, the
-    size of change that leaves cond(H S) ~ 3 on neighbouring collocation
-    points of the shipped cases.
-    """
-    rng = np.random.default_rng(7)
-    n = 40
-    A0 = _spd(rng, n, 1e4)
-    pc = SecantPreconditioner()
-    for k in range(8):
-        d = 1.0 + 0.01 * rng.standard_normal(n)
-        A = d[:, None] * A0 * d[None, :]
-        b = rng.standard_normal(n)
-        res = cg_solve(lambda v: A @ v, b, tol=1e-10, precond=pc)
-        pc.update(res.pairs)
-        assert np.linalg.norm(b - A @ res.x) <= 1e-10 * np.linalg.norm(b)
-        x_ref = np.linalg.solve(A, b)
-        assert np.linalg.norm(res.x - x_ref) <= (
-            np.linalg.cond(A) * 1e-10 * np.linalg.norm(x_ref))
-        if k > 0:
-            assert res.n_iter <= n // 2
+
+def test_mean_field_preconditioner_is_spd(case1):
+    """z = H(y) r with H(y) symmetric positive definite at random points."""
+    pc = _mean_field_preconditioner(case1)
+    n = case1.problem.space.n_dof
+    rng = np.random.default_rng(12)
+    for _ in range(4):
+        y = 2.0 * rng.standard_normal(case1.problem.perm.n_dims)
+        apply = pc.at(y)
+        H = np.column_stack([apply(e) for e in np.eye(n)])
+        assert np.linalg.norm(H - H.T) <= 1e-12 * np.linalg.norm(H)
+        assert np.linalg.eigvalsh(0.5 * (H + H.T)).min() > 0.0
+
+
+@pytest.mark.parametrize("name", ("case1_mini", "darcy_twoblock"))
+def test_mean_field_solve_converges_at_once(name):
+    """At the mean field S = S_bar up to round-off, so an S2 solve there
+    needs at most 2 iterations."""
+    case = load_case(name)
+    perm = case.problem.perm
+    grid = build_tensor_grid([1] * perm.n_dims,
+                             splits=[r.n_term for r in perm.regions])
+    assert not grid.points.any()
+    res = run_method(case.problem, grid, method="S2")
+    assert res.stats.cg_iters[0] <= 2
 
 
 def test_s2_true_residual_stays_within_tolerance(case1, case1_sweeps):
@@ -302,8 +314,9 @@ def test_s3_builds_each_entry_once_and_drops_it_after_its_last_use(
         case1, monkeypatch):
     """Every (sid, key) entry of an S3 sweep is built once, during the
     first realization with its key, and harvested at the recovery of its
-    last (_lifetimes); case1_mini needs 26 sparse factors (2 Stokes LUs,
-    24 Darcy banded Cholesky factors) and 26 bases."""
+    last (_lifetimes); case1_mini needs 26 bases and 30 sparse factors
+    (2 Stokes LUs, 24 Darcy banded Cholesky factors, and the 4 mean-field
+    Darcy factors of the preconditioner)."""
     problem, grid = case1.problem, case1.grid
     table = {}
     for k in range(grid.n_real):
@@ -352,7 +365,7 @@ def test_s3_builds_each_entry_once_and_drops_it_after_its_last_use(
                      for e, (first, _) in table.items()}
     assert harvested == {e: [("recover", last)]
                          for e, (_, last) in table.items()}
-    assert len(built) == 26 and len(factors) == 26
+    assert len(built) == 26 and len(factors) == 30
     assert res.stats.factorizations.sum() == 26
 
 

@@ -215,12 +215,15 @@ def factor_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("method, sparse_factors", [("S1", 130), ("S3", 26)])
+@pytest.mark.parametrize("method, sparse_factors", [("S1", 134), ("S3", 30)])
 def test_sparse_lus_per_sweep(factor_calls, method, sparse_factors):
     """Two sparse LUs, one reference per Stokes block; the others are
-    banded Cholesky factors of the Darcy multiplier matrix, S1 4 Darcy x 32
+    banded Cholesky factors of the Darcy multiplier matrix: one per Darcy
+    block at the mean field for the preconditioner, then S1 4 Darcy x 32
     and S3 the 24 Darcy entries (S1 was 192 sparse LUs before the Stokes
-    references, S1 130 and S3 26 before the hybridized Darcy solve)."""
+    references, S1 130 and S3 26 before the hybridized Darcy solve, and
+    both had no mean-field Darcy factor before the mean-field
+    preconditioner)."""
     case = load_case("case1_mini")
     result = run_method(case.problem, case.grid, method=method)
     assert factor_calls.count("splu") == 2
@@ -230,14 +233,21 @@ def test_sparse_lus_per_sweep(factor_calls, method, sparse_factors):
 
 
 def test_manifest_setup_totals(case1, case1_sweeps):
-    """S3 factors its two Stokes references too, but never needs W."""
-    for method, want in (("S1", (2, 33)), ("S2", (2, 33)), ("S3", (2, 0))):
+    """Set-up work: every method factors the two Stokes references and
+    each Darcy block once at the mean field, and solves N_dof,i = 12, 12,
+    20, 20, 16, 16 unit loads per block for the mean-field preconditioner;
+    S3 never needs W (16 and 17 backsolves in S1/S2)."""
+    basis = [12, 12, 20, 20, 16, 16]
+    for method, want in (("S1", (6, 129)), ("S2", (6, 129)),
+                         ("S3", (6, 96))):
         result = case1_sweeps.results[method]
         m = run_manifest(case1.cfg, case1.problem, case1.grid, result)
         got = (m["total_setup_factorizations"], m["total_setup_backsolves"])
         assert got == want, method
-        assert list(result.stats.setup_backsolves) == (
-            [16, 17, 0, 0, 0, 0] if method != "S3" else [0] * 6)
+        assert list(result.stats.setup_factorizations) == [1] * 6
+        w = [16, 17, 0, 0, 0, 0] if method != "S3" else [0] * 6
+        assert list(result.stats.setup_backsolves) == [
+            a + b for a, b in zip(basis, w)]
 
 
 # -- loud failure ------------------------------------------------------------

@@ -12,7 +12,7 @@ not meant to be bitwise, the summary line also gives the largest
 relative change of a sweep's CG iteration total, each sweep whose total
 differs is listed with both totals, and a last line gives the largest
 relative gap per array family (lambda, mean, var, cg_iters and each
-counter). Run from the root of a source checkout:
+counter), scaled by the larger of the two sides. Run from the root of a source checkout:
 
     python3 tools/compare_parent.py --parent HEAD --scratch /tmp/cmp-parent
 
@@ -116,16 +116,19 @@ def compare(base, new):
 
 
 def family_gaps(base, new):
-    """Largest relative gap max |b - a| / max |a| per array family: the key
-    without its sweep tag and field name (lambda, mean, var, cg_iters or
-    a counter), over the keys both sides report with one shape."""
+    """Largest relative gap max |b - a| / max(|a|, |b|) per array family:
+    the key without its sweep tag and field name (lambda, mean, var,
+    cg_iters or a counter), over the keys both sides report with one
+    shape. Scaling by both sides keeps a counter that one side leaves at
+    zero finite (1.0) instead of dividing by zero."""
     gaps = {}
     for key in sorted(set(base) & set(new)):
         a, b = base[key].astype(float), new[key].astype(float)
         if a.shape != b.shape:
             continue
         gap = np.max(np.abs(a - b), initial=0.0)
-        scale = np.max(np.abs(a), initial=0.0)
+        scale = max(np.max(np.abs(a), initial=0.0),
+                    np.max(np.abs(b), initial=0.0))
         family = key.split("/")[3]
         gaps[family] = max(gaps.get(family, 0.0),
                            gap / scale if gap else 0.0)
