@@ -1,11 +1,14 @@
 """Per-realization factors of the subdomain systems and their coupling.
 
-A factored Darcy or Stokes operator is a SubdomainOperator: its one
-_solve backsolves a right-hand side or a block of columns and scatters the
-result into a Solution of full velocity and pressure dof vectors. Callers
-keep a block to block_width(op.block_rows) columns. A Stokes operator
-whose BJS entries differ from its reference's solves through
-UpdatedFactors.
+A factored Darcy or Stokes operator is a SubdomainOperator. Its star
+solve answers at the trace: it returns the flux response F A^-1 E lam of
+a local mortar vector or a block of them, and its flux_basis returns
+-F A^-1 E for every unit mortar load. Only the bar solve, which may carry
+interface data too, goes through _solve, which backsolves one right-hand
+side and scatters the result into a Solution of full velocity and
+pressure dof vectors. A block handed to a factor keeps to BLOCK_BYTES
+(block_width). A Stokes operator whose BJS entries differ from its
+reference's solves through UpdatedFactors.
 """
 
 from dataclasses import dataclass
@@ -25,20 +28,23 @@ class CouplingMaps:
     velocity unknowns `head` of the saddle system. Both only touch the few
     trace dofs, so they are kept as small dense blocks on the columns
     `cols` (sorted) that F's nonzero entries reach, and on the rows of
-    those that are unknowns. No position is given twice.
+    those that are unknowns, the trace rows `E_rows`. No position is given
+    twice.
     """
 
     def __init__(self, F, head, n_full):
         f_rows, f_cols, f_vals, n_rows = F
         nz = f_vals != 0
+        self.n_rows = n_rows
         self.cols, at = np.unique(f_cols[nz], return_inverse=True)
         self._F_block = np.zeros((n_rows, len(self.cols)))
         self._F_block[f_rows[nz], at] = f_vals[nz]
         pos = -np.ones(n_full, dtype=int)
         pos[head] = np.arange(len(head))
         rows = pos[self.cols]
-        self._E_rows = rows[rows >= 0]
-        self._E_block = -self._F_block[:, rows >= 0].T
+        self.E_rows = rows[rows >= 0]
+        self._F_trace = self._F_block[:, rows >= 0]
+        self.E_block = -self._F_trace.T
 
     def row_weights(self):
         """|F| on `cols` with every row scaled to sum 1: the share of each
@@ -50,10 +56,16 @@ class CouplingMaps:
         """F @ u for a full velocity vector u, or a block of columns."""
         return self._F_block @ u[self.cols]
 
+    def trace_functionals(self, x):
+        """F @ u of a star solution x, given as the unknowns (head) of its
+        system: its eliminated velocity dofs are zero, so F reads x at the
+        trace rows alone. x may be a column block."""
+        return self._F_trace @ x[self.E_rows]
+
     def star_load(self, lam, size):
         """E @ lam, zero-padded to size rows; lam may be a column block."""
         rhs = np.zeros((size,) + np.shape(lam)[1:])
-        rhs[self._E_rows] = self._E_block @ lam
+        rhs[self.E_rows] = self.E_block @ lam
         return rhs
 
 
@@ -139,8 +151,13 @@ class SubdomainOperator:
     darcy.HybridFactors. Every load handed to
     _solve has the LU's rows with its pressure rows scaled: `bar_load` is
     built so once, and a star load (CouplingMaps.star_load at the LU's
-    rows) is zero on the pressure rows. A solve with m columns counts m
-    backsolves.
+    rows) is zero on the pressure rows.
+
+    A backsolve is one subdomain problem solved for one right-hand side:
+    a solve or star solve with m columns counts m, and a flux basis counts
+    N_dof, one star problem per local mortar dof. The Darcy flux basis is
+    a Gram product of forward triangular solves; the symmetry of its
+    multiplier matrix stands in for each dof's backward half-solve.
     """
 
     def __init__(self, system, lu, bar_load):
@@ -151,15 +168,20 @@ class SubdomainOperator:
         self.factorizations = 1
         self.backsolves = 0
 
-    @property
-    def block_rows(self):
-        """Rows of the largest float64 temporary of a one-column solve."""
-        return self.lu.shape[0]
+    def _count(self, rhs):
+        """Count one backsolve per column of rhs (one for a vector)."""
+        self.backsolves += rhs.shape[1] if np.ndim(rhs) == 2 else 1
+
+    def _bar_rhs(self, lam):
+        """The bar load plus, unless lam is None, the star load of lam."""
+        if lam is None:
+            return self.bar_load
+        return self.bar_load + self._star_load(lam)
 
     def _solve(self, rhs, lift=None):
         """Backsolve rhs; eliminated velocity dofs take lift (None: zero)."""
         system = self.system
-        self.backsolves += rhs.shape[1] if rhs.ndim == 2 else 1
+        self._count(rhs)
         sol = self.lu.solve(rhs)
         n_free = len(system.free)
         p = sol[n_free:n_free + system.n_p]

@@ -43,19 +43,38 @@ of Large Sparse Positive Definite Systems, 1981). It keeps the band
 position, cell and factor s_i s_j Q_ij of every cell's contribution to
 H's lower band, and fixed CSC patterns of L and of the back map
 [r; mu] -> [u_free; p], each entry a constant or one cell's K/nu or nu/K
-times a value. A realization sums H's band in LAPACK storage with one
-bincount over the cells, scales the maps' entries, factors H by banded
-Cholesky (dpbtrf) and solves every star/bar load, or block of loads, by
-one multiplier load, one dpbtrs and the back map.
+times a value. A realization sums H's band straight into LAPACK's
+column-major band storage with one bincount over the cells, scales the
+maps' entries, factors H by banded Cholesky (dpbtrf) and solves a bar
+load by one multiplier load, one dpbtrs and the back map.
+
+A star problem is asked only for its flux response F A^-1 E lam, so the
+system also keeps the trace restriction of the maps. With E the trace
+rows (the velocity unknowns F reads), E_blk the star load map on them
+and F_E = -E_blk^T, a star load reaches H only through
+R = L[:, E] E_blk, nonzero on the few multipliers of the trace cells,
+and the back map's velocity rows at E are -L[:, E]^T, because Q is
+symmetric and a load and a value are both read at their owner slot.
+Hence
+
+    F A^-1 E = R^T H^-1 R - P,    P = F_E back_rhs[E, E] F_E^T,
+
+and R and P are the realization's K/nu times fixed patterns. A star
+solve is one dpbtrs on R lam and two small products. The flux basis
+-F A^-1 E = P - Z^T Z, Z = L_H^-1 R with H = L_H L_H^T, needs only the
+forward triangular solves (dtbtrs), in column blocks within
+assembly.BLOCK_BYTES, each from the first multiplier its columns reach;
+it is symmetric, and is stored exactly so.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
 
-from .assembly import CouplingMaps, SubdomainOperator, check_permeability
+from .assembly import (CouplingMaps, SubdomainOperator, block_width,
+                       check_permeability)
 from .errors import SingularOperatorError
 from .geometry import OUTWARD_SIGN, SIDES
 
@@ -115,6 +134,14 @@ class _ScaledPattern:
         return sp.csc_matrix((self.vals * scale[self.which], self.indices,
                               self.indptr), shape=self.shape)
 
+    def column_entries(self, cols):
+        """(rows, k, vals, which) of every stored entry in column cols[k]."""
+        start, count = self.indptr[cols], np.diff(self.indptr)[cols]
+        k = np.repeat(np.arange(len(cols)), count)
+        at = np.arange(count.sum()) + np.repeat(start - np.cumsum(count)
+                                                + count, count)
+        return self.indices[at], k, self.vals[at], self.which[at]
+
 
 class HybridFactors:
     """Saddle solves of one realization through the Cholesky factor of H.
@@ -122,13 +149,11 @@ class HybridFactors:
     `shape` is the saddle system's; solve(rhs) takes one right-hand side
     or a block of columns and returns [u_free; p]: the multiplier load
     L rhs, one dpbtrs with H's banded factor, and the back map applied as
-    its two column halves [r | mu], so that no temporary of a solve has
-    more than `rows` = max(saddle rows, multipliers) rows.
+    its two column halves [r | mu].
     """
 
     def __init__(self, shape, chol, load, back_rhs, back_mu):
         self.shape = shape
-        self.rows = max(shape[0], chol.shape[1])
         self.chol = chol
         self.load = load
         self.back_rhs = back_rhs
@@ -149,8 +174,9 @@ class DarcySystem:
     and the scaled patterns of the hybridized solve (see the module
     docstring), the K-independent bar load and, when given the entries of
     a mortar coupling F (full edge velocity -> signed local mortar
-    functionals), its CouplingMaps, so that a star solve takes a local
-    mortar vector.
+    functionals), its CouplingMaps and the trace restriction of the maps
+    (_trace_maps), so that a star solve takes a local mortar vector and
+    answers at the trace.
     """
 
     def __init__(self, mesh, nu, bcs, traces, f=None, q=None, coupling=None,
@@ -201,6 +227,7 @@ class DarcySystem:
         self.coupling = None
         if coupling is not None:
             self.coupling = CouplingMaps(coupling, free, mesh.n_edges)
+            self._trace_maps()
 
     def _hybridize(self, noflow):
         """Multiplier numbering, H's band fill and the scaled patterns of
@@ -262,7 +289,7 @@ class DarcySystem:
         low = (mj >= 0) & (mi >= mj)
         d = (mi - mj)[low]
         self.kd = int(np.max(d, initial=0))
-        self._band_at = d * n_mult + mj[low]
+        self._band_at = d + (self.kd + 1) * mj[low]
         self._band_cell = cell[low]
         self._band_q = (s[i] * s[j] * Q[i, j])[low]
         # L r = sum_T C_T ((K_T/nu) Q r_T + m g_T / beta)
@@ -287,13 +314,42 @@ class DarcySystem:
             (n_sys, n_mult), (p_row[lg], mk[lg], -(m * s / beta)[k][lg]),
             (ri[um], mj[um], -(Q[i, j] * s[j])[um], cell[um]))
 
+    def _trace_maps(self):
+        """Patterns of R and P on the trace rows E (see the module
+        docstring): sparse maps from the maps' scale [1, K/nu, nu/K] to the
+        entries of R (on the multipliers `reach` that the trace loads
+        reach, sorted) and of P, row-major.
+
+        Every entry of L in a trace column and of back_rhs on E x E is one
+        cell's K/nu times a value, so R and P are sums of such terms.
+        """
+        coupling = self.coupling
+        n_loc, E = coupling.n_rows, coupling.E_block
+        n_scale = 1 + 2 * self.mesh.n_cells
+        mult, t, vals, which = self._load.column_entries(coupling.E_rows)
+        self.reach, mult = np.unique(mult, return_inverse=True)
+        self._R_map = _entry_map(
+            mult[:, None] * n_loc + np.arange(n_loc), which,
+            vals[:, None] * E[t], (len(self.reach) * n_loc, n_scale))
+        pos = -np.ones(self.n_unknowns, dtype=int)
+        pos[coupling.E_rows] = np.arange(len(E))
+        rows, t, vals, which = self._back_rhs.column_entries(coupling.E_rows)
+        on = pos[rows] >= 0
+        t, vals, which = t[on], vals[on], which[on]
+        self._P_map = _entry_map(
+            np.arange(n_loc * n_loc).reshape(n_loc, n_loc), which,
+            vals[:, None, None] * E[pos[rows[on]], :, None] * E[t, None, :],
+            (n_loc * n_loc, n_scale))
+
     def multiplier_band(self, K):
         """H at cell permeabilities K, in LAPACK's lower band storage:
-        band[i - j, j] = H[i, j] for j <= i <= j + kd, zero below."""
-        shape = (self.kd + 1, self.n_mult)
+        band[i - j, j] = H[i, j] for j <= i <= j + kd, zero below. The
+        band is summed in column-major order, so it is handed to dpbtrf
+        without a copy."""
+        n = self.kd + 1
         return np.bincount(
             self._band_at, (K / self.nu)[self._band_cell] * self._band_q,
-            shape[0] * shape[1]).reshape(shape)
+            n * self.n_mult).reshape(self.n_mult, n).T
 
     def _bar_load(self):
         """Momentum source, outer pressure data and mass source (no K)."""
@@ -340,33 +396,99 @@ class DarcySystem:
                 f"(leading minor {info})")
         scale = np.concatenate([[1.0], K / self.nu, self.nu / K])
         n_sys = self.n_unknowns
+        R = P = None
+        if self.coupling is not None:
+            n_loc = self.coupling.n_rows
+            R = (self._R_map @ scale).reshape(len(self.reach), n_loc)
+            P = (self._P_map @ scale).reshape(n_loc, n_loc)
         return DarcyOperator(
             self, HybridFactors((n_sys, n_sys), chol, self._load(scale),
                                 self._back_rhs(scale), self._back_mu(scale)),
-            self.bar_load)
+            self.bar_load, R, P)
+
+
+def _entry_map(at, which, vals, shape):
+    """Sparse map whose row at[...] sums vals[...] times scale[which]; at
+    and vals carry one leading entry per which, zeros are dropped."""
+    at = np.broadcast_to(at, vals.shape)
+    which = np.broadcast_to(which.reshape((-1,) + (1,) * (vals.ndim - 1)),
+                            vals.shape)
+    nz = vals != 0
+    return sp.csr_matrix((vals[nz], (at[nz], which[nz])), shape=shape)
 
 
 class DarcyOperator(SubdomainOperator):
-    """Factored subdomain operator for one permeability realization."""
+    """Factored subdomain operator for one permeability realization.
 
-    @property
-    def block_rows(self):
-        """Saddle rows or multipliers, whichever are more."""
-        return self.lu.rows
+    R and P are its trace maps (DarcySystem._trace_maps), formed when it
+    is factored; None when the system has no coupling.
+    """
 
-    def solve_bar(self):
-        """Solve with full outer data and sources, zero interface data."""
-        return self._solve(self.bar_load)
+    def __init__(self, system, lu, bar_load, R, P):
+        super().__init__(system, lu, bar_load)
+        self.R, self.P = R, P
+
+    def solve_bar(self, lam=None):
+        """Solve with full outer data and sources and, unless lam is None,
+        the star load of the local mortar vector lam: one backsolve."""
+        return self._solve(self._bar_rhs(lam))
 
     def solve_star(self, lam):
-        """Solve with interface data only: rhs = -<lam, v.n_out>.
+        """Flux response F A^-1 E lam to interface data only,
+        rhs = -<lam, v.n_out>.
 
-        `lam` is the local mortar vector of this subdomain, whose star load
-        is E @ lam (CouplingMaps.star_load), or a block (n_local, m) of
-        such vectors, solved together as m backsolves into fields with a
-        trailing axis of m columns.
+        `lam` is the local mortar vector of this subdomain or a block
+        (n_local, m) of them, answered together as m backsolves: one
+        dpbtrs on R lam, then R^T H^-1 R lam - P lam.
         """
-        return self._solve(self._star_load(lam))
+        self._count(lam)
+        chol, reach = self.lu.chol, self.system.reach
+        out = -(self.P @ lam)
+        if chol.shape[1]:  # else no interior or no-flow edge
+            rhs = np.zeros((chol.shape[1],) + np.shape(lam)[1:])
+            rhs[reach] = self.R @ lam
+            out += self.R.T @ dpbtrs(chol, rhs, lower=1,
+                                     overwrite_b=1)[0][reach]
+        return out
+
+    def flux_basis(self):
+        """-F A^-1 E = P - Z^T Z, Z = L_H^-1 R, exactly symmetric; N_dof
+        backsolves.
+
+        Z is solved by dtbtrs with H's banded factor, the columns taken
+        in the order of the first multiplier each one's R reaches. Z is
+        zero above that row, so a block's solve starts at its first
+        column's, its width is block_width of the rows it solves, and a
+        pair of blocks meets only below the later start.
+        """
+        P = self.P
+        n_loc = len(P)
+        self.backsolves += n_loc
+        B = P.copy()
+        chol, reach = self.lu.chol, self.system.reach
+        if not (chol.shape[1] and len(reach)):
+            return B
+        first = reach[np.argmax(self.R != 0, axis=0)]
+        order = np.argsort(first, kind="stable")
+        Z, j = [], 0
+        while j < n_loc:
+            start = first[order[j]]
+            cols = order[j:j + block_width(chol.shape[1] - start)]
+            j += len(cols)
+            at = np.searchsorted(reach, start)
+            rhs = np.zeros((chol.shape[1] - start, len(cols)), order="F")
+            rhs[reach[at:] - start] = self.R[at:, cols]
+            Z.append((cols, start, dtbtrs(chol[:, start:], rhs, uplo="L",
+                                          overwrite_b=1)[0]))
+        for a, (ca, sa, Za) in enumerate(Z):
+            for cb, sb, Zb in Z[a:]:
+                G = Za[sb - sa:].T @ Zb
+                B[np.ix_(ca, cb)] -= G
+                if cb is not ca:
+                    B[np.ix_(cb, ca)] -= G.T
+        low = np.tril_indices(n_loc, -1)
+        B[low] = B.T[low]
+        return B
 
     def cell_values(self, sol):
         """Cell-center velocity vectors (n_cells, 2) and cell pressures."""

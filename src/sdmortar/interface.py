@@ -6,8 +6,12 @@ With the coupling maps of each subdomain's invariant system (see
 problem.py), S lam = sum_i scatter(-F_i A_i^-1 E_i lam_i) and
 g = sum_i scatter(F_i u_bar,i), where A_i is the realization's factored
 operator, lam_i = problem.star_data(i, lam) the local mortar vector and
-F_i u = problem.side_functionals(i, sol). Both sums, and the apply of the
-S2/S3 bases, are one mortar.jump over the subdomains in order.
+F_i u = problem.side_functionals(i, sol). A star solve answers at the
+trace: op.solve_star(lam_i) is the flux response F_i A_i^-1 E_i lam_i
+itself, and no star problem builds its subdomain fields. Both sums, and
+the apply of the S2/S3 bases, are one mortar.jump over the subdomains in
+order. The fields of a realization are recovered by one solve with the
+bar data and the interface data lam_i together (recover_fields).
 
 The three methods differ only in the key a subdomain's factored operator
 A_i and flux response basis B_i = -F_i A_i^-1 E_i (see compute_flux_basis)
@@ -17,8 +21,9 @@ are cached under, and in whether B_i is built (see _key):
   subdomain per CG iteration; it builds no basis.
 * S2 keys by realization too and applies S through the bases.
 * S3 keys a Darcy subdomain by the local realization of its KL region and
-  a Stokes subdomain by the mean field, so a Stokes basis is frozen at the
-  mean-field permeability.
+  a Stokes subdomain by the mean field (key None), so a Stokes basis is
+  frozen at the mean-field permeability; that entry is built at set-up
+  and its basis serves the preconditioner too.
 
 The key sets how long an entry lives (_lifetimes): it is built at the first
 realization with its key and dropped after the last, so S3 frees a Darcy
@@ -43,7 +48,9 @@ realization k rescales it by the permeability under each mortar dof, so
 a solve costs no subdomain work beyond its CG iterations. The
 mean-field bases cost one set-up factorization per Darcy subdomain (a
 Stokes one solves with its reference LU) and N_dof_i set-up backsolves
-per subdomain, counted in setup_factorizations and setup_backsolves.
+per subdomain, counted in setup_factorizations and setup_backsolves; an
+S3 Stokes subdomain's mean-field basis is its cached entry's, counted
+with the sweep's basis backsolves, so it costs no set-up backsolve.
 
 Backsolve counts per subdomain follow the identities
 S1: sum_k N_iter(k) + 2 N_real, S2: N_dof_i N_real + 2 N_real,
@@ -54,9 +61,9 @@ about equal unknown count (worker_count caps the number of groups at the
 usable cores and the subdomain count). Group 0 runs in this process, the
 others in children forked after problem.systems(), one Pipe each, as in
 the paper, where each processor owns some subdomains. A group keeps the
-cached operators and bases and the bar solutions of its own subdomains:
-per realization it fetches or builds their operators and bases, runs their
-bar solves, answers the S1 star solves and recovers their fields. It
+cached operators and bases of its own subdomains: per realization it
+fetches or builds their operators and bases, runs their bar solves,
+answers the S1 star solves and recovers their fields. It
 builds the Stokes references of its subdomains when it first factors them,
 after the fork, and drops them when the sweep finishes.
 Only mortar vectors, bases and output fields cross the pipes. The parent
@@ -77,7 +84,6 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .assembly import Solution, block_width
 from .errors import ConvergenceError, SingularOperatorError, SizeCapError
 from .moments import MomentAccumulator
 from .mortar import jump
@@ -388,7 +394,7 @@ class _Group:
         self.grid = grid
         self.lifetimes = lifetimes
         self.sid = None
-        self.cache, self.ops, self.bars, self.refs = {}, {}, {}, {}
+        self.cache, self.ops, self.refs = {}, {}, {}
 
     def _each(self, work):
         out = {}
@@ -426,31 +432,32 @@ class _Group:
     def mean_bases(self):
         """{sid: (dofs, B_i)}: each owned subdomain's flux basis at y = 0.
 
-        A Stokes subdomain solves with its reference LU, a Darcy one with
-        its mean-field operator, factored here. Both are set-up work: the
-        Darcy factorization and the N_dof_i unit solves go to
-        setup_factorizations and setup_backsolves. Like StokesReference's
-        W, the unit loads bypass assemble_subdomain and solve_star (they
-        call the operator's _solve), so each call of those two is still
-        work that the identities count.
+        A cache key of None is the mean-field entry (S3's Stokes
+        subdomains): it is built here, as the sweep's own entry, and its
+        basis serves. Otherwise a Stokes subdomain solves with its
+        reference LU, a Darcy one with its mean-field operator, factored
+        here. Both are set-up work: the Darcy factorization and the
+        N_dof_i unit solves go to setup_factorizations and
+        setup_backsolves. Like StokesReference's W, they bypass
+        assemble_subdomain and solve_star (a Stokes basis calls the
+        operator's _star), so each call of those two is still work that
+        the identities count.
         """
         problem = self.problem
         zero = np.zeros(problem.perm.n_dims)
 
         def work(sid):
+            if _key(problem, self.grid, self.method, sid, 0, zero)[0] is None:
+                return self._operator(sid, 0, zero)[1]
             K = problem.sample_permeability(sid, zero)
             reference = self._reference(sid)
-            if reference is None:
-                op = problem.systems()[sid].factor(K)
-                self.stats.setup_factorizations[sid] += 1
-            else:
-                op = reference.factor(K)
-            coupling = op.system.coupling
             dofs = problem.sub_dofs[sid]
             self.stats.setup_backsolves[sid] += len(dofs)
-            return dofs, _unit_responses(
-                len(dofs), op.block_rows, lambda unit: -coupling.functionals(
-                    op._solve(op._star_load(unit)).u))
+            if reference is None:
+                self.stats.setup_factorizations[sid] += 1
+                return dofs, problem.systems()[sid].factor(K).flux_basis()
+            op = reference.factor(K)
+            return dofs, op._unit_basis(op._star)
 
         return self._each(work)
 
@@ -460,8 +467,7 @@ class _Group:
         def work(sid):
             op, basis = self._operator(sid, k, y)
             self.ops[sid] = op
-            self.bars[sid] = op.solve_bar()
-            return self.problem.side_functionals(sid, self.bars[sid]), basis
+            return self.problem.side_functionals(sid, op.solve_bar()), basis
 
         return self._each(work)
 
@@ -475,11 +481,11 @@ class _Group:
         """Fields of the owned subdomains at realization k; then harvest the
         counters of every entry whose last realization is k and drop it."""
         fields = self._each(lambda sid: recover_fields(
-            self.problem, sid, self.ops[sid], self.bars[sid],
+            self.problem, sid, self.ops[sid],
             self.problem.star_data(sid, lam)))
         for entry in [e for e in self.cache if self.lifetimes[e][1] == k]:
             self.stats.harvest(entry[0], self.cache.pop(entry)[0])
-        self.ops, self.bars = {}, {}
+        self.ops = {}
         return fields
 
     def finish(self):
@@ -630,43 +636,31 @@ class _Groups:
 def star_response(problem, sid, op, lam_local):
     """-F_i A_i^-1 E_i lam_i: subdomain sid's share of S lam, local order.
 
-    op is the subdomain's factored operator; lam_local may be a block of
-    local mortar vectors, one per column.
+    op is the subdomain's factored operator, whose star solve returns the
+    flux response itself; lam_local may be a block of local mortar
+    vectors, one per column.
     """
-    return -problem.side_functionals(sid, op.solve_star(lam_local))
+    return -op.solve_star(lam_local)
 
 
 def compute_flux_basis(problem, sid, op, stats):
     """Local response matrix B_i = -F_i A_i^-1 E_i, so S lam|_i = B_i lam|_i.
 
-    One star solve per local mortar dof, counted as basis backsolves. The
-    unit loads are solved in blocks of block_width(op.block_rows) columns,
-    block_rows being the rows of the largest temporary of the operator's
-    solve, so that no block handed to a factor, and no temporary of its
-    solve, exceeds assembly.BLOCK_BYTES (120 KiB). Unbounded blocks raised
-    the peak resident memory of an S3 sweep on the x2 meshes from
-    108.6-109.3 MB to 111.4-112.0 MB (5 processes each), because their
-    buffers crossed glibc's 128 KiB mmap threshold.
+    op.flux_basis() counts one backsolve per local mortar dof, and so do
+    the sweep's basis backsolves. A Darcy basis is the Gram form of the
+    operator's trace maps (darcy.py), a Stokes basis the star responses
+    to the unit loads. The blocks of right-hand sides handed to a factor
+    (Stokes unit loads, Darcy triangular solves), and the blocks it
+    returns, stay within assembly.BLOCK_BYTES (120 KiB). Unbounded blocks
+    of unit loads raised the peak resident memory of an S3 sweep on the
+    x2 meshes from 108.6-109.3 MB to 111.4-112.0 MB (5 processes each),
+    because their buffers crossed glibc's 128 KiB mmap threshold.
     """
     dofs = problem.sub_dofs[sid]
     before = op.backsolves
-    B = _unit_responses(len(dofs), op.block_rows, lambda unit: star_response(
-        problem, sid, op, unit))
+    B = op.flux_basis()
     stats.basis_backsolves[sid] += op.backsolves - before
     return dofs, B
-
-
-def _unit_responses(nd, block_rows, respond):
-    """nd x nd matrix whose column j is respond(e_j), e_j the unit vector,
-    solved in column blocks of block_width(block_rows)."""
-    B = np.empty((nd, nd))
-    width = block_width(block_rows)
-    for j in range(0, nd, width):
-        m = min(width, nd - j)
-        unit = np.zeros((nd, m))
-        unit[j + np.arange(m), np.arange(m)] = 1.0
-        B[:, j:j + m] = respond(unit)
-    return B
 
 
 def basis_apply(space, bases):
@@ -679,11 +673,11 @@ def basis_apply(space, bases):
     return apply_fn
 
 
-def recover_fields(problem, sid, op, bar, lam_local):
-    """Output fields of one subdomain: a star backsolve plus its bar solution."""
-    star = op.solve_star(lam_local)
-    total = Solution(bar.u + star.u, bar.p + star.p)
-    return problem.postprocess(sid, op, total)
+def recover_fields(problem, sid, op, lam_local):
+    """Output fields of one subdomain: one backsolve with its bar data and
+    the interface data lam_local together (op.solve_bar(lam_local)),
+    post-processed."""
+    return problem.postprocess(sid, op, op.solve_bar(lam_local))
 
 
 def _fields_dict(problem, per_sid, lam):

@@ -30,9 +30,11 @@ system's CouplingMaps places them in a dense block on the columns they
 reach.
 
 The interface solver couples through three steps: `star_data` restricts a
-global mortar vector to subdomain i (lam_i, which E_i turns into a star
-load), `side_functionals` applies F_i to a subdomain solution, and
-mortar.jump scatters and sums the subdomains' results.
+global mortar vector to subdomain i (lam_i), the star solve returns the
+flux response F_i A_i^-1 E_i lam_i, read at the trace rows without
+building the subdomain's fields (assembly.SubdomainOperator), and
+mortar.jump scatters and sums the subdomains' results. `side_functionals`
+applies F_i to full fields; it serves the bar solutions alone.
 """
 
 from dataclasses import dataclass, field
@@ -200,9 +202,10 @@ class StokesDarcyProblem:
         return lam[self.sub_dofs[sid]]
 
     def side_functionals(self, sid, sol):
-        """F_i u: signed local mortar functionals of a solution of sid.
+        """F_i u: signed local mortar functionals of a solution of sid (a
+        bar solution, whose u includes the Dirichlet lift).
 
-        sol.u may carry a trailing axis of columns (a block star solve).
+        sol.u may carry a trailing axis of columns.
         """
         return self.systems()[sid].coupling.functionals(sol.u)
 

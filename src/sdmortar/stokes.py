@@ -503,20 +503,48 @@ class StokesOperator(SubdomainOperator):
     def kernel_dim(self):
         return self.lu.shape[0] - self.system.n_unknowns
 
-    def solve_bar(self):
-        """Solve with body force, outer Dirichlet lifts, outer tractions."""
-        return self._solve(self.bar_load, self.system.g_dir)
+    def solve_bar(self, lam=None):
+        """Solve with body force, outer Dirichlet lifts, outer tractions
+        and, unless lam is None, the star load of the local mortar vector
+        lam: one backsolve."""
+        return self._solve(self._bar_rhs(lam), self.system.g_dir)
 
     def solve_star(self, lam):
-        """Solve with interface data only: -sigma <lam_n, v.n> - sigma <lam_t, v.tau>.
+        """Flux response F A^-1 E lam to interface data only:
+        -sigma <lam_n, v.n> - sigma <lam_t, v.tau>.
 
         `lam` is the local mortar vector of this subdomain, whose star load
         is E @ lam (CouplingMaps.star_load), or a block (n_local, m) of
-        such vectors, solved together as m backsolves into fields with a
-        trailing axis of m columns. Homogeneous outer data, so that the
-        interface operator stays linear in lambda.
+        such vectors, solved together as m backsolves. Homogeneous outer
+        data, so that the interface operator stays linear in lambda.
         """
-        return self._solve(self._star_load(lam))
+        return self._star(lam)
+
+    def _star(self, lam):
+        """solve_star's work: the LU solution read at the trace rows."""
+        self._count(lam)
+        return self.system.coupling.trace_functionals(
+            self.lu.solve(self._star_load(lam)))
+
+    def flux_basis(self):
+        """-F A^-1 E, column j the response to the unit local mortar
+        vector e_j through solve_star: N_dof backsolves."""
+        return self._unit_basis(self.solve_star)
+
+    def _unit_basis(self, respond):
+        """-respond(e_j) in column j, for every unit local mortar vector,
+        solved in column blocks of block_width(LU rows) so that no block
+        handed to the LU, and no temporary of its solve, exceeds
+        assembly.BLOCK_BYTES."""
+        nd = self.system.coupling.n_rows
+        B = np.empty((nd, nd))
+        width = block_width(self.lu.shape[0])
+        for j in range(0, nd, width):
+            m = min(width, nd - j)
+            unit = np.zeros((nd, m))
+            unit[j + np.arange(m), np.arange(m)] = 1.0
+            B[:, j:j + m] = -respond(unit)
+        return B
 
     # -- postprocessing -----------------------------------------------------
 

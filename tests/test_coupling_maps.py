@@ -97,22 +97,24 @@ def assert_maps_match_dicts(problem, y, rng):
         assert _close(B, ref)
 
     # the bar jump the interface solver ships, against the dict jump of the
-    # same bar solutions; F_i on the bar velocity includes the Dirichlet lift
+    # bar solutions of the same operators; F_i on the bar velocity includes
+    # the Dirichlet lift
     with _Groups(problem, "S1", 1, SolveStats.new("S1", n_sub), None,
                  _lifetimes(problem, None, "S1", [y])) as groups:
         g, _ = groups.realize(0, y)
-        ship_bars = groups._local.bars
+        ship_ops = groups._local.ops
         want = oracles.entry_jump(problem.space, [
             e for sid in sids
-            for e in oracles.side_functionals(problem, sid, ship_bars[sid])])
+            for e in oracles.side_functionals(problem, sid,
+                                              ship_ops[sid].solve_bar())])
         assert _close(g, want)
 
-    # recovered fields
+    # recovered fields: one solve with bar and interface data, against the
+    # bar solution plus the dict path's star solution
     bars = [op.solve_bar() for op in ops]
     lam = rng.standard_normal(problem.space.n_dof)
     for sid in sids:
-        fields = recover_fields(problem, sid, ops[sid], bars[sid],
-                                lam[dofs[sid]])
+        fields = recover_fields(problem, sid, ops[sid], lam[dofs[sid]])
         star, _ = _reference_star(problem, sid, ops[sid], lam)
         total = type(star)(bars[sid].u + star.u, bars[sid].p + star.p)
         want = problem.postprocess(sid, ops[sid], total)

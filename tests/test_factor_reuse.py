@@ -20,7 +20,7 @@ from scipy.sparse.linalg import splu
 from _oracles import (fresh_operator, fresh_stokes, per_column_flux_basis,
                       saddle_gap, stokes_saddle_matrix, trace_coupling)
 from conftest import load_case
-from sdmortar import stokes
+from sdmortar import darcy, stokes
 from sdmortar.assembly import BLOCK_BYTES
 from sdmortar.errors import SingularOperatorError
 from sdmortar.geometry import (Block, build_layout, build_subdomain_mesh,
@@ -140,6 +140,27 @@ def test_darcy_map_entries_are_single_terms(name, refine):
             assert np.all(pattern.vals != 0.0), sid
 
 
+@pytest.mark.parametrize("refine", (1, 2))
+def test_multiplier_band_is_summed_in_lapack_column_order(refine):
+    """H's band is summed straight into column-major storage: it equals,
+    bit for bit, the row-major sum of the same contributions, and dpbtrf
+    factors it in place, without a copy."""
+    case = load_case("case1_mini", refine=refine)
+    problem = case.problem
+    for sid in darcy_sids(problem):
+        system = problem.systems()[sid]
+        K = problem.sample_permeability(sid, case.grid.points[-1])
+        band = system.multiplier_band(K)
+        n = system.kd + 1
+        d, j = np.divmod(system._band_at, n)[::-1]
+        rows = np.bincount(d * system.n_mult + j, (K / system.nu)[
+            system._band_cell] * system._band_q, n * system.n_mult)
+        assert band.flags.f_contiguous
+        assert np.array_equal(band, rows.reshape(n, system.n_mult))
+        chol, info = darcy.dpbtrf(band, lower=1, overwrite_ab=1)
+        assert info == 0 and np.shares_memory(chol, band)
+
+
 def test_singular_matrix_on_the_reused_order_raises(splu_calls,
                                                     monkeypatch):
     """A multiplier matrix that is not positive definite, on the order a
@@ -227,21 +248,31 @@ def test_structural_zeros_are_dropped():
 # -- column-block solves --------------------------------------------------
 
 
-def assert_block_matches_columns(op, lam, solve):
-    """One backsolve per column; columns equal the single solves.
+def full_star_response(op, lam):
+    """F u of the operator's full-field star solve: the star load backsolved
+    by _solve, its velocity scattered to every dof and read by F."""
+    return op.system.coupling.functionals(op._solve(op._star_load(lam)).u)
 
-    A multi-column solve rounds differently: the velocities agree to 1e-14
-    in norm (5e-15 measured, Darcy 8e-16), the Stokes star pressures to
-    3.3e-14 (Darcy 3.6e-16).
+
+def assert_block_matches_columns(op, lam):
+    """solve_star: one backsolve per column; columns equal the single
+    solves, and both equal F u of the full-field star solve.
+
+    A multi-column solve rounds differently from one column; the full
+    solve takes another route to the trace (Darcy: the back map, not
+    R^T H^-1 R - P).
     """
     before = op.backsolves
-    block = solve(lam)
+    block = op.solve_star(lam)
     assert op.backsolves == before + lam.shape[1]
+    full = full_star_response(op, lam)
+    assert np.linalg.norm(block - full) <= 1e-12 * np.linalg.norm(full)
     for j in range(lam.shape[1]):
-        single = solve(lam[:, j])
-        for got, ref, tol in ((block.u[:, j], single.u, 1e-14),
-                              (block.p[:, j], single.p, 1e-13)):
-            assert np.linalg.norm(got - ref) <= tol * np.linalg.norm(ref)
+        single = op.solve_star(lam[:, j])
+        ref = full_star_response(op, lam[:, j])
+        assert np.linalg.norm(single - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert (np.linalg.norm(block[:, j] - single)
+                <= 1e-14 * np.linalg.norm(single))
 
 
 @pytest.mark.parametrize("name", ("case1_mini", "case2_mini"))
@@ -252,8 +283,7 @@ def test_block_star_solve_matches_single_solves(name):
     for sid in range(problem.layout.n_subdomains):
         op = fresh_operator(problem, sid, case.grid.points[3])
         nd = len(problem.space.sub_dofs(problem.layout, sid))
-        assert_block_matches_columns(op, rng.standard_normal((nd, 5)),
-                                     op.solve_star)
+        assert_block_matches_columns(op, rng.standard_normal((nd, 5)))
 
 
 def test_block_star_solve_with_three_kernel_constraints():
@@ -266,7 +296,7 @@ def test_block_star_solve_with_three_kernel_constraints():
     op = fresh_stokes(system, {tr.iface.index: np.ones(2)})
     assert op.kernel_dim == 3
     lam = np.random.default_rng(2).standard_normal((F[3], 4))
-    assert_block_matches_columns(op, lam, op.solve_star)
+    assert_block_matches_columns(op, lam)
 
 
 @pytest.mark.parametrize("name", CONFIGS)
@@ -285,17 +315,60 @@ def test_flux_basis_matches_per_column_oracle(name):
         assert op.backsolves == 2 * len(dofs)
 
 
+@pytest.mark.parametrize("refine", (1, 2))
+@pytest.mark.parametrize("name", CONFIGS)
+def test_darcy_gram_basis_is_the_unit_response_basis(name, refine):
+    """P - Z^T Z equals -F A^-1 E of the full-field star solves of the unit
+    loads and is exactly symmetric; it counts N_dof backsolves."""
+    case = load_case(name, refine=refine)
+    problem = case.problem
+    for sid in darcy_sids(problem):
+        op = fresh_operator(problem, sid, case.grid.points[-1])
+        nd = len(problem.sub_dofs[sid])
+        B = op.flux_basis()
+        assert op.backsolves == nd
+        ref = -full_star_response(op, np.eye(nd))
+        assert np.max(np.abs(B - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(B, B.T)
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_bar_solve_with_interface_data_is_bar_plus_star(name):
+    """solve_bar(lam), one backsolve, gives the fields of the bar solve
+    plus those of the full-field star solve of lam."""
+    case = load_case(name)
+    problem = case.problem
+    rng = np.random.default_rng(4)
+    for sid in range(problem.layout.n_subdomains):
+        op = fresh_operator(problem, sid, case.grid.points[1])
+        lam = rng.standard_normal(len(problem.sub_dofs[sid]))
+        before = op.backsolves
+        both = op.solve_bar(lam)
+        assert op.backsolves == before + 1
+        bar, star = op.solve_bar(), op._solve(op._star_load(lam))
+        for got, a, b in ((both.u, bar.u, star.u), (both.p, bar.p, star.p)):
+            assert np.linalg.norm(got - (a + b)) <= 1e-13 * np.linalg.norm(
+                a + b), sid
+
+
+def test_darcy_block_without_interfaces_has_an_empty_basis():
+    """N_dof = 0: a 0 x 0 basis and an empty star response."""
+    mesh = build_subdomain_mesh(Block((0, 0, 1, 1), "darcy", (3, 2), 0))
+    none = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0), 0)
+    system = darcy.DarcySystem(mesh, 1.0, {"left": darcy.DarcyBC("pressure")},
+                               [], coupling=none)
+    op = system.factor(np.ones(mesh.n_cells))
+    assert op.flux_basis().shape == (0, 0)
+    assert op.solve_star(np.zeros(0)).shape == (0,)
+    assert op.backsolves == 1
+
+
 class Recording:
-    """A solve map that records the bytes of every block it returns."""
+    """A factor that records the bytes of every block it returns."""
 
     def __init__(self, inner, sizes):
         self.inner, self.sizes = inner, sizes
         self.shape = inner.shape
-
-    def __matmul__(self, rhs):
-        out = self.inner @ rhs
-        self.sizes.append(out.nbytes)
-        return out
 
     def solve(self, rhs):
         out = self.inner.solve(rhs)
@@ -303,30 +376,36 @@ class Recording:
         return out
 
 
-def test_basis_blocks_stay_within_the_byte_budget():
-    """Every block a basis solve hands to its factor, and every temporary
-    a Darcy solve builds (multiplier load, back map halves), stays within
-    BLOCK_BYTES."""
+def test_basis_blocks_stay_within_the_byte_budget(monkeypatch):
+    """Every block a basis solve hands to its factor (a Stokes LU's unit
+    loads, a Darcy block's triangular solves with the factor of H), and
+    every block the factor returns, stays within BLOCK_BYTES."""
     case = load_case("case1_mini", refine=2)
     problem = case.problem
     stats = SolveStats.new("S2", problem.layout.n_subdomains)
+    sizes, temps = [], []
+    triangular = darcy.dtbtrs
+
+    def spy_triangular(ab, b, **kw):
+        sizes.append((b.nbytes, b.shape[1:]))
+        out = triangular(ab, b, **kw)
+        temps.append(out[0].nbytes)
+        return out
+
+    monkeypatch.setattr(darcy, "dtbtrs", spy_triangular)
     for sid in range(problem.layout.n_subdomains):
         op = fresh_operator(problem, sid, case.grid.points[0])
-        sizes, temps = [], []
-        if problem.layout.blocks[sid].physics == "darcy":
-            lu = op.lu
-            lu.load, lu.back_rhs, lu.back_mu = (
-                Recording(m, temps) for m in (lu.load, lu.back_rhs,
-                                              lu.back_mu))
-        else:
+        sizes.clear()
+        temps.clear()
+        if problem.layout.blocks[sid].physics == "stokes":
             op.lu = Recording(op.lu, temps)
-        solve = op.lu.solve
+            solve = op.lu.solve
 
-        def spy(rhs):
-            sizes.append((rhs.nbytes, rhs.shape[1:]))
-            return solve(rhs)
+            def spy(rhs):
+                sizes.append((rhs.nbytes, rhs.shape[1:]))
+                return solve(rhs)
 
-        op.lu.solve = spy
+            op.lu.solve = spy
         dofs, _ = compute_flux_basis(problem, sid, op, stats)
         assert sum(shape[0] for _, shape in sizes) == len(dofs)
         assert max(nbytes for nbytes, _ in sizes) <= BLOCK_BYTES

@@ -312,11 +312,13 @@ def test_s3_prepare_matches_the_reference_bitwise(name):
 
 def test_s3_builds_each_entry_once_and_drops_it_after_its_last_use(
         case1, monkeypatch):
-    """Every (sid, key) entry of an S3 sweep is built once, during the
-    first realization with its key, and harvested at the recovery of its
-    last (_lifetimes); case1_mini needs 26 bases and 30 sparse factors
-    (2 Stokes LUs, 24 Darcy banded Cholesky factors, and the 4 mean-field
-    Darcy factors of the preconditioner)."""
+    """Every (sid, key) entry of an S3 sweep is built once, a Darcy one
+    during the first realization with its key, a Stokes one (key None, the
+    mean field) at set-up, where its basis serves the preconditioner, and
+    harvested at the recovery of its last realization (_lifetimes);
+    case1_mini needs 26 bases and 30 sparse factors (2 Stokes LUs, 24
+    Darcy banded Cholesky factors, and the 4 mean-field Darcy factors of
+    the preconditioner)."""
     problem, grid = case1.problem, case1.grid
     table = {}
     for k in range(grid.n_real):
@@ -328,9 +330,10 @@ def test_s3_builds_each_entry_once_and_drops_it_after_its_last_use(
     now, entry_of, built, harvested, factors = [None], {}, {}, {}, []
 
     def phased(name, fn):
-        def wrapped(self, k, *args):
-            now[0] = name, k
-            return fn(self, k, *args)
+        def wrapped(self, *args):
+            # set-up (mean_bases) asks for the mean field, as realization 0
+            now[0] = name, args[0] if args else 0
+            return fn(self, *args)
         return wrapped
 
     def basis(problem, sid, op, stats):
@@ -357,11 +360,12 @@ def test_s3_builds_each_entry_once_and_drops_it_after_its_last_use(
     monkeypatch.setattr(darcy, "dpbtrf", counted(darcy.dpbtrf))
     monkeypatch.setattr(interface, "compute_flux_basis", basis)
     monkeypatch.setattr(SolveStats, "harvest", harvested_at)
-    for name in ("realize", "recover"):
+    for name in ("mean_bases", "realize", "recover"):
         monkeypatch.setattr(_Group, name, phased(name,
                                                  getattr(_Group, name)))
     res = run_method(problem, grid, method="S3")
-    assert built == {e: [("realize", first)]
+    assert built == {e: [("realize" if e[1] is not None else "mean_bases",
+                          first)]
                      for e, (first, _) in table.items()}
     assert harvested == {e: [("recover", last)]
                          for e, (_, last) in table.items()}

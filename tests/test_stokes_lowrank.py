@@ -39,6 +39,13 @@ def assert_same_solution(got, ref):
     assert np.linalg.norm(got.p - ref.p) <= RTOL * np.linalg.norm(ref.p)
 
 
+def assert_same_star(got, ref, lam):
+    """solve_star of lam and the full fields of its star loads (_solve)."""
+    assert gap(got.solve_star(lam), ref.solve_star(lam)) <= RTOL
+    assert_same_solution(got._solve(got._star_load(lam)),
+                         ref._solve(ref._star_load(lam)))
+
+
 def stokes_sids(problem):
     return [sid for sid, b in enumerate(problem.layout.blocks)
             if b.physics == "stokes"]
@@ -47,8 +54,10 @@ def stokes_sids(problem):
 def check_realizations(case, points):
     """Low-rank against fresh operators of every Stokes subdomain.
 
-    solve_bar, a block solve_star of 5 random columns and the flux basis
-    at every point. Returns the (kernel dimension, rank r) of each.
+    solve_bar, a block solve_star of 5 random columns (its responses and
+    the full fields of the same star loads), solve_bar with interface data
+    and the flux basis at every point. Returns the (kernel dimension,
+    rank r) of each.
     """
     problem = case.problem
     rng = np.random.default_rng(7)
@@ -64,7 +73,9 @@ def check_realizations(case, points):
             assert low.factorizations == 1
             assert_same_solution(low.solve_bar(), fresh.solve_bar())
             lam = rng.standard_normal((nd, 5))
-            assert_same_solution(low.solve_star(lam), fresh.solve_star(lam))
+            assert_same_star(low, fresh, lam)
+            assert_same_solution(low.solve_bar(lam[:, 0]),
+                                 fresh.solve_bar(lam[:, 0]))
             _, B_low = compute_flux_basis(problem, sid, low, stats)
             _, B_ref = compute_flux_basis(problem, sid, fresh, stats)
             assert gap(B_low, B_ref) <= RTOL
@@ -191,7 +202,7 @@ def test_lowrank_all_stress_block(alpha, kernel_dim, rank):
         kl = {tr.iface.index: np.array(kvals)}
         low, fresh = ref.factor(kl), fresh_stokes(system, kl)
         assert low.kernel_dim == fresh.kernel_dim == kernel_dim
-        assert_same_solution(low.solve_star(lam), fresh.solve_star(lam))
+        assert_same_star(low, fresh, lam)
 
 
 # -- sparse LUs and set-up counters of a sweep ----------------------------
@@ -237,15 +248,18 @@ def test_manifest_setup_totals(case1, case1_sweeps):
     """Set-up work: every method factors the two Stokes references and
     each Darcy block once at the mean field, and solves N_dof,i = 12, 12,
     20, 20, 16, 16 unit loads per block for the mean-field preconditioner;
-    S3 never needs W (16 and 17 backsolves in S1/S2)."""
-    basis = [12, 12, 20, 20, 16, 16]
+    S3 never needs W (16 and 17 backsolves in S1/S2), and its Stokes
+    blocks' mean-field bases are their cached entries' (basis backsolves,
+    not set-up)."""
     for method, want in (("S1", (6, 129)), ("S2", (6, 129)),
-                         ("S3", (6, 96))):
+                         ("S3", (6, 72))):
         result = case1_sweeps.results[method]
         m = run_manifest(case1.cfg, case1.problem, case1.grid, result)
         got = (m["total_setup_factorizations"], m["total_setup_backsolves"])
         assert got == want, method
         assert list(result.stats.setup_factorizations) == [1] * 6
+        basis = [12, 12] if method != "S3" else [0, 0]
+        basis += [20, 20, 16, 16]
         w = [16, 17, 0, 0, 0, 0] if method != "S3" else [0] * 6
         assert list(result.stats.setup_backsolves) == [
             a + b for a, b in zip(basis, w)]
