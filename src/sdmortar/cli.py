@@ -4,15 +4,18 @@ import argparse
 import json
 import sys
 
-from .config import (_is_int, _validate_collocation, build_from_config,
-                     build_grid, build_kl_regions, config_dir_of, load_json,
-                     parse_config)
+from .config import (COLLOCATION, KL_REGIONS, build_from_config, build_grid,
+                     build_kl_regions, check_collocation, config_dir_of,
+                     integer, load_json, parse_config, validate_config)
 from .errors import ConfigError, ConvergenceError, SizeCapError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CONVERGENCE = 3
 EXIT_RESOURCE = 4
+
+_SPLITS = integer("{path}: splits must be a list of ints >= 1", 1, n=0,
+                  scalar=False)
 
 
 def _fail(exc, code):
@@ -61,14 +64,12 @@ def _cmd_validate(args):
 
 def _region_specs(data):
     """KL region list from either a run config or one bare region object."""
-    from .config import _validate_kl_regions
-
     if isinstance(data, dict) and "kl_regions" in data:
-        raw = {"kl_regions": data["kl_regions"]}
+        data = data["kl_regions"]
     else:
-        raw = {"kl_regions": [data]}
+        data = [data]
     errors = []
-    specs = _validate_kl_regions(raw, errors)
+    specs = KL_REGIONS(data, "", "kl_regions", errors)
     if errors:
         raise ConfigError(errors)
     return specs
@@ -91,11 +92,11 @@ def _build_bare_grid(data):
     spec = dict(data)
     splits = spec.pop("splits", None)
     errors = []
-    if splits is not None and not (isinstance(splits, list) and splits and all(
-            _is_int(n, 1) for n in splits)):
-        errors.append("grid spec: splits must be a list of ints >= 1")
-    n_dims = sum(splits) if splits and not errors else None
-    col = _validate_collocation({"collocation": spec}, n_dims, errors)
+    if splits is not None:
+        splits = _SPLITS(splits, "", "grid spec", errors)
+    n_dims = sum(splits) if splits else None
+    col = COLLOCATION(spec, "", "collocation", errors)
+    check_collocation(col, n_dims, errors)
     if not errors and splits is None and not isinstance(col.get("m"), list):
         errors.append("grid spec: 'splits' required unless m is a list")
     if errors:
@@ -106,8 +107,6 @@ def _build_bare_grid(data):
 def _cmd_grid(args):
     data = load_json(args.spec)
     if isinstance(data, dict) and "domain" in data:
-        from .config import validate_config
-
         cfg = validate_config(data)
         _, grid, _ = build_from_config(cfg, config_dir_of(args.spec))
     else:

@@ -1,8 +1,27 @@
-"""JSON run configuration: validation, normalization, and problem building."""
+"""JSON run configuration: validation, normalization, and problem building.
+
+Validation is one walk over a field table. `CONFIG` describes each section
+once: every field has a type (finite number, int, bool, string, choice,
+rect, [a, b] pair, index-keyed map, list of objects, or a tagged union
+whose tag picks the table of the other fields), its bounds, its default
+and its message. A type is a function `walk(v, where, path, errors)` that
+returns the normalized form of the raw JSON value `v`, or None after
+appending one message per fault (`where` is the enclosing object's path,
+`path` the value's own). By construction the walk keeps every list
+position (a rejected entry becomes None, so later subdomain ids and KL
+region indices stay put), accepts only canonical index keys ("3", not
+"03"), never counts a JSON true/false as a number and accepts only finite
+numbers (JSON NaN and Infinity are faults). What relates sections stays
+as code in `validate_config`: the bcs of each block's physics, the Darcy
+blocks' KL region range and cover, at least one KL term, the per-region
+means and the collocation rule's dimension count.
+"""
 
 import json
 import math
 import os
+import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,9 +37,8 @@ from .stokes import StokesBC
 
 METHOD_NAMES = ("S1", "S2", "S3")
 
-_TOP_KEYS = ("domain", "kl_regions", "mean_log_perm", "collocation",
-             "physics", "mortars", "bcs", "sources", "method", "cg",
-             "output", "workers", "basis_cap_mb")
+OMIT = object()  # the default of a field that stays absent if not given
+_MAX = sys.float_info.max
 
 _EXPR_NAMES = {
     "pi": math.pi,
@@ -31,13 +49,20 @@ _EXPR_NAMES = {
 
 
 def _is_num(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """v is a finite number: JSON true/false, NaN and Infinity are not."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and -_MAX <= v <= _MAX)
 
 
-def _is_int(v, least=None):
-    """v is an int (JSON true/false are not), and >= least if given."""
-    return (isinstance(v, int) and not isinstance(v, bool)
-            and (least is None or v >= least))
+def _is_int(v, least):
+    """v is an int >= least (JSON true/false are not)."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= least
+
+
+def _list_of(v, n, ok):
+    """v is a list of n entries (n None: of at least one), each ok."""
+    return (isinstance(v, list) and (len(v) == n if n else len(v) > 0)
+            and all(map(ok, v)))
 
 
 def _is_index_key(k):
@@ -46,168 +71,373 @@ def _is_index_key(k):
             and str(int(k)) == k)
 
 
-def _check_keys(d, allowed, where, errors):
-    for k in d:
-        if k not in allowed:
-            errors.append(f"{where}: unknown key {k!r}")
+def _evaluate(code, x, y):
+    env = dict(_EXPR_NAMES)
+    env["x"] = x
+    env["y"] = y
+    return eval(code, {"__builtins__": {}}, env)
+
+
+@lru_cache(maxsize=256)
+def _expression_code(text):
+    """(code, "") for an expression in x and y that compiles, names only
+    known functions and evaluates on a probe; else (None, its fault).
+    Validation and building check the same texts, so each is compiled
+    once."""
+    try:
+        code = compile(text, "<config>", "eval")
+    except SyntaxError as exc:
+        return None, f"bad expression {text!r} ({exc.msg})"
+    unknown = set(code.co_names) - set(_EXPR_NAMES) - {"x", "y"}
+    if unknown:
+        return None, (f"unknown name(s) {sorted(unknown)} in expression "
+                      f"{text!r}")
+    try:
+        probe = np.array([0.25, 0.75])
+        np.asarray(_evaluate(code, probe, probe), dtype=float)
+    except Exception as exc:
+        return None, f"expression {text!r} fails to evaluate ({exc})"
+    return code, ""
 
 
 def compile_expression(text, where, errors):
     """Compile an expression in x and y into a vectorized callable."""
-    try:
-        code = compile(str(text), "<config>", "eval")
-    except SyntaxError as exc:
-        errors.append(f"{where}: bad expression {text!r} ({exc.msg})")
+    code, fault = _expression_code(str(text))
+    if code is None:
+        errors.append(f"{where}: {fault}")
         return None
-    unknown = set(code.co_names) - set(_EXPR_NAMES) - {"x", "y"}
-    if unknown:
-        errors.append(f"{where}: unknown name(s) {sorted(unknown)} "
-                      f"in expression {text!r}")
-        return None
-
-    def func(x, y):
-        env = dict(_EXPR_NAMES)
-        env["x"] = x
-        env["y"] = y
-        return eval(code, {"__builtins__": {}}, env)
-
-    try:
-        probe = np.array([0.25, 0.75])
-        np.asarray(func(probe, probe), dtype=float)
-    except Exception as exc:
-        errors.append(f"{where}: expression {text!r} fails to evaluate "
-                      f"({exc})")
-        return None
-    return func
+    return lambda x, y: _evaluate(code, x, y)
 
 
-def _scalar_value(v, where, errors, allow_none=True):
-    """Validate a scalar data value: null, number, or expression string."""
-    if v is None:
-        if not allow_none:
-            errors.append(f"{where}: value required")
-        return None
-    if _is_num(v):
-        return float(v) if isinstance(v, float) else v
-    if isinstance(v, str):
-        compile_expression(v, where, errors)
-        return v
-    errors.append(f"{where}: expected null, number, or expression string, "
-                  f"got {v!r}")
-    return None
+def leaf(ok, msg, norm=None):
+    """A value `ok` accepts, normalized by `norm`; else the message `msg`,
+    formatted with `where`, `path` and the value `v`."""
+    def walk(v, where, path, errors):
+        if ok(v):
+            return v if norm is None else norm(v)
+        errors.append(msg.format(where=where, path=path, v=v))
+    return walk
 
 
-def _pair_value(v, where, errors):
-    """Validate a vector data value: null or a 2-list of scalar values."""
-    if v is None:
-        return None
-    if not isinstance(v, list) or len(v) != 2:
-        errors.append(f"{where}: expected null or [vx, vy]")
-        return None
-    return [_scalar_value(v[0], f"{where}[0]", errors, allow_none=False),
-            _scalar_value(v[1], f"{where}[1]", errors, allow_none=False)]
+def number(msg, least=-_MAX, strict=False):
+    """A finite number >= least, or > least if strict; as a float."""
+    return leaf(lambda v: (_is_num(v) and (v > least if strict
+                                           else v >= least)), msg, float)
 
 
-def _rect(v, where, errors):
-    if (not isinstance(v, list) or len(v) != 4
-            or not all(_is_num(c) for c in v)):
+def integer(msg, least, n=None, scalar=True):
+    """An int >= least (unless not `scalar`) or, given n, a list of n such
+    ints (n 0: of at least one), as a new list."""
+    def ok(v):
+        if not isinstance(v, list):
+            return scalar and _is_int(v, least)
+        return (n is not None and (len(v) == n if n else v)
+                and all(_is_int(m, least) for m in v))
+    return leaf(ok, msg, lambda v: list(v) if isinstance(v, list) else v)
+
+
+def rect(v, where, path, errors):
+    """[x0, y0, x1, y1]: finite and increasing, as floats."""
+    if not _list_of(v, 4, _is_num):
         errors.append(f"{where}: rect must be [x0, y0, x1, y1]")
-        return [0.0, 0.0, 1.0, 1.0]
+        return None
     out = [float(c) for c in v]
     if out[2] <= out[0] or out[3] <= out[1]:
         errors.append(f"{where}: rect {out} is not increasing")
+        return None
     return out
 
 
-def _validate_domain(raw, errors):
-    dom = raw.get("domain")
-    if not isinstance(dom, dict) or "blocks" not in dom:
-        errors.append("domain: required object with a 'blocks' list")
-        return {"blocks": []}
-    _check_keys(dom, ("blocks",), "domain", errors)
-    src = dom.get("blocks")
-    if not isinstance(src, list) or not src:
-        errors.append("domain.blocks: non-empty list required")
-        return {"blocks": []}
-    blocks = []
-    for k, b in enumerate(src):
-        where = f"domain.blocks[{k}]"
-        if not isinstance(b, dict):
-            errors.append(f"{where}: must be an object")
-            blocks.append(None)  # keeps the later blocks' subdomain ids
-            continue
-        _check_keys(b, ("rect", "physics", "mesh", "kl_region"),
-                    where, errors)
-        rect = _rect(b.get("rect"), where, errors)
-        phys = b.get("physics")
-        if phys not in ("stokes", "darcy"):
-            errors.append(f"{where}: physics must be 'stokes' or 'darcy'")
-            phys = "darcy"
-        mesh = b.get("mesh")
-        if (not isinstance(mesh, list) or len(mesh) != 2
-                or not all(_is_int(m, 1) for m in mesh)):
-            errors.append(f"{where}: mesh must be [nx, ny] with nx, ny >= 1")
-            mesh = [1, 1]
-        klr = b.get("kl_region")
-        if phys == "darcy":
-            if not _is_int(klr, 0):
-                errors.append(f"{where}: darcy block needs a kl_region index")
-                klr = 0
-        elif klr is not None:
-            errors.append(f"{where}: stokes block takes no kl_region")
-            klr = None
-        blocks.append({"rect": rect, "physics": phys,
-                       "mesh": [int(m) for m in mesh], "kl_region": klr})
-    return {"blocks": blocks}
+def value(up=False, none=True):
+    """A data value: null (if `none`), a finite number as written, or an
+    expression string in x and y; reported at the enclosing object's path
+    if `up`, else at its own."""
+    def walk(v, where, path, errors):
+        at = where if up else path
+        if _is_num(v) or (v is None and none):
+            return v
+        if isinstance(v, str):
+            compile_expression(v, at, errors)
+            return v
+        errors.append(f"{at}: value required" if v is None else
+                      f"{at}: expected null, number, or expression string, "
+                      f"got {v!r}")
+    return walk
 
 
-def _validate_kl_regions(raw, errors):
-    src = raw.get("kl_regions", [])
-    if not isinstance(src, list):
-        errors.append("kl_regions: must be a list")
-        return []
-    out = []
-    for i, r in enumerate(src):
-        where = f"kl_regions[{i}]"
-        if not isinstance(r, dict):
-            errors.append(f"{where}: must be an object")
-            out.append(None)  # keeps the later regions' indices
-            continue
-        _check_keys(r, ("rect", "sigma2", "eta", "n_term", "selection"),
-                    where, errors)
-        rect = _rect(r.get("rect"), where, errors)
-        sigma2 = r.get("sigma2")
-        if not _is_num(sigma2) or sigma2 < 0:
-            errors.append(f"{where}: sigma2 must be a number >= 0")
-            sigma2 = 1.0
-        eta = r.get("eta")
-        if (not isinstance(eta, list) or len(eta) != 2
-                or not all(_is_num(e) and e > 0 for e in eta)):
-            errors.append(f"{where}: eta must be [eta_x, eta_y] with both > 0")
-            eta = [0.1, 0.1]
-        n_term = r.get("n_term")
-        sel = r.get("selection")
-        if _is_int(n_term, 1):
-            if sel is None:
-                sel = "largest"
-            if sel != "largest":
-                errors.append(f"{where}: scalar n_term requires "
-                              f"selection 'largest'")
-                sel = "largest"
-        elif (isinstance(n_term, list) and len(n_term) == 2
-                and all(_is_int(m, 1) for m in n_term)):
-            if sel is None:
-                sel = "box"
-            if sel != "box":
-                errors.append(f"{where}: n_term [nx, ny] requires "
-                              f"selection 'box'")
-                sel = "box"
+def vector(up=False):
+    """A vector data value: null or [vx, vy] of non-null data values."""
+    component = value(none=False)
+
+    def walk(v, where, path, errors):
+        if v is None:
+            return None
+        at = where if up else path
+        if not isinstance(v, list) or len(v) != 2:
+            errors.append(f"{at}: expected null or [vx, vy]")
+            return None
+        return [component(c, at, f"{at}[{i}]", errors)
+                for i, c in enumerate(v)]
+    return walk
+
+
+def obj(table, need="{path}: must be an object",
+        unknown="{path}: unknown key {k!r}", check=None):
+    """An object with the fields of `table`, {key: (spec, default)}; a
+    field of spec None is taken as it is. An absent field is walked as its
+    default (None where a value is required, so the field's own message
+    reports it) or, with default OMIT, stays absent. `check(v, out, path,
+    errors)`, if given, relates the walked fields `out` of the raw object
+    `v`."""
+    specs = {key: spec for key, (spec, _) in table.items()}
+    absent = [(key, spec, default) for key, (spec, default) in table.items()
+              if default is not OMIT]
+
+    def walk(v, where, path, errors):
+        if not isinstance(v, dict):
+            errors.append(need.format(path=path))
+            return None
+        out = {}
+        prefix = path + "." if path else ""
+        for key, x in v.items():
+            spec = specs.get(key, OMIT)
+            if spec is OMIT:
+                errors.append(unknown.format(path=path, k=key))
+            else:
+                out[key] = x if spec is None else spec(x, path, prefix + key,
+                                                       errors)
+        for key, spec, default in absent:
+            if key not in v:
+                out[key] = (default if spec is None else
+                            spec(default, path, prefix + key, errors))
+        if check is not None:
+            check(v, out, path, errors)
+        return out
+    return walk
+
+
+def union(tag, variants, need, bad, missing=None):
+    """An object whose `tag` field names the obj of `variants` that walks
+    it. Messages: `need` for a non-object, `missing` (default `need`) for
+    an absent tag, `bad` for a tag `v` that names no variant."""
+    def walk(v, where, path, errors):
+        if not isinstance(v, dict) or tag not in v:
+            errors.append((missing or need if isinstance(v, dict)
+                           else need).format(path=path))
+            return None
+        t = v[tag]
+        variant = variants.get(t) if isinstance(t, str) else None
+        if variant is None:
+            errors.append(bad.format(path=path, v=t))
+            return None
+        return variant(v, where, path, errors)
+    return walk
+
+
+def items(item, need, nonempty=False):
+    """A list (of at least one entry if `nonempty`) walked entry by entry;
+    an entry `item` rejects keeps its position as None."""
+    def walk(v, where, path, errors):
+        if not isinstance(v, list) or (nonempty and not v):
+            errors.append(need.format(path=path))
+            return None
+        return [item(x, path, f"{path}[{i}]", errors)
+                for i, x in enumerate(v)]
+    return walk
+
+
+def index_map(entry, need, bad_key, nonempty=False):
+    """An object keyed by canonical indices, each value walked by `entry`
+    with `where` the map's path and `path` its key. A bad key (`bad_key`,
+    formatted the same way) is reported and left out; a bad value keeps
+    its key as None."""
+    def walk(v, where, path, errors):
+        if not isinstance(v, dict) or (nonempty and not v):
+            errors.append(need.format(where=where, path=path))
+            return None
+        out = {}
+        for k, x in v.items():
+            if _is_index_key(k):
+                out[k] = entry(x, path, k, errors)
+            else:
+                errors.append(bad_key.format(where=path, path=k, v=x))
+        return out
+    return walk
+
+
+def _selection(v, out, path, errors):
+    """A count n_term takes selection 'largest', an [nx, ny] box 'box'."""
+    if out["n_term"] is None:
+        return
+    box = isinstance(out["n_term"], list)
+    want = "box" if box else "largest"
+    if out["selection"] is None:
+        out["selection"] = want
+    elif out["selection"] != want:
+        errors.append(f"{path}: n_term [nx, ny] requires selection 'box'"
+                      if box else
+                      f"{path}: scalar n_term requires selection 'largest'")
+
+
+def _raster_source(v, out, path, errors):
+    """A raster has exactly one source; inline values fill its shape."""
+    if ("values" in v) == ("path" in v):
+        errors.append(f"{path}: raster needs exactly one of 'values' or "
+                      f"'path'")
+    elif "values" in out and out["shape"] is not None:
+        nx, ny = out["shape"]
+        rows = out["values"]
+        if _list_of(rows, ny, lambda row: _list_of(row, nx, _is_num)):
+            out["values"] = [[float(c) for c in row] for row in rows]
         else:
-            errors.append(f"{where}: n_term must be an int >= 1 or [nx, ny]")
-            n_term, sel = 1, "largest"
-        out.append({"rect": rect, "sigma2": float(sigma2),
-                    "eta": [float(e) for e in eta],
-                    "n_term": n_term, "selection": sel})
+            errors.append(f"{path}: values must be ny rows of nx numbers "
+                          f"(row 0 at the bottom)")
+
+
+def _compile_mean(v, out, path, errors):
+    if out["expr"] is not None:
+        compile_expression(out["expr"], path, errors)
+
+
+_TAG = (None, None)  # a union's tag field, checked by the union
+_RECT = (rect, None)
+_MESH = (integer("{where}: mesh must be [nx, ny] with nx, ny >= 1", 1,
+                 n=2, scalar=False), None)
+_POSITIVE = "{path}: number > 0 required"
+_KIND = "{path}: object with a 'kind' key required"
+
+
+def _is_str(v):
+    return isinstance(v, str)
+
+
+def _is_bool(v):
+    return isinstance(v, bool)
+
+
+BLOCK = union("physics", {
+    "darcy": obj({"physics": _TAG, "rect": _RECT, "mesh": _MESH,
+                  "kl_region": (integer("{where}: darcy block needs a "
+                                        "kl_region index", 0), None)}),
+    "stokes": obj({"physics": _TAG, "rect": _RECT, "mesh": _MESH,
+                   "kl_region": (leaf(lambda v: v is None, "{where}: stokes "
+                                      "block takes no kl_region"), None)}),
+}, need="{path}: must be an object",
+    bad="{path}: physics must be 'stokes' or 'darcy'",
+    missing="{path}: physics must be 'stokes' or 'darcy'")
+
+KL_REGIONS = items(obj({
+    "rect": _RECT,
+    "sigma2": (number("{where}: sigma2 must be a number >= 0", 0), None),
+    "eta": (leaf(lambda v: _list_of(v, 2, lambda e: _is_num(e) and e > 0),
+                 "{where}: eta must be [eta_x, eta_y] with both > 0",
+                 lambda v: [float(e) for e in v]), None),
+    "n_term": (integer("{where}: n_term must be an int >= 1 or [nx, ny]",
+                       1, n=2), None),
+    "selection": (None, None),
+}, check=_selection), need="{path}: must be a list")
+
+MEAN_LOG_PERM = union("kind", {
+    "constant": obj({"kind": _TAG, "value": (
+        number("{where}: constant value must be a number"), 0.0)}),
+    "expression": obj({"kind": _TAG, "expr": (
+        leaf(_is_str, "{where}: 'expr' string required"), None)},
+        check=_compile_mean),
+    "per_region": obj({"kind": _TAG, "values": (index_map(
+        number("{where}: bad entry {path!r}: {v!r}"),
+        need="{where}: 'values' mapping region -> mean required",
+        bad_key="{where}: bad entry {path!r}: {v!r}", nonempty=True), None)}),
+    "raster": obj({
+        "kind": _TAG, "rect": _RECT,
+        "shape": (integer("{where}: shape must be [nx, ny]", 1, n=2,
+                          scalar=False), None),
+        "values": (None, OMIT),
+        "path": (leaf(_is_str, "{where}: path must be a string"), OMIT),
+    }, check=_raster_source),
+}, need=_KIND, bad="{path}: unknown kind {v!r}")
+
+COLLOCATION = union("kind", {
+    "tensor": obj({"kind": _TAG, "m": (integer(
+        "{where}: m must be an int >= 1 or a list of them", 1, n=0), None)}),
+    "sparse": obj({"kind": _TAG, "level": (
+        integer("{where}: level must be an int >= 0", 0), None)}),
+}, need="{path}: object with kind 'tensor' or 'sparse' required",
+    bad="{path}: unknown kind {v!r}")
+
+_BCS = {  # the bc of one side, by block physics
+    "darcy": union("kind", {
+        "noflow": obj({"kind": _TAG, "value": (leaf(
+            lambda v: v is None, "{where}: noflow takes no value"), None)}),
+        "pressure": obj({"kind": _TAG, "value": (value(up=True), None)}),
+    }, need=_KIND,
+        bad="{path}: darcy side must be 'noflow' or 'pressure', got {v!r}"),
+    "stokes": union("kind", {
+        kind: obj({"kind": _TAG, "value": (vector(up=True), None)})
+        for kind in ("velocity", "stress")
+    }, need=_KIND,
+        bad="{path}: stokes side must be 'velocity' or 'stress', got {v!r}"),
+}
+_SIDES = {physics: obj({side: (bc, OMIT) for side in SIDES},
+                       need="{path}: must be an object keyed by side",
+                       unknown="{path}: unknown side {k!r}")
+          for physics, bc in _BCS.items()}
+
+CONFIG = obj({
+    "domain": (obj({"blocks": (items(
+        BLOCK, "{path}: non-empty list required", nonempty=True), None)},
+        need="domain: required object with a 'blocks' list"), None),
+    "kl_regions": (KL_REGIONS, []),
+    "mean_log_perm": (MEAN_LOG_PERM, {"kind": "constant", "value": 0.0}),
+    "collocation": (COLLOCATION, None),
+    "physics": (obj({
+        "nu_s": (number(_POSITIVE, 0, strict=True), 1.0),
+        "nu_d": (number(_POSITIVE, 0, strict=True), 1.0),
+        "alpha": (number("{path}: number >= 0 required", 0), 1.0),
+    }), {}),
+    "mortars": (obj({
+        **{kind: (integer("{path}: int >= 1 required", 1), OMIT)
+           for kind in ("dd", "sd", "ss")},
+        "degree": (leaf(lambda v: _is_int(v, 0) and v <= 1,
+                        "{path}: 0 or 1 supported"), 1),
+        "allow_fine": (leaf(_is_bool, "{path}: bool required"), False),
+        "per_interface": (index_map(
+            integer("{where}[{path}]: int >= 1 required", 1),
+            need="{path}: mapping interface -> count required",
+            bad_key="{where}: bad interface key {path!r}"), {}),
+    }), {}),
+    "bcs": (None, {}),  # walked by validate_config with the blocks' physics
+    "sources": (obj({"f_s": (vector(), None), "f_d": (vector(), None),
+                     "q_d": (value(), None)}), {}),
+    "method": (leaf(lambda v: v in METHOD_NAMES,
+                    f"{{path}}: must be one of {METHOD_NAMES}"), "S1"),
+    "cg": (obj({
+        "tol": (number(_POSITIVE, 0, strict=True), 1e-9),
+        "max_iter": (leaf(lambda v: v is None or _is_int(v, 1),
+                          "{path}: int >= 1 or null required"), None),
+    }), {}),
+    "output": (obj({
+        "dir": (leaf(lambda v: _is_str(v) and v != "",
+                     "{path}: non-empty string required"), "out"),
+        "timing_in_csv": (leaf(_is_bool, "{path}: bool required"), False),
+    }), {}),
+    "workers": (integer("{path}: int >= 1 required", 1), 1),
+    "basis_cap_mb": (number(_POSITIVE, 0, strict=True), 1024.0),
+}, need="top level must be a JSON object", unknown="config: unknown key {k!r}")
+
+
+def _walk_bcs(v, blocks, errors):
+    """bcs keyed by subdomain id: each side takes a bc kind of its block's
+    physics (the bcs of a rejected block go unchecked)."""
+    if not isinstance(v, dict):
+        errors.append("bcs: must be an object keyed by subdomain id")
+        return None
+    out = {}
+    for key, sides in v.items():
+        if not (_is_index_key(key) and int(key) < len(blocks)):
+            errors.append(f"bcs: unknown subdomain {key!r}")
+        elif blocks[int(key)] is not None:
+            out[key] = _SIDES[blocks[int(key)]["physics"]](
+                sides, "bcs", f"bcs.{key}", errors)
     return out
 
 
@@ -216,336 +446,65 @@ def _region_dims(region):
     return n[0] * n[1] if isinstance(n, list) else n
 
 
-def _validate_mean(raw, errors):
-    src = raw.get("mean_log_perm", {"kind": "constant", "value": 0.0})
-    where = "mean_log_perm"
-    if not isinstance(src, dict) or "kind" not in src:
-        errors.append(f"{where}: object with a 'kind' key required")
-        return {"kind": "constant", "value": 0.0}
-    kind = src["kind"]
-    if kind == "constant":
-        _check_keys(src, ("kind", "value"), where, errors)
-        v = src.get("value", 0.0)
-        if not _is_num(v):
-            errors.append(f"{where}: constant value must be a number")
-            v = 0.0
-        return {"kind": "constant", "value": float(v)}
-    if kind == "expression":
-        _check_keys(src, ("kind", "expr"), where, errors)
-        expr = src.get("expr")
-        if not isinstance(expr, str):
-            errors.append(f"{where}: 'expr' string required")
-            return {"kind": "constant", "value": 0.0}
-        compile_expression(expr, where, errors)
-        return {"kind": "expression", "expr": expr}
-    if kind == "per_region":
-        _check_keys(src, ("kind", "values"), where, errors)
-        vals = src.get("values")
-        if not isinstance(vals, dict) or not vals:
-            errors.append(f"{where}: 'values' mapping region -> mean required")
-            return {"kind": "constant", "value": 0.0}
-        out = {}
-        for k, v in vals.items():
-            if not (_is_index_key(k) and _is_num(v)):
-                errors.append(f"{where}.values: bad entry {k!r}: {v!r}")
-                continue
-            out[k] = float(v)
-        return {"kind": "per_region", "values": out}
-    if kind == "raster":
-        _check_keys(src, ("kind", "rect", "shape", "values", "path"),
-                    where, errors)
-        rect = _rect(src.get("rect"), where, errors)
-        shape = src.get("shape")
-        if (not isinstance(shape, list) or len(shape) != 2
-                or not all(_is_int(m, 1) for m in shape)):
-            errors.append(f"{where}: shape must be [nx, ny]")
-            shape = [1, 1]
-        values, path = src.get("values"), src.get("path")
-        if (values is None) == (path is None):
-            errors.append(f"{where}: raster needs exactly one of "
-                          f"'values' or 'path'")
-        out = {"kind": "raster", "rect": rect,
-               "shape": [int(m) for m in shape]}
-        if values is not None:
-            nx, ny = shape
-            ok = (isinstance(values, list) and len(values) == ny
-                  and all(isinstance(row, list) and len(row) == nx
-                          and all(_is_num(v) for v in row)
-                          for row in values))
-            if not ok:
-                errors.append(f"{where}: values must be ny rows of nx "
-                              f"numbers (row 0 at the bottom)")
-                values = [[0.0] * shape[0] for _ in range(shape[1])]
-            out["values"] = [[float(v) for v in row] for row in values]
-        elif isinstance(path, str):
-            out["path"] = path
-        else:
-            errors.append(f"{where}: path must be a string")
-            out["values"] = [[0.0] * shape[0] for _ in range(shape[1])]
-        return out
-    errors.append(f"{where}: unknown kind {kind!r}")
-    return {"kind": "constant", "value": 0.0}
-
-
-def _validate_collocation(raw, n_dims, errors):
-    """Collocation spec on n_dims random dimensions (None: not known, as
-    for a bare grid spec without splits or a bad kl_regions entry)."""
-    src = raw.get("collocation")
-    where = "collocation"
-    if not isinstance(src, dict) or "kind" not in src:
-        errors.append(f"{where}: object with kind 'tensor' or 'sparse' "
-                      f"required")
-        return {"kind": "tensor", "m": 1}
-    kind = src.get("kind")
-    if kind == "tensor":
-        _check_keys(src, ("kind", "m"), where, errors)
-        m = src.get("m")
-        if _is_int(m, 1):
-            return {"kind": "tensor", "m": m}
-        if isinstance(m, list) and m and all(_is_int(v, 1) for v in m):
-            if n_dims is not None and len(m) != n_dims:
-                errors.append(f"{where}: m has {len(m)} entries but the KL "
-                              f"regions define {n_dims} dimensions")
-            return {"kind": "tensor", "m": list(m)}
-        errors.append(f"{where}: m must be an int >= 1 or a list of them")
-        return {"kind": "tensor", "m": 1}
-    if kind == "sparse":
-        _check_keys(src, ("kind", "level"), where, errors)
-        lev = src.get("level")
-        if not _is_int(lev, 0):
-            errors.append(f"{where}: level must be an int >= 0")
-            lev = 0
-        if n_dims == 0:
-            errors.append(f"{where}: a sparse grid needs at least one KL "
-                          f"dimension")
-        return {"kind": "sparse", "level": lev}
-    errors.append(f"{where}: unknown kind {kind!r}")
-    return {"kind": "tensor", "m": 1}
-
-
-def _validate_physics(raw, errors):
-    src = raw.get("physics", {})
-    out = {"nu_s": 1.0, "nu_d": 1.0, "alpha": 1.0}
-    if not isinstance(src, dict):
-        errors.append("physics: must be an object")
-        return out
-    _check_keys(src, tuple(out), "physics", errors)
-    for key in out:
-        if key in src:
-            v = src[key]
-            if not _is_num(v) or v < 0:
-                errors.append(f"physics.{key}: number >= 0 required")
-            else:
-                out[key] = float(v)
-    return out
-
-
-def _validate_mortars(raw, errors):
-    src = raw.get("mortars", {})
-    out = {"degree": 1, "allow_fine": False, "per_interface": {}}
-    if not isinstance(src, dict):
-        errors.append("mortars: must be an object")
-        return out
-    _check_keys(src, ("dd", "sd", "ss", "degree", "allow_fine",
-                      "per_interface"), "mortars", errors)
-    for kind in ("dd", "sd", "ss"):
-        if kind in src:
-            v = src[kind]
-            if not _is_int(v, 1):
-                errors.append(f"mortars.{kind}: int >= 1 required")
-            else:
-                out[kind] = v
-    if "degree" in src:
-        if not _is_int(src["degree"]) or src["degree"] not in (0, 1):
-            errors.append("mortars.degree: 0 or 1 supported")
-        else:
-            out["degree"] = src["degree"]
-    if "allow_fine" in src:
-        if not isinstance(src["allow_fine"], bool):
-            errors.append("mortars.allow_fine: bool required")
-        else:
-            out["allow_fine"] = src["allow_fine"]
-    pi = src.get("per_interface", {})
-    if not isinstance(pi, dict):
-        errors.append("mortars.per_interface: mapping interface -> count "
-                      "required")
-    else:
-        for k, v in pi.items():
-            if not _is_index_key(k):
-                errors.append(f"mortars.per_interface: bad interface key "
-                              f"{k!r}")
-            elif not _is_int(v, 1):
-                errors.append(f"mortars.per_interface[{k}]: int >= 1 "
-                              f"required")
-            else:
-                out["per_interface"][k] = v
-    return out
-
-
-def _validate_bcs(raw, blocks, errors):
-    src = raw.get("bcs", {})
-    if not isinstance(src, dict):
-        errors.append("bcs: must be an object keyed by subdomain id")
-        return {}
-    out = {}
-    for key, sides in src.items():
-        if not (_is_index_key(key) and int(key) < len(blocks)):
-            errors.append(f"bcs: unknown subdomain {key!r}")
-            continue
-        if blocks[int(key)] is None:  # reported by _validate_domain
-            continue
-        phys = blocks[int(key)]["physics"]
-        if not isinstance(sides, dict):
-            errors.append(f"bcs.{key}: must be an object keyed by side")
-            continue
-        out_sides = {}
-        for side, bc in sides.items():
-            where = f"bcs.{key}.{side}"
-            if side not in SIDES:
-                errors.append(f"bcs.{key}: unknown side {side!r}")
-                continue
-            if not isinstance(bc, dict) or "kind" not in bc:
-                errors.append(f"{where}: object with a 'kind' key required")
-                continue
-            _check_keys(bc, ("kind", "value"), where, errors)
-            kind = bc["kind"]
-            val = bc.get("value")
-            if phys == "darcy":
-                if kind == "noflow":
-                    if val is not None:
-                        errors.append(f"{where}: noflow takes no value")
-                    out_sides[side] = {"kind": "noflow", "value": None}
-                elif kind == "pressure":
-                    out_sides[side] = {
-                        "kind": "pressure",
-                        "value": _scalar_value(val, where, errors)}
-                else:
-                    errors.append(f"{where}: darcy side must be 'noflow' "
-                                  f"or 'pressure', got {kind!r}")
-            else:
-                if kind in ("velocity", "stress"):
-                    out_sides[side] = {
-                        "kind": kind,
-                        "value": _pair_value(val, where, errors)}
-                else:
-                    errors.append(f"{where}: stokes side must be 'velocity' "
-                                  f"or 'stress', got {kind!r}")
-        out[key] = out_sides
-    return out
-
-
-def _validate_sources(raw, errors):
-    src = raw.get("sources", {})
-    out = {"f_s": None, "f_d": None, "q_d": None}
-    if not isinstance(src, dict):
-        errors.append("sources: must be an object")
-        return out
-    _check_keys(src, tuple(out), "sources", errors)
-    out["f_s"] = _pair_value(src.get("f_s"), "sources.f_s", errors)
-    out["f_d"] = _pair_value(src.get("f_d"), "sources.f_d", errors)
-    out["q_d"] = _scalar_value(src.get("q_d"), "sources.q_d", errors)
-    return out
-
-
 def _covers(outer, inner, tol=1e-12):
     return (outer[0] <= inner[0] + tol and outer[1] <= inner[1] + tol
             and outer[2] >= inner[2] - tol and outer[3] >= inner[3] - tol)
 
 
+def check_collocation(col, n_dims, errors):
+    """Check a walked collocation spec against n_dims random dimensions
+    (None: not known, as for a bare grid spec without splits or a rejected
+    kl_regions entry)."""
+    if col is None or n_dims is None:
+        return
+    m = col.get("m")
+    if isinstance(m, list) and len(m) != n_dims:
+        errors.append(f"collocation: m has {len(m)} entries but the KL "
+                      f"regions define {n_dims} dimensions")
+    if col["kind"] == "sparse" and n_dims == 0:
+        errors.append("collocation: a sparse grid needs at least one KL "
+                      "dimension")
+
+
 def validate_config(raw):
     """Normalize a raw config dict, collecting every error before raising."""
-    if not isinstance(raw, dict):
-        raise ConfigError(["top level must be a JSON object"])
     errors = []
-    _check_keys(raw, _TOP_KEYS, "config", errors)
-
-    cfg = {}
-    cfg["domain"] = _validate_domain(raw, errors)
-    cfg["kl_regions"] = _validate_kl_regions(raw, errors)
-    cfg["mean_log_perm"] = _validate_mean(raw, errors)
-    n_dims = (None if None in cfg["kl_regions"]
-              else sum(_region_dims(r) for r in cfg["kl_regions"]))
-    cfg["collocation"] = _validate_collocation(raw, n_dims, errors)
-    cfg["physics"] = _validate_physics(raw, errors)
-    cfg["mortars"] = _validate_mortars(raw, errors)
-    cfg["bcs"] = _validate_bcs(raw, cfg["domain"]["blocks"], errors)
-    cfg["sources"] = _validate_sources(raw, errors)
-
-    method = raw.get("method", "S1")
-    if method not in METHOD_NAMES:
-        errors.append(f"method: must be one of {METHOD_NAMES}")
-        method = "S1"
-    cfg["method"] = method
-
-    cg = raw.get("cg", {})
-    out_cg = {"tol": 1e-9, "max_iter": None}
-    if not isinstance(cg, dict):
-        errors.append("cg: must be an object")
-    else:
-        _check_keys(cg, ("tol", "max_iter"), "cg", errors)
-        if "tol" in cg:
-            if not _is_num(cg["tol"]) or cg["tol"] <= 0:
-                errors.append("cg.tol: number > 0 required")
-            else:
-                out_cg["tol"] = float(cg["tol"])
-        if cg.get("max_iter") is not None:
-            if not _is_int(cg["max_iter"], 1):
-                errors.append("cg.max_iter: int >= 1 or null required")
-            else:
-                out_cg["max_iter"] = cg["max_iter"]
-    cfg["cg"] = out_cg
-
-    output = raw.get("output", {})
-    out_out = {"dir": "out", "timing_in_csv": False}
-    if not isinstance(output, dict):
-        errors.append("output: must be an object")
-    else:
-        _check_keys(output, ("dir", "timing_in_csv"), "output", errors)
-        if "dir" in output:
-            if not isinstance(output["dir"], str) or not output["dir"]:
-                errors.append("output.dir: non-empty string required")
-            else:
-                out_out["dir"] = output["dir"]
-        if "timing_in_csv" in output:
-            if not isinstance(output["timing_in_csv"], bool):
-                errors.append("output.timing_in_csv: bool required")
-            else:
-                out_out["timing_in_csv"] = output["timing_in_csv"]
-    cfg["output"] = out_out
-
-    workers = raw.get("workers", 1)
-    if not _is_int(workers, 1):
-        errors.append("workers: int >= 1 required")
-        workers = 1
-    cfg["workers"] = workers
-
-    cap = raw.get("basis_cap_mb", 1024.0)
-    if not _is_num(cap) or cap <= 0:
-        errors.append("basis_cap_mb: number > 0 required")
-        cap = 1024.0
-    cfg["basis_cap_mb"] = float(cap)
+    cfg = CONFIG(raw, "", "", errors)
+    if cfg is None:
+        raise ConfigError(errors)
+    blocks = cfg["domain"] and cfg["domain"]["blocks"]
+    if blocks is not None:
+        cfg["bcs"] = _walk_bcs(cfg["bcs"], blocks, errors)
 
     # cross checks
-    n_regions = len(cfg["kl_regions"])
+    regions = cfg["kl_regions"]
+    n_dims = (None if regions is None or any(r is None or r["n_term"] is None
+                                             for r in regions)
+              else sum(_region_dims(r) for r in regions))
+    check_collocation(cfg["collocation"], n_dims, errors)
+    if regions is None:  # not a list, reported
+        raise ConfigError(errors)
+    n_regions = len(regions)
     used = set()  # KL regions some Darcy block reads its mean from
-    for k, b in enumerate(cfg["domain"]["blocks"]):
-        if b is None or b["physics"] != "darcy":
+    for k, b in enumerate(blocks or ()):
+        if b is None or b["kl_region"] is None:
             continue
         r = b["kl_region"]
         used.add(r)
         if r >= n_regions:
             errors.append(f"domain.blocks[{k}]: kl_region {r} out of range "
                           f"(have {n_regions} regions)")
-        elif (cfg["kl_regions"][r] is not None
-              and not _covers(cfg["kl_regions"][r]["rect"], b["rect"])):
+        elif (regions[r] and regions[r]["rect"] and b["rect"]
+              and not _covers(regions[r]["rect"], b["rect"])):
             errors.append(f"domain.blocks[{k}]: rect {b['rect']} not "
                           f"covered by kl_regions[{r}] rect "
-                          f"{cfg['kl_regions'][r]['rect']}")
+                          f"{regions[r]['rect']}")
     if used and n_dims == 0:
         errors.append("kl_regions: at least one KL term is required when "
                       "darcy blocks are present")
-    if cfg["mean_log_perm"]["kind"] == "per_region":
-        given = cfg["mean_log_perm"]["values"]
+    mean = cfg["mean_log_perm"]
+    if mean and mean["kind"] == "per_region" and mean["values"] is not None:
+        given = mean["values"]
         for key in given:
             if int(key) >= n_regions:
                 errors.append(f"mean_log_perm.values: region {key} out of "

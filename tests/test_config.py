@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdmortar.config import (build_from_config, compile_expression,
                              parse_config, serialize_config, validate_config)
@@ -90,6 +92,14 @@ def test_errors_are_collected():
         assert frag in joined
 
 
+def _set(raw, path, value):
+    """Set the value at key path `path` of a raw config, making objects."""
+    node = raw
+    for key in path[:-1]:
+        node = node[key] if isinstance(key, int) else node.setdefault(key, {})
+    node[path[-1]] = value
+
+
 # every integer field: (key path in the raw config, value, the name its
 # error message carries)
 BOOLEAN_INTS = [
@@ -119,13 +129,80 @@ BOOLEAN_INTS = [
 def test_booleans_are_not_ints(path, value, field):
     """JSON true/false are rejected wherever an int is required."""
     raw = minimal_raw()
-    node = raw
-    for key in path[:-1]:
-        node = node[key] if isinstance(key, int) else node.setdefault(key, {})
-    node[path[-1]] = value
+    _set(raw, path, value)
     with pytest.raises(ConfigError) as err:
         validate_config(raw)
     assert any(field in m for m in err.value.messages), err.value.messages
+
+
+def _stokes_raw():
+    return one_block_raw("stokes")
+
+
+# every number field: (raw config maker, key path, the value holding the
+# number x, the start of the one message that reports it)
+NUMBER_FIELDS = [
+    (minimal_raw, ("domain", "blocks", 0, "rect"), lambda x: [x, 0, 1, 1],
+     "domain.blocks[0]: rect must be"),
+    (minimal_raw, ("kl_regions", 0, "rect"), lambda x: [0, 0, 2, x],
+     "kl_regions[0]: rect must be"),
+    (minimal_raw, ("kl_regions", 0, "sigma2"), lambda x: x,
+     "kl_regions[0]: sigma2"),
+    (minimal_raw, ("kl_regions", 0, "eta"), lambda x: [0.5, x],
+     "kl_regions[0]: eta"),
+    (minimal_raw, ("mean_log_perm",),
+     lambda x: {"kind": "constant", "value": x},
+     "mean_log_perm: constant value"),
+    (minimal_raw, ("mean_log_perm",),
+     lambda x: {"kind": "per_region", "values": {"0": x}},
+     "mean_log_perm.values: bad entry '0'"),
+    (minimal_raw, ("mean_log_perm",),
+     lambda x: {"kind": "raster", "rect": [0, 0, 2, 1], "shape": [2, 1],
+                "values": [[1.0, x]]},
+     "mean_log_perm: values must be"),
+    (minimal_raw, ("mean_log_perm",),
+     lambda x: {"kind": "raster", "rect": [0, 0, x, 1], "shape": [1, 1],
+                "values": [[1.0]]},
+     "mean_log_perm: rect must be"),
+    (minimal_raw, ("physics", "nu_s"), lambda x: x, "physics.nu_s"),
+    (minimal_raw, ("physics", "nu_d"), lambda x: x, "physics.nu_d"),
+    (minimal_raw, ("physics", "alpha"), lambda x: x, "physics.alpha"),
+    (minimal_raw, ("cg", "tol"), lambda x: x, "cg.tol"),
+    (minimal_raw, ("basis_cap_mb",), lambda x: x, "basis_cap_mb"),
+    (minimal_raw, ("bcs", "0", "left", "value"), lambda x: x, "bcs.0.left"),
+    (minimal_raw, ("sources", "q_d"), lambda x: x, "sources.q_d"),
+    (minimal_raw, ("sources", "f_d"), lambda x: [x, 0], "sources.f_d[0]"),
+    (_stokes_raw, ("bcs", "0", "left", "value"), lambda x: [1.0, x],
+     "bcs.0.left[1]"),
+]
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "make, path, value, field", NUMBER_FIELDS,
+    ids=[f"{m.__name__}-" + "/".join(map(str, p)) + f"-{i}"
+         for i, (m, p, _, _) in enumerate(NUMBER_FIELDS)])
+def test_numbers_must_be_finite(make, path, value, field, x):
+    """JSON NaN, Infinity and -Infinity are faults of the field that holds
+    them, reported once."""
+    raw = make()
+    _set(raw, path, value(x))
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    messages = err.value.messages
+    assert len(messages) == 1 and messages[0].startswith(field), messages
+
+
+@pytest.mark.parametrize("key", ["nu_s", "nu_d"])
+def test_viscosities_must_be_positive(key):
+    raw = minimal_raw()
+    raw["physics"] = {key: 0}
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    assert err.value.messages == [f"physics.{key}: number > 0 required"]
+    raw["physics"] = {key: 1e-3, "alpha": 0}  # alpha = 0 drops BJS
+    assert validate_config(raw)["physics"][key] == 1e-3
 
 
 def test_bc_kind_cross_checked_against_physics():
@@ -268,6 +345,11 @@ def test_raster_requires_exactly_one_source():
     }
     with pytest.raises(ConfigError, match="exactly one"):
         validate_config(raw)
+    del raw["mean_log_perm"]["values"], raw["mean_log_perm"]["path"]
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    assert err.value.messages == [
+        "mean_log_perm: raster needs exactly one of 'values' or 'path'"]
 
 
 def test_raster_file_unreadable_or_malformed_is_a_config_error(tmp_path):
@@ -410,3 +492,49 @@ def test_tweaked_copy_does_not_leak(case1):
     cfg = copy.deepcopy(case1.cfg)
     cfg["physics"]["alpha"] = 0.0
     assert case1.cfg["physics"]["alpha"] == 1.0
+
+
+# values a faulty config may hold; ints stay <= 2, so no large mesh is built
+FAULT_POOL = [None, True, False, -1, 0, 1, 2, 1.5, "x", "03", [], {}, [1, 2],
+              float("nan"), float("inf")]
+
+
+def _leaf_paths(node, path=()):
+    """Key paths of every value in a JSON tree that is no object or list."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [p for key, value in items
+            for p in _leaf_paths(value, path + (key,))]
+
+
+def _shipped_raw(name):
+    with open(os.path.join(CONFIG_DIR, name + ".json")) as fh:
+        return json.load(fh)
+
+
+# a shipped config and one or two (leaf path, value) replacements
+_REPLACEMENTS = {name: st.lists(
+    st.tuples(st.sampled_from(_leaf_paths(_shipped_raw(name))),
+              st.sampled_from(FAULT_POOL)),
+    min_size=1, max_size=2, unique_by=lambda t: t[0]) for name in SHIPPED}
+FAULTY_CONFIGS = st.sampled_from(SHIPPED).flatmap(
+    lambda name: st.tuples(st.just(name), _REPLACEMENTS[name]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(FAULTY_CONFIGS)
+def test_config_faults_are_config_errors(faulty):
+    """A shipped config with one or two leaves replaced is a ConfigError or
+    validates and builds."""
+    name, replacements = faulty
+    raw = _shipped_raw(name)
+    for path, value in replacements:
+        _set(raw, path, copy.deepcopy(value))
+    try:
+        build_from_config(validate_config(raw), CONFIG_DIR)
+    except ConfigError:
+        pass

@@ -272,12 +272,32 @@ def _padded_interface_key():
     return raw, "mortars.per_interface: bad interface key '06'"
 
 
+def _non_finite_rect():
+    raw = one_block_raw("darcy")
+    raw["domain"]["blocks"][0]["rect"] = [float("nan"), 0, 1, 1]
+    return raw, "domain.blocks[0]: rect must be [x0, y0, x1, y1]"
+
+
+def _zero_nu_d():
+    raw = json.load(open(TWOBLOCK))
+    raw["physics"] = {"nu_d": 0}
+    return raw, "physics.nu_d: number > 0 required"
+
+
+def _zero_nu_s():
+    raw = json.load(open(os.path.join(CONFIG_DIR, "case1_mini.json")))
+    raw["physics"] = {"nu_s": 0}
+    return raw, "physics.nu_s: number > 0 required"
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 @pytest.mark.parametrize("make", [_bad_kl_entry, _bad_block_entry,
-                                  _padded_interface_key])
+                                  _padded_interface_key, _non_finite_rect,
+                                  _zero_nu_d, _zero_nu_s])
 def test_cli_config_entry_errors(tmp_path, capsys, command, make):
-    """A kl_regions or domain.blocks entry that is not an object and a
-    zero-padded interface key are config errors, each reported once."""
+    """A kl_regions or domain.blocks entry that is not an object, a
+    zero-padded interface key, a non-finite number (JSON NaN) and a zero
+    viscosity are config errors, each reported once."""
     raw, message = make()
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))

@@ -270,15 +270,18 @@ def test_manifest_setup_totals(case1, case1_sweeps):
 
 def zero_bjs_after_reference(monkeypatch):
     """Each Stokes system's first BJS coefficients (its reference) are the
-    true ones; every later call returns zeros."""
+    true ones; every later call returns zeros.
+
+    The systems seen are held, not their ids: a system freed after one
+    sweep could hand its id to a new system of the next."""
     original = StokesSystem.bjs_coefficients
-    seen = set()
+    seen = []
 
     def coefficients(self, kl):
         coef = original(self, kl)
-        if id(self) in seen:
+        if any(s is self for s in seen):
             return np.zeros_like(coef)
-        seen.add(id(self))
+        seen.append(self)
         return coef
 
     monkeypatch.setattr(StokesSystem, "bjs_coefficients", coefficients)
