@@ -25,10 +25,19 @@ are cached under, and in whether B_i is built (see _key):
   frozen at the mean-field permeability; that entry is built at set-up
   and its basis serves the preconditioner too.
 
-The key sets how long an entry lives (_lifetimes): it is built at the first
-realization with its key and dropped after the last, so S3 frees a Darcy
-entry when its run of realizations ends and the Stokes ones at the end of
-the sweep. _check_basis_cap caps the bases this table holds at once.
+Every method visits the realizations in one order (visit_order): sorted
+by their tuple of local realization indices, the region with the most
+local realizations varying slowest, so that S3 reuses each local basis
+over a run of visits (Ganis, Klie, Wheeler, Wildey, Yotov & Zhang, CMAME
+2008). The key sets how long an entry lives (_lifetimes): it is built at
+the first visit with its key and dropped after the last. An S3 Darcy entry
+of the slowest region lives one run of consecutive visits, one of another
+region from the first visit of its local realization to the last, and a
+Stokes one the whole sweep; on case1_mini at most 10 Darcy entries are
+held at once, against 18 in grid order. An S1/S2 entry lives one visit, so
+for them the order moves only the round-off of the moment sums.
+_check_basis_cap caps the bases this table holds at once. Results and
+CG counts are reported per realization in grid order.
 
 Every method factors each Stokes subdomain once per sweep, at the mean
 field (stokes.StokesReference), and forms each of its Stokes operators as
@@ -363,14 +372,28 @@ def _key(problem, grid, method, sid, k, y):
     return None, np.zeros_like(y)
 
 
-def _lifetimes(problem, grid, method, points):
-    """{(sid, key): (first, last)}: the first and last realization whose
-    key each cache entry is, realization k being points[k]."""
+def visit_order(grid):
+    """Realization indices in the order a sweep visits them.
+
+    A point sorts by its tuple of local realization indices, the regions
+    with more local realizations first (the lower region on a tie), so the
+    region with the most varies slowest and each of its local realizations
+    is one run of consecutive visits.
+    """
+    regions = sorted(range(len(grid.local_counts)),
+                     key=lambda r: (-grid.local_counts[r], r))
+    return sorted(range(grid.n_real), key=lambda k: tuple(
+        int(grid.local_indices[r][k]) for r in regions))
+
+
+def _lifetimes(problem, grid, method, visits):
+    """{(sid, key): (first, last)}: the first and last visit whose key each
+    cache entry is, visit j being the realization k, y of visits[j]."""
     table = {}
-    for k, y in enumerate(points):
+    for j, (k, y) in enumerate(visits):
         for sid in range(problem.layout.n_subdomains):
             entry = sid, _key(problem, grid, method, sid, k, y)[0]
-            table[entry] = table.get(entry, (k,))[0], k
+            table[entry] = table.get(entry, (j,))[0], j
     return table
 
 
@@ -380,7 +403,7 @@ class _Group:
     `cache` maps (sid, key) of the owned subdomains to (operator, basis);
     the methods differ only in the key (see _key) and in whether a basis is
     built. An entry is built at its first use and harvested and dropped by
-    recover at the last realization `lifetimes` gives it. Every request
+    recover at the last visit `lifetimes` gives it. Every request
     works through the owned subdomains in increasing order, adds each one's
     busy time to stats.wall_seconds and returns {sid: result}. `sid` is the
     subdomain in hand, so a failure names it.
@@ -477,13 +500,13 @@ class _Group:
         return self._each(lambda sid: star_response(
             problem, sid, self.ops[sid], problem.star_data(sid, lam)))
 
-    def recover(self, k, lam):
-        """Fields of the owned subdomains at realization k; then harvest the
-        counters of every entry whose last realization is k and drop it."""
+    def recover(self, j, lam):
+        """Fields of the owned subdomains at visit j; then harvest the
+        counters of every entry whose last visit is j and drop it."""
         fields = self._each(lambda sid: recover_fields(
             self.problem, sid, self.ops[sid],
             self.problem.star_data(sid, lam)))
-        for entry in [e for e in self.cache if self.lifetimes[e][1] == k]:
+        for entry in [e for e in self.cache if self.lifetimes[e][1] == j]:
             self.stats.harvest(entry[0], self.cache.pop(entry)[0])
         self.ops = {}
         return fields
@@ -622,15 +645,15 @@ class _Groups:
         return jump(problem.space.n_dof, problem.sub_dofs,
                     self._merge("respond", lam))
 
-    def solve(self, k, y, tol, max_iter, precond=None):
-        """Realization k at y: its CGResult and the fields per subdomain."""
+    def solve(self, j, k, y, tol, max_iter, precond=None):
+        """Realization k at y, the sweep's visit j: its CGResult and the
+        fields per subdomain."""
         g, bases = self.realize(k, y)
         apply_fn = (self.apply if self.method == "S1"
                     else basis_apply(self.problem.space, bases))
         res = cg_solve(apply_fn, g, tol=tol, max_iter=max_iter,
                        precond=precond)
-        self.stats.cg_iters.append(res.n_iter)
-        return res, self._merge("recover", k, res.x)
+        return res, self._merge("recover", j, res.x)
 
 
 def star_response(problem, sid, op, lam_local):
@@ -690,7 +713,8 @@ def _fields_dict(problem, per_sid, lam):
 
 def _check_basis_cap(problem, method, lifetimes, cap_mb):
     """SizeCapError if the bases an S2/S3 sweep holds at once exceed cap_mb:
-    the peak over realizations of the entries `lifetimes` holds live."""
+    the peak over the visits of the sweep of the entries `lifetimes` holds
+    live."""
     if method == "S1" or cap_mb is None:
         return
     held = np.zeros(2 + max(last for _, last in lifetimes.values()), int)
@@ -721,9 +745,11 @@ def run_method(problem, grid, method="S1", tol=1e-9, max_iter=None,
     """Sweep the collocation grid with one of the method variants.
 
     `workers` is the number of subdomain groups (see the module docstring
-    and worker_count). Returns a RunResult holding the finalized moments,
-    the per-subdomain SolveStats, and the mortar solution of every
-    realization.
+    and worker_count). The realizations are visited in visit_order and
+    their moments accumulated in that order. Returns a RunResult holding
+    the finalized moments, the per-subdomain SolveStats, and the mortar
+    solution of every realization; its per-realization lists and
+    stats.cg_iters are in grid order.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of "
@@ -736,22 +762,22 @@ def run_method(problem, grid, method="S1", tol=1e-9, max_iter=None,
             f"{splits}")
     stats = SolveStats.new(method, problem.layout.n_subdomains)
     stats.n_real = grid.n_real
-    lifetimes = _lifetimes(problem, grid, method, grid.points)
+    visits = [(k, grid.points[k]) for k in visit_order(grid)]
+    lifetimes = _lifetimes(problem, grid, method, visits)
     _check_basis_cap(problem, method, lifetimes, basis_cap_mb)
     acc = MomentAccumulator()
-    lambdas, residual_hist, cg_cond = [], [], []
+    solved = [None] * grid.n_real
 
     with _Groups(problem, method, workers, stats, grid, lifetimes) as groups:
         precond = MeanFieldPreconditioner(problem, groups.mean_bases())
-        for k in range(grid.n_real):
-            y = grid.points[k]
-            res, per_sid = groups.solve(k, y, tol, max_iter, precond.at(y))
-            residual_hist.append(res.residuals)
-            cg_cond.append(res.cond)
+        for j, (k, y) in enumerate(visits):
+            res, per_sid = groups.solve(j, k, y, tol, max_iter, precond.at(y))
             acc.add(grid.weights[k], _fields_dict(problem, per_sid, res.x))
-            lambdas.append(res.x)
-    return RunResult(acc.finalize(), stats, lambdas, residual_hist, grid,
-                     cg_cond)
+            solved[k] = res
+    stats.cg_iters = [res.n_iter for res in solved]
+    return RunResult(acc.finalize(), stats, [res.x for res in solved],
+                     [res.residuals for res in solved], grid,
+                     [res.cond for res in solved])
 
 
 def solve_realization(problem, y=None, tol=1e-9, max_iter=None, workers=1):
@@ -767,7 +793,8 @@ def solve_realization(problem, y=None, tol=1e-9, max_iter=None, workers=1):
                          f"permeability field's {n_dims} dims")
     stats = SolveStats.new("S1", problem.layout.n_subdomains)
     stats.n_real = 1
-    lifetimes = _lifetimes(problem, None, "S1", [y])
+    lifetimes = _lifetimes(problem, None, "S1", [(0, y)])
     with _Groups(problem, "S1", workers, stats, None, lifetimes) as groups:
-        res, per_sid = groups.solve(0, y, tol, max_iter)
+        res, per_sid = groups.solve(0, 0, y, tol, max_iter)
+    stats.cg_iters = [res.n_iter]
     return per_sid, res.x, stats

@@ -13,6 +13,7 @@ from sdmortar.errors import ConfigError, ConvergenceError
 from sdmortar.interface import SolveStats, compute_flux_basis, star_response
 from sdmortar.moments import MomentAccumulator
 from sdmortar.mortar import pairing
+from sdmortar.output import _cell_arrays, _darcy_cells
 from sdmortar.stokes import (_QP, _QW, EDGE_MASS, StokesReference,
                              StokesSystem, _p2_shapes, trace_nodes)
 
@@ -706,3 +707,57 @@ def mean_field_scaling(problem, y):
                                       for e in edges) / row[edges].sum())
         d[dofs] += np.diag(B) * kappa
     return S, d
+
+
+def _per_value_fmt(v):
+    return f"{float(v):.17g}"
+
+
+def per_value_write_vtk(path, problem, sid, moments):
+    """output.write_vtk as it formatted one numpy scalar at a time."""
+    mesh = problem.meshes[sid]
+    block = problem.layout.blocks[sid]
+    if block.physics == "darcy":
+        points, conn, ctype = _darcy_cells(mesh, block.rect)
+    else:
+        points, conn, ctype = mesh.p1_xy, mesh.conn_p1, 5  # VTK_TRIANGLE
+    arrays = _cell_arrays(moments, sid)
+    n_pts, n_cells = len(points), len(conn)
+    lines = [
+        "# vtk DataFile Version 3.0",
+        f"subdomain {sid} ({block.physics}) moment fields",
+        "ASCII",
+        "DATASET UNSTRUCTURED_GRID",
+        f"POINTS {n_pts} double",
+    ]
+    for p in points:
+        lines.append(f"{_per_value_fmt(p[0])} {_per_value_fmt(p[1])} 0")
+    lines.append(f"CELLS {n_cells} {n_cells * (1 + conn.shape[1])}")
+    for row in conn:
+        lines.append(str(conn.shape[1]) + " " + " ".join(str(i) for i in row))
+    lines.append(f"CELL_TYPES {n_cells}")
+    lines.extend([str(ctype)] * n_cells)
+    lines.append(f"CELL_DATA {n_cells}")
+    for name, arr in arrays.items():
+        lines.append(f"SCALARS {name} double 1")
+        lines.append("LOOKUP_TABLE default")
+        lines.extend(_per_value_fmt(v) for v in arr)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def per_value_write_moments_csv(path, problem, moments):
+    """output.write_moments_csv as it formatted one numpy scalar at a
+    time."""
+    lines = ["x,y,mean_u,mean_v,mean_p,var_u,var_v,var_p"]
+    for sid in range(problem.layout.n_subdomains):
+        centers = problem.cell_centers(sid)
+        arrays = _cell_arrays(moments, sid)
+        for c in range(len(centers)):
+            vals = [centers[c, 0], centers[c, 1],
+                    arrays["mean_u"][c], arrays["mean_v"][c],
+                    arrays["mean_p"][c], arrays["var_u"][c],
+                    arrays["var_v"][c], arrays["var_p"][c]]
+            lines.append(",".join(_per_value_fmt(v) for v in vals))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -10,7 +10,7 @@ import pytest
 
 from sdmortar.config import build_from_config, parse_config
 from sdmortar.interface import (SolveStats, _Group, _Groups, _lifetimes,
-                                run_method)
+                                run_method, visit_order)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -70,6 +70,11 @@ def load_case(name, refine=1, **tweaks):
                            options=options)
 
 
+def sweep_visits(grid):
+    """[(k, y)] of a sweep of grid, in the order run_method visits them."""
+    return [(k, grid.points[k]) for k in visit_order(grid)]
+
+
 def new_group(case, method, sids=None):
     """A _Group of `sids` (every subdomain by default) with the entry
     lifetimes run_method gives a sweep of case.grid."""
@@ -77,7 +82,7 @@ def new_group(case, method, sids=None):
     n_sub = problem.layout.n_subdomains
     return _Group(problem, list(range(n_sub)) if sids is None else sids,
                   method, SolveStats.new(method, n_sub), grid,
-                  _lifetimes(problem, grid, method, grid.points))
+                  _lifetimes(problem, grid, method, sweep_visits(grid)))
 
 
 def build_operators(group):
@@ -93,7 +98,7 @@ def sweep_groups(case, method, stats):
     it."""
     problem, grid = case.problem, case.grid
     return _Groups(problem, method, 1, stats, grid,
-                   _lifetimes(problem, grid, method, grid.points))
+                   _lifetimes(problem, grid, method, sweep_visits(grid)))
 
 
 def sweep_all_methods(case, tol=1e-11):

@@ -28,9 +28,28 @@ from conftest import load_case
 TOL = 1e-12
 
 
-def _close(got, want):
+def _close(got, want, tol=TOL):
     scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
-    return float(np.max(np.abs(got - want), initial=0.0)) <= TOL * scale
+    return float(np.max(np.abs(got - want), initial=0.0)) <= tol * scale
+
+
+def _recovery_tol(op):
+    """Bound on a recovered field's gap to the dict path, relative to the
+    field's size: TOL, or n eps cond_1(A) if larger.
+
+    The two paths solve with the block's factored n x n system A in
+    different splits (bar and interface data together, or apart), so
+    they differ by the forward error of backward-stable solves, which
+    is at most about n eps cond_1(A) of the solution (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., Thm 9.4 and 7.2).
+    Ill-conditioned Stokes blocks of small tilings (all-stress sides,
+    cond_1 up to ~1e4) reach tens of TOL; 3000 random tilings stayed
+    below a quarter of this bound. cond_1 is exact: A^-1 from n unit
+    solves.
+    """
+    n = op.lu.shape[0]
+    inverse = op.lu.solve(np.eye(n))
+    return max(TOL, n * np.finfo(float).eps * np.linalg.cond(inverse, 1))
 
 
 def _reference_star(problem, sid, op, lam):
@@ -100,7 +119,7 @@ def assert_maps_match_dicts(problem, y, rng):
     # bar solutions of the same operators; F_i on the bar velocity includes
     # the Dirichlet lift
     with _Groups(problem, "S1", 1, SolveStats.new("S1", n_sub), None,
-                 _lifetimes(problem, None, "S1", [y])) as groups:
+                 _lifetimes(problem, None, "S1", [(0, y)])) as groups:
         g, _ = groups.realize(0, y)
         ship_ops = groups._local.ops
         want = oracles.entry_jump(problem.space, [
@@ -118,8 +137,9 @@ def assert_maps_match_dicts(problem, y, rng):
         star, _ = _reference_star(problem, sid, ops[sid], lam)
         total = type(star)(bars[sid].u + star.u, bars[sid].p + star.p)
         want = problem.postprocess(sid, ops[sid], total)
+        tol = _recovery_tol(ops[sid])
         for name, arr in want.items():
-            assert _close(fields[name], arr), (sid, name)
+            assert _close(fields[name], arr, tol), (sid, name)
 
 
 @pytest.mark.parametrize("name", ["case1_mini", "case1_mini_sparse",
@@ -136,52 +156,74 @@ def _mortar_count(length, h_max, draw_frac):
     return 1 + int(draw_frac * n_max) % n_max
 
 
-@st.composite
-def tilings(draw):
-    cols = draw(st.integers(1, 2))
-    rows = draw(st.integers(2 if cols == 1 else 1, 2))
-    width = draw(st.sampled_from([1.0, 1.5]))
+SIDES = ("left", "right", "bottom", "top")
+
+
+def _bc(physics, kind, v):
+    """A side's condition: Darcy noflow or pressure v, Stokes stress or
+    velocity (v, v x / 2)."""
+    if physics == "darcy":
+        return (DarcyBC("noflow") if kind == "noflow"
+                else DarcyBC("pressure", lambda x, y, v=v: v))
+    return (StokesBC("stress") if kind == "stress"
+            else StokesBC("velocity", lambda x, y, v=v: (v, 0.5 * v * x)))
+
+
+def build_tiling(width, rows, degree, physics, bcs, fractions, seed):
+    """A tiling of unit-high blocks `width` wide and its problem, with the
+    rng that drew its permeability.
+
+    `rows` lists the blocks row by row from the bottom, each as (physics,
+    (nx, ny)); `bcs` gives per block, in the same order, (kind, v) for
+    each of SIDES. Interface g gets the mortar element count that
+    fractions[g] picks (_mortar_count). Every Darcy block is its own KL
+    region with per-cell K = exp(N(0, 1)) drawn from `seed`.
+    """
     blocks = []
-    for iy in range(rows):
-        for ix in range(cols):
-            kind = draw(st.sampled_from(["stokes", "darcy"]))
+    for iy, row in enumerate(rows):
+        for ix, (kind, mesh) in enumerate(row):
             region = len(blocks) if kind == "darcy" else None
-            blocks.append(Block(
-                (ix * width, float(iy), (ix + 1) * width, iy + 1.0), kind,
-                (draw(st.integers(2, 6)), draw(st.integers(2, 6))), region))
+            blocks.append(Block((ix * width, float(iy), (ix + 1) * width,
+                                 iy + 1.0), kind, mesh, region))
     layout = build_layout(blocks)
     meshes = {sid: build_subdomain_mesh(b) for sid, b in enumerate(blocks)}
     counts = {}
     for g in layout.interfaces:
         h = max(meshes[s].hy if g.axis == "x" else meshes[s].hx
                 for s in (g.i, g.j))
-        counts[g.index] = _mortar_count(g.length, h,
-                                        draw(st.floats(0.0, 0.999)))
-    space = build_mortar_space(layout, meshes, counts,
-                               degree=draw(st.sampled_from([0, 1])))
-    physics = Physics(nu_s=draw(st.floats(0.2, 3.0)),
-                      nu_d=draw(st.floats(0.2, 3.0)),
-                      alpha=draw(st.sampled_from([0.0, 0.5, 2.0])))
-    bcs = {}
-    for sid, b in enumerate(blocks):
-        sides = {}
-        for side in ("left", "right", "bottom", "top"):
-            v = draw(st.floats(-1.0, 1.0))
-            if b.physics == "darcy":
-                sides[side] = draw(st.sampled_from([
-                    DarcyBC("noflow"), DarcyBC("pressure", lambda x, y, v=v: v)]))
-            else:
-                sides[side] = draw(st.sampled_from([
-                    StokesBC("stress"),
-                    StokesBC("velocity", lambda x, y, v=v: (v, 0.5 * v * x))]))
-        bcs[sid] = sides
-    seed = draw(st.integers(0, 2 ** 16))
+        counts[g.index] = _mortar_count(g.length, h, fractions[g.index])
+    space = build_mortar_space(layout, meshes, counts, degree=degree)
+    bc = {sid: {side: _bc(b.physics, *bcs[sid][j])
+                for j, side in enumerate(SIDES)}
+          for sid, b in enumerate(blocks)}
     rng = np.random.default_rng(seed)
     K = {sid: np.exp(rng.standard_normal(meshes[sid].nx * meshes[sid].ny))
          for sid, b in enumerate(blocks) if b.physics == "darcy"}
     problem = build_problem(layout, space, _CellField(K, meshes), physics,
-                            bcs, meshes=meshes)
+                            bc, meshes=meshes)
     return problem, rng
+
+
+@st.composite
+def tilings(draw):
+    cols = draw(st.integers(1, 2))
+    n_rows = draw(st.integers(2 if cols == 1 else 1, 2))
+    rows = [[(draw(st.sampled_from(["stokes", "darcy"])),
+              (draw(st.integers(2, 6)), draw(st.integers(2, 6))))
+             for _ in range(cols)] for _ in range(n_rows)]
+    kinds = {"darcy": ["noflow", "pressure"], "stokes": ["stress", "velocity"]}
+    bcs = [[(draw(st.sampled_from(kinds[physics])),
+             draw(st.floats(-1.0, 1.0))) for _ in SIDES]
+           for row in rows for physics, _ in row]
+    return build_tiling(
+        width=draw(st.sampled_from([1.0, 1.5])), rows=rows,
+        degree=draw(st.sampled_from([0, 1])),
+        physics=Physics(nu_s=draw(st.floats(0.2, 3.0)),
+                        nu_d=draw(st.floats(0.2, 3.0)),
+                        alpha=draw(st.sampled_from([0.0, 0.5, 2.0]))),
+        bcs=bcs, fractions=draw(st.lists(st.floats(0.0, 0.999), min_size=4,
+                                         max_size=4)),
+        seed=draw(st.integers(0, 2 ** 16)))
 
 
 class _CellField:
@@ -205,8 +247,30 @@ class _CellField:
         return self.K[region][mesh.cell(ix, iy)] ** y_global[0]
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20, deadline=None, derandomize=True)
 @given(tilings())
 def test_maps_match_dict_path_on_random_tilings(case):
     problem, rng = case
+    assert_maps_match_dicts(problem, np.ones(1), rng)
+
+
+def test_maps_match_dict_path_on_a_stress_dominated_tiling():
+    """Stokes blocks 0 and 1 (2 x 2, all stress) and 2 (4 x 3, velocity on
+    its left and top) under a Darcy block, alpha = 0, nu_s = 2: block 2's
+    factored system has cond_1 about 5e3, and its recovered pressure
+    differs from the dict path's by about 1.2 TOL, within its
+    _recovery_tol."""
+    stress = [("stress", 0.0)] * 4
+    velocity = [("velocity", -0.5980394103180386), ("stress", 0.0),
+                ("stress", 0.0), ("velocity", -0.5838923882397913)]
+    darcy = [("noflow", 0.0), ("pressure", -0.434656156512917),
+             ("noflow", 0.0), ("pressure", -0.8238561055636651)]
+    problem, rng = build_tiling(
+        width=1.5, rows=[[("stokes", (2, 2)), ("stokes", (2, 2))],
+                         [("stokes", (4, 3)), ("darcy", (5, 4))]],
+        degree=0, physics=Physics(nu_s=2.0, nu_d=0.34652053821265916,
+                                  alpha=0.0),
+        bcs=[stress, stress, velocity, darcy],
+        fractions=[0.2236875858255877, 0.6746018856441856,
+                   0.9495064260688891, 0.33223008265335346], seed=64513)
     assert_maps_match_dicts(problem, np.ones(1), rng)

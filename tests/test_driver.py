@@ -8,8 +8,10 @@ import pytest
 
 from sdmortar import cli
 from sdmortar.driver import run_config, run_file
-from sdmortar.output import STATS_COLUMNS
+from sdmortar.interface import run_method
+from sdmortar.output import STATS_COLUMNS, write_moments_csv, write_vtk
 
+from _oracles import per_value_write_moments_csv, per_value_write_vtk
 from conftest import CONFIG_DIR, load_case, one_block_raw
 
 TWOBLOCK = os.path.join(CONFIG_DIR, "darcy_twoblock.json")
@@ -74,6 +76,48 @@ def test_moments_csv_layout(tmp_path):
     assert row[1] == pytest.approx(c0[1])
     mean_p = result.moments["0:cp"][0]
     assert row[4] == pytest.approx(mean_p[0], rel=1e-15)
+
+
+def _odd_moments(moments, rng):
+    """The moment fields with values of every magnitude, signed zeros and
+    whole numbers, to stress the number format."""
+    out = {}
+    for name, (mean, var) in moments.items():
+        pair = []
+        for arr in (mean, var):
+            arr = rng.standard_normal(arr.shape) * 10.0 ** rng.integers(
+                -300, 300, arr.shape)
+            arr.ravel()[::7] = np.round(arr.ravel()[::7] * 1e-290)
+            arr.ravel()[::11] = -0.0
+            pair.append(arr)
+        out[name] = tuple(pair)
+    return out
+
+
+@pytest.mark.parametrize("name", ("case1_mini", "case1_mini_sparse",
+                                  "case2_mini", "darcy_twoblock"))
+def test_writers_match_the_per_value_writers_byte_for_byte(tmp_path, name):
+    """write_vtk and write_moments_csv format rows of Python floats; the
+    files are the bytes of the per-value writers (tests/_oracles.py), for
+    a sweep's moments and for moments of every magnitude."""
+    case = load_case(name)
+    problem = case.problem
+    swept = run_method(problem, case.grid, method="S3").moments
+    for tag, moments in (("swept", swept),
+                         ("odd", _odd_moments(swept,
+                                              np.random.default_rng(7)))):
+        files = []
+        for side, vtk, csv in (
+                ("new", write_vtk, write_moments_csv),
+                ("old", per_value_write_vtk, per_value_write_moments_csv)):
+            paths = [tmp_path / f"{tag}_{side}_{sid}.vtk"
+                     for sid in range(problem.layout.n_subdomains)]
+            for sid, path in enumerate(paths):
+                vtk(path, problem, sid, moments)
+            paths.append(tmp_path / f"{tag}_{side}.csv")
+            csv(paths[-1], problem, moments)
+            files.append([path.read_bytes() for path in paths])
+        assert files[0] == files[1], tag
 
 
 def test_manifest_contents(tmp_path):

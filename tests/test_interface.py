@@ -15,9 +15,11 @@ from sdmortar.errors import (ConvergenceError, SingularOperatorError,
 from sdmortar.interface import (MeanFieldPreconditioner, SolveStats, _Group,
                                 _check_basis_cap, _lifetimes, _split,
                                 basis_apply, cg_solve, compute_flux_basis,
-                                run_method, solve_realization, worker_count)
+                                run_method, solve_realization, visit_order,
+                                worker_count)
 
-from conftest import build_operators, load_case, new_group, sweep_groups
+from conftest import (build_operators, load_case, new_group, sweep_groups,
+                      sweep_visits)
 from _oracles import (count_local_realizations, mean_field_scaling, plain_cg,
                       prepare_s3)
 
@@ -313,25 +315,27 @@ def test_s3_prepare_matches_the_reference_bitwise(name):
 def test_s3_builds_each_entry_once_and_drops_it_after_its_last_use(
         case1, monkeypatch):
     """Every (sid, key) entry of an S3 sweep is built once, a Darcy one
-    during the first realization with its key, a Stokes one (key None, the
+    during the first visit with its key, a Stokes one (key None, the
     mean field) at set-up, where its basis serves the preconditioner, and
-    harvested at the recovery of its last realization (_lifetimes);
+    harvested at the recovery of its last visit (_lifetimes);
     case1_mini needs 26 bases and 30 sparse factors (2 Stokes LUs, 24
     Darcy banded Cholesky factors, and the 4 mean-field Darcy factors of
     the preconditioner)."""
     problem, grid = case1.problem, case1.grid
+    order = visit_order(grid)
     table = {}
-    for k in range(grid.n_real):
+    for j, k in enumerate(order):
         for sid, block in enumerate(problem.layout.blocks):
             key = (int(grid.local_indices[block.kl_region][k])
                    if block.physics == "darcy" else None)
-            table[sid, key] = table.get((sid, key), (k,))[0], k
-    assert _lifetimes(problem, grid, "S3", grid.points) == table
+            table[sid, key] = table.get((sid, key), (j,))[0], j
+    assert _lifetimes(problem, grid, "S3", sweep_visits(grid)) == table
     now, entry_of, built, harvested, factors = [None], {}, {}, {}, []
 
     def phased(name, fn):
         def wrapped(self, *args):
-            # set-up (mean_bases) asks for the mean field, as realization 0
+            # realize gets the realization, recover the visit; set-up
+            # (mean_bases) asks for the mean field, as realization 0
             now[0] = name, args[0] if args else 0
             return fn(self, *args)
         return wrapped
@@ -364,8 +368,8 @@ def test_s3_builds_each_entry_once_and_drops_it_after_its_last_use(
         monkeypatch.setattr(_Group, name, phased(name,
                                                  getattr(_Group, name)))
     res = run_method(problem, grid, method="S3")
-    assert built == {e: [("realize" if e[1] is not None else "mean_bases",
-                          first)]
+    assert built == {e: [("realize", order[first]) if e[1] is not None
+                         else ("mean_bases", 0)]
                      for e, (first, _) in table.items()}
     assert harvested == {e: [("recover", last)]
                          for e, (_, last) in table.items()}
@@ -373,11 +377,12 @@ def test_s3_builds_each_entry_once_and_drops_it_after_its_last_use(
     assert res.stats.factorizations.sum() == 26
 
 
-def test_s3_region0_darcy_blocks_hold_one_entry(case1, monkeypatch):
-    """Region 0's local realization runs through the grid in contiguous
-    runs, so each of its Darcy blocks holds one S3 entry at a time; region
-    1's blocks hold all of theirs."""
+def test_s3_slowest_region_darcy_blocks_hold_one_entry(case1, monkeypatch):
+    """The sweep visits region 1, the region with the most local
+    realizations (8 against 4), slowest, so each of its Darcy blocks holds
+    one S3 entry at a time; region 0's blocks hold all of theirs."""
     problem, grid = case1.problem, case1.grid
+    assert grid.local_counts == [4, 8]
     blocks = problem.layout.blocks
     held = {sid: 0 for sid, b in enumerate(blocks) if b.physics == "darcy"}
     realize = _Group.realize
@@ -394,15 +399,84 @@ def test_s3_region0_darcy_blocks_hold_one_entry(case1, monkeypatch):
     region = {sid: blocks[sid].kl_region for sid in held}
     assert sorted(set(region.values())) == [0, 1]
     for sid, n in held.items():
-        assert n == (1 if region[sid] == 0 else grid.local_counts[1]), sid
+        assert n == (1 if region[sid] == 1 else grid.local_counts[0]), sid
+
+
+def _peak_darcy_entries(problem, table):
+    """Most Darcy entries of a lifetime table live at one visit."""
+    darcy = [(first, last) for (sid, _), (first, last) in table.items()
+             if problem.layout.physics(sid) == "darcy"]
+    n_visits = 1 + max(last for _, last in table.values())
+    return max(sum(first <= j <= last for first, last in darcy)
+               for j in range(n_visits))
+
+
+def test_visit_order_lowers_the_s3_darcy_peak(case1):
+    """Region 1 slowest: 10 Darcy entries live at the peak of an S3 sweep
+    of case1_mini (2 of region 1, 4 + 4 of region 0), against 18 in grid
+    order (1 + 1 of region 0, 8 + 8 of region 1)."""
+    problem, grid = case1.problem, case1.grid
+    order = visit_order(grid)
+    assert sorted(order) == list(range(grid.n_real))
+    assert order[:5] == [0, 8, 16, 24, 1]
+    in_grid_order = list(enumerate(grid.points))
+    for visits, peak in ((sweep_visits(grid), 10), (in_grid_order, 18)):
+        table = _lifetimes(problem, grid, "S3", visits)
+        assert _peak_darcy_entries(problem, table) == peak
+
+
+def test_visit_order_of_a_sparse_grid_runs_the_slowest_region():
+    """On any grid the slowest region's local realizations come in runs:
+    each appears in one block of consecutive visits."""
+    case = load_case("case1_mini_sparse")
+    grid = case.grid
+    order = visit_order(grid)
+    assert sorted(order) == list(range(grid.n_real))
+    slow = max(range(len(grid.local_counts)),
+               key=lambda r: (grid.local_counts[r], -r))
+    runs = [int(grid.local_indices[slow][k]) for k in order]
+    starts = [i for i in range(len(runs)) if i == 0 or runs[i] != runs[i - 1]]
+    assert len(starts) == grid.local_counts[slow]
+
+
+@pytest.mark.parametrize("method", ["S1", "S2", "S3"])
+def test_visit_order_matches_a_grid_order_sweep(case1, case1_sweeps,
+                                                monkeypatch, method):
+    """Per realization the visit order changes nothing: lambda, CG
+    iterations, residual histories and condition estimates are bitwise
+    those of a sweep in grid order, and so are the counters; the moments,
+    summed in another order, agree to 1e-13 of their scale: max |mean| for
+    a mean, max E[x^2] for a variance, which is the difference of E[x^2]
+    and mean^2."""
+    visited = case1_sweeps.results[method]
+    monkeypatch.setattr(interface, "visit_order",
+                        lambda grid: list(range(grid.n_real)))
+    in_order = run_method(case1.problem, case1.grid, method=method, tol=1e-11)
+    assert len(visited.lambdas) == len(in_order.lambdas)
+    for lam1, lam2 in zip(visited.lambdas, in_order.lambdas):
+        assert np.array_equal(lam1, lam2)
+    assert visited.stats.cg_iters == in_order.stats.cg_iters
+    assert visited.residuals == in_order.residuals
+    assert visited.cg_cond == in_order.cg_cond
+    for counter in ("factorizations", "backsolves", "basis_backsolves",
+                    "setup_factorizations", "setup_backsolves"):
+        assert np.array_equal(getattr(visited.stats, counter),
+                              getattr(in_order.stats, counter)), counter
+    assert visited.moments.keys() == in_order.moments.keys()
+    for name, (mean, var) in in_order.moments.items():
+        got_mean, got_var = visited.moments[name]
+        for got, want, scale in ((got_mean, mean, np.abs(mean)),
+                                 (got_var, var, mean * mean + var)):
+            gap = np.max(np.abs(got - want), initial=0.0)
+            assert gap <= 1e-13 * np.max(scale, initial=0.0), name
 
 
 @pytest.mark.parametrize("method", ["S2", "S3"])
 def test_basis_cap_reads_the_peak_of_the_lifetimes(case1, method):
     """_check_basis_cap passes at the peak bytes of the bases the lifetime
-    table holds live at one realization and raises a byte below it."""
+    table holds live at one visit and raises a byte below it."""
     problem, grid = case1.problem, case1.grid
-    table = _lifetimes(problem, grid, method, grid.points)
+    table = _lifetimes(problem, grid, method, sweep_visits(grid))
     peak = max(sum(8 * len(problem.sub_dofs[sid]) ** 2
                    for (sid, _), (first, last) in table.items()
                    if first <= k <= last)
@@ -410,7 +484,7 @@ def test_basis_cap_reads_the_peak_of_the_lifetimes(case1, method):
     one_each = sum(8 * len(d) ** 2 for d in problem.sub_dofs)
     if method == "S2":
         assert peak == one_each
-    else:  # region 1's Darcy bases are all live in mid-sweep
+    else:  # region 0's Darcy bases are all live in mid-sweep
         assert peak > one_each
     _check_basis_cap(problem, method, table, peak / 2 ** 20)
     with pytest.raises(SizeCapError, match="basis"):
