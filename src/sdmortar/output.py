@@ -13,7 +13,8 @@ STATS_COLUMNS = ("method", "subdomain", "factorizations", "backsolves",
 # 17 significant digits: an exact decimal form of a float, stable across
 # runs. The writers format Python floats from .tolist(), which gives the
 # same text as a numpy scalar at a fraction of the cost.
-_fmt = "{:.17g}".format
+_F = "{:.17g}"
+_fmt = _F.format
 
 
 def _darcy_cells(mesh, rect):
@@ -57,7 +58,7 @@ def write_vtk(path, problem, sid, moments):
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {n_pts} double",
     ]
-    lines.extend(map("{:.17g} {:.17g} 0".format, *points.T.tolist()))
+    lines.extend(map(f"{_F} {_F} 0".format, *points.T.tolist()))
     lines.append(f"CELLS {n_cells} {n_cells * (1 + conn.shape[1])}")
     row_fmt = " ".join(["{}"] * (1 + conn.shape[1])).format
     lines.extend(row_fmt(conn.shape[1], *row) for row in conn.tolist())
@@ -75,7 +76,7 @@ def write_vtk(path, problem, sid, moments):
 def write_moments_csv(path, problem, moments):
     """Cell-center moments of every subdomain, one merged CSV."""
     lines = ["x,y,mean_u,mean_v,mean_p,var_u,var_v,var_p"]
-    row_fmt = ",".join(["{:.17g}"] * 8).format
+    row_fmt = ",".join([_F] * 8).format
     for sid in range(problem.layout.n_subdomains):
         centers = problem.cell_centers(sid)
         arrays = _cell_arrays(moments, sid)

@@ -87,7 +87,7 @@ def new_group(case, method, sids=None):
 
 def build_operators(group):
     """Fetch or build every owned subdomain's (operator, basis) at every
-    grid point, in sweep order, dropping nothing."""
+    grid point, in grid order, dropping nothing."""
     for k, y in enumerate(group.grid.points):
         for sid in group.sids:
             group._operator(sid, k, y)

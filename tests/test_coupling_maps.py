@@ -86,8 +86,14 @@ def test_coupling_block_is_the_sparse_product(name, refine):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def assert_maps_match_dicts(problem, y, rng):
-    """Maps against the dict path at the permeability of point y."""
+def assert_maps_match_dicts(problem, y, rng, recovery_tol=False):
+    """Maps against the dict path at the permeability of point y.
+
+    Every comparison is held to TOL, except that with `recovery_tol` the
+    recovered fields are held to _recovery_tol of their block: the small
+    random tilings reach Stokes blocks conditioned badly enough that
+    solving in two splits drifts past TOL.
+    """
     n_sub = problem.layout.n_subdomains
     sids = list(range(n_sub))
     stats = SolveStats.new("S2", n_sub)
@@ -137,7 +143,7 @@ def assert_maps_match_dicts(problem, y, rng):
         star, _ = _reference_star(problem, sid, ops[sid], lam)
         total = type(star)(bars[sid].u + star.u, bars[sid].p + star.p)
         want = problem.postprocess(sid, ops[sid], total)
-        tol = _recovery_tol(ops[sid])
+        tol = _recovery_tol(ops[sid]) if recovery_tol else TOL
         for name, arr in want.items():
             assert _close(fields[name], arr, tol), (sid, name)
 
@@ -251,7 +257,7 @@ class _CellField:
 @given(tilings())
 def test_maps_match_dict_path_on_random_tilings(case):
     problem, rng = case
-    assert_maps_match_dicts(problem, np.ones(1), rng)
+    assert_maps_match_dicts(problem, np.ones(1), rng, recovery_tol=True)
 
 
 def test_maps_match_dict_path_on_a_stress_dominated_tiling():
@@ -273,4 +279,4 @@ def test_maps_match_dict_path_on_a_stress_dominated_tiling():
         bcs=[stress, stress, velocity, darcy],
         fractions=[0.2236875858255877, 0.6746018856441856,
                    0.9495064260688891, 0.33223008265335346], seed=64513)
-    assert_maps_match_dicts(problem, np.ones(1), rng)
+    assert_maps_match_dicts(problem, np.ones(1), rng, recovery_tol=True)
