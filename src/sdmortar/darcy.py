@@ -41,26 +41,30 @@ midpoints along the block's shorter side first, so that H is banded with
 half bandwidth kd <= 2 min(nx, ny) + 1 (George & Liu, Computer Solution
 of Large Sparse Positive Definite Systems, 1981). It keeps the band
 position, cell and factor s_i s_j Q_ij of every cell's contribution to
-H's lower band, and fixed CSC patterns of L and of the back map
-[r; mu] -> [u_free; p], each entry a constant or one cell's K/nu or nu/K
-times a value. A realization sums H's band straight into LAPACK's
-column-major band storage with one bincount over the cells, scales the
-maps' entries, factors H by banded Cholesky (dpbtrf) and solves a bar
-load by one multiplier load, one dpbtrs and the back map.
+H's lower band, Q, m and beta, the multiplier of every cell slot, the
+constant signed scatter C = [C_T] of the cell slots onto the
+multipliers, and the owner slot of every free edge. A realization sums
+H's band straight into LAPACK's column-major band storage with one
+bincount over the cells and factors H by banded Cholesky (dpbtrf). A
+solve runs the closed form above on every cell at once: it gathers the
+loads at their owner slots, solves H mu = C y, y_T = (K_T/nu) Q r_T +
+m g_T / beta, by one dpbtrs and reads u at the owner slots and p, each
+step a product of Q or m with the (4 x cells) array of the cell slots.
 
 A star problem is asked only for its flux response F A^-1 E lam, so the
-system also keeps the trace restriction of the maps. With E the trace
+system also keeps the trace restriction of the solve. With E the trace
 rows (the velocity unknowns F reads), E_blk the star load map on them
-and F_E = -E_blk^T, a star load reaches H only through
-R = L[:, E] E_blk, nonzero on the few multipliers of the trace cells,
-and the back map's velocity rows at E are -L[:, E]^T, because Q is
-symmetric and a load and a value are both read at their owner slot.
-Hence
+and F_E = -E_blk^T, a star load is a load on the trace rows alone. It
+reaches H only through R = L[:, E] E_blk, nonzero on the few multipliers
+of the trace cells, and, Q being symmetric and a load and a value both
+read at their owner slot, its velocity at E is the owner cells'
+(K_T/nu) Q r_T less L[:, E]^T mu. Hence
 
-    F A^-1 E = R^T H^-1 R - P,    P = F_E back_rhs[E, E] F_E^T,
+    F A^-1 E = R^T H^-1 R - P,    P = F_E Q_E F_E^T,
 
-and R and P are the realization's K/nu times fixed patterns. A star
-solve is one dpbtrs on R lam and two small products. The flux basis
+with Q_E the (K_T/nu) Q_ij of every pair of trace rows owned by one
+cell, and R and P are sums of one cell's K/nu times a fixed value. A
+star solve is one dpbtrs on R lam and two small products. The flux basis
 -F A^-1 E = P - Z^T Z, Z = L_H^-1 R with H = L_H L_H^T, needs only the
 forward triangular solves (dtbtrs), in column blocks within
 assembly.BLOCK_BYTES, each from the first multiplier its columns reach;
@@ -107,74 +111,52 @@ def _cell_edge_table(mesh):
     return mesh.cell_edges(ix, iy)
 
 
-class _ScaledPattern:
-    """CSC matrix on a fixed pattern whose every entry is a value times
-    one scale.
-
-    `const` holds (rows, cols, vals) triplets of constant entries and
-    `scaled` (rows, cols, vals, which) triplets of entries vals *
-    coef[which]; no two triplets share a position. The matrix at
-    scale = [1, coef] has the data vals * scale[self.which].
-    """
-
-    def __init__(self, shape, const, scaled):
-        rows, cols, vals = (np.concatenate(pair) for pair in zip(const,
-                                                                 scaled))
-        which = np.concatenate([np.zeros(len(const[0]), dtype=int),
-                                scaled[3] + 1])
-        order = np.lexsort((rows, cols))
-        self.shape = shape
-        self.indices = rows[order].astype(np.int32)
-        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(
-            cols, minlength=shape[1]))]).astype(np.int32)
-        self.vals = vals[order]
-        self.which = which[order]
-
-    def __call__(self, scale):
-        return sp.csc_matrix((self.vals * scale[self.which], self.indices,
-                              self.indptr), shape=self.shape)
-
-    def column_entries(self, cols):
-        """(rows, k, vals, which) of every stored entry in column cols[k]."""
-        start, count = self.indptr[cols], np.diff(self.indptr)[cols]
-        k = np.repeat(np.arange(len(cols)), count)
-        at = np.arange(count.sum()) + np.repeat(start - np.cumsum(count)
-                                                + count, count)
-        return self.indices[at], k, self.vals[at], self.which[at]
-
-
 class HybridFactors:
     """Saddle solves of one realization through the Cholesky factor of H.
 
-    `shape` is the saddle system's; solve(rhs) takes one right-hand side
-    or a block of columns and returns [u_free; p]: the multiplier load
-    L rhs, one dpbtrs with H's banded factor, and the back map applied as
-    its two column halves [r | mu].
+    `shape` is the saddle system's and `a` the cells' K/nu; solve(rhs)
+    takes one right-hand side [r; g] or a block of columns and returns
+    [u_free; p] by the module docstring's closed form on all cells at
+    once, slot-major (4 x cells): the loads r at their owner slots,
+    y = a (Q r) + m g / beta, one dpbtrs for mu from C y, and u (at the
+    owner slots) and p of r - C^T mu.
     """
 
-    def __init__(self, shape, chol, load, back_rhs, back_mu):
-        self.shape = shape
+    def __init__(self, system, chol, a):
+        self.system = system
+        self.shape = (system.n_unknowns, system.n_unknowns)
         self.chol = chol
-        self.load = load
-        self.back_rhs = back_rhs
-        self.back_mu = back_mu
+        self.a = a
 
     def solve(self, rhs):
-        x = self.back_rhs @ rhs
+        system, a = self.system, self.a
+        Q, m, beta = system.Q, system.m, system.beta
+        n_u, cols = system.n_u, np.shape(rhs)[1:]
+        # the loads at their owner slots, (4 x cells) per column of rhs
+        r = np.zeros(cols + (4 * len(a),))
+        r[..., system.owner] = rhs[:n_u].T
+        r = r.reshape(cols + (4, len(a)))
+        g = rhs[n_u:].T / beta  # g_T / beta
+        gm = m[:, None] * g[..., None, :]
         if self.chol.shape[1]:  # else no interior or no-flow edge
-            x += self.back_mu @ dpbtrs(self.chol, self.load @ rhs,
-                                       lower=1)[0]
-        return x
+            y = a * (Q @ r) + gm
+            mu = dpbtrs(self.chol, system.C @ y.reshape(cols + (-1,)).T,
+                        lower=1)[0]
+            # r - C^T mu; a slot without a multiplier reads the zero row
+            mu = np.concatenate([mu, np.zeros((1,) + cols)])
+            r -= _CELL_SIGN[:, None] * mu.T[..., system.slot_mult]
+        u = (a * (Q @ r) + gm).reshape(cols + (-1,))[..., system.owner]
+        return np.concatenate([u, m @ r / beta - g / a], axis=-1).T
 
 
 class DarcySystem:
     """Realization-invariant part of one Darcy subdomain.
 
     Holds the reduced dof layout, the multiplier numbering, H's band fill
-    and the scaled patterns of the hybridized solve (see the module
-    docstring), the K-independent bar load and, when given the entries of
-    a mortar coupling F (full edge velocity -> signed local mortar
-    functionals), its CouplingMaps and the trace restriction of the maps
+    and the constants of the per-cell solve (see the module docstring),
+    the K-independent bar load and, when given the entries of a mortar
+    coupling F (full edge velocity -> signed local mortar functionals),
+    its CouplingMaps and the trace restriction of the solve
     (_trace_maps), so that a star solve takes a local mortar vector and
     answers at the trace.
     """
@@ -230,24 +212,22 @@ class DarcySystem:
             self._trace_maps()
 
     def _hybridize(self, noflow):
-        """Multiplier numbering, H's band fill and the scaled patterns of
-        L and the back map.
-
-        H fills from K/nu per cell, the maps from K/nu per cell followed by
-        nu/K per cell. A free edge's load belongs to one owner cell and a
-        multiplier/slot pair to one cell, so no two triplets of a map share
-        a position.
-        """
+        """Multiplier numbering, H's band fill and the per-cell solve's
+        constants: Q, m, beta, each cell slot's multiplier (n_mult, a zero
+        row of the solve's mu, where it has none), the signed scatter C
+        of the cell slots onto the multipliers and each free edge's owner
+        slot, its first cell slot in row-major order. Slots are numbered
+        slot-major, slot * n_cells + cell."""
         mesh = self.mesh
-        nc, n_u = mesh.n_cells, self.n_u
+        nc = mesh.n_cells
         edges = np.column_stack(_cell_edge_table(mesh))
         M0 = mesh.hx * mesh.hy * np.kron(np.eye(2), [[1 / 3, 1 / 6],
                                                       [1 / 6, 1 / 3]])
         b = np.array([mesh.hy, -mesh.hy, mesh.hx, -mesh.hx])
         M0inv = np.linalg.inv(M0)
-        m = M0inv @ b
-        beta = b @ m
-        Q = M0inv - np.outer(m, m) / beta
+        self.m = m = M0inv @ b
+        self.beta = beta = b @ m
+        self.Q = Q = M0inv - np.outer(m, m) / beta
         s = _CELL_SIGN
 
         # multipliers on interior and no-flow edges, numbered by their
@@ -266,80 +246,55 @@ class DarcySystem:
         self.n_mult = n_mult
 
         mid = mult[edges]  # (nc, 4) multiplier of each cell slot
-        red = self.red_index[edges]  # (nc, 4) reduced velocity row
-        # each free edge's load and value belong to its first cell slot
-        owned = np.zeros(4 * nc, dtype=bool)
-        owned[np.unique(edges.ravel(), return_index=True)[1]] = True
-        owned = owned.reshape(nc, 4) & (red >= 0)
-
+        # H = sum_T (K_T/nu) C_T Q C_T^T, its lower band summed cell by
+        # cell into LAPACK's band storage: H[mi, mj] at (mi - mj, mj)
         cell = np.repeat(np.arange(nc), 16)  # every slot pair (i, j)
         i = np.tile(np.repeat(np.arange(4), 4), nc)
         j = np.tile(np.arange(4), 4 * nc)
         mi, mj = mid[cell, i], mid[cell, j]
-        ri, rj = red[cell, i], red[cell, j]
-        oi, oj = owned[cell, i], owned[cell, j]
-        k = np.tile(np.arange(4), nc)  # every single slot k
-        mk, rk, ok = mid.ravel(), red.ravel(), owned.ravel()
-        p_row = n_u + np.repeat(np.arange(nc), 4)
-        p_diag = n_u + np.arange(nc)
-        n_sys = n_u + nc
-
-        # H = sum_T (K_T/nu) C_T Q C_T^T, its lower band summed cell by
-        # cell into LAPACK's band storage: H[mi, mj] at (mi - mj, mj)
         low = (mj >= 0) & (mi >= mj)
         d = (mi - mj)[low]
         self.kd = int(np.max(d, initial=0))
         self._band_at = d + (self.kd + 1) * mj[low]
         self._band_cell = cell[low]
         self._band_q = (s[i] * s[j] * Q[i, j])[low]
-        # L r = sum_T C_T ((K_T/nu) Q r_T + m g_T / beta)
-        lr, lg = (mi >= 0) & oj, mk >= 0
-        self._load = _ScaledPattern(
-            (n_mult, n_sys), (mk[lg], p_row[lg], (s * m / beta)[k][lg]),
-            (mi[lr], rj[lr], (s[i] * Q[i, j])[lr], cell[lr]))
-        # u_T = (K_T/nu) Q (r_T - C_T^T mu) + m g_T / beta, read at the
-        # owner slot; p_T = m^T (r_T - C_T^T mu) / beta - (nu/K_T) g_T / beta
-        uu = oi & oj
-        self._back_rhs = _ScaledPattern(
-            (n_sys, n_sys),
-            (np.concatenate([rk[ok], p_row[ok]]),
-             np.concatenate([p_row[ok], rk[ok]]),
-             np.tile((m / beta)[k][ok], 2)),
-            (np.concatenate([ri[uu], p_diag]),
-             np.concatenate([rj[uu], p_diag]),
-             np.concatenate([Q[i, j][uu], np.full(nc, -1 / beta)]),
-             np.concatenate([cell[uu], nc + np.arange(nc)])))
-        um = oi & (mj >= 0)
-        self._back_mu = _ScaledPattern(
-            (n_sys, n_mult), (p_row[lg], mk[lg], -(m * s / beta)[k][lg]),
-            (ri[um], mj[um], -(Q[i, j] * s[j])[um], cell[um]))
+
+        mid = mid.T  # slot-major from here on
+        self.slot_mult = np.where(mid >= 0, mid, n_mult)
+        slot = np.flatnonzero(mid >= 0)
+        self.C = sp.csr_matrix((np.repeat(s, nc)[slot], (mid.ravel()[slot],
+                                                         slot)),
+                               shape=(n_mult, 4 * nc))
+        cell, k = np.divmod(np.unique(edges.ravel(), return_index=True)[1],
+                            4)
+        self.owner = (k * nc + cell)[self.free]
 
     def _trace_maps(self):
-        """Patterns of R and P on the trace rows E (see the module
-        docstring): sparse maps from the maps' scale [1, K/nu, nu/K] to the
-        entries of R (on the multipliers `reach` that the trace loads
-        reach, sorted) and of P, row-major.
+        """R and P as maps from the cells' K/nu to their entries (see the
+        module docstring): R on the multipliers `reach` that the trace
+        loads reach, sorted, and P, both row-major.
 
-        Every entry of L in a trace column and of back_rhs on E x E is one
-        cell's K/nu times a value, so R and P are sums of such terms.
+        A trace row t owned by slot k_t of cell c puts (K/nu)_c s_i
+        Q[i, k_t] E[t] on the multiplier of each slot i of c, and each
+        pair of trace rows t, t' of one cell adds (K/nu)_c Q[k_t, k_t']
+        E[t]^T E[t'] to P.
         """
         coupling = self.coupling
         n_loc, E = coupling.n_rows, coupling.E_block
-        n_scale = 1 + 2 * self.mesh.n_cells
-        mult, t, vals, which = self._load.column_entries(coupling.E_rows)
-        self.reach, mult = np.unique(mult, return_inverse=True)
+        nc = self.mesh.n_cells
+        k, cell = np.divmod(self.owner[coupling.E_rows], nc)
+        t, i = np.nonzero(self.slot_mult[:, cell].T < self.n_mult)
+        self.reach, at = np.unique(self.slot_mult[i, cell[t]],
+                                   return_inverse=True)
         self._R_map = _entry_map(
-            mult[:, None] * n_loc + np.arange(n_loc), which,
-            vals[:, None] * E[t], (len(self.reach) * n_loc, n_scale))
-        pos = -np.ones(self.n_unknowns, dtype=int)
-        pos[coupling.E_rows] = np.arange(len(E))
-        rows, t, vals, which = self._back_rhs.column_entries(coupling.E_rows)
-        on = pos[rows] >= 0
-        t, vals, which = t[on], vals[on], which[on]
+            at[:, None] * n_loc + np.arange(n_loc), cell[t],
+            (_CELL_SIGN[i] * self.Q[i, k[t]])[:, None] * E[t],
+            (len(self.reach) * n_loc, nc))
+        col, row = np.nonzero(cell[:, None] == cell)
         self._P_map = _entry_map(
-            np.arange(n_loc * n_loc).reshape(n_loc, n_loc), which,
-            vals[:, None, None] * E[pos[rows[on]], :, None] * E[t, None, :],
-            (n_loc * n_loc, n_scale))
+            np.arange(n_loc * n_loc).reshape(n_loc, n_loc), cell[col],
+            self.Q[k[row], k[col]][:, None, None] * E[row, :, None]
+            * E[col, None, :], (n_loc * n_loc, nc))
 
     def multiplier_band(self, K):
         """H at cell permeabilities K, in LAPACK's lower band storage:
@@ -394,21 +349,18 @@ class DarcySystem:
             raise SingularOperatorError(
                 f"{self.name}: multiplier matrix is not positive definite "
                 f"(leading minor {info})")
-        scale = np.concatenate([[1.0], K / self.nu, self.nu / K])
-        n_sys = self.n_unknowns
+        a = K / self.nu
         R = P = None
         if self.coupling is not None:
             n_loc = self.coupling.n_rows
-            R = (self._R_map @ scale).reshape(len(self.reach), n_loc)
-            P = (self._P_map @ scale).reshape(n_loc, n_loc)
-        return DarcyOperator(
-            self, HybridFactors((n_sys, n_sys), chol, self._load(scale),
-                                self._back_rhs(scale), self._back_mu(scale)),
-            self.bar_load, R, P)
+            R = (self._R_map @ a).reshape(len(self.reach), n_loc)
+            P = (self._P_map @ a).reshape(n_loc, n_loc)
+        return DarcyOperator(self, HybridFactors(self, chol, a),
+                             self.bar_load, R, P)
 
 
 def _entry_map(at, which, vals, shape):
-    """Sparse map whose row at[...] sums vals[...] times scale[which]; at
+    """Sparse map whose row at[...] sums vals[...] times coef[which]; at
     and vals carry one leading entry per which, zeros are dropped."""
     at = np.broadcast_to(at, vals.shape)
     which = np.broadcast_to(which.reshape((-1,) + (1,) * (vals.ndim - 1)),

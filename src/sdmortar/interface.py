@@ -495,10 +495,11 @@ class _Group:
         return self._each(work)
 
     def respond(self, lam):
-        """Star response of every owned subdomain to the mortar vector lam."""
+        """Star response -F_i A_i^-1 E_i lam_i of every owned subdomain to
+        the mortar vector lam, in local order."""
         problem = self.problem
-        return self._each(lambda sid: star_response(
-            problem, sid, self.ops[sid], problem.star_data(sid, lam)))
+        return self._each(lambda sid: -self.ops[sid].solve_star(
+            problem.star_data(sid, lam)))
 
     def recover(self, j, lam):
         """Fields of the owned subdomains at visit j; then harvest the
@@ -654,16 +655,6 @@ class _Groups:
         res = cg_solve(apply_fn, g, tol=tol, max_iter=max_iter,
                        precond=precond)
         return res, self._merge("recover", j, res.x)
-
-
-def star_response(problem, sid, op, lam_local):
-    """-F_i A_i^-1 E_i lam_i: subdomain sid's share of S lam, local order.
-
-    op is the subdomain's factored operator, whose star solve returns the
-    flux response itself; lam_local may be a block of local mortar
-    vectors, one per column.
-    """
-    return -op.solve_star(lam_local)
 
 
 def compute_flux_basis(problem, sid, op, stats):

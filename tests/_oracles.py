@@ -10,7 +10,7 @@ from scipy.sparse.linalg import splu
 from sdmortar.config import validate_config
 from sdmortar.darcy import DarcyOperator, DarcySystem, _cell_edge_table
 from sdmortar.errors import ConfigError, ConvergenceError
-from sdmortar.interface import SolveStats, compute_flux_basis, star_response
+from sdmortar.interface import SolveStats, compute_flux_basis
 from sdmortar.moments import MomentAccumulator
 from sdmortar.mortar import pairing
 from sdmortar.output import _cell_arrays, _darcy_cells
@@ -148,7 +148,7 @@ def per_column_flux_basis(problem, sid, op):
     unit = np.zeros(nd)
     for j in range(nd):
         unit[j] = 1.0
-        B[:, j] = star_response(problem, sid, op, unit)
+        B[:, j] = -op.solve_star(unit)
         unit[j] = 0.0
     return dofs, B
 

@@ -2,7 +2,7 @@
 
 A Darcy system numbers its edge multipliers once (by midpoint, along the
 block's shorter side first), and per realization fills the band of H and
-scales the fixed entries of its hybridized solve's maps; a Stokes
+factors it, its solves running cell by cell in closed form; a Stokes
 reference is one sparse LU (COLAMD) of S0, the saddle matrix without BJS
 stored already scaled by its pressure scale, plus the r x r BJS block.
 Flux bases are solved in column blocks. The references here are the
@@ -60,8 +60,8 @@ def two_realizations(case, sid):
 @pytest.mark.parametrize("name", ("case1_mini", "case1_mini_sparse",
                                   "darcy_twoblock"))
 def test_reused_order_is_bitwise_at_x1(name):
-    """A system's second factor, on its kept multiplier order and scaled
-    patterns, is bit for bit the first factor of a fresh system."""
+    """A system's second factor, on its kept multiplier order and per-cell
+    constants, is bit for bit the first factor of a fresh system."""
     case = load_case(name)
     problem = case.problem
     rng = np.random.default_rng(0)
@@ -122,22 +122,29 @@ def test_changed_pattern_refactors_with_colamd(splu_calls):
     assert np.max(np.abs(sol.p)) < 1e-12
 
 
-@pytest.mark.parametrize("refine", (1, 2))
+def _nbytes(value):
+    """Bytes of an array or of the arrays a sparse matrix holds; else 0."""
+    if sp.issparse(value):
+        return sum(map(_nbytes, vars(value).values()))
+    return value.nbytes if isinstance(value, np.ndarray) else 0
+
+
 @pytest.mark.parametrize("name", CONFIGS)
-def test_darcy_map_entries_are_single_terms(name, refine):
-    """Every stored entry of L and of the back map is one constant or one
-    cell coefficient times a value: no position repeats among the input
-    triplets and none stores a zero, so a factor's data is one gather
-    and multiply."""
-    case = load_case(name, refine=refine)
-    for sid in darcy_sids(case.problem):
-        system = case.problem.systems()[sid]
-        for pattern in (system._load, system._back_rhs, system._back_mu):
-            n_rows, n_cols = pattern.shape
-            cols = np.repeat(np.arange(n_cols), np.diff(pattern.indptr))
-            keys = cols.astype(np.int64) * n_rows + pattern.indices
-            assert np.all(np.diff(keys) > 0), sid
-            assert np.all(pattern.vals != 0.0), sid
+def test_darcy_operator_holds_only_its_factor_and_trace_maps(name):
+    """A factored Darcy operator, as an S3 entry keeps it, holds no arrays
+    beyond H's band factor, the cells' K/nu, R and P: the solve's other
+    constants are its system's."""
+    case = load_case(name)
+    problem = case.problem
+    y = case.grid.points[-1]
+    for sid in darcy_sids(problem):
+        op = problem.assemble_subdomain(sid, y)
+        K = problem.sample_permeability(sid, y)
+        shared = {id(v) for v in vars(op.system).values()}
+        held = sum(_nbytes(v) for obj in (op, op.lu)
+                   for v in vars(obj).values() if id(v) not in shared)
+        assert held == sum(x.nbytes for x in (op.lu.chol, K / op.system.nu,
+                                              op.R, op.P)), sid
 
 
 @pytest.mark.parametrize("refine", (1, 2))

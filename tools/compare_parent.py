@@ -12,7 +12,9 @@ not meant to be bitwise, the summary line also gives the largest
 relative change of a sweep's CG iteration total, each sweep whose total
 differs is listed with both totals, and a last line gives the largest
 relative gap per array family (lambda, mean, var, cg_iters and each
-counter), scaled by the larger of the two sides. Run from the root of a source checkout:
+counter), scaled by the larger of the two sides; a variance's gap is
+scaled by its second moment mean^2 + var. Run from the root of a source
+checkout:
 
     python3 tools/compare_parent.py --parent HEAD --scratch /tmp/cmp-parent
 
@@ -116,20 +118,26 @@ def compare(base, new):
 
 
 def family_gaps(base, new):
-    """Largest relative gap max |b - a| / max(|a|, |b|) per array family:
-    the key without its sweep tag and field name (lambda, mean, var,
-    cg_iters or a counter), over the keys both sides report with one
-    shape. Scaling by both sides keeps a counter that one side leaves at
-    zero finite (1.0) instead of dividing by zero."""
+    """Largest relative gap per array family: the key without its sweep
+    tag and field name (lambda, mean, var, cg_iters or a counter), over
+    the keys both sides report with one shape. A gap max |b - a| is
+    scaled by the larger of max |a| and max |b|, which keeps a counter
+    that one side leaves at zero finite (1.0) instead of dividing by
+    zero. A variance var = E[x^2] - mean^2 cancels, so its gap is scaled
+    by the larger side's max E[x^2] = mean^2 + var instead, as
+    tests/test_golden.py holds it."""
     gaps = {}
     for key in sorted(set(base) & set(new)):
         a, b = base[key].astype(float), new[key].astype(float)
         if a.shape != b.shape:
             continue
         gap = np.max(np.abs(a - b), initial=0.0)
+        family = key.split("/")[3]
+        if family == "var":
+            mean = key.replace("/var/", "/mean/", 1)
+            a, b = a + base[mean] ** 2, b + new[mean] ** 2
         scale = max(np.max(np.abs(a), initial=0.0),
                     np.max(np.abs(b), initial=0.0))
-        family = key.split("/")[3]
         gaps[family] = max(gaps.get(family, 0.0),
                            gap / scale if gap else 0.0)
     return gaps
