@@ -6,9 +6,10 @@ a local mortar vector or a block of them, and its flux_basis returns
 -F A^-1 E for every unit mortar load. Only the bar solve, which may carry
 interface data too, goes through _solve, which backsolves one right-hand
 side and scatters the result into a Solution of full velocity and
-pressure dof vectors. A block handed to a factor keeps to BLOCK_BYTES
-(block_width). A Stokes operator whose BJS entries differ from its
-reference's solves through UpdatedFactors.
+pressure dof vectors. A flux basis is one product per subdomain: a
+Stokes basis one star solve of the identity, a Darcy basis one Gram
+product of its triangular solves (darcy.py). A Stokes operator whose BJS
+entries differ from its reference's solves through UpdatedFactors.
 """
 
 from dataclasses import dataclass
@@ -78,23 +79,10 @@ def check_permeability(K, name):
             f"not finite and positive")
 
 
-# Bytes of one block of right-hand sides handed to a factor, and of each
-# temporary of its solve: just under glibc's default 128 KiB mmap
-# threshold, so block buffers come from the heap and are reused. Above it,
-# freeing an mmapped buffer raises glibc's threshold and the heap grows
-# instead.
-BLOCK_BYTES = 120 * 1024
-
-
 # Smallest reciprocal condition number (1-norm) of a capacitance matrix
 # that UpdatedFactors accepts. Solves through the update lose about
 # log10(1/rcond) digits against a fresh factorization.
 CAP_RCOND = 1e-10
-
-
-def block_width(rows):
-    """Columns of a float64 block of `rows` rows within BLOCK_BYTES (>= 1)."""
-    return max(1, BLOCK_BYTES // (8 * rows))
 
 
 class UpdatedFactors:

@@ -65,10 +65,11 @@ read at their owner slot, its velocity at E is the owner cells'
 with Q_E the (K_T/nu) Q_ij of every pair of trace rows owned by one
 cell, and R and P are sums of one cell's K/nu times a fixed value. A
 star solve is one dpbtrs on R lam and two small products. The flux basis
--F A^-1 E = P - Z^T Z, Z = L_H^-1 R with H = L_H L_H^T, needs only the
-forward triangular solves (dtbtrs), in column blocks within
-assembly.BLOCK_BYTES, each from the first multiplier its columns reach;
-it is symmetric, and is stored exactly so.
+-F A^-1 E = P - Z^T Z, Z = L_H^-1 R with H = L_H L_H^T, is one Gram
+product of the forward triangular solves (dtbtrs) that give Z. Z is
+solved in a staircase of column blocks within BLOCK_BYTES, each from the
+first multiplier its columns reach; the basis is symmetric, and is stored
+exactly so.
 """
 
 from dataclasses import dataclass
@@ -77,14 +78,25 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
 
-from .assembly import (CouplingMaps, SubdomainOperator, block_width,
-                       check_permeability)
+from .assembly import CouplingMaps, SubdomainOperator, check_permeability
 from .errors import SingularOperatorError
 from .geometry import OUTWARD_SIGN, SIDES
 
 # outward normal of each (west, east, south, north) edge of a cell, in
 # the edge's +x/+y orientation
 _CELL_SIGN = np.array([-1.0, 1.0, -1.0, 1.0])
+
+# Bytes of one block of right-hand sides handed to dtbtrs in a flux
+# basis, and of the block it returns: just under glibc's default 128 KiB
+# mmap threshold, so block buffers come from the heap and are reused.
+# Above it, freeing an mmapped buffer raises glibc's threshold and the
+# heap grows instead.
+BLOCK_BYTES = 120 * 1024
+
+
+def block_width(rows):
+    """Columns of a float64 block of `rows` rows within BLOCK_BYTES (>= 1)."""
+    return max(1, BLOCK_BYTES // (8 * rows))
 
 
 @dataclass(frozen=True)
@@ -410,34 +422,31 @@ class DarcyOperator(SubdomainOperator):
         Z is solved by dtbtrs with H's banded factor, the columns taken
         in the order of the first multiplier each one's R reaches. Z is
         zero above that row, so a block's solve starts at its first
-        column's, its width is block_width of the rows it solves, and a
-        pair of blocks meets only below the later start.
+        column's and its width is block_width of the rows it solves. The
+        blocks fill one Z from the smallest start down, and B is one
+        product.
         """
         P = self.P
         n_loc = len(P)
         self.backsolves += n_loc
-        B = P.copy()
         chol, reach = self.lu.chol, self.system.reach
-        if not (chol.shape[1] and len(reach)):
-            return B
+        n = chol.shape[1]
+        if not (n and len(reach)):
+            return P.copy()
         first = reach[np.argmax(self.R != 0, axis=0)]
         order = np.argsort(first, kind="stable")
-        Z, j = [], 0
+        top = first[order[0]]
+        Z, j = np.zeros((n - top, n_loc), order="F"), 0
         while j < n_loc:
             start = first[order[j]]
-            cols = order[j:j + block_width(chol.shape[1] - start)]
+            cols = order[j:j + block_width(n - start)]
             j += len(cols)
             at = np.searchsorted(reach, start)
-            rhs = np.zeros((chol.shape[1] - start, len(cols)), order="F")
+            rhs = np.zeros((n - start, len(cols)), order="F")
             rhs[reach[at:] - start] = self.R[at:, cols]
-            Z.append((cols, start, dtbtrs(chol[:, start:], rhs, uplo="L",
-                                          overwrite_b=1)[0]))
-        for a, (ca, sa, Za) in enumerate(Z):
-            for cb, sb, Zb in Z[a:]:
-                G = Za[sb - sa:].T @ Zb
-                B[np.ix_(ca, cb)] -= G
-                if cb is not ca:
-                    B[np.ix_(cb, ca)] -= G.T
+            Z[start - top:, cols] = dtbtrs(chol[:, start:], rhs, uplo="L",
+                                           overwrite_b=1)[0]
+        B = P - Z.T @ Z
         low = np.tril_indices(n_loc, -1)
         B[low] = B.T[low]
         return B

@@ -147,22 +147,6 @@ class SolveStats:
     def cg_iters_total(self):
         return int(sum(self.cg_iters))
 
-    def rows(self):
-        """One dict per subdomain, ready for CSV output."""
-        out = []
-        for sid in range(self.n_sub):
-            out.append({
-                "method": self.method,
-                "subdomain": sid,
-                "factorizations": int(self.factorizations[sid]),
-                "backsolves": int(self.backsolves[sid]),
-                "basis_backsolves": int(self.basis_backsolves[sid]),
-                "cg_iters_total": self.cg_iters_total,
-                "n_real": self.n_real,
-                "wall_seconds": float(self.wall_seconds[sid]),
-            })
-        return out
-
 
 @dataclass
 class CGResult:
@@ -462,9 +446,9 @@ class _Group:
         here. Both are set-up work: the Darcy factorization and the
         N_dof_i unit solves go to setup_factorizations and
         setup_backsolves. Like StokesReference's W, they bypass
-        assemble_subdomain and solve_star (a Stokes basis calls the
-        operator's _star), so each call of those two is still work that
-        the identities count.
+        assemble_subdomain and solve_star (a Stokes basis is the
+        operator's _star of the identity), so each call of those two is
+        still work that the identities count.
         """
         problem = self.problem
         zero = np.zeros(problem.perm.n_dims)
@@ -479,8 +463,7 @@ class _Group:
             if reference is None:
                 self.stats.setup_factorizations[sid] += 1
                 return dofs, problem.systems()[sid].factor(K).flux_basis()
-            op = reference.factor(K)
-            return dofs, op._unit_basis(op._star)
+            return dofs, -reference.factor(K)._star(np.eye(len(dofs)))
 
         return self._each(work)
 
@@ -661,14 +644,9 @@ def compute_flux_basis(problem, sid, op, stats):
     """Local response matrix B_i = -F_i A_i^-1 E_i, so S lam|_i = B_i lam|_i.
 
     op.flux_basis() counts one backsolve per local mortar dof, and so do
-    the sweep's basis backsolves. A Darcy basis is the Gram form of the
-    operator's trace maps (darcy.py), a Stokes basis the star responses
-    to the unit loads. The blocks of right-hand sides handed to a factor
-    (Stokes unit loads, Darcy triangular solves), and the blocks it
-    returns, stay within assembly.BLOCK_BYTES (120 KiB). Unbounded blocks
-    of unit loads raised the peak resident memory of an S3 sweep on the
-    x2 meshes from 108.6-109.3 MB to 111.4-112.0 MB (5 processes each),
-    because their buffers crossed glibc's 128 KiB mmap threshold.
+    the sweep's basis backsolves. Each basis is one product: a Stokes
+    basis one star solve of the identity, a Darcy basis one Gram product
+    of its triangular solves (darcy.py).
     """
     dofs = problem.sub_dofs[sid]
     before = op.backsolves

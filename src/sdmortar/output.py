@@ -89,12 +89,12 @@ def write_moments_csv(path, problem, moments):
 def write_stats_csv(path, stats, timing_in_csv=False):
     """Per-subdomain solver effort. Wall time is 0.0 unless opted in."""
     lines = [",".join(STATS_COLUMNS)]
-    for row in stats.rows():
-        wall = row["wall_seconds"] if timing_in_csv else 0.0
+    for sid in range(stats.n_sub):
+        wall = float(stats.wall_seconds[sid]) if timing_in_csv else 0.0
         lines.append(",".join([
-            row["method"], str(row["subdomain"]),
-            str(row["factorizations"]), str(row["backsolves"]),
-            str(row["cg_iters_total"]), repr(float(wall))]))
+            stats.method, str(sid), str(int(stats.factorizations[sid])),
+            str(int(stats.backsolves[sid])), str(stats.cg_iters_total),
+            repr(wall)]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -96,14 +96,12 @@ def solve_1d_eigenpairs(length, eta, n_modes):
 
 @dataclass(frozen=True)
 class Mode2D:
-    """Separable 2D eigenpair: lam * fx(x) * fy(y)."""
+    """Separable 2D eigenpair lam, fx, fy; the 1D modes live on the
+    region-local intervals (KLRegionExpansion.evaluate_modes)."""
 
     lam: float
     fx: Mode1D
     fy: Mode1D
-
-    def __call__(self, x, y):
-        return self.fx(x) * self.fy(y)
 
 
 @dataclass(frozen=True)

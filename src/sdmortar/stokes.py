@@ -44,7 +44,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .assembly import (CouplingMaps, SubdomainOperator, UpdatedFactors,
-                       block_width, check_permeability)
+                       check_permeability)
 from .errors import SingularOperatorError
 from .geometry import GAUSS3_POINTS, GAUSS3_WEIGHTS, SIDES
 
@@ -433,9 +433,9 @@ class StokesReference:
     assembly.UpdatedFactors: one A_ref backsolve and an r x r capacitance
     LU. The kernel constraints are detected and bordered once, here; a
     realization whose BJS coefficients leave another kernel has a singular
-    capacitance. W = A_ref^-1 U is built at the first factor, in column
-    blocks of block_width. The sparse LU and W's r backsolves are counted
-    in setup_factorizations and setup_backsolves.
+    capacitance. W = A_ref^-1 U is built at the first factor, by one LU
+    solve of the r unit columns. The sparse LU and W's r backsolves are
+    counted in setup_factorizations and setup_backsolves.
     """
 
     def __init__(self, system, kl=None):
@@ -461,15 +461,10 @@ class StokesReference:
     def _w(self):
         if self._W is None:
             T = self.system.T
-            n, r = self.lu.shape[0], len(T)
-            self._W = np.empty((n, r))
-            width = block_width(n)
-            for j in range(0, r, width):
-                m = min(width, r - j)
-                unit = np.zeros((n, m))
-                unit[T[j:j + m], np.arange(m)] = 1.0
-                self._W[:, j:j + m] = self.lu.solve(unit)
-            self.setup_backsolves += r
+            unit = np.zeros((self.lu.shape[0], len(T)))
+            unit[T, np.arange(len(T))] = 1.0
+            self._W = self.lu.solve(unit)
+            self.setup_backsolves += len(T)
         return self._W
 
     def factor(self, kl=None):
@@ -527,24 +522,9 @@ class StokesOperator(SubdomainOperator):
             self.lu.solve(self._star_load(lam)))
 
     def flux_basis(self):
-        """-F A^-1 E, column j the response to the unit local mortar
-        vector e_j through solve_star: N_dof backsolves."""
-        return self._unit_basis(self.solve_star)
-
-    def _unit_basis(self, respond):
-        """-respond(e_j) in column j, for every unit local mortar vector,
-        solved in column blocks of block_width(LU rows) so that no block
-        handed to the LU, and no temporary of its solve, exceeds
-        assembly.BLOCK_BYTES."""
-        nd = self.system.coupling.n_rows
-        B = np.empty((nd, nd))
-        width = block_width(self.lu.shape[0])
-        for j in range(0, nd, width):
-            m = min(width, nd - j)
-            unit = np.zeros((nd, m))
-            unit[j + np.arange(m), np.arange(m)] = 1.0
-            B[:, j:j + m] = -respond(unit)
-        return B
+        """-F A^-1 E: one solve_star of the identity, column j the
+        response to the unit local mortar vector e_j; N_dof backsolves."""
+        return -self.solve_star(np.eye(self.system.coupling.n_rows))
 
     # -- postprocessing -----------------------------------------------------
 

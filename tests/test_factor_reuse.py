@@ -5,11 +5,13 @@ block's shorter side first), and per realization fills the band of H and
 factors it, its solves running cell by cell in closed form; a Stokes
 reference is one sparse LU (COLAMD) of S0, the saddle matrix without BJS
 stored already scaled by its pressure scale, plus the r x r BJS block.
-Flux bases are solved in column blocks. The references here are the
-routes these replaced: a sparse LU of the Darcy saddle matrix, the
-product diag(s) S diag(s) of a saddle matrix summed from COO triplets
-with the kernel check on the sliced velocity block, and one star solve
-per basis column (tests/_oracles.py).
+A flux basis is one product: a Stokes basis one LU solve of all the unit
+star loads, a Darcy basis one Gram product of its staircase of
+triangular solves. The references here are the routes these replaced: a
+sparse LU of the Darcy saddle matrix, the product diag(s) S diag(s) of a
+saddle matrix summed from COO triplets with the kernel check on the
+sliced velocity block, and one star solve per basis column
+(tests/_oracles.py).
 """
 
 import numpy as np
@@ -21,7 +23,7 @@ from _oracles import (fresh_operator, fresh_stokes, per_column_flux_basis,
                       saddle_gap, stokes_saddle_matrix, trace_coupling)
 from conftest import load_case
 from sdmortar import darcy, stokes
-from sdmortar.assembly import BLOCK_BYTES
+from sdmortar.darcy import BLOCK_BYTES
 from sdmortar.errors import SingularOperatorError
 from sdmortar.geometry import (Block, build_layout, build_subdomain_mesh,
                                locate_trace)
@@ -306,9 +308,11 @@ def test_block_star_solve_with_three_kernel_constraints():
     assert_block_matches_columns(op, lam)
 
 
-@pytest.mark.parametrize("name", CONFIGS)
-def test_flux_basis_matches_per_column_oracle(name):
-    case = load_case(name)
+@pytest.mark.parametrize("name, refine", [
+    pytest.param(name, refine, id=name if refine == 1 else f"{name}-x2")
+    for refine in (1, 2) for name in CONFIGS])
+def test_flux_basis_matches_per_column_oracle(name, refine):
+    case = load_case(name, refine=refine)
     problem = case.problem
     n_sub = problem.layout.n_subdomains
     stats = SolveStats.new("S2", n_sub)
@@ -371,22 +375,23 @@ def test_darcy_block_without_interfaces_has_an_empty_basis():
 
 
 class Recording:
-    """A factor that records the bytes of every block it returns."""
+    """A factor that records the trailing shape of every block handed to
+    it."""
 
-    def __init__(self, inner, sizes):
-        self.inner, self.sizes = inner, sizes
+    def __init__(self, inner, blocks):
+        self.inner, self.blocks = inner, blocks
         self.shape = inner.shape
 
     def solve(self, rhs):
-        out = self.inner.solve(rhs)
-        self.sizes.append(out.nbytes)
-        return out
+        self.blocks.append(rhs.shape[1:])
+        return self.inner.solve(rhs)
 
 
 def test_basis_blocks_stay_within_the_byte_budget(monkeypatch):
-    """Every block a basis solve hands to its factor (a Stokes LU's unit
-    loads, a Darcy block's triangular solves with the factor of H), and
-    every block the factor returns, stays within BLOCK_BYTES."""
+    """Every block of a Darcy basis's triangular solves with the factor of
+    H, and every block they return, stays within BLOCK_BYTES; each column
+    is solved once, in whole blocks. A Stokes basis hands its LU exactly
+    one block, of N_dof columns."""
     case = load_case("case1_mini", refine=2)
     problem = case.problem
     stats = SolveStats.new("S2", problem.layout.n_subdomains)
@@ -405,14 +410,11 @@ def test_basis_blocks_stay_within_the_byte_budget(monkeypatch):
         sizes.clear()
         temps.clear()
         if problem.layout.blocks[sid].physics == "stokes":
-            op.lu = Recording(op.lu, temps)
-            solve = op.lu.solve
-
-            def spy(rhs):
-                sizes.append((rhs.nbytes, rhs.shape[1:]))
-                return solve(rhs)
-
-            op.lu.solve = spy
+            blocks = []
+            op.lu = Recording(op.lu, blocks)
+            dofs, _ = compute_flux_basis(problem, sid, op, stats)
+            assert blocks == [(len(dofs),)]
+            continue
         dofs, _ = compute_flux_basis(problem, sid, op, stats)
         assert sum(shape[0] for _, shape in sizes) == len(dofs)
         assert max(nbytes for nbytes, _ in sizes) <= BLOCK_BYTES

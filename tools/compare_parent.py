@@ -1,9 +1,9 @@
 """Bitwise comparison of sweep results between a git revision and the tree.
 
-Runs 26 collocation sweeps on a `git archive` of a revision and on the
+Runs 28 collocation sweeps on a `git archive` of a revision and on the
 working tree and prints every array that differs: S1, S2 and S3 on each
-shipped config at `workers` 1 and 2, and S3 on `case1_mini` with meshes
-and mortars x2 at `workers` 1 and 2. The arrays of a sweep are lambda
+shipped config at `workers` 1 and 2, and S2 and S3 on `case1_mini` with
+meshes and mortars x2 at `workers` 1 and 2. The arrays of a sweep are lambda
 per realization, every moment (mean and variance), the CG iteration
 counts and the five per-subdomain counters (factorizations, backsolves,
 basis_backsolves, setup_factorizations, setup_backsolves). A counter that
@@ -45,12 +45,12 @@ COUNTERS = ("factorizations", "backsolves", "basis_backsolves",
 
 
 def sweeps():
-    """(tag, config, refine, method, workers) of the 26 sweeps."""
+    """(tag, config, refine, method, workers) of the 28 sweeps."""
     out = [(f"{name}/{method}/w{w}", name, 1, method, w)
            for name in CONFIGS for method in ("S1", "S2", "S3")
            for w in (1, 2)]
-    out += [(f"case1_mini_x2/S3/w{w}", "case1_mini", 2, "S3", w)
-            for w in (1, 2)]
+    out += [(f"case1_mini_x2/{method}/w{w}", "case1_mini", 2, method, w)
+            for method in ("S2", "S3") for w in (1, 2)]
     return out
 
 
