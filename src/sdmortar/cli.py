@@ -7,12 +7,14 @@ import sys
 from .config import (COLLOCATION, KL_REGIONS, build_from_config, build_grid,
                      build_kl_regions, check_collocation, config_dir_of,
                      integer, load_json, parse_config, validate_config)
-from .errors import ConfigError, ConvergenceError, SizeCapError
+from .errors import (ConfigError, ConvergenceError, SingularOperatorError,
+                     SizeCapError)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CONVERGENCE = 3
 EXIT_RESOURCE = 4
+EXIT_SINGULAR = 5
 
 _SPLITS = integer("{path}: splits must be a list of ints >= 1", 1, n=0,
                   scalar=False)
@@ -164,6 +166,8 @@ def main(argv=None):
         return _fail(exc, EXIT_CONVERGENCE)
     except SizeCapError as exc:
         return _fail(exc, EXIT_RESOURCE)
+    except SingularOperatorError as exc:
+        return _fail(exc, EXIT_SINGULAR)
 
 
 if __name__ == "__main__":

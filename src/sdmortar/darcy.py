@@ -66,10 +66,9 @@ with Q_E the (K_T/nu) Q_ij of every pair of trace rows owned by one
 cell, and R and P are sums of one cell's K/nu times a fixed value. A
 star solve is one dpbtrs on R lam and two small products. The flux basis
 -F A^-1 E = P - Z^T Z, Z = L_H^-1 R with H = L_H L_H^T, is one Gram
-product of the forward triangular solves (dtbtrs) that give Z. Z is
-solved in a staircase of column blocks within BLOCK_BYTES, each from the
-first multiplier its columns reach; the basis is symmetric, and is stored
-exactly so.
+product of the forward triangular solves (dtbtrs) that give Z, one per
+column, each from the first multiplier its column of R reaches; the
+basis is symmetric, and is stored exactly so.
 """
 
 from dataclasses import dataclass
@@ -85,18 +84,6 @@ from .geometry import OUTWARD_SIGN, SIDES
 # outward normal of each (west, east, south, north) edge of a cell, in
 # the edge's +x/+y orientation
 _CELL_SIGN = np.array([-1.0, 1.0, -1.0, 1.0])
-
-# Bytes of one block of right-hand sides handed to dtbtrs in a flux
-# basis, and of the block it returns: just under glibc's default 128 KiB
-# mmap threshold, so block buffers come from the heap and are reused.
-# Above it, freeing an mmapped buffer raises glibc's threshold and the
-# heap grows instead.
-BLOCK_BYTES = 120 * 1024
-
-
-def block_width(rows):
-    """Columns of a float64 block of `rows` rows within BLOCK_BYTES (>= 1)."""
-    return max(1, BLOCK_BYTES // (8 * rows))
 
 
 @dataclass(frozen=True)
@@ -202,9 +189,8 @@ class DarcySystem:
 
         if not pressure_edges and not iface_edges:
             raise SingularOperatorError(
-                "darcy subdomain has no pressure data and no interface; "
-                "pressure is undetermined"
-            )
+                f"{name}: darcy block has no pressure data and no "
+                "interface; pressure is undetermined")
 
         free = np.array(sorted(set(range(mesh.n_edges)) - noflow))
         self.free = free
@@ -419,12 +405,10 @@ class DarcyOperator(SubdomainOperator):
         """-F A^-1 E = P - Z^T Z, Z = L_H^-1 R, exactly symmetric; N_dof
         backsolves.
 
-        Z is solved by dtbtrs with H's banded factor, the columns taken
-        in the order of the first multiplier each one's R reaches. Z is
-        zero above that row, so a block's solve starts at its first
-        column's and its width is block_width of the rows it solves. The
-        blocks fill one Z from the smallest start down, and B is one
-        product.
+        R is scattered once into one Fortran-order Z, and each column is
+        solved there in place by one dtbtrs with H's banded factor, from
+        the first multiplier the column reaches: Z is zero above it. B is
+        one product.
         """
         P = self.P
         n_loc = len(P)
@@ -434,18 +418,12 @@ class DarcyOperator(SubdomainOperator):
         if not (n and len(reach)):
             return P.copy()
         first = reach[np.argmax(self.R != 0, axis=0)]
-        order = np.argsort(first, kind="stable")
-        top = first[order[0]]
-        Z, j = np.zeros((n - top, n_loc), order="F"), 0
-        while j < n_loc:
-            start = first[order[j]]
-            cols = order[j:j + block_width(n - start)]
-            j += len(cols)
-            at = np.searchsorted(reach, start)
-            rhs = np.zeros((n - start, len(cols)), order="F")
-            rhs[reach[at:] - start] = self.R[at:, cols]
-            Z[start - top:, cols] = dtbtrs(chol[:, start:], rhs, uplo="L",
-                                           overwrite_b=1)[0]
+        top = reach[0]
+        Z = np.zeros((n - top, n_loc), order="F")
+        Z[reach - top] = self.R
+        for j, start in enumerate(first):
+            Z[start - top:, j] = dtbtrs(chol[:, start:], Z[start - top:, j],
+                                        uplo="L", overwrite_b=1)[0]
         B = P - Z.T @ Z
         low = np.tril_indices(n_loc, -1)
         B[low] = B.T[low]

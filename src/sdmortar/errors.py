@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: ConfigError -> 2, ConvergenceError -> 3,
-SizeCapError -> 4, anything else -> 1.
+SizeCapError -> 4, SingularOperatorError -> 5, anything else -> 1.
 """
 
 

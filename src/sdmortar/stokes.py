@@ -170,9 +170,8 @@ class StokesSystem:
 
         if not self.stress_edges and not traces:
             raise SingularOperatorError(
-                "stokes subdomain has only velocity data; "
-                "pressure is undetermined"
-            )
+                f"{name}: stokes block has only velocity data; pressure is "
+                "undetermined")
 
         dir_dofs = np.array(sorted(self.dirichlet), dtype=int)
         free = np.setdiff1d(np.arange(self.n_udof), dir_dofs)

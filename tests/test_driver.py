@@ -413,6 +413,22 @@ def test_cli_resource_error(tmp_path, capsys):
     assert record["exit_code"] == 4
 
 
+def test_cli_singular_subdomain_error(tmp_path, capsys):
+    """A run whose Stokes block has velocity data alone fails with exit
+    code 5 and a record that names the subdomain."""
+    raw = one_block_raw("stokes")
+    raw["bcs"]["0"]["right"] = {"kind": "velocity", "value": [1.0, 0.0]}
+    path = tmp_path / "closed.json"
+    path.write_text(json.dumps(raw))
+    code = cli.main(["run", str(path), "--out-dir", str(tmp_path / "x")])
+    record = json.loads(capsys.readouterr().err)
+    assert code == cli.EXIT_SINGULAR == 5
+    assert record["error"] == "SingularOperatorError"
+    assert record["exit_code"] == 5
+    assert record["message"] == ("subdomain 0: stokes block has only "
+                                 "velocity data; pressure is undetermined")
+
+
 def test_cli_eig(tmp_path, capsys):
     spec = tmp_path / "region.json"
     spec.write_text(json.dumps(

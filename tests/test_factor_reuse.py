@@ -6,8 +6,8 @@ factors it, its solves running cell by cell in closed form; a Stokes
 reference is one sparse LU (COLAMD) of S0, the saddle matrix without BJS
 stored already scaled by its pressure scale, plus the r x r BJS block.
 A flux basis is one product: a Stokes basis one LU solve of all the unit
-star loads, a Darcy basis one Gram product of its staircase of
-triangular solves. The references here are the routes these replaced: a
+star loads, a Darcy basis one Gram product of its per-column triangular
+solves. The references here are the routes these replaced: a
 sparse LU of the Darcy saddle matrix, the product diag(s) S diag(s) of a
 saddle matrix summed from COO triplets with the kernel check on the
 sliced velocity block, and one star solve per basis column
@@ -23,7 +23,6 @@ from _oracles import (fresh_operator, fresh_stokes, per_column_flux_basis,
                       saddle_gap, stokes_saddle_matrix, trace_coupling)
 from conftest import load_case
 from sdmortar import darcy, stokes
-from sdmortar.darcy import BLOCK_BYTES
 from sdmortar.errors import SingularOperatorError
 from sdmortar.geometry import (Block, build_layout, build_subdomain_mesh,
                                locate_trace)
@@ -387,28 +386,25 @@ class Recording:
         return self.inner.solve(rhs)
 
 
-def test_basis_blocks_stay_within_the_byte_budget(monkeypatch):
-    """Every block of a Darcy basis's triangular solves with the factor of
-    H, and every block they return, stays within BLOCK_BYTES; each column
-    is solved once, in whole blocks. A Stokes basis hands its LU exactly
-    one block, of N_dof columns."""
+def test_basis_solves_each_column_once_from_its_first_multiplier(
+        monkeypatch):
+    """A Darcy basis makes one dtbtrs per column of R, each of one column
+    and with H's factor cut at the first multiplier the column reaches.
+    A Stokes basis hands its LU exactly one block, of N_dof columns."""
     case = load_case("case1_mini", refine=2)
     problem = case.problem
     stats = SolveStats.new("S2", problem.layout.n_subdomains)
-    sizes, temps = [], []
+    calls = []
     triangular = darcy.dtbtrs
 
     def spy_triangular(ab, b, **kw):
-        sizes.append((b.nbytes, b.shape[1:]))
-        out = triangular(ab, b, **kw)
-        temps.append(out[0].nbytes)
-        return out
+        calls.append((ab.shape[1], b.shape[1:]))
+        return triangular(ab, b, **kw)
 
     monkeypatch.setattr(darcy, "dtbtrs", spy_triangular)
     for sid in range(problem.layout.n_subdomains):
         op = fresh_operator(problem, sid, case.grid.points[0])
-        sizes.clear()
-        temps.clear()
+        calls.clear()
         if problem.layout.blocks[sid].physics == "stokes":
             blocks = []
             op.lu = Recording(op.lu, blocks)
@@ -416,7 +412,7 @@ def test_basis_blocks_stay_within_the_byte_budget(monkeypatch):
             assert blocks == [(len(dofs),)]
             continue
         dofs, _ = compute_flux_basis(problem, sid, op, stats)
-        assert sum(shape[0] for _, shape in sizes) == len(dofs)
-        assert max(nbytes for nbytes, _ in sizes) <= BLOCK_BYTES
-        assert max(temps) <= BLOCK_BYTES
-        assert len(sizes) < len(dofs)  # whole blocks, not single columns
+        reach, n = op.system.reach, op.lu.chol.shape[1]
+        first = [reach[np.flatnonzero(col)[0]] for col in op.R.T]
+        assert len(calls) == len(dofs)
+        assert calls == [(n - start, ()) for start in first], sid

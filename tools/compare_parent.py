@@ -1,20 +1,21 @@
 """Bitwise comparison of sweep results between a git revision and the tree.
 
-Runs 28 collocation sweeps on a `git archive` of a revision and on the
+Runs 29 collocation sweeps on a `git archive` of a revision and on the
 working tree and prints every array that differs: S1, S2 and S3 on each
-shipped config at `workers` 1 and 2, and S2 and S3 on `case1_mini` with
-meshes and mortars x2 at `workers` 1 and 2. The arrays of a sweep are lambda
-per realization, every moment (mean and variance), the CG iteration
-counts and the five per-subdomain counters (factorizations, backsolves,
-basis_backsolves, setup_factorizations, setup_backsolves). A counter that
-one side does not report is compared as missing. For changes that are
-not meant to be bitwise, the summary line also gives the largest
-relative change of a sweep's CG iteration total, each sweep whose total
-differs is listed with both totals, and a last line gives the largest
-relative gap per array family (lambda, mean, var, cg_iters and each
-counter), scaled by the larger of the two sides; a variance's gap is
-scaled by its second moment mean^2 + var. Run from the root of a source
-checkout:
+shipped config at `workers` 1 and 2, S2 and S3 on `case1_mini` with
+meshes and mortars x2 at `workers` 1 and 2, and S3 on `case1_mini` x4 at
+`workers` 1 (its Darcy band solves have up to 8128 rows). The arrays of
+a sweep are lambda per realization, every moment (mean and variance),
+the CG iteration counts and the five per-subdomain counters
+(factorizations, backsolves, basis_backsolves, setup_factorizations,
+setup_backsolves). A counter that one side does not report is compared
+as missing. For changes that are not meant to be bitwise, the summary
+line also gives the largest relative change of a sweep's CG iteration
+total, each sweep whose total differs is listed with both totals, and a
+last line gives the largest relative gap per array family (lambda, mean,
+var, cg_iters and each counter), scaled by the larger of the two sides;
+a variance's gap is scaled by its second moment mean^2 + var. Run from
+the root of a source checkout:
 
     python3 tools/compare_parent.py --parent HEAD --scratch /tmp/cmp-parent
 
@@ -45,12 +46,13 @@ COUNTERS = ("factorizations", "backsolves", "basis_backsolves",
 
 
 def sweeps():
-    """(tag, config, refine, method, workers) of the 28 sweeps."""
+    """(tag, config, refine, method, workers) of the 29 sweeps."""
     out = [(f"{name}/{method}/w{w}", name, 1, method, w)
            for name in CONFIGS for method in ("S1", "S2", "S3")
            for w in (1, 2)]
     out += [(f"case1_mini_x2/{method}/w{w}", "case1_mini", 2, method, w)
             for method in ("S2", "S3") for w in (1, 2)]
+    out.append(("case1_mini_x4/S3/w1", "case1_mini", 4, "S3", 1))
     return out
 
 
