@@ -2,8 +2,7 @@
 
 import numpy as np
 
-from sdmortar.random_field import (CovarianceSpec, LogPermField, MeanLogPerm,
-                                   build_kl_region)
+from sdmortar.random_field import CovarianceSpec, LogPermField, build_kl_region
 
 cov = CovarianceSpec(rect=(0.0, 0.0, 1.0, 1.0), sigma2=1.0, eta=(0.1, 0.1))
 region = build_kl_region(cov, n_term=12)
@@ -15,7 +14,7 @@ for i, lam in enumerate(lams):
     print(f"{i:4d}   {lam:10.6f}   {np.sum(lams[:i + 1]) / total:10.4f}")
 print(f"12 modes capture {np.sum(lams) / total:.1%} of the field variance\n")
 
-field = LogPermField([region], MeanLogPerm("constant", 0.0))
+field = LogPermField([region], lambda x, y, region=None: np.zeros_like(x))
 rng = np.random.default_rng(7)
 
 nx, ny = 60, 24

@@ -20,7 +20,6 @@ from .problem import Physics, StokesDarcyProblem, build_problem
 from .random_field import (
     CovarianceSpec,
     LogPermField,
-    MeanLogPerm,
     build_kl_region,
     solve_1d_eigenpairs,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "CovarianceSpec",
     "DomainLayout",
     "LogPermField",
-    "MeanLogPerm",
     "Physics",
     "SizeCapError",
     "StokesDarcyProblem",

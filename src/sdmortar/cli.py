@@ -52,6 +52,7 @@ def _cmd_validate(args):
     cfg = parse_config(args.config)
     problem, grid, options = build_from_config(cfg,
                                                config_dir_of(args.config))
+    problem.systems()  # a singular block fails as it would in run
     layout = problem.layout
     print(f"config ok: {layout.n_subdomains} subdomains, "
           f"{len(layout.interfaces)} interfaces, method {options['method']}")

@@ -31,8 +31,7 @@ from .errors import ConfigError
 from .geometry import SIDES, Block, build_layout, build_subdomain_mesh
 from .mortar import build_mortar_space
 from .problem import Physics, build_problem
-from .random_field import (CovarianceSpec, LogPermField, MeanLogPerm,
-                           build_kl_region)
+from .random_field import CovarianceSpec, LogPermField, build_kl_region
 from .stokes import StokesBC
 
 METHOD_NAMES = ("S1", "S2", "S3")
@@ -548,12 +547,13 @@ def serialize_config(cfg):
 
 
 def _scalar_func(v):
+    """Vectorized callable (x, y) of a data value; a number's returns the
+    number, which its reader broadcasts to the points."""
     if v is None:
         return None
     if _is_num(v):
         c = float(v)
-        return lambda x, y: np.broadcast_to(c, np.shape(x)) if np.ndim(x) \
-            else c
+        return lambda x, y: c
     return compile_expression(v, "value", [])
 
 
@@ -592,16 +592,19 @@ def _raster_func(spec, config_dir):
 
 
 def _build_mean(spec, config_dir):
+    """Mean of log K as a callable (x, y, region=None) -> array of x's
+    shape."""
     kind = spec["kind"]
     if kind == "constant":
-        return MeanLogPerm("constant", value=spec["value"])
-    if kind == "expression":
-        return MeanLogPerm("expression",
-                           func=compile_expression(spec["expr"], "mean", []))
+        c = spec["value"]
+        return lambda x, y, region=None: np.full(np.shape(x), c)
     if kind == "per_region":
         per = {int(k): v for k, v in spec["values"].items()}
-        return MeanLogPerm("per_region", per_region=per)
-    return MeanLogPerm("expression", func=_raster_func(spec, config_dir))
+        return lambda x, y, region=None: np.full(np.shape(x), per[region])
+    func = (compile_expression(spec["expr"], "mean", [])
+            if kind == "expression" else _raster_func(spec, config_dir))
+    return lambda x, y, region=None: np.full(np.shape(x), func(x, y),
+                                             dtype=float)
 
 
 def _build_bcs(cfg):

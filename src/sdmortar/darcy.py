@@ -88,10 +88,15 @@ _CELL_SIGN = np.array([-1.0, 1.0, -1.0, 1.0])
 
 @dataclass(frozen=True)
 class DarcyBC:
-    """Outer boundary condition on one side: no-flow or given pressure."""
+    """Outer boundary condition on one side: no-flow or given pressure.
+
+    A pressure value is a vectorized callable g(x, y), called once on the
+    midpoints of all the side's outer edges; it returns an array of their
+    shape or a number, which is broadcast. None is zero pressure.
+    """
 
     kind: str  # "noflow" | "pressure"
-    value: object = None  # callable g(x, y) for pressure (None -> 0)
+    value: object = None
 
 
 def trace_dofs(trace):
@@ -169,30 +174,37 @@ class DarcySystem:
         self.q = q
         self.name = name
 
-        iface_edges = set()
+        # outer sides, each side's pressure data g called once at the
+        # midpoints of all its edges, for the load -<g, v.n>
+        on_trace = np.zeros(mesh.n_edges, dtype=bool)
         for t in traces:
-            iface_edges.update(t.edges.tolist())
-        noflow = set()
-        pressure_edges = {}
+            on_trace[t.edges] = True
+        noflow = np.zeros(mesh.n_edges, dtype=bool)
+        pressure = []  # (edge ids, load) of each pressure side
         for side in SIDES:
             bc = bcs.get(side, DarcyBC("noflow"))
-            for e in mesh.boundary_edges(side).tolist():
-                if e in iface_edges:
-                    continue
-                if bc.kind == "noflow":
-                    noflow.add(e)
-                elif bc.kind == "pressure":
-                    pressure_edges[e] = (side, bc.value)
-                else:
-                    raise ValueError(f"unknown darcy bc {bc.kind!r}")
-        self.pressure_edges = pressure_edges
+            e = mesh.boundary_edges(side)
+            e = e[~on_trace[e]]
+            if not len(e):
+                continue
+            if bc.kind == "noflow":
+                noflow[e] = True
+            elif bc.kind == "pressure":
+                lx, ly = mesh.edge_lattice(e)
+                g = 0.0 if bc.value is None else bc.value(
+                    mesh.rect[0] + 0.5 * lx * mesh.hx,
+                    mesh.rect[1] + 0.5 * ly * mesh.hy)
+                pressure.append(
+                    (e, -OUTWARD_SIGN[side] * g * mesh.edge_length(e[0])))
+            else:
+                raise ValueError(f"unknown darcy bc {bc.kind!r}")
 
-        if not pressure_edges and not iface_edges:
+        if not pressure and not traces:
             raise SingularOperatorError(
                 f"{name}: darcy block has no pressure data and no "
                 "interface; pressure is undetermined")
 
-        free = np.array(sorted(set(range(mesh.n_edges)) - noflow))
+        free = np.flatnonzero(~noflow)
         self.free = free
         self.n_udof = mesh.n_edges
         self.red_index = -np.ones(mesh.n_edges, dtype=int)
@@ -201,8 +213,8 @@ class DarcySystem:
         self.n_p = mesh.n_cells
         self.p_scale = 1.0  # the pressure block is not scaled
         self.n_unknowns = self.n_u + self.n_p
-        self._hybridize(sorted(noflow))
-        self.bar_load = self._bar_load()
+        self._hybridize(noflow)
+        self.bar_load = self._bar_load(pressure)
 
         self.coupling = None
         if coupling is not None:
@@ -304,8 +316,9 @@ class DarcySystem:
             self._band_at, (K / self.nu)[self._band_cell] * self._band_q,
             n * self.n_mult).reshape(self.n_mult, n).T
 
-    def _bar_load(self):
-        """Momentum source, outer pressure data and mass source (no K)."""
+    def _bar_load(self, pressure):
+        """Momentum source, outer pressure data ((edges, load) per side)
+        and mass source (no K)."""
         mesh = self.mesh
         rhs = np.zeros(self.n_u + self.n_p)
         if self.f is not None:
@@ -318,23 +331,14 @@ class DarcySystem:
                 r = self.red_index[np.concatenate([first, second])]
                 ok = r >= 0
                 rhs[r[ok]] += comp[ok] * half
-        for e, (side, g) in self.pressure_edges.items():
-            r = self.red_index[e]
-            mid = self._edge_mid(e)
-            gval = 0.0 if g is None else float(g(mid[0], mid[1]))
-            rhs[r] -= OUTWARD_SIGN[side] * gval * mesh.edge_length(e)
+        for e, load in pressure:
+            rhs[self.red_index[e]] += load
         if self.q is not None:
             qv = np.broadcast_to(
                 self.q(mesh.centroids[:, 0], mesh.centroids[:, 1]),
                 (mesh.n_cells,))
             rhs[self.n_u:] -= qv * mesh.hx * mesh.hy
         return rhs
-
-    def _edge_mid(self, e):
-        mesh = self.mesh
-        lx, ly = mesh.edge_lattice(e)
-        return (mesh.rect[0] + 0.5 * int(lx) * mesh.hx,
-                mesh.rect[1] + 0.5 * int(ly) * mesh.hy)
 
     def factor(self, K):
         """Per-realization operator for cell permeabilities K."""

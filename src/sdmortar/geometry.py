@@ -121,27 +121,21 @@ def _overlap_1d(a0, a1, b0, b1):
 
 
 def _find_interfaces(blocks):
+    """(i, j, axis, position, span, sign) of every shared edge: sign +1
+    where block i's high side meets j's low side, else -1."""
     out = []
     for i in range(len(blocks)):
         for j in range(i + 1, len(blocks)):
-            bi, bj = blocks[i], blocks[j]
-            # vertical shared edge: bi right edge on bj left edge or vice versa
-            if abs(bi.x1 - bj.x0) <= GEOM_TOL:
-                span = _overlap_1d(bi.y0, bi.y1, bj.y0, bj.y1)
-                if span:
-                    out.append((i, j, "x", bi.x1, span, +1))
-            elif abs(bj.x1 - bi.x0) <= GEOM_TOL:
-                span = _overlap_1d(bi.y0, bi.y1, bj.y0, bj.y1)
-                if span:
-                    out.append((i, j, "x", bi.x0, span, -1))
-            if abs(bi.y1 - bj.y0) <= GEOM_TOL:
-                span = _overlap_1d(bi.x0, bi.x1, bj.x0, bj.x1)
-                if span:
-                    out.append((i, j, "y", bi.y1, span, +1))
-            elif abs(bj.y1 - bi.y0) <= GEOM_TOL:
-                span = _overlap_1d(bi.x0, bi.x1, bj.x0, bj.x1)
-                if span:
-                    out.append((i, j, "y", bi.y0, span, -1))
+            ri, rj = blocks[i].rect, blocks[j].rect
+            for n, axis in enumerate("xy"):
+                t = 1 - n  # the tangent axis
+                for pos, other, sign in ((ri[n + 2], rj[n], +1),
+                                         (ri[n], rj[n + 2], -1)):
+                    if abs(pos - other) <= GEOM_TOL:
+                        span = _overlap_1d(ri[t], ri[t + 2], rj[t], rj[t + 2])
+                        if span:
+                            out.append((i, j, axis, pos, span, sign))
+                        break
     return out
 
 
@@ -272,6 +266,13 @@ class DarcyMesh(_Grid):
         iy, ix = np.divmod(np.where(vert, e, e - self.n_vedges),
                            np.where(vert, self.nx + 1, self.nx))
         return 2 * ix + ~vert, 2 * iy + vert
+
+    def cell_at(self, x, y):
+        """Cell id(s) of the point(s) (x, y), clipped into the grid."""
+        x0, y0 = self.rect[:2]
+        ix = np.minimum(np.maximum((x - x0) / self.hx, 0), self.nx - 1)
+        iy = np.minimum(np.maximum((y - y0) / self.hy, 0), self.ny - 1)
+        return self.cell(ix.astype(int), iy.astype(int))
 
     def edge_cell(self, e):
         """Cell id(s) east/north of edge id(s) e, or west/south on the

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import darcy, stokes
-from .geometry import build_subdomain_mesh, locate_trace, side_of_interface
+from .geometry import build_subdomain_mesh, locate_trace
 from .mortar import pairing
 
 
@@ -88,19 +88,10 @@ class StokesDarcyProblem:
     def _neighbor_cells(self, s_sid, d_sid, iface):
         """Darcy cell under each fine Stokes edge midpoint of an sd interface."""
         tr = next(t for t in self.traces[s_sid] if t.iface == iface)
-        dmesh = self.meshes[d_sid]
-        dblock = self.layout.blocks[d_sid]
-        dside = side_of_interface(dblock, iface)
         mids = iface.span[0] + 0.5 * (tr.s_breaks[:-1] + tr.s_breaks[1:])
-        if iface.axis == "y":  # horizontal interface, tangent along x
-            ix = np.clip((mids - dblock.x0) / dmesh.hx, 0,
-                         dmesh.nx - 1).astype(int)
-            iy = dmesh.ny - 1 if dside == "top" else 0
-        else:
-            iy = np.clip((mids - dblock.y0) / dmesh.hy, 0,
-                         dmesh.ny - 1).astype(int)
-            ix = dmesh.nx - 1 if dside == "right" else 0
-        return dmesh.cell(ix, iy)
+        xy = [mids, mids]
+        xy["xy".index(iface.axis)] = iface.position  # the normal coordinate
+        return self.meshes[d_sid].cell_at(*xy)
 
     # -- realization-invariant systems ---------------------------------------
 

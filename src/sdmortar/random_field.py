@@ -199,38 +199,18 @@ def build_kl_region(cov, n_term, selection="largest"):
     return KLRegionExpansion(cov, modes)
 
 
-class MeanLogPerm:
-    """Mean of Y = log K: constant, expression in (x, y), or per-region."""
-
-    def __init__(self, kind="constant", value=0.0, func=None, per_region=None):
-        self.kind = kind
-        self.value = value
-        self.func = func
-        self.per_region = per_region
-
-    def __call__(self, x, y, region=None):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "constant":
-            return np.full(x.shape, self.value)
-        if self.kind == "expression":
-            out = self.func(x, np.asarray(y, dtype=float))
-            return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()
-        if self.kind == "per_region":
-            return np.full(x.shape, self.per_region[region])
-        raise ValueError(f"unknown mean kind {self.kind!r}")
-
-
 @dataclass
 class LogPermField:
     """Multi-region KL field with the global variable layout.
 
     Region i owns the contiguous block of n_term(i) standard normal
     variables starting at offsets[i] (region 0 first), matching the
-    dimension layout of the collocation grid.
+    dimension layout of the collocation grid. `mean` is the mean of
+    Y = log K, a callable (x, y, region=None) -> array of x's shape.
     """
 
     regions: list  # KLRegionExpansion per region
-    mean: MeanLogPerm
+    mean: object
 
     def __post_init__(self):
         counts = [r.n_term for r in self.regions]

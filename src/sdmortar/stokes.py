@@ -83,10 +83,16 @@ def _p1_shapes(xi, eta):
 
 @dataclass(frozen=True)
 class StokesBC:
-    """Outer condition on one side: prescribed velocity or traction."""
+    """Outer condition on one side: prescribed velocity or traction.
+
+    A value is a vectorized callable (x, y) -> (vx, vy), called once on
+    all the side's outer points: its velocity nodes, or the Gauss points
+    of its edges as arrays (edge, point). Each component is an array of
+    the points' shape or a number, which is broadcast. None is zero data.
+    """
 
     kind: str  # "velocity" | "stress"
-    value: object = None  # callable (x, y) -> (2,) data; None -> zero
+    value: object = None
 
 
 def trace_nodes(trace):
@@ -146,40 +152,38 @@ class StokesSystem:
         A = self._assemble_viscous(tables)
         B = self._assemble_divergence(tables)
 
-        # classify outer boundary edges
-        iface_keys = set()
+        # outer sides, each side's data called once on all its points: an
+        # edge on a trace is known by its midpoint node, and a node on two
+        # velocity sides keeps the later side's value (SIDES order)
+        on_trace = np.zeros(mesh.n_p2, dtype=bool)
         for t in traces:
-            iface_keys.update(map(tuple, t.edges.tolist()))
-        self.dirichlet = {}  # velocity dof -> value
-        self.stress_edges = []  # (edge triple, value callable)
+            on_trace[t.edges[:, 1]] = True
+        self.g_dir = np.zeros(self.n_udof)
+        is_dir = np.zeros(self.n_udof, dtype=bool)
+        stress = []  # (edges, value callable) of each stress side
         for side in SIDES:
             bc = bcs.get(side, StokesBC("velocity"))
-            for e in mesh.boundary_edges(side).tolist():
-                if tuple(e) in iface_keys:
-                    continue
-                if bc.kind == "velocity":
-                    for node in e:
-                        x, y = mesh.p2_xy[node]
-                        val = (0.0, 0.0) if bc.value is None else bc.value(x, y)
-                        self.dirichlet[2 * node] = float(val[0])
-                        self.dirichlet[2 * node + 1] = float(val[1])
-                elif bc.kind == "stress":
-                    self.stress_edges.append((e, bc.value))
-                else:
-                    raise ValueError(f"unknown stokes bc {bc.kind!r}")
+            e = mesh.boundary_edges(side)
+            e = e[~on_trace[e[:, 1]]]
+            if not len(e):
+                continue
+            if bc.kind == "velocity":
+                nodes = e.ravel()
+                is_dir[2 * nodes] = is_dir[2 * nodes + 1] = True
+                val = ((0.0, 0.0) if bc.value is None
+                       else bc.value(*mesh.p2_xy[nodes].T))
+                self.g_dir[2 * nodes], self.g_dir[2 * nodes + 1] = val
+            elif bc.kind == "stress":
+                stress.append((e, bc.value))
+            else:
+                raise ValueError(f"unknown stokes bc {bc.kind!r}")
 
-        if not self.stress_edges and not traces:
+        if not stress and not traces:
             raise SingularOperatorError(
                 f"{name}: stokes block has only velocity data; pressure is "
                 "undetermined")
 
-        dir_dofs = np.array(sorted(self.dirichlet), dtype=int)
-        free = np.setdiff1d(np.arange(self.n_udof), dir_dofs)
-        self.free = free
-        self.dir_dofs = dir_dofs
-        self.g_dir = np.zeros(self.n_udof)
-        for d, v in self.dirichlet.items():
-            self.g_dir[d] = v
+        self.free = free = np.flatnonzero(~is_dir)
         n_free = len(free)
         self.n_unknowns = n_free + self.n_p
         red = -np.ones(self.n_udof, dtype=int)
@@ -223,7 +227,7 @@ class StokesSystem:
 
         # bar load: body force and tractions minus the Dirichlet lift; the
         # lift through the BJS entries is a map of the edge coefficients
-        Fu = self._body_force() + self._tractions()
+        Fu = self._body_force() + self._tractions(stress)
         self._bar_u0 = (Fu - A @ self.g_dir)[free]
         self._bar_p = -(B @ self.g_dir)
         lift = (rr >= 0) & (self.g_dir[cols] != 0.0)
@@ -390,24 +394,27 @@ class StokesSystem:
                               minlength=self.n_udof)
         return Fu
 
-    def _tractions(self):
-        mesh = self.mesh
+    def _tractions(self, stress):
+        """<g, v> on the stress sides' edges by the 3-point Gauss rule.
+
+        Each side's g is called once on all its points, and add.at sums
+        every dof's contributions in (side, edge, point, node) order, as a
+        loop over the edges would.
+        """
+        xy = self.mesh.p2_xy
+        s = 0.5 * (GAUSS3_POINTS + 1)  # in [0, 1]
+        N = np.stack([(1 - s) * (1 - 2 * s), 4 * s * (1 - s),
+                      s * (2 * s - 1)], axis=1)  # (point, node)
         Fu = np.zeros(self.n_udof)
-        for triple, g in self.stress_edges:
+        for edges, g in stress:
             if g is None:
                 continue
-            p0 = mesh.p2_xy[triple[0]]
-            p1 = mesh.p2_xy[triple[2]]
-            L = np.linalg.norm(p1 - p0)
-            for gx, gw in zip(GAUSS3_POINTS, GAUSS3_WEIGHTS):
-                s = 0.5 * (gx + 1)  # in [0, 1]
-                x, y = p0 + s * (p1 - p0)
-                tx, ty = g(x, y)
-                N = np.array([(1 - s) * (1 - 2 * s), 4 * s * (1 - s),
-                              s * (2 * s - 1)])
-                for i, node in enumerate(triple):
-                    Fu[2 * node] += gw * 0.5 * L * tx * N[i]
-                    Fu[2 * node + 1] += gw * 0.5 * L * ty * N[i]
+            p0, d = xy[edges[:, 0]], xy[edges[:, 2]] - xy[edges[:, 0]]
+            w = GAUSS3_WEIGHTS * 0.5 * np.linalg.norm(d, axis=1)[:, None]
+            pts = p0[:, None] + s[:, None] * d[:, None]  # (edge, point, 2)
+            nodes = np.broadcast_to(2 * edges[:, None], w.shape + (3,))
+            for comp, t in enumerate(g(pts[..., 0], pts[..., 1])):
+                np.add.at(Fu, nodes + comp, (w * t)[..., None] * N)
         return Fu
 
     def _bar_load(self, coef, rows):

@@ -414,19 +414,30 @@ def test_cli_resource_error(tmp_path, capsys):
 
 
 def test_cli_singular_subdomain_error(tmp_path, capsys):
-    """A run whose Stokes block has velocity data alone fails with exit
-    code 5 and a record that names the subdomain."""
-    raw = one_block_raw("stokes")
-    raw["bcs"]["0"]["right"] = {"kind": "velocity", "value": [1.0, 0.0]}
+    """A block whose data leave its pressure undetermined, a Stokes block
+    with velocity data alone or a Darcy block with no-flow alone, fails
+    run and validate alike: exit code 5 and a record that names the
+    subdomain."""
+    stokes = one_block_raw("stokes")
+    stokes["bcs"]["0"]["right"] = {"kind": "velocity", "value": [1.0, 0.0]}
+    darcy = one_block_raw("darcy")
+    darcy["bcs"] = {}
     path = tmp_path / "closed.json"
-    path.write_text(json.dumps(raw))
-    code = cli.main(["run", str(path), "--out-dir", str(tmp_path / "x")])
-    record = json.loads(capsys.readouterr().err)
-    assert code == cli.EXIT_SINGULAR == 5
-    assert record["error"] == "SingularOperatorError"
-    assert record["exit_code"] == 5
-    assert record["message"] == ("subdomain 0: stokes block has only "
-                                 "velocity data; pressure is undetermined")
+    for raw, message in (
+            (stokes, "stokes block has only velocity data"),
+            (darcy, "darcy block has no pressure data and no interface")):
+        path.write_text(json.dumps(raw))
+        for args in (["run", str(path), "--out-dir", str(tmp_path / "x")],
+                     ["validate", str(path)]):
+            code = cli.main(args)
+            captured = capsys.readouterr()
+            assert code == cli.EXIT_SINGULAR == 5
+            assert "config ok" not in captured.out
+            record = json.loads(captured.err)
+            assert record["error"] == "SingularOperatorError"
+            assert record["exit_code"] == 5
+            assert record["message"] == (f"subdomain 0: {message}; "
+                                         "pressure is undetermined")
 
 
 def test_cli_eig(tmp_path, capsys):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from sdmortar.random_field import (CovarianceSpec, LogPermField, MeanLogPerm,
+from sdmortar.config import _build_mean
+from sdmortar.random_field import (CovarianceSpec, LogPermField,
                                    build_kl_region, solve_1d_eigenpairs)
 
 from _oracles import nystrom_eigenvalues_1d
@@ -108,14 +109,24 @@ def test_mode_evaluation_and_region_guard():
         reg.evaluate_modes(np.array([0.5]), np.array([2.5]))
 
 
+def constant_mean(c):
+    """A mean of log K that is c everywhere."""
+    return lambda x, y, region=None: np.full(np.shape(x), c)
+
+
 def test_mean_kinds():
+    """Each configured mean kind is a callable (x, y, region=None) that
+    returns an array of x's shape, a constant expression too."""
     x = np.array([0.2, 0.8])
     y = np.array([0.1, 0.9])
-    const = MeanLogPerm("constant", value=1.5)
+    const = _build_mean({"kind": "constant", "value": 1.5}, None)
     assert np.allclose(const(x, y), [1.5, 1.5])
-    expr = MeanLogPerm("expression", func=lambda x, y: x + 2 * y)
+    expr = _build_mean({"kind": "expression", "expr": "x + 2 * y"}, None)
     assert np.allclose(expr(x, y), [0.4, 2.6])
-    per = MeanLogPerm("per_region", per_region={0: 1.0, 1: -1.0})
+    flat = _build_mean({"kind": "expression", "expr": "2"}, None)
+    assert flat(x, y).shape == (2,) and np.all(flat(x, y) == 2.0)
+    per = _build_mean({"kind": "per_region",
+                       "values": {"0": 1.0, "1": -1.0}}, None)
     assert np.allclose(per(x, y, region=1), [-1.0, -1.0])
 
 
@@ -125,7 +136,7 @@ def test_field_variable_layout():
     cov1 = CovarianceSpec((0.0, 0.5, 1.0, 1.0), 1.0, (0.3, 0.3))
     field = LogPermField(
         [build_kl_region(cov0, 2), build_kl_region(cov1, 3)],
-        MeanLogPerm("constant", value=0.5),
+        constant_mean(0.5),
     )
     assert field.n_dims == 5
     assert field.region_slice(0) == slice(0, 2)
@@ -145,7 +156,7 @@ def test_realized_variance_matches_truncated_covariance():
     """Monte Carlo variance of Y approaches the truncated diagonal."""
     cov = CovarianceSpec((0.0, 0.0, 1.0, 1.0), 1.0, (0.5, 0.5))
     field = LogPermField([build_kl_region(cov, 8)],
-                         MeanLogPerm("constant", value=0.0))
+                         constant_mean(0.0))
     rng = np.random.default_rng(42)
     x = np.array([0.5, 0.21])
     y = np.array([0.5, 0.77])

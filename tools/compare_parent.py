@@ -1,10 +1,13 @@
 """Bitwise comparison of sweep results between a git revision and the tree.
 
-Runs 29 collocation sweeps on a `git archive` of a revision and on the
+Runs 30 collocation sweeps on a `git archive` of a revision and on the
 working tree and prints every array that differs: S1, S2 and S3 on each
 shipped config at `workers` 1 and 2, S2 and S3 on `case1_mini` with
-meshes and mortars x2 at `workers` 1 and 2, and S3 on `case1_mini` x4 at
-`workers` 1 (its Darcy band solves have up to 8128 rows). The arrays of
+meshes and mortars x2 at `workers` 1 and 2, S3 on `case1_mini` x4 at
+`workers` 1 (its Darcy band solves have up to 8128 rows), and S2 on
+`case2_mini` with boundary data that no shipped config has (traction
+values on a stress side, an expression pressure on a Darcy side) at
+`workers` 1. The arrays of
 a sweep are lambda per realization, every moment (mean and variance),
 the CG iteration counts and the five per-subdomain counters
 (factorizations, backsolves, basis_backsolves, setup_factorizations,
@@ -25,6 +28,7 @@ importing that side's src/. The exit code is 0 when nothing differs.
 """
 
 import argparse
+import copy
 import logging
 import os
 import subprocess
@@ -45,14 +49,28 @@ COUNTERS = ("factorizations", "backsolves", "basis_backsolves",
             "setup_factorizations", "setup_backsolves")
 
 
+def boundary_data(cfg):
+    """case2_mini with a traction on block 1's right side and an
+    expression pressure on block 4's bottom side."""
+    cfg = copy.deepcopy(cfg)
+    cfg["bcs"]["1"]["right"]["value"] = ["0.5*sin(pi*y)", "0.25 - x*y"]
+    cfg["bcs"]["4"]["bottom"]["value"] = "1 + 0.5*cos(pi*x)"
+    return cfg
+
+
 def sweeps():
-    """(tag, config, refine, method, workers) of the 29 sweeps."""
-    out = [(f"{name}/{method}/w{w}", name, 1, method, w)
+    """(tag, config, edit of its parsed config, method, workers) of the
+    30 sweeps."""
+    def refined(n):
+        return lambda cfg: refine(cfg, n)
+
+    out = [(f"{name}/{method}/w{w}", name, refined(1), method, w)
            for name in CONFIGS for method in ("S1", "S2", "S3")
            for w in (1, 2)]
-    out += [(f"case1_mini_x2/{method}/w{w}", "case1_mini", 2, method, w)
-            for method in ("S2", "S3") for w in (1, 2)]
-    out.append(("case1_mini_x4/S3/w1", "case1_mini", 4, "S3", 1))
+    out += [(f"case1_mini_x2/{method}/w{w}", "case1_mini", refined(2),
+             method, w) for method in ("S2", "S3") for w in (1, 2)]
+    out.append(("case1_mini_x4/S3/w1", "case1_mini", refined(4), "S3", 1))
+    out.append(("case2_mini_bc/S2/w1", "case2_mini", boundary_data, "S2", 1))
     return out
 
 
@@ -64,9 +82,9 @@ def dump(root, path):
     from sdmortar.interface import run_method
 
     arrays = {}
-    for tag, name, factor, method, workers in sweeps():
+    for tag, name, edit, method, workers in sweeps():
         cfg = parse_config(os.path.join(root, "configs", name + ".json"))
-        problem, grid, options = build_from_config(refine(cfg, factor))
+        problem, grid, options = build_from_config(edit(cfg))
         result = run_method(problem, grid, method=method,
                             tol=options["tol"], max_iter=options["max_iter"],
                             workers=workers)
