@@ -33,8 +33,6 @@ def _fail(exc, code):
 def _cmd_run(args):
     from .driver import run_file
 
-    if args.workers is not None and args.workers < 1:
-        raise ConfigError(["--workers: int >= 1 required"])
     overrides = {"method": args.method, "workers": args.workers,
                  "out_dir": args.out_dir}
     problem, grid, result, paths = run_file(args.config,

@@ -51,7 +51,6 @@ class CollocationGrid:
     `local_counts[i]` is the number of distinct local realizations N_real(i).
     """
 
-    kind: str
     points: np.ndarray
     weights: np.ndarray
     splits: tuple
@@ -123,7 +122,7 @@ def build_tensor_grid(m_per_dim, splits=None):
     points, weights = _tensor_points([r[0] for r in rules],
                                      [r[1] for r in rules])
     li, lc = _region_tables(points, splits)
-    return CollocationGrid("tensor", points, weights, tuple(splits), li, lc)
+    return CollocationGrid(points, weights, tuple(splits), li, lc)
 
 
 def _sparse_level_sets(n, level):
@@ -184,4 +183,4 @@ def build_sparse_grid(n_dims, level, splits=None):
     points = np.array(keys).reshape(len(keys), n_dims)
     weights = np.array([merged[k] for k in keys])
     li, lc = _region_tables(points, splits)
-    return CollocationGrid("sparse", points, weights, tuple(splits), li, lc)
+    return CollocationGrid(points, weights, tuple(splits), li, lc)

@@ -80,9 +80,10 @@ def _evaluate(code, x, y):
 @lru_cache(maxsize=256)
 def _expression_code(text):
     """(code, "") for an expression in x and y that compiles, names only
-    known functions and evaluates on a probe; else (None, its fault).
-    Validation and building check the same texts, so each is compiled
-    once."""
+    known functions and gives one value per point or a constant on a
+    probe; else (None, its fault). The probe is a 2-D point array because
+    readers pass both point lists and (edge, point) arrays. Validation and
+    building check the same texts, so each is compiled once."""
     try:
         code = compile(text, "<config>", "eval")
     except SyntaxError as exc:
@@ -91,11 +92,15 @@ def _expression_code(text):
     if unknown:
         return None, (f"unknown name(s) {sorted(unknown)} in expression "
                       f"{text!r}")
+    probe = np.array([[0.25, 0.5, 0.75], [0.125, 0.375, 0.625]])
     try:
-        probe = np.array([0.25, 0.75])
-        np.asarray(_evaluate(code, probe, probe), dtype=float)
+        shape = np.asarray(_evaluate(code, probe, probe), dtype=float).shape
     except Exception as exc:
         return None, f"expression {text!r} fails to evaluate ({exc})"
+    if shape not in ((), probe.shape):
+        return None, (f"expression {text!r} gives shape {shape} on points "
+                      f"of shape {probe.shape}: one value per point or a "
+                      f"constant required")
     return code, ""
 
 
@@ -264,20 +269,6 @@ def index_map(entry, need, bad_key, nonempty=False):
     return walk
 
 
-def _selection(v, out, path, errors):
-    """A count n_term takes selection 'largest', an [nx, ny] box 'box'."""
-    if out["n_term"] is None:
-        return
-    box = isinstance(out["n_term"], list)
-    want = "box" if box else "largest"
-    if out["selection"] is None:
-        out["selection"] = want
-    elif out["selection"] != want:
-        errors.append(f"{path}: n_term [nx, ny] requires selection 'box'"
-                      if box else
-                      f"{path}: scalar n_term requires selection 'largest'")
-
-
 def _raster_source(v, out, path, errors):
     """A raster has exactly one source; inline values fill its shape."""
     if ("values" in v) == ("path" in v):
@@ -333,8 +324,7 @@ KL_REGIONS = items(obj({
                  lambda v: [float(e) for e in v]), None),
     "n_term": (integer("{where}: n_term must be an int >= 1 or [nx, ny]",
                        1, n=2), None),
-    "selection": (None, None),
-}, check=_selection), need="{path}: must be a list")
+}), need="{path}: must be a list")
 
 MEAN_LOG_PERM = union("kind", {
     "constant": obj({"kind": _TAG, "value": (
@@ -625,9 +615,7 @@ def build_kl_regions(specs):
     out = []
     for r in specs:
         cov = CovarianceSpec(tuple(r["rect"]), r["sigma2"], tuple(r["eta"]))
-        n_term = tuple(r["n_term"]) if r["selection"] == "box" \
-            else r["n_term"]
-        out.append(build_kl_region(cov, n_term, selection=r["selection"]))
+        out.append(build_kl_region(cov, r["n_term"]))
     return out
 
 

@@ -1,6 +1,7 @@
 """End-to-end runs: config in, moment fields and effort reports out."""
 
-from .config import build_from_config, config_dir_of, parse_config
+from .config import (build_from_config, config_dir_of, parse_config,
+                     validate_config)
 from .interface import run_method
 from .output import write_outputs
 
@@ -9,13 +10,16 @@ def run_config(cfg, config_dir=None, overrides=None):
     """Run one configured sweep and write its outputs.
 
     overrides maps option names (method, workers, out_dir) to replacement
-    values; None entries are ignored. Returns (problem, grid, result, paths).
+    values; None entries are ignored. They are written into a copy of cfg,
+    which is validated again, run and echoed in the manifest. Returns
+    (problem, grid, result, paths).
     """
+    over = {k: v for k, v in (overrides or {}).items() if v is not None}
+    output = dict(cfg["output"])
+    if "out_dir" in over:
+        output["dir"] = over.pop("out_dir")
+    cfg = validate_config({**cfg, **over, "output": output})
     problem, grid, options = build_from_config(cfg, config_dir)
-    if overrides:
-        for key, val in overrides.items():
-            if val is not None:
-                options[key] = val
     result = run_method(problem, grid,
                         method=options["method"],
                         tol=options["tol"],

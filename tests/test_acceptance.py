@@ -232,7 +232,7 @@ def test_criterion_06_collocation_exactness(capsys):
 def test_criterion_07_kl_eigenvalues(capsys):
     """Closed-form 1D eigenvalues agree with a dense quadrature discretization."""
     eta, length = 0.1, 1.0
-    lam = np.array([m.lam for m in solve_1d_eigenpairs(length, eta, 40)])
+    _, lam, _ = solve_1d_eigenpairs(length, eta, 40)
 
     n = 2048
     h = length / n

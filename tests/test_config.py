@@ -60,15 +60,29 @@ def test_defaults_filled_in():
     assert cfg["mortars"]["allow_fine"] is False
     assert cfg["mortars"]["per_interface"] == {}
     assert cfg["sources"] == {"f_s": None, "f_d": None, "q_d": None}
-    assert cfg["kl_regions"][0]["selection"] == "largest"
+    # n_term's form alone says how a region is truncated
+    assert "selection" not in cfg["kl_regions"][0]
 
 
 def test_box_truncation_normalized():
     raw = minimal_raw()
     raw["kl_regions"][0]["n_term"] = [2, 1]
     cfg = validate_config(raw)
-    assert cfg["kl_regions"][0]["selection"] == "box"
+    assert "selection" not in cfg["kl_regions"][0]
     assert cfg["kl_regions"][0]["n_term"] == [2, 1]
+    problem, _, _ = build_from_config(cfg)
+    region = problem.perm.regions[0]
+    assert (region.n_term, region.p.tolist(), region.q.tolist()) == (
+        2, [0, 1], [0, 0])
+
+
+@pytest.mark.parametrize("selection", ["largest", "box"])
+def test_selection_is_an_unknown_key(selection):
+    raw = minimal_raw()
+    raw["kl_regions"][0]["selection"] = selection
+    with pytest.raises(ConfigError) as exc:
+        validate_config(raw)
+    assert exc.value.messages == ["kl_regions[0]: unknown key 'selection'"]
 
 
 def test_errors_are_collected():
@@ -264,6 +278,24 @@ def test_expression_name_whitelist():
     assert not errors
     assert f(0.5, 1.0) == pytest.approx(0.0)
     assert f(0.5, 0.0) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("text, shape", [("[1, 2, 3]", (3,)),
+                                         ("x[0]", (3,)), ("x[:1]", (1, 3)),
+                                         ("[x, y]", (2, 2, 3))])
+def test_expression_needs_one_value_per_point(text, shape):
+    """An expression gives a constant or one value per point, on point
+    lists and (edge, point) arrays alike; any other shape is named."""
+    errors = []
+    assert compile_expression(text, "test", errors) is None
+    assert errors == [f"test: expression {text!r} gives shape {shape} on "
+                      f"points of shape (2, 3): one value per point or a "
+                      f"constant required"]
+    errors = []
+    for ok in ("2", "x + y", "where(x > 0.3, 1.0, y)"):
+        f = compile_expression(ok, "test", errors)
+        pts = np.full((4, 5), 0.5)
+        assert not errors and np.shape(f(pts, pts)) in ((), (4, 5))
 
 
 def test_expression_no_builtins():

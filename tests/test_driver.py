@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sdmortar import cli
+from sdmortar.config import parse_config
 from sdmortar.driver import run_config, run_file
 from sdmortar.interface import run_method
 from sdmortar.output import STATS_COLUMNS, write_moments_csv, write_vtk
@@ -355,8 +356,72 @@ def test_cli_rejects_workers_below_one(tmp_path, capsys):
     code = cli.main(["run", TWOBLOCK, "--workers", "0",
                      "--out-dir", str(tmp_path / "x")])
     assert assert_config_error(code, capsys) == [
-        "--workers: int >= 1 required"]
+        "workers: int >= 1 required"]
     assert not (tmp_path / "x").exists()
+
+
+def test_cli_rejects_an_empty_out_dir(capsys):
+    code = cli.main(["run", TWOBLOCK, "--out-dir", ""])
+    assert assert_config_error(code, capsys) == [
+        "output.dir: non-empty string required"]
+
+
+def test_cli_overrides_are_echoed_in_the_manifest(tmp_path, capsys):
+    """The manifest's config echo is the config that ran: the command
+    line's method, workers and output directory replace the file's."""
+    out = str(tmp_path / "d")
+    code = cli.main(["run", TWOBLOCK, "--method", "S3", "--workers", "2",
+                     "--out-dir", out])
+    assert code == cli.EXIT_OK
+    capsys.readouterr()
+    man = json.load(open(os.path.join(out, "manifest.json")))
+    assert man["method"] == man["config"]["method"] == "S3"
+    assert man["config"]["workers"] == 2
+    assert man["config"]["output"]["dir"] == out
+    # everything else is the file's config as validated
+    cfg = parse_config(TWOBLOCK)
+    cfg.update(method="S3", workers=2, output=dict(cfg["output"], dir=out))
+    assert man["config"] == cfg
+
+
+def _mean_expr(text):
+    raw = json.load(open(TWOBLOCK))
+    raw["mean_log_perm"] = {"kind": "expression", "expr": text}
+    return raw, "mean_log_perm"
+
+
+def _bc_value(text):
+    raw = json.load(open(TWOBLOCK))
+    side = next(iter(raw["bcs"]["0"]))
+    raw["bcs"]["0"][side]["value"] = text
+    return raw, f"bcs.0.{side}"
+
+
+def _q_d(text):
+    raw = json.load(open(TWOBLOCK))
+    raw.setdefault("sources", {})["q_d"] = text
+    return raw, "sources.q_d"
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("text, shape", [("[1, 2, 3]", (3,)),
+                                         ("x[0]", (3,))])
+@pytest.mark.parametrize("make", [_mean_expr, _bc_value, _q_d])
+def test_cli_expression_without_one_value_per_point(tmp_path, capsys,
+                                                    command, text, shape,
+                                                    make):
+    """A mean, a bc value or a source whose expression does not give one
+    value per point is a config error for validate and run alike."""
+    raw, where = make(text)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    args = [command, str(path)]
+    if command == "run":
+        args += ["--out-dir", str(tmp_path / "out")]
+    assert assert_config_error(cli.main(args), capsys) == [
+        f"{where}: expression {text!r} gives shape {shape} on points of "
+        f"shape (2, 3): one value per point or a constant required"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("spec", [

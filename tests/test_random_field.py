@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sdmortar.config import _build_mean
 from sdmortar.random_field import (CovarianceSpec, LogPermField,
@@ -10,35 +12,45 @@ from sdmortar.random_field import (CovarianceSpec, LogPermField,
 from _oracles import nystrom_eigenvalues_1d
 
 
-def covariance_residual(mode, length, eta, n_quad=4000):
+def mode_functions(length, eta, n):
+    """The n leading 1D eigenpairs as (lam, f) with f the closed form."""
+    w, lam, norm = solve_1d_eigenpairs(length, eta, n)
+    trig = (np.cos, np.sin)
+    return [(lam[j], lambda s, j=j: trig[j % 2](w[j] * (s - 0.5 * length))
+             / norm[j]) for j in range(n)]
+
+
+def covariance_residual(lam, f, length, eta, n_quad=4000):
     """Max residual of (C f)(x) = lam f(x) on a fine midpoint grid."""
     h = length / n_quad
     x = (np.arange(n_quad) + 0.5) * h
-    f = mode(x)
-    Cf = (np.exp(-np.abs(x[:, None] - x[None, :]) / eta) * h) @ f
-    return np.max(np.abs(Cf - mode.lam * f)) / np.max(np.abs(f))
+    fx = f(x)
+    Cf = (np.exp(-np.abs(x[:, None] - x[None, :]) / eta) * h) @ fx
+    return np.max(np.abs(Cf - lam * fx)) / np.max(np.abs(fx))
 
 
 def test_1d_modes_satisfy_integral_equation():
-    """Each closed-form eigenpair solves the exponential-kernel equation."""
+    """Each closed-form eigenpair solves the exponential-kernel equation;
+    the interlaced roots make even modes cosines and odd modes sines."""
     length, eta = 1.0, 0.1
-    modes = solve_1d_eigenpairs(length, eta, 6)
-    assert len(modes) == 6
-    lams = [m.lam for m in modes]
-    assert np.all(np.diff(lams) < 0)
-    assert [m.kind for m in modes] == ["cos", "sin"] * 3
-    for m in modes:
-        assert covariance_residual(m, length, eta) < 5e-4
+    w, lam, norm = solve_1d_eigenpairs(length, eta, 6)
+    assert w.shape == lam.shape == norm.shape == (6,)
+    assert np.all(np.diff(lam) < 0) and np.all(np.diff(w) > 0)
+    # cosines are even and sines odd about the interval's midpoint
+    modes = mode_functions(length, eta, 6)
+    s = np.array([0.1, 0.3])
+    for j, (lam_j, f) in enumerate(modes):
+        assert np.allclose(f(length - s), (-1) ** j * f(s), atol=1e-14)
+        assert covariance_residual(lam_j, f, length, eta) < 5e-4
 
 
 def test_1d_modes_orthonormal():
     """Eigenfunctions are L2-orthonormal on the interval."""
     length, eta = 2.0, 0.5
-    modes = solve_1d_eigenpairs(length, eta, 5)
     n_quad = 6000
     h = length / n_quad
     x = (np.arange(n_quad) + 0.5) * h
-    F = np.array([m(x) for m in modes])
+    F = np.array([f(x) for _, f in mode_functions(length, eta, 5)])
     G = F @ F.T * h
     assert np.max(np.abs(G - np.eye(5))) < 1e-5
 
@@ -47,15 +59,14 @@ def test_trace_bound():
     """The eigenvalue sum never exceeds the total variance sigma2 * area."""
     for eta in (0.05, 0.1, 0.5, 2.0):
         for length in (0.4, 1.0):
-            modes = solve_1d_eigenpairs(length, eta, 12)
-            assert sum(m.lam for m in modes) <= length + 1e-12
+            _, lam, _ = solve_1d_eigenpairs(length, eta, 12)
+            assert lam.sum() <= length + 1e-12
 
 
 def test_nystrom_agrees_and_refines():
     """Closed-form eigenvalues match the quadrature check to O(h^2)."""
     length, eta = 1.0, 0.1
-    modes = solve_1d_eigenpairs(length, eta, 5)
-    exact = np.array([m.lam for m in modes])
+    _, exact, _ = solve_1d_eigenpairs(length, eta, 5)
     errs = []
     for n_quad in (256, 512, 1024):
         approx = nystrom_eigenvalues_1d(length, eta, 5, n_quad=n_quad)
@@ -66,47 +77,98 @@ def test_nystrom_agrees_and_refines():
     assert np.all(ratios > 1.8)
 
 
+def largest_products(cov, n):
+    """The n largest sigma2 lam_x[p] lam_y[q], taken over the n x n box,
+    which holds them since lam_x and lam_y decrease."""
+    _, lx, _ = solve_1d_eigenpairs(cov.rect[2] - cov.rect[0], cov.eta[0], n)
+    _, ly, _ = solve_1d_eigenpairs(cov.rect[3] - cov.rect[1], cov.eta[1], n)
+    return np.sort((cov.sigma2 * lx[:, None] * ly[None, :]).ravel())[::-1][:n]
+
+
 def test_2d_selection_largest():
-    """Scalar truncation keeps the largest eigenvalue products."""
+    """A count n_term keeps the largest eigenvalue products."""
     cov = CovarianceSpec((0.0, 0.0, 1.0, 0.5), 2.0, (0.3, 0.2))
-    reg = build_kl_region(cov, 7, selection="largest")
+    reg = build_kl_region(cov, 7)
     lams = reg.eigenvalues()
     assert reg.n_term == 7
     assert np.all(np.diff(lams) <= 1e-15)
-    # products from a generous box must not beat the selected set
-    mx = solve_1d_eigenpairs(1.0, 0.3, 10)
-    my = solve_1d_eigenpairs(0.5, 0.2, 10)
-    prods = sorted(
-        (2.0 * a.lam * b.lam for a in mx for b in my), reverse=True)
-    assert np.allclose(lams, prods[:7], rtol=1e-12)
+    assert np.array_equal(lams, largest_products(cov, 7))
+    assert np.array_equal(
+        lams, cov.sigma2 * reg.x[1][reg.p] * reg.y[1][reg.q])
 
 
 def test_2d_selection_box():
-    """Box truncation keeps the full nx x ny index rectangle, sorted."""
+    """An [nx, ny] n_term keeps the full index rectangle, sorted."""
     cov = CovarianceSpec((0.0, 0.0, 1.0, 1.0), 1.0, (0.1, 0.1))
-    reg = build_kl_region(cov, (3, 2), selection="box")
+    reg = build_kl_region(cov, (3, 2))
     assert reg.n_term == 6
+    assert sorted(zip(reg.p.tolist(), reg.q.tolist())) == [
+        (p, q) for p in range(3) for q in range(2)]
     lams = reg.eigenvalues()
     assert np.all(np.diff(lams) <= 1e-15)
-    mx = solve_1d_eigenpairs(1.0, 0.1, 3)
-    my = solve_1d_eigenpairs(1.0, 0.1, 2)
-    expect = sorted((a.lam * b.lam for a in mx for b in my), reverse=True)
+    _, lx, _ = solve_1d_eigenpairs(1.0, 0.1, 3)
+    _, ly, _ = solve_1d_eigenpairs(1.0, 0.1, 2)
+    expect = sorted((a * b for a in lx for b in ly), reverse=True)
     assert np.allclose(lams, expect, rtol=1e-12)
+    # a list works as the pair does (config passes [nx, ny])
+    same = build_kl_region(cov, [3, 2])
+    assert np.array_equal(same.p, reg.p) and np.array_equal(same.q, reg.q)
+
+
+@settings(max_examples=40, deadline=None)
+@example(n=6, eta_x=0.05, eta_y=0.4, ly=0.4)  # two passes of the loop
+@example(n=12, eta_x=0.05, eta_y=0.4, ly=0.4)  # four passes
+@given(n=st.integers(1, 14),
+       eta_x=st.sampled_from([0.05, 0.1, 0.2, 0.5]),
+       eta_y=st.sampled_from([0.05, 0.2, 0.4, 1.0, 2.0]),
+       ly=st.sampled_from([0.25, 0.4, 1.0]))
+def test_largest_keeps_the_n_largest_products(n, eta_x, eta_y, ly):
+    """The kept eigenvalues are non-increasing and equal the n largest
+    products, also with anisotropic correlation lengths, where the 1D mode
+    count has to grow past its first guess."""
+    cov = CovarianceSpec((0.0, 0.0, 1.0, ly), 1.0, (eta_x, eta_y))
+    reg = build_kl_region(cov, n)
+    lams = reg.eigenvalues()
+    assert len(lams) == n
+    assert np.all(np.diff(lams) <= 0)
+    assert np.array_equal(lams, largest_products(cov, n))
+    # the axis tables hold exactly the 1D modes the terms use
+    assert set(reg.p.tolist()) == set(range(len(reg.x[0])))
+    assert set(reg.q.tolist()) == set(range(len(reg.y[0])))
+
+
+def closed_form_terms(reg, x, y):
+    """sqrt(lam_j) f_x,p(x) f_y,q(y) for every term j, one at a time, in
+    the arithmetic order of the closed form."""
+    x0, y0, x1, y1 = reg.cov.rect
+    out = np.empty((len(x), reg.n_term))
+    for j, (p, q) in enumerate(zip(reg.p, reg.q)):
+        fx = ((np.sin if p % 2 else np.cos)(
+            reg.x[0][p] * ((x - x0) - 0.5 * (x1 - x0))) / reg.x[2][p])
+        fy = ((np.sin if q % 2 else np.cos)(
+            reg.y[0][q] * ((y - y0) - 0.5 * (y1 - y0))) / reg.y[2][q])
+        out[:, j] = np.sqrt(reg.lam[j]) * fx * fy
+    return out
 
 
 def test_mode_evaluation_and_region_guard():
-    """Mode evaluation is sqrt(lam) f and refuses out-of-region points."""
-    cov = CovarianceSpec((1.0, 2.0, 3.0, 4.0), 1.5, (0.4, 0.4))
-    reg = build_kl_region(cov, 4)
-    x = np.array([1.2, 2.9])
-    y = np.array([2.5, 3.9])
-    V = reg.evaluate_modes(x, y)
-    assert V.shape == (2, 4)
-    m = reg.modes[0]
-    expect = np.sqrt(m.lam) * m.fx(x - 1.0) * m.fy(y - 2.0)
-    assert np.allclose(V[:, 0], expect)
-    with pytest.raises(ValueError):
-        reg.evaluate_modes(np.array([0.5]), np.array([2.5]))
+    """Every term of evaluate_modes equals the closed form bit for bit, on
+    a region of the largest products and on a box region; points outside
+    the region are refused."""
+    cov = CovarianceSpec((1.0, 2.0, 3.0, 4.0), 1.5, (0.4, 0.2))
+    x = np.array([1.0, 1.2, 2.0, 2.9, 3.0])
+    y = np.array([2.5, 3.9, 2.0, 3.1, 4.0])
+    for n_term, n in ((7, 7), ((3, 2), 6)):
+        reg = build_kl_region(cov, n_term)
+        V = reg.evaluate_modes(x, y)
+        assert V.shape == (5, n)
+        assert np.array_equal(V, closed_form_terms(reg, x, y))
+        # C order, as a column-filled array has: V @ xi sums in that order
+        assert V.flags.c_contiguous
+        with pytest.raises(ValueError):
+            reg.evaluate_modes(np.array([0.5]), np.array([2.5]))
+        with pytest.raises(ValueError):
+            reg.evaluate_modes(np.array([2.0]), np.array([4.5]))
 
 
 def constant_mean(c):

@@ -1,13 +1,15 @@
 """Bitwise comparison of sweep results between a git revision and the tree.
 
-Runs 30 collocation sweeps on a `git archive` of a revision and on the
+Runs 31 collocation sweeps on a `git archive` of a revision and on the
 working tree and prints every array that differs: S1, S2 and S3 on each
 shipped config at `workers` 1 and 2, S2 and S3 on `case1_mini` with
 meshes and mortars x2 at `workers` 1 and 2, S3 on `case1_mini` x4 at
 `workers` 1 (its Darcy band solves have up to 8128 rows), and S2 on
 `case2_mini` with boundary data that no shipped config has (traction
 values on a stress side, an expression pressure on a Darcy side) at
-`workers` 1. The arrays of
+`workers` 1, and S3 on `case1_mini_sparse` with KL region 0 made
+anisotropic (eta [0.05, 0.4], n_term 6), so that truncating to the
+largest products takes more than one pass, at `workers` 1. The arrays of
 a sweep are lambda per realization, every moment (mean and variance),
 the CG iteration counts and the five per-subdomain counters
 (factorizations, backsolves, basis_backsolves, setup_factorizations,
@@ -58,9 +60,17 @@ def boundary_data(cfg):
     return cfg
 
 
+def anisotropic_kl(cfg):
+    """case1_mini_sparse with KL region 0 (1 x 0.4) at eta [0.05, 0.4]
+    and 6 terms: its truncation loop grows the 1D mode count once."""
+    cfg = copy.deepcopy(cfg)
+    cfg["kl_regions"][0].update(eta=[0.05, 0.4], n_term=6)
+    return cfg
+
+
 def sweeps():
     """(tag, config, edit of its parsed config, method, workers) of the
-    30 sweeps."""
+    31 sweeps."""
     def refined(n):
         return lambda cfg: refine(cfg, n)
 
@@ -71,6 +81,8 @@ def sweeps():
              method, w) for method in ("S2", "S3") for w in (1, 2)]
     out.append(("case1_mini_x4/S3/w1", "case1_mini", refined(4), "S3", 1))
     out.append(("case2_mini_bc/S2/w1", "case2_mini", boundary_data, "S2", 1))
+    out.append(("case1_mini_sparse_kl/S3/w1", "case1_mini_sparse",
+                anisotropic_kl, "S3", 1))
     return out
 
 
