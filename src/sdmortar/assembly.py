@@ -7,9 +7,11 @@ a local mortar vector or a block of them, and its flux_basis returns
 interface data too, goes through _solve, which backsolves one right-hand
 side and scatters the result into a Solution of full velocity and
 pressure dof vectors. A flux basis is one product per subdomain: a
-Stokes basis one star solve of the identity, a Darcy basis one Gram
-product of its triangular solves (darcy.py). A Stokes operator whose BJS
-entries differ from its reference's solves through UpdatedFactors.
+Darcy basis one Gram product of its triangular solves (darcy.py), a
+Stokes basis its reference's mean-field basis plus one rank-r product
+(stokes.py), with no LU solve. Either counts N_dof backsolves. A Stokes
+operator whose BJS entries differ from its reference's solves through
+UpdatedFactors.
 """
 
 from dataclasses import dataclass
@@ -145,7 +147,10 @@ class SubdomainOperator:
     a solve or star solve with m columns counts m, and a flux basis counts
     N_dof, one star problem per local mortar dof. The Darcy flux basis is
     a Gram product of forward triangular solves; the symmetry of its
-    multiplier matrix stands in for each dof's backward half-solve.
+    multiplier matrix stands in for each dof's backward half-solve. The
+    Stokes flux basis is a rank-r update of its reference's. lu_columns
+    counts the right-hand-side columns that flux bases actually hand to
+    a factor.
     """
 
     def __init__(self, system, lu, bar_load):
@@ -155,6 +160,7 @@ class SubdomainOperator:
         self.bar_load = bar_load
         self.factorizations = 1
         self.backsolves = 0
+        self.lu_columns = 0
 
     def _count(self, rhs):
         """Count one backsolve per column of rhs (one for a vector)."""

@@ -82,7 +82,9 @@ def _expression_code(text):
     """(code, "") for an expression in x and y that compiles, names only
     known functions and gives one value per point or a constant on a
     probe; else (None, its fault). The probe is a 2-D point array because
-    readers pass both point lists and (edge, point) arrays. Validation and
+    readers pass both point lists and (edge, point) arrays. A single value
+    is checked on a second probe, scaled and shifted, so that one that
+    reads the points (such as "x[0, 1]") is caught. Validation and
     building check the same texts, so each is compiled once."""
     try:
         code = compile(text, "<config>", "eval")
@@ -94,12 +96,21 @@ def _expression_code(text):
                       f"{text!r}")
     probe = np.array([[0.25, 0.5, 0.75], [0.125, 0.375, 0.625]])
     try:
-        shape = np.asarray(_evaluate(code, probe, probe), dtype=float).shape
+        value = np.asarray(_evaluate(code, probe, probe), dtype=float)
+        if value.shape == ():
+            other = 1.5 * probe + 0.125
+            again = np.asarray(_evaluate(code, other, other), dtype=float)
     except Exception as exc:
         return None, f"expression {text!r} fails to evaluate ({exc})"
-    if shape not in ((), probe.shape):
-        return None, (f"expression {text!r} gives shape {shape} on points "
-                      f"of shape {probe.shape}: one value per point or a "
+    if value.shape not in ((), probe.shape):
+        return None, (f"expression {text!r} gives shape {value.shape} on "
+                      f"points of shape {probe.shape}: one value per point "
+                      f"or a constant required")
+    if value.shape == () and not np.array_equal(value, again,
+                                                equal_nan=True):
+        return None, (f"expression {text!r} gives a single value that "
+                      f"depends on the points ({float(value):g}, then "
+                      f"{float(again):g}): one value per point or a "
                       f"constant required")
     return code, ""
 

@@ -55,11 +55,15 @@ first realization, from every subdomain's flux basis B_i at the mean field
 (y = 0): S_bar = sum_i scatter(B_i) is factored by dense Cholesky, and
 realization k rescales it by the permeability under each mortar dof, so
 a solve costs no subdomain work beyond its CG iterations. The
-mean-field bases cost one set-up factorization per Darcy subdomain (a
-Stokes one solves with its reference LU) and N_dof_i set-up backsolves
-per subdomain, counted in setup_factorizations and setup_backsolves; an
-S3 Stokes subdomain's mean-field basis is its cached entry's, counted
-with the sweep's basis backsolves, so it costs no set-up backsolve.
+mean-field bases cost one set-up factorization per Darcy subdomain and
+N_dof_i set-up backsolves per subdomain, counted in setup_factorizations
+and setup_backsolves; an S3 Stokes subdomain's mean-field basis is its
+cached entry's, counted with the sweep's basis backsolves, so it costs
+no set-up backsolve. A Stokes mean-field basis is one solve of the unit
+star loads with the reference LU, kept by the reference: every Stokes
+basis of the sweep is that basis plus a rank-r product (see
+compute_flux_basis), counted as N_dof_i backsolves but built with no LU
+solve. SolveStats.basis_lu_columns reports the columns actually solved.
 
 Backsolve counts per subdomain follow the identities
 S1: sum_k N_iter(k) + 2 N_real, S2: N_dof_i N_real + 2 N_real,
@@ -104,13 +108,19 @@ METHODS = ("S1", "S2", "S3")
 
 @dataclass
 class SolveStats:
-    """Per-subdomain solver effort counters for one sweep."""
+    """Per-subdomain solver effort counters for one sweep.
+
+    basis_lu_columns counts the right-hand-side columns that the sweep's
+    flux bases hand to a factor (a Stokes LU solve or a Darcy dtbtrs),
+    beside the basis_backsolves they count; neither has set-up bases.
+    """
 
     method: str
     n_sub: int
     factorizations: np.ndarray
     backsolves: np.ndarray
     basis_backsolves: np.ndarray
+    basis_lu_columns: np.ndarray
     cg_iters: list = field(default_factory=list)
     wall_seconds: np.ndarray = None
     n_real: int = 0
@@ -120,7 +130,7 @@ class SolveStats:
     @classmethod
     def new(cls, method, n_sub):
         z = lambda: np.zeros(n_sub, dtype=int)
-        return cls(method, n_sub, z(), z(), z(),
+        return cls(method, n_sub, z(), z(), z(), z(),
                    wall_seconds=np.zeros(n_sub), setup_factorizations=z(),
                    setup_backsolves=z())
 
@@ -139,6 +149,7 @@ class SolveStats:
         self.factorizations += other.factorizations
         self.backsolves += other.backsolves
         self.basis_backsolves += other.basis_backsolves
+        self.basis_lu_columns += other.basis_lu_columns
         self.setup_factorizations += other.setup_factorizations
         self.setup_backsolves += other.setup_backsolves
         self.wall_seconds += other.wall_seconds
@@ -441,14 +452,15 @@ class _Group:
 
         A cache key of None is the mean-field entry (S3's Stokes
         subdomains): it is built here, as the sweep's own entry, and its
-        basis serves. Otherwise a Stokes subdomain solves with its
-        reference LU, a Darcy one with its mean-field operator, factored
-        here. Both are set-up work: the Darcy factorization and the
-        N_dof_i unit solves go to setup_factorizations and
-        setup_backsolves. Like StokesReference's W, they bypass
-        assemble_subdomain and solve_star (a Stokes basis is the
-        operator's _star of the identity), so each call of those two is
-        still work that the identities count.
+        basis serves. Otherwise a Stokes subdomain reads the mean-field
+        basis of its reference (StokesReference.mean_basis: one LU solve
+        of the N_dof_i unit star loads, which every later basis of the
+        sweep reuses), and a Darcy one is the basis of its mean-field
+        operator, factored here. Both are set-up work: the Darcy
+        factorization and the N_dof_i unit solves go to
+        setup_factorizations and setup_backsolves. Like StokesReference's
+        W, they bypass assemble_subdomain and solve_star, so each call of
+        those two is still work that the identities count.
         """
         problem = self.problem
         zero = np.zeros(problem.perm.n_dims)
@@ -456,14 +468,14 @@ class _Group:
         def work(sid):
             if _key(problem, self.grid, self.method, sid, 0, zero)[0] is None:
                 return self._operator(sid, 0, zero)[1]
-            K = problem.sample_permeability(sid, zero)
             reference = self._reference(sid)
             dofs = problem.sub_dofs[sid]
             self.stats.setup_backsolves[sid] += len(dofs)
-            if reference is None:
-                self.stats.setup_factorizations[sid] += 1
-                return dofs, problem.systems()[sid].factor(K).flux_basis()
-            return dofs, -reference.factor(K)._star(np.eye(len(dofs)))
+            if reference is not None:
+                return dofs, reference.mean_basis()[0]
+            self.stats.setup_factorizations[sid] += 1
+            K = problem.sample_permeability(sid, zero)
+            return dofs, problem.systems()[sid].factor(K).flux_basis()
 
         return self._each(work)
 
@@ -644,14 +656,17 @@ def compute_flux_basis(problem, sid, op, stats):
     """Local response matrix B_i = -F_i A_i^-1 E_i, so S lam|_i = B_i lam|_i.
 
     op.flux_basis() counts one backsolve per local mortar dof, and so do
-    the sweep's basis backsolves. Each basis is one product: a Stokes
-    basis one star solve of the identity, a Darcy basis one Gram product
-    of its triangular solves (darcy.py).
+    the sweep's basis backsolves; the columns it hands a factor go to
+    basis_lu_columns. Each basis is one product: a Darcy basis one Gram
+    product of its triangular solves (darcy.py), a Stokes basis its
+    reference's mean-field basis plus a rank-r product, with no LU solve
+    (StokesOperator.flux_basis).
     """
     dofs = problem.sub_dofs[sid]
-    before = op.backsolves
+    backsolves, columns = op.backsolves, op.lu_columns
     B = op.flux_basis()
-    stats.basis_backsolves[sid] += op.backsolves - before
+    stats.basis_backsolves[sid] += op.backsolves - backsolves
+    stats.basis_lu_columns[sid] += op.lu_columns - columns
     return dofs, B
 
 

@@ -129,6 +129,7 @@ def run_manifest(cfg, problem, grid, result):
         "cg_cond_estimate": result.cg_cond,
         "total_backsolves": int(stats.backsolves.sum()),
         "total_basis_backsolves": int(stats.basis_backsolves.sum()),
+        "total_basis_lu_columns": int(stats.basis_lu_columns.sum()),
         "total_factorizations": int(stats.factorizations.sum()),
         "total_setup_backsolves": int(stats.setup_backsolves.sum()),
         "total_setup_factorizations": int(stats.setup_factorizations.sum()),

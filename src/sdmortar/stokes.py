@@ -27,7 +27,8 @@ other coefficients as that LU plus an r x r capacitance
 (assembly.UpdatedFactors), at the reference coefficients as the LU
 itself. This is the only way a Stokes operator is made: the interface
 solver keeps one reference per Stokes subdomain per sweep, at the mean
-field.
+field. The reference also keeps the mean-field flux basis, so every
+operator's flux basis is that basis plus one rank-r product.
 
 Interface data lives in the fixed interface frame (n, tau): a star solve
 with the mortar function (lam_n, lam_tau) adds
@@ -442,6 +443,13 @@ class StokesReference:
     capacitance. W = A_ref^-1 U is built at the first factor, by one LU
     solve of the r unit columns. The sparse LU and W's r backsolves are
     counted in setup_factorizations and setup_backsolves.
+
+    It also keeps the mean-field flux basis B_bar = -F Y0 and the rows
+    Y0[T] (r x N_dof) of the unit star solves Y0 = A_ref^-1 E, from one LU
+    solve of the N_dof unit star loads at the first mean_basis call; every
+    operator's flux basis is built from them (StokesOperator.flux_basis).
+    lu_columns counts the columns of that solve; the callers count its
+    backsolves, as set-up or basis work.
     """
 
     def __init__(self, system, kl=None):
@@ -461,8 +469,10 @@ class StokesReference:
         except RuntimeError as exc:
             raise SingularOperatorError(str(exc)) from exc
         self._W = None
+        self._mean = None
         self.setup_factorizations = 1
         self.setup_backsolves = 0
+        self.lu_columns = 0
 
     def _w(self):
         if self._W is None:
@@ -472,6 +482,20 @@ class StokesReference:
             self._W = self.lu.solve(unit)
             self.setup_backsolves += len(T)
         return self._W
+
+    def mean_basis(self):
+        """(B_bar, Y0[T]), solved at the first call and kept. B_bar is
+        read-only: every operator at the reference coefficients hands it
+        out as its basis."""
+        if self._mean is None:
+            coupling = self.system.coupling
+            n = coupling.n_rows
+            Y = self.lu.solve(coupling.star_load(np.eye(n), self.lu.shape[0]))
+            self.lu_columns += n
+            B = -coupling.trace_functionals(Y)
+            B.flags.writeable = False
+            self._mean = B, Y[self.system.T]
+        return self._mean
 
     def factor(self, kl=None):
         """Operator for the BJS samples kl: the reference LU, updated.
@@ -489,16 +513,20 @@ class StokesReference:
                 lu = UpdatedFactors(self.lu, system.T, self._w(), D)
             except SingularOperatorError as exc:
                 raise SingularOperatorError(f"{system.name}: {exc}") from None
-        return StokesOperator(system, lu,
-                              system._bar_load(coef, lu.shape[0]))
+        return StokesOperator(self, lu, system._bar_load(coef, lu.shape[0]))
 
 
 class StokesOperator(SubdomainOperator):
     """Factored Taylor-Hood operator for one realization's BJS coefficients.
 
     Its LU factors the pressure-scaled matrix, bordered by kernel_dim
-    rigid-body constraints.
+    rigid-body constraints: the LU of its StokesReference `reference`, or
+    that LU updated (assembly.UpdatedFactors).
     """
+
+    def __init__(self, reference, lu, bar_load):
+        super().__init__(reference.system, lu, bar_load)
+        self.reference = reference
 
     @property
     def kernel_dim(self):
@@ -517,20 +545,32 @@ class StokesOperator(SubdomainOperator):
         `lam` is the local mortar vector of this subdomain, whose star load
         is E @ lam (CouplingMaps.star_load), or a block (n_local, m) of
         such vectors, solved together as m backsolves. Homogeneous outer
-        data, so that the interface operator stays linear in lambda.
+        data, so that the interface operator stays linear in lambda. The
+        LU solution is read at the trace rows alone.
         """
-        return self._star(lam)
-
-    def _star(self, lam):
-        """solve_star's work: the LU solution read at the trace rows."""
         self._count(lam)
         return self.system.coupling.trace_functionals(
             self.lu.solve(self._star_load(lam)))
 
     def flux_basis(self):
-        """-F A^-1 E: one solve_star of the identity, column j the
-        response to the unit local mortar vector e_j; N_dof backsolves."""
-        return -self.solve_star(np.eye(self.system.coupling.n_rows))
+        """-F A^-1 E, column j the response to the unit local mortar
+        vector e_j; counted as N_dof backsolves, one star problem per
+        local mortar dof, but built with no LU solve.
+
+        An updated solve is x = y - G y[T] with y = A_ref^-1 b, so the
+        basis is B_bar + (F G) Y0[T], from the reference's mean_basis and
+        one (N_dof x r)(r x N_dof) product. On the reference LU itself
+        (D = 0) it is B_bar. lu_columns takes the columns of the
+        reference's own solve if this call made it.
+        """
+        reference = self.reference
+        solved = reference.lu_columns
+        B, Y_T = reference.mean_basis()
+        self.lu_columns += reference.lu_columns - solved
+        self.backsolves += len(B)
+        if self.lu is reference.lu:
+            return B
+        return B + self.system.coupling.trace_functionals(self.lu.G) @ Y_T
 
     # -- postprocessing -----------------------------------------------------
 

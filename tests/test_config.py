@@ -298,6 +298,22 @@ def test_expression_needs_one_value_per_point(text, shape):
         assert not errors and np.shape(f(pts, pts)) in ((), (4, 5))
 
 
+@pytest.mark.parametrize("text, values", [("x[0, 1]", "0.5, then 0.875"),
+                                          ("y[1, 2]", "0.625, then 1.0625"),
+                                          ("x[0, 1] - x[0, 0]",
+                                           "0.25, then 0.375")])
+def test_expression_single_value_must_not_read_the_points(text, values):
+    """A scalar that changes between two point probes is not a constant."""
+    errors = []
+    assert compile_expression(text, "test", errors) is None
+    assert errors == [f"test: expression {text!r} gives a single value "
+                      f"that depends on the points ({values}): one value "
+                      f"per point or a constant required"]
+    for ok in ("2*pi", "sqrt(2) - 1", "where(1 > 0, 3.0, 4.0)"):
+        assert compile_expression(ok, "test", errors) is not None
+    assert len(errors) == 1
+
+
 def test_expression_no_builtins():
     """The evaluation environment carries no builtins to reach."""
     errors = []

@@ -240,6 +240,49 @@ def test_cli_per_region_mean_missing_a_region_is_a_config_error(tmp_path,
                             "region(s) 1"]
 
 
+@pytest.mark.parametrize("text", ["x[0, 1]", "y[1, 2]"])
+@pytest.mark.parametrize("use", ["mean", "bc", "q_d"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_point_dependent_scalar_is_a_config_error(tmp_path, capsys,
+                                                      command, use, text):
+    """A single value read off the points is not a constant: it would give
+    one point's value everywhere."""
+    with open(TWOBLOCK) as fh:
+        raw = json.load(fh)
+    if use == "mean":
+        raw["mean_log_perm"] = {"kind": "expression", "expr": text}
+    elif use == "bc":
+        raw["bcs"]["0"]["left"]["value"] = text
+    else:
+        raw["sources"] = {"q_d": text}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    args = [command, str(path)]
+    if command == "run":
+        args += ["--out-dir", str(tmp_path / "out")]
+    messages = assert_config_error(cli.main(args), capsys)
+    assert len(messages) == 1
+    assert (f"expression {text!r} gives a single value that depends on the "
+            f"points") in messages[0]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_constant_expressions_pass(tmp_path, capsys, command):
+    with open(TWOBLOCK) as fh:
+        raw = json.load(fh)
+    raw["mean_log_perm"] = {"kind": "expression", "expr": "0.1*pi"}
+    raw["bcs"]["0"]["left"]["value"] = "2*pi"
+    raw["sources"] = {"q_d": "sin(pi/4)*0"}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    args = [command, str(path)]
+    if command == "run":
+        args += ["--out-dir", str(tmp_path / "out")]
+    assert cli.main(args) == cli.EXIT_OK
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("command", ["validate", "grid"])
 def test_cli_reads_a_raster_next_to_the_config(tmp_path, capsys, monkeypatch,
                                                command):

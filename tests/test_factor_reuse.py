@@ -5,13 +5,13 @@ block's shorter side first), and per realization fills the band of H and
 factors it, its solves running cell by cell in closed form; a Stokes
 reference is one sparse LU (COLAMD) of S0, the saddle matrix without BJS
 stored already scaled by its pressure scale, plus the r x r BJS block.
-A flux basis is one product: a Stokes basis one LU solve of all the unit
-star loads, a Darcy basis one Gram product of its per-column triangular
-solves. The references here are the routes these replaced: a
-sparse LU of the Darcy saddle matrix, the product diag(s) S diag(s) of a
-saddle matrix summed from COO triplets with the kernel check on the
-sliced velocity block, and one star solve per basis column
-(tests/_oracles.py).
+A flux basis is one product: a Stokes basis its reference's mean-field
+basis (one LU solve of all the unit star loads) plus a rank-r product, a
+Darcy basis one Gram product of its per-column triangular solves. The
+references here are the routes these replaced: a sparse LU of the Darcy
+saddle matrix, the product diag(s) S diag(s) of a saddle matrix summed
+from COO triplets with the kernel check on the sliced velocity block,
+and one star solve per basis column (tests/_oracles.py).
 """
 
 import numpy as np
@@ -390,7 +390,9 @@ def test_basis_solves_each_column_once_from_its_first_multiplier(
         monkeypatch):
     """A Darcy basis makes one dtbtrs per column of R, each of one column
     and with H's factor cut at the first multiplier the column reaches.
-    A Stokes basis hands its LU exactly one block, of N_dof columns."""
+    A Stokes reference hands its LU one block of its N_dof unit star
+    loads for its mean-field basis, and a realization's Stokes basis
+    hands the LU nothing."""
     case = load_case("case1_mini", refine=2)
     problem = case.problem
     stats = SolveStats.new("S2", problem.layout.n_subdomains)
@@ -403,16 +405,23 @@ def test_basis_solves_each_column_once_from_its_first_multiplier(
 
     monkeypatch.setattr(darcy, "dtbtrs", spy_triangular)
     for sid in range(problem.layout.n_subdomains):
-        op = fresh_operator(problem, sid, case.grid.points[0])
-        calls.clear()
         if problem.layout.blocks[sid].physics == "stokes":
             blocks = []
-            op.lu = Recording(op.lu, blocks)
-            dofs, _ = compute_flux_basis(problem, sid, op, stats)
-            assert blocks == [(len(dofs),)]
+            reference = problem.stokes_reference(sid)
+            reference.lu = Recording(reference.lu, blocks)
+            reference.mean_basis()
+            assert blocks == [(len(problem.sub_dofs[sid]),)]
+            op = problem.assemble_subdomain(sid, case.grid.points[0],
+                                            reference)
+            blocks.clear()
+            compute_flux_basis(problem, sid, op, stats)
+            assert blocks == [] and stats.basis_lu_columns[sid] == 0
             continue
+        op = fresh_operator(problem, sid, case.grid.points[0])
+        calls.clear()
         dofs, _ = compute_flux_basis(problem, sid, op, stats)
         reach, n = op.system.reach, op.lu.chol.shape[1]
         first = [reach[np.flatnonzero(col)[0]] for col in op.R.T]
         assert len(calls) == len(dofs)
         assert calls == [(n - start, ()) for start in first], sid
+        assert stats.basis_lu_columns[sid] == len(dofs)

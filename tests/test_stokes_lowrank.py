@@ -179,6 +179,85 @@ def test_lowrank_sigma2_400():
     check_realizations(case, case.grid.points)
 
 
+# measured at most 4.1e-16 on these cases, and 3.3e-16 on case1_mini x4
+BASIS_TOL = 1e-14
+
+
+@pytest.mark.parametrize("name, refine, sigma2", [
+    *((name, 1, None) for name in STOKES_CONFIGS), ("case1_mini", 2, None),
+    ("case1_mini", 1, 400.0)])
+def test_updated_basis_matches_the_unit_star_solves(name, refine, sigma2):
+    """A realization's Stokes basis, B_bar + (F G) Y0[T] with no LU solve,
+    against N_dof star solves through its own updated LU, at every grid
+    point; the gap is bounded relative to max|B|."""
+    tweaks = {}
+    if sigma2 is not None:
+        tweaks["kl_regions"] = [
+            dict(r, sigma2=sigma2)
+            for r in load_case(name).cfg["kl_regions"]]
+    case = load_case(name, refine=refine, **tweaks)
+    problem = case.problem
+    for sid in stokes_sids(problem):
+        ref = problem.stokes_reference(sid)
+        ref.mean_basis()  # as a sweep's set-up solves it
+        nd = len(problem.sub_dofs[sid])
+        for y in case.grid.points:
+            op = problem.assemble_subdomain(sid, y, ref)
+            B = op.flux_basis()
+            assert op.backsolves == nd and op.lu_columns == 0
+            star = -op.solve_star(np.eye(nd))
+            assert np.max(np.abs(B - star)) <= BASIS_TOL * np.max(
+                np.abs(star))
+
+
+@pytest.fixture
+def lu_blocks(monkeypatch):
+    """Per sparse LU made, the column count of every solve it does (() for
+    a single vector), in call order."""
+    from test_factor_reuse import Recording
+
+    lus = []
+
+    def spy(A, *args, **kw):
+        lus.append([])
+        return Recording(splu(A, *args, **kw), lus[-1])
+
+    monkeypatch.setattr(stokes, "splu", spy)
+    return lus
+
+
+@pytest.mark.parametrize("method", ("S1", "S2", "S3"))
+def test_unit_star_loads_solved_once_per_reference(lu_blocks, method):
+    """Over a case1_mini sweep each Stokes reference LU solves its N_dof
+    unit star loads once, at set-up, and W's r columns (not in S3, whose
+    operators are the reference LU); every other solve is one vector.
+    Only S3's Stokes mean-field bases, its cached entries, hand their
+    columns to the LU inside a counted basis."""
+    case = load_case("case1_mini")
+    problem = case.problem
+    result = run_method(problem, case.grid, method=method)
+    sids = stokes_sids(problem)
+    assert len(lu_blocks) == len(sids)
+    for sid, blocks in zip(sids, lu_blocks):
+        nd, r = len(problem.sub_dofs[sid]), len(problem.systems()[sid].T)
+        want = [(nd,)] + ([(r,)] if method != "S3" else [])
+        assert [b for b in blocks if b] == want
+        assert result.stats.basis_lu_columns[sid] == (
+            nd if method == "S3" else 0)
+
+
+def test_manifest_basis_lu_columns(case1, case1_sweeps):
+    """Beside the counted basis backsolves, the columns the bases handed a
+    factor: every Darcy column, and of the Stokes blocks only S3's own
+    mean-field solves (2 x 12)."""
+    for method, want in (("S1", (0, 0)), ("S2", (3072, 2304)),
+                         ("S3", (440, 440))):
+        result = case1_sweeps.results[method]
+        m = run_manifest(case1.cfg, case1.problem, case1.grid, result)
+        got = (m["total_basis_backsolves"], m["total_basis_lu_columns"])
+        assert got == want, method
+
+
 def all_stress_system(alpha):
     """The kernel_dim-3 block of test_factor_reuse, under a Darcy block."""
     layout = build_layout([Block((0, 0, 1, 1), "darcy", (2, 2), 0),
