@@ -42,9 +42,9 @@ print("Every method factors each Stokes block sparsely once per sweep, at the")
 print("mean field (set-up); in S1 and S2 each realization's Stokes operator is")
 print("that LU plus a small dense factorization of its slip-coefficient")
 print("change. The preconditioner's mean-field Darcy factors and unit solves")
-print("are set-up work too, except that S3 hands it the mean-field Stokes")
-print("bases it keeps for the sweep. Set-up work (set-up f/bs: factorizations")
-print("/ backsolves) is counted apart from the per-realization identities.\n")
+print("are set-up work too, the same for every method. Set-up work (set-up")
+print("f/bs: factorizations / backsolves) is counted apart from the")
+print("per-realization identities.\n")
 print(f"{'method':6s}   {'factorizations':23s}   {'set-up f/bs':12s}   "
       f"{'backsolves (per subdomain)':29s}   seconds")
 for method, (stats, secs) in rows.items():

@@ -9,6 +9,7 @@ from .config import (COLLOCATION, KL_REGIONS, build_from_config, build_grid,
                      integer, load_json, parse_config, validate_config)
 from .errors import (ConfigError, ConvergenceError, SingularOperatorError,
                      SizeCapError)
+from .interface import METHODS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -136,7 +137,7 @@ def _parser():
 
     run = sub.add_parser("run", help="run a configured collocation sweep")
     run.add_argument("config")
-    run.add_argument("--method", choices=("S1", "S2", "S3"), default=None)
+    run.add_argument("--method", choices=METHODS, default=None)
     run.add_argument("--workers", type=int, default=None)
     run.add_argument("--out-dir", dest="out_dir", default=None)
     run.set_defaults(func=_cmd_run)

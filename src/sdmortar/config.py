@@ -29,12 +29,11 @@ from .collocation import build_sparse_grid, build_tensor_grid
 from .darcy import DarcyBC
 from .errors import ConfigError
 from .geometry import SIDES, Block, build_layout, build_subdomain_mesh
+from .interface import METHODS
 from .mortar import build_mortar_space
 from .problem import Physics, build_problem
 from .random_field import CovarianceSpec, LogPermField, build_kl_region
 from .stokes import StokesBC
-
-METHOD_NAMES = ("S1", "S2", "S3")
 
 OMIT = object()  # the default of a field that stays absent if not given
 _MAX = sys.float_info.max
@@ -84,8 +83,11 @@ def _expression_code(text):
     probe; else (None, its fault). The probe is a 2-D point array because
     readers pass both point lists and (edge, point) arrays. A single value
     is checked on a second probe, scaled and shifted, so that one that
-    reads the points (such as "x[0, 1]") is caught. Validation and
-    building check the same texts, so each is compiled once."""
+    reads the points (such as "x[0, 1]") is caught, and so is one that is
+    not finite (such as "sqrt(-1)"). A value per point is not judged on
+    the probe, where it may be undefined and still be fine on the mesh.
+    Validation and building check the same texts, so each is compiled
+    once."""
     try:
         code = compile(text, "<config>", "eval")
     except SyntaxError as exc:
@@ -96,10 +98,12 @@ def _expression_code(text):
                       f"{text!r}")
     probe = np.array([[0.25, 0.5, 0.75], [0.125, 0.375, 0.625]])
     try:
-        value = np.asarray(_evaluate(code, probe, probe), dtype=float)
-        if value.shape == ():
-            other = 1.5 * probe + 0.125
-            again = np.asarray(_evaluate(code, other, other), dtype=float)
+        with np.errstate(all="ignore"):
+            value = np.asarray(_evaluate(code, probe, probe), dtype=float)
+            if value.shape == ():
+                other = 1.5 * probe + 0.125
+                again = np.asarray(_evaluate(code, other, other),
+                                   dtype=float)
     except Exception as exc:
         return None, f"expression {text!r} fails to evaluate ({exc})"
     if value.shape not in ((), probe.shape):
@@ -112,6 +116,9 @@ def _expression_code(text):
                       f"depends on the points ({float(value):g}, then "
                       f"{float(again):g}): one value per point or a "
                       f"constant required")
+    if value.shape == () and not np.isfinite(value):
+        return None, (f"expression {text!r} gives the non-finite value "
+                      f"{float(value):g}: a finite constant required")
     return code, ""
 
 
@@ -408,8 +415,8 @@ CONFIG = obj({
     "bcs": (None, {}),  # walked by validate_config with the blocks' physics
     "sources": (obj({"f_s": (vector(), None), "f_d": (vector(), None),
                      "q_d": (value(), None)}), {}),
-    "method": (leaf(lambda v: v in METHOD_NAMES,
-                    f"{{path}}: must be one of {METHOD_NAMES}"), "S1"),
+    "method": (leaf(lambda v: v in METHODS,
+                    f"{{path}}: must be one of {METHODS}"), "S1"),
     "cg": (obj({
         "tol": (number(_POSITIVE, 0, strict=True), 1e-9),
         "max_iter": (leaf(lambda v: v is None or _is_int(v, 1),

@@ -22,8 +22,7 @@ are cached under, and in whether B_i is built (see _key):
 * S2 keys by realization too and applies S through the bases.
 * S3 keys a Darcy subdomain by the local realization of its KL region and
   a Stokes subdomain by the mean field (key None), so a Stokes basis is
-  frozen at the mean-field permeability; that entry is built at set-up
-  and its basis serves the preconditioner too.
+  frozen at the mean-field permeability.
 
 Every method visits the realizations in one order (visit_order): sorted
 by their tuple of local realization indices, the region with the most
@@ -56,14 +55,13 @@ first realization, from every subdomain's flux basis B_i at the mean field
 realization k rescales it by the permeability under each mortar dof, so
 a solve costs no subdomain work beyond its CG iterations. The
 mean-field bases cost one set-up factorization per Darcy subdomain and
-N_dof_i set-up backsolves per subdomain, counted in setup_factorizations
-and setup_backsolves; an S3 Stokes subdomain's mean-field basis is its
-cached entry's, counted with the sweep's basis backsolves, so it costs
-no set-up backsolve. A Stokes mean-field basis is one solve of the unit
-star loads with the reference LU, kept by the reference: every Stokes
-basis of the sweep is that basis plus a rank-r product (see
-compute_flux_basis), counted as N_dof_i backsolves but built with no LU
-solve. SolveStats.basis_lu_columns reports the columns actually solved.
+N_dof_i set-up backsolves per subdomain, for every method, counted in
+setup_factorizations and setup_backsolves. A Stokes mean-field basis is
+one solve of the unit star loads with the reference LU, kept by the
+reference: every Stokes basis of the sweep is that basis plus a rank-r
+product (see compute_flux_basis), counted as N_dof_i backsolves but
+built with no LU solve. SolveStats.basis_lu_columns reports the columns
+actually solved.
 
 Backsolve counts per subdomain follow the identities
 S1: sum_k N_iter(k) + 2 N_real, S2: N_dof_i N_real + 2 N_real,
@@ -111,8 +109,9 @@ class SolveStats:
     """Per-subdomain solver effort counters for one sweep.
 
     basis_lu_columns counts the right-hand-side columns that the sweep's
-    flux bases hand to a factor (a Stokes LU solve or a Darcy dtbtrs),
-    beside the basis_backsolves they count; neither has set-up bases.
+    flux bases hand to a factor, beside the basis_backsolves they count:
+    a Darcy basis's dtbtrs columns, since a Stokes basis solves none.
+    Neither counts the set-up bases of _Group.mean_bases.
     """
 
     method: str
@@ -450,9 +449,7 @@ class _Group:
     def mean_bases(self):
         """{sid: (dofs, B_i)}: each owned subdomain's flux basis at y = 0.
 
-        A cache key of None is the mean-field entry (S3's Stokes
-        subdomains): it is built here, as the sweep's own entry, and its
-        basis serves. Otherwise a Stokes subdomain reads the mean-field
+        The same for every method: a Stokes subdomain reads the mean-field
         basis of its reference (StokesReference.mean_basis: one LU solve
         of the N_dof_i unit star loads, which every later basis of the
         sweep reuses), and a Darcy one is the basis of its mean-field
@@ -466,8 +463,6 @@ class _Group:
         zero = np.zeros(problem.perm.n_dims)
 
         def work(sid):
-            if _key(problem, self.grid, self.method, sid, 0, zero)[0] is None:
-                return self._operator(sid, 0, zero)[1]
             reference = self._reference(sid)
             dofs = problem.sub_dofs[sid]
             self.stats.setup_backsolves[sid] += len(dofs)
@@ -659,8 +654,8 @@ def compute_flux_basis(problem, sid, op, stats):
     the sweep's basis backsolves; the columns it hands a factor go to
     basis_lu_columns. Each basis is one product: a Darcy basis one Gram
     product of its triangular solves (darcy.py), a Stokes basis its
-    reference's mean-field basis plus a rank-r product, with no LU solve
-    (StokesOperator.flux_basis).
+    reference's mean-field basis plus a rank-r product, so it hands a
+    factor no column (StokesOperator.flux_basis).
     """
     dofs = problem.sub_dofs[sid]
     backsolves, columns = op.backsolves, op.lu_columns

@@ -448,8 +448,7 @@ class StokesReference:
     Y0[T] (r x N_dof) of the unit star solves Y0 = A_ref^-1 E, from one LU
     solve of the N_dof unit star loads at the first mean_basis call; every
     operator's flux basis is built from them (StokesOperator.flux_basis).
-    lu_columns counts the columns of that solve; the callers count its
-    backsolves, as set-up or basis work.
+    That solve is set-up work, counted by its caller (_Group.mean_bases).
     """
 
     def __init__(self, system, kl=None):
@@ -472,7 +471,6 @@ class StokesReference:
         self._mean = None
         self.setup_factorizations = 1
         self.setup_backsolves = 0
-        self.lu_columns = 0
 
     def _w(self):
         if self._W is None:
@@ -491,7 +489,6 @@ class StokesReference:
             coupling = self.system.coupling
             n = coupling.n_rows
             Y = self.lu.solve(coupling.star_load(np.eye(n), self.lu.shape[0]))
-            self.lu_columns += n
             B = -coupling.trace_functionals(Y)
             B.flags.writeable = False
             self._mean = B, Y[self.system.T]
@@ -560,13 +557,10 @@ class StokesOperator(SubdomainOperator):
         An updated solve is x = y - G y[T] with y = A_ref^-1 b, so the
         basis is B_bar + (F G) Y0[T], from the reference's mean_basis and
         one (N_dof x r)(r x N_dof) product. On the reference LU itself
-        (D = 0) it is B_bar. lu_columns takes the columns of the
-        reference's own solve if this call made it.
+        (D = 0) it is B_bar.
         """
         reference = self.reference
-        solved = reference.lu_columns
         B, Y_T = reference.mean_basis()
-        self.lu_columns += reference.lu_columns - solved
         self.backsolves += len(B)
         if self.lu is reference.lu:
             return B

@@ -93,11 +93,11 @@ def build_operators(group):
             group._operator(sid, k, y)
 
 
-def sweep_groups(case, method, stats):
-    """The one-process _Groups of a sweep of case.grid, as run_method opens
-    it."""
+def sweep_groups(case, method, stats, workers=1):
+    """The _Groups of a sweep of case.grid (one process by default), as
+    run_method opens it."""
     problem, grid = case.problem, case.grid
-    return _Groups(problem, method, 1, stats, grid,
+    return _Groups(problem, method, workers, stats, grid,
                    _lifetimes(problem, grid, method, sweep_visits(grid)))
 
 

@@ -314,6 +314,20 @@ def test_expression_single_value_must_not_read_the_points(text, values):
     assert len(errors) == 1
 
 
+@pytest.mark.parametrize("text, value", [("sqrt(-1)", "nan"),
+                                         ("log(0)", "-inf"),
+                                         ("1e308*10", "inf")])
+def test_expression_single_value_must_be_finite(text, value):
+    """A constant that is NaN or +-inf is a fault that names it; a value
+    per point is not judged on the probe."""
+    errors = []
+    assert compile_expression(text, "test", errors) is None
+    assert errors == [f"test: expression {text!r} gives the non-finite "
+                      f"value {value}: a finite constant required"]
+    assert compile_expression("sqrt(x - 0.5)", "test", errors) is not None
+    assert len(errors) == 1
+
+
 def test_expression_no_builtins():
     """The evaluation environment carries no builtins to reach."""
     errors = []

@@ -268,6 +268,26 @@ def test_cli_point_dependent_scalar_is_a_config_error(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_non_finite_constant_is_a_config_error(tmp_path, capsys,
+                                                   command):
+    """A bc value of NaN exits 2 naming the expression, before any solve
+    could meet it."""
+    with open(TWOBLOCK) as fh:
+        raw = json.load(fh)
+    raw["bcs"]["0"]["left"]["value"] = "sqrt(-1)"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    args = [command, str(path)]
+    if command == "run":
+        args += ["--out-dir", str(tmp_path / "out")]
+    messages = assert_config_error(cli.main(args), capsys)
+    assert len(messages) == 1
+    assert ("expression 'sqrt(-1)' gives the non-finite value nan"
+            in messages[0])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
 def test_cli_constant_expressions_pass(tmp_path, capsys, command):
     with open(TWOBLOCK) as fh:
         raw = json.load(fh)

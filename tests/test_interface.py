@@ -158,6 +158,33 @@ def test_mean_field_preconditioner_is_spd(case1):
         assert np.linalg.eigvalsh(0.5 * (H + H.T)).min() > 0.0
 
 
+@pytest.mark.parametrize("workers", (1, 2))
+def test_mean_bases_do_not_depend_on_the_method(case1, workers):
+    """The mean-field set-up is one rule: S1, S2 and S3 get the same dofs
+    and bases, bit for bit, and count the same set-up work (one factor per
+    Darcy block, N_dof backsolves per block, the two Stokes references)."""
+    problem = case1.problem
+    n_sub = problem.layout.n_subdomains
+    got = {}
+    for method in ("S1", "S2", "S3"):
+        stats = SolveStats.new(method, n_sub)
+        with sweep_groups(case1, method, stats, workers) as groups:
+            bases = groups.mean_bases()
+        got[method] = bases, stats
+    bases, stats = got["S1"]
+    assert list(stats.setup_factorizations) == [1] * n_sub
+    assert list(stats.setup_backsolves) == [len(d) for d in problem.sub_dofs]
+    for method in ("S2", "S3"):
+        other, other_stats = got[method]
+        assert len(other) == len(bases) == n_sub
+        for (dofs, B), (dofs2, B2) in zip(bases, other):
+            assert np.array_equal(dofs, dofs2) and np.array_equal(B, B2)
+        assert np.array_equal(other_stats.setup_factorizations,
+                              stats.setup_factorizations), method
+        assert np.array_equal(other_stats.setup_backsolves,
+                              stats.setup_backsolves), method
+
+
 @pytest.mark.parametrize("name", ("case1_mini", "darcy_twoblock"))
 def test_mean_field_solve_converges_at_once(name):
     """At the mean field S = S_bar up to round-off, so an S2 solve there
@@ -314,10 +341,9 @@ def test_s3_prepare_matches_the_reference_bitwise(name):
 
 def test_s3_builds_each_entry_once_and_drops_it_after_its_last_use(
         case1, monkeypatch):
-    """Every (sid, key) entry of an S3 sweep is built once, a Darcy one
-    during the first visit with its key, a Stokes one (key None, the
-    mean field) at set-up, where its basis serves the preconditioner, and
-    harvested at the recovery of its last visit (_lifetimes);
+    """Every (sid, key) entry of an S3 sweep is built once, during the
+    first visit with its key (a Stokes one's is None, the mean field),
+    and harvested at the recovery of its last visit (_lifetimes);
     case1_mini needs 26 bases and 30 sparse factors (2 Stokes LUs, 24
     Darcy banded Cholesky factors, and the 4 mean-field Darcy factors of
     the preconditioner)."""
@@ -335,7 +361,7 @@ def test_s3_builds_each_entry_once_and_drops_it_after_its_last_use(
     def phased(name, fn):
         def wrapped(self, *args):
             # realize gets the realization, recover the visit; set-up
-            # (mean_bases) asks for the mean field, as realization 0
+            # (mean_bases) gets none
             now[0] = name, args[0] if args else 0
             return fn(self, *args)
         return wrapped
@@ -368,8 +394,7 @@ def test_s3_builds_each_entry_once_and_drops_it_after_its_last_use(
         monkeypatch.setattr(_Group, name, phased(name,
                                                  getattr(_Group, name)))
     res = run_method(problem, grid, method="S3")
-    assert built == {e: [("realize", order[first]) if e[1] is not None
-                         else ("mean_bases", 0)]
+    assert built == {e: [("realize", order[first])]
                      for e, (first, _) in table.items()}
     assert harvested == {e: [("recover", last)]
                          for e, (_, last) in table.items()}

@@ -231,8 +231,7 @@ def test_unit_star_loads_solved_once_per_reference(lu_blocks, method):
     """Over a case1_mini sweep each Stokes reference LU solves its N_dof
     unit star loads once, at set-up, and W's r columns (not in S3, whose
     operators are the reference LU); every other solve is one vector.
-    Only S3's Stokes mean-field bases, its cached entries, hand their
-    columns to the LU inside a counted basis."""
+    No counted Stokes basis hands the LU a column."""
     case = load_case("case1_mini")
     problem = case.problem
     result = run_method(problem, case.grid, method=method)
@@ -242,16 +241,14 @@ def test_unit_star_loads_solved_once_per_reference(lu_blocks, method):
         nd, r = len(problem.sub_dofs[sid]), len(problem.systems()[sid].T)
         want = [(nd,)] + ([(r,)] if method != "S3" else [])
         assert [b for b in blocks if b] == want
-        assert result.stats.basis_lu_columns[sid] == (
-            nd if method == "S3" else 0)
+        assert result.stats.basis_lu_columns[sid] == 0
 
 
 def test_manifest_basis_lu_columns(case1, case1_sweeps):
     """Beside the counted basis backsolves, the columns the bases handed a
-    factor: every Darcy column, and of the Stokes blocks only S3's own
-    mean-field solves (2 x 12)."""
+    factor: every Darcy column and no Stokes one."""
     for method, want in (("S1", (0, 0)), ("S2", (3072, 2304)),
-                         ("S3", (440, 440))):
+                         ("S3", (440, 416))):
         result = case1_sweeps.results[method]
         m = run_manifest(case1.cfg, case1.problem, case1.grid, result)
         got = (m["total_basis_backsolves"], m["total_basis_lu_columns"])
@@ -327,18 +324,15 @@ def test_manifest_setup_totals(case1, case1_sweeps):
     """Set-up work: every method factors the two Stokes references and
     each Darcy block once at the mean field, and solves N_dof,i = 12, 12,
     20, 20, 16, 16 unit loads per block for the mean-field preconditioner;
-    S3 never needs W (16 and 17 backsolves in S1/S2), and its Stokes
-    blocks' mean-field bases are their cached entries' (basis backsolves,
-    not set-up)."""
+    S3 never needs W (16 and 17 backsolves in S1/S2)."""
     for method, want in (("S1", (6, 129)), ("S2", (6, 129)),
-                         ("S3", (6, 72))):
+                         ("S3", (6, 96))):
         result = case1_sweeps.results[method]
         m = run_manifest(case1.cfg, case1.problem, case1.grid, result)
         got = (m["total_setup_factorizations"], m["total_setup_backsolves"])
         assert got == want, method
         assert list(result.stats.setup_factorizations) == [1] * 6
-        basis = [12, 12] if method != "S3" else [0, 0]
-        basis += [20, 20, 16, 16]
+        basis = [12, 12, 20, 20, 16, 16]
         w = [16, 17, 0, 0, 0, 0] if method != "S3" else [0] * 6
         assert list(result.stats.setup_backsolves) == [
             a + b for a, b in zip(basis, w)]
