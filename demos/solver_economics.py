@@ -22,11 +22,13 @@ print(f"sweep of {n_real} realizations; mortar dofs per subdomain {n_dof}; "
       f"distinct local\nrealizations per region {n_loc} "
       f"(Stokes blocks reuse one frozen basis)\n")
 print("S1 solves the interface system by cg, paying one backsolve per")
-print("subdomain per iteration. All three methods precondition the cg with")
-print("the interface operator of the mean field, built once per sweep from")
-print("every subdomain's flux basis (set-up backsolves) and rescaled per")
-print("realization by the permeability under each mortar dof, so every")
-print("realization, the first included, needs only a few iterations. S2")
+print("subdomain per iteration. A Stokes one is two small products on the")
+print("sweep's mean-field unit responses, with no LU solve; its reference")
+print("counts that mean-field solve as set-up. All three methods precondition")
+print("the cg with the interface operator of the mean field, built once per")
+print("sweep from every subdomain's flux basis (set-up backsolves) and")
+print("rescaled per realization by the permeability under each mortar dof, so")
+print("every realization, the first included, needs only a few iterations. S2")
 print("assembles each subdomain's flux response basis per realization. S3")
 print("reuses each basis across all realizations that share the subdomain's")
 print("local permeability.\n")

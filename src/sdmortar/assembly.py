@@ -6,11 +6,11 @@ a local mortar vector or a block of them, and its flux_basis returns
 -F A^-1 E for every unit mortar load. Only the bar solve, which may carry
 interface data too, goes through _solve, which backsolves one right-hand
 side and scatters the result into a Solution of full velocity and
-pressure dof vectors. A flux basis is one product per subdomain: a
-Darcy basis one Gram product of its triangular solves (darcy.py), a
-Stokes basis its reference's mean-field basis plus one rank-r product
-(stokes.py), with no LU solve. Either counts N_dof backsolves. A Stokes
-operator whose BJS entries differ from its reference's solves through
+pressure dof vectors. A Darcy flux basis is one Gram product of its
+triangular solves (darcy.py). A Stokes star solve and flux basis read
+its reference's mean-field unit responses by one rule, with no LU solve
+(stokes.py). Each counts one backsolve per column. A Stokes operator
+whose BJS entries differ from its reference's solves through
 UpdatedFactors.
 """
 
@@ -147,10 +147,9 @@ class SubdomainOperator:
     a solve or star solve with m columns counts m, and a flux basis counts
     N_dof, one star problem per local mortar dof. The Darcy flux basis is
     a Gram product of forward triangular solves; the symmetry of its
-    multiplier matrix stands in for each dof's backward half-solve. The
-    Stokes flux basis is a rank-r update of its reference's. lu_columns
-    counts the right-hand-side columns that flux bases actually hand to
-    a factor.
+    multiplier matrix stands in for each dof's backward half-solve. A
+    Stokes star solve hands its LU no column. lu_columns counts the
+    right-hand-side columns that flux bases actually hand to a factor.
     """
 
     def __init__(self, system, lu, bar_load):

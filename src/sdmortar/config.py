@@ -586,6 +586,10 @@ def _raster_func(spec, config_dir):
         except (OSError, ValueError) as exc:
             raise ConfigError([f"mean_log_perm: cannot read raster "
                                f"{path}: {exc}"]) from None
+        bad = int(np.count_nonzero(~np.isfinite(vals)))
+        if bad:
+            raise ConfigError([f"mean_log_perm: {bad} of {vals.size} values "
+                               f"of raster {path} are not finite"])
     if vals.shape != (ny, nx):
         raise ConfigError([f"mean_log_perm: raster data has shape "
                            f"{vals.shape}, expected ({ny}, {nx})"])

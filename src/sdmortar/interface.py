@@ -42,8 +42,9 @@ Every method factors each Stokes subdomain once per sweep, at the mean
 field (stokes.StokesReference), and forms each of its Stokes operators as
 a rank-r update of that LU: an r x r capacitance factorization, r the
 subdomain's tangential BJS trace unknowns. That capacitance is the
-operator's one counted factorization; the sparse reference LU and the r
-backsolves of its update basis go to SolveStats.setup_factorizations and
+operator's one counted factorization. The reference LU and every column
+it solves (the r of its update basis, the N_dof_i of its mean-field unit
+responses) are set-up work, in SolveStats.setup_factorizations and
 setup_backsolves, outside the identities below. At the mean field itself
 an operator solves with the reference LU unchanged and no update basis is
 built: S3's one Stokes operator per subdomain is that LU.
@@ -55,13 +56,10 @@ first realization, from every subdomain's flux basis B_i at the mean field
 realization k rescales it by the permeability under each mortar dof, so
 a solve costs no subdomain work beyond its CG iterations. The
 mean-field bases cost one set-up factorization per Darcy subdomain and
-N_dof_i set-up backsolves per subdomain, for every method, counted in
-setup_factorizations and setup_backsolves. A Stokes mean-field basis is
-one solve of the unit star loads with the reference LU, kept by the
-reference: every Stokes basis of the sweep is that basis plus a rank-r
-product (see compute_flux_basis), counted as N_dof_i backsolves but
-built with no LU solve. SolveStats.basis_lu_columns reports the columns
-actually solved.
+N_dof_i set-up backsolves per subdomain, for every method. A Stokes one
+is its reference's mean-field unit responses, and every Stokes star solve
+and basis of the sweep is read off them by small products, no LU solve.
+SolveStats.basis_lu_columns reports the basis columns actually solved.
 
 Backsolve counts per subdomain follow the identities
 S1: sum_k N_iter(k) + 2 N_real, S2: N_dof_i N_real + 2 N_real,
@@ -449,14 +447,11 @@ class _Group:
     def mean_bases(self):
         """{sid: (dofs, B_i)}: each owned subdomain's flux basis at y = 0.
 
-        The same for every method: a Stokes subdomain reads the mean-field
-        basis of its reference (StokesReference.mean_basis: one LU solve
-        of the N_dof_i unit star loads, which every later basis of the
-        sweep reuses), and a Darcy one is the basis of its mean-field
-        operator, factored here. Both are set-up work: the Darcy
-        factorization and the N_dof_i unit solves go to
-        setup_factorizations and setup_backsolves. Like StokesReference's
-        W, they bypass assemble_subdomain and solve_star, so each call of
+        The same for every method: a Stokes subdomain reads its reference's
+        mean_basis, whose unit solves the reference counts as set-up, and a
+        Darcy one is the basis of its mean-field operator, factored here:
+        one set-up factorization and N_dof_i set-up backsolves. Neither
+        goes through assemble_subdomain or solve_star, so each call of
         those two is still work that the identities count.
         """
         problem = self.problem
@@ -465,10 +460,10 @@ class _Group:
         def work(sid):
             reference = self._reference(sid)
             dofs = problem.sub_dofs[sid]
-            self.stats.setup_backsolves[sid] += len(dofs)
             if reference is not None:
                 return dofs, reference.mean_basis()[0]
             self.stats.setup_factorizations[sid] += 1
+            self.stats.setup_backsolves[sid] += len(dofs)
             K = problem.sample_permeability(sid, zero)
             return dofs, problem.systems()[sid].factor(K).flux_basis()
 
@@ -653,9 +648,8 @@ def compute_flux_basis(problem, sid, op, stats):
     op.flux_basis() counts one backsolve per local mortar dof, and so do
     the sweep's basis backsolves; the columns it hands a factor go to
     basis_lu_columns. Each basis is one product: a Darcy basis one Gram
-    product of its triangular solves (darcy.py), a Stokes basis its
-    reference's mean-field basis plus a rank-r product, so it hands a
-    factor no column (StokesOperator.flux_basis).
+    product of its triangular solves (darcy.py), a Stokes basis the rule
+    of its star solves on every unit load, with no LU solve (stokes.py).
     """
     dofs = problem.sub_dofs[sid]
     backsolves, columns = op.backsolves, op.lu_columns

@@ -29,6 +29,10 @@ class MomentAccumulator:
         if set(fields) != set(self._sum):
             raise ValueError("field names changed between samples")
         for k, v in fields.items():
+            if np.shape(v) != self._sum[k].shape:
+                raise ValueError(f"field {k!r} has shape {np.shape(v)}, "
+                                 f"the first sample's {self._sum[k].shape}")
+        for k, v in fields.items():
             v = np.asarray(v, dtype=float)
             self._sum[k] += weight * v
             self._sumsq[k] += weight * v * v

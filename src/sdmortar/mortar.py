@@ -103,6 +103,8 @@ def build_mortar_space(layout, meshes, elem_counts, degree=1,
     violations are config errors unless allow_fine is set (then a warning).
     """
     errors = []
+    if degree not in (0, 1):
+        errors.append(f"mortar degree {degree!r}: 0 or 1 supported")
     blocks = []
     for g in layout.interfaces:
         n = elem_counts[g.index]

@@ -27,8 +27,8 @@ other coefficients as that LU plus an r x r capacitance
 (assembly.UpdatedFactors), at the reference coefficients as the LU
 itself. This is the only way a Stokes operator is made: the interface
 solver keeps one reference per Stokes subdomain per sweep, at the mean
-field. The reference also keeps the mean-field flux basis, so every
-operator's flux basis is that basis plus one rank-r product.
+field. The reference also keeps the mean-field unit star responses, and
+every operator's star solve is two small products on them.
 
 Interface data lives in the fixed interface frame (n, tau): a star solve
 with the mortar function (lam_n, lam_tau) adds
@@ -441,14 +441,14 @@ class StokesReference:
     LU. The kernel constraints are detected and bordered once, here; a
     realization whose BJS coefficients leave another kernel has a singular
     capacitance. W = A_ref^-1 U is built at the first factor, by one LU
-    solve of the r unit columns. The sparse LU and W's r backsolves are
-    counted in setup_factorizations and setup_backsolves.
+    solve of the r unit columns.
 
     It also keeps the mean-field flux basis B_bar = -F Y0 and the rows
     Y0[T] (r x N_dof) of the unit star solves Y0 = A_ref^-1 E, from one LU
     solve of the N_dof unit star loads at the first mean_basis call; every
-    operator's flux basis is built from them (StokesOperator.flux_basis).
-    That solve is set-up work, counted by its caller (_Group.mean_bases).
+    operator's star solve reads them (StokesOperator.solve_star). The
+    sparse LU and the columns of both solves are set-up work, counted in
+    setup_factorizations and setup_backsolves.
     """
 
     def __init__(self, system, kl=None):
@@ -489,6 +489,7 @@ class StokesReference:
             coupling = self.system.coupling
             n = coupling.n_rows
             Y = self.lu.solve(coupling.star_load(np.eye(n), self.lu.shape[0]))
+            self.setup_backsolves += n
             B = -coupling.trace_functionals(Y)
             B.flags.writeable = False
             self._mean = B, Y[self.system.T]
@@ -524,6 +525,9 @@ class StokesOperator(SubdomainOperator):
     def __init__(self, reference, lu, bar_load):
         super().__init__(reference.system, lu, bar_load)
         self.reference = reference
+        coupling = self.system.coupling
+        self._FG = (None if lu is reference.lu or coupling is None
+                    else coupling.trace_functionals(lu.G))
 
     @property
     def kernel_dim(self):
@@ -541,30 +545,26 @@ class StokesOperator(SubdomainOperator):
 
         `lam` is the local mortar vector of this subdomain, whose star load
         is E @ lam (CouplingMaps.star_load), or a block (n_local, m) of
-        such vectors, solved together as m backsolves. Homogeneous outer
-        data, so that the interface operator stays linear in lambda. The
-        LU solution is read at the trace rows alone.
+        them, counted as m backsolves. Homogeneous outer data, so that the
+        interface operator stays linear in lambda. No LU solve: _response.
         """
         self._count(lam)
-        return self.system.coupling.trace_functionals(
-            self.lu.solve(self._star_load(lam)))
+        return -self._response(lam)
 
     def flux_basis(self):
         """-F A^-1 E, column j the response to the unit local mortar
-        vector e_j; counted as N_dof backsolves, one star problem per
-        local mortar dof, but built with no LU solve.
+        vector e_j, by solve_star's rule: N_dof backsolves."""
+        basis = self._response()
+        self._count(basis)
+        return basis
 
-        An updated solve is x = y - G y[T] with y = A_ref^-1 b, so the
-        basis is B_bar + (F G) Y0[T], from the reference's mean_basis and
-        one (N_dof x r)(r x N_dof) product. On the reference LU itself
-        (D = 0) it is B_bar.
-        """
-        reference = self.reference
-        B, Y_T = reference.mean_basis()
-        self.backsolves += len(B)
-        if self.lu is reference.lu:
-            return B
-        return B + self.system.coupling.trace_functionals(self.lu.G) @ Y_T
+    def _response(self, lam=None):
+        """-F A^-1 E lam = B_bar lam + (F G)(Y0[T] lam), as an updated
+        solve is x = y - G y[T]; lam None is the identity, no product."""
+        B, Y_T = self.reference.mean_basis()
+        if lam is not None:
+            B, Y_T = B @ lam, Y_T @ lam
+        return B if self._FG is None else B + self._FG @ Y_T
 
     # -- postprocessing -----------------------------------------------------
 

@@ -140,15 +140,20 @@ def per_column_flux_basis(problem, sid, op):
     """The flux basis as it was built before block solves.
 
     One star solve per local mortar dof, column by column;
-    compute_flux_basis must reproduce it to round-off.
+    compute_flux_basis must reproduce it to round-off. A Stokes star
+    solve reads the same mean-field responses as its basis, so a Stokes
+    column is solved with the operator's own LU instead
+    (lu_star_response), which counts nothing.
     """
     dofs = problem.space.sub_dofs(problem.layout, sid)
     nd = len(dofs)
+    solve = (op.solve_star if isinstance(op, DarcyOperator)
+             else lambda lam: lu_star_response(op, lam))
     B = np.empty((nd, nd))
     unit = np.zeros(nd)
     for j in range(nd):
         unit[j] = 1.0
-        B[:, j] = -op.solve_star(unit)
+        B[:, j] = -solve(unit)
         unit[j] = 0.0
     return dofs, B
 
@@ -602,6 +607,14 @@ def fresh_stokes(system, kl=None):
     """Stokes operator on a sparse LU of its own matrix at BJS samples kl:
     a StokesReference at kl itself, so no update is built."""
     return StokesReference(system, kl).factor(kl)
+
+
+def lu_star_response(op, lam):
+    """F A^-1 E lam of a Stokes operator by solving its star loads with its
+    own LU (reference or updated), read at the trace rows; lam may be a
+    column block. Counts nothing."""
+    return op.system.coupling.trace_functionals(
+        op.lu.solve(op._star_load(lam)))
 
 
 def assemble_darcy(mesh, K, nu, bcs, traces, f=None, q=None):

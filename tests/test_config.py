@@ -428,6 +428,25 @@ def test_raster_file_unreadable_or_malformed_is_a_config_error(tmp_path):
         build_from_config(cfg, config_dir=str(tmp_path))
 
 
+@pytest.mark.parametrize("text, bad", [("0.0,nan\n1.0,inf\n", 2),
+                                       ("-inf,0.5\n2.5,3.5\n", 1)])
+def test_raster_file_non_finite_values_are_a_config_error(tmp_path, text,
+                                                          bad):
+    """Inline values must be finite numbers; so must a raster file's."""
+    raw = minimal_raw()
+    (tmp_path / "mean.csv").write_text(text)
+    raw["mean_log_perm"] = {
+        "kind": "raster", "rect": [0, 0, 2, 1], "shape": [2, 2],
+        "path": "mean.csv",
+    }
+    cfg = validate_config(raw)
+    with pytest.raises(ConfigError) as err:
+        build_from_config(cfg, config_dir=str(tmp_path))
+    assert err.value.messages == [
+        f"mean_log_perm: {bad} of 4 values of raster "
+        f"{tmp_path / 'mean.csv'} are not finite"]
+
+
 def test_per_region_mean_names_every_missing_region():
     raw = minimal_raw()
     raw["kl_regions"] = [dict(raw["kl_regions"][0], rect=rect)

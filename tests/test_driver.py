@@ -288,6 +288,26 @@ def test_cli_non_finite_constant_is_a_config_error(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_non_finite_raster_is_a_config_error(tmp_path, capsys, command):
+    """A raster file holding NaN exits 2 naming the file and the count,
+    before any permeability is sampled."""
+    with open(TWOBLOCK) as fh:
+        raw = json.load(fh)
+    raw["mean_log_perm"] = {"kind": "raster", "rect": [0, 0, 2, 1],
+                            "shape": [2, 1], "path": "r.csv"}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    (tmp_path / "r.csv").write_text("0.0,nan\n")
+    args = [command, str(path)]
+    if command == "run":
+        args += ["--out-dir", str(tmp_path / "out")]
+    messages = assert_config_error(cli.main(args), capsys)
+    assert messages == [f"mean_log_perm: 1 of 2 values of raster "
+                        f"{tmp_path / 'r.csv'} are not finite"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
 def test_cli_constant_expressions_pass(tmp_path, capsys, command):
     with open(TWOBLOCK) as fh:
         raw = json.load(fh)

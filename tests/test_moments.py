@@ -59,6 +59,23 @@ def test_field_name_mismatch_rejected():
         acc.add(0.5, {"b": np.zeros(2)})
 
 
+@pytest.mark.parametrize("later", [np.ones(1), np.ones((3, 1)),
+                                   np.ones(4)])
+def test_field_shape_mismatch_rejected(later):
+    """A later sample must not broadcast into the first one's shape, nor
+    leave the sums half updated."""
+    acc = MomentAccumulator()
+    acc.add(0.5, {"y": np.zeros(2), "x": np.arange(3.0)})
+    with pytest.raises(ValueError) as err:
+        acc.add(0.5, {"y": np.ones(2), "x": later})
+    assert str(err.value) == (f"field 'x' has shape {later.shape}, the "
+                              f"first sample's (3,)")
+    acc.add(0.5, {"y": np.ones(2), "x": np.arange(3.0)})
+    mean, var = acc.finalize()["x"]
+    assert np.array_equal(mean, np.arange(3.0)) and not var.any()
+    assert np.array_equal(acc.finalize()["y"][0], [0.5, 0.5])
+
+
 def test_empty_finalize_rejected():
     with pytest.raises(RuntimeError, match="no samples"):
         MomentAccumulator().finalize()

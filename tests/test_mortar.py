@@ -138,6 +138,21 @@ def test_coarse_condition_guard(dd):
     assert sp.block(0).n_elem == 4
 
 
+@pytest.mark.parametrize("degree", [2, -1])
+def test_unsupported_degree_is_a_config_error(dd, degree):
+    """A library caller gets the config walk's limit too, not a singular
+    mean-field interface matrix later; the degree error comes with the
+    space's other errors."""
+    layout, meshes, _, _, _ = dd
+    with pytest.raises(ConfigError) as err:
+        build_mortar_space(layout, meshes, {0: 4}, degree=degree)
+    assert err.value.messages[0] == (f"mortar degree {degree}: 0 or 1 "
+                                     f"supported")
+    assert "H >= 2h" in err.value.messages[1]
+    with pytest.raises(ConfigError, match=f"^mortar degree {degree}: "):
+        build_mortar_space(layout, meshes, {0: 2}, degree=degree)
+
+
 def test_degree0_identity_on_matching_side(dd):
     """A degree-0 mortar matching the fine grid is the identity map."""
     layout, meshes, _, (tr0, _), _ = dd

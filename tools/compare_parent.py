@@ -1,8 +1,8 @@
 """Bitwise comparison of sweep results between a git revision and the tree.
 
-Runs 31 collocation sweeps on a `git archive` of a revision and on the
+Runs 33 collocation sweeps on a `git archive` of a revision and on the
 working tree and prints every array that differs: S1, S2 and S3 on each
-shipped config at `workers` 1 and 2, S2 and S3 on `case1_mini` with
+shipped config at `workers` 1 and 2, S1, S2 and S3 on `case1_mini` with
 meshes and mortars x2 at `workers` 1 and 2, S3 on `case1_mini` x4 at
 `workers` 1 (its Darcy band solves have up to 8128 rows), and S2 on
 `case2_mini` with boundary data that no shipped config has (traction
@@ -70,7 +70,7 @@ def anisotropic_kl(cfg):
 
 def sweeps():
     """(tag, config, edit of its parsed config, method, workers) of the
-    31 sweeps."""
+    33 sweeps."""
     def refined(n):
         return lambda cfg: refine(cfg, n)
 
@@ -78,7 +78,7 @@ def sweeps():
            for name in CONFIGS for method in ("S1", "S2", "S3")
            for w in (1, 2)]
     out += [(f"case1_mini_x2/{method}/w{w}", "case1_mini", refined(2),
-             method, w) for method in ("S2", "S3") for w in (1, 2)]
+             method, w) for method in ("S1", "S2", "S3") for w in (1, 2)]
     out.append(("case1_mini_x4/S3/w1", "case1_mini", refined(4), "S3", 1))
     out.append(("case2_mini_bc/S2/w1", "case2_mini", boundary_data, "S2", 1))
     out.append(("case1_mini_sparse_kl/S3/w1", "case1_mini_sparse",
