@@ -3,8 +3,6 @@
 import os
 import time
 
-import numpy as np
-
 from sdmortar.config import build_from_config, parse_config
 from sdmortar.interface import run_method
 

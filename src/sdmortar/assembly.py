@@ -148,8 +148,8 @@ class SubdomainOperator:
     N_dof, one star problem per local mortar dof. The Darcy flux basis is
     a Gram product of forward triangular solves; the symmetry of its
     multiplier matrix stands in for each dof's backward half-solve. A
-    Stokes star solve hands its LU no column. lu_columns counts the
-    right-hand-side columns that flux bases actually hand to a factor.
+    Stokes star solve or basis hands its LU no column. The operator keeps
+    its own factorizations and backsolves; SolveStats harvests them.
     """
 
     def __init__(self, system, lu, bar_load):
@@ -159,7 +159,6 @@ class SubdomainOperator:
         self.bar_load = bar_load
         self.factorizations = 1
         self.backsolves = 0
-        self.lu_columns = 0
 
     def _count(self, rhs):
         """Count one backsolve per column of rhs (one for a vector)."""

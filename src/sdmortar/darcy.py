@@ -422,7 +422,6 @@ class DarcyOperator(SubdomainOperator):
         if not (n and len(reach)):
             return P.copy()
         first = reach[np.argmax(self.R != 0, axis=0)]
-        self.lu_columns += n_loc
         top = reach[0]
         Z = np.zeros((n - top, n_loc), order="F")
         Z[reach - top] = self.R

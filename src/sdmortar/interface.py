@@ -44,10 +44,9 @@ a rank-r update of that LU: an r x r capacitance factorization, r the
 subdomain's tangential BJS trace unknowns. That capacitance is the
 operator's one counted factorization. The reference LU and every column
 it solves (the r of its update basis, the N_dof_i of its mean-field unit
-responses) are set-up work, in SolveStats.setup_factorizations and
-setup_backsolves, outside the identities below. At the mean field itself
-an operator solves with the reference LU unchanged and no update basis is
-built: S3's one Stokes operator per subdomain is that LU.
+responses) are set-up work, outside the identities below. At the mean
+field itself an operator solves with the reference LU unchanged and no
+update basis is built: S3's one Stokes operator per subdomain is that LU.
 
 All three solve S lam = g by preconditioned CG with one preconditioner
 per sweep, MeanFieldPreconditioner. run_method builds it once, before the
@@ -59,7 +58,8 @@ mean-field bases cost one set-up factorization per Darcy subdomain and
 N_dof_i set-up backsolves per subdomain, for every method. A Stokes one
 is its reference's mean-field unit responses, and every Stokes star solve
 and basis of the sweep is read off them by small products, no LU solve.
-SolveStats.basis_lu_columns reports the basis columns actually solved.
+Work is counted by the object that does it and read by SolveStats when
+that object retires.
 
 Backsolve counts per subdomain follow the identities
 S1: sum_k N_iter(k) + 2 N_real, S2: N_dof_i N_real + 2 N_real,
@@ -100,16 +100,19 @@ from .mortar import jump
 log = logging.getLogger(__name__)
 
 METHODS = ("S1", "S2", "S3")
+COUNTERS = ("factorizations", "backsolves", "basis_backsolves",
+            "setup_factorizations", "setup_backsolves")
 
 
 @dataclass
 class SolveStats:
-    """Per-subdomain solver effort counters for one sweep.
+    """Per-subdomain solver effort of one sweep: the COUNTERS int arrays.
 
-    basis_lu_columns counts the right-hand-side columns that the sweep's
-    flux bases hand to a factor, beside the basis_backsolves they count:
-    a Darcy basis's dtbtrs columns, since a Stokes basis solves none.
-    Neither counts the set-up bases of _Group.mean_bases.
+    An operator or StokesReference counts its own factorizations and
+    backsolves. harvest reads them as run work from a retiring cache
+    entry's operator, harvest_setup as set-up work from a StokesReference
+    at finish or a Darcy mean-field operator in _Group.mean_bases.
+    compute_flux_basis adds the backsolves each basis spends.
     """
 
     method: str
@@ -117,39 +120,30 @@ class SolveStats:
     factorizations: np.ndarray
     backsolves: np.ndarray
     basis_backsolves: np.ndarray
-    basis_lu_columns: np.ndarray
+    setup_factorizations: np.ndarray
+    setup_backsolves: np.ndarray
     cg_iters: list = field(default_factory=list)
     wall_seconds: np.ndarray = None
-    n_real: int = 0
-    setup_factorizations: np.ndarray = None
-    setup_backsolves: np.ndarray = None
 
     @classmethod
     def new(cls, method, n_sub):
-        z = lambda: np.zeros(n_sub, dtype=int)
-        return cls(method, n_sub, z(), z(), z(), z(),
-                   wall_seconds=np.zeros(n_sub), setup_factorizations=z(),
-                   setup_backsolves=z())
+        return cls(method, n_sub, wall_seconds=np.zeros(n_sub),
+                   **{name: np.zeros(n_sub, dtype=int) for name in COUNTERS})
 
     def harvest(self, sid, op):
         """Absorb the lifetime counters of an operator being retired."""
         self.factorizations[sid] += op.factorizations
         self.backsolves[sid] += op.backsolves
 
-    def harvest_setup(self, sid, reference):
-        """Absorb the set-up counters of a StokesReference being retired."""
-        self.setup_factorizations[sid] += reference.setup_factorizations
-        self.setup_backsolves[sid] += reference.setup_backsolves
+    def harvest_setup(self, sid, source):
+        """Absorb the lifetime counters of a retiring set-up object."""
+        self.setup_factorizations[sid] += source.factorizations
+        self.setup_backsolves[sid] += source.backsolves
 
     def absorb(self, other):
         """Add the counters and busy times a subdomain group kept."""
-        self.factorizations += other.factorizations
-        self.backsolves += other.backsolves
-        self.basis_backsolves += other.basis_backsolves
-        self.basis_lu_columns += other.basis_lu_columns
-        self.setup_factorizations += other.setup_factorizations
-        self.setup_backsolves += other.setup_backsolves
-        self.wall_seconds += other.wall_seconds
+        for name in COUNTERS + ("wall_seconds",):
+            getattr(self, name)[:] += getattr(other, name)
 
     @property
     def cg_iters_total(self):
@@ -191,6 +185,16 @@ def lanczos_cond(alphas, betas):
     return float(ritz[-1] / ritz[0])
 
 
+def _check_arguments(tol, max_iter, workers=1):
+    """ValueError naming the first of tol, max_iter, workers out of range."""
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol!r}")
+    if max_iter is not None and max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1 or None, got {max_iter!r}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
+
+
 def cg_solve(apply_fn, g, tol=1e-9, max_iter=None, precond=None):
     """CG from x0 = 0, preconditioned by z = precond(r) when one is given.
 
@@ -206,6 +210,7 @@ def cg_solve(apply_fn, g, tol=1e-9, max_iter=None, precond=None):
     non-finite r.z or r.z <= 0, raise ConvergenceError at that iteration.
     Returns a CGResult.
     """
+    _check_arguments(tol, max_iter)
     n = len(g)
     x = np.zeros(n)
     gnorm = float(np.linalg.norm(g))
@@ -448,24 +453,23 @@ class _Group:
         """{sid: (dofs, B_i)}: each owned subdomain's flux basis at y = 0.
 
         The same for every method: a Stokes subdomain reads its reference's
-        mean_basis, whose unit solves the reference counts as set-up, and a
-        Darcy one is the basis of its mean-field operator, factored here:
-        one set-up factorization and N_dof_i set-up backsolves. Neither
-        goes through assemble_subdomain or solve_star, so each call of
-        those two is still work that the identities count.
+        mean_basis, and a Darcy one is the basis of its mean-field operator,
+        factored here; both are harvested as set-up work. Neither goes
+        through assemble_subdomain or solve_star, so each call of those two
+        is still work that the identities count.
         """
         problem = self.problem
         zero = np.zeros(problem.perm.n_dims)
 
         def work(sid):
             reference = self._reference(sid)
-            dofs = problem.sub_dofs[sid]
             if reference is not None:
-                return dofs, reference.mean_basis()[0]
-            self.stats.setup_factorizations[sid] += 1
-            self.stats.setup_backsolves[sid] += len(dofs)
-            K = problem.sample_permeability(sid, zero)
-            return dofs, problem.systems()[sid].factor(K).flux_basis()
+                return problem.sub_dofs[sid], reference.mean_basis()[0]
+            op = problem.systems()[sid].factor(
+                problem.sample_permeability(sid, zero))
+            B = op.flux_basis()
+            self.stats.harvest_setup(sid, op)
+            return problem.sub_dofs[sid], B
 
         return self._each(work)
 
@@ -645,18 +649,16 @@ class _Groups:
 def compute_flux_basis(problem, sid, op, stats):
     """Local response matrix B_i = -F_i A_i^-1 E_i, so S lam|_i = B_i lam|_i.
 
-    op.flux_basis() counts one backsolve per local mortar dof, and so do
-    the sweep's basis backsolves; the columns it hands a factor go to
-    basis_lu_columns. Each basis is one product: a Darcy basis one Gram
-    product of its triangular solves (darcy.py), a Stokes basis the rule
-    of its star solves on every unit load, with no LU solve (stokes.py).
+    op.flux_basis() counts one backsolve per local mortar dof, and the
+    sweep's basis_backsolves take the same count. Each basis is one
+    product: a Darcy basis one Gram product of its dtbtrs solves, one per
+    mortar dof (darcy.py), a Stokes basis the rule of its star solves on
+    every unit load, with no LU solve (stokes.py).
     """
-    dofs = problem.sub_dofs[sid]
-    backsolves, columns = op.backsolves, op.lu_columns
+    backsolves = op.backsolves
     B = op.flux_basis()
     stats.basis_backsolves[sid] += op.backsolves - backsolves
-    stats.basis_lu_columns[sid] += op.lu_columns - columns
-    return dofs, B
+    return problem.sub_dofs[sid], B
 
 
 def basis_apply(space, bases):
@@ -727,6 +729,7 @@ def run_method(problem, grid, method="S1", tol=1e-9, max_iter=None,
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of "
                          f"{METHODS}")
+    _check_arguments(tol, max_iter, workers)
     splits = tuple(r.n_term for r in problem.perm.regions)
     if (grid.n_dims, tuple(grid.splits)) != (problem.perm.n_dims, splits):
         raise ValueError(
@@ -734,7 +737,6 @@ def run_method(problem, grid, method="S1", tol=1e-9, max_iter=None,
             f"match the permeability field's {problem.perm.n_dims} dims split "
             f"{splits}")
     stats = SolveStats.new(method, problem.layout.n_subdomains)
-    stats.n_real = grid.n_real
     visits = [(k, grid.points[k]) for k in visit_order(grid)]
     lifetimes = _lifetimes(problem, grid, method, visits)
     _check_basis_cap(problem, method, lifetimes, basis_cap_mb)
@@ -759,13 +761,13 @@ def solve_realization(problem, y=None, tol=1e-9, max_iter=None, workers=1):
     `fields` is a list over subdomains of dicts with dof vectors u, p and
     cell samples cv, cp. y defaults to the mean field (all zeros).
     """
+    _check_arguments(tol, max_iter, workers)
     n_dims = problem.perm.n_dims
     y = np.zeros(n_dims) if y is None else np.asarray(y, dtype=float)
     if y.shape != (n_dims,):
         raise ValueError(f"point y of shape {y.shape} does not match the "
                          f"permeability field's {n_dims} dims")
     stats = SolveStats.new("S1", problem.layout.n_subdomains)
-    stats.n_real = 1
     lifetimes = _lifetimes(problem, None, "S1", [(0, y)])
     with _Groups(problem, "S1", workers, stats, None, lifetimes) as groups:
         res, per_sid = groups.solve(0, 0, y, tol, max_iter)

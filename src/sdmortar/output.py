@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 
+from .interface import COUNTERS
+
 
 STATS_COLUMNS = ("method", "subdomain", "factorizations", "backsolves",
                  "cg_iters_total", "wall_seconds")
@@ -127,12 +129,8 @@ def run_manifest(cfg, problem, grid, result):
                               for res in result.residuals],
         "cg_residuals": [list(res) for res in result.residuals],
         "cg_cond_estimate": result.cg_cond,
-        "total_backsolves": int(stats.backsolves.sum()),
-        "total_basis_backsolves": int(stats.basis_backsolves.sum()),
-        "total_basis_lu_columns": int(stats.basis_lu_columns.sum()),
-        "total_factorizations": int(stats.factorizations.sum()),
-        "total_setup_backsolves": int(stats.setup_backsolves.sum()),
-        "total_setup_factorizations": int(stats.setup_factorizations.sum()),
+        **{f"total_{name}": int(getattr(stats, name).sum())
+           for name in COUNTERS},
     }
 
 

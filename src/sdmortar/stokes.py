@@ -446,9 +446,9 @@ class StokesReference:
     It also keeps the mean-field flux basis B_bar = -F Y0 and the rows
     Y0[T] (r x N_dof) of the unit star solves Y0 = A_ref^-1 E, from one LU
     solve of the N_dof unit star loads at the first mean_basis call; every
-    operator's star solve reads them (StokesOperator.solve_star). The
-    sparse LU and the columns of both solves are set-up work, counted in
-    setup_factorizations and setup_backsolves.
+    operator's star solve reads them (StokesOperator.solve_star). Its
+    sparse LU and the columns of both solves are counted in factorizations
+    and backsolves, as an operator's, and harvested as set-up work.
     """
 
     def __init__(self, system, kl=None):
@@ -469,8 +469,8 @@ class StokesReference:
             raise SingularOperatorError(str(exc)) from exc
         self._W = None
         self._mean = None
-        self.setup_factorizations = 1
-        self.setup_backsolves = 0
+        self.factorizations = 1
+        self.backsolves = 0
 
     def _w(self):
         if self._W is None:
@@ -478,7 +478,7 @@ class StokesReference:
             unit = np.zeros((self.lu.shape[0], len(T)))
             unit[T, np.arange(len(T))] = 1.0
             self._W = self.lu.solve(unit)
-            self.setup_backsolves += len(T)
+            self.backsolves += len(T)
         return self._W
 
     def mean_basis(self):
@@ -489,7 +489,7 @@ class StokesReference:
             coupling = self.system.coupling
             n = coupling.n_rows
             Y = self.lu.solve(coupling.star_load(np.eye(n), self.lu.shape[0]))
-            self.setup_backsolves += n
+            self.backsolves += n
             B = -coupling.trace_functionals(Y)
             B.flags.writeable = False
             self._mean = B, Y[self.system.T]

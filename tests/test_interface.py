@@ -12,11 +12,11 @@ from sdmortar import darcy, interface, stokes
 from sdmortar.collocation import build_tensor_grid
 from sdmortar.errors import (ConvergenceError, SingularOperatorError,
                              SizeCapError)
-from sdmortar.interface import (MeanFieldPreconditioner, SolveStats, _Group,
-                                _check_basis_cap, _lifetimes, _split,
-                                basis_apply, cg_solve, compute_flux_basis,
-                                run_method, solve_realization, visit_order,
-                                worker_count)
+from sdmortar.interface import (COUNTERS, MeanFieldPreconditioner,
+                                SolveStats, _Group, _check_basis_cap,
+                                _lifetimes, _split, basis_apply, cg_solve,
+                                compute_flux_basis, run_method,
+                                solve_realization, visit_order, worker_count)
 
 from conftest import (build_operators, load_case, new_group, sweep_groups,
                       sweep_visits)
@@ -225,6 +225,37 @@ def test_cg_iteration_budget():
         cg_solve(lambda v: A @ v, b, tol=1e-14, max_iter=3)
     except ConvergenceError as exc:
         assert len(exc.residuals) == 3
+
+
+CG_ARGUMENTS = [({"tol": 0.0}, r"tol must be > 0, got 0\.0"),
+                ({"tol": -1e-9}, "tol must be > 0"),
+                ({"tol": float("nan")}, "tol must be > 0"),
+                ({"max_iter": 0}, "max_iter must be >= 1 or None, got 0"),
+                ({"max_iter": -4}, "max_iter must be >= 1 or None")]
+WORKER_ARGUMENTS = [({"workers": 0}, "workers must be >= 1, got 0"),
+                    ({"workers": -2}, "workers must be >= 1, got -2")]
+
+
+@pytest.mark.parametrize("kwargs, match", CG_ARGUMENTS)
+def test_cg_rejects_bad_arguments(kwargs, match):
+    """A tol <= 0 would run past convergence and max_iter 0 leaves no
+    residual to report, so both are refused before any apply."""
+    calls = []
+    with pytest.raises(ValueError, match=match):
+        cg_solve(lambda v: calls.append(v) or v, np.ones(4), **kwargs)
+    assert calls == []
+
+
+@pytest.mark.parametrize("kwargs, match", CG_ARGUMENTS + WORKER_ARGUMENTS)
+@pytest.mark.parametrize("entry", ("run_method", "solve_realization"))
+def test_sweeps_reject_bad_arguments(twoblock, entry, kwargs, match):
+    """Refused before any subdomain work, as an unknown method is; workers
+    0 is not quietly one process."""
+    with pytest.raises(ValueError, match=match):
+        if entry == "run_method":
+            run_method(twoblock.problem, twoblock.grid, **kwargs)
+        else:
+            solve_realization(twoblock.problem, **kwargs)
 
 
 def test_mean_field_uniform_flow(twoblock):
@@ -483,8 +514,7 @@ def test_visit_order_matches_a_grid_order_sweep(case1, case1_sweeps,
     assert visited.stats.cg_iters == in_order.stats.cg_iters
     assert visited.residuals == in_order.residuals
     assert visited.cg_cond == in_order.cg_cond
-    for counter in ("factorizations", "backsolves", "basis_backsolves",
-                    "setup_factorizations", "setup_backsolves"):
+    for counter in COUNTERS:
         assert np.array_equal(getattr(visited.stats, counter),
                               getattr(in_order.stats, counter)), counter
     assert visited.moments.keys() == in_order.moments.keys()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sdmortar.darcy import DarcyBC
 from sdmortar.errors import SingularOperatorError
 from sdmortar.geometry import (Block, build_layout, build_subdomain_mesh,
                                locate_trace)

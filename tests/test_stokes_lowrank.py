@@ -23,7 +23,7 @@ from sdmortar.assembly import UpdatedFactors
 from sdmortar.errors import SingularOperatorError
 from sdmortar.geometry import (Block, build_layout, build_subdomain_mesh,
                                locate_trace)
-from sdmortar.interface import (SolveStats, compute_flux_basis,
+from sdmortar.interface import (COUNTERS, SolveStats, compute_flux_basis,
                                 run_method, solve_realization)
 from sdmortar.output import run_manifest
 from sdmortar.random_field import LogPermField
@@ -86,8 +86,8 @@ def check_realizations(case, points):
             # one backsolve per column, as a fresh operator counts them
             assert low.backsolves == fresh.backsolves
         # W's r columns and the N_dof unit star loads of its mean basis
-        assert ref.setup_factorizations == 1
-        assert ref.setup_backsolves == len(ref.system.T) + nd
+        assert ref.factorizations == 1
+        assert ref.backsolves == len(ref.system.T) + nd
         seen.append((ref.kernel_dim, len(ref.system.T)))
     return seen
 
@@ -111,7 +111,7 @@ def test_lowrank_alpha0_is_the_reference_lu():
     problem = case.problem
     ref = problem.stokes_reference(0)
     op = ref.factor()
-    assert op.lu is ref.lu and ref.setup_backsolves == 0
+    assert op.lu is ref.lu and ref.backsolves == 0
 
 
 def test_reference_coefficients_use_the_reference_lu(case1):
@@ -128,11 +128,11 @@ def test_reference_coefficients_use_the_reference_lu(case1):
     for sid in sids:
         ref = problem.stokes_reference(sid)
         op = problem.assemble_subdomain(sid, zero, ref)
-        assert op.lu is ref.lu and ref.setup_backsolves == 0
+        assert op.lu is ref.lu and ref.backsolves == 0
         ops = [o for (s, _), (o, _) in s3.cache.items() if s == sid]
         assert [type(o.lu) for o in ops] == [SuperLU]
         assert ops[0].lu is s3.refs[sid].lu
-        assert s3.refs[sid].setup_backsolves == len(problem.sub_dofs[sid])
+        assert s3.refs[sid].backsolves == len(problem.sub_dofs[sid])
     _, _, stats = solve_realization(problem)
     assert list(stats.setup_backsolves) == [12, 12, 0, 0, 0, 0]
     assert list(stats.setup_factorizations) == [1, 1, 0, 0, 0, 0]
@@ -212,7 +212,7 @@ def test_updated_basis_matches_the_unit_star_solves(name, refine, sigma2):
         for y in case.grid.points:
             op = problem.assemble_subdomain(sid, y, ref)
             B = op.flux_basis()
-            assert op.backsolves == nd and op.lu_columns == 0
+            assert op.backsolves == nd
             star = -lu_star_response(op, np.eye(nd))
             assert np.max(np.abs(B - star)) <= BASIS_TOL * np.max(
                 np.abs(star))
@@ -277,18 +277,25 @@ def test_unit_star_loads_solved_once_per_reference(lu_blocks, method):
         nd, r = len(problem.sub_dofs[sid]), len(problem.systems()[sid].T)
         want = [(nd,)] + ([(r,)] if method != "S3" else [])
         assert Counter(blocks) == Counter(want + [()] * 2 * case.grid.n_real)
-        assert result.stats.basis_lu_columns[sid] == 0
 
 
-def test_manifest_basis_lu_columns(case1, case1_sweeps):
-    """Beside the counted basis backsolves, the columns the bases handed a
-    factor: every Darcy column and no Stokes one."""
-    for method, want in (("S1", (0, 0)), ("S2", (3072, 2304)),
-                         ("S3", (440, 416))):
-        result = case1_sweeps.results[method]
-        m = run_manifest(case1.cfg, case1.problem, case1.grid, result)
-        got = (m["total_basis_backsolves"], m["total_basis_lu_columns"])
-        assert got == want, method
+@pytest.mark.parametrize("workers", (1, 2))
+def test_manifest_totals_are_the_counter_list(case1, case1_sweeps, workers):
+    """The manifest's total_* entries are one per name in COUNTERS, each
+    the sum of that SolveStats array; with 2 workers every array is the
+    one the sweep counts with 1."""
+    problem, grid = case1.problem, case1.grid
+    for method in ("S1", "S2", "S3"):
+        serial = case1_sweeps.results[method]
+        result = serial if workers == 1 else run_method(
+            problem, grid, method=method, tol=1e-11, workers=workers)
+        m = run_manifest(case1.cfg, problem, grid, result)
+        assert {key for key in m if key.startswith("total_")} == {
+            "total_" + name for name in COUNTERS}, method
+        for name in COUNTERS:
+            counts = getattr(result.stats, name)
+            assert m["total_" + name] == int(counts.sum()), (method, name)
+            assert np.array_equal(counts, getattr(serial.stats, name))
 
 
 def all_stress_system(alpha):
