@@ -41,10 +41,13 @@ for method in ("S1", "S2", "S3"):
 print("Every method factors each Stokes block sparsely once per sweep, at the")
 print("mean field (set-up); in S1 and S2 each realization's Stokes operator is")
 print("that LU plus a small dense factorization of its slip-coefficient")
-print("change. The preconditioner's mean-field Darcy factors and unit solves")
-print("are set-up work too, the same for every method. Set-up work (set-up")
-print("f/bs: factorizations / backsolves) is counted apart from the")
-print("per-realization identities.\n")
+print("change. The LU solves only set-up columns: the mean-field bar load, the")
+print("unit star loads and the slip update's unit columns. Every bar, star and")
+print("recovery solve of a realization is products on those responses. The")
+print("preconditioner's mean-field Darcy factors and unit solves are set-up")
+print("work too, the same for every method. Set-up work (set-up f/bs:")
+print("factorizations / backsolves) is counted apart from the per-realization")
+print("identities.\n")
 print(f"{'method':6s}   {'factorizations':23s}   {'set-up f/bs':12s}   "
       f"{'backsolves (per subdomain)':29s}   seconds")
 for method, (stats, secs) in rows.items():

@@ -3,15 +3,15 @@
 A factored Darcy or Stokes operator is a SubdomainOperator. Its star
 solve answers at the trace: it returns the flux response F A^-1 E lam of
 a local mortar vector or a block of them, and its flux_basis returns
--F A^-1 E for every unit mortar load. Only the bar solve, which may carry
-interface data too, goes through _solve, which backsolves one right-hand
-side and scatters the result into a Solution of full velocity and
-pressure dof vectors. A Darcy flux basis is one Gram product of its
-triangular solves (darcy.py). A Stokes star solve and flux basis read
-its reference's mean-field unit responses by one rule, with no LU solve
-(stokes.py). Each counts one backsolve per column. A Stokes operator
-whose BJS entries differ from its reference's solves through
-UpdatedFactors.
+-F A^-1 E for every unit mortar load. Its bar solve, which may carry
+interface data too, returns a Solution of full velocity and pressure dof
+vectors. A Darcy operator backsolves its loads with its banded factor,
+and a Darcy flux basis is one Gram product of its triangular solves
+(darcy.py). A Stokes operator reads every solve off its reference's
+responses to the mean-field loads by small products, with no LU solve
+(stokes.py); one whose BJS entries differ from its reference's applies
+the Woodbury update of UpdatedFactors. Each solve counts one backsolve
+per column.
 """
 
 from dataclasses import dataclass
@@ -88,22 +88,20 @@ CAP_RCOND = 1e-10
 
 
 class UpdatedFactors:
-    """Solves with A + U D U^T from the sparse LU of A (Woodbury).
+    """The Woodbury update of a sparse LU of A to A + U D U^T.
 
     U = I[:, rows] selects r rows, W = A^-1 U holds their r backsolves and
     D is a dense r x r matrix. Only the capacitance M = I + D U^T W is
     factored (Hager, Updating the inverse of a matrix, SIAM Review 1989);
     it needs no inverse of D, so D may be singular or zero. With
-    G = W M^-1 D, formed once, a solve is x = y - G y[rows] with
-    y = A^-1 b: one solve with A. A capacitance that is not finite, or
-    whose reciprocal condition number is below CAP_RCOND, raises
+    G = W M^-1 D, formed once, the solution of (A + U D U^T) x = b is
+    x = y - G y[rows] with y = A^-1 b. A capacitance that is not finite,
+    or whose reciprocal condition number is below CAP_RCOND, raises
     SingularOperatorError.
     """
 
     def __init__(self, base, rows, W, D):
-        self.base = base
         self.shape = base.shape
-        self.rows = rows
         M = np.eye(len(rows)) + D @ W[rows]
         if not np.all(np.isfinite(M)):
             raise SingularOperatorError("capacitance matrix is not finite")
@@ -116,10 +114,6 @@ class UpdatedFactors:
                 f"capacitance matrix is singular (reciprocal condition "
                 f"number {rcond:.1e})")
         self.G = W @ dgetrs(lu, piv, D)[0]
-
-    def solve(self, rhs):
-        y = self.base.solve(rhs)
-        return y - self.G @ y[self.rows]
 
 
 @dataclass
@@ -135,53 +129,26 @@ class SubdomainOperator:
     """A subdomain system's factored operator for one realization.
 
     The system's unknowns are its free velocity dofs `free` (of n_udof)
-    followed by n_p pressures, scaled by p_scale in the factored matrix;
-    the LU may border them with constraint rows. `lu` is any factor with
-    `shape` and `solve`: a Stokes SuperLU or UpdatedFactors, a Darcy
-    darcy.HybridFactors. Every load handed to
-    _solve has the LU's rows with its pressure rows scaled: `bar_load` is
-    built so once, and a star load (CouplingMaps.star_load at the LU's
-    rows) is zero on the pressure rows.
+    followed by n_p pressures; a Stokes LU scales the pressures by p_scale
+    and may border the unknowns with constraint rows. `lu` is the factor:
+    a darcy.HybridFactors, or a Stokes SuperLU or UpdatedFactors.
 
     A backsolve is one subdomain problem solved for one right-hand side:
     a solve or star solve with m columns counts m, and a flux basis counts
     N_dof, one star problem per local mortar dof. The Darcy flux basis is
     a Gram product of forward triangular solves; the symmetry of its
     multiplier matrix stands in for each dof's backward half-solve. A
-    Stokes star solve or basis hands its LU no column. The operator keeps
-    its own factorizations and backsolves; SolveStats harvests them.
+    Stokes solve or basis hands its LU no column. The operator keeps its
+    own factorizations and backsolves; SolveStats harvests them.
     """
 
-    def __init__(self, system, lu, bar_load):
+    def __init__(self, system, lu):
         self.system = system
         self.mesh = system.mesh
         self.lu = lu
-        self.bar_load = bar_load
         self.factorizations = 1
         self.backsolves = 0
 
     def _count(self, rhs):
         """Count one backsolve per column of rhs (one for a vector)."""
         self.backsolves += rhs.shape[1] if np.ndim(rhs) == 2 else 1
-
-    def _bar_rhs(self, lam):
-        """The bar load plus, unless lam is None, the star load of lam."""
-        if lam is None:
-            return self.bar_load
-        return self.bar_load + self._star_load(lam)
-
-    def _solve(self, rhs, lift=None):
-        """Backsolve rhs; eliminated velocity dofs take lift (None: zero)."""
-        system = self.system
-        self._count(rhs)
-        sol = self.lu.solve(rhs)
-        n_free = len(system.free)
-        p = sol[n_free:n_free + system.n_p]
-        p *= system.p_scale
-        u = (np.zeros((system.n_udof,) + rhs.shape[1:]) if lift is None
-             else lift.copy())
-        u[system.free] = sol[:n_free]
-        return Solution(u, p)
-
-    def _star_load(self, lam):
-        return self.system.coupling.star_load(lam, self.lu.shape[0])

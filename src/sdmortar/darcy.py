@@ -77,7 +77,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
 
-from .assembly import CouplingMaps, SubdomainOperator, check_permeability
+from .assembly import (CouplingMaps, Solution, SubdomainOperator,
+                       check_permeability)
 from .errors import SingularOperatorError
 from .geometry import OUTWARD_SIGN, SIDES
 
@@ -211,7 +212,6 @@ class DarcySystem:
         self.red_index[free] = np.arange(len(free))
         self.n_u = len(free)
         self.n_p = mesh.n_cells
-        self.p_scale = 1.0  # the pressure block is not scaled
         self.n_unknowns = self.n_u + self.n_p
         self._hybridize(noflow)
         self.bar_load = self._bar_load(pressure)
@@ -379,13 +379,26 @@ class DarcyOperator(SubdomainOperator):
     """
 
     def __init__(self, system, lu, bar_load, R, P):
-        super().__init__(system, lu, bar_load)
+        super().__init__(system, lu)
+        self.bar_load = bar_load
         self.R, self.P = R, P
 
     def solve_bar(self, lam=None):
         """Solve with full outer data and sources and, unless lam is None,
         the star load of the local mortar vector lam: one backsolve."""
-        return self._solve(self._bar_rhs(lam))
+        rhs = self.bar_load
+        if lam is not None:
+            rhs = rhs + self.system.coupling.star_load(lam, self.lu.shape[0])
+        return self._solve(rhs)
+
+    def _solve(self, rhs):
+        """Backsolve rhs (or a block); no-flow velocity dofs are zero."""
+        system = self.system
+        self._count(rhs)
+        sol = self.lu.solve(rhs)
+        u = np.zeros((system.n_udof,) + rhs.shape[1:])
+        u[system.free] = sol[:system.n_u]
+        return Solution(u, sol[system.n_u:])
 
     def solve_star(self, lam):
         """Flux response F A^-1 E lam to interface data only,

@@ -44,9 +44,11 @@ a rank-r update of that LU: an r x r capacitance factorization, r the
 subdomain's tangential BJS trace unknowns. That capacitance is the
 operator's one counted factorization. The reference LU and every column
 it solves (the r of its update basis, the N_dof_i of its mean-field unit
-responses) are set-up work, outside the identities below. At the mean
-field itself an operator solves with the reference LU unchanged and no
-update basis is built: S3's one Stokes operator per subdomain is that LU.
+responses and the one of its mean-field bar solve) are set-up work,
+outside the identities below, and the only solves a Stokes LU makes. At
+the mean field itself an operator solves with the reference LU unchanged
+and no update basis is built: S3's one Stokes operator per subdomain is
+that LU.
 
 All three solve S lam = g by preconditioned CG with one preconditioner
 per sweep, MeanFieldPreconditioner. run_method builds it once, before the
@@ -475,7 +477,8 @@ class _Group:
 
     def realize(self, k, y):
         """Operators of realization k at y, their bases and bar solves:
-        {sid: (F_i of the bar solution, basis or None)}."""
+        {sid: (F_i of the bar solution, basis or None)}. A Stokes bar
+        solve reads its reference's responses (StokesOperator.solve_bar)."""
         def work(sid):
             op, basis = self._operator(sid, k, y)
             self.ops[sid] = op
@@ -674,7 +677,8 @@ def basis_apply(space, bases):
 def recover_fields(problem, sid, op, lam_local):
     """Output fields of one subdomain: one backsolve with its bar data and
     the interface data lam_local together (op.solve_bar(lam_local)),
-    post-processed."""
+    post-processed. A Stokes one is products on its reference's responses,
+    with no LU solve."""
     return problem.postprocess(sid, op, op.solve_bar(lam_local))
 
 

@@ -27,8 +27,9 @@ other coefficients as that LU plus an r x r capacitance
 (assembly.UpdatedFactors), at the reference coefficients as the LU
 itself. This is the only way a Stokes operator is made: the interface
 solver keeps one reference per Stokes subdomain per sweep, at the mean
-field. The reference also keeps the mean-field unit star responses, and
-every operator's star solve is two small products on them.
+field. The reference also keeps its responses to the mean-field loads
+(bar, update and unit star), and every operator's solve is small
+products on them: after set-up a Stokes LU solves nothing.
 
 Interface data lives in the fixed interface frame (n, tau): a star solve
 with the mortar function (lam_n, lam_tau) adds
@@ -44,8 +45,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .assembly import (CouplingMaps, SubdomainOperator, UpdatedFactors,
-                       check_permeability)
+from .assembly import (CouplingMaps, Solution, SubdomainOperator,
+                       UpdatedFactors, check_permeability)
 from .errors import SingularOperatorError
 from .geometry import GAUSS3_POINTS, GAUSS3_WEIGHTS, SIDES
 
@@ -437,18 +438,18 @@ class StokesReference:
     and D = system.bjs_block(coef - coef_ref), A_ref being S0 plus the
     BJS block at the reference coefficients.
     factor(kl) returns an operator that solves with A(coef) through
-    assembly.UpdatedFactors: one A_ref backsolve and an r x r capacitance
-    LU. The kernel constraints are detected and bordered once, here; a
-    realization whose BJS coefficients leave another kernel has a singular
-    capacitance. W = A_ref^-1 U is built at the first factor, by one LU
-    solve of the r unit columns.
+    assembly.UpdatedFactors, an r x r capacitance LU. The kernel
+    constraints are detected and bordered once, here; a realization whose
+    BJS coefficients leave another kernel has a singular capacitance.
 
-    It also keeps the mean-field flux basis B_bar = -F Y0 and the rows
-    Y0[T] (r x N_dof) of the unit star solves Y0 = A_ref^-1 E, from one LU
-    solve of the N_dof unit star loads at the first mean_basis call; every
-    operator's star solve reads them (StokesOperator.solve_star). Its
-    sparse LU and the columns of both solves are counted in factorizations
-    and backsolves, as an operator's, and harvested as set-up work.
+    Every operator's solves read the reference's responses, each solved
+    with the LU at its first use: W = A_ref^-1 U (the r unit columns, _w),
+    u_bar = A_ref^-1 bar(coef_ref) (mean_bar) and the N_dof unit star
+    solves Y0 = A_ref^-1 E with B_bar = -F Y0 and Y0[T] (mean_basis). The
+    bar load's BJS lift X (r x n_bjs) sits on rows in T, so
+    A_ref^-1 bar(coef) = u_bar - W X (coef - coef_ref). The sparse LU and
+    its columns are counted in factorizations and backsolves, as an
+    operator's, and harvested as set-up work.
     """
 
     def __init__(self, system, kl=None):
@@ -467,7 +468,9 @@ class StokesReference:
             self.lu = splu(S)
         except RuntimeError as exc:
             raise SingularOperatorError(str(exc)) from exc
+        self.X = system._bar_bjs[T]
         self._W = None
+        self._bar = None
         self._mean = None
         self.factorizations = 1
         self.backsolves = 0
@@ -481,8 +484,17 @@ class StokesReference:
             self.backsolves += len(T)
         return self._W
 
+    def mean_bar(self):
+        """u_bar, solved at the first call (one backsolve); read-only."""
+        if self._bar is None:
+            self._bar = self.lu.solve(self.system._bar_load(
+                self.coef, self.lu.shape[0]))
+            self._bar.flags.writeable = False
+            self.backsolves += 1
+        return self._bar
+
     def mean_basis(self):
-        """(B_bar, Y0[T]), solved at the first call and kept. B_bar is
+        """(B_bar, Y0, Y0[T]), solved at the first call and kept. B_bar is
         read-only: every operator at the reference coefficients hands it
         out as its basis."""
         if self._mean is None:
@@ -492,7 +504,7 @@ class StokesReference:
             self.backsolves += n
             B = -coupling.trace_functionals(Y)
             B.flags.writeable = False
-            self._mean = B, Y[self.system.T]
+            self._mean = B, Y, Y[self.system.T]
         return self._mean
 
     def factor(self, kl=None):
@@ -511,20 +523,22 @@ class StokesReference:
                 lu = UpdatedFactors(self.lu, system.T, self._w(), D)
             except SingularOperatorError as exc:
                 raise SingularOperatorError(f"{system.name}: {exc}") from None
-        return StokesOperator(self, lu, system._bar_load(coef, lu.shape[0]))
+        return StokesOperator(self, lu, coef)
 
 
 class StokesOperator(SubdomainOperator):
-    """Factored Taylor-Hood operator for one realization's BJS coefficients.
+    """Factored Taylor-Hood operator for the BJS coefficients `coef`.
 
     Its LU factors the pressure-scaled matrix, bordered by kernel_dim
     rigid-body constraints: the LU of its StokesReference `reference`, or
-    that LU updated (assembly.UpdatedFactors).
+    that LU updated (assembly.UpdatedFactors). Its solves read the
+    reference's responses; the LU solves nothing.
     """
 
-    def __init__(self, reference, lu, bar_load):
-        super().__init__(reference.system, lu, bar_load)
+    def __init__(self, reference, lu, coef):
+        super().__init__(reference.system, lu)
         self.reference = reference
+        self.coef = coef
         coupling = self.system.coupling
         self._FG = (None if lu is reference.lu or coupling is None
                     else coupling.trace_functionals(lu.G))
@@ -536,8 +550,22 @@ class StokesOperator(SubdomainOperator):
     def solve_bar(self, lam=None):
         """Solve with body force, outer Dirichlet lifts, outer tractions
         and, unless lam is None, the star load of the local mortar vector
-        lam: one backsolve."""
-        return self._solve(self._bar_rhs(lam), self.system.g_dir)
+        lam: one backsolve, and no LU solve. It reads
+        y = u_bar - W X (coef - coef_ref) + Y0 lam (see StokesReference)
+        and, if updated, takes y - G y[T]."""
+        reference, system = self.reference, self.system
+        y = reference.mean_bar()
+        if lam is not None:
+            y = y + reference.mean_basis()[1] @ lam
+        if self.lu is not reference.lu:
+            y = y - reference._w() @ (reference.X
+                                      @ (self.coef - reference.coef))
+            y = y - self.lu.G @ y[system.T]
+        self._count(y)
+        n_free = len(system.free)
+        u = system.g_dir.copy()
+        u[system.free] = y[:n_free]
+        return Solution(u, y[n_free:n_free + system.n_p] * system.p_scale)
 
     def solve_star(self, lam):
         """Flux response F A^-1 E lam to interface data only:
@@ -561,7 +589,7 @@ class StokesOperator(SubdomainOperator):
     def _response(self, lam=None):
         """-F A^-1 E lam = B_bar lam + (F G)(Y0[T] lam), as an updated
         solve is x = y - G y[T]; lam None is the identity, no product."""
-        B, Y_T = self.reference.mean_basis()
+        B, _, Y_T = self.reference.mean_basis()
         if lam is not None:
             B, Y_T = B @ lam, Y_T @ lam
         return B if self._FG is None else B + self._FG @ Y_T

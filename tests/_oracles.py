@@ -7,6 +7,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from sdmortar.assembly import Solution
 from sdmortar.config import validate_config
 from sdmortar.darcy import DarcyOperator, DarcySystem, _cell_edge_table
 from sdmortar.errors import ConfigError, ConvergenceError
@@ -388,14 +389,15 @@ def solve_star(op, sid, sides, data):
 
     sides are (interface, trace) pairs of the subdomain; data maps interface
     index -> per-edge values (Darcy) or (lam_n, lam_tau) nodal values
-    (Stokes), as star_data returns them. One backsolve.
+    (Stokes), as star_data returns them. Solved by lu_solution: one
+    backsolve for a Darcy operator, none for a Stokes one.
     """
     sides = {g.index: (g, t) for g, t in sides}
     load = (_darcy_trace_load if isinstance(op, DarcyOperator)
             else _stokes_trace_load)(op, sid, sides, data)
     rhs = np.zeros(op.lu.shape[0])  # zero pressure and constraint rows
     rhs[:len(load)] = load
-    return op._solve(rhs)
+    return lu_solution(op, rhs)
 
 
 def trace_sides(problem, sid):
@@ -609,12 +611,59 @@ def fresh_stokes(system, kl=None):
     return StokesReference(system, kl).factor(kl)
 
 
+def lu_unknowns(op, rhs):
+    """A^-1 rhs by an operator's own factor, counting nothing.
+
+    A Darcy operator's is its HybridFactors. A Stokes operator's is the
+    route its solves took before they read its reference's responses: the
+    reference's sparse LU gives y = A_ref^-1 rhs, and an updated operator
+    (assembly.UpdatedFactors) takes y - G y[T]. rhs has the factor's rows,
+    a Stokes load's pressure rows scaled, and may be a column block.
+    """
+    if isinstance(op, DarcyOperator):
+        return op.lu.solve(rhs)
+    y = op.reference.lu.solve(rhs)
+    return y if op.lu is op.reference.lu else y - op.lu.G @ y[op.system.T]
+
+
+def star_load(op, lam):
+    """E lam of an operator's system at its factor's rows."""
+    return op.system.coupling.star_load(lam, op.lu.shape[0])
+
+
+def lu_solution(op, rhs, lift=None):
+    """The fields of the load rhs by lu_unknowns: pressures unscaled, the
+    eliminated velocity dofs lift (None: zero). A Darcy operator solves by
+    its own _solve, which counts one backsolve per column; a Stokes one
+    counts nothing."""
+    if isinstance(op, DarcyOperator):
+        return op._solve(rhs)
+    system = op.system
+    x = lu_unknowns(op, rhs)
+    n_free = len(system.free)
+    u = (np.zeros((system.n_udof,) + rhs.shape[1:]) if lift is None
+         else lift.copy())
+    u[system.free] = x[:n_free]
+    return Solution(u, x[n_free:n_free + system.n_p] * system.p_scale)
+
+
+def lu_bar_solution(op, lam=None):
+    """A Stokes operator's bar solve, with the star load of lam unless it
+    is None, by lu_solution: its bar load at its own BJS coefficients,
+    solved with its own LU. Counts nothing."""
+    system = op.system
+    rhs = system._bar_load(op.coef, op.lu.shape[0])
+    if lam is not None:
+        rhs = rhs + star_load(op, lam)
+    return lu_solution(op, rhs, system.g_dir)
+
+
 def lu_star_response(op, lam):
     """F A^-1 E lam of a Stokes operator by solving its star loads with its
-    own LU (reference or updated), read at the trace rows; lam may be a
-    column block. Counts nothing."""
+    own LU (lu_unknowns), read at the trace rows; lam may be a column
+    block. Counts nothing."""
     return op.system.coupling.trace_functionals(
-        op.lu.solve(op._star_load(lam)))
+        lu_unknowns(op, star_load(op, lam)))
 
 
 def assemble_darcy(mesh, K, nu, bcs, traces, f=None, q=None):

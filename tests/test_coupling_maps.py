@@ -47,7 +47,7 @@ def _recovery_tol(op):
     solves.
     """
     n = op.lu.shape[0]
-    inverse = op.lu.solve(np.eye(n))
+    inverse = oracles.lu_unknowns(op, np.eye(n))
     return max(TOL, n * np.finfo(float).eps * np.linalg.cond(inverse, 1))
 
 

@@ -12,7 +12,7 @@ from sdmortar.geometry import (Block, build_layout, build_subdomain_mesh,
                                locate_trace)
 
 from _oracles import (assemble_darcy, darcy_saddle_matrix, flux_on_interface,
-                      saddle_gap, solve_star)
+                      saddle_gap, solve_star, star_load)
 from conftest import load_case
 
 
@@ -253,8 +253,8 @@ def test_hybrid_solve_matches_the_saddle_lu_on_shipped_configs(name, refine):
             K = problem.sample_permeability(sid, y)
             op = problem.assemble_subdomain(sid, y)
             n = op.lu.shape[0]
-            for rhs in (op.bar_load, op._star_load(rng.standard_normal(nd)),
-                        op._star_load(rng.standard_normal((nd, 5))),
+            for rhs in (op.bar_load, star_load(op, rng.standard_normal(nd)),
+                        star_load(op, rng.standard_normal((nd, 5))),
                         rng.standard_normal((n, 3))):
                 if rhs.any():
                     assert saddle_gap(op, K, rhs) <= GAP, (sid, rhs.shape)

@@ -11,16 +11,15 @@ values on a stress side, an expression pressure on a Darcy side) at
 anisotropic (eta [0.05, 0.4], n_term 6), so that truncating to the
 largest products takes more than one pass, at `workers` 1. The arrays of
 a sweep are lambda per realization, every moment (mean and variance),
-the CG iteration counts and the five per-subdomain counters
-(factorizations, backsolves, basis_backsolves, setup_factorizations,
-setup_backsolves). A counter that one side does not report is compared
-as missing. For changes that are not meant to be bitwise, the summary
-line also gives the largest relative change of a sweep's CG iteration
-total, each sweep whose total differs is listed with both totals, and a
-last line gives the largest relative gap per array family (lambda, mean,
-var, cg_iters and each counter), scaled by the larger of the two sides;
-a variance's gap is scaled by its second moment mean^2 + var. Run from
-the root of a source checkout:
+the CG iteration counts and the per-subdomain counters that side's
+`sdmortar.interface.COUNTERS` names. A counter that one side does not
+report is compared as missing. For changes that are not meant to be
+bitwise, the summary line also gives the largest relative change of a
+sweep's CG iteration total, each sweep whose total differs is listed
+with both totals, and a last line gives the largest relative gap per
+array family (lambda, mean, var, cg_iters and each counter), scaled by
+the larger of the two sides; a variance's gap is scaled by its second
+moment mean^2 + var. Run from the root of a source checkout:
 
     python3 tools/compare_parent.py --parent HEAD --scratch /tmp/cmp-parent
 
@@ -47,8 +46,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 from workloads import refine  # noqa: E402
 
 CONFIGS = ("case1_mini", "case1_mini_sparse", "case2_mini", "darcy_twoblock")
-COUNTERS = ("factorizations", "backsolves", "basis_backsolves",
-            "setup_factorizations", "setup_backsolves")
 
 
 def boundary_data(cfg):
@@ -91,7 +88,7 @@ def dump(root, path):
     sys.path.insert(0, os.path.join(root, "src"))
     logging.disable(logging.WARNING)  # mesh/mortar ratio notes
     from sdmortar.config import build_from_config, parse_config
-    from sdmortar.interface import run_method
+    from sdmortar.interface import COUNTERS, run_method
 
     arrays = {}
     for tag, name, edit, method, workers in sweeps():
@@ -106,9 +103,8 @@ def dump(root, path):
             arrays[f"{tag}/mean/{field}"] = mean
             arrays[f"{tag}/var/{field}"] = var
         for counter in COUNTERS:
-            value = getattr(result.stats, counter, None)
-            if value is not None:
-                arrays[f"{tag}/{counter}"] = np.asarray(value)
+            arrays[f"{tag}/{counter}"] = np.asarray(getattr(result.stats,
+                                                            counter))
         print(f"{tag}: {grid.n_real} realizations", flush=True)
     np.savez(path, **arrays)
 
