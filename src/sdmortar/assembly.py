@@ -1,25 +1,23 @@
-"""Per-realization factors of the subdomain systems and their coupling.
+"""Factored subdomain operators and their mortar coupling.
 
-A factored Darcy or Stokes operator is a SubdomainOperator. Its star
-solve answers at the trace: it returns the flux response F A^-1 E lam of
-a local mortar vector or a block of them, and its flux_basis returns
--F A^-1 E for every unit mortar load. Its bar solve, which may carry
-interface data too, returns a Solution of full velocity and pressure dof
-vectors. A Darcy operator backsolves its loads with its banded factor,
-and a Darcy flux basis is one Gram product of its triangular solves
-(darcy.py). A Stokes operator reads every solve off its reference's
-responses to the mean-field loads by small products, with no LU solve
-(stokes.py); one whose BJS entries differ from its reference's applies
-the Woodbury update of UpdatedFactors. Each solve counts one backsolve
-per column.
+A factored Darcy or Stokes operator is a SubdomainOperator that holds
+what its solves read. Its star solve answers at the trace: it returns the
+flux response F A^-1 E lam of a local mortar vector or a block of them,
+and its flux_basis returns -F A^-1 E for every unit mortar load. Its bar
+solve, which may carry interface data too, returns a Solution of full
+velocity and pressure dof vectors. A Darcy operator holds its banded
+Cholesky factor and backsolves its loads with it, and a Darcy flux basis
+is one Gram product of its triangular solves (darcy.py). A Stokes
+operator reads every solve off its reference's responses to the
+mean-field loads by small products, with no LU solve; one whose BJS
+entries differ from its reference's holds the Woodbury correction G of
+that difference and its bar load's lift (stokes.py). Each solve counts
+one backsolve per column.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
-
-from .errors import SingularOperatorError
 
 
 class CouplingMaps:
@@ -81,41 +79,6 @@ def check_permeability(K, name):
             f"not finite and positive")
 
 
-# Smallest reciprocal condition number (1-norm) of a capacitance matrix
-# that UpdatedFactors accepts. Solves through the update lose about
-# log10(1/rcond) digits against a fresh factorization.
-CAP_RCOND = 1e-10
-
-
-class UpdatedFactors:
-    """The Woodbury update of a sparse LU of A to A + U D U^T.
-
-    U = I[:, rows] selects r rows, W = A^-1 U holds their r backsolves and
-    D is a dense r x r matrix. Only the capacitance M = I + D U^T W is
-    factored (Hager, Updating the inverse of a matrix, SIAM Review 1989);
-    it needs no inverse of D, so D may be singular or zero. With
-    G = W M^-1 D, formed once, the solution of (A + U D U^T) x = b is
-    x = y - G y[rows] with y = A^-1 b. A capacitance that is not finite,
-    or whose reciprocal condition number is below CAP_RCOND, raises
-    SingularOperatorError.
-    """
-
-    def __init__(self, base, rows, W, D):
-        self.shape = base.shape
-        M = np.eye(len(rows)) + D @ W[rows]
-        if not np.all(np.isfinite(M)):
-            raise SingularOperatorError("capacitance matrix is not finite")
-        lu, piv, info = dgetrf(M)
-        rcond = 0.0
-        if info == 0:
-            rcond = dgecon(lu, np.abs(M).sum(axis=0).max(), norm="1")[0]
-        if not rcond >= CAP_RCOND:
-            raise SingularOperatorError(
-                f"capacitance matrix is singular (reciprocal condition "
-                f"number {rcond:.1e})")
-        self.G = W @ dgetrs(lu, piv, D)[0]
-
-
 @dataclass
 class Solution:
     """Fields of one subdomain solve; with a block of right-hand sides each
@@ -130,8 +93,9 @@ class SubdomainOperator:
 
     The system's unknowns are its free velocity dofs `free` (of n_udof)
     followed by n_p pressures; a Stokes LU scales the pressures by p_scale
-    and may border the unknowns with constraint rows. `lu` is the factor:
-    a darcy.HybridFactors, or a Stokes SuperLU or UpdatedFactors.
+    and may border the unknowns with constraint rows. Each subclass holds
+    what its solves read: a DarcyOperator its Cholesky factor and trace
+    maps, a StokesOperator its reference and, if updated, G and the lift.
 
     A backsolve is one subdomain problem solved for one right-hand side:
     a solve or star solve with m columns counts m, and a flux basis counts
@@ -142,10 +106,9 @@ class SubdomainOperator:
     own factorizations and backsolves; SolveStats harvests them.
     """
 
-    def __init__(self, system, lu):
+    def __init__(self, system):
         self.system = system
         self.mesh = system.mesh
-        self.lu = lu
         self.factorizations = 1
         self.backsolves = 0
 

@@ -45,11 +45,13 @@ H's lower band, Q, m and beta, the multiplier of every cell slot, the
 constant signed scatter C = [C_T] of the cell slots onto the
 multipliers, and the owner slot of every free edge. A realization sums
 H's band straight into LAPACK's column-major band storage with one
-bincount over the cells and factors H by banded Cholesky (dpbtrf). A
-solve runs the closed form above on every cell at once: it gathers the
-loads at their owner slots, solves H mu = C y, y_T = (K_T/nu) Q r_T +
-m g_T / beta, by one dpbtrs and reads u at the owner slots and p, each
-step a product of Q or m with the (4 x cells) array of the cell slots.
+bincount over the cells and factors H by banded Cholesky (dpbtrf); its
+DarcyOperator holds that factor, the cells' K/nu and the trace maps
+below, and nothing else. A solve runs the closed form above on every
+cell at once: it gathers the loads at their owner slots, solves
+H mu = C y, y_T = (K_T/nu) Q r_T + m g_T / beta, by one dpbtrs and reads
+u at the owner slots and p, each step a product of Q or m with the
+(4 x cells) array of the cell slots.
 
 A star problem is asked only for its flux response F A^-1 E lam, so the
 system also keeps the trace restriction of the solve. With E the trace
@@ -114,44 +116,6 @@ def _cell_edge_table(mesh):
     """(west, east, south, north) edge id arrays of every cell, row-major."""
     iy, ix = np.divmod(np.arange(mesh.n_cells), mesh.nx)
     return mesh.cell_edges(ix, iy)
-
-
-class HybridFactors:
-    """Saddle solves of one realization through the Cholesky factor of H.
-
-    `shape` is the saddle system's and `a` the cells' K/nu; solve(rhs)
-    takes one right-hand side [r; g] or a block of columns and returns
-    [u_free; p] by the module docstring's closed form on all cells at
-    once, slot-major (4 x cells): the loads r at their owner slots,
-    y = a (Q r) + m g / beta, one dpbtrs for mu from C y, and u (at the
-    owner slots) and p of r - C^T mu.
-    """
-
-    def __init__(self, system, chol, a):
-        self.system = system
-        self.shape = (system.n_unknowns, system.n_unknowns)
-        self.chol = chol
-        self.a = a
-
-    def solve(self, rhs):
-        system, a = self.system, self.a
-        Q, m, beta = system.Q, system.m, system.beta
-        n_u, cols = system.n_u, np.shape(rhs)[1:]
-        # the loads at their owner slots, (4 x cells) per column of rhs
-        r = np.zeros(cols + (4 * len(a),))
-        r[..., system.owner] = rhs[:n_u].T
-        r = r.reshape(cols + (4, len(a)))
-        g = rhs[n_u:].T / beta  # g_T / beta
-        gm = m[:, None] * g[..., None, :]
-        if self.chol.shape[1]:  # else no interior or no-flow edge
-            y = a * (Q @ r) + gm
-            mu = dpbtrs(self.chol, system.C @ y.reshape(cols + (-1,)).T,
-                        lower=1)[0]
-            # r - C^T mu; a slot without a multiplier reads the zero row
-            mu = np.concatenate([mu, np.zeros((1,) + cols)])
-            r -= _CELL_SIGN[:, None] * mu.T[..., system.slot_mult]
-        u = (a * (Q @ r) + gm).reshape(cols + (-1,))[..., system.owner]
-        return np.concatenate([u, m @ r / beta - g / a], axis=-1).T
 
 
 class DarcySystem:
@@ -357,8 +321,7 @@ class DarcySystem:
             n_loc = self.coupling.n_rows
             R = (self._R_map @ a).reshape(len(self.reach), n_loc)
             P = (self._P_map @ a).reshape(n_loc, n_loc)
-        return DarcyOperator(self, HybridFactors(self, chol, a),
-                             self.bar_load, R, P)
+        return DarcyOperator(self, chol, a, R, P)
 
 
 def _entry_map(at, which, vals, shape):
@@ -374,31 +337,54 @@ def _entry_map(at, which, vals, shape):
 class DarcyOperator(SubdomainOperator):
     """Factored subdomain operator for one permeability realization.
 
-    R and P are its trace maps (DarcySystem._trace_maps), formed when it
-    is factored; None when the system has no coupling.
+    It holds H's banded Cholesky factor `chol`, the cells' K/nu `a` and
+    its trace maps R and P (DarcySystem._trace_maps), all formed when it
+    is factored; R and P are None when the system has no coupling.
     """
 
-    def __init__(self, system, lu, bar_load, R, P):
-        super().__init__(system, lu)
-        self.bar_load = bar_load
+    def __init__(self, system, chol, a, R, P):
+        super().__init__(system)
+        self.chol, self.a = chol, a
         self.R, self.P = R, P
 
     def solve_bar(self, lam=None):
         """Solve with full outer data and sources and, unless lam is None,
-        the star load of the local mortar vector lam: one backsolve."""
-        rhs = self.bar_load
-        if lam is not None:
-            rhs = rhs + self.system.coupling.star_load(lam, self.lu.shape[0])
-        return self._solve(rhs)
-
-    def _solve(self, rhs):
-        """Backsolve rhs (or a block); no-flow velocity dofs are zero."""
+        the star load of the local mortar vector lam: one backsolve.
+        No-flow velocity dofs are zero."""
         system = self.system
+        rhs = system.bar_load
+        if lam is not None:
+            rhs = rhs + system.coupling.star_load(lam, system.n_unknowns)
         self._count(rhs)
-        sol = self.lu.solve(rhs)
+        x = self._unknowns(rhs)
         u = np.zeros((system.n_udof,) + rhs.shape[1:])
-        u[system.free] = sol[:system.n_u]
-        return Solution(u, sol[system.n_u:])
+        u[system.free] = x[:system.n_u]
+        return Solution(u, x[system.n_u:])
+
+    def _unknowns(self, rhs):
+        """[u_free; p] of one right-hand side [r; g] or a block of
+        columns, by the module docstring's closed form on all cells at
+        once, slot-major (4 x cells): the loads r at their owner slots,
+        y = a (Q r) + m g / beta, one dpbtrs for mu from C y, and u (at
+        the owner slots) and p of r - C^T mu. Counts nothing."""
+        system, a = self.system, self.a
+        Q, m, beta = system.Q, system.m, system.beta
+        n_u, cols = system.n_u, np.shape(rhs)[1:]
+        # the loads at their owner slots, (4 x cells) per column of rhs
+        r = np.zeros(cols + (4 * len(a),))
+        r[..., system.owner] = rhs[:n_u].T
+        r = r.reshape(cols + (4, len(a)))
+        g = rhs[n_u:].T / beta  # g_T / beta
+        gm = m[:, None] * g[..., None, :]
+        if self.chol.shape[1]:  # else no interior or no-flow edge
+            y = a * (Q @ r) + gm
+            mu = dpbtrs(self.chol, system.C @ y.reshape(cols + (-1,)).T,
+                        lower=1)[0]
+            # r - C^T mu; a slot without a multiplier reads the zero row
+            mu = np.concatenate([mu, np.zeros((1,) + cols)])
+            r -= _CELL_SIGN[:, None] * mu.T[..., system.slot_mult]
+        u = (a * (Q @ r) + gm).reshape(cols + (-1,))[..., system.owner]
+        return np.concatenate([u, m @ r / beta - g / a], axis=-1).T
 
     def solve_star(self, lam):
         """Flux response F A^-1 E lam to interface data only,
@@ -409,7 +395,7 @@ class DarcyOperator(SubdomainOperator):
         dpbtrs on R lam, then R^T H^-1 R lam - P lam.
         """
         self._count(lam)
-        chol, reach = self.lu.chol, self.system.reach
+        chol, reach = self.chol, self.system.reach
         out = -(self.P @ lam)
         if chol.shape[1]:  # else no interior or no-flow edge
             rhs = np.zeros((chol.shape[1],) + np.shape(lam)[1:])
@@ -430,7 +416,7 @@ class DarcyOperator(SubdomainOperator):
         P = self.P
         n_loc = len(P)
         self.backsolves += n_loc
-        chol, reach = self.lu.chol, self.system.reach
+        chol, reach = self.chol, self.system.reach
         n = chol.shape[1]
         if not (n and len(reach)):
             return P.copy()

@@ -46,9 +46,8 @@ operator's one counted factorization. The reference LU and every column
 it solves (the r of its update basis, the N_dof_i of its mean-field unit
 responses and the one of its mean-field bar solve) are set-up work,
 outside the identities below, and the only solves a Stokes LU makes. At
-the mean field itself an operator solves with the reference LU unchanged
-and no update basis is built: S3's one Stokes operator per subdomain is
-that LU.
+the mean field itself an operator holds no update and no update basis is
+built: S3's one Stokes operator per subdomain is its reference's own.
 
 All three solve S lam = g by preconditioned CG with one preconditioner
 per sweep, MeanFieldPreconditioner. run_method builds it once, before the

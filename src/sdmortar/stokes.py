@@ -23,13 +23,14 @@ The BJS entries touch only the r tangential trace unknowns of the sd
 interfaces, so a matrix at other coefficients is a rank-r update of one at
 reference coefficients. A StokesReference factors the reference matrix
 once (kernel detection and bordering included) and gives the operator at
-other coefficients as that LU plus an r x r capacitance
-(assembly.UpdatedFactors), at the reference coefficients as the LU
-itself. This is the only way a Stokes operator is made: the interface
-solver keeps one reference per Stokes subdomain per sweep, at the mean
-field. The reference also keeps its responses to the mean-field loads
-(bar, update and unit star), and every operator's solve is small
-products on them: after set-up a Stokes LU solves nothing.
+other coefficients by factoring an r x r capacitance: the operator holds
+the Woodbury correction G and its bar load's lift, formed once. At the
+reference coefficients the operator holds neither. This is the only way
+a Stokes operator is made: the interface solver keeps one reference per
+Stokes subdomain per sweep, at the mean field. The reference also keeps
+its responses to the mean-field loads (bar, update and unit star), and
+every operator's solve is small products on them: after set-up a Stokes
+LU solves nothing.
 
 Interface data lives in the fixed interface frame (n, tau): a star solve
 with the mortar function (lam_n, lam_tau) adds
@@ -43,10 +44,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 from scipy.sparse.linalg import splu
 
 from .assembly import (CouplingMaps, Solution, SubdomainOperator,
-                       UpdatedFactors, check_permeability)
+                       check_permeability)
 from .errors import SingularOperatorError
 from .geometry import GAUSS3_POINTS, GAUSS3_WEIGHTS, SIDES
 
@@ -60,6 +62,11 @@ _QP = np.array([
 
 # 1D quadratic nodal mass matrix on an edge of unit length, nodes (0, 1/2, 1)
 EDGE_MASS = np.array([[4, 2, -1], [2, 16, 2], [-1, 2, 4]]) / 30.0
+
+# Smallest reciprocal condition number (1-norm) of a capacitance matrix
+# that StokesReference.factor accepts. Solves through the update lose
+# about log10(1/rcond) digits against a fresh factorization.
+CAP_RCOND = 1e-10
 
 
 def _p2_shapes(xi, eta):
@@ -437,10 +444,10 @@ class StokesReference:
     tangential sd trace dofs: A(coef) = A_ref + U D U^T with U = I[:, T]
     and D = system.bjs_block(coef - coef_ref), A_ref being S0 plus the
     BJS block at the reference coefficients.
-    factor(kl) returns an operator that solves with A(coef) through
-    assembly.UpdatedFactors, an r x r capacitance LU. The kernel
-    constraints are detected and bordered once, here; a realization whose
-    BJS coefficients leave another kernel has a singular capacitance.
+    factor(kl) returns the operator of A(coef), updated through an r x r
+    capacitance LU. The kernel constraints are detected and bordered
+    once, here; a realization whose BJS coefficients leave another kernel
+    has a singular capacitance.
 
     Every operator's solves read the reference's responses, each solved
     with the LU at its first use: W = A_ref^-1 U (the r unit columns, _w),
@@ -508,59 +515,79 @@ class StokesReference:
         return self._mean
 
     def factor(self, kl=None):
-        """Operator for the BJS samples kl: the reference LU, updated.
+        """Operator for the BJS samples kl: the reference, updated.
 
-        Where the coefficients leave the BJS entries as they are (D = 0,
-        always so when r = 0) the operator solves with the reference LU
-        itself.
+        With D = bjs_block(coef - coef_ref) only the capacitance
+        M = I + D W[T] is factored (Hager, Updating the inverse of a
+        matrix, SIAM Review 1989); it needs no inverse of D, so D may be
+        singular. The operator gets G = W M^-1 D, so that
+        A(coef)^-1 b = y - G y[T] with y = A_ref^-1 b, and its bar load's
+        lift W X (coef - coef_ref). A capacitance that is not finite, or
+        whose reciprocal condition number is below CAP_RCOND, raises
+        SingularOperatorError. Where D = 0 (always so when r = 0) the
+        operator is the reference's own: G and lift are None.
         """
         system = self.system
         coef = system.bjs_coefficients(kl or {})
         D = system.bjs_block(coef - self.coef)
-        lu = self.lu
+        G = lift = None
         if D.any():
-            try:
-                lu = UpdatedFactors(self.lu, system.T, self._w(), D)
-            except SingularOperatorError as exc:
-                raise SingularOperatorError(f"{system.name}: {exc}") from None
-        return StokesOperator(self, lu, coef)
+            W = self._w()
+            M = np.eye(len(D)) + D @ W[system.T]
+            if not np.all(np.isfinite(M)):
+                raise SingularOperatorError(
+                    f"{system.name}: capacitance matrix is not finite")
+            lu, piv, info = dgetrf(M)
+            rcond = 0.0
+            if info == 0:
+                rcond = dgecon(lu, np.abs(M).sum(axis=0).max(), norm="1")[0]
+            if not rcond >= CAP_RCOND:
+                raise SingularOperatorError(
+                    f"{system.name}: capacitance matrix is singular "
+                    f"(reciprocal condition number {rcond:.1e})")
+            G = W @ dgetrs(lu, piv, D)[0]
+            lift = W @ (self.X @ (coef - self.coef))
+        return StokesOperator(self, coef, G, lift)
 
 
 class StokesOperator(SubdomainOperator):
     """Factored Taylor-Hood operator for the BJS coefficients `coef`.
 
-    Its LU factors the pressure-scaled matrix, bordered by kernel_dim
-    rigid-body constraints: the LU of its StokesReference `reference`, or
-    that LU updated (assembly.UpdatedFactors). Its solves read the
-    reference's responses; the LU solves nothing.
+    Its matrix is its StokesReference `reference`'s, bordered by the same
+    kernel_dim rigid-body constraints and updated by U D U^T where coef
+    differs from the reference's (StokesReference.factor). Its solves
+    read the reference's responses by small products; no LU solves. At
+    the reference coefficients it holds no array beyond coef, and G and
+    lift are None. An updated operator holds G, its trace functionals
+    F G and the lift W X (coef - coef_ref).
     """
 
-    def __init__(self, reference, lu, coef):
-        super().__init__(reference.system, lu)
+    def __init__(self, reference, coef, G, lift):
+        super().__init__(reference.system)
         self.reference = reference
         self.coef = coef
+        self.G, self.lift = G, lift
         coupling = self.system.coupling
-        self._FG = (None if lu is reference.lu or coupling is None
-                    else coupling.trace_functionals(lu.G))
+        self._FG = (None if G is None or coupling is None
+                    else coupling.trace_functionals(G))
 
     @property
     def kernel_dim(self):
-        return self.lu.shape[0] - self.system.n_unknowns
+        return self.reference.kernel_dim
 
     def solve_bar(self, lam=None):
         """Solve with body force, outer Dirichlet lifts, outer tractions
         and, unless lam is None, the star load of the local mortar vector
         lam: one backsolve, and no LU solve. It reads
-        y = u_bar - W X (coef - coef_ref) + Y0 lam (see StokesReference)
-        and, if updated, takes y - G y[T]."""
+        y = u_bar + Y0 lam (see StokesReference) and, if updated, takes
+        y - lift and then y - G y[T]."""
         reference, system = self.reference, self.system
         y = reference.mean_bar()
         if lam is not None:
             y = y + reference.mean_basis()[1] @ lam
-        if self.lu is not reference.lu:
-            y = y - reference._w() @ (reference.X
-                                      @ (self.coef - reference.coef))
-            y = y - self.lu.G @ y[system.T]
+        if self.G is not None:
+            y = y - self.lift
+            y = y - self.G @ y[system.T]
         self._count(y)
         n_free = len(system.free)
         u = system.g_dir.copy()

@@ -389,13 +389,13 @@ def solve_star(op, sid, sides, data):
 
     sides are (interface, trace) pairs of the subdomain; data maps interface
     index -> per-edge values (Darcy) or (lam_n, lam_tau) nodal values
-    (Stokes), as star_data returns them. Solved by lu_solution: one
-    backsolve for a Darcy operator, none for a Stokes one.
+    (Stokes), as star_data returns them. Solved by lu_solution, which
+    counts nothing.
     """
     sides = {g.index: (g, t) for g, t in sides}
     load = (_darcy_trace_load if isinstance(op, DarcyOperator)
             else _stokes_trace_load)(op, sid, sides, data)
-    rhs = np.zeros(op.lu.shape[0])  # zero pressure and constraint rows
+    rhs = np.zeros(factor_rows(op))  # zero pressure and constraint rows
     rhs[:len(load)] = load
     return lu_solution(op, rhs)
 
@@ -601,7 +601,7 @@ def saddle_gap(op, K, rhs):
     of rhs by a Darcy operator factored at K to a sparse LU of its saddle
     matrix; rhs may be a block of columns."""
     ref = splu(darcy_saddle_matrix(op.system, K)).solve(rhs)
-    return float(np.max(np.abs(op.lu.solve(rhs) - ref))
+    return float(np.max(np.abs(lu_unknowns(op, rhs) - ref))
                  / np.max(np.abs(ref)))
 
 
@@ -611,40 +611,49 @@ def fresh_stokes(system, kl=None):
     return StokesReference(system, kl).factor(kl)
 
 
+def factor_rows(op):
+    """Rows of an operator's factored system: a Darcy system's unknowns,
+    a Stokes reference LU's rows (unknowns and kernel constraints)."""
+    if isinstance(op, DarcyOperator):
+        return op.system.n_unknowns
+    return op.reference.lu.shape[0]
+
+
 def lu_unknowns(op, rhs):
     """A^-1 rhs by an operator's own factor, counting nothing.
 
-    A Darcy operator's is its HybridFactors. A Stokes operator's is the
-    route its solves took before they read its reference's responses: the
+    A Darcy operator's is its closed-form solve on its Cholesky factor
+    (DarcyOperator._unknowns). A Stokes operator's is the route its
+    solves took before they read its reference's responses: the
     reference's sparse LU gives y = A_ref^-1 rhs, and an updated operator
-    (assembly.UpdatedFactors) takes y - G y[T]. rhs has the factor's rows,
-    a Stokes load's pressure rows scaled, and may be a column block.
+    takes y - G y[T]. rhs has factor_rows(op) rows, a Stokes load's
+    pressure rows scaled, and may be a column block.
     """
     if isinstance(op, DarcyOperator):
-        return op.lu.solve(rhs)
+        return op._unknowns(rhs)
     y = op.reference.lu.solve(rhs)
-    return y if op.lu is op.reference.lu else y - op.lu.G @ y[op.system.T]
+    return y if op.G is None else y - op.G @ y[op.system.T]
 
 
 def star_load(op, lam):
     """E lam of an operator's system at its factor's rows."""
-    return op.system.coupling.star_load(lam, op.lu.shape[0])
+    return op.system.coupling.star_load(lam, factor_rows(op))
 
 
 def lu_solution(op, rhs, lift=None):
-    """The fields of the load rhs by lu_unknowns: pressures unscaled, the
-    eliminated velocity dofs lift (None: zero). A Darcy operator solves by
-    its own _solve, which counts one backsolve per column; a Stokes one
-    counts nothing."""
-    if isinstance(op, DarcyOperator):
-        return op._solve(rhs)
+    """The fields of the load rhs by lu_unknowns, counting nothing:
+    pressures unscaled (a Stokes load's are scaled by p_scale), the
+    eliminated velocity dofs lift (None: zero)."""
     system = op.system
     x = lu_unknowns(op, rhs)
     n_free = len(system.free)
     u = (np.zeros((system.n_udof,) + rhs.shape[1:]) if lift is None
          else lift.copy())
     u[system.free] = x[:n_free]
-    return Solution(u, x[n_free:n_free + system.n_p] * system.p_scale)
+    p = x[n_free:n_free + system.n_p]
+    if not isinstance(op, DarcyOperator):
+        p = p * system.p_scale
+    return Solution(u, p)
 
 
 def lu_bar_solution(op, lam=None):
@@ -652,7 +661,7 @@ def lu_bar_solution(op, lam=None):
     is None, by lu_solution: its bar load at its own BJS coefficients,
     solved with its own LU. Counts nothing."""
     system = op.system
-    rhs = system._bar_load(op.coef, op.lu.shape[0])
+    rhs = system._bar_load(op.coef, factor_rows(op))
     if lam is not None:
         rhs = rhs + star_load(op, lam)
     return lu_solution(op, rhs, system.g_dir)

@@ -46,7 +46,7 @@ def _recovery_tol(op):
     below a quarter of this bound. cond_1 is exact: A^-1 from n unit
     solves.
     """
-    n = op.lu.shape[0]
+    n = oracles.factor_rows(op)
     inverse = oracles.lu_unknowns(op, np.eye(n))
     return max(TOL, n * np.finfo(float).eps * np.linalg.cond(inverse, 1))
 

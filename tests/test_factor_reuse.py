@@ -19,10 +19,11 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from _oracles import (fresh_operator, fresh_stokes, lu_solution,
-                      per_column_flux_basis, saddle_gap, star_load,
-                      stokes_saddle_matrix, trace_coupling)
-from conftest import load_case
+from _oracles import (factor_rows, fresh_operator, fresh_stokes,
+                      lu_solution, lu_unknowns, per_column_flux_basis,
+                      saddle_gap, star_load, stokes_saddle_matrix,
+                      trace_coupling)
+from conftest import build_operators, load_case, new_group
 from sdmortar import darcy, stokes
 from sdmortar.errors import SingularOperatorError
 from sdmortar.geometry import (Block, build_layout, build_subdomain_mesh,
@@ -72,9 +73,9 @@ def test_reused_order_is_bitwise_at_x1(name):
         fresh = problem._build_system(sid)
         assert np.array_equal(fresh.multiplier, ops[1].system.multiplier)
         op = fresh.factor(K)
-        b = rng.standard_normal((op.lu.shape[0], 3))
-        assert np.array_equal(op.lu.chol, ops[1].lu.chol), sid
-        assert np.array_equal(op.lu.solve(b), ops[1].lu.solve(b)), sid
+        b = rng.standard_normal((factor_rows(op), 3))
+        assert np.array_equal(op.chol, ops[1].chol), sid
+        assert np.array_equal(lu_unknowns(op, b), lu_unknowns(ops[1], b)), sid
 
 
 @pytest.mark.parametrize("name, refine", [("case2_mini", 1),
@@ -89,7 +90,7 @@ def test_reused_order_matches_fresh_factor(name, refine):
     rng = np.random.default_rng(0)
     for sid in darcy_sids(case.problem):
         K, ops = two_realizations(case, sid)
-        b = rng.standard_normal((ops[1].lu.shape[0], 3))
+        b = rng.standard_normal((factor_rows(ops[1]), 3))
         assert saddle_gap(ops[1], K, b) <= 1e-13, sid
 
 
@@ -143,10 +144,44 @@ def test_darcy_operator_holds_only_its_factor_and_trace_maps(name):
         op = problem.assemble_subdomain(sid, y)
         K = problem.sample_permeability(sid, y)
         shared = {id(v) for v in vars(op.system).values()}
-        held = sum(_nbytes(v) for obj in (op, op.lu)
-                   for v in vars(obj).values() if id(v) not in shared)
-        assert held == sum(x.nbytes for x in (op.lu.chol, K / op.system.nu,
+        held = sum(_nbytes(v) for v in vars(op).values()
+                   if id(v) not in shared)
+        assert held == sum(x.nbytes for x in (op.chol, K / op.system.nu,
                                               op.R, op.P)), sid
+
+
+@pytest.mark.parametrize("name", CONFIGS[:3])
+def test_stokes_operator_holds_only_its_update(name):
+    """A Stokes operator holds no array beyond its BJS coefficients coef
+    at the reference coefficients, as S3's operators and the mean field's
+    are; an updated one holds exactly G, its trace functionals F G and
+    the bar load's lift. What else its solves read is its reference's or
+    its system's."""
+    case = load_case(name)
+    problem = case.problem
+    s3 = new_group(case, "S3")
+    build_operators(s3)
+    zero = np.zeros(problem.perm.n_dims)
+    assert len(s3.refs) == 2
+    for sid, ref in s3.refs.items():
+        shared = {id(v) for obj in (ref.system, ref)
+                  for v in vars(obj).values()}
+
+        def held(op):
+            return {k for k, v in vars(op).items()
+                    if isinstance(v, np.ndarray) and id(v) not in shared}
+
+        at_ref = [o for (s, _), (o, _) in s3.cache.items() if s == sid]
+        at_ref.append(problem.assemble_subdomain(sid, zero, ref))
+        assert len(at_ref) == 2, sid
+        for op in at_ref:
+            assert held(op) == {"coef"}, sid
+            assert np.array_equal(op.coef, ref.coef)
+            assert op.G is op.lift is op._FG is None
+        op = problem.assemble_subdomain(sid, case.grid.points[-1], ref)
+        assert held(op) == {"coef", "G", "_FG", "lift"}, sid
+        assert op.G.shape == (factor_rows(op), len(op.system.T))
+        assert op.lift.shape == (factor_rows(op),)
 
 
 @pytest.mark.parametrize("refine", (1, 2))
@@ -425,7 +460,7 @@ def test_basis_solves_each_column_once_from_its_first_multiplier(
         op = fresh_operator(problem, sid, case.grid.points[0])
         calls.clear()
         dofs, _ = compute_flux_basis(problem, sid, op, stats)
-        reach, n = op.system.reach, op.lu.chol.shape[1]
+        reach, n = op.system.reach, op.chol.shape[1]
         first = [reach[np.flatnonzero(col)[0]] for col in op.R.T]
         assert len(calls) == len(dofs)
         assert calls == [(n - start, ()) for start in first], sid

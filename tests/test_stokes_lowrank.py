@@ -2,7 +2,8 @@
 
 Every method factors each Stokes subdomain once per sweep, at the mean
 field (StokesReference), and gives every realization its operator through
-an r x r capacitance (assembly.UpdatedFactors). The reference route here
+an r x r capacitance: the operator holds the Woodbury correction G and
+its bar load's lift (StokesReference.factor). The reference route here
 is a fresh sparse LU of the realization's own matrix
 (_oracles.fresh_operator). Measured gaps are up to 4e-14 relative at x1
 and 1.2e-13 at x2; the bound is 1e-12.
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from scipy.linalg.lapack import dpbtrf
-from scipy.sparse.linalg import SuperLU, splu
+from scipy.sparse.linalg import splu
 
 from _oracles import (fresh_operator, fresh_stokes, lu_bar_solution,
                       lu_solution, lu_star_response, star_load,
@@ -23,7 +24,6 @@ from _oracles import (fresh_operator, fresh_stokes, lu_bar_solution,
 from conftest import build_operators, load_case, new_group
 from test_coupling_maps import tilings
 from sdmortar import darcy, stokes
-from sdmortar.assembly import UpdatedFactors
 from sdmortar.errors import SingularOperatorError
 from sdmortar.geometry import (Block, build_layout, build_subdomain_mesh,
                                locate_trace)
@@ -110,23 +110,24 @@ def test_lowrank_matches_fresh_factor(name, refine):
 
 
 def test_lowrank_alpha0_is_the_reference_lu():
-    """r = 0: every operator solves with the reference LU itself."""
+    """r = 0: every operator is its reference's own, with no update
+    (G None)."""
     case = load_case("case1_mini", physics={"alpha": 0.0})
     seen = check_realizations(case, case.grid.points)
     assert [r for _, r in seen] == [0, 0]
     problem = case.problem
     ref = problem.stokes_reference(0)
     op = ref.factor()
-    assert op.lu is ref.lu and ref.backsolves == 0
+    assert op.G is None and ref.backsolves == 0
 
 
 def test_reference_coefficients_use_the_reference_lu(case1):
-    """At the mean field (D = 0) the operator is the reference LU itself:
-    no W, no capacitance. So are S3's Stokes operators, each its group's
-    reference LU, and a mean-field solve_realization. Their star solves
-    and bases read the mean basis, whose N_dof unit solves the reference
-    counts as set-up, and their bar and recovery solves its mean-field bar
-    solve, one more set-up column."""
+    """At the mean field (D = 0) the operator is its reference's own (G
+    None): no W, no capacitance. So are S3's Stokes operators, each on
+    its group's reference, and a mean-field solve_realization. Their star
+    solves and bases read the mean basis, whose N_dof unit solves the
+    reference counts as set-up, and their bar and recovery solves its
+    mean-field bar solve, one more set-up column."""
     problem = case1.problem
     zero = np.zeros(problem.perm.n_dims)
     sids = stokes_sids(problem)
@@ -135,10 +136,10 @@ def test_reference_coefficients_use_the_reference_lu(case1):
     for sid in sids:
         ref = problem.stokes_reference(sid)
         op = problem.assemble_subdomain(sid, zero, ref)
-        assert op.lu is ref.lu and ref.backsolves == 0
+        assert op.G is None and ref.backsolves == 0
         ops = [o for (s, _), (o, _) in s3.cache.items() if s == sid]
-        assert [type(o.lu) for o in ops] == [SuperLU]
-        assert ops[0].lu is s3.refs[sid].lu
+        assert [o.G for o in ops] == [None]
+        assert ops[0].reference is s3.refs[sid]
         assert s3.refs[sid].backsolves == len(problem.sub_dofs[sid])
     _, _, stats = solve_realization(problem)
     assert list(stats.setup_backsolves) == [13, 13, 0, 0, 0, 0]
@@ -278,11 +279,18 @@ def test_bar_lift_rows_lie_in_T_on_random_tilings(case):
     assert_bar_lift_in_T(case[0])
 
 
+# block 0's left inflow, shifted by 1 so that it is not zero at the sd
+# interface (y = 0.8 in case1_mini, y = 0.5 in case2_mini)
+CORNER_INFLOW = {"case1_mini": "1 + (y - 0.8)*(1.2 - y)/0.04",
+                 "case2_mini": "1 + (y - 0.5)*(1 - y)/0.0625"}
+
+
 def inflow_at_the_corner(name):
-    """Block 0's left inflow of case1_mini made nonzero where it meets the
-    sd interface, so that the bar load has a BJS lift (2 rows)."""
+    """Block 0's left inflow of case1_mini or case2_mini made nonzero where
+    it meets the sd interface, so that the bar load has a BJS lift (2
+    rows)."""
     bcs = copy.deepcopy(load_case(name).cfg["bcs"])
-    bcs["0"]["left"]["value"] = ["1 + (y - 0.8)*(1.2 - y)/0.04", "0.5"]
+    bcs["0"]["left"]["value"] = [CORNER_INFLOW[name], "0.5"]
     return {"bcs": bcs}
 
 
@@ -293,7 +301,7 @@ BAR_TOL = 1e-12
 
 @pytest.mark.parametrize("name, refine, lift", [
     *((name, refine, False) for refine in (1, 2) for name in STOKES_CONFIGS),
-    ("case1_mini", 1, True), ("case1_mini", 2, True)])
+    *((name, refine, True) for refine in (1, 2) for name in CORNER_INFLOW)])
 def test_bar_solves_match_the_lu_oracle(lu_blocks, name, refine, lift):
     """solve_bar, products on the reference's responses, against the
     operator's bar load (plus the star load of lam) solved with its own LU
@@ -313,7 +321,7 @@ def test_bar_solves_match_the_lu_oracle(lu_blocks, name, refine, lift):
         nd = len(problem.sub_dofs[sid])
         for y in (zero, *case.grid.points):
             op = problem.assemble_subdomain(sid, y, ref)
-            assert op.lu is ref.lu or y is not zero
+            assert op.G is None or y is not zero
             for lam in (None, rng.standard_normal(nd)):
                 lu_blocks[-1].clear()  # W's columns, at the first update
                 backsolves = op.backsolves
@@ -526,7 +534,7 @@ def test_updated_operator_without_coupling_solves_its_bar_problem():
                           f=lambda x, y: (1.0 + 0 * x, x * y))
     kl = {tr.iface.index: np.array([0.3, 5.0])}
     low = StokesReference(system, {tr.iface.index: np.ones(2)}).factor(kl)
-    assert isinstance(low.lu, UpdatedFactors)
+    assert low.G is not None
     assert_same_solution(low.solve_bar(), fresh_stokes(system, kl).solve_bar())
 
 

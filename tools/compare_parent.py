@@ -1,6 +1,6 @@
 """Bitwise comparison of sweep results between a git revision and the tree.
 
-Runs 33 collocation sweeps on a `git archive` of a revision and on the
+Runs 35 collocation sweeps on a `git archive` of a revision and on the
 working tree and prints every array that differs: S1, S2 and S3 on each
 shipped config at `workers` 1 and 2, S1, S2 and S3 on `case1_mini` with
 meshes and mortars x2 at `workers` 1 and 2, S3 on `case1_mini` x4 at
@@ -9,11 +9,13 @@ meshes and mortars x2 at `workers` 1 and 2, S3 on `case1_mini` x4 at
 values on a stress side, an expression pressure on a Darcy side) at
 `workers` 1, and S3 on `case1_mini_sparse` with KL region 0 made
 anisotropic (eta [0.05, 0.4], n_term 6), so that truncating to the
-largest products takes more than one pass, at `workers` 1. The arrays of
-a sweep are lambda per realization, every moment (mean and variance),
-the CG iteration counts and the per-subdomain counters that side's
-`sdmortar.interface.COUNTERS` names. A counter that one side does not
-report is compared as missing. For changes that are not meant to be
+largest products takes more than one pass, at `workers` 1, and S1 and S2
+on `case1_mini` with block 0's inflow made nonzero where it meets the sd
+interface, so that its bar load has a slip (BJS) lift, at `workers` 1.
+The arrays of a sweep are lambda per realization, every moment (mean and
+variance), the CG iteration counts and the per-subdomain counters that
+side's `sdmortar.interface.COUNTERS` names. A counter that one side does
+not report is compared as missing. For changes that are not meant to be
 bitwise, the summary line also gives the largest relative change of a
 sweep's CG iteration total, each sweep whose total differs is listed
 with both totals, and a last line gives the largest relative gap per
@@ -65,9 +67,19 @@ def anisotropic_kl(cfg):
     return cfg
 
 
+def corner_inflow(cfg):
+    """case1_mini with block 0's left inflow shifted by 1, so that it is
+    not zero at the sd interface (y = 0.8): the Stokes bar load then
+    depends on the slip coefficients."""
+    cfg = copy.deepcopy(cfg)
+    cfg["bcs"]["0"]["left"]["value"] = ["1 + (y - 0.8)*(1.2 - y)/0.04",
+                                        "0.5"]
+    return cfg
+
+
 def sweeps():
     """(tag, config, edit of its parsed config, method, workers) of the
-    33 sweeps."""
+    35 sweeps."""
     def refined(n):
         return lambda cfg: refine(cfg, n)
 
@@ -80,6 +92,8 @@ def sweeps():
     out.append(("case2_mini_bc/S2/w1", "case2_mini", boundary_data, "S2", 1))
     out.append(("case1_mini_sparse_kl/S3/w1", "case1_mini_sparse",
                 anisotropic_kl, "S3", 1))
+    out += [(f"case1_mini_lift/{method}/w1", "case1_mini", corner_inflow,
+             method, 1) for method in ("S1", "S2")]
     return out
 
 
